@@ -2,17 +2,19 @@
 //! SPMD channels versus the shared-memory wire path.
 //!
 //! The sharded executor moves every fused halo message through a real
-//! channel (pack → send → recv → checksum → unpack, one SPMD region per
-//! exchange) where the shared wire path memcpys the packed buffer across
-//! a `Vec`.  That is real extra work — the entry point also scatters the
-//! global arrays into rank-local shards and gathers them back (8 MB per
-//! call on this fixture, against a 56 KB halo), which persistent-shard
-//! workloads amortise over a whole run but a single exchange pays in
-//! full.  The guard is therefore a **bounded factor**, not parity: on
-//! the e8 fixture (4-field stencil class, (:, BLOCK) over a 128x2048
-//! grid, 256k elements per field) the sharded exchange must stay within
-//! **40x** of the shared wire exchange measured back to back in the same
-//! process (typically ~25x; `VF_E12_MAX_FACTOR` overrides the limit).
+//! channel (pack into a frame → move → verify → decode in place, one
+//! SPMD region per exchange) where the shared wire path memcpys the
+//! packed buffer across a `Vec`.  Each rank borrows its own segment of
+//! the live arrays, so the 8 MB of field data on this fixture are never
+//! copied for a 56 KB halo; what remains over the shared path is the
+//! region launch and the channel hand-off.  The guard is therefore a
+//! **bounded factor**, not parity: on the e8 fixture (4-field stencil
+//! class, (:, BLOCK) over a 128x2048 grid, 256k elements per field) the
+//! sharded exchange must stay within **4x** of the shared wire exchange
+//! measured back to back in the same process — the ROADMAP's bound.
+//! Measured on a 2-core host with the 8 ranks on the pool: 1.3–2.1x
+//! idle (78–137 us against 54–64 us), 1.8–2.5x with a third busy
+//! thread competing; `VF_E12_MAX_FACTOR` overrides the limit.
 //!
 //! Custom harness (no criterion): emits `BENCH_e12.json`
 //! (`VF_E12_BENCH_JSON` overrides the path) recording both times, the
@@ -167,7 +169,7 @@ fn main() {
     let limit: f64 = std::env::var("VF_E12_MAX_FACTOR")
         .ok()
         .and_then(|raw| raw.trim().parse().ok())
-        .unwrap_or(40.0);
+        .unwrap_or(4.0);
     // Re-measure before declaring a regression on a noisy shared runner.
     for _ in 0..3 {
         if factor <= limit {

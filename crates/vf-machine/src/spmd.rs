@@ -381,36 +381,32 @@ impl ProcCtx {
         self.send(dst, tag, f64s_to_bytes(values))
     }
 
-    /// Sends a framed wire buffer to `dst`: the frame header is prepended
-    /// to `payload` and only the payload bytes are counted as channel
-    /// traffic (the header is envelope metadata), so a correct wire path
-    /// reconciles exactly with the modelled byte count.  Unlike
+    /// Sends a framed wire message to `dst`.  `frame` is the complete
+    /// message — a [`WIRE_FRAME_BYTES`] [`WireFrameMsg`] header followed by
+    /// the payload — and is **moved** into the channel: ownership passes to
+    /// the receiver, nothing is copied.  Only the payload bytes are counted
+    /// as channel traffic (the header is envelope metadata), so a correct
+    /// wire path reconciles exactly with the modelled byte count.  Unlike
     /// [`ProcCtx::send`] this does **not** charge the modelled cost — the
     /// executor posts the whole exchange's batch through the tracker, and
     /// charging per send as well would double-count it.
-    pub fn send_wire(
-        &self,
-        dst: usize,
-        tag: u64,
-        frame: WireFrameMsg,
-        payload: &[u8],
-    ) -> Result<(), SpmdError> {
+    pub fn send_wire(&self, dst: usize, tag: u64, frame: Vec<u8>) -> Result<(), SpmdError> {
         self.check_doom()?;
+        let payload_len = frame
+            .len()
+            .checked_sub(WIRE_FRAME_BYTES)
+            .ok_or(SpmdError::MalformedFrame { len: frame.len() })?;
         let _span = crate::span!(
             crate::trace::Phase::Post,
-            "wire send {}B p{} -> p{dst}",
-            payload.len(),
+            "wire send {payload_len}B p{} -> p{dst}",
             self.rank
         );
-        let mut buf = Vec::with_capacity(WIRE_FRAME_BYTES + payload.len());
-        buf.extend_from_slice(&frame.to_bytes());
-        buf.extend_from_slice(payload);
-        self.tracker.record_channel_message(payload.len());
+        self.tracker.record_channel_message(payload_len);
         self.senders[dst]
             .send(Msg {
                 src: self.rank,
                 tag,
-                payload: buf,
+                payload: frame,
             })
             .map_err(|_| SpmdError::PeerDead {
                 rank: self.rank,
@@ -419,10 +415,13 @@ impl ProcCtx {
             })
     }
 
-    /// Receives a framed wire buffer (see [`ProcCtx::send_wire`]), waiting
+    /// Receives a framed wire message (see [`ProcCtx::send_wire`]), waiting
     /// at most `timeout` so a dead sender degrades into
     /// [`SpmdError::RecvTimeout`] instead of wedging the region.  Returns
-    /// the source rank, the decoded frame, and the payload.
+    /// the source rank, the decoded header, and the **whole owned frame**
+    /// exactly as the sender built it — the payload is
+    /// `frame[WIRE_FRAME_BYTES..]`, and the buffer is the receiver's to
+    /// reuse for its own next send.
     pub fn recv_wire(
         &mut self,
         src: Option<usize>,
@@ -430,10 +429,9 @@ impl ProcCtx {
         timeout: Duration,
     ) -> Result<(usize, WireFrameMsg, Vec<u8>), SpmdError> {
         let _span = crate::span!(crate::trace::Phase::Wait, "wire recv p{}", self.rank);
-        let (s, mut bytes) = self.recv_timeout(src, tag, timeout)?;
-        let frame = WireFrameMsg::from_bytes(&bytes)?;
-        let payload = bytes.split_off(WIRE_FRAME_BYTES);
-        Ok((s, frame, payload))
+        let (s, frame) = self.recv_timeout(src, tag, timeout)?;
+        let header = WireFrameMsg::from_bytes(&frame)?;
+        Ok((s, header, frame))
     }
 
     /// Pops the first pending message matching `src`/`tag`, if any.
@@ -1045,20 +1043,33 @@ mod tests {
         };
         let results = run(2, &tracker, |ctx| {
             if ctx.rank() == 0 {
-                let payload = f64s_to_bytes(&[3.5, -4.25]);
-                ctx.send_wire(1, WIRE_TAG, frame, &payload).unwrap();
-                None
+                let mut msg = frame.to_bytes().to_vec();
+                msg.extend_from_slice(&f64s_to_bytes(&[3.5, -4.25]));
+                let sent_at = msg.as_ptr() as usize;
+                // A message too short to hold the header never leaves.
+                assert_eq!(
+                    ctx.send_wire(1, WIRE_TAG, vec![0u8; 10]),
+                    Err(SpmdError::MalformedFrame { len: 10 })
+                );
+                ctx.send_wire(1, WIRE_TAG, msg).unwrap();
+                (sent_at, None)
             } else {
-                Some(
-                    ctx.recv_wire(Some(0), WIRE_TAG, Duration::from_secs(5))
-                        .unwrap(),
-                )
+                let got = ctx
+                    .recv_wire(Some(0), WIRE_TAG, Duration::from_secs(5))
+                    .unwrap();
+                (got.2.as_ptr() as usize, Some(got))
             }
         });
-        let (src, got_frame, payload) = results[1].clone().unwrap();
+        // The frame is moved through the channel, not copied: the receiver
+        // holds the very allocation the sender built.
+        assert_eq!(results[0].0, results[1].0);
+        let (src, got_frame, msg) = results[1].1.clone().unwrap();
         assert_eq!(src, 0);
         assert_eq!(got_frame, frame);
-        assert_eq!(bytes_to_f64s(&payload).unwrap(), vec![3.5, -4.25]);
+        assert_eq!(
+            bytes_to_f64s(&msg[WIRE_FRAME_BYTES..]).unwrap(),
+            vec![3.5, -4.25]
+        );
         let stats = tracker.snapshot();
         // Wire sends count real traffic (payload only) but leave modelled
         // charging to the executor's posted batch.

@@ -294,17 +294,18 @@ impl CommStats {
         self.ckpt_bytes_read
     }
 
-    /// Counts `bytes` written to a checkpoint file, emitting a matching
-    /// trace instant so the drift guard sees persistence traffic.
+    /// Counts `bytes` written to a checkpoint file.  No trace event is
+    /// emitted here: the [`crate::trace::Phase::CkptWrite`] span around
+    /// the I/O is the trace's record of the save, and the byte count lives
+    /// in this counter.
     pub fn record_ckpt_write(&mut self, bytes: usize) {
         self.ckpt_bytes_written += bytes;
-        crate::trace::instant_n(crate::trace::Phase::CkptWrite, bytes);
     }
 
-    /// Counts `bytes` read back from a checkpoint file.
+    /// Counts `bytes` read back from a checkpoint file (see
+    /// [`CommStats::record_ckpt_write`]).
     pub fn record_ckpt_read(&mut self, bytes: usize) {
         self.ckpt_bytes_read += bytes;
-        crate::trace::instant_n(crate::trace::Phase::CkptRead, bytes);
     }
 
     /// Merges another statistics object (same processor count) into this

@@ -121,11 +121,12 @@ pub enum Phase {
     /// settled (at the wait or at a cancelling drop).  Caller compute
     /// overlaps this span; its duration bounds the achievable overlap.
     SplitPending,
-    /// Writing a checkpoint generation to disk (spans cover the file I/O;
-    /// instants carry the byte counts, matching
+    /// Writing a checkpoint generation to disk: one span per save,
+    /// covering the file I/O (the byte count is
     /// [`CommStats::ckpt_bytes_written`](crate::CommStats::ckpt_bytes_written)).
     CkptWrite,
-    /// Reading a checkpoint generation back during restore (matching
+    /// Reading a checkpoint generation back: one span per restore (the
+    /// byte count is
     /// [`CommStats::ckpt_bytes_read`](crate::CommStats::ckpt_bytes_read)).
     CkptRead,
 }

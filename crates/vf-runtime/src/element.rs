@@ -119,6 +119,49 @@ pub fn decode_slice<T: Element>(bytes: &[u8]) -> Vec<T> {
     bytes.chunks_exact(T::BYTES).map(T::read_bytes).collect()
 }
 
+/// Packs `values` into `out` — exactly `values.len() * T::BYTES` bytes,
+/// each element the low `BYTES` little-endian bytes of its
+/// [`Element::to_bits64`] pattern — and returns the xor of those patterns,
+/// so a sender fills a wire frame and accumulates the frame checksum in
+/// one pass over the data.
+pub(crate) fn pack_le_xor<T: Element>(values: &[T], out: &mut [u8]) -> u64 {
+    debug_assert_eq!(out.len(), values.len() * T::BYTES);
+    let mut acc = 0u64;
+    for (chunk, v) in out.chunks_exact_mut(T::BYTES).zip(values) {
+        let bits = v.to_bits64();
+        acc ^= bits;
+        chunk.copy_from_slice(&bits.to_le_bytes()[..T::BYTES]);
+    }
+    acc
+}
+
+/// The bit pattern of one element packed by [`pack_le_xor`].
+#[inline]
+fn bits_le<T: Element>(chunk: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..T::BYTES].copy_from_slice(chunk);
+    u64::from_le_bytes(word)
+}
+
+/// Xor of the bit patterns packed in `bytes` — what [`pack_le_xor`]
+/// returned for the same elements, computed by the receiver over the raw
+/// payload *before* anything is decoded.  Every payload bit feeds exactly
+/// one accumulator bit, so any single flipped bit changes the result.
+pub(crate) fn xor_packed_le<T: Element>(bytes: &[u8]) -> u64 {
+    bytes
+        .chunks_exact(T::BYTES)
+        .fold(0u64, |acc, chunk| acc ^ bits_le::<T>(chunk))
+}
+
+/// Decodes `out.len()` elements packed by [`pack_le_xor`] straight into
+/// `out`.
+pub(crate) fn unpack_le<T: Element>(bytes: &[u8], out: &mut [T]) {
+    debug_assert_eq!(bytes.len(), out.len() * T::BYTES);
+    for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
+        *v = T::from_bits64(bits_le::<T>(chunk));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +172,16 @@ mod tests {
             let encoded = encode_slice(values);
             assert_eq!(encoded.len(), values.len() * T::BYTES);
             assert_eq!(decode_slice::<T>(&encoded), values);
+            // The in-place frame codec writes the same bytes, and its
+            // receiver-side xor over them equals the sender's.
+            let mut packed = vec![0xAAu8; encoded.len()];
+            let acc = pack_le_xor(values, &mut packed);
+            assert_eq!(packed, encoded);
+            assert_eq!(acc, values.iter().fold(0, |h, v| h ^ v.to_bits64()));
+            assert_eq!(xor_packed_le::<T>(&packed), acc);
+            let mut back = vec![T::default(); values.len()];
+            unpack_le(&packed, &mut back);
+            assert_eq!(back, values);
         }
         check(&[1.5f64, -2.0, 0.0]);
         check(&[1.5f32, -2.0]);

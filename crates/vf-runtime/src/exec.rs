@@ -666,8 +666,9 @@ impl ExecBackend {
     /// kept, since forcing the threaded path for every plan is what the
     /// [`ThreadedExecutor::serial_cutoff_bytes`] API is for).
     ///
-    /// With `VF_EXEC_BACKEND=sharded`, the sharded receive bound can be
-    /// tuned through `VF_SHARD_TIMEOUT` (milliseconds; positive).
+    /// With `VF_EXEC_BACKEND=sharded` the backend is
+    /// [`crate::shard::ShardedExecutor::new`], whose receive bound is
+    /// tunable through `VF_SHARD_TIMEOUT`.
     pub fn auto() -> Self {
         let mut threaded = ThreadedExecutor::auto();
         if let Ok(raw) = std::env::var("VF_EXEC_CUTOFF") {
@@ -691,25 +692,7 @@ impl ExecBackend {
         }
         if let Ok(raw) = std::env::var("VF_EXEC_BACKEND") {
             match raw.trim() {
-                "sharded" => {
-                    let mut exec = crate::shard::ShardedExecutor::new();
-                    // The sharded receive bound is tunable per run: chaos
-                    // suites shrink it so dead-peer detection is fast, and
-                    // slow CI hosts can widen it.  Unparseable or zero
-                    // values are rejected loudly, mirroring VF_EXEC_CUTOFF.
-                    if let Ok(raw) = std::env::var("VF_SHARD_TIMEOUT") {
-                        match raw.trim().parse::<u64>() {
-                            Ok(ms) if ms > 0 => {
-                                exec = exec.with_timeout(std::time::Duration::from_millis(ms));
-                            }
-                            _ => eprintln!(
-                                "warning: ignoring unparseable VF_SHARD_TIMEOUT={raw:?} \
-                                 (expected positive milliseconds, e.g. 30000)"
-                            ),
-                        }
-                    }
-                    return ExecBackend::Sharded(exec);
-                }
+                "sharded" => return ExecBackend::Sharded(crate::shard::ShardedExecutor::new()),
                 "serial" => return ExecBackend::Serial,
                 "threaded" => {}
                 other => eprintln!(
@@ -1222,7 +1205,7 @@ fn xor_bits<T: Element>(xs: &[T]) -> u64 {
 
 /// Mixes the payload xor and the element count into the final checksum.
 #[inline]
-fn finish_checksum(acc: u64, len: usize) -> u64 {
+pub(crate) fn finish_checksum(acc: u64, len: usize) -> u64 {
     (acc ^ 0xcbf2_9ce4_8422_2325u64 ^ (len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .wrapping_mul(0x100_0000_01b3)
 }

@@ -17,7 +17,7 @@ use crate::exec::{
     PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange,
 };
 use crate::plan::{plan_ghost, plan_ghost_irregular, CommPlan, PlanCache, PlanKind};
-use crate::shard::{ShardedArray, ShardedExecutor};
+use crate::shard::{RankShards, ShardedExecutor};
 use crate::{DistArray, Element, ExecReport, Result, RuntimeError};
 use std::sync::Arc;
 use vf_dist::{Connectivity, ProcId};
@@ -338,9 +338,9 @@ pub fn exchange_ghosts_fused_planned_wire_with<T: Element, E: PlanExecutor>(
 }
 
 /// The wire-packed fused overlap exchange through the distributed-memory
-/// backend: each rank holds only its shard of every array, and the halo
-/// payloads travel over real [`vf_machine::spmd`] channels as framed wire
-/// messages.  Ghost regions, the report and the modelled charges are
+/// backend: each rank reads only its own segment of every array, and the
+/// halo payloads travel over real [`vf_machine::spmd`] channels as framed
+/// wire messages.  Ghost regions, the report and the modelled charges are
 /// bitwise identical to [`exchange_ghosts_fused_wire_with`]; the real
 /// channel traffic is additionally counted in the tracker's channel
 /// statistics.
@@ -382,15 +382,12 @@ pub fn exchange_ghosts_fused_planned_sharded<T: Element>(
     let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
         format!("sharded {} arrays", arrays.len())
     });
-    let shard_sets: Vec<ShardedArray<T>> =
-        arrays.iter().map(|a| ShardedArray::scatter(a)).collect();
-    let srcs: Vec<&ShardedArray<T>> = shard_sets.iter().collect();
     let copy_secs = crate::exec::wire_copy_seconds(fused, T::BYTES, tracker);
     let (bufs, exec) = crate::shard::sharded_fused_exchange(
         fused,
         tracker,
         executor,
-        &srcs,
+        &RankShards::of(arrays),
         &|idx, r| fused.parts()[idx].ghost_len(ProcId(r)),
         &copy_secs,
     )?;

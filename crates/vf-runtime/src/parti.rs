@@ -26,7 +26,7 @@ use crate::ghost::{
 use crate::plan::{
     plan_gather, plan_ghost_irregular, plan_scatter, CommPlan, PlanCache, PlanIndex, PlanKind,
 };
-use crate::shard::{ShardedArray, ShardedExecutor};
+use crate::shard::{RankShards, ShardedExecutor};
 use crate::{DistArray, Element, Result, RuntimeError};
 use std::sync::Arc;
 use vf_dist::{Connectivity, Distribution, ProcId};
@@ -346,7 +346,6 @@ pub fn execute_gather_sharded<T: Element>(
     // access-pattern-specific), but a single plan wears the fused wire
     // layout fine: one transfer per pair means one slice per message.
     let fused = FusedPlan::fuse_one(Arc::clone(plan));
-    let shards = ShardedArray::scatter(array);
     // The shared gather charges only the destination's unpack as copy
     // credit (`copy_seconds`), unlike the wire exchanges which also
     // charge the sender's pack — match it exactly.
@@ -355,7 +354,7 @@ pub fn execute_gather_sharded<T: Element>(
         &fused,
         tracker,
         executor,
-        &[&shards],
+        &RankShards::of(std::slice::from_ref(array)),
         &|_, r| plan.gather_len(ProcId(r)),
         &copy_secs,
     )?;

@@ -9,7 +9,7 @@
 
 use crate::exec::{FusedPlan, PlanExecutor, SerialExecutor};
 use crate::plan::{plan_redistribute, CommPlan, PlanCache, PlanIndex, PlanKind};
-use crate::shard::{ShardedArray, ShardedExecutor};
+use crate::shard::{RankShards, ShardedExecutor};
 use crate::{DistArray, Element, Result, RuntimeError};
 use vf_dist::Distribution;
 use vf_machine::{trace, CommTracker};
@@ -242,18 +242,18 @@ pub fn execute_redistribute_with<T: Element, E: PlanExecutor>(
 }
 
 /// [`crate::exec::execute_redistribute_fused_wire`] through the
-/// distributed-memory backend: the arrays are scattered into rank-private
-/// shards, every crossing pair's wire buffer travels over a real
-/// [`vf_machine::spmd`] channel, and the new per-rank locals are gathered
-/// back into the arrays.  Buffers, reports and modelled charges are
+/// distributed-memory backend: each rank reads only its own segment of
+/// the arrays, every crossing pair travels as one frame over a real
+/// [`vf_machine::spmd`] channel, and the ranks' new locals replace the
+/// arrays' old ones.  Buffers, reports and modelled charges are
 /// bitwise identical to the shared wire path; the real channel traffic is
 /// additionally counted in the tracker's channel statistics.
 ///
 /// # Errors
 /// As the shared wire path (everything is validated before any data
-/// moves), plus [`RuntimeError::Channel`] when a rank's channel operation
-/// fails mid-region — the arrays are left on their *old* distribution in
-/// that case.
+/// moves), plus [`RuntimeError::Channel`] / [`RuntimeError::CorruptMessage`]
+/// when a rank's channel operation or frame validation fails mid-region —
+/// the arrays are left untouched on their *old* distribution in that case.
 pub fn execute_redistribute_fused_sharded<T: Element>(
     arrays: &mut [&mut DistArray<T>],
     fused: &FusedPlan,
@@ -292,15 +292,12 @@ pub fn execute_redistribute_fused_sharded<T: Element>(
             sizes
         })
         .collect();
-    let shard_sets: Vec<ShardedArray<T>> =
-        arrays.iter().map(|a| ShardedArray::scatter(a)).collect();
-    let srcs: Vec<&ShardedArray<T>> = shard_sets.iter().collect();
     let copy_secs = crate::exec::wire_copy_seconds(fused, T::BYTES, tracker);
     let (bufs, exec) = crate::shard::sharded_fused_exchange(
         fused,
         tracker,
         executor,
-        &srcs,
+        &RankShards::of(arrays),
         &|idx, r| dst_sizes[idx].get(r).copied().unwrap_or(0),
         &copy_secs,
     )?;

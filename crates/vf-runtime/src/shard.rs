@@ -5,19 +5,43 @@
 //! memcpy through process memory, with traffic charged to the
 //! [`CommTracker`]'s cost model.  This module is the distributed-memory
 //! backend the model describes: each rank of an [`vf_machine::spmd`]
-//! region holds **only its own shard** of every distributed array, and the
-//! fused wire buffers of the redistribute / ghost / gather paths are
-//! packed, **sent over a real channel** as a framed message
-//! ([`vf_machine::WireFrameMsg`]), received, validated and unpacked by the
-//! destination rank.
+//! region sees **only its own segment** of every distributed array, and
+//! whatever crosses ranks crosses a real channel as one framed message per
+//! processor pair.
+//!
+//! # The data path
+//!
+//! A statement (`DISTRIBUTE`, halo exchange, gather) is one SPMD region.
+//! Each element that crosses ranks is touched three times:
+//!
+//! 1. **pack → frame** — the sender walks the plan's run list over its
+//!    borrowed segment (`RankShards`: no scatter, no clone) and writes
+//!    the little-endian bytes straight into one frame
+//!    `[24-byte WireFrameMsg | payload]`, folding the xor checksum into
+//!    the same pass;
+//! 2. **move** — the frame `Vec<u8>` is handed to
+//!    [`ProcCtx::send_wire`] and arrives at the peer's
+//!    [`ProcCtx::recv_wire`] as the same allocation;
+//! 3. **verify, then decode in place** — the receiver checks the frame's
+//!    length, element count and checksum over the raw bytes **before any
+//!    element reaches a destination buffer**, then decodes run by run
+//!    straight into the destination.
+//!
+//! *Who owns a frame when:* the sending rank takes it from the
+//! exchange's `FramePool` (or allocates it), owns it while packing, and
+//! gives it up at `send_wire`; the channel owns it in flight; the
+//! receiving rank owns it from `recv_wire` until the decode is done and
+//! then returns it to the pool, where the next statement's senders find
+//! it.  Elements that stay on their rank are copied segment → destination
+//! directly and never meet a frame.
 //!
 //! Two invariants tie the backend to the rest of the engine:
 //!
-//! * **Bitwise oracle** — gathering the rank-local shards back into a
-//!   `DistArray` produces buffers bit-identical to what the shared-memory
-//!   executors compute for the same plan.  The sharded path reuses the
-//!   exact pack/unpack run lists of [`FusedPlan`], so this holds by
-//!   construction and is pinned by differential tests.
+//! * **Bitwise oracle** — the destination buffers are bit-identical to
+//!   what the shared-memory executors compute for the same plan.  The
+//!   sharded path reuses the exact pack/unpack run lists of
+//!   [`FusedPlan`], so this holds by construction and is pinned by
+//!   differential tests.
 //! * **Model ≡ wire** — the modelled message/byte charges are issued in
 //!   the same order and with the same values as the shared wire path
 //!   (`charge_directory` → `post_many` → settle with copy credit), while
@@ -28,24 +52,34 @@
 //!   network is exactly what crossed the channels.
 //!
 //! Failure degrades instead of aborting: a dead peer, a receive timeout or
-//! a truncated payload surfaces as [`RuntimeError::Channel`] from the
-//! exchange, after the posted model charges are settled.
+//! a truncated payload surfaces as [`RuntimeError::Channel`] /
+//! [`RuntimeError::CorruptMessage`] from the exchange, after the posted
+//! model charges are settled.  The source arrays are only ever borrowed,
+//! so a failed statement leaves them exactly as they were.
+//!
+//! [`ShardedArray`] remains for application loops that keep shards
+//! rank-*resident* across many steps of one region (`take` on entry,
+//! `put` on exit); statements do not use it.
 
+use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
 use crate::exec::{
-    finish_with_copy_credit, wire_checksum, wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor,
-    SerialExecutor,
+    finish_checksum, finish_with_copy_credit, wire_copy_seconds, ExecReport, FusedPlan,
+    PlanExecutor, SerialExecutor,
 };
 use crate::plan::{PlanKind, Transfer};
-use crate::{decode_slice, encode_slice, DistArray, Element, Result, RuntimeError};
+use crate::{DistArray, Element, Result, RuntimeError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use vf_dist::{Distribution, ProcId};
-use vf_machine::spmd::{self, ProcCtx, WIRE_TAG};
+use vf_machine::spmd::{self, ProcCtx, WIRE_FRAME_BYTES, WIRE_TAG};
 use vf_machine::{trace, CommTracker, WireFrameMsg, WorkerPool};
 
-/// A distributed array scattered into rank-private shards.
+/// A distributed array scattered into rank-private, rank-*resident*
+/// shards, for application loops that run many steps inside one SPMD
+/// region (statements borrow through `RankShards` instead and never
+/// scatter).
 ///
-/// Each shard is owned by exactly one rank for the duration of an SPMD
+/// Each shard is owned by exactly one rank for the duration of the
 /// region: the rank [`take`](ShardedArray::take)s it on entry and
 /// [`put`](ShardedArray::put)s it back before returning, so no rank can
 /// read another rank's segment through shared memory — any cross-rank
@@ -132,6 +166,81 @@ impl<T: Element> ShardedArray<T> {
     }
 }
 
+/// The live arrays of one statement as an SPMD region sees them: borrowed,
+/// not scattered, and private per rank by construction.  The only accessor,
+/// [`RankShards::mine`], takes the calling rank's own [`ProcCtx`] and hands
+/// out that rank's segments — there is no way to name another rank's
+/// segment, so every cross-rank element must travel in a frame.
+pub(crate) struct RankShards<'a, T> {
+    /// Per array, its per-processor local segments.
+    locals: Vec<&'a [Vec<T>]>,
+}
+
+impl<'a, T: Element> RankShards<'a, T> {
+    /// Borrows the local segments of `arrays`, in order.
+    pub(crate) fn of<A>(arrays: &'a [A]) -> Self
+    where
+        A: std::borrow::Borrow<DistArray<T>>,
+    {
+        Self {
+            locals: arrays.iter().map(|a| a.borrow().locals()).collect(),
+        }
+    }
+
+    /// The calling rank's own segment of every array.  Panics when the
+    /// rank has no segment — a region wider than the arrays it works on.
+    pub(crate) fn mine(&self, ctx: &ProcCtx) -> Vec<&'a [T]> {
+        let r = ctx.rank();
+        self.locals
+            .iter()
+            .map(|segments| {
+                assert!(
+                    r < segments.len(),
+                    "rank {r} has no segment: the arrays model {} processors",
+                    segments.len()
+                );
+                segments[r].as_slice()
+            })
+            .collect()
+    }
+}
+
+/// Spare wire frames kept between exchanges, so a statement's senders
+/// pack into the allocations the previous statement's receivers finished
+/// with instead of faulting in fresh pages for every MB-sized message.
+///
+/// Frames come back with their old contents and length; the packer
+/// resizes and overwrites every byte.  The pool never holds more frames
+/// than were in flight at once, and a frame only ever grows to the
+/// largest message it carried.
+#[derive(Debug, Default)]
+struct FramePool(Mutex<Vec<Vec<u8>>>);
+
+impl FramePool {
+    /// A spare frame for a message of `len` bytes: the smallest one whose
+    /// capacity suffices, else the largest (the packer's resize grows it
+    /// in place of a second allocation), else a new empty one.
+    fn take(&self, len: usize) -> Vec<u8> {
+        let mut spare = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let fit = spare
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.capacity() >= len)
+            .min_by_key(|(_, f)| f.capacity())
+            .or_else(|| spare.iter().enumerate().max_by_key(|(_, f)| f.capacity()))
+            .map(|(i, _)| i);
+        fit.map(|i| spare.swap_remove(i)).unwrap_or_default()
+    }
+
+    /// Returns a frame the receiver has finished decoding.
+    fn give(&self, frame: Vec<u8>) {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(frame);
+    }
+}
+
 /// The distributed-memory backend handle: where its SPMD regions run and
 /// how long a rank waits on a channel before declaring a peer lost.
 ///
@@ -145,6 +254,9 @@ impl<T: Element> ShardedArray<T> {
 pub struct ShardedExecutor {
     pool: Option<Arc<WorkerPool>>,
     timeout: Duration,
+    /// Spare wire frames, recycled from statement to statement (shared by
+    /// clones of the executor).
+    frames: Arc<FramePool>,
 }
 
 impl ShardedExecutor {
@@ -154,17 +266,25 @@ impl ShardedExecutor {
 
     /// A poolless executor (each exchange spawns its region's rank
     /// threads fresh).  The receive bound can be overridden through the
-    /// `VF_CHANNEL_TIMEOUT_MS` environment variable.
+    /// `VF_SHARD_TIMEOUT` environment variable (milliseconds; positive):
+    /// chaos suites shrink it so dead-peer detection is fast, and slow CI
+    /// hosts can widen it.  Unparseable or zero values are rejected
+    /// loudly, mirroring `VF_EXEC_CUTOFF`.
     pub fn new() -> Self {
-        let timeout = std::env::var("VF_CHANNEL_TIMEOUT_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-            .unwrap_or(Self::DEFAULT_TIMEOUT);
+        let mut timeout = Self::DEFAULT_TIMEOUT;
+        if let Ok(raw) = std::env::var("VF_SHARD_TIMEOUT") {
+            match raw.trim().parse::<u64>() {
+                Ok(ms) if ms > 0 => timeout = Duration::from_millis(ms),
+                _ => eprintln!(
+                    "warning: ignoring unparseable VF_SHARD_TIMEOUT={raw:?} \
+                     (expected positive milliseconds, e.g. 30000)"
+                ),
+            }
+        }
         Self {
             pool: None,
             timeout,
+            frames: Arc::default(),
         }
     }
 
@@ -246,21 +366,99 @@ impl PlanExecutor for ShardedExecutor {
     }
 }
 
-/// One rank's half of a fused wire exchange, run *inside* an SPMD region.
-///
-/// `my` is the rank's shard of each fused part.  The rank first serves its
-/// own local (stay-at-home) runs, then packs and sends one framed wire
-/// message per outgoing crossing pair, then receives, validates and
-/// unpacks every arriving pair.  Send-before-receive is deadlock-free
-/// because the channels are unbounded; the per-tag FIFO pending queue
-/// keeps out-of-order arrivals cheap.
+/// The transfer of fused part `part` carrying the `(s, d)` pair.
+fn pair_runs(fused: &FusedPlan, part: usize, s: usize, d: usize) -> &Transfer {
+    &fused.parts()[part].transfers()[fused.pair_transfer[part][&(s, d)]]
+}
+
+/// Sender half: packs crossing pair `pi` of `fused` out of the sending
+/// rank's segments `my` into `frame` — header and little-endian payload in
+/// the fused wire layout — accumulating the checksum in the same pass over
+/// the runs.  `frame` may arrive with stale contents; it leaves holding
+/// exactly this message.
+fn pack_frame<T: Element>(
+    fused: &FusedPlan,
+    pi: usize,
+    my: &[&[T]],
+    seq: u64,
+    frame: &mut Vec<u8>,
+) {
+    let ((s, d), total) = fused.pair_elements[pi];
+    frame.resize(WIRE_FRAME_BYTES + total * T::BYTES, 0);
+    let (header, payload) = frame.split_at_mut(WIRE_FRAME_BYTES);
+    let mut acc = 0u64;
+    for sl in &fused.pair_slices[pi] {
+        let mut off = sl.wire_offset;
+        for run in &pair_runs(fused, sl.part, s, d).runs {
+            acc ^= pack_le_xor(
+                &my[sl.part][run.src_start..run.src_start + run.len],
+                &mut payload[off * T::BYTES..(off + run.len) * T::BYTES],
+            );
+            off += run.len;
+        }
+        debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
+    }
+    header.copy_from_slice(
+        &WireFrameMsg {
+            seq,
+            elements: total as u64,
+            checksum: finish_checksum(acc, total),
+        }
+        .to_bytes(),
+    );
+}
+
+/// Receiver half: validates the frame that arrived for crossing pair `pi`
+/// — byte length, element count and checksum, all over the raw bytes —
+/// and only then decodes its payload run by run into the destination
+/// buffers `bufs`.  A frame that fails validation leaves `bufs` untouched.
 ///
 /// Unlike the shared wire path — which skips receiver-side checksums
 /// unless a fault injector is armed, because its "wire" never leaves
-/// process memory — the sharded receiver *always* validates the frame:
-/// the payload crossed a serialisation boundary, so length, element count
-/// and checksum are all checked before any element reaches a destination
-/// buffer.
+/// process memory — the sharded receiver *always* validates: the payload
+/// crossed a serialisation boundary.
+fn unpack_frame<T: Element>(
+    fused: &FusedPlan,
+    pi: usize,
+    header: &WireFrameMsg,
+    frame: &[u8],
+    bufs: &mut [Vec<T>],
+) -> Result<()> {
+    let ((s, d), total) = fused.pair_elements[pi];
+    let payload = frame.get(WIRE_FRAME_BYTES..).unwrap_or_default();
+    if payload.len() != total * T::BYTES
+        || header.elements != total as u64
+        || finish_checksum(xor_packed_le::<T>(payload), total) != header.checksum
+    {
+        return Err(RuntimeError::CorruptMessage {
+            src: s,
+            dst: d,
+            seq: header.seq,
+        });
+    }
+    for sl in &fused.pair_slices[pi] {
+        let mut off = sl.wire_offset;
+        for run in &pair_runs(fused, sl.part, s, d).runs {
+            unpack_le(
+                &payload[off * T::BYTES..(off + run.len) * T::BYTES],
+                &mut bufs[sl.part][run.dst_start..run.dst_start + run.len],
+            );
+            off += run.len;
+        }
+    }
+    Ok(())
+}
+
+/// One rank's half of a fused wire exchange, run *inside* an SPMD region.
+///
+/// `my` is the rank's own segment of each fused part.  The rank first
+/// serves its local (stay-at-home) runs, then packs one frame per outgoing
+/// crossing pair ([`pack_frame`]) and moves it into the channel, then
+/// receives, validates and decodes every arriving pair ([`unpack_frame`]),
+/// handing each finished frame to `frames` for the next sender.
+/// Send-before-receive is deadlock-free because the channels are
+/// unbounded; the per-tag FIFO pending queue keeps out-of-order arrivals
+/// cheap.
 fn rank_exchange<T: Element>(
     fused: &FusedPlan,
     ctx: &mut ProcCtx,
@@ -268,28 +466,23 @@ fn rank_exchange<T: Element>(
     dst_len: &(dyn Fn(usize, usize) -> usize + Sync),
     seq_base: u64,
     timeout: Duration,
+    frames: &FramePool,
 ) -> Result<Vec<Vec<T>>> {
     let r = ctx.rank();
-    let parts = fused.parts();
-    let mut bufs: Vec<Vec<T>> = (0..parts.len())
+    let mut bufs: Vec<Vec<T>> = (0..fused.parts().len())
         .map(|idx| vec![T::default(); dst_len(idx, r)])
         .collect();
-    // Elements that stay on `r` never touch a channel.
-    for (idx, part) in parts.iter().enumerate() {
+    // Elements that stay on `r` never touch a frame.
+    for (idx, buf) in bufs.iter_mut().enumerate() {
         if let Some(&ti) = fused.pair_transfer[idx].get(&(r, r)) {
-            let t = &part.transfers()[ti];
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                bufs[idx][run.dst_start..run.dst_start + run.len]
+            for run in &fused.parts()[idx].transfers()[ti].runs {
+                buf[run.dst_start..run.dst_start + run.len]
                     .copy_from_slice(&my[idx][run.src_start..run.src_start + run.len]);
             }
         }
     }
-    // Outgoing pairs: pack this rank's crossing payloads and put them on
-    // the wire.  `pair_elements` only holds crossing pairs with traffic,
-    // so `d != r` and `total > 0` hold structurally.
+    // Outgoing pairs.  `pair_elements` only holds crossing pairs with
+    // traffic, so `d != r` and `total > 0` hold structurally.
     for (pi, &((s, d), total)) in fused.pair_elements.iter().enumerate() {
         if s != r {
             continue;
@@ -297,69 +490,23 @@ fn rank_exchange<T: Element>(
         let pack = trace::OpenSpan::begin_with(trace::Phase::WirePack, || {
             format!("p{r} -> p{d}: {total} elements")
         });
-        let mut wire: Vec<T> = vec![T::default(); total];
-        for sl in &fused.pair_slices[pi] {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                wire[off..off + run.len]
-                    .copy_from_slice(&my[sl.part][run.src_start..run.src_start + run.len]);
-                off += run.len;
-            }
-            debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
-        }
-        let frame = WireFrameMsg {
-            seq: seq_base + pi as u64,
-            elements: total as u64,
-            checksum: wire_checksum(&wire),
-        };
+        let mut frame = frames.take(WIRE_FRAME_BYTES + total * T::BYTES);
+        pack_frame(fused, pi, my, seq_base + pi as u64, &mut frame);
         pack.end();
-        ctx.send_wire(d, WIRE_TAG, frame, &encode_slice(&wire))?;
+        ctx.send_wire(d, WIRE_TAG, frame)?;
     }
     // Arriving pairs, in the same per-destination order the shared wire
     // path unpacks them.  The channel's per-tag queue matches by sender,
     // so arrival order across senders doesn't matter.
     let arriving = fused.pairs_by_dst.get(r).map_or(&[][..], |v| v.as_slice());
     for &pi in arriving {
-        let ((s, _), total) = fused.pair_elements[pi];
-        let (_, frame, payload) = ctx.recv_wire(Some(s), WIRE_TAG, timeout)?;
-        if payload.len() != total * T::BYTES || frame.elements as usize != total {
-            return Err(RuntimeError::CorruptMessage {
-                src: s,
-                dst: r,
-                seq: frame.seq,
-            });
-        }
-        let wire: Vec<T> = decode_slice(&payload);
-        if wire_checksum(&wire) != frame.checksum {
-            return Err(RuntimeError::CorruptMessage {
-                src: s,
-                dst: r,
-                seq: frame.seq,
-            });
-        }
-        let _unpack = trace::OpenSpan::begin_dest(trace::Phase::Unpack, r);
-        for sl in &fused.pair_slices[pi] {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, r)]];
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                bufs[sl.part][run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&wire[off..off + run.len]);
-                off += run.len;
-            }
-        }
+        let ((s, _), _) = fused.pair_elements[pi];
+        let (_, header, frame) = ctx.recv_wire(Some(s), WIRE_TAG, timeout)?;
+        let unpack = trace::OpenSpan::begin_dest(trace::Phase::Unpack, r);
+        let decoded = unpack_frame(fused, pi, &header, &frame, &mut bufs);
+        unpack.end();
+        frames.give(frame);
+        decoded?;
     }
     Ok(bufs)
 }
@@ -367,8 +514,9 @@ fn rank_exchange<T: Element>(
 /// The sharded counterpart of [`crate::exec::execute_fused_wire`]: charges
 /// the model identically (directory → single-message-per-pair post →
 /// settle with the pack/unpack copy credit in `copy_secs`), but moves the
-/// data through an SPMD region in which each rank holds only its shards
-/// and the wire buffers travel over real channels.
+/// data through an SPMD region in which each rank reads only its own
+/// segments of `shards` and every crossing pair travels as one frame over
+/// a real channel (see the module docs for the data path).
 ///
 /// Returns per-part, per-processor destination buffers and the modelled
 /// report; the *channel* traffic lands in the tracker's
@@ -379,21 +527,20 @@ fn rank_exchange<T: Element>(
 /// [`RuntimeError::Channel`] if a rank's send or receive failed (dead
 /// peer, timeout, truncation), [`RuntimeError::CorruptMessage`] if a frame
 /// failed validation.  The posted charges are settled before any error
-/// propagates, and every shard a failing rank took is returned on its
-/// error path only if the rank reached its put — callers must treat a
-/// failed exchange as fatal for the sharded arrays involved.
+/// propagates; the source arrays are only borrowed, so they are unchanged
+/// whatever happened.
 pub(crate) fn sharded_fused_exchange<T: Element>(
     fused: &FusedPlan,
     tracker: &CommTracker,
     exec: &ShardedExecutor,
-    srcs: &[&ShardedArray<T>],
+    shards: &RankShards<'_, T>,
     dst_len: &(dyn Fn(usize, usize) -> usize + Sync),
     copy_secs: &[f64],
 ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
     debug_assert_eq!(
-        srcs.len(),
+        shards.locals.len(),
         fused.parts().len(),
-        "one sharded array per part"
+        "one array per part"
     );
     for part in fused.parts() {
         part.charge_directory(tracker);
@@ -406,16 +553,17 @@ pub(crate) fn sharded_fused_exchange<T: Element>(
     post.end();
     let seq_base = crate::exec::next_wire_seq_block(fused.pair_elements.len() as u64);
     let procs = tracker.num_procs();
-    let timeout = exec.timeout();
     let per_rank: Vec<Result<Vec<Vec<T>>>> = exec.run_region(procs, tracker, |ctx| {
-        let r = ctx.rank();
-        let my: Vec<Vec<T>> = srcs.iter().map(|sa| sa.take(r)).collect();
-        let my_refs: Vec<&[T]> = my.iter().map(|v| v.as_slice()).collect();
-        let out = rank_exchange(fused, ctx, &my_refs, dst_len, seq_base, timeout);
-        for (sa, shard) in srcs.iter().zip(my) {
-            sa.put(r, shard);
-        }
-        out
+        let my = shards.mine(ctx);
+        rank_exchange(
+            fused,
+            ctx,
+            &my,
+            dst_len,
+            seq_base,
+            exec.timeout,
+            &exec.frames,
+        )
     });
     // Settle the posted batch before any `?` — model charges must never
     // leak on a channel-failure path.
@@ -450,6 +598,8 @@ pub(crate) fn sharded_fused_exchange<T: Element>(
 pub struct ShardedHaloExchange {
     fused: FusedPlan,
     timeout: Duration,
+    /// Spare wire frames, recycled from step to step.
+    frames: FramePool,
 }
 
 impl ShardedHaloExchange {
@@ -467,7 +617,11 @@ impl ShardedHaloExchange {
                 ),
             });
         }
-        Ok(Self { fused, timeout })
+        Ok(Self {
+            fused,
+            timeout,
+            frames: FramePool::default(),
+        })
     }
 
     /// The fused plan driving the exchange.
@@ -524,6 +678,7 @@ impl ShardedHaloExchange {
             &|idx, r| self.fused.parts()[idx].ghost_len(ProcId(r)),
             seq_base,
             self.timeout,
+            &self.frames,
         )
     }
 
@@ -680,6 +835,159 @@ mod tests {
         assert_eq!(stats.total_bytes(), shared.total_bytes());
         assert_eq!(stats.channel_messages(), exec_report.messages);
         assert_eq!(stats.channel_bytes(), exec_report.bytes);
+    }
+
+    /// Moves pair 0 of a 2-rank BLOCK → CYCLIC redistribution through a
+    /// real channel: the sending rank packs the frame, `tamper` damages
+    /// it in transit, the receiving rank unpacks into buffers pre-filled
+    /// with a sentinel.  Returns the receiver's verdict, its buffers and
+    /// the pair.
+    fn receive_tampered(
+        tamper: impl Fn(&mut Vec<u8>) + Sync,
+    ) -> (Result<()>, Vec<f64>, (usize, usize)) {
+        const SENTINEL: f64 = -7.0;
+        let (n, procs) = (16, 2);
+        let from = dist_1d(DistType::block1d(), n, procs);
+        let to = dist_1d(DistType::cyclic1d(1), n, procs);
+        let data: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
+        let array = DistArray::from_dense("A", from.clone(), &data).unwrap();
+        let fused =
+            FusedPlan::fuse(vec![Arc::new(plan_redistribute(&from, &to).unwrap())]).unwrap();
+        let ((s, d), _) = fused.pair_elements[0];
+        let tracker = CommTracker::new(procs, CostModel::zero());
+        let shards = RankShards::of(std::slice::from_ref(&array));
+        let mut results = spmd::run(procs, &tracker, |ctx| {
+            if ctx.rank() == s {
+                let mut frame = Vec::new();
+                pack_frame(&fused, 0, &shards.mine(ctx), 77, &mut frame);
+                tamper(&mut frame);
+                ctx.send_wire(d, WIRE_TAG, frame).unwrap();
+                None
+            } else {
+                let (_, header, frame) = ctx
+                    .recv_wire(Some(s), WIRE_TAG, Duration::from_secs(5))
+                    .unwrap();
+                let mut bufs = vec![vec![SENTINEL; to.local_size(ProcId(d))]];
+                let verdict = unpack_frame(&fused, 0, &header, &frame, &mut bufs);
+                Some((verdict, bufs.remove(0)))
+            }
+        });
+        let (verdict, buf) = results.remove(d).expect("the receiver reports");
+        (verdict, buf, (s, d))
+    }
+
+    #[test]
+    fn damaged_frame_is_rejected_before_any_element_is_decoded() {
+        // Control: the untouched frame decodes the pair's elements.
+        let (verdict, buf, _) = receive_tampered(|_| {});
+        assert_eq!(verdict, Ok(()));
+        assert!(buf.iter().any(|&v| v != -7.0), "the pair carries elements");
+
+        type Tamper = fn(&mut Vec<u8>);
+        let cases: [(&str, Tamper); 6] = [
+            ("payload bit", |f| f[WIRE_FRAME_BYTES + 3] ^= 0x10),
+            ("last payload bit", |f| *f.last_mut().unwrap() ^= 0x80),
+            ("header element count", |f| f[8] ^= 0x01),
+            ("header checksum", |f| f[16] ^= 0x40),
+            ("truncated byte", |f| f.truncate(f.len() - 1)),
+            ("extra byte", |f| f.push(0)),
+        ];
+        for (what, tamper) in cases {
+            let (verdict, buf, (s, d)) = receive_tampered(tamper);
+            assert_eq!(
+                verdict,
+                Err(RuntimeError::CorruptMessage {
+                    src: s,
+                    dst: d,
+                    seq: 77
+                }),
+                "{what}"
+            );
+            assert!(
+                buf.iter().all(|&v| v == -7.0),
+                "{what}: a rejected frame must leave the destination untouched"
+            );
+        }
+    }
+
+    #[test]
+    fn rank_view_hands_each_rank_only_its_own_segment() {
+        let procs = 3;
+        let dist = dist_1d(DistType::block1d(), 10, procs);
+        let arrays = [
+            DistArray::from_dense("A", dist.clone(), &[1.0f64; 10]).unwrap(),
+            DistArray::from_dense("B", dist, &[2.0f64; 10]).unwrap(),
+        ];
+        let shards = RankShards::of(&arrays);
+        let tracker = CommTracker::new(procs, CostModel::zero());
+        // The accessor takes no rank: identity comes from the caller's
+        // own context, so what each rank sees is its segment and nothing
+        // else — the very memory of the live array, not a copy.
+        let seen: Vec<Vec<(usize, usize)>> = spmd::run(procs, &tracker, |ctx| {
+            shards
+                .mine(ctx)
+                .iter()
+                .map(|seg| (seg.as_ptr() as usize, seg.len()))
+                .collect()
+        });
+        for (r, segs) in seen.iter().enumerate() {
+            for (array, &(ptr, len)) in arrays.iter().zip(segs) {
+                let own = array.local(ProcId(r));
+                assert_eq!((ptr, len), (own.as_ptr() as usize, own.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn rank_view_refuses_a_rank_without_a_segment() {
+        let dist = dist_1d(DistType::block1d(), 8, 2);
+        let array = DistArray::from_dense("A", dist, &[0.0f64; 8]).unwrap();
+        let shards = RankShards::of(std::slice::from_ref(&array));
+        // A region one rank wider than the array: rank 2 asks for a
+        // segment that does not exist and is refused, not handed a
+        // neighbour's.
+        let tracker = CommTracker::new(3, CostModel::zero());
+        let refused: Vec<bool> = spmd::run(3, &tracker, |ctx| {
+            let ctx = &*ctx;
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shards.mine(ctx))).is_err()
+        });
+        assert_eq!(refused, [false, false, true]);
+    }
+
+    #[test]
+    fn frame_pool_recycles_best_fit_and_never_outgrows_its_traffic() {
+        let pool = FramePool::default();
+        assert_eq!(pool.take(100).capacity(), 0, "empty pool: a fresh frame");
+        pool.give(Vec::with_capacity(64));
+        pool.give(Vec::with_capacity(4096));
+        pool.give(Vec::with_capacity(512));
+        // Smallest that fits.
+        let f = pool.take(300);
+        assert!((512..4096).contains(&f.capacity()));
+        pool.give(f);
+        // Nothing fits: the largest is handed out to grow, no fourth
+        // frame appears.
+        let big = pool.take(1 << 20);
+        assert!(big.capacity() >= 4096);
+        assert_eq!(pool.0.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn executor_recycles_frames_across_statements() {
+        let (n, procs) = (64, 2);
+        let a = dist_1d(DistType::block1d(), n, procs);
+        let b = dist_1d(DistType::cyclic1d(1), n, procs);
+        let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let mut array = DistArray::from_dense("A", a.clone(), &data).unwrap();
+        let tracker = CommTracker::new(procs, CostModel::zero());
+        let cache = PlanCache::new();
+        let exec = ShardedExecutor::new();
+        for target in [&b, &a, &b, &a] {
+            crate::redistribute_sharded(&mut array, target, &tracker, &cache, &exec).unwrap();
+            // One frame per crossing pair, however many statements ran.
+            assert_eq!(exec.frames.0.lock().unwrap().len(), 2);
+        }
+        assert_eq!(array.to_dense(), data);
     }
 
     #[test]

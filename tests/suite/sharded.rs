@@ -212,3 +212,161 @@ proptest! {
         prop_assert_eq!(sharded.channel_bytes(), schedule.plan().bytes_for(8));
     }
 }
+
+/// Redistributes a two-array class BLOCK → CYCLIC(3) and exchanges its
+/// (2,1) halo, once through the shared wire path and once through framed
+/// channel messages, for one element type.
+fn assert_element_type_matches_shared<T: Element>(value: impl Fn(usize) -> T + Copy) {
+    let (n, p) = (53usize, 3usize);
+    let from = dist_1d(DistType::block1d(), n, p);
+    let to = dist_1d(DistType::cyclic1d(3), n, p);
+    let make = || -> Vec<DistArray<T>> {
+        (0..2)
+            .map(|k| {
+                DistArray::from_fn(format!("E{k}"), from.clone(), |pt| {
+                    value(pt.coord(0) as usize * 2 + k)
+                })
+            })
+            .collect()
+    };
+    let plan_once = || {
+        FusedPlan::fuse(
+            (0..2)
+                .map(|_| Arc::new(plan::plan_redistribute(&from, &to).unwrap()))
+                .collect(),
+        )
+        .unwrap()
+    };
+    let widths = [(2, 1)];
+
+    let t_shared = CommTracker::new(p, CostModel::ipsc860(p));
+    let mut shared = make();
+    let refs: Vec<&DistArray<T>> = shared.iter().collect();
+    let (g_shared, ge_shared) = exchange_ghosts_fused_wire_with(
+        &refs,
+        &widths,
+        &t_shared,
+        &PlanCache::new(),
+        &SerialExecutor,
+    )
+    .unwrap();
+    let mut refs: Vec<&mut DistArray<T>> = shared.iter_mut().collect();
+    let (r_shared, e_shared) =
+        execute_redistribute_fused_wire(&mut refs, &plan_once(), &t_shared, &SerialExecutor)
+            .unwrap();
+
+    let exec = ShardedExecutor::new();
+    let t_sharded = CommTracker::new(p, CostModel::ipsc860(p));
+    let mut sharded = make();
+    let refs: Vec<&DistArray<T>> = sharded.iter().collect();
+    let (g_sharded, ge_sharded) =
+        exchange_ghosts_fused_sharded(&refs, &widths, &t_sharded, &PlanCache::new(), &exec)
+            .unwrap();
+    let mut refs: Vec<&mut DistArray<T>> = sharded.iter_mut().collect();
+    let (r_sharded, e_sharded) =
+        execute_redistribute_fused_sharded(&mut refs, &plan_once(), &t_sharded, &exec).unwrap();
+
+    let what = std::any::type_name::<T>();
+    assert_eq!(ge_shared, ge_sharded, "{what}: halo report");
+    assert_eq!(r_shared, r_sharded, "{what}: redistribute reports");
+    assert_eq!(e_shared, e_sharded, "{what}: redistribute exec report");
+    for k in 0..2 {
+        for q in 0..p {
+            assert_eq!(
+                shared[k].local(ProcId(q)),
+                sharded[k].local(ProcId(q)),
+                "{what}: locals of E{k} on P{q}"
+            );
+            for point in from.domain().iter() {
+                assert_eq!(
+                    g_shared[k].get(ProcId(q), &point),
+                    g_sharded[k].get(ProcId(q), &point),
+                    "{what}: ghost of E{k} on P{q} at {point:?}"
+                );
+            }
+        }
+        sharded[k].check_invariants().unwrap();
+    }
+    let (st_sharded, st_shared) = (t_sharded.snapshot(), t_shared.snapshot());
+    assert_eq!(st_sharded.total_messages(), st_shared.total_messages());
+    assert_eq!(st_sharded.total_bytes(), st_shared.total_bytes());
+    assert_eq!(
+        st_sharded.channel_bytes(),
+        ge_sharded.bytes + e_sharded.bytes,
+        "{what}: frames carry exactly the modelled bytes"
+    );
+}
+
+/// The frame codec is exercised at every element width, not just `f64`:
+/// 4-byte (`f32`, `i32`) and 1-byte (`u8`, `bool`) arrays travel as
+/// frames and land bitwise where the shared wire path puts them.
+#[test]
+fn narrow_element_types_match_the_shared_wire_path() {
+    assert_element_type_matches_shared::<f32>(|i| i as f32 * -0.37 + 1.0e-3);
+    assert_element_type_matches_shared::<i32>(|i| (i as i32 - 40) * 65_537);
+    assert_element_type_matches_shared::<u8>(|i| (i * 37 % 256) as u8);
+    assert_element_type_matches_shared::<bool>(|i| i % 3 == 0);
+}
+
+/// A statement that fails mid-region — here a rank dies with frames in
+/// flight — leaves every array exactly as it was: the sharded path only
+/// ever borrows the sources, so there is nothing to put back.  The same
+/// statement then succeeds on the same arrays.
+#[test]
+fn failed_exchange_leaves_the_arrays_on_their_old_distribution() {
+    use vf_machine::{FaultInjector, FaultKind, FaultPlan};
+    // Six ranks all-to-all: every rank performs 10 channel operations, so
+    // the victim's fuse (< 8) always burns down inside the exchange.
+    let (n, p) = (96usize, 6usize);
+    let from = dist_1d(DistType::block1d(), n, p);
+    let to = dist_1d(DistType::cyclic1d(1), n, p);
+    let make = || -> Vec<DistArray<f64>> {
+        (0..2)
+            .map(|k| {
+                DistArray::from_fn(format!("F{k}"), from.clone(), |pt| {
+                    (pt.coord(0) * 10 + k as i64) as f64
+                })
+            })
+            .collect()
+    };
+    let fused = || {
+        FusedPlan::fuse(
+            (0..2)
+                .map(|_| Arc::new(plan::plan_redistribute(&from, &to).unwrap()))
+                .collect(),
+        )
+        .unwrap()
+    };
+    let death = FaultPlan::new(11)
+        .with_rate(1.0)
+        .with_kinds(&[FaultKind::RankDeath])
+        .with_max_faults(1);
+    let tracker = CommTracker::new(p, CostModel::zero())
+        .with_fault_injector(Arc::new(FaultInjector::new(death)));
+    let exec = ShardedExecutor::new().with_timeout(std::time::Duration::from_millis(300));
+
+    let before = make();
+    let mut arrays = make();
+    let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
+    let err = execute_redistribute_fused_sharded(&mut refs, &fused(), &tracker, &exec)
+        .expect_err("a rank died mid-exchange");
+    assert!(
+        matches!(err, vf_runtime::RuntimeError::Channel(_)),
+        "structured channel failure, got {err:?}"
+    );
+    for (a, b) in arrays.iter().zip(&before) {
+        assert_eq!(a.dist().fingerprint(), from.fingerprint());
+        for q in 0..p {
+            assert_eq!(a.local(ProcId(q)), b.local(ProcId(q)));
+        }
+        a.check_invariants().unwrap();
+    }
+
+    // The fault budget is spent: the retried statement goes through.
+    let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
+    execute_redistribute_fused_sharded(&mut refs, &fused(), &tracker, &exec).unwrap();
+    for (a, b) in arrays.iter().zip(&before) {
+        assert_eq!(a.dist().fingerprint(), to.fingerprint());
+        assert_eq!(a.to_dense(), b.to_dense());
+    }
+}

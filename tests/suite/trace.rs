@@ -14,7 +14,9 @@
 //!   the exact order statistics,
 //! * the `retry` / `fault` / `fallback` instants agree with the
 //!   [`CommStats`] counters *exactly* (they are emitted at the same choke
-//!   points).
+//!   points),
+//! * checkpoint I/O costs one span per save / restore, however many bytes
+//!   it moves.
 //!
 //! The trace collector is process-global, so every test here serialises on
 //! a file-local mutex and leaves tracing disabled on exit.
@@ -315,6 +317,47 @@ fn fault_instants_match_comm_stats_counters_exactly() {
         stats.fallbacks(),
         "fallback instants"
     );
+
+    trace::set_enabled(false);
+}
+
+/// A traced checkpoint save / restore records one span each — not one
+/// event per byte, which at 1 MB would be a million events and ~40 MB of
+/// trace for a single save.
+#[test]
+fn traced_checkpoint_io_records_one_event_per_operation() {
+    let _guard = locked_tracing(true);
+    let p = 4usize;
+    let n = 128 * 1024; // 1 MiB of f64
+    let dist = Distribution::new(
+        DistType::block1d(),
+        IndexDomain::d1(n),
+        ProcessorView::linear(p),
+    )
+    .unwrap();
+    let array = DistArray::from_fn("C", dist, |pt| pt.coord(0) as f64);
+    let tracker = CommTracker::new(p, CostModel::zero());
+    let dir = std::env::temp_dir().join(format!("vf_trace_suite_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir);
+
+    store.save(&array, 1, &tracker).unwrap();
+    let restored = store.restore::<f64>(&tracker).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(restored.array.to_dense(), array.to_dense());
+
+    let stats = tracker.snapshot();
+    assert!(stats.ckpt_bytes_written() >= n * 8, "the bytes are counted");
+    assert_eq!(stats.ckpt_bytes_read(), stats.ckpt_bytes_written());
+    let snap = trace::snapshot();
+    assert_eq!(snap.count(trace::Phase::CkptWrite), 1);
+    assert_eq!(snap.count(trace::Phase::CkptRead), 1);
+    assert!(
+        snap.events.len() < 64,
+        "{} trace events for one save + restore",
+        snap.events.len()
+    );
+    assert_eq!(trace::open_spans(), 0);
 
     trace::set_enabled(false);
 }
