@@ -625,16 +625,18 @@ impl Distribution {
     /// individual points.
     pub fn local_linear_runs(&self, proc: ProcId) -> Vec<LinearRun> {
         let mut runs: Vec<LinearRun> = Vec::new();
-        let mut push = |local: usize, global: usize| match runs.last_mut() {
+        // Appends a stretch contiguous in both spaces, extending the last
+        // run when it continues it.
+        let mut push = |local: usize, global: usize, len: usize| match runs.last_mut() {
             Some(run)
                 if run.local_start + run.len == local && run.global_start + run.len == global =>
             {
-                run.len += 1;
+                run.len += len;
             }
             _ => runs.push(LinearRun {
                 local_start: local,
                 global_start: global,
-                len: 1,
+                len,
             }),
         };
         match &self.kind {
@@ -652,7 +654,7 @@ impl Distribution {
             } => {
                 if let Some(table) = local_to_global.get(proc.0) {
                     for (local, &lin) in table.iter().enumerate() {
-                        push(local, lin);
+                        push(local, lin, 1);
                     }
                 }
             }
@@ -665,41 +667,62 @@ impl Distribution {
                 };
                 let rank = self.domain.rank();
                 let ddims = self.dist_type.distributed_dims();
-                // Per dimension: the global offsets of this processor's
-                // local coordinates, precomputed once.
-                let mut global_of_local: Vec<Vec<usize>> = Vec::with_capacity(rank);
-                let mut global_strides = Vec::with_capacity(rank);
-                let mut stride = 1usize;
-                for d in 0..rank {
-                    let n = self.domain.extent(d);
-                    let table = if let Some(i) = ddims.iter().position(|&x| x == d) {
-                        let gdim = grid_map[i];
-                        let dd = self.dist_type.dim(d);
-                        let count = dd.local_count(grid[gdim], n, grid_extents[gdim]);
-                        (0..count)
-                            .map(|l| dd.global_offset(grid[gdim], l, n, grid_extents[gdim]))
-                            .collect()
-                    } else {
-                        (0..n).collect()
-                    };
-                    global_of_local.push(table);
-                    global_strides.push(stride);
-                    stride *= n;
+                // Per dimension: the grid coordinate and grid extent this
+                // processor sees (`(0, 1)` along an undistributed one).
+                let axis = |d: usize| match ddims.iter().position(|&x| x == d) {
+                    Some(i) => (grid[grid_map[i]], grid_extents[grid_map[i]]),
+                    None => (0, 1),
+                };
+                // The global offsets of this processor's local coordinates
+                // along dimension `d`.
+                let global_of_local = |d: usize| -> Vec<usize> {
+                    let (coord, extent) = axis(d);
+                    let (dd, n) = (self.dist_type.dim(d), self.domain.extent(d));
+                    (0..dd.local_count(coord, n, extent))
+                        .map(|l| dd.global_offset(coord, l, n, extent))
+                        .collect()
+                };
+                // Dimension 0 has stride 1 in both spaces.  Owned as one
+                // segment (`BLOCK`, general block, `:`), a whole local
+                // column is one contiguous stretch, known without visiting
+                // its elements; otherwise the column is walked by its
+                // offset table.
+                let (coord, extent) = axis(0);
+                let (dd, n) = (self.dist_type.dim(0), self.domain.extent(0));
+                let column_len = dd.local_count(coord, n, extent);
+                let segment = dd.segment(coord, n, extent);
+                let column = match segment {
+                    Some(_) => Vec::new(),
+                    None => global_of_local(0),
+                };
+                // Higher dimensions: offset tables and global strides.
+                let mut tables: Vec<Vec<usize>> = vec![Vec::new()];
+                let mut global_strides = vec![1usize];
+                for d in 1..rank {
+                    tables.push(global_of_local(d));
+                    global_strides.push(global_strides[d - 1] * self.domain.extent(d - 1));
                 }
-                let local_size: usize = global_of_local.iter().map(|t| t.len()).product();
+                let local_size: usize =
+                    column_len * tables[1..].iter().map(|t| t.len()).product::<usize>();
                 if local_size == 0 {
                     return runs;
                 }
-                // Walk the local index space in column-major order with an
-                // odometer, accumulating the global linear offset.
+                // Walk the local columns in column-major order with an
+                // odometer over the higher dimensions, accumulating the
+                // global linear offset of each column's origin.
                 let mut coords = vec![0usize; rank];
-                let mut glin: usize = (0..rank)
-                    .map(|d| global_of_local[d][0] * global_strides[d])
-                    .sum();
-                for local in 0..local_size {
-                    push(local, glin);
-                    for d in 0..rank {
-                        let table = &global_of_local[d];
+                let mut glin: usize = (1..rank).map(|d| tables[d][0] * global_strides[d]).sum();
+                for local in (0..local_size).step_by(column_len) {
+                    match segment {
+                        Some(segment) => push(local, glin + segment.start, column_len),
+                        None => {
+                            for (l, &g) in column.iter().enumerate() {
+                                push(local + l, glin + g, 1);
+                            }
+                        }
+                    }
+                    for d in 1..rank {
+                        let table = &tables[d];
                         if coords[d] + 1 < table.len() {
                             glin += (table[coords[d] + 1] - table[coords[d]]) * global_strides[d];
                             coords[d] += 1;
@@ -1413,9 +1436,17 @@ mod tests {
             let total: usize = runs.iter().map(|r| r.len).sum();
             assert_eq!(total, dist.local_size(p), "coverage on {p}");
             let mut expected_local = 0usize;
-            for run in &runs {
+            for (i, run) in runs.iter().enumerate() {
                 assert_eq!(run.local_start, expected_local);
                 expected_local += run.len;
+                if let Some(prev) = i.checked_sub(1).map(|i| &runs[i]) {
+                    assert_ne!(
+                        prev.global_start + prev.len,
+                        run.global_start,
+                        "runs {} and {i} on {p} should have been one",
+                        i - 1
+                    );
+                }
                 for k in 0..run.len {
                     let point = dist.global_at(p, run.local_start + k).unwrap();
                     assert_eq!(

@@ -11,11 +11,11 @@
 //! to the live one through the ordinary [`PlanCache`]/executor stack —
 //! the ViPIOS redistribute-on-read idea for Vienna Fortran parallel I/O.
 //!
-//! # File format (all integers little-endian)
+//! # File format v2 (all integers little-endian)
 //!
 //! ```text
-//! magic      8 bytes  "VFCKPT01"
-//! step       u64      application step the snapshot was taken at
+//! magic      8 bytes  "VFCKPT02"            ┐ the fixed header: all that is
+//! step       u64      application step      ┘ read to order the generations
 //! elem_bytes u64      element width (must match the restoring T)
 //! name       u64 len + bytes (UTF-8 array name)
 //! rank       u64; per dim: lower i64, upper i64 (index-domain bounds)
@@ -25,23 +25,73 @@
 //! fingerprint u64     structural fingerprint of the saved distribution
 //! per proc   u64 run count; per run: local_start u64, global_start u64,
 //!            len u64, checksum u64 (the wire checksum of the run's
-//!            elements), payload (len · elem_bytes bytes)
-//! trailer    u64      FNV-1a 64 over every preceding byte
+//!            elements), payload (len · elem_bytes bytes, each element the
+//!            low bytes of its bit pattern)
+//! trailer    u64      [`trailer_hash`] over every preceding byte
 //! ```
+//!
+//! The per-run checksum is the wire frame's: an xor of the elements' bit
+//! patterns, so any single flipped bit in a run is caught — but an xor
+//! cannot see two words of one run swapped, a run moved, or a tail cut off
+//! at an element boundary.  The trailer exists for those: it covers the
+//! header, the manifest, every run header and every payload byte, and it
+//! is *position-sensitive* (each 8-byte word is multiplied and rotated
+//! into one of four lanes, the length is mixed in), so reordered words,
+//! reordered runs, truncations and torn tails all change it.  A format-v1
+//! file (`VFCKPT01`, FNV-1a trailer) is refused by its magic as an
+//! unsupported version; there is no v1 reader.
+//!
+//! # Who reads which file when
+//!
+//! * [`CheckpointStore::save`] reads the 16-byte header of each slot to
+//!   pick the slot to overwrite, lays the whole file out once in a buffer
+//!   sized up front (each run packed straight into its final position with
+//!   its checksum accumulated by the same pass), and writes that buffer
+//!   once.
+//! * [`CheckpointStore::restore`] reads the two headers to order the
+//!   slots, then reads the newest generation once and validates and
+//!   decodes those bytes in place: magic, trailer, manifest structure and
+//!   sanity bounds, the rebuilt distribution's fingerprint, every run
+//!   header against the rebuilt distribution's layout and every run's
+//!   checksum over the raw bytes — each *before* the run is unpacked into
+//!   the rank's local segment, and all before the array is returned.  The
+//!   other slot is opened only if that generation turns out corrupt.
+//! * [`CheckpointStore::latest_step`] reads and validates both files in
+//!   full, because it promises a *restorable* generation.
 //!
 //! # Torn-write safety and generations
 //!
-//! A save encodes to a temporary file in the store directory and
-//! [`std::fs::rename`]s it into one of **two** generation slots
-//! (`gen0.vfck` / `gen1.vfck`), always overwriting the *older* slot.  A
-//! crash mid-write therefore leaves at worst a stale temporary plus two
-//! intact generations; a corrupt or truncated generation fails validation
-//! (magic, structure, per-run checksums, whole-file checksum) and restore
-//! falls back to the other generation before reporting
-//! [`RuntimeError::CorruptCheckpoint`] for the store.
+//! A save writes a temporary file in the store directory (one fixed name
+//! per slot, so a crashed save's leftover is overwritten by the next save
+//! of that slot rather than accumulating), `sync_all`s it,
+//! [`std::fs::rename`]s it over one of **two** generation slots
+//! (`gen0.vfck` / `gen1.vfck`) — an empty or unrecognisable slot first,
+//! otherwise the one whose header carries the older step — and then
+//! `sync_all`s the directory.
+//!
+//! The slot choice trusts only headers, so it may overwrite the one valid
+//! generation while the other slot is silently damaged; that is still
+//! safe, because the rename replaces a slot atomically with a complete,
+//! valid file: a save never leaves the store with fewer valid generations
+//! than it found.
+//!
+//! * **After a process crash** at any point of a save, both slots hold
+//!   exactly what they held before it (the rename either happened or did
+//!   not); at worst a partial temporary remains, which nothing reads.
+//! * **After a power loss**, a slot holds either its previous content or
+//!   the complete new file: the data is on stable storage before the
+//!   rename can be, and once `save` has returned the rename itself is too.
+//!   What is *not* promised is that a save which had not yet returned is
+//!   visible afterwards, nor anything about media that acknowledge a flush
+//!   they did not perform.
+//!
+//! A generation damaged by anything else (bit rot, a foreign writer) fails
+//! validation, and restore falls back to the other generation before
+//! reporting [`RuntimeError::CorruptCheckpoint`] for the store.
 //!
 //! All checkpoint I/O is charged to the tracker
-//! ([`CommTracker::record_ckpt_write`] / [`CommTracker::record_ckpt_read`])
+//! ([`CommTracker::record_ckpt_write`] / [`CommTracker::record_ckpt_read`]:
+//! the length of the file written, the length of the generation decoded)
 //! and wrapped in [`trace::Phase::CkptWrite`] / [`trace::Phase::CkptRead`]
 //! spans, so persistence traffic shows up in the drift guard next to
 //! communication traffic.
@@ -51,20 +101,29 @@
 //! The processor view is rebuilt as [`ProcessorView::linear`] over the
 //! stored processor count; a checkpoint of an array distributed onto a
 //! non-trivial processor subset fails the fingerprint cross-check at
-//! restore rather than silently rebinding ranks.
+//! restore rather than silently rebinding ranks.  All segments of a
+//! generation go through one buffer and one file; ranks do not write
+//! their segments in parallel.
 
-use crate::exec::wire_checksum;
+use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
+use crate::exec::finish_checksum;
 use crate::plan::PlanCache;
 use crate::redistribute_impl::{redistribute_cached_with, RedistOptions};
 use crate::{DistArray, Element, PlanExecutor, Result, RuntimeError};
+use std::fs::File;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use vf_dist::{DimDist, DistType, Distribution, IndirectMap, ProcId, ProcessorView};
+use vf_dist::{DimDist, DistType, Distribution, IndirectMap, LinearRun, ProcId, ProcessorView};
 use vf_index::IndexDomain;
 use vf_machine::{trace, CommTracker};
 
-const MAGIC: &[u8; 8] = b"VFCKPT01";
+const MAGIC: &[u8; 8] = b"VFCKPT02";
+/// Magic + step: the prefix that orders the generations.
+const HEADER_LEN: usize = 16;
+const TRAILER_LEN: usize = 8;
 const GEN_FILES: [&str; 2] = ["gen0.vfck", "gen1.vfck"];
+const TMP_FILES: [&str; 2] = ["gen0.vfck.tmp", "gen1.vfck.tmp"];
 const TAG_BLOCK: u64 = 0;
 const TAG_CYCLIC: u64 = 1;
 const TAG_GEN_BLOCK: u64 = 2;
@@ -106,22 +165,30 @@ impl CheckpointStore {
     /// The two generation slots, oldest-agnostic (slot order is fixed;
     /// which slot is newest depends on the stored step counters).
     pub fn generation_paths(&self) -> [PathBuf; 2] {
-        [self.dir.join(GEN_FILES[0]), self.dir.join(GEN_FILES[1])]
+        GEN_FILES.map(|name| self.dir.join(name))
     }
 
-    /// The step of the newest restorable generation, if any survives
-    /// validation.
+    /// The step of the newest *restorable* generation, if any.  Unlike the
+    /// slot choice of [`CheckpointStore::save`] and the candidate ordering
+    /// of [`CheckpointStore::restore`], which trust a slot's header until
+    /// the file is actually decoded, this reads both files in full and
+    /// validates trailer, manifest and segment framing — a caller deciding
+    /// whether (and from which step) a crashed run can resume needs the
+    /// answer `restore` would give, not the newest header.
     pub fn latest_step(&self) -> Option<u64> {
-        self.scan_generations()
-            .into_iter()
-            .flatten()
-            .map(|(step, _)| step)
+        self.generation_paths()
+            .iter()
+            .filter_map(|path| {
+                let bytes = std::fs::read(path).ok()?;
+                validate_structure(&bytes, path).ok()
+            })
             .max()
     }
 
     /// Saves `array` at `step` into the older generation slot
-    /// (write-new + atomic rename), charging the written bytes to
-    /// `tracker`.  Returns the path of the generation written.
+    /// (write-new, sync, atomic rename, sync the directory), charging the
+    /// written bytes to `tracker`.  Returns the path of the generation
+    /// written.
     ///
     /// # Errors
     /// [`RuntimeError::CorruptCheckpoint`] when the store directory or the
@@ -136,16 +203,20 @@ impl CheckpointStore {
             format!("{} step {step}", array.name())
         });
         let bytes = encode_checkpoint(array, step);
-        let target = self.save_slot();
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            target.file_name().and_then(|n| n.to_str()).unwrap_or("gen")
-        ));
+        let slot = self.save_slot();
+        let target = self.dir.join(GEN_FILES[slot]);
+        let tmp = self.dir.join(TMP_FILES[slot]);
         let io = |e: std::io::Error, what: &str| corrupt(&target, format!("{what}: {e}"));
         std::fs::create_dir_all(&self.dir).map_err(|e| io(e, "create store dir"))?;
-        std::fs::write(&tmp, &bytes).map_err(|e| io(e, "write temporary"))?;
+        let mut file = File::create(&tmp).map_err(|e| io(e, "create temporary"))?;
+        file.write_all(&bytes)
+            .map_err(|e| io(e, "write temporary"))?;
+        file.sync_all().map_err(|e| io(e, "sync temporary"))?;
+        drop(file);
         std::fs::rename(&tmp, &target).map_err(|e| io(e, "rename into generation"))?;
+        File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| io(e, "sync store dir"))?;
         tracker.record_ckpt_write(bytes.len());
         span.end();
         Ok(target)
@@ -156,37 +227,46 @@ impl CheckpointStore {
     /// previous one.
     ///
     /// # Errors
-    /// [`RuntimeError::CorruptCheckpoint`] when no generation validates,
+    /// [`RuntimeError::CorruptCheckpoint`] when no generation validates
+    /// (the reason is the newest failing slot's),
     /// [`RuntimeError::TrackerMismatch`] when the file's processor count
     /// differs from the tracker's.
     pub fn restore<T: Element>(&self, tracker: &CommTracker) -> Result<RestoredCheckpoint<T>> {
         let span = trace::OpenSpan::begin_with(trace::Phase::CkptRead, || {
             format!("restore from {}", self.dir.display())
         });
-        // Newest first, falling back across generations only on
-        // *corruption* — a structural mismatch against the live machine
-        // (wrong element width, wrong processor count) is a caller error
-        // every generation shares, so it propagates immediately.
-        let mut candidates: Vec<(u64, PathBuf, Vec<u8>)> = self
-            .scan_generations()
-            .into_iter()
-            .flatten()
-            .map(|(step, (path, bytes))| (step, path, bytes))
-            .collect();
-        candidates.sort_by_key(|(step, _, _)| std::cmp::Reverse(*step));
-        let mut last_err: Option<RuntimeError> = None;
-        for (_, path, bytes) in candidates {
-            match decode_checkpoint::<T>(&bytes, &path, tracker) {
-                Ok(restored) => {
-                    tracker.record_ckpt_read(bytes.len());
+        let mut first_err: Option<RuntimeError> = None;
+        // Order the slots by their headers alone, newest first; a slot
+        // whose header is already unusable is never read further.
+        let mut candidates: Vec<(u64, PathBuf)> = Vec::with_capacity(2);
+        for path in self.generation_paths() {
+            match read_header(&path) {
+                Ok(Some(step)) => candidates.push((step, path)),
+                Ok(None) => {}
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        candidates.sort_by_key(|(step, _)| std::cmp::Reverse(*step));
+        // Fall back across generations only on *corruption* — a structural
+        // mismatch against the live machine (wrong processor count) is a
+        // caller error every generation shares, so it propagates
+        // immediately.
+        for (_, path) in candidates {
+            match read_generation::<T>(&path, tracker) {
+                Ok((restored, file_len)) => {
+                    tracker.record_ckpt_read(file_len);
                     span.end();
                     return Ok(restored);
                 }
-                Err(e @ RuntimeError::CorruptCheckpoint { .. }) => last_err = Some(e),
+                Err(e @ RuntimeError::CorruptCheckpoint { .. }) => {
+                    first_err.get_or_insert(e);
+                }
                 Err(e) => return Err(e),
             }
         }
-        Err(last_err.unwrap_or_else(|| {
+        Err(first_err.unwrap_or_else(|| {
             corrupt(
                 &self.dir,
                 "no restorable checkpoint generation in the store",
@@ -223,29 +303,21 @@ impl CheckpointStore {
         Ok(restored)
     }
 
-    /// Reads and structurally validates both generation slots; `None` for
-    /// a missing or invalid slot.
-    #[allow(clippy::type_complexity)]
-    fn scan_generations(&self) -> [Option<(u64, (PathBuf, Vec<u8>))>; 2] {
-        self.generation_paths().map(|path| {
-            let bytes = std::fs::read(&path).ok()?;
-            let step = validate_structure(&bytes, &path).ok()?;
-            Some((step, (path, bytes)))
-        })
-    }
-
-    /// The slot a save overwrites: an empty/invalid slot first, otherwise
-    /// the one holding the older generation.
-    fn save_slot(&self) -> PathBuf {
-        let scans = self.scan_generations();
-        let paths = self.generation_paths();
-        match (&scans[0], &scans[1]) {
-            (None, _) => paths.into_iter().next().expect("two slots"),
-            (Some(_), None) => paths.into_iter().nth(1).expect("two slots"),
-            (Some((a, _)), Some((b, _))) => {
-                let older = if a <= b { 0 } else { 1 };
-                paths.into_iter().nth(older).expect("two slots")
-            }
+    /// The index of the slot a save overwrites, chosen from the slot
+    /// headers alone: a missing or unrecognisable slot first, otherwise
+    /// the one carrying the older step.  A header can lie about the rest
+    /// of its file, so this may pick the only valid generation while the
+    /// other slot is damaged in its payload — which costs nothing, because
+    /// the slot is replaced by rename with a complete valid file: the
+    /// number of valid generations never drops.
+    fn save_slot(&self) -> usize {
+        let [a, b] = self
+            .generation_paths()
+            .map(|path| read_header(&path).ok().flatten());
+        match (a, b) {
+            (None, _) => 0,
+            (Some(_), None) => 1,
+            (Some(a), Some(b)) => usize::from(a > b),
         }
     }
 }
@@ -257,84 +329,209 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> RuntimeError {
     }
 }
 
-/// FNV-1a 64 — position-sensitive (unlike a plain xor), so truncations,
-/// byte swaps and torn tails all change the trailer.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+/// Checks the magic of a fixed header and returns its step.
+fn parse_header(header: &[u8; HEADER_LEN], path: &Path) -> Result<u64> {
+    let (magic, step) = header.split_at(MAGIC.len());
+    if magic != MAGIC {
+        let family = MAGIC.len() - 2;
+        return Err(if magic[..family] == MAGIC[..family] {
+            corrupt(
+                path,
+                format!(
+                    "unsupported checkpoint format version {} (this build reads only {})",
+                    String::from_utf8_lossy(magic),
+                    String::from_utf8_lossy(MAGIC)
+                ),
+            )
+        } else {
+            corrupt(path, "bad magic (not a VFCKPT02 file)")
+        });
     }
-    h
+    Ok(u64::from_le_bytes(step.try_into().expect("8-byte slice")))
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Reads only the fixed header of a slot: `Ok(None)` when there is no
+/// file, the step when the magic is ours, a corruption error otherwise.
+fn read_header(path: &Path) -> Result<Option<u64>> {
+    let mut file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(corrupt(path, format!("open generation: {e}"))),
+    };
+    let mut header = [0u8; HEADER_LEN];
+    file.read_exact(&mut header)
+        .map_err(|e| corrupt(path, format!("read fixed header: {e}")))?;
+    parse_header(&header, path).map(Some)
 }
 
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The whole-file trailer: a word-wise multiply–rotate hash over 8-byte
+/// little-endian words, striped over four independent lanes so the loop
+/// carries no single serial multiply chain, with the lanes, the length,
+/// the remaining whole words and the byte-wise tail folded in at the end.
+///
+/// Every step `h ← rotl((h ^ w) · P, R)` is a bijection of `h` for a fixed
+/// word and of the word for a fixed `h`, and so are the lane fold and the
+/// finisher: changing any *one* word (hence any one byte) always changes
+/// the result.  Because the multiply and rotate sit between successive
+/// words, the result also depends on *where* a word is — swapped words,
+/// moved runs and truncations are caught with hash-collision probability
+/// rather than never, which is what the per-run xor cannot offer.
+fn trailer_hash(bytes: &[u8]) -> u64 {
+    const P: u64 = 0x9e37_79b9_7f4a_7c15;
+    const R: u32 = 29;
+    fn mix(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(P).rotate_left(R)
+    }
+    fn word(chunk: &[u8]) -> u64 {
+        u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
+    }
+    let mut lanes = [
+        0xcbf2_9ce4_8422_2325u64,
+        0x8422_2325_cbf2_9ce4,
+        0x6a09_e667_f3bc_c908,
+        0xbb67_ae85_84ca_a73b,
+    ];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, chunk) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = mix(*lane, word(chunk));
+        }
+    }
+    let mut h = lanes
+        .into_iter()
+        .fold((bytes.len() as u64).wrapping_mul(P), mix);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for chunk in &mut words {
+        h = mix(h, word(chunk));
+    }
+    for &b in words.remainder() {
+        h = mix(h, u64::from(b));
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(P);
+    h ^ (h >> 29)
 }
 
-/// Encodes the whole checkpoint (manifest, per-rank segments, trailer).
+/// A little-endian cursor that fills a buffer sized up front.
+struct Writer<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+}
+
+impl Writer<'_> {
+    /// The next `n` bytes of the buffer, to be filled by the caller.
+    fn reserve(&mut self, n: usize) -> &mut [u8] {
+        let start = self.pos;
+        self.pos += n;
+        &mut self.buf[start..self.pos]
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len()).copy_from_slice(bytes);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Encoded size of one dimension's distribution descriptor.
+fn dim_len(dim: &DimDist) -> usize {
+    match dim {
+        DimDist::Block | DimDist::NotDistributed => 8,
+        DimDist::Cyclic(_) => 16,
+        DimDist::GenBlock(sizes) => 16 + 8 * sizes.len(),
+        DimDist::Indirect(map) => 16 + 8 * map.len(),
+    }
+}
+
+/// Encodes the whole checkpoint (manifest, per-rank segments, trailer)
+/// into one buffer of exactly the file's size: every field is written at
+/// its final position, every run is packed once with its checksum
+/// accumulated by the same pass.
 fn encode_checkpoint<T: Element>(array: &DistArray<T>, step: u64) -> Vec<u8> {
     let dist = array.dist();
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    put_u64(&mut buf, step);
-    put_u64(&mut buf, T::BYTES as u64);
-    put_u64(&mut buf, array.name().len() as u64);
-    buf.extend_from_slice(array.name().as_bytes());
     let domain = dist.domain();
-    put_u64(&mut buf, domain.rank() as u64);
-    for d in 0..domain.rank() {
-        put_i64(&mut buf, domain.dim(d).lower());
-        put_i64(&mut buf, domain.dim(d).upper());
-    }
     let nprocs = dist.num_procs();
-    put_u64(&mut buf, nprocs as u64);
+    let runs: Vec<Vec<LinearRun>> = (0..nprocs)
+        .map(|p| dist.local_linear_runs(ProcId(p)))
+        .collect();
+    let manifest_len = HEADER_LEN
+        + 8
+        + (8 + array.name().len())
+        + (8 + 16 * domain.rank())
+        + 8
+        + dist.dist_type().dims().iter().map(dim_len).sum::<usize>()
+        + 8;
+    let segments_len: usize = runs
+        .iter()
+        .map(|rank| 8 + rank.iter().map(|r| 32 + r.len * T::BYTES).sum::<usize>())
+        .sum();
+    let body_len = manifest_len + segments_len;
+    let mut buf = vec![0u8; body_len + TRAILER_LEN];
+    let mut w = Writer {
+        buf: &mut buf,
+        pos: 0,
+    };
+    w.bytes(MAGIC);
+    w.u64(step);
+    w.u64(T::BYTES as u64);
+    w.u64(array.name().len() as u64);
+    w.bytes(array.name().as_bytes());
+    w.u64(domain.rank() as u64);
+    for d in 0..domain.rank() {
+        w.i64(domain.dim(d).lower());
+        w.i64(domain.dim(d).upper());
+    }
+    w.u64(nprocs as u64);
     for dim in dist.dist_type().dims() {
         match dim {
-            DimDist::Block => put_u64(&mut buf, TAG_BLOCK),
+            DimDist::Block => w.u64(TAG_BLOCK),
             DimDist::Cyclic(k) => {
-                put_u64(&mut buf, TAG_CYCLIC);
-                put_u64(&mut buf, *k as u64);
+                w.u64(TAG_CYCLIC);
+                w.u64(*k as u64);
             }
             DimDist::GenBlock(sizes) => {
-                put_u64(&mut buf, TAG_GEN_BLOCK);
-                put_u64(&mut buf, sizes.len() as u64);
+                w.u64(TAG_GEN_BLOCK);
+                w.u64(sizes.len() as u64);
                 for &s in sizes {
-                    put_u64(&mut buf, s as u64);
+                    w.u64(s as u64);
                 }
             }
             DimDist::Indirect(map) => {
-                put_u64(&mut buf, TAG_INDIRECT);
-                put_u64(&mut buf, map.len() as u64);
+                w.u64(TAG_INDIRECT);
+                w.u64(map.len() as u64);
                 for owner in map.owners() {
-                    put_u64(&mut buf, owner as u64);
+                    w.u64(owner as u64);
                 }
             }
-            DimDist::NotDistributed => put_u64(&mut buf, TAG_NOT_DISTRIBUTED),
+            DimDist::NotDistributed => w.u64(TAG_NOT_DISTRIBUTED),
         }
     }
-    put_u64(&mut buf, dist.fingerprint());
-    for p in 0..nprocs {
-        let runs = dist.local_linear_runs(ProcId(p));
+    w.u64(dist.fingerprint());
+    for (p, rank_runs) in runs.iter().enumerate() {
         let local = array.local(ProcId(p));
-        put_u64(&mut buf, runs.len() as u64);
-        for run in &runs {
+        w.u64(rank_runs.len() as u64);
+        for run in rank_runs {
+            w.u64(run.local_start as u64);
+            w.u64(run.global_start as u64);
+            w.u64(run.len as u64);
+            // The checksum precedes the payload it is computed from.
+            let (checksum, payload) = w.reserve(8 + run.len * T::BYTES).split_at_mut(8);
             let elems = &local[run.local_start..run.local_start + run.len];
-            put_u64(&mut buf, run.local_start as u64);
-            put_u64(&mut buf, run.global_start as u64);
-            put_u64(&mut buf, run.len as u64);
-            put_u64(&mut buf, wire_checksum(elems));
-            for e in elems {
-                e.write_bytes(&mut buf);
-            }
+            let acc = pack_le_xor(elems, payload);
+            checksum.copy_from_slice(&finish_checksum(acc, run.len).to_le_bytes());
         }
     }
-    let trailer = fnv1a(&buf);
-    put_u64(&mut buf, trailer);
+    // The sizes above are arithmetic over the same fields the writer just
+    // walked; a file with a hole or a short tail must never be written.
+    assert_eq!(w.pos, body_len, "checkpoint size computed up front");
+    let trailer = trailer_hash(&buf[..body_len]);
+    buf[body_len..].copy_from_slice(&trailer.to_le_bytes());
     buf
 }
 
@@ -378,6 +575,20 @@ impl<'a> Reader<'a> {
         }
         Ok(v as usize)
     }
+
+    /// Fails unless the cursor consumed the whole body.
+    fn finish(&self) -> Result<()> {
+        if self.pos != self.bytes.len() {
+            return Err(corrupt(
+                self.path,
+                format!(
+                    "{} trailing bytes after the last segment",
+                    self.bytes.len() - self.pos
+                ),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The decoded manifest: everything before the per-rank segments.
@@ -393,13 +604,10 @@ struct Manifest {
 
 /// Parses manifest fields and leaves the reader positioned at the first
 /// per-rank segment.
-fn parse_manifest<'a>(reader: &mut Reader<'a>) -> Result<Manifest> {
+fn parse_manifest(reader: &mut Reader<'_>) -> Result<Manifest> {
     let path = reader.path;
-    let magic = reader.take(MAGIC.len(), "magic")?;
-    if magic != MAGIC {
-        return Err(corrupt(path, "bad magic (not a VFCKPT01 file)"));
-    }
-    let step = reader.u64("step")?;
+    let header = reader.take(HEADER_LEN, "fixed header")?;
+    let step = parse_header(header.try_into().expect("header-sized slice"), path)?;
     let elem_bytes = reader.usize("element width", 64)?;
     if elem_bytes == 0 {
         return Err(corrupt(path, "element width 0"));
@@ -469,44 +677,43 @@ fn parse_manifest<'a>(reader: &mut Reader<'a>) -> Result<Manifest> {
     })
 }
 
-/// Validates everything that does not need the element type: trailer
-/// checksum, magic, manifest structure and segment framing.  Returns the
-/// manifest step.
-fn validate_structure(bytes: &[u8], path: &Path) -> Result<u64> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(corrupt(path, "file shorter than magic + trailer"));
+/// Checks the magic (first, so a file of another format version is named
+/// as such rather than as a checksum failure) and the whole-file trailer,
+/// and returns a reader over the bytes the trailer vouches for.
+fn verified_body<'a>(bytes: &'a [u8], path: &'a Path) -> Result<Reader<'a>> {
+    if bytes.len() < HEADER_LEN + TRAILER_LEN {
+        return Err(corrupt(path, "file shorter than header + trailer"));
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
+    let header = body[..HEADER_LEN].try_into().expect("header-sized slice");
+    parse_header(header, path)?;
     let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte slice"));
-    if fnv1a(body) != stored {
+    if trailer_hash(body) != stored {
         return Err(corrupt(path, "whole-file checksum mismatch (torn write?)"));
     }
-    let mut reader = Reader {
+    Ok(Reader {
         bytes: body,
         pos: 0,
         path,
-    };
+    })
+}
+
+/// Validates everything that does not need the element type or the live
+/// machine: magic, trailer, manifest structure and segment framing.
+/// Returns the manifest step.
+fn validate_structure(bytes: &[u8], path: &Path) -> Result<u64> {
+    let mut reader = verified_body(bytes, path)?;
     let manifest = parse_manifest(&mut reader)?;
-    for p in 0..manifest.nprocs {
+    for _ in 0..manifest.nprocs {
         let run_count = reader.usize("segment run count", 1 << 32)?;
         for _ in 0..run_count {
-            let _local_start = reader.u64("run local start")?;
-            let _global_start = reader.u64("run global start")?;
+            reader.take(16, "run local and global start")?;
             let len = reader.usize("run length", 1 << 40)?;
-            let _checksum = reader.u64("run checksum")?;
+            reader.take(8, "run checksum")?;
             reader.take(len * manifest.elem_bytes, "run payload")?;
         }
-        let _ = p;
     }
-    if reader.pos != body.len() {
-        return Err(corrupt(
-            path,
-            format!(
-                "{} trailing bytes after the last segment",
-                body.len() - reader.pos
-            ),
-        ));
-    }
+    reader.finish()?;
     Ok(manifest.step)
 }
 
@@ -536,19 +743,27 @@ fn rebuild_distribution(manifest: &Manifest, path: &Path) -> Result<Distribution
     Ok(dist)
 }
 
-/// Fully decodes one validated generation into a typed array.
+/// Reads one generation file, once, and decodes it; also returns the
+/// file's length.
+fn read_generation<T: Element>(
+    path: &Path,
+    tracker: &CommTracker,
+) -> Result<(RestoredCheckpoint<T>, usize)> {
+    let bytes = std::fs::read(path).map_err(|e| corrupt(path, format!("read generation: {e}")))?;
+    Ok((decode_checkpoint(&bytes, path, tracker)?, bytes.len()))
+}
+
+/// Validates one generation and decodes it into a typed array in a single
+/// walk over its bytes: nothing is unpacked before the trailer, the
+/// manifest, the rebuilt distribution and that run's own header and
+/// checksum have been checked, and nothing is returned unless the walk
+/// ends exactly at the trailer.
 fn decode_checkpoint<T: Element>(
     bytes: &[u8],
     path: &Path,
     tracker: &CommTracker,
 ) -> Result<RestoredCheckpoint<T>> {
-    validate_structure(bytes, path)?;
-    let body = &bytes[..bytes.len() - 8];
-    let mut reader = Reader {
-        bytes: body,
-        pos: 0,
-        path,
-    };
+    let mut reader = verified_body(bytes, path)?;
     let manifest = parse_manifest(&mut reader)?;
     if manifest.elem_bytes != T::BYTES {
         return Err(corrupt(
@@ -567,7 +782,7 @@ fn decode_checkpoint<T: Element>(
         });
     }
     let dist = rebuild_distribution(&manifest, path)?;
-    let mut array = DistArray::<T>::new(manifest.name.clone(), dist.clone());
+    let mut array = DistArray::<T>::new(manifest.name, dist.clone());
     for p in 0..manifest.nprocs {
         let expected = dist.local_linear_runs(ProcId(p));
         let run_count = reader.usize("segment run count", 1 << 32)?;
@@ -597,16 +812,16 @@ fn decode_checkpoint<T: Element>(
             }
             let checksum = reader.u64("run checksum")?;
             let payload = reader.take(len * T::BYTES, "run payload")?;
-            let elems: Vec<T> = crate::decode_slice(payload);
-            if wire_checksum(&elems) != checksum {
+            if finish_checksum(xor_packed_le::<T>(payload), len) != checksum {
                 return Err(corrupt(
                     path,
                     format!("rank {p} segment at local offset {local_start} fails its checksum"),
                 ));
             }
-            local[local_start..local_start + len].copy_from_slice(&elems);
+            unpack_le(payload, &mut local[local_start..local_start + len]);
         }
     }
+    reader.finish()?;
     array.broadcast_canonical();
     Ok(RestoredCheckpoint {
         array,
@@ -757,5 +972,194 @@ mod tests {
             other => panic!("expected CorruptCheckpoint, got {other:?}"),
         }
         assert_eq!(store.latest_step(), None);
+    }
+
+    #[test]
+    fn trailer_hash_mixes_length_position_and_every_byte() {
+        // Lengths 0..=40 of an all-zero input cross the stripe, word and
+        // byte-tail boundaries; the length is mixed in, so all differ.
+        let zeros = [0u8; 40];
+        let mut seen: Vec<u64> = (0..=40).map(|n| trailer_hash(&zeros[..n])).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 41, "zero inputs of distinct lengths collide");
+        // Any single changed byte changes the hash (striped words, tail
+        // words and tail bytes alike).
+        let input: Vec<u8> = (0..85u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let clean = trailer_hash(&input);
+        for at in 0..input.len() {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut damaged = input.clone();
+                damaged[at] ^= flip;
+                assert_ne!(trailer_hash(&damaged), clean, "byte {at} ^ {flip:#x}");
+            }
+        }
+        // Position matters within a lane, across lanes, and in the tail.
+        for (a, b) in [(0, 32), (0, 8), (64, 72), (8, 64)] {
+            let mut swapped = input.clone();
+            for k in 0..8 {
+                swapped.swap(a + k, b + k);
+            }
+            assert_ne!(trailer_hash(&swapped), clean, "words at {a} and {b}");
+        }
+    }
+
+    /// Byte ranges `(checksum slot start, payload end)` of every run.
+    fn run_ranges(bytes: &[u8], path: &Path) -> Vec<(usize, usize)> {
+        let mut reader = verified_body(bytes, path).unwrap();
+        let manifest = parse_manifest(&mut reader).unwrap();
+        let mut ranges = Vec::new();
+        for _ in 0..manifest.nprocs {
+            for _ in 0..reader.u64("run count").unwrap() {
+                reader.take(16, "starts").unwrap();
+                let len = reader.u64("len").unwrap() as usize;
+                let start = reader.pos;
+                reader.take(8 + len * manifest.elem_bytes, "run").unwrap();
+                ranges.push((start, reader.pos));
+            }
+        }
+        ranges
+    }
+
+    fn expect_trailer_mismatch(store: &CheckpointStore, tracker: &CommTracker) {
+        match store.restore::<f64>(tracker) {
+            Err(RuntimeError::CorruptCheckpoint { reason, .. }) => {
+                assert!(reason.contains("whole-file checksum"), "{reason}")
+            }
+            other => panic!("expected a trailer mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reordered_words_and_runs_are_caught_by_the_trailer_alone() {
+        let store = store("reorder");
+        let dist = dist_1d(DistType::block1d(), 16, 2);
+        let data: Vec<f64> = (0..16).map(|i| 1.0 + i as f64).collect();
+        let array = DistArray::from_dense("W", dist, &data).unwrap();
+        let tracker = CommTracker::new(2, CostModel::zero());
+        let path = store.save(&array, 1, &tracker).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let runs = run_ranges(&clean, &path);
+        assert_eq!(runs.len(), 2);
+
+        // Two elements of one run trade places: the run's xor checksum is
+        // blind to that, the position-sensitive trailer is not.
+        let (slot, end) = runs[0];
+        let mut bytes = clean.clone();
+        for k in 0..8 {
+            bytes.swap(slot + 8 + k, slot + 24 + k);
+        }
+        let checksum = u64::from_le_bytes(bytes[slot..slot + 8].try_into().unwrap());
+        assert_eq!(
+            finish_checksum(xor_packed_le::<f64>(&bytes[slot + 8..end]), 8),
+            checksum,
+            "the run checksum cannot see a reordering"
+        );
+        std::fs::write(&path, &bytes).unwrap();
+        expect_trailer_mismatch(&store, &tracker);
+
+        // Two whole runs (checksum + payload) trade places under their
+        // untouched layout headers: every run still passes its own
+        // checksum and the layout cross-check.
+        let mut bytes = clean.clone();
+        let (a, b) = (runs[0], runs[1]);
+        assert_eq!(a.1 - a.0, b.1 - b.0);
+        for k in 0..a.1 - a.0 {
+            bytes.swap(a.0 + k, b.0 + k);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        expect_trailer_mismatch(&store, &tracker);
+
+        std::fs::write(&path, &clean).unwrap();
+        assert_eq!(
+            store.restore::<f64>(&tracker).unwrap().array.to_dense(),
+            data
+        );
+    }
+
+    #[test]
+    fn stale_temporaries_are_ignored_then_overwritten() {
+        let store = store("stale_tmp");
+        let dist = dist_1d(DistType::block1d(), 12, 3);
+        let tracker = CommTracker::new(3, CostModel::zero());
+        let mk = |v: f64| DistArray::from_dense("T", dist.clone(), &[v; 12]).unwrap();
+        store.save(&mk(1.0), 1, &tracker).unwrap();
+        // A save of step 2 that died before its rename: most of a valid
+        // newer file sits under the temporary's name, and an older crash
+        // left one for the other slot too.
+        let torn = encode_checkpoint(&mk(2.0), 2);
+        let temporaries = TMP_FILES.map(|name| store.dir().join(name));
+        for tmp in &temporaries {
+            std::fs::write(tmp, &torn[..torn.len() - 5]).unwrap();
+        }
+        assert_eq!(store.latest_step(), Some(1));
+        let restored = store.restore::<f64>(&tracker).unwrap();
+        assert_eq!(
+            (restored.step, restored.array.to_dense()),
+            (1, vec![1.0; 12])
+        );
+        // The next saves reuse the fixed names, so no orphan survives.
+        store.save(&mk(3.0), 3, &tracker).unwrap();
+        store.save(&mk(4.0), 4, &tracker).unwrap();
+        for tmp in &temporaries {
+            assert!(!tmp.exists(), "{} survived", tmp.display());
+        }
+        let mut left: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, GEN_FILES);
+        assert_eq!(store.restore::<f64>(&tracker).unwrap().step, 4);
+    }
+
+    #[test]
+    fn a_lying_header_costs_no_valid_generation() {
+        let store = store("lying_header");
+        let dist = dist_1d(DistType::block1d(), 16, 2);
+        let tracker = CommTracker::new(2, CostModel::zero());
+        let mk = |v: f64| DistArray::from_dense("L", dist.clone(), &[v; 16]).unwrap();
+        let older = store.save(&mk(1.0), 1, &tracker).unwrap();
+        let newest = store.save(&mk(2.0), 2, &tracker).unwrap();
+        // The newest generation rots in its payload; its header still
+        // claims step 2, so the header-only slot choice overwrites the
+        // *valid* older slot — atomically, with a valid file.
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let at = bytes.len() - 20;
+        bytes[at] ^= 0x10;
+        std::fs::write(&newest, &bytes).unwrap();
+        assert_eq!(store.latest_step(), Some(1));
+        assert_eq!(store.save(&mk(3.0), 3, &tracker).unwrap(), older);
+        let restored = store.restore::<f64>(&tracker).unwrap();
+        assert_eq!(
+            (restored.step, restored.array.to_dense()),
+            (3, vec![3.0; 16])
+        );
+        assert_eq!(store.latest_step(), Some(3));
+    }
+
+    #[test]
+    fn a_format_v1_file_is_refused_by_name() {
+        let store = store("v1");
+        let dist = dist_1d(DistType::block1d(), 8, 2);
+        let array = DistArray::from_dense("V", dist, &[0.25f64; 8]).unwrap();
+        let tracker = CommTracker::new(2, CostModel::zero());
+        let path = store.save(&array, 1, &tracker).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"VFCKPT01");
+        std::fs::write(&path, &bytes).unwrap();
+        match store.restore::<f64>(&tracker) {
+            Err(RuntimeError::CorruptCheckpoint { reason, .. }) => {
+                assert!(
+                    reason.contains("unsupported") && reason.contains("VFCKPT01"),
+                    "{reason}"
+                )
+            }
+            other => panic!("expected an unsupported-version error, got {other:?}"),
+        }
+        assert_eq!(store.latest_step(), None);
+        // Not a generation, so the next save takes its slot.
+        assert_eq!(store.save(&array, 2, &tracker).unwrap(), path);
+        assert_eq!(store.restore::<f64>(&tracker).unwrap().step, 2);
     }
 }

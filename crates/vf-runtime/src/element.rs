@@ -5,8 +5,8 @@
 ///
 /// `BYTES` is used for message-size accounting in the cost model; the
 /// byte-level encoding itself (little-endian) is only exercised by the
-/// thread-backed SPMD paths, since the master-managed simulation moves
-/// values directly.
+/// thread-backed SPMD paths and by checkpoint files, since the
+/// master-managed simulation moves values directly.
 pub trait Element: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static {
     /// Number of bytes one element occupies on the wire.
     const BYTES: usize;
@@ -122,8 +122,8 @@ pub fn decode_slice<T: Element>(bytes: &[u8]) -> Vec<T> {
 /// Packs `values` into `out` — exactly `values.len() * T::BYTES` bytes,
 /// each element the low `BYTES` little-endian bytes of its
 /// [`Element::to_bits64`] pattern — and returns the xor of those patterns,
-/// so a sender fills a wire frame and accumulates the frame checksum in
-/// one pass over the data.
+/// so a sender fills a wire frame (and a checkpoint save a run of its
+/// file) and accumulates the checksum in one pass over the data.
 pub(crate) fn pack_le_xor<T: Element>(values: &[T], out: &mut [u8]) -> u64 {
     debug_assert_eq!(out.len(), values.len() * T::BYTES);
     let mut acc = 0u64;
