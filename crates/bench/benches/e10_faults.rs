@@ -20,33 +20,17 @@
 //! path).  `VF_E10_SKIP_GUARD=1` skips the timing guard on hosts too noisy
 //! to time 5% reliably; the bitwise-recovery asserts always run.
 
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use vf_bench::timing::{ns, time_min};
 use vf_core::prelude::*;
 use vf_machine::pool::WorkerPool;
 use vf_machine::{FaultInjector, FaultPlan};
-use vf_runtime::ghost::{exchange_ghosts_fused_wire_split, exchange_ghosts_fused_wire_with};
+use vf_runtime::ghost::{exchange_class_ghosts, exchange_class_ghosts_split};
 use vf_runtime::{set_wire_framing, wire_framing_enabled};
 
 const PROCS: usize = 8;
 const WORKERS: usize = 4;
 const REPS: usize = 9;
-const WIDTHS: [(usize, usize); 2] = [(0, 0), (1, 1)];
-
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn ns(d: Duration) -> f64 {
-    d.as_nanos() as f64
-}
 
 fn write_json(timings: (f64, f64, f64), traffic: (usize, usize), chaos: (usize, usize, usize)) {
     let (framed_ns, unframed_ns, ratio) = timings;
@@ -67,21 +51,8 @@ fn write_json(timings: (f64, f64, f64), traffic: (usize, usize), chaos: (usize, 
 
 fn main() {
     println!("# E10 — wire framing overhead and chaos recovery\n");
-    // The e8 wire fixture.
     let fields = 4usize;
-    let dist = Distribution::new(
-        DistType::columns(),
-        IndexDomain::d2(128, 2048),
-        ProcessorView::linear(PROCS),
-    )
-    .unwrap();
-    let arrays: Vec<DistArray<f64>> = (0..fields)
-        .map(|k| {
-            DistArray::from_fn(format!("F{k}"), dist.clone(), |pt| {
-                (pt.coord(0) * 7 + pt.coord(1) * 3 + k as i64) as f64
-            })
-        })
-        .collect();
+    let (_, arrays) = vf_bench::fixtures::wire_class(PROCS, fields);
     let refs: Vec<&DistArray<f64>> = arrays.iter().collect();
     let cache = PlanCache::new();
     let tracker = CommTracker::new(PROCS, CostModel::zero());
@@ -91,12 +62,22 @@ fn main() {
     // 1. Fault-free framing overhead, measured through the pooled
     // executor exactly as e8 measures the wire path.
     assert!(wire_framing_enabled(), "framing is on by default");
+    // The class's fused halo plan through the cache — part of every
+    // timed statement.
+    let class_plan = || {
+        cache
+            .ghost_class_plan(
+                refs.iter().map(|a| a.dist()),
+                &vf_bench::fixtures::WIRE_WIDTHS,
+            )
+            .unwrap()
+    };
     let (clean_regions, exec) =
-        exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &tracker, &cache, &pooled).unwrap();
+        exchange_class_ghosts(&refs, &class_plan(), &tracker, &pooled).unwrap();
     let measure = |framed: bool| {
         set_wire_framing(framed);
-        let t = time_min(|| {
-            exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &tracker, &cache, &pooled).unwrap()
+        let t = time_min(REPS, || {
+            exchange_class_ghosts(&refs, &class_plan(), &tracker, &pooled).unwrap()
         });
         set_wire_framing(true);
         ns(t)
@@ -135,9 +116,9 @@ fn main() {
         }
     };
     let (faulted, _) =
-        exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &chaos, &cache, &SerialExecutor).unwrap();
+        exchange_class_ghosts(&refs, &class_plan(), &chaos, &SerialExecutor).unwrap();
     verify(&faulted, "blocking under faults");
-    let split = exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &chaos, &cache, &backend).unwrap();
+    let split = exchange_class_ghosts_split(&refs, class_plan(), &chaos, &backend).unwrap();
     let (faulted, _) = split.wait(&chaos).unwrap();
     verify(&faulted, "split streaming under faults");
 

@@ -22,31 +22,16 @@
 //! guards on hosts too noisy to time 2% reliably; the span-presence
 //! asserts always run.
 
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use vf_bench::timing::{ns, time_min};
 use vf_core::prelude::*;
 use vf_machine::pool::WorkerPool;
 use vf_machine::trace;
-use vf_runtime::ghost::exchange_ghosts_fused_planned_wire_with;
+use vf_runtime::ghost::exchange_class_ghosts;
 
 const PROCS: usize = 8;
 const WORKERS: usize = 4;
 const REPS: usize = 9;
-
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn ns(d: Duration) -> f64 {
-    d.as_nanos() as f64
-}
 
 /// The `ns_per_op` of `name` in the flat `BENCH_e*.json` schema the shared
 /// writer renders, or `None` when the file or the entry is absent.
@@ -64,31 +49,18 @@ fn baseline_ns_per_op(path: &str, name: &str) -> Option<f64> {
 
 fn main() {
     println!("# E11 — tracing overhead on the e8 wire path\n");
-    // The e8 wire fixture, built exactly as e8_pool.rs builds it.
     let fields = 4usize;
-    let dist = Distribution::new(
-        DistType::columns(),
-        IndexDomain::d2(128, 2048),
-        ProcessorView::linear(PROCS),
-    )
-    .unwrap();
-    let arrays: Vec<DistArray<f64>> = (0..fields)
-        .map(|k| {
-            DistArray::from_fn(format!("F{k}"), dist.clone(), |pt| {
-                (pt.coord(0) * 7 + pt.coord(1) * 3 + k as i64) as f64
-            })
-        })
-        .collect();
+    let (dist, arrays) = vf_bench::fixtures::wire_class(PROCS, fields);
     let refs: Vec<&DistArray<f64>> = arrays.iter().collect();
     let cache = PlanCache::new();
     let tracker = CommTracker::new(PROCS, CostModel::zero());
     let pool = Arc::new(WorkerPool::new(WORKERS));
     let pooled = ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0);
-    let widths = [(0, 0), (1, 1)];
+    let widths = vf_bench::fixtures::WIRE_WIDTHS;
     let plan = cache.ghost_plan(&dist, &widths).unwrap();
     let fused = FusedPlan::fuse(vec![plan; fields]).unwrap();
     let exchange = || {
-        exchange_ghosts_fused_planned_wire_with(&refs, &fused, &tracker, &pooled)
+        exchange_class_ghosts(&refs, &fused, &tracker, &pooled)
             .unwrap()
             .1
     };
@@ -96,13 +68,13 @@ fn main() {
 
     // 1. Disabled: the default state unless the caller exported VF_TRACE.
     trace::set_enabled(false);
-    let measure_disabled = || ns(time_min(exchange));
+    let measure_disabled = || ns(time_min(REPS, exchange));
     let mut disabled_ns = measure_disabled();
 
     // 2. Enabled: same exchange, every phase recording spans.
     trace::set_enabled(true);
     trace::reset();
-    let enabled_ns = ns(time_min(exchange));
+    let enabled_ns = ns(time_min(REPS, exchange));
     let snap = trace::snapshot();
     for phase in [
         trace::Phase::GhostExchange,
@@ -199,7 +171,7 @@ fn main() {
         let d = measure_disabled();
         trace::set_enabled(true);
         trace::reset();
-        let e = ns(time_min(exchange));
+        let e = ns(time_min(REPS, exchange));
         trace::set_enabled(false);
         ratio = e / d;
     }

@@ -24,51 +24,22 @@
 //! hosts too noisy to time reliably; the traffic cross-check always
 //! runs.
 
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use vf_bench::timing::{ns, time_min};
 use vf_core::prelude::*;
 use vf_machine::pool::WorkerPool;
-use vf_runtime::ghost::{
-    exchange_ghosts_fused_planned_sharded, exchange_ghosts_fused_planned_wire_with,
-};
+use vf_runtime::ghost::exchange_class_ghosts;
 
 const PROCS: usize = 8;
 const REPS: usize = 7;
 
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn ns(d: Duration) -> f64 {
-    d.as_nanos() as f64
-}
-
 fn main() {
     println!("# E12 — sharded (real channels) vs shared wire ghost exchange\n");
     let fields = 4usize;
-    let dist = Distribution::new(
-        DistType::columns(),
-        IndexDomain::d2(128, 2048),
-        ProcessorView::linear(PROCS),
-    )
-    .unwrap();
-    let arrays: Vec<DistArray<f64>> = (0..fields)
-        .map(|k| {
-            DistArray::from_fn(format!("F{k}"), dist.clone(), |pt| {
-                (pt.coord(0) * 7 + pt.coord(1) * 3 + k as i64) as f64
-            })
-        })
-        .collect();
+    let (dist, arrays) = vf_bench::fixtures::wire_class(PROCS, fields);
     let refs: Vec<&DistArray<f64>> = arrays.iter().collect();
     let cache = PlanCache::new();
-    let widths = [(0, 0), (1, 1)];
+    let widths = vf_bench::fixtures::WIRE_WIDTHS;
     let plan = cache.ghost_plan(&dist, &widths).unwrap();
     let fused = FusedPlan::fuse(vec![plan; fields]).unwrap();
 
@@ -80,11 +51,10 @@ fn main() {
     // values are bitwise the shared wire values, and the channel moved
     // exactly the modelled wire bytes.
     let t_shared = CommTracker::new(PROCS, CostModel::zero());
-    let (g_shared, exec) =
-        exchange_ghosts_fused_planned_wire_with(&refs, &fused, &t_shared, &pooled).unwrap();
+    let (g_shared, exec) = exchange_class_ghosts(&refs, &fused, &t_shared, &pooled).unwrap();
     let t_sharded = CommTracker::new(PROCS, CostModel::zero());
     let (g_sharded, exec_sharded) =
-        exchange_ghosts_fused_planned_sharded(&refs, &fused, &t_sharded, &sharded_exec).unwrap();
+        exchange_class_ghosts(&refs, &fused, &t_sharded, &sharded_exec).unwrap();
     assert_eq!(exec, exec_sharded, "sharded exec report diverges");
     for (field, (gs, gw)) in g_sharded.iter().zip(&g_shared).enumerate() {
         for q in 0..PROCS {
@@ -111,19 +81,19 @@ fn main() {
 
     let tracker = CommTracker::new(PROCS, CostModel::zero());
     let shared = || {
-        exchange_ghosts_fused_planned_wire_with(&refs, &fused, &tracker, &pooled)
+        exchange_class_ghosts(&refs, &fused, &tracker, &pooled)
             .unwrap()
             .1
     };
     let sharded = || {
-        exchange_ghosts_fused_planned_sharded(&refs, &fused, &tracker, &sharded_exec)
+        exchange_class_ghosts(&refs, &fused, &tracker, &sharded_exec)
             .unwrap()
             .1
     };
 
     let measure = || {
-        let s = ns(time_min(shared));
-        let d = ns(time_min(sharded));
+        let s = ns(time_min(REPS, shared));
+        let d = ns(time_min(REPS, sharded));
         (s, d)
     };
     let (mut shared_ns, mut sharded_ns) = measure();

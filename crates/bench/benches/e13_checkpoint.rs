@@ -29,29 +29,14 @@
 //! `VF_E13_SKIP_GUARD=1` skips the byte guards; the bitwise correctness
 //! cross-checks always run.
 
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use vf_bench::timing::{ns, time_min};
 use vf_core::prelude::*;
 
 const PROCS: usize = 8;
 const REPS: usize = 7;
 const N: usize = 262_144; // 2 MB of f64 payload
 const MANIFEST_ALLOWANCE: usize = 4096;
-
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn ns(d: Duration) -> f64 {
-    d.as_nanos() as f64
-}
 
 /// `(rchar, wchar)` of this process: the bytes its read and write system
 /// calls have moved so far, page cache or not.  `None` where
@@ -145,11 +130,11 @@ fn main() {
          {plan_bytes} moved by the BLOCK -> INDIRECT plan\n"
     );
 
-    let save_ns = ns(time_min(|| {
+    let save_ns = ns(time_min(REPS, || {
         store.save(&array, 1, &tracker).unwrap();
     }));
-    let restore_ns = ns(time_min(|| store.restore::<f64>(&tracker).unwrap()));
-    let restore_redist_ns = ns(time_min(|| {
+    let restore_ns = ns(time_min(REPS, || store.restore::<f64>(&tracker).unwrap()));
+    let restore_redist_ns = ns(time_min(REPS, || {
         store
             .restore_into::<f64, _>(&live_dist, &tracker, &cache, &SerialExecutor)
             .unwrap()

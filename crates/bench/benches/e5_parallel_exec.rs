@@ -1,5 +1,6 @@
 //! E5 — parallel plan execution: serial vs threaded [`PlanExecutor`]
-//! backends and fused connect-class `DISTRIBUTE`.
+//! backends on the direct-copy engine, and a connect-class `DISTRIBUTE` as
+//! four array verbs versus one class verb (the wire engine).
 //!
 //! Custom harness (no criterion) because the run doubles as a CI guard:
 //! after reporting, the 256k-element case asserts that the auto-selected
@@ -9,30 +10,14 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use vf_bench::timing::{secs, time_min};
 use vf_core::prelude::*;
 
 const PROCS: usize = 8;
 const REPS: usize = 5;
 
-/// Minimum wall-clock time of `f` over [`REPS`] runs — minimum, not mean,
-/// because scheduling noise only ever adds time.
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
-}
-
 struct Case {
-    plan: CommPlan,
+    plan: Arc<CommPlan>,
     src: Vec<Vec<f64>>,
     dst_sizes: Vec<usize>,
 }
@@ -43,7 +28,7 @@ fn cyclic_case(n: usize) -> Case {
     let procs = ProcessorView::linear(PROCS);
     let from = Distribution::new(DistType::block1d(), IndexDomain::d1(n), procs.clone()).unwrap();
     let to = Distribution::new(DistType::cyclic1d(1), IndexDomain::d1(n), procs).unwrap();
-    let plan = plan::plan_redistribute(&from, &to).unwrap();
+    let plan = Arc::new(plan::plan_redistribute(&from, &to).unwrap());
     let src: Vec<Vec<f64>> = (0..PROCS)
         .map(|p| {
             let len = from.local_size(ProcId(p));
@@ -60,7 +45,9 @@ fn cyclic_case(n: usize) -> Case {
 
 fn run_exec<E: PlanExecutor>(case: &Case, executor: &E) -> usize {
     let tracker = CommTracker::new(PROCS, CostModel::ipsc860(PROCS));
-    let (bufs, report) = executor.execute(&case.plan, &case.src, &case.dst_sizes, &tracker, true);
+    let (bufs, report) = executor
+        .execute(&case.plan, &case.src, &case.dst_sizes, &tracker, true)
+        .unwrap();
     black_box(bufs.len());
     report.bytes
 }
@@ -87,8 +74,8 @@ fn main() {
             serial_bytes, threaded_bytes,
             "backends must charge identical traffic"
         );
-        let t_serial = time_min(|| run_exec(&case, &SerialExecutor));
-        let t_threaded = time_min(|| run_exec(&case, &threaded));
+        let t_serial = time_min(REPS, || run_exec(&case, &SerialExecutor));
+        let t_threaded = time_min(REPS, || run_exec(&case, &threaded));
         println!(
             "| {} | {:.3e} s | {:.3e} s | {:.2}x |",
             n,
@@ -114,7 +101,7 @@ fn main() {
         }
     }
 
-    println!("\n## fused connect-class DISTRIBUTE (4 arrays, 256k elements each)\n");
+    println!("\n## connect-class DISTRIBUTE (4 arrays, 256k elements each)\n");
     let n = 1usize << 18;
     let procs = ProcessorView::linear(PROCS);
     let from = Distribution::new(DistType::block1d(), IndexDomain::d1(n), procs.clone()).unwrap();
@@ -137,11 +124,11 @@ fn main() {
     let base: Vec<DistArray<f64>> = (0..4)
         .map(|k| DistArray::from_fn(format!("A{k}"), from.clone(), |pt| pt.coord(0) as f64))
         .collect();
-    let t_unfused = time_min(|| {
+    let t_unfused = time_min(REPS, || {
         let mut arrays = base.clone();
         let tracker = CommTracker::new(PROCS, CostModel::ipsc860(PROCS));
         for a in &mut arrays {
-            vf_core::vf_runtime::execute_redistribute_with(
+            execute_redistribute(
                 a,
                 &plan,
                 &tracker,
@@ -152,15 +139,15 @@ fn main() {
         }
         arrays.len()
     });
-    let t_fused = time_min(|| {
+    let t_fused = time_min(REPS, || {
         let mut arrays = base.clone();
         let tracker = CommTracker::new(PROCS, CostModel::ipsc860(PROCS));
         let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
-        execute_redistribute_fused(&mut refs, &fused, &tracker, &threaded).unwrap();
+        execute_class_redistribute(&mut refs, &fused, &tracker, &threaded).unwrap();
         arrays.len()
     });
     println!(
-        "one pass, 4 arrays: {:.3e} s unfused serial vs {:.3e} s fused {} ({:.2}x)",
+        "one pass, 4 arrays: {:.3e} s as array verbs (serial) vs {:.3e} s as one class verb ({}) ({:.2}x)",
         secs(t_unfused),
         secs(t_fused),
         threaded.name(),
@@ -198,8 +185,8 @@ fn main() {
             break;
         }
         let case = cyclic_case(1 << 18);
-        let s = secs(time_min(|| run_exec(&case, &SerialExecutor)));
-        let t = secs(time_min(|| run_exec(&case, &threaded)));
+        let s = secs(time_min(REPS, || run_exec(&case, &SerialExecutor)));
+        let t = secs(time_min(REPS, || run_exec(&case, &threaded)));
         ratio = t / s;
     }
     if ratio > 1.5 {

@@ -18,28 +18,14 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use vf_apps::mesh::{run_sweep, unstructured_mesh, MeshPartition, MeshSweepConfig};
+use vf_bench::timing::{secs, time_min};
 use vf_core::prelude::*;
 use vf_runtime::plan::plan_redistribute;
 use vf_runtime::DistTranslationTable;
 
 const PROCS: usize = 8;
 const REPS: usize = 5;
-
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
-}
 
 fn main() {
     println!("# E6 — irregular (INDIRECT) workloads\n");
@@ -138,7 +124,7 @@ fn main() {
 
     // 3. Cold vs cached planning of an indirect DISTRIBUTE.
     println!("\n## indirect DISTRIBUTE planning, {n} elements\n");
-    let t_cold = time_min(|| {
+    let t_cold = time_min(REPS, || {
         // Cold: directory build + full inspector walk.
         let table = DistTranslationTable::build(&indirect);
         black_box(table.num_pages());
@@ -148,7 +134,7 @@ fn main() {
     });
     let cache = PlanCache::new();
     cache.redistribute_plan(&block, &indirect).unwrap();
-    let t_cached = time_min(|| {
+    let t_cached = time_min(REPS, || {
         cache
             .redistribute_plan(&block, &indirect)
             .unwrap()
@@ -186,14 +172,14 @@ fn main() {
         if ratio >= 10.0 {
             break;
         }
-        let c = secs(time_min(|| {
+        let c = secs(time_min(REPS, || {
             let table = DistTranslationTable::build(&indirect);
             black_box(table.num_pages());
             plan_redistribute(&block, &indirect)
                 .unwrap()
                 .moved_elements()
         }));
-        let h = secs(time_min(|| {
+        let h = secs(time_min(REPS, || {
             cache
                 .redistribute_plan(&block, &indirect)
                 .unwrap()

@@ -20,29 +20,15 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use vf_apps::mesh::{run_sweep, unstructured_mesh, MeshPartition, MeshSweepConfig};
 use vf_apps::smoothing::{run, run_class, SmoothingConfig, SmoothingLayout};
 use vf_apps::workloads;
+use vf_bench::timing::{secs, time_min};
 use vf_core::prelude::*;
 use vf_runtime::plan::plan_ghost_irregular;
 
 const PROCS: usize = 8;
 const REPS: usize = 5;
-
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
-}
 
 fn main() {
     println!("# E7 — unified halo subsystem\n");
@@ -157,7 +143,7 @@ fn main() {
             .unwrap()
             .moved_elements()
     };
-    let t_cold = time_min(cold_once);
+    let t_cold = time_min(REPS, cold_once);
     let cache = PlanCache::new();
     cache.ghost_irregular_plan(&indirect, &conn).unwrap();
     let warm_once = || {
@@ -166,7 +152,7 @@ fn main() {
             .unwrap()
             .moved_elements()
     };
-    let t_warm = time_min(warm_once);
+    let t_warm = time_min(REPS, warm_once);
     let mut ratio = secs(t_cold) / secs(t_warm);
     println!(
         "cold (table build + incremental schedule): {:.3e} s; warm (PlanCache hit): {:.3e} s; speedup {ratio:.0}x",
@@ -197,7 +183,7 @@ fn main() {
         if ratio >= 10.0 {
             break;
         }
-        ratio = secs(time_min(cold_once)) / secs(time_min(warm_once));
+        ratio = secs(time_min(REPS, cold_once)) / secs(time_min(REPS, warm_once));
     }
     if ratio < 10.0 {
         eprintln!(

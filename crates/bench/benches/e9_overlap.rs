@@ -28,10 +28,10 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use vf_bench::timing::{ns, time_min};
 use vf_core::prelude::*;
 use vf_machine::pool::WorkerPool;
-use vf_runtime::ghost::{exchange_ghosts_fused_wire_split, exchange_ghosts_fused_wire_with};
+use vf_runtime::ghost::{exchange_class_ghosts, exchange_class_ghosts_split};
 
 const PROCS: usize = 8;
 const WORKERS: usize = 4;
@@ -41,18 +41,12 @@ const REPS: usize = 7;
 // for.
 const WIDTHS: [(usize, usize); 2] = [(0, 0), (8, 8)];
 
-fn time_min<R>(mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
-fn ns(d: Duration) -> f64 {
-    d.as_nanos() as f64
+/// The class's fused halo plan, through the cache — part of every timed
+/// statement, as it is of every `VfScope` halo statement.
+fn class_plan(refs: &[&DistArray<f64>], cache: &PlanCache) -> FusedPlan {
+    cache
+        .ghost_class_plan(refs.iter().map(|a| a.dist()), &WIDTHS)
+        .unwrap()
 }
 
 /// One JSON record: `name → { ns_per_op, messages, bytes }`.
@@ -87,23 +81,8 @@ fn compute_kernel(data: &[f64], iters: usize) -> f64 {
 
 fn main() {
     println!("# E9 — split-phase halo exchange: compute/communication overlap\n");
-    // The e8 wire fixture: a 4-field stencil class, (:, BLOCK) over a
-    // 128x2048 grid (256k elements), one whole-column halo face per
-    // neighbour pair.
     let fields = 4usize;
-    let dist = Distribution::new(
-        DistType::columns(),
-        IndexDomain::d2(128, 2048),
-        ProcessorView::linear(PROCS),
-    )
-    .unwrap();
-    let arrays: Vec<DistArray<f64>> = (0..fields)
-        .map(|k| {
-            DistArray::from_fn(format!("F{k}"), dist.clone(), |pt| {
-                (pt.coord(0) * 7 + pt.coord(1) * 3 + k as i64) as f64
-            })
-        })
-        .collect();
+    let (dist, arrays) = vf_bench::fixtures::wire_class(PROCS, fields);
     let refs: Vec<&DistArray<f64>> = arrays.iter().collect();
     let dense = arrays[0].to_dense();
     let cache = PlanCache::new();
@@ -116,10 +95,10 @@ fn main() {
     // exchange, then size the kernel (slice length x iterations) to
     // roughly the exchange time — an interior compute phase of the same
     // order as the halo, the regime overlap is for.
-    let t_ex = time_min(|| {
-        exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &tracker, &cache, &pooled).unwrap()
+    let t_ex = time_min(REPS, || {
+        exchange_class_ghosts(&refs, &class_plan(&refs, &cache), &tracker, &pooled).unwrap()
     });
-    let t_full = time_min(|| compute_kernel(&dense, 1));
+    let t_full = time_min(REPS, || compute_kernel(&dense, 1));
     let per_elem = ns(t_full) / dense.len() as f64;
     let target_elems = (ns(t_ex) / per_elem.max(1e-3)) as usize;
     let (work_len, iters) = if target_elems <= dense.len() {
@@ -136,8 +115,8 @@ fn main() {
 
     // The split path must charge exactly what the blocking wire path does.
     let (blocking_regions, exec) =
-        exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &tracker, &cache, &pooled).unwrap();
-    let split = exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &cache, &backend)
+        exchange_class_ghosts(&refs, &class_plan(&refs, &cache), &tracker, &pooled).unwrap();
+    let split = exchange_class_ghosts_split(&refs, class_plan(&refs, &cache), &tracker, &backend)
         .expect("split post");
     assert_eq!(split.messages(), exec.messages, "messages not conserved");
     assert_eq!(split.bytes(), exec.bytes, "bytes not conserved");
@@ -157,18 +136,19 @@ fn main() {
     // 1 + 2. Blocking-then-compute vs post/compute/wait.
     let run_blocking = || {
         let out =
-            exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &tracker, &cache, &pooled).unwrap();
+            exchange_class_ghosts(&refs, &class_plan(&refs, &cache), &tracker, &pooled).unwrap();
         black_box(compute_kernel(dense, iters));
         out
     };
     let run_split = |tracker: &CommTracker| {
         let split =
-            exchange_ghosts_fused_wire_split(&refs, &WIDTHS, tracker, &cache, &backend).unwrap();
+            exchange_class_ghosts_split(&refs, class_plan(&refs, &cache), tracker, &backend)
+                .unwrap();
         black_box(compute_kernel(dense, iters));
         split.wait(tracker)
     };
-    let t_blocking = ns(time_min(run_blocking));
-    let t_split = ns(time_min(|| run_split(&tracker)));
+    let t_blocking = ns(time_min(REPS, run_blocking));
+    let t_split = ns(time_min(REPS, || run_split(&tracker)));
     println!("\n## halo + interior compute, 256k elements x {fields} fields\n");
     println!("| variant | total | speedup |");
     println!("|---|---|---|");
@@ -204,7 +184,7 @@ fn main() {
         tracker: &CommTracker,
     ) -> (Vec<f64>, vf_runtime::SplitExecReport) {
         let split =
-            exchange_ghosts_fused_wire_split(refs, &WIDTHS, tracker, cache, backend).unwrap();
+            exchange_class_ghosts_split(refs, class_plan(refs, cache), tracker, backend).unwrap();
         let acc = black_box(compute_kernel(dense, iters));
         let (_, report) = split.wait(tracker).unwrap();
         (vec![acc], report)
@@ -296,7 +276,7 @@ fn main() {
         if speedup >= 1.1 {
             break;
         }
-        speedup = ns(time_min(run_blocking)) / ns(time_min(|| run_split(&tracker)));
+        speedup = ns(time_min(REPS, run_blocking)) / ns(time_min(REPS, || run_split(&tracker)));
     }
     if speedup < 1.1 {
         eprintln!(

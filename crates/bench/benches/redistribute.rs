@@ -22,7 +22,8 @@ fn bench_redistribute(c: &mut Criterion) {
                 b.iter(|| {
                     let tracker = CommTracker::new(p, CostModel::ipsc860(p));
                     let mut a = DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64);
-                    redistribute(&mut a, to.clone(), &tracker, &opts).unwrap()
+                    let (cache, exec) = (PlanCache::new(), SerialExecutor);
+                    redistribute(&mut a, to.clone(), &tracker, &opts, &cache, &exec).unwrap()
                 })
             });
         }
@@ -54,8 +55,16 @@ fn bench_schedule_reuse(c: &mut Criterion) {
                 let mut bytes = 0usize;
                 for i in 0..iterations {
                     let target = if i % 2 == 0 { to.clone() } else { from.clone() };
-                    let r =
-                        redistribute(&mut a, target, &tracker, &RedistOptions::default()).unwrap();
+                    // A fresh cache per statement: nothing is ever reused.
+                    let r = redistribute(
+                        &mut a,
+                        target,
+                        &tracker,
+                        &RedistOptions::default(),
+                        &PlanCache::new(),
+                        &SerialExecutor,
+                    )
+                    .unwrap();
                     moved += r.moved_elements;
                     bytes += r.bytes;
                 }
@@ -72,12 +81,13 @@ fn bench_schedule_reuse(c: &mut Criterion) {
                 let mut bytes = 0usize;
                 for i in 0..iterations {
                     let target = if i % 2 == 0 { to.clone() } else { from.clone() };
-                    let r = redistribute_cached(
+                    let r = redistribute(
                         &mut a,
                         target,
                         &tracker,
                         &RedistOptions::default(),
                         &cache,
+                        &SerialExecutor,
                     )
                     .unwrap();
                     moved += r.moved_elements;

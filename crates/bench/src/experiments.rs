@@ -240,8 +240,15 @@ pub fn e4_redistribute(cost: &CostModel, sizes: &[usize], p: usize) -> String {
             let run_with = |opts: &RedistOptions| {
                 let tracker = CommTracker::new(p, cost.clone());
                 let mut a = DistArray::from_fn("A", dist_from.clone(), |pt| pt.coord(0) as f64);
-                let report = vf_runtime::redistribute(&mut a, dist_to.clone(), &tracker, opts)
-                    .expect("same domain");
+                let report = vf_runtime::redistribute(
+                    &mut a,
+                    dist_to.clone(),
+                    &tracker,
+                    opts,
+                    &vf_runtime::PlanCache::new(),
+                    &vf_runtime::SerialExecutor,
+                )
+                .expect("same domain");
                 (report, tracker.snapshot().critical_time())
             };
             let (agg, t_agg) = run_with(&RedistOptions::default());

@@ -3,8 +3,8 @@
 //! Every `BENCH_e*.json` artifact uses one schema: a top-level object
 //! mapping measurement names to flat field objects, with the conventional
 //! trio `ns_per_op` / `messages` / `bytes` first and any experiment's
-//! extra fields after.  The vendored serde is a no-op marker stub, so the
-//! JSON is rendered by hand here — one writer instead of one per bench.
+//! extra fields after.  The workspace has no serialisation dependency, so
+//! the JSON is rendered by hand here — one writer instead of one per bench.
 //!
 //! ```text
 //! {

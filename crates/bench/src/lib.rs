@@ -11,5 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod fixtures;
 pub mod json;
 pub mod table;
+pub mod timing;

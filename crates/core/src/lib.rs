@@ -103,12 +103,10 @@ pub mod prelude {
     pub use vf_index::{DimRange, IndexDomain, Point, Section, Triplet};
     pub use vf_machine::{CommStats, CommTracker, CostModel, Machine, Topology, WorkerPool};
     pub use vf_runtime::{
-        assign, execute_redistribute_fused, execute_redistribute_fused_sharded,
-        execute_redistribute_fused_wire, ghost, parti, plan, redistribute, redistribute_cached,
-        redistribute_cached_with, redistribute_sharded, redistribute_split, redistribute_with,
-        reduce, table_for, translation, ArrayDescriptor, CheckpointStore, CommPlan, DistArray,
-        DistTranslationTable, Element, ExecBackend, ExecReport, FusedPlan, PlanCache,
-        PlanCacheStats, PlanExecutor, RedistOptions, RedistReport, RestoredCheckpoint,
+        assign, execute_class_redistribute, execute_redistribute, ghost, parti, plan, redistribute,
+        redistribute_split, reduce, table_for, translation, ArrayDescriptor, CheckpointStore,
+        CommPlan, DistArray, DistTranslationTable, Element, ExecBackend, ExecReport, FusedPlan,
+        PlanCache, PlanCacheStats, PlanExecutor, RedistOptions, RedistReport, RestoredCheckpoint,
         SerialExecutor, ShardedArray, ShardedExecutor, ShardedHaloExchange, SplitExecReport,
         SplitPhaseExchange, SplitRedistribute, ThreadedExecutor, TranslationStats,
     };

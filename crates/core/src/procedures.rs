@@ -87,13 +87,19 @@ impl<T: Element> VfScope<T> {
             current.domain().clone(),
             current.dist().procs().clone(),
         )?;
-        let tracker = self.tracker().clone();
+        let (tracker, cache, executor) = (
+            self.tracker().clone(),
+            self.plan_cache().clone(),
+            self.executor().clone(),
+        );
         let data = self.array_mut(name)?;
         Ok(redistribute(
             data,
             new_dist,
             &tracker,
             &RedistOptions::default(),
+            &cache,
+            &executor,
         )?)
     }
 

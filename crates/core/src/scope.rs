@@ -10,13 +10,11 @@ use vf_dist::{construct, DistPattern, DistType, Distribution, ProcessorView};
 use vf_index::IndexDomain;
 use vf_machine::{trace, CommStats, CommTracker, Machine};
 use vf_runtime::ghost::{
-    exchange_ghosts_fused_sharded, exchange_ghosts_fused_wire_split,
-    exchange_ghosts_fused_wire_with, GhostRegion, SplitGhostExchange,
+    exchange_class_ghosts, exchange_class_ghosts_split, GhostRegion, SplitGhostExchange,
 };
 use vf_runtime::{
-    execute_redistribute_fused_sharded, execute_redistribute_fused_wire, redistribute_cached_with,
-    redistribute_sharded, ArrayDescriptor, DistArray, Element, ExecBackend, ExecReport, FusedPlan,
-    PlanCache, RedistOptions, SplitExecReport,
+    execute_class_redistribute, redistribute, ArrayDescriptor, DistArray, Element, ExecBackend,
+    ExecReport, FusedPlan, PlanCache, RedistOptions, SplitExecReport,
 };
 
 struct Entry<T: Element> {
@@ -117,13 +115,6 @@ impl<T: Element> ClassHaloExchange<'_, T> {
         self.inner.wait_dest(proc);
     }
 
-    /// Cancels the exchange without taking the regions: the in-flight
-    /// unpack is drained and the posted charges settled (the messages were
-    /// already sent).  Equivalent to dropping the handle.
-    pub fn cancel(self) {
-        self.inner.cancel();
-    }
-
     /// Completes the exchange: ghost regions bitwise identical to
     /// [`VfScope::exchange_class_ghosts`], plus the split-phase report
     /// with the *measured* wall-clock overlap.
@@ -198,9 +189,11 @@ impl<T: Element> VfScope<T> {
         }
     }
 
-    /// Selects the backend that executes the copy phase of `DISTRIBUTE`
-    /// data motion (serial or threaded — results are bit-identical, see
-    /// [`vf_runtime::exec`]).  The default is [`ExecBackend::auto`], whose
+    /// Selects the backend that moves the data of every statement —
+    /// serial, threaded, or sharded over real channels; results are
+    /// bit-identical, see [`vf_runtime::exec`].  The scope never asks which
+    /// one it holds: the backend is the transport.  The default is
+    /// [`ExecBackend::auto`], whose
     /// threaded variant submits to the process-wide **persistent worker
     /// pool**: the scope's executor holds the pool handle for its whole
     /// lifetime, so every `DISTRIBUTE`, class ghost exchange and app step
@@ -428,6 +421,19 @@ impl<T: Element> VfScope<T> {
         primary: &str,
         widths: &[(usize, usize)],
     ) -> Result<(ClassGhosts<T>, ExecReport)> {
+        let _span = trace::OpenSpan::begin_with(trace::Phase::Statement, || {
+            format!("exchange-ghosts {primary}")
+        });
+        let (names, members) = self.class_members(primary)?;
+        let fused = self.class_halo_plan(&members, widths)?;
+        let (regions, exec) =
+            exchange_class_ghosts(&members, &fused, &self.tracker, &self.executor)?;
+        Ok((names.into_iter().zip(regions).collect(), exec))
+    }
+
+    /// The members of `primary`'s connect class: the primary first, then
+    /// each secondary in class order — names and current data.
+    fn class_members(&self, primary: &str) -> Result<(Vec<String>, Vec<&DistArray<T>>)> {
         if !matches!(
             self.arrays
                 .get(primary)
@@ -441,38 +447,26 @@ impl<T: Element> VfScope<T> {
                 name: primary.into(),
             });
         }
-        let _span = trace::OpenSpan::begin_with(trace::Phase::Statement, || {
-            format!("exchange-ghosts {primary}")
-        });
         let mut names: Vec<String> = vec![primary.to_string()];
         let class = self.classes.get(primary).cloned().unwrap_or_default();
         names.extend(class.secondaries().map(|(name, _)| name.to_string()));
-        let mut members = Vec::with_capacity(names.len());
-        for name in &names {
-            members.push(self.array(name)?);
-        }
-        // The distributed-memory backend routes the class halo over real
-        // SPMD channels (rank-local shards); every other backend packs the
-        // same wire buffers through shared memory.  Regions and charges
-        // are bitwise identical either way.
-        let (regions, exec) = if let ExecBackend::Sharded(sharded) = &self.executor {
-            exchange_ghosts_fused_sharded(
-                &members,
-                widths,
-                &self.tracker,
-                &self.plan_cache,
-                sharded,
-            )?
-        } else {
-            exchange_ghosts_fused_wire_with(
-                &members,
-                widths,
-                &self.tracker,
-                &self.plan_cache,
-                &self.executor,
-            )?
-        };
-        Ok((names.into_iter().zip(regions).collect(), exec))
+        let members = names
+            .iter()
+            .map(|name| self.array(name))
+            .collect::<Result<Vec<_>>>()?;
+        Ok((names, members))
+    }
+
+    /// The class's fused halo plan for `widths`, each member's part through
+    /// the scope's plan cache — what both forms of the class ghost exchange
+    /// execute.
+    fn class_halo_plan(
+        &self,
+        members: &[&DistArray<T>],
+        widths: &[(usize, usize)],
+    ) -> Result<FusedPlan> {
+        let dists = members.iter().map(|a| a.dist());
+        Ok(self.plan_cache.ghost_class_plan(dists, widths)?)
     }
 
     /// Split-phase variant of [`VfScope::exchange_class_ghosts`]: packs the
@@ -490,36 +484,12 @@ impl<T: Element> VfScope<T> {
         primary: &str,
         widths: &[(usize, usize)],
     ) -> Result<ClassHaloExchange<'_, T>> {
-        if !matches!(
-            self.arrays
-                .get(primary)
-                .ok_or_else(|| CoreError::UnknownArray {
-                    name: primary.into(),
-                })?
-                .kind,
-            DeclKind::DynamicPrimary { .. }
-        ) {
-            return Err(CoreError::NotAPrimaryArray {
-                name: primary.into(),
-            });
-        }
         let _span = trace::OpenSpan::begin_with(trace::Phase::Statement, || {
             format!("exchange-ghosts-split {primary}")
         });
-        let mut names: Vec<String> = vec![primary.to_string()];
-        let class = self.classes.get(primary).cloned().unwrap_or_default();
-        names.extend(class.secondaries().map(|(name, _)| name.to_string()));
-        let mut members = Vec::with_capacity(names.len());
-        for name in &names {
-            members.push(self.array(name)?);
-        }
-        let inner = exchange_ghosts_fused_wire_split(
-            &members,
-            widths,
-            &self.tracker,
-            &self.plan_cache,
-            &self.executor,
-        )?;
+        let (names, members) = self.class_members(primary)?;
+        let fused = self.class_halo_plan(&members, widths)?;
+        let inner = exchange_class_ghosts_split(&members, fused, &self.tracker, &self.executor)?;
         Ok(ClassHaloExchange {
             inner,
             names,
@@ -657,8 +627,9 @@ impl<T: Element> VfScope<T> {
             )?;
         }
 
-        // Phase 2: execute.  First-time allocations and NOTRANSFER
-        // descriptor swaps are per-array; everything with data to move is
+        // Phase 2: execute.  First-time allocations, NOTRANSFER descriptor
+        // swaps and members already mapped as the statement asks settle
+        // per array without data motion; everything with data to move is
         // collected and executed as one fused schedule when there is more
         // than one such array.
         let mut reports: Vec<Option<vf_runtime::RedistReport>> = vec![None; works.len()];
@@ -671,12 +642,16 @@ impl<T: Element> VfScope<T> {
                     entry.data = Some(DistArray::new(work.name.clone(), work.new_dist.clone()));
                     reports[idx] = Some(Default::default());
                 }
-                Some(data) if work.notransfer => {
-                    reports[idx] = Some(redistribute_cached_with(
+                Some(data) if work.notransfer || data.is_mapped_as(&work.new_dist) => {
+                    let opts = RedistOptions {
+                        notransfer: work.notransfer,
+                        ..RedistOptions::default()
+                    };
+                    reports[idx] = Some(redistribute(
                         data,
                         work.new_dist.clone(),
                         &self.tracker,
-                        &RedistOptions::notransfer(),
+                        &opts,
                         &self.plan_cache,
                         &self.executor,
                     )?);
@@ -692,24 +667,14 @@ impl<T: Element> VfScope<T> {
                 let work = &works[idx];
                 let entry = self.arrays.get_mut(&work.name).expect("validated above");
                 let data = entry.data.as_mut().expect("phase 2 saw data");
-                reports[idx] = Some(if let ExecBackend::Sharded(sharded) = &self.executor {
-                    redistribute_sharded(
-                        data,
-                        &work.new_dist,
-                        &self.tracker,
-                        &self.plan_cache,
-                        sharded,
-                    )?
-                } else {
-                    redistribute_cached_with(
-                        data,
-                        work.new_dist.clone(),
-                        &self.tracker,
-                        &RedistOptions::default(),
-                        &self.plan_cache,
-                        &self.executor,
-                    )?
-                });
+                reports[idx] = Some(redistribute(
+                    data,
+                    work.new_dist.clone(),
+                    &self.tracker,
+                    &RedistOptions::default(),
+                    &self.plan_cache,
+                    &self.executor,
+                )?);
                 None
             }
             _ => {
@@ -738,26 +703,11 @@ impl<T: Element> VfScope<T> {
                             .expect("phase 2 saw data")
                     })
                     .collect();
-                // The fused statement executes through the wire-layout
-                // path: one packed message per processor pair, pack/unpack
-                // streams on the scope's (pooled) backend.
+                // The class moves as one packed message per processor
+                // pair, on whatever transport the scope's backend is.
                 let result = {
                     let mut refs: Vec<&mut DistArray<T>> = datas.iter_mut().collect();
-                    if let ExecBackend::Sharded(sharded) = &self.executor {
-                        execute_redistribute_fused_sharded(
-                            &mut refs,
-                            &fused,
-                            &self.tracker,
-                            sharded,
-                        )
-                    } else {
-                        execute_redistribute_fused_wire(
-                            &mut refs,
-                            &fused,
-                            &self.tracker,
-                            &self.executor,
-                        )
-                    }
+                    execute_class_redistribute(&mut refs, &fused, &self.tracker, &self.executor)
                 };
                 // Put the arrays back whether or not execution succeeded
                 // (a failed fused execute validates before moving, so the
@@ -1148,7 +1098,10 @@ mod tests {
         // level too.
         let mut s2 = scope(p);
         s2.set_executor(vf_runtime::ExecBackend::Threaded(
-            vf_runtime::ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0),
+            vf_runtime::ThreadedExecutor::with_pool(std::sync::Arc::new(
+                vf_machine::WorkerPool::new(3),
+            ))
+            .with_serial_cutoff(0),
         ));
         assert_eq!(vf_runtime::PlanExecutor::name(s2.executor()), "threaded");
         s2.declare_dynamic(DynamicDecl::new("B", IndexDomain::d1(32)).initial(DistType::block1d()))
@@ -1292,8 +1245,14 @@ mod tests {
         for (name, region) in &regions {
             let array = s.array(name).unwrap();
             let t_single = s.machine().tracker();
-            let (single, single_report) =
-                vf_runtime::ghost::exchange_ghosts(array, &widths, &t_single).unwrap();
+            let plan = s.plan_cache().ghost_plan(array.dist(), &widths).unwrap();
+            let (single, single_report) = vf_runtime::ghost::exchange_ghosts(
+                array,
+                &plan,
+                &t_single,
+                &vf_runtime::SerialExecutor,
+            )
+            .unwrap();
             assert_eq!(exec.bytes, 3 * single_report.bytes);
             for proc in array.dist().proc_ids() {
                 for point in array.domain().iter() {

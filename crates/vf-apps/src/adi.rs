@@ -17,9 +17,7 @@ use std::collections::HashMap;
 use vf_dist::{DistType, Distribution, ProcessorView};
 use vf_index::{IndexDomain, Point};
 use vf_machine::{trace, CommStats, CommTracker, Machine};
-use vf_runtime::{
-    assign::assign_cached_with, redistribute_split, DistArray, ExecBackend, PlanCache,
-};
+use vf_runtime::{assign::assign, redistribute_split, DistArray, ExecBackend, PlanCache};
 
 /// The distribution strategy of an ADI run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,17 +337,16 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
                 let _step_span =
                     trace::OpenSpan::begin_with(trace::Phase::Step, || format!("iter {iter}"));
                 if iter > 0 {
-                    let report =
-                        assign_cached_with(&mut v_cols, &v_rows, &tracker, &plans, &executor)
-                            .expect("same domain");
+                    let report = assign(&mut v_cols, &v_rows, &tracker, &plans, &executor)
+                        .expect("same domain");
                     redist_messages += report.messages;
                     redist_bytes += report.bytes;
                 }
                 let (m, b) = sweep(&mut v_cols, 0, &tracker);
                 sweep_messages += m;
                 sweep_bytes += b;
-                let report = assign_cached_with(&mut v_rows, &v_cols, &tracker, &plans, &executor)
-                    .expect("same domain");
+                let report =
+                    assign(&mut v_rows, &v_cols, &tracker, &plans, &executor).expect("same domain");
                 redist_messages += report.messages;
                 redist_bytes += report.bytes;
                 let (m, b) = sweep(&mut v_rows, 1, &tracker);

@@ -34,8 +34,8 @@
 
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_runtime::ghost::GhostRegion;
-use vf_runtime::parti::{execute_halo_split, incremental_schedule_cached};
+use vf_runtime::ghost::{exchange_class_ghosts_split, GhostRegion};
+use vf_runtime::parti::incremental_schedule;
 use vf_runtime::trace;
 
 /// A CSR unstructured mesh with 2-D node coordinates.
@@ -452,16 +452,16 @@ fn run_sweep_inner(
         // keyed by (map fingerprint, connectivity fingerprint): sweeps
         // over an unchanged partition replay it from the cache, and a
         // repartitioning replans by construction.
-        let schedule = incremental_schedule_cached(&dist, &conn, scope.plan_cache())
+        let schedule = incremental_schedule(&dist, &conn, scope.plan_cache())
             .expect("mesh connectivity matches the domain");
         gathered_elements += schedule.num_elements();
         gather_messages += schedule.num_messages();
         // Post the cut-edge halo split-phase: the per-pair payloads stream
         // in on the executor's background workers while the interior nodes
         // (no off-processor neighbour) are swept below.
-        let split = execute_halo_split(
-            scope.array("VAL").expect("distributed"),
-            &schedule,
+        let split = exchange_class_ghosts_split(
+            &[scope.array("VAL").expect("distributed")],
+            FusedPlan::fuse(vec![Arc::clone(schedule.plan())]).expect("a ghost plan"),
             scope.tracker(),
             scope.executor(),
         )

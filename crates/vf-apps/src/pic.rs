@@ -19,7 +19,8 @@ use std::collections::HashMap;
 use vf_dist::{DistType, Distribution, ProcId, ProcessorView};
 use vf_index::{IndexDomain, Point};
 use vf_machine::{trace, CommStats, Machine};
-use vf_runtime::{redistribute_cached_with, DistArray, ExecBackend, PlanCache, RedistOptions};
+use vf_runtime::ghost::exchange_class_ghosts_split;
+use vf_runtime::{redistribute, DistArray, ExecBackend, PlanCache, RedistOptions};
 
 /// Flops charged per particle per phase (field contribution + position
 /// update).
@@ -191,7 +192,7 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
     if !matches!(config.strategy, PicStrategy::StaticBlock) {
         let counts = particles_per_cell(&particles, ncell);
         let sizes = balance(&counts, nprocs);
-        redistribute_cached_with(
+        redistribute(
             &mut field,
             cell_distribution(ncell, machine, Some(sizes)),
             &tracker,
@@ -226,7 +227,7 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
             let sizes = balance(&counts, nprocs);
             let old_dist = field.dist().clone();
             let new_dist = cell_distribution(ncell, machine, Some(sizes));
-            let report = redistribute_cached_with(
+            let report = redistribute(
                 &mut field,
                 new_dist.clone(),
                 &tracker,
@@ -268,14 +269,11 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
         // particle: post the 1-wide cell halo split-phase and let it stream
         // while phase 2 pushes particles (which reads only the particle
         // lists and the distribution, never the in-flight halo values).
-        let halo = vf_runtime::ghost::exchange_ghosts_fused_wire_split(
-            &[&field],
-            &[(1, 1)],
-            &tracker,
-            &plans,
-            &executor,
-        )
-        .expect("block and general block cells have contiguous segments");
+        let halo_plan = plans
+            .ghost_class_plan([field.dist()], &[(1, 1)])
+            .expect("block and general block cells have contiguous segments");
+        let halo = exchange_class_ghosts_split(&[&field], halo_plan, &tracker, &executor)
+            .expect("the plan was made for this field");
 
         // Phase 2: update_part — move particles; those that cross to a cell
         // owned by another processor must be communicated (irregular,

@@ -21,7 +21,7 @@ use vf_dist::{DistType, Distribution, ProcId, ProcessorView};
 use vf_index::{IndexDomain, Point};
 use vf_machine::{trace, CommStats, CostModel, Machine, PendingSends};
 use vf_runtime::ghost::{
-    exchange_ghosts_cached_with, exchange_ghosts_fused_wire_split, get_with_ghosts, GhostRegion,
+    exchange_class_ghosts_split, exchange_ghosts, get_with_ghosts, GhostRegion,
 };
 use vf_runtime::{
     CheckpointStore, DistArray, ExecBackend, FusedPlan, PlanCache, RuntimeError, SerialExecutor,
@@ -279,9 +279,11 @@ pub fn run(config: &SmoothingConfig, machine: &Machine, initial: &[f64]) -> Smoo
 
     for step in 0..config.steps {
         let _step_span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
-        let (ghosts, report) =
-            exchange_ghosts_cached_with(&current, &[(1, 1), (1, 1)], &tracker, &plans, &executor)
-                .expect("block layouts");
+        let halo = plans
+            .ghost_plan(current.dist(), &[(1, 1), (1, 1)])
+            .expect("block layouts");
+        let (ghosts, report) = exchange_ghosts(&current, &halo, &tracker, &executor)
+            .expect("the plan was made for this field");
         if step == 0 {
             messages_per_step = report.messages;
             bytes_per_step = report.bytes;
@@ -435,7 +437,9 @@ pub struct RecoveredSmoothing {
 /// `ckpt_every` steps: the run is split into fallible SPMD segments, and
 /// after each segment the gathered field is saved into `store`
 /// (write-new + atomic rename, two rotating generations).  The final field
-/// is bitwise identical to [`run_sharded`]'s.
+/// is bitwise identical to [`run_sharded`]'s.  `executor` hosts the
+/// regions and bounds how long a rank waits on a channel (crash tests
+/// shrink it; `&ShardedExecutor::new()` is the default).
 ///
 /// # Errors
 /// [`RuntimeError::Channel`] when a rank dies (or a channel times out)
@@ -444,28 +448,6 @@ pub struct RecoveredSmoothing {
 /// checkpoint.  Checkpoint I/O failures surface as
 /// [`RuntimeError::CorruptCheckpoint`].
 pub fn run_sharded_checkpointed(
-    config: &SmoothingConfig,
-    machine: &Machine,
-    initial: &[f64],
-    store: &CheckpointStore,
-    ckpt_every: usize,
-) -> vf_runtime::Result<SmoothingResult> {
-    let tracker = machine.tracker();
-    run_checkpointed_attempt(
-        config,
-        machine,
-        initial,
-        store,
-        ckpt_every,
-        &tracker,
-        &ShardedExecutor::new(),
-        false,
-    )
-}
-
-/// [`run_sharded_checkpointed`] with an explicit executor (to bound the
-/// channel timeout in crash tests).
-pub fn run_sharded_checkpointed_with(
     config: &SmoothingConfig,
     machine: &Machine,
     initial: &[f64],
@@ -493,27 +475,6 @@ pub fn run_sharded_checkpointed_with(
 /// The final channel error when the restart budget is exhausted, or any
 /// non-channel error immediately.
 pub fn recover_and_resume(
-    config: &SmoothingConfig,
-    machine: &Machine,
-    initial: &[f64],
-    store: &CheckpointStore,
-    ckpt_every: usize,
-    max_restarts: usize,
-) -> vf_runtime::Result<RecoveredSmoothing> {
-    recover_and_resume_with(
-        config,
-        machine,
-        initial,
-        store,
-        ckpt_every,
-        max_restarts,
-        &ShardedExecutor::new(),
-    )
-}
-
-/// [`recover_and_resume`] with an explicit executor (to bound the channel
-/// timeout in crash tests).
-pub fn recover_and_resume_with(
     config: &SmoothingConfig,
     machine: &Machine,
     initial: &[f64],
@@ -788,8 +749,11 @@ pub fn run_class(
         // stencil on-processor) are relaxed *while the halo is still in
         // flight*; the boundary points run after the wait against ghost
         // regions bitwise identical to the blocking exchange.
-        let split = exchange_ghosts_fused_wire_split(&refs, &widths, &tracker, &plans, &executor)
+        let halo = plans
+            .ghost_class_plan(refs.iter().map(|a| a.dist()), &widths)
             .expect("block layouts");
+        let split = exchange_class_ghosts_split(&refs, halo, &tracker, &executor)
+            .expect("the plan was made for these fields");
         if step == 0 {
             messages_per_step = split.messages();
             bytes_per_step = split.bytes();
@@ -926,9 +890,19 @@ mod tests {
                 "{layout:?} modelled message counts diverge"
             );
             assert_eq!(sharded.stats.total_bytes(), shared.stats.total_bytes());
-            // Only the sharded run moved real bytes over channels — and
-            // exactly as many as the model claims, every step.
-            assert_eq!(shared.stats.channel_messages(), 0);
+            // The sharded run moved real bytes over channels — exactly as
+            // many as the model claims, every step.  `run` touches a
+            // channel only when the ambient backend is the sharded one
+            // (VF_EXEC_BACKEND=sharded), and then it moves the same.
+            let ambient_sharded = vf_runtime::PlanExecutor::name(&ExecBackend::auto()) == "sharded";
+            assert_eq!(
+                shared.stats.channel_messages(),
+                if ambient_sharded {
+                    sharded.stats.channel_messages()
+                } else {
+                    0
+                }
+            );
             assert_eq!(
                 sharded.stats.channel_messages(),
                 steps * sharded.messages_per_step
@@ -965,6 +939,7 @@ mod tests {
                 &initial,
                 &store,
                 2,
+                &ShardedExecutor::new(),
             )
             .expect("fault-free checkpointed run succeeds");
             assert_eq!(
@@ -999,7 +974,7 @@ mod tests {
         let machine = Machine::new(4, CostModel::zero()).with_fault_plan(plan);
         let store = ckpt_store("recover");
         let executor = ShardedExecutor::new().with_timeout(std::time::Duration::from_millis(500));
-        let recovered = recover_and_resume_with(
+        let recovered = recover_and_resume(
             &SmoothingConfig { n, steps, layout },
             &machine,
             &initial,

@@ -1,7 +1,6 @@
 //! Alignments between arrays (paper Definition 2).
 
 use crate::{DistError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vf_index::{IndexDomain, Point};
 
@@ -12,7 +11,7 @@ use vf_index::{IndexDomain, Point};
 /// `ALIGN A2(I,J) WITH B4(I,J)` uses two [`AlignExpr::Axis`] entries with
 /// scale 1 and offset 0; `ALIGN D(I,J,K) WITH C(J,I,K)` swaps the source
 /// dimensions of the first two entries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AlignExpr {
     /// The target dimension's index is `scale * i_dim + offset`, where
     /// `i_dim` is the source array's index in dimension `dim` (0-based).
@@ -73,7 +72,7 @@ impl fmt::Display for AlignExpr {
 ///
 /// The alignment is described per *target* dimension: entry `d` computes the
 /// index of `B`'s dimension `d` from the index tuple of `A`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Alignment {
     source_rank: usize,
     targets: Vec<AlignExpr>,

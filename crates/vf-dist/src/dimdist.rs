@@ -1,7 +1,6 @@
 //! Per-dimension intrinsic distribution functions.
 
 use crate::{DistError, IndirectMap, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -9,7 +8,7 @@ use std::sync::Arc;
 /// owned by one processor — the per-dimension part of the paper's `segment`
 /// descriptor component ("the sequence of the local lower and upper bounds
 /// in each dimension", §3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DimSegment {
     /// First owned global offset (0-based within the dimension).
     pub start: usize,
@@ -38,7 +37,7 @@ impl DimSegment {
 /// All per-dimension arithmetic is expressed over 0-based element offsets
 /// `0..n` (where `n` is the dimension extent) and 0-based processor grid
 /// coordinates `0..nprocs` in the corresponding processor dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DimDist {
     /// `BLOCK`: evenly sized contiguous segments (block size `ceil(n/P)`).
     Block,

@@ -1,7 +1,6 @@
 //! Distribution types: lists of per-dimension distribution functions.
 
 use crate::{DimDist, DistError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A *distribution type* (paper §2.2): a class of distributions determined
@@ -10,7 +9,7 @@ use std::fmt;
 ///
 /// Applying a distribution type to an array index domain and a processor
 /// section yields a [`crate::Distribution`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DistType {
     dims: Vec<DimDist>,
 }

@@ -3,7 +3,6 @@
 //! operation used for connected (aligned) arrays.
 
 use crate::{Alignment, DistError, DistType, ProcId, ProcessorView, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use vf_index::{DimRange, IndexDomain, Point};
@@ -11,7 +10,7 @@ use vf_index::{DimRange, IndexDomain, Point};
 /// The shape of one processor's local storage for a distributed array:
 /// per-dimension local extents for regular distributions, or a flat element
 /// count for alignment-derived (translation-table) distributions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalLayout {
     extents: Vec<usize>,
     size: usize,
@@ -35,7 +34,7 @@ impl LocalLayout {
 }
 
 /// How the distributed array dimensions are mapped onto processors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Kind {
     /// A regular distribution: per-dimension closed-form arithmetic.
     Regular {
@@ -65,7 +64,7 @@ enum Kind {
 /// A distribution `δ_A : I^A → P(I^R)` of an array over a processor view,
 /// together with the local addressing information (`loc_map`, `segment`)
 /// the Vienna Fortran Engine keeps per processor (paper §3.2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Distribution {
     dist_type: DistType,
     domain: IndexDomain,

@@ -2,7 +2,6 @@
 //! queries.
 
 use crate::{DimDist, DistType};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A per-dimension pattern in a distribution query or `RANGE` entry.
@@ -10,7 +9,7 @@ use std::fmt;
 /// The paper's Example 4 uses patterns such as `(BLOCK, *)` and
 /// `(CYCLIC, CYCLIC(*))`: `*` matches any per-dimension distribution, and
 /// `CYCLIC(*)` matches a cyclic distribution with any block width.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DimPattern {
     /// `*` — matches any per-dimension distribution (including `:`).
     Star,
@@ -98,7 +97,7 @@ impl fmt::Display for DimPattern {
 /// `RANGE` attributes (paper §2.3) and `DCASE`/`IDT` queries (paper §2.5)
 /// both use these patterns; `DistPattern::Any` is the bare `*` "don't-care"
 /// entry, matching every distribution type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DistPattern {
     /// The bare `*`: matches any distribution type of any rank.
     Any,

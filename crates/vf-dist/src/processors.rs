@@ -1,7 +1,6 @@
 //! Processor arrays and processor views (sections).
 
 use crate::{DistError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use vf_index::{IndexDomain, Point, Section};
@@ -12,7 +11,7 @@ use vf_index::{IndexDomain, Point, Section};
 /// order over the declaring [`ProcessorArray`]'s index domain, so they can
 /// directly index per-processor vectors in the runtime and the simulated
 /// machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub usize);
 
 impl ProcId {
@@ -31,7 +30,7 @@ impl fmt::Display for ProcId {
 
 /// A declared processor array, e.g. `PROCESSORS R(1:M, 1:M)` from the
 /// paper's Example 1, or the default 1-D arrangement `$NP` processors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessorArray {
     name: String,
     domain: IndexDomain,
@@ -109,7 +108,7 @@ impl fmt::Display for ProcessorArray {
 /// The view behaves as an `r`-dimensional processor grid whose extents are
 /// the per-dimension counts of the section.  Grid coordinates are 0-based;
 /// [`ProcessorView::proc_at_grid`] converts them back to global [`ProcId`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessorView {
     array: Arc<ProcessorArray>,
     section: Section,

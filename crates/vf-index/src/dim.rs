@@ -1,7 +1,6 @@
 //! Per-dimension inclusive bounds.
 
 use crate::{IndexError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An inclusive, Fortran-style range of indices `lower:upper` for one array
@@ -9,7 +8,7 @@ use std::fmt;
 ///
 /// A range with `upper == lower - 1` is the canonical *empty* range; ranges
 /// with `upper < lower - 1` are rejected by [`DimRange::new`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DimRange {
     lower: i64,
     upper: i64,

@@ -1,7 +1,6 @@
 //! Rectangular index domains.
 
 use crate::{DimRange, IndexError, Point, Result, MAX_RANK};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rectangular index domain `I^A` of an array `A` (paper, Section 2.1):
@@ -10,7 +9,7 @@ use std::fmt;
 /// The default linearisation is **column-major** (Fortran order, first index
 /// varies fastest); a row-major linearisation is also provided for callers
 /// that interoperate with C-ordered buffers.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IndexDomain {
     dims: Vec<DimRange>,
 }

@@ -1,7 +1,6 @@
 //! Fixed-capacity multi-dimensional index tuples.
 
 use crate::{IndexError, Result, MAX_RANK};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
@@ -10,7 +9,7 @@ use std::ops::Index;
 /// `Point` is a small, `Copy`, heap-free value so that it can be used in the
 /// inner loops of owner-computes execution and redistribution planning
 /// without allocation (see the workspace's performance guidelines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Point {
     rank: u8,
     coords: [i64; MAX_RANK],

@@ -1,11 +1,10 @@
 //! Regular array sections (Fortran triplet notation).
 
 use crate::{DimRange, IndexDomain, IndexError, Point, Result, MAX_RANK};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One dimension of a section: the Fortran triplet `lower:upper:stride`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Triplet {
     lower: i64,
     upper: i64,
@@ -111,7 +110,7 @@ impl fmt::Display for Triplet {
 
 /// A regular array section: one [`Triplet`] per dimension of the parent
 /// array, e.g. `V(:, J)` or `V(I, :)` from the ADI code in Figure 1.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Section {
     triplets: Vec<Triplet>,
 }

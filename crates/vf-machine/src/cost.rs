@@ -1,7 +1,6 @@
 //! Linear message cost model.
 
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// The machine cost model used to evaluate communication decisions.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// computation is charged at `compute_per_flop` seconds per floating-point
 /// operation.  These are exactly the "startup overhead and cost per byte"
 /// parameters the paper's §4 analysis is phrased in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Message startup latency in seconds (α).
     pub alpha: f64,

@@ -24,14 +24,13 @@
 //! counters recorded by the recovery paths exactly match the injected
 //! schedule.
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The kinds of fault the injector can produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A posted message fails transiently and must be retransmitted with
     /// exponential backoff (also used for translation-page fetches).
@@ -97,7 +96,7 @@ impl FaultKind {
 /// tracker the machine creates then carries a freshly seeded
 /// [`FaultInjector`], so repeated runs of the same program see the same
 /// fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// PRNG seed — same seed, same plan ⇒ same fault schedule.
     pub seed: u64,
@@ -256,12 +255,18 @@ impl FaultInjector {
         &self.plan
     }
 
+    /// The decision stream (poisoning ignored: a panicking poller cannot
+    /// leave the generator in a state worth refusing).
+    fn rng(&self) -> MutexGuard<'_, SmallRng> {
+        self.rng.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Rolls for one enabled fault kind; counts it when it fires.
     fn roll(&self, kind: FaultKind) -> bool {
         if !self.plan.kinds.contains(&kind) || self.faults_injected() >= self.plan.max_faults {
             return false;
         }
-        let hit = self.rng.lock().gen_range(0.0..1.0) < self.plan.rate;
+        let hit = self.rng().gen_range(0.0..1.0) < self.plan.rate;
         if hit {
             self.fired[kind.index()].fetch_add(1, Ordering::Relaxed);
         }
@@ -276,7 +281,7 @@ impl FaultInjector {
         if !self.roll(FaultKind::TransientSend) {
             return None;
         }
-        let attempts = self.rng.lock().gen_range(1usize..self.plan.max_attempts);
+        let attempts = self.rng().gen_range(1usize..self.plan.max_attempts);
         self.retries_caused.fetch_add(attempts, Ordering::Relaxed);
         Some(attempts)
     }
@@ -287,7 +292,7 @@ impl FaultInjector {
         if !self.roll(FaultKind::DelayedDelivery) {
             return None;
         }
-        let scale = self.rng.lock().gen_range(1.0..8.0);
+        let scale = self.rng().gen_range(1.0..8.0);
         Some(scale * self.plan.backoff_base_seconds)
     }
 
@@ -298,7 +303,7 @@ impl FaultInjector {
         if !self.roll(FaultKind::CorruptWire) {
             return None;
         }
-        let mut rng = self.rng.lock();
+        let mut rng = self.rng();
         let spec = CorruptSpec {
             pair_seed: rng.next_u64(),
             elem_seed: rng.next_u64(),
@@ -331,7 +336,7 @@ impl FaultInjector {
         if num_ranks < 2 || !self.roll(FaultKind::RankDeath) {
             return None;
         }
-        let mut rng = self.rng.lock();
+        let mut rng = self.rng();
         let victim = rng.gen_range(1..num_ranks);
         let after_ops = rng.gen_range(0usize..8);
         Some(RankDeathSpec { victim, after_ops })
@@ -339,7 +344,7 @@ impl FaultInjector {
 
     /// Deterministically picks a victim index in `0..n` (`n > 0`).
     pub fn pick(&self, n: usize) -> usize {
-        self.rng.lock().gen_range(0..n)
+        self.rng().gen_range(0..n)
     }
 
     /// Marks one pool worker as dead; subsequent dispatches see a reduced

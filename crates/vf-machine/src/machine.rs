@@ -2,7 +2,6 @@
 
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::{CommTracker, CostModel};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A simulated distributed-memory machine: a number of processors plus a
@@ -11,7 +10,7 @@ use std::sync::Arc;
 /// The paper's `$NP` intrinsic (the number of executing processors, used to
 /// choose distributions at run time in §4) corresponds to
 /// [`Machine::num_procs`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     num_procs: usize,
     cost: CostModel,

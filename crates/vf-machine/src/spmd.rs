@@ -15,10 +15,10 @@
 
 use crate::fault::RankDeathSpec;
 use crate::CommTracker;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -656,7 +656,7 @@ fn make_contexts(
     let mut senders = Vec::with_capacity(num_procs);
     let mut receivers = Vec::with_capacity(num_procs);
     for _ in 0..num_procs {
-        let (s, r) = unbounded();
+        let (s, r) = channel();
         senders.push(s);
         receivers.push(r);
     }

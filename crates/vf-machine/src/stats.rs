@@ -1,11 +1,10 @@
 //! Communication and computation statistics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
 /// Statistics accumulated for a single simulated processor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProcStats {
     /// Number of point-to-point messages sent by the processor.
     pub messages_sent: usize,
@@ -45,7 +44,7 @@ impl AddAssign for ProcStats {
 /// processors of their busy time ([`CommStats::critical_time`]), which is
 /// what the experiment harness reports alongside raw message and byte
 /// counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommStats {
     per_proc: Vec<ProcStats>,
     /// Modelled communication seconds hidden behind overlapped local work,
@@ -74,20 +73,16 @@ pub struct CommStats {
     /// executors this stays zero; the sharded backend records every real
     /// wire send here so the cost model can be cross-checked against
     /// counted traffic.
-    #[serde(default)]
     channel_messages: usize,
     /// Payload bytes actually carried over spmd channels (framing headers
     /// excluded, so a correct wire path satisfies
     /// `channel_bytes == modelled wire bytes` exactly).
-    #[serde(default)]
     channel_bytes: usize,
     /// Bytes written to checkpoint files (segments plus manifest framing),
     /// so persistence traffic shows up next to communication traffic and
     /// the byte-conservation guards can cover it.
-    #[serde(default)]
     ckpt_bytes_written: usize,
     /// Bytes read back from checkpoint files during restore.
-    #[serde(default)]
     ckpt_bytes_read: usize,
 }
 

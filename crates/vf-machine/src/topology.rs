@@ -1,10 +1,8 @@
 //! Interconnect topologies for hop counting.
 
-use serde::{Deserialize, Serialize};
-
 /// The interconnect topology of the simulated machine, used only to count
 /// network hops for the optional per-hop latency term of the cost model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Topology {
     /// Every pair of processors is one hop apart (an idealised crossbar).
     Crossbar,

@@ -43,15 +43,14 @@
 //!
 //! [`TraceSnapshot::to_chrome_json`] renders the Chrome `trace_event`
 //! format (loadable in Perfetto / `chrome://tracing`);
-//! [`parse_chrome_trace`] parses it back (the vendored `serde` is a no-op
-//! marker stub, so serialisation here is hand-rolled and round-trips
+//! [`parse_chrome_trace`] parses it back (the workspace has no
+//! serialisation dependency, so the JSON is hand-rolled and round-trips
 //! through its own parser).  [`MetricsReport`] is the machine-readable
 //! summary (same style as the `BENCH_*.json` artifacts) and carries the
 //! [`DriftReport`] comparing measured span seconds against the modelled
 //! seconds in a [`CommStats`](crate::CommStats).
 
 use crate::stats::CommStats;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
@@ -60,7 +59,7 @@ use std::time::Instant;
 
 /// The phase kinds the runtime distinguishes.  Each span and counter event
 /// is typed by one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
     /// Planning a communication schedule from scratch (a plan-cache miss
     /// pays this).
@@ -216,7 +215,7 @@ impl fmt::Display for Phase {
 }
 
 /// One recorded span (or zero-duration counter event).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The phase kind.
     pub phase: Phase,
@@ -568,7 +567,7 @@ macro_rules! span {
 pub const HIST_BUCKETS: usize = 48;
 
 /// A log-scaled (power-of-two bucket) latency histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HIST_BUCKETS],
 }
@@ -631,7 +630,7 @@ impl Histogram {
 }
 
 /// Aggregated metrics for one phase kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseMetrics {
     /// The phase.
     pub phase: Phase,
@@ -655,7 +654,7 @@ impl PhaseMetrics {
 }
 
 /// A point-in-time copy of the metrics registry (non-empty phases only).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Per-phase aggregates, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseMetrics>,
@@ -717,7 +716,7 @@ pub fn metrics() -> MetricsSnapshot {
 // ---------------------------------------------------------------------------
 
 /// All recorded events plus the metrics registry, at one point in time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSnapshot {
     /// Every recorded span / counter event, ordered by start time.
     pub events: Vec<TraceEvent>,
@@ -1096,7 +1095,7 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 // ---------------------------------------------------------------------------
 
 /// One measured-vs-modelled comparison row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftRow {
     /// What is being compared.
     pub name: String,
@@ -1130,7 +1129,7 @@ impl DriftRow {
 /// interesting signal: it should be stable across runs of the same
 /// workload, and a jump flags either a runtime regression or a cost-model
 /// drift.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriftReport {
     /// Comparison rows.
     pub rows: Vec<DriftRow>,
@@ -1196,7 +1195,7 @@ impl fmt::Display for DriftReport {
 /// percentiles plus the [`DriftReport`] — same spirit as the
 /// `BENCH_*.json` artifacts.  Render with [`MetricsReport::to_json`] or
 /// `{}` (a human-readable profile table).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// Number of simulated processors of the machine that produced the
     /// modelled side.

@@ -2,12 +2,10 @@
 
 use crate::fault::FaultInjector;
 use crate::{CommStats, CostModel};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The kind of a collective operation, used for cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveKind {
     /// Synchronisation barrier (payload-free tree exchange).
     Barrier,
@@ -87,6 +85,13 @@ impl CommTracker {
         self
     }
 
+    /// The shared counters.  A panic while they were held (a failed test
+    /// assertion on another thread, say) leaves them consistent enough to
+    /// keep counting, so poisoning is ignored rather than propagated.
+    fn stats(&self) -> MutexGuard<'_, CommStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
         self.injector.as_ref()
@@ -99,7 +104,7 @@ impl CommTracker {
 
     /// Number of processors being tracked.
     pub fn num_procs(&self) -> usize {
-        self.stats.lock().num_procs()
+        self.stats().num_procs()
     }
 
     /// Records a point-to-point message of `bytes` bytes from `src` to
@@ -109,7 +114,7 @@ impl CommTracker {
             return;
         }
         let t = self.cost.message_time_between(bytes, src, dst);
-        self.stats.lock().record_message(src, dst, bytes, t);
+        self.stats().record_message(src, dst, bytes, t);
     }
 
     /// Counts one message of `bytes` payload bytes *actually carried* over
@@ -118,18 +123,18 @@ impl CommTracker {
     /// calls it once per wire send, and differential tests assert the two
     /// sides agree (`channel_bytes == modelled wire bytes`).
     pub fn record_channel_message(&self, bytes: usize) {
-        self.stats.lock().record_channel_message(bytes);
+        self.stats().record_channel_message(bytes);
     }
 
     /// Counts `bytes` written to a checkpoint file (segments plus manifest
     /// framing) — the persistence side of the traffic ledger.
     pub fn record_ckpt_write(&self, bytes: usize) {
-        self.stats.lock().record_ckpt_write(bytes);
+        self.stats().record_ckpt_write(bytes);
     }
 
     /// Counts `bytes` read back from a checkpoint file during restore.
     pub fn record_ckpt_read(&self, bytes: usize) {
-        self.stats.lock().record_ckpt_read(bytes);
+        self.stats().record_ckpt_read(bytes);
     }
 
     /// Records a batch of point-to-point messages `(src, dst, bytes)` under
@@ -140,7 +145,7 @@ impl CommTracker {
     where
         I: IntoIterator<Item = (usize, usize, usize)>,
     {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         for (src, dst, bytes) in messages {
             if src == dst {
                 continue;
@@ -210,7 +215,7 @@ impl CommTracker {
             faults += 1;
         }
         if faults > 0 {
-            let mut stats = self.stats.lock();
+            let mut stats = self.stats();
             stats.record_faults(faults);
             stats.record_retries(retries);
         }
@@ -248,7 +253,7 @@ impl CommTracker {
                 )
             })
         });
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         for (i, &(src, dst, bytes)) in messages.iter().enumerate() {
             if src == dst {
                 continue;
@@ -284,7 +289,7 @@ impl CommTracker {
             .map(|i| i.plan().backoff_seconds(attempts))
             .unwrap_or(0.0);
         let t = attempts as f64 * self.cost.message_time_between(bytes, src, dst) + backoff;
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         stats.proc_mut(src).comm_time += t;
         stats.proc_mut(dst).comm_time += t;
         stats.record_retries(attempts);
@@ -292,13 +297,13 @@ impl CommTracker {
 
     /// Counts one injected fault acted upon by the execution stack.
     pub fn record_fault(&self) {
-        self.stats.lock().record_faults(1);
+        self.stats().record_faults(1);
     }
 
     /// Counts one degraded-mode transition (pooled → fresh-spawn/serial,
     /// split-phase → blocking).
     pub fn record_fallback(&self) {
-        self.stats.lock().record_fallbacks(1);
+        self.stats().record_fallbacks(1);
     }
 
     /// Flushes fault counters accumulated off-thread (e.g. by streaming
@@ -307,7 +312,7 @@ impl CommTracker {
         if faults == 0 && retries == 0 && fallbacks == 0 {
             return;
         }
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         stats.record_faults(faults);
         stats.record_retries(retries);
         stats.record_fallbacks(fallbacks);
@@ -334,7 +339,7 @@ impl CommTracker {
     }
 
     fn wait_with(&self, pending: PendingSends, overlap_of: impl Fn(usize) -> f64) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         let mut per_proc_time = vec![0.0f64; stats.num_procs()];
         for (src, dst, bytes, t) in pending.messages {
             if src == dst {
@@ -366,7 +371,7 @@ impl CommTracker {
     /// credit (accumulated by the waits) is validated against; blocking
     /// paths never report any.
     pub fn record_measured_overlap(&self, seconds: f64) {
-        self.stats.lock().record_measured_overlap(seconds);
+        self.stats().record_measured_overlap(seconds);
     }
 
     /// Records `flops` floating-point operations on `proc`.
@@ -375,7 +380,7 @@ impl CommTracker {
             return;
         }
         let t = self.cost.compute_time(flops);
-        self.stats.lock().record_compute(proc, t);
+        self.stats().record_compute(proc, t);
     }
 
     /// Records `seconds` of local (non-flop) work on `proc` — memory
@@ -385,14 +390,14 @@ impl CommTracker {
         if seconds <= 0.0 {
             return;
         }
-        self.stats.lock().record_compute(proc, seconds);
+        self.stats().record_compute(proc, seconds);
     }
 
     /// Records a collective operation over all processors with per-stage
     /// payload `bytes`; the modelled cost is charged as communication time
     /// to every participant (log₂ P stages of one message each).
     pub fn collective(&self, kind: CollectiveKind, bytes: usize) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         let n = stats.num_procs();
         if n <= 1 {
             return;
@@ -415,13 +420,13 @@ impl CommTracker {
 
     /// A snapshot of the accumulated statistics.
     pub fn snapshot(&self) -> CommStats {
-        self.stats.lock().clone()
+        self.stats().clone()
     }
 
     /// Resets the accumulated statistics to zero and returns the previous
     /// values — convenient for per-phase accounting.
     pub fn take(&self) -> CommStats {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         let out = stats.clone();
         stats.reset();
         out

@@ -7,13 +7,12 @@
 //! assignment so the experiments can compare the two approaches directly.
 //! An assignment *is* a redistribution whose result lands in a second
 //! array, so it runs through the same communication-plan layer
-//! ([`crate::plan::plan_redistribute`]) and profits from the same plan
-//! cache ([`assign_cached`]).
+//! ([`crate::plan::plan_redistribute`]), the same plan cache and the same
+//! executor seam ([`crate::exec`]).
 
-use crate::exec::{PlanExecutor, SerialExecutor};
-use crate::plan::{plan_redistribute, CommPlan, PlanCache, PlanKind};
-use crate::{DistArray, Element, Result, RuntimeError};
-use std::sync::Arc;
+use crate::exec::PlanExecutor;
+use crate::plan::PlanCache;
+use crate::{DistArray, Element, Result};
 use vf_machine::CommTracker;
 
 /// Communication generated by one distributed array assignment.
@@ -31,40 +30,12 @@ pub struct AssignReport {
 
 /// Copies `src` into `dst` element-wise (`dst = src` over the common global
 /// index domain), charging one aggregated message for every (source owner →
-/// destination owner) pair with traffic.
-pub fn assign<T: Element>(
-    dst: &mut DistArray<T>,
-    src: &DistArray<T>,
-    tracker: &CommTracker,
-) -> Result<AssignReport> {
-    assign_with(dst, src, tracker, &SerialExecutor)
-}
-
-/// [`assign`] with an explicit execution backend.
-pub fn assign_with<T: Element, E: PlanExecutor>(
-    dst: &mut DistArray<T>,
-    src: &DistArray<T>,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<AssignReport> {
-    let plan = Arc::new(plan_redistribute(src.dist(), dst.dist())?);
-    assign_planned(dst, src, &plan, tracker, executor)
-}
-
-/// [`assign`] with plan reuse through `cache` — the two-copy ADI variant
-/// of §4 alternates the same pair of assignments every iteration, so both
-/// schedules are planned once.
-pub fn assign_cached<T: Element>(
-    dst: &mut DistArray<T>,
-    src: &DistArray<T>,
-    tracker: &CommTracker,
-    cache: &PlanCache,
-) -> Result<AssignReport> {
-    assign_cached_with(dst, src, tracker, cache, &SerialExecutor)
-}
-
-/// [`assign_cached`] with an explicit execution backend.
-pub fn assign_cached_with<T: Element, E: PlanExecutor>(
+/// destination owner) pair with traffic.  The schedule is planned through
+/// `cache` — the two-copy ADI variant of §4 alternates the same pair of
+/// assignments every iteration, so both are planned once — and moved by
+/// `executor` (direct copy on a shared-memory executor, channel frames on
+/// a sharded one).
+pub fn assign<T: Element, E: PlanExecutor>(
     dst: &mut DistArray<T>,
     src: &DistArray<T>,
     tracker: &CommTracker,
@@ -72,22 +43,6 @@ pub fn assign_cached_with<T: Element, E: PlanExecutor>(
     executor: &E,
 ) -> Result<AssignReport> {
     let plan = cache.redistribute_plan(src.dist(), dst.dist())?;
-    assign_planned(dst, src, &plan, tracker, executor)
-}
-
-fn assign_planned<T: Element, E: PlanExecutor>(
-    dst: &mut DistArray<T>,
-    src: &DistArray<T>,
-    plan: &Arc<CommPlan>,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<AssignReport> {
-    if plan.kind() != PlanKind::Redistribute || plan.dst_fingerprint() != dst.dist().fingerprint() {
-        return Err(RuntimeError::PlanMismatch {
-            expected: plan.dst_fingerprint(),
-            found: dst.dist().fingerprint(),
-        });
-    }
     plan.check_executable(src.dist(), tracker)?;
     // A redistribution plan places *every* source element, so executing it
     // into fresh buffers rewrites the destination completely — assignment
@@ -97,7 +52,7 @@ fn assign_planned<T: Element, E: PlanExecutor>(
     for &q in dst_dist.proc_ids() {
         dst_sizes[q.0] = dst_dist.local_size(q);
     }
-    let (new_locals, exec) = executor.execute(plan, src.locals(), &dst_sizes, tracker, true);
+    let (new_locals, exec) = executor.execute(&plan, src.locals(), &dst_sizes, tracker, true)?;
     dst.replace(dst_dist, new_locals);
     // The plan targets the canonical first owner; an assignment into a
     // replicated array updates every copy (as `DistArray::set` does).
@@ -113,6 +68,7 @@ fn assign_planned<T: Element, E: PlanExecutor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialExecutor;
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
@@ -135,7 +91,7 @@ mod tests {
         let src = DistArray::from_fn("V1", cols, |p| (p.coord(0) * 10 + p.coord(1)) as f64);
         let mut dst: DistArray<f64> = DistArray::new("V2", rows);
         let tracker = CommTracker::new(4, CostModel::zero());
-        let report = assign(&mut dst, &src, &tracker).unwrap();
+        let report = assign(&mut dst, &src, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         assert_eq!(dst.to_dense(), src.to_dense());
         assert_eq!(report.moved_elements + report.stayed_elements, n * n);
         // Same traffic pattern as the equivalent redistribution: each
@@ -156,7 +112,7 @@ mod tests {
         let src = DistArray::from_fn("A", d.clone(), |p| p.coord(0) as f64);
         let mut dst: DistArray<f64> = DistArray::new("B", d);
         let tracker = CommTracker::new(3, CostModel::zero());
-        let report = assign(&mut dst, &src, &tracker).unwrap();
+        let report = assign(&mut dst, &src, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         assert_eq!(report.moved_elements, 0);
         assert_eq!(report.messages, 0);
         assert_eq!(dst.to_dense(), src.to_dense());
@@ -179,6 +135,6 @@ mod tests {
         let src: DistArray<f64> = DistArray::new("A", a);
         let mut dst: DistArray<f64> = DistArray::new("B", b);
         let tracker = CommTracker::new(3, CostModel::zero());
-        assert!(assign(&mut dst, &src, &tracker).is_err());
+        assert!(assign(&mut dst, &src, &tracker, &PlanCache::new(), &SerialExecutor).is_err());
     }
 }

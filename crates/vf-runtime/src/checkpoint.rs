@@ -108,7 +108,7 @@
 use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
 use crate::exec::finish_checksum;
 use crate::plan::PlanCache;
-use crate::redistribute_impl::{redistribute_cached_with, RedistOptions};
+use crate::redistribute_impl::{redistribute, RedistOptions};
 use crate::{DistArray, Element, PlanExecutor, Result, RuntimeError};
 use std::fs::File;
 use std::io::{Read, Write};
@@ -291,7 +291,7 @@ impl CheckpointStore {
     ) -> Result<RestoredCheckpoint<T>> {
         let mut restored = self.restore::<T>(tracker)?;
         if !restored.array.dist().same_mapping(live) {
-            redistribute_cached_with(
+            redistribute(
                 &mut restored.array,
                 live.clone(),
                 tracker,

@@ -1,40 +1,45 @@
-//! Multi-backend execution of communication plans.
+//! Plan execution: the engines, and the one seam that picks the transport.
 //!
-//! PR 1 separated *planning* from *execution* (the PARTI
-//! inspector/executor split, see [`crate::plan`]), but every executor was
-//! still an ad-hoc serial copy loop on the calling thread, duplicated
-//! across `redistribute`, `ghost`, `parti` and `assign`.  This module
-//! extracts that loop behind the [`PlanExecutor`] trait and adds a second,
-//! threaded backend:
+//! Planning and execution are separate (the PARTI inspector / executor
+//! split, see [`crate::plan`]): a statement verb — `redistribute`,
+//! `exchange_ghosts`, `execute_gather`, `assign`, and the class verbs —
+//! validates and sizes, then hands its plan to a [`PlanExecutor`].  The
+//! executor, not the caller, decides how the data moves:
 //!
-//! * [`SerialExecutor`] — the in-process baseline: one pass over the
-//!   run-length-encoded transfers, one `copy_from_slice` per run, on the
-//!   calling thread.
-//! * [`ThreadedExecutor`] — partitions the transfer list *by destination
-//!   processor* (each destination buffer is written by exactly one
-//!   partition, so the partitions are embarrassingly parallel) and drives
-//!   the copies from the [`vf_machine::spmd`] worker threads.
-//! * [`ExecBackend`] — a runtime-selectable backend; [`ExecBackend::auto`]
-//!   picks the threaded executor when the host has more than one core.
+//! * [`PlanExecutor::execute`] runs **one plan**.  On a shared-memory
+//!   executor that is the *direct copy* engine: one `copy_from_slice` per
+//!   run from the sender's buffer straight into the receiver's
+//!   ([`PlanExecutor::run_copies`]) — the reference every other engine is
+//!   tested against.
+//! * [`PlanExecutor::execute_fused`] runs **a fused class**
+//!   ([`FusedPlan`]: one message per processor pair for the whole class).
+//!   On a shared-memory executor that is the *wire* engine: pack each
+//!   pair's payload into one contiguous buffer laid out by
+//!   [`FusedPlan::wire_slices`], frame it, unpack it at the destination.
+//! * [`crate::shard::ShardedExecutor`] (and so [`ExecBackend::Sharded`])
+//!   overrides both with *channel frames*: each rank reads only its own
+//!   segment and every crossing pair travels over a real
+//!   [`vf_machine::spmd`] channel — from every call site, because the
+//!   override is in the executor.
+//! * The *split* engine (`split_execute_fused_wire`, behind
+//!   [`crate::ghost::exchange_class_ghosts_split`] and
+//!   [`crate::redistribute_split`]) packs caller-side at the post and
+//!   streams the unpack on the backend's pool until the wait.
 //!
-//! Every backend charges the modelled communication with the *post/wait*
+//! The shared-memory executors are [`SerialExecutor`] (the calling thread)
+//! and [`ThreadedExecutor`] (destinations partitioned over a persistent
+//! [`WorkerPool`]); [`ExecBackend`] selects one at run time.
+//!
+//! Every engine charges the modelled communication with the *post/wait*
 //! split of [`CommTracker::post_many`] / [`CommTracker::wait`]: the
 //! messages are posted before the copies start and completed after they
 //! finish, the way a real machine overlaps non-blocking sends with the
-//! local packing work.  With zero overlap credit the charged totals are
-//! bit-identical to the old single-shot [`CommPlan::charge`], which is what
-//! keeps every backend's modelled accounting — and, since the copies are
-//! data-independent per destination, the produced buffers — exactly equal
-//! to the serial baseline (asserted by `tests/suite/parallel_exec.rs`).
-//!
-//! On top of the trait, [`FusedPlan`] merges the per-array redistribution
-//! plans of a connect class (or any multi-array `DISTRIBUTE`) into one
-//! schedule charged as a *single message per processor pair* for the whole
-//! class — the per-array payloads between one (sender, receiver) pair
-//! travel together instead of as one message per array.
+//! local packing work.  Backends only differ in *how* the copies run,
+//! never in what they produce or charge (asserted for every verb on every
+//! backend by `tests/suite/verbs.rs`).
 
-use crate::plan::{CommPlan, PlanIndex, PlanKind, PlanRun, Transfer};
-use crate::{DistArray, Element, RedistReport, Result, RuntimeError};
+use crate::plan::{CommPlan, PlanKind, PlanRun, Transfer};
+use crate::{Element, Result, RuntimeError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -50,13 +55,16 @@ pub struct ExecReport {
     pub bytes: usize,
 }
 
-/// A backend that can execute the copy phase of a [`CommPlan`].
+/// A backend that executes communication plans: the seam where a
+/// statement's transport is chosen.
 ///
-/// The executor receives the transfer list, the per-processor source
-/// buffers and the required destination-buffer sizes; it returns freshly
-/// allocated destination buffers with every run copied in.  Implementations
-/// must produce buffers bit-identical to [`SerialExecutor`] — backends only
-/// differ in *how* the copies run, never in what they produce.
+/// Verbs call [`PlanExecutor::execute`] (one plan) or
+/// [`PlanExecutor::execute_fused`] (a class); the provided bodies are the
+/// shared-memory engines, built on the three `run_*` hooks a backend
+/// implements to say *where* copies run.  A backend with a different
+/// transport overrides the two `execute*` methods instead
+/// ([`crate::shard::ShardedExecutor`]).  Whatever the backend, buffers and
+/// charges are bit-identical to [`SerialExecutor`]'s.
 pub trait PlanExecutor {
     /// Human-readable backend name (used by benches and reports).
     fn name(&self) -> &'static str;
@@ -79,10 +87,10 @@ pub trait PlanExecutor {
     ///
     /// The combine function is order-sensitive *per owner* (updates to one
     /// element must apply in program order), but owners are independent —
-    /// that is the partition [`crate::parti::execute_scatter_with`] feeds
-    /// this hook, and the only parallelism a backend may exploit.  The
-    /// default implementation applies owners serially in order; backends
-    /// must produce bitwise-identical buffers.
+    /// that is the partition [`crate::parti::execute_scatter`] feeds this
+    /// hook, and the only parallelism a backend may exploit.  The default
+    /// implementation applies owners serially in order; backends must
+    /// produce bitwise-identical buffers.
     fn run_updates<T: Element>(
         &self,
         locals: &mut [Vec<T>],
@@ -97,12 +105,12 @@ pub trait PlanExecutor {
     }
 
     /// Runs `num_items` independent indexed work items and returns the
-    /// results in item order — the generic fan-out the wire-layout fused
-    /// executors are built on (one item per destination processor).
-    /// `copy_bytes` is the total copy volume of the job, letting a
-    /// threaded backend apply its serial cutoff; the default
-    /// implementation runs the items serially on the calling thread.
-    /// Backends must produce identical results in identical order.
+    /// results in item order — the fan-out the wire engine is built on
+    /// (one item per destination processor).  `copy_bytes` is the total
+    /// copy volume of the job, letting a threaded backend apply its serial
+    /// cutoff; the default implementation runs the items serially on the
+    /// calling thread.  Backends must produce identical results in
+    /// identical order.
     fn run_indexed<R: Send>(
         &self,
         num_items: usize,
@@ -114,26 +122,32 @@ pub trait PlanExecutor {
         (0..num_items).map(work).collect()
     }
 
-    /// Full execution of one plan: posts the plan's modelled messages,
-    /// runs the copy phase, then completes the posted messages — the
-    /// non-blocking post/wait pattern of a real message-passing machine.
+    /// Executes one plan — the **direct copy** engine: posts the plan's
+    /// modelled messages, copies every run straight from `src` into fresh
+    /// destination buffers ([`PlanExecutor::run_copies`]), then completes
+    /// the posted messages — the non-blocking post/wait pattern of a real
+    /// message-passing machine.
     ///
     /// When the cost model prices local copies
     /// ([`vf_machine::CostModel::copy_per_byte`] non-zero), the copy phase
     /// is charged as per-destination compute time and credited as overlap
-    /// at the wait: communication is hidden behind the packing work, as it
-    /// is on a machine with non-blocking receives.  At the default zero
-    /// rate the accounting is bit-identical to a plain post/wait.
+    /// at the wait.  At the default zero rate the accounting is
+    /// bit-identical to a plain post/wait.
     ///
     /// Returns the destination buffers and what was charged.
+    ///
+    /// # Errors
+    /// Never on a shared-memory backend; a channel transport reports
+    /// [`RuntimeError::Channel`] / [`RuntimeError::CorruptMessage`] (the
+    /// posted charges are settled first, `src` is only borrowed).
     fn execute<T: Element>(
         &self,
-        plan: &CommPlan,
+        plan: &Arc<CommPlan>,
         src: &[Vec<T>],
         dst_sizes: &[usize],
         tracker: &CommTracker,
         aggregate: bool,
-    ) -> (Vec<Vec<T>>, ExecReport) {
+    ) -> Result<(Vec<Vec<T>>, ExecReport)> {
         // Directory page fetches of the inspection (indirect distributions
         // only, first execution only) complete before the data moves; they
         // are charged to the tracker but are not part of the data-plane
@@ -153,7 +167,31 @@ pub trait PlanExecutor {
             &copy_seconds(plan.transfers(), T::BYTES, tracker),
         );
         wait.end();
-        (out, ExecReport { messages, bytes })
+        Ok((out, ExecReport { messages, bytes }))
+    }
+
+    /// Executes a fused class — the **wire** engine: the class's single
+    /// message per crossing pair is posted, every destination's pack →
+    /// frame → unpack streams run through [`PlanExecutor::run_indexed`]
+    /// (one work item per destination), and the batch completes with the
+    /// pack/unpack seconds credited as copy-overlap compute.  `srcs[i]` /
+    /// `dst_sizes[i]` are part `i`'s per-processor source buffers and
+    /// destination sizes; returns per-part, per-processor buffers.
+    ///
+    /// # Errors
+    /// [`RuntimeError::CorruptMessage`] if a framed wire buffer fails
+    /// validation and cannot be repaired (plus [`RuntimeError::Channel`]
+    /// on a channel transport) — the posted charges are settled before
+    /// the error propagates, so the tracker never carries a leaked
+    /// pending batch.
+    fn execute_fused<T: Element>(
+        &self,
+        fused: &FusedPlan,
+        srcs: &[&[Vec<T>]],
+        dst_sizes: &[Vec<usize>],
+        tracker: &CommTracker,
+    ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
+        execute_fused_wire(fused, tracker, self, srcs, dst_sizes)
     }
 }
 
@@ -197,28 +235,40 @@ pub(crate) fn finish_with_copy_credit(
     tracker.wait_overlapped(pending, copy_secs);
 }
 
-/// Copies every transfer run targeting destination processor `dst` from
-/// `src` into `buf` — the per-destination unit of work both backends share.
-/// Empty transfers and zero-length runs are skipped before any slice
-/// arithmetic.
-fn copy_runs_into<T: Element>(buf: &mut [T], dst: usize, transfers: &[Transfer], src: &[Vec<T>]) {
-    for t in transfers
-        .iter()
-        .filter(|t| t.dst.0 == dst && t.elements > 0)
-    {
-        let src_local = &src[t.src.0];
-        for run in &t.runs {
-            if run.len == 0 {
-                continue;
-            }
-            buf[run.dst_start..run.dst_start + run.len]
-                .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-        }
+/// Copies `t`'s runs from the sender's buffer `src` straight into the
+/// receiver's buffer `dst` — the direct-copy engine's unit of work, and
+/// how every engine moves the elements that stay on their processor.
+/// Zero-length runs are skipped before any slice arithmetic.
+pub(crate) fn copy_runs<T: Copy>(t: &Transfer, src: &[T], dst: &mut [T]) {
+    for run in t.runs.iter().filter(|r| r.len > 0) {
+        dst[run.dst_start..run.dst_start + run.len]
+            .copy_from_slice(&src[run.src_start..run.src_start + run.len]);
     }
 }
 
-/// The in-process serial backend: the copy loop previously inlined in
-/// `redistribute_impl`, `ghost`, `parti` and `assign`, extracted.
+/// Packs `t`'s runs, in plan order, into `wire` — the part's window of its
+/// pair's message, which the runs fill exactly.
+fn pack_runs<T: Copy>(t: &Transfer, src: &[T], wire: &mut [T]) {
+    let mut off = 0usize;
+    for run in t.runs.iter().filter(|r| r.len > 0) {
+        wire[off..off + run.len].copy_from_slice(&src[run.src_start..run.src_start + run.len]);
+        off += run.len;
+    }
+    debug_assert_eq!(off, wire.len(), "slice fills its window");
+}
+
+/// Replays `t`'s runs against the part's window `wire` of a received
+/// message, landing every element at its own offset of `dst` (ghost slot /
+/// new local offset — untouched by fusion).
+fn unpack_runs<T: Copy>(t: &Transfer, wire: &[T], dst: &mut [T]) {
+    let mut off = 0usize;
+    for run in t.runs.iter().filter(|r| r.len > 0) {
+        dst[run.dst_start..run.dst_start + run.len].copy_from_slice(&wire[off..off + run.len]);
+        off += run.len;
+    }
+}
+
+/// The in-process serial backend: every copy runs on the calling thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 
@@ -238,37 +288,19 @@ impl PlanExecutor for SerialExecutor {
             .iter()
             .map(|&len| vec![T::default(); len])
             .collect();
-        for t in transfers {
-            if t.elements == 0 {
-                continue;
-            }
-            let src_local = &src[t.src.0];
-            let dst_local = &mut out[t.dst.0];
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                dst_local[run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-            }
+        for t in transfers.iter().filter(|t| t.elements > 0) {
+            copy_runs(t, &src[t.src.0], &mut out[t.dst.0]);
         }
         out
     }
 }
 
 /// The threaded backend: the destination buffers are partitioned
-/// round-robin over worker threads, each of which allocates and fills its
-/// share (no two threads ever touch the same buffer, so no locking is
-/// needed on the data path).
-///
-/// With a [`WorkerPool`] attached (the default for [`ThreadedExecutor::
-/// auto`] and [`ExecBackend::auto`]) the partitions are submitted to the
-/// pool's *parked* workers — a condvar wake instead of the full
-/// [`vf_machine::spmd`] harness setup (fresh OS threads, channels,
-/// barrier) per execute, which is 10–25× cheaper dispatch and the reason
-/// the serial cutoff could drop from 512 KiB to 32 KiB.  Without a pool
-/// the executor falls back to the fresh-spawn harness, the pre-pool
-/// baseline the `e8_pool` bench measures against.
+/// round-robin over the parked workers of a persistent [`WorkerPool`],
+/// each of which allocates and fills its share (no two workers ever touch
+/// the same buffer, so no locking is needed on the data path).  A dispatch
+/// is a condvar wake, not a thread spawn — [`ThreadedExecutor::auto`] and
+/// [`ExecBackend::auto`] share the process-wide pool.
 ///
 /// Threading only pays above a copy-volume cutoff — below it (or with a
 /// single worker) the backend degrades to the serial loop while keeping the
@@ -276,24 +308,15 @@ impl PlanExecutor for SerialExecutor {
 /// way.
 #[derive(Debug, Clone)]
 pub struct ThreadedExecutor {
-    workers: usize,
-    /// Explicit cutoff override; `None` picks the pool-dependent default.
+    pool: Arc<WorkerPool>,
+    /// Explicit cutoff override; `None` is the pooled default.
     cutoff_override: Option<usize>,
-    /// Persistent worker pool; `None` spawns fresh spmd workers per call.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl ThreadedExecutor {
-    /// Default copy volume (in bytes) below which threading is not worth
-    /// the **fresh-spawn** overhead and the copies run serially.  Only
-    /// applies when no worker pool is attached.
-    pub const DEFAULT_SERIAL_CUTOFF_BYTES: usize = 512 * 1024;
-
-    /// Default copy volume (in bytes) below which even **pooled** dispatch
-    /// is not worth waking the workers.  Pooled dispatch measures 10–25×
-    /// cheaper than the fresh-spawn harness (see the `e8_pool` bench), so
-    /// the crossover sits correspondingly lower: a pool wake costs a few
-    /// microseconds, the memcpy equivalent of roughly this many bytes.
+    /// Default copy volume (in bytes) below which dispatch is not worth
+    /// waking the workers: a pool wake costs a few microseconds, the
+    /// memcpy equivalent of roughly this many bytes.
     pub const DEFAULT_POOLED_CUTOFF_BYTES: usize = 32 * 1024;
 
     /// A threaded executor with one worker per available hardware core,
@@ -307,75 +330,45 @@ impl ThreadedExecutor {
     /// pool worker).
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
         Self {
-            workers: pool.workers(),
+            pool,
             cutoff_override: None,
-            pool: Some(pool),
         }
-    }
-
-    /// A threaded executor with exactly `workers` **fresh-spawn** worker
-    /// threads (`workers` is clamped to at least 1) — the pre-pool
-    /// baseline, kept for differential tests and the dispatch bench.
-    /// Attach a pool with [`ThreadedExecutor::pooled`].
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            cutoff_override: None,
-            pool: None,
-        }
-    }
-
-    /// Attaches a persistent worker pool: partitions are submitted to the
-    /// pool's parked workers instead of freshly spawned threads.  The
-    /// pool's worker count takes over as the partition width.
-    pub fn pooled(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.workers = pool.workers();
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Overrides the serial/parallel cutoff (0 forces the threaded path
-    /// for every plan — used by the equivalence property tests).
-    pub fn serial_cutoff_bytes(self, bytes: usize) -> Self {
-        self.with_serial_cutoff(bytes)
     }
 
     /// Overrides the serial/parallel cutoff in bytes: plans whose copy
-    /// volume is below the cutoff run on the calling thread.  Without an
-    /// override the default depends on the dispatch mechanism —
-    /// [`ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES`] with a pool
-    /// attached, [`ThreadedExecutor::DEFAULT_SERIAL_CUTOFF_BYTES`] for
-    /// fresh spawns.  [`ExecBackend::auto`] additionally honours the
-    /// `VF_EXEC_CUTOFF` environment variable (bytes) for benching.
+    /// volume is below the cutoff run on the calling thread (0 forces the
+    /// threaded path for every plan — used by the equivalence tests).
+    /// [`ExecBackend::auto`] additionally honours the `VF_EXEC_CUTOFF`
+    /// environment variable (bytes) for benching.
     pub fn with_serial_cutoff(mut self, bytes: usize) -> Self {
         self.cutoff_override = Some(bytes);
         self
     }
 
-    /// The cutoff currently in effect (override, or the dispatch-dependent
-    /// default).
+    /// The cutoff currently in effect (override, or
+    /// [`ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES`]).
     pub fn effective_serial_cutoff(&self) -> usize {
-        self.cutoff_override.unwrap_or(if self.pool.is_some() {
-            Self::DEFAULT_POOLED_CUTOFF_BYTES
-        } else {
-            Self::DEFAULT_SERIAL_CUTOFF_BYTES
-        })
+        self.cutoff_override
+            .unwrap_or(Self::DEFAULT_POOLED_CUTOFF_BYTES)
     }
 
-    /// The attached persistent worker pool, if any.
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
+    /// The persistent worker pool the executor submits to.
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
     }
 
-    /// The configured worker count.
+    /// The worker count (the pool's).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers()
     }
 
-    /// Runs `num_items` independent work items — pool dispatch when a pool
-    /// is attached, the fresh-spawn spmd harness otherwise.  Every
-    /// threaded path funnels through here, so pooled and spawned execution
-    /// can never drift in how items are partitioned (round-robin by item).
+    /// Whether a job of `copy_bytes` runs on the calling thread.
+    fn runs_serially(&self, copy_bytes: usize) -> bool {
+        self.workers() <= 1 || copy_bytes < self.effective_serial_cutoff()
+    }
+
+    /// Runs `num_items` independent work items on the pool, partitioned
+    /// round-robin by item.  Every threaded path funnels through here.
     ///
     /// Under fault injection the dispatch degrades rather than fails: a
     /// fired worker-death marks one worker dead in the tracker's injector,
@@ -397,7 +390,7 @@ impl ThreadedExecutor {
             }
             let dead = inj.dead_workers();
             if dead > 0 {
-                let healthy = self.workers.saturating_sub(dead);
+                let healthy = self.workers().saturating_sub(dead);
                 return if healthy > 1 {
                     spmd::run_partitioned(healthy, tracker, num_items, |_ctx, item| work(item))
                 } else {
@@ -405,12 +398,22 @@ impl ThreadedExecutor {
                 };
             }
         }
-        match &self.pool {
-            Some(pool) => pool.run_partitioned(tracker, num_items, |_ctx, item| work(item)),
-            None => {
-                spmd::run_partitioned(self.workers, tracker, num_items, |_ctx, item| work(item))
+        self.pool
+            .run_partitioned(tracker, num_items, |_ctx, item| work(item))
+    }
+
+    /// Hands one `&mut` work item to each of the first `items.len()` pool
+    /// ranks (at most one item per worker by construction).  The cells
+    /// only exist to pass `&mut` items through the shared job closure —
+    /// one uncontended lock each — and the wake is sized to the item
+    /// count, so fewer items than workers never pays a full-pool wake.
+    fn run_one_each<I: Send>(&self, items: Vec<I>, work: impl Fn(&mut I) + Sync) {
+        let cells: Vec<Mutex<I>> = items.into_iter().map(Mutex::new).collect();
+        self.pool.run_limited(cells.len(), &|rank| {
+            if let Some(cell) = cells.get(rank) {
+                work(&mut cell.lock().unwrap_or_else(PoisonError::into_inner));
             }
-        }
+        });
     }
 }
 
@@ -434,7 +437,7 @@ impl PlanExecutor for ThreadedExecutor {
             }
         }
         let copy_bytes: usize = dest_bytes.iter().sum();
-        if self.workers <= 1 || copy_bytes < self.effective_serial_cutoff() {
+        if self.runs_serially(copy_bytes) {
             return SerialExecutor.run_copies(transfers, src, dst_sizes, tracker);
         }
         // Skew check: the per-destination partition serialises one worker
@@ -447,14 +450,19 @@ impl PlanExecutor for ThreadedExecutor {
             .enumerate()
             .max_by_key(|&(_, b)| *b)
             .expect("dst_sizes is non-empty for a plan above the cutoff");
-        let skewed = hot_bytes * self.workers > 2 * copy_bytes.max(1);
+        let skewed = hot_bytes * self.workers() > 2 * copy_bytes.max(1);
         let mut out = self.dispatch(tracker, dst_sizes.len(), |dst| {
             if skewed && dst == hot {
                 // Filled by the split phase below.
                 return Vec::new();
             }
             let mut buf = vec![T::default(); dst_sizes[dst]];
-            copy_runs_into(&mut buf, dst, transfers, src);
+            for t in transfers
+                .iter()
+                .filter(|t| t.dst.0 == dst && t.elements > 0)
+            {
+                copy_runs(t, &src[t.src.0], &mut buf);
+            }
             buf
         });
         if skewed {
@@ -473,56 +481,33 @@ impl PlanExecutor for ThreadedExecutor {
             .iter()
             .map(|u| u.len() * std::mem::size_of::<T>())
             .sum();
-        if self.workers <= 1 || total_bytes < self.effective_serial_cutoff() {
+        if self.runs_serially(total_bytes) {
             SerialExecutor.run_updates(locals, updates, combine);
             return;
         }
         // Round-robin the owners over the workers: each owner's buffer is
         // touched by exactly one worker, and its updates apply in order,
         // so the combine semantics are exactly the serial ones.  Owners
-        // with no updates are skipped outright.
+        // with no updates are skipped outright, and empty bins are dropped
+        // so the dispatch wakes only as many workers as there are bins
+        // with work (owners are independent, so which rank drains which
+        // bin does not matter).
         type OwnerWork<'a, T> = (&'a mut Vec<T>, &'a Vec<(usize, T)>);
-        let mut bins: Vec<Vec<OwnerWork<'_, T>>> = (0..self.workers).map(|_| Vec::new()).collect();
+        let workers = self.workers();
+        let mut bins: Vec<Vec<OwnerWork<'_, T>>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, (buf, ups)) in locals.iter_mut().zip(updates).enumerate() {
-            if ups.is_empty() {
-                continue;
+            if !ups.is_empty() {
+                bins[i % workers].push((buf, ups));
             }
-            bins[i % self.workers].push((buf, ups));
         }
-        let apply = |bin: &mut Vec<OwnerWork<'_, T>>| {
+        bins.retain(|bin| !bin.is_empty());
+        self.run_one_each(bins, |bin| {
             for (buf, ups) in bin {
                 for &(off, v) in *ups {
                     buf[off] = combine(buf[off], v);
                 }
             }
-        };
-        let apply = &apply;
-        match &self.pool {
-            // Pooled: worker `rank` drains its own bin (one uncontended
-            // lock each — the cells only exist to hand `&mut` bins through
-            // the shared job closure).  Empty bins are dropped first so the
-            // dispatch wakes only as many workers as there are bins with
-            // work (right-sized wakes; owners are independent, so which
-            // rank drains which bin does not matter).
-            Some(pool) => {
-                let cells: Vec<std::sync::Mutex<Vec<OwnerWork<'_, T>>>> = bins
-                    .into_iter()
-                    .filter(|bin| !bin.is_empty())
-                    .map(std::sync::Mutex::new)
-                    .collect();
-                pool.run_limited(cells.len(), &|rank| {
-                    if let Some(cell) = cells.get(rank) {
-                        apply(&mut cell.lock().unwrap_or_else(|e| e.into_inner()));
-                    }
-                });
-            }
-            // Fresh-spawn baseline: one scoped thread per bin.
-            None => std::thread::scope(|scope| {
-                for mut bin in bins {
-                    scope.spawn(move || apply(&mut bin));
-                }
-            }),
-        }
+        });
     }
 
     fn run_indexed<R: Send>(
@@ -532,7 +517,7 @@ impl PlanExecutor for ThreadedExecutor {
         tracker: &CommTracker,
         work: impl Fn(usize) -> R + Sync,
     ) -> Vec<R> {
-        if self.workers <= 1 || copy_bytes < self.effective_serial_cutoff() {
+        if self.runs_serially(copy_bytes) {
             return (0..num_items).map(work).collect();
         }
         self.dispatch(tracker, num_items, work)
@@ -547,8 +532,7 @@ impl ThreadedExecutor {
     /// targeting one destination have pairwise-disjoint destination
     /// intervals; sorted by destination offset they tile the buffer in
     /// order, and cutting between runs yields independent contiguous
-    /// regions that `split_at_mut` hands to the workers (the attached pool
-    /// when there is one, scoped threads in fresh-spawn mode) — safe
+    /// regions that `split_at_mut` hands to the pool's workers — safe
     /// parallel writes into one buffer, no locking on the data path,
     /// bitwise-identical output.
     fn copy_hot_destination_split<T: Element>(
@@ -571,8 +555,8 @@ impl ThreadedExecutor {
             return buf;
         }
         // Chunk boundaries between runs, at roughly even element counts.
-        let per_chunk = total.div_ceil(self.workers);
-        let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(self.workers); // run index ranges
+        let per_chunk = total.div_ceil(self.workers());
+        let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(self.workers()); // run index ranges
         let mut start = 0usize;
         let mut acc = 0usize;
         for (i, (_, r)) in runs.iter().enumerate() {
@@ -606,35 +590,12 @@ impl ThreadedExecutor {
                 offset = end;
             }
         }
-        let copy_chunk = |(base, region, chunk_runs): &mut HotChunk<'_, T>| {
+        self.run_one_each(items, |(base, region, chunk_runs)| {
             for &(sp, r) in *chunk_runs {
                 region[r.dst_start - *base..r.dst_start - *base + r.len]
                     .copy_from_slice(&src[sp][r.src_start..r.src_start + r.len]);
             }
-        };
-        match &self.pool {
-            // Pooled: worker `rank` takes chunk `rank` (at most one chunk
-            // per worker by construction); the cells only exist to hand
-            // the `&mut` regions through the shared job closure.  The wake
-            // is sized to the chunk count — fewer chunks than workers
-            // never pays a full-pool wake.
-            Some(pool) => {
-                let cells: Vec<std::sync::Mutex<HotChunk<'_, T>>> =
-                    items.into_iter().map(std::sync::Mutex::new).collect();
-                pool.run_limited(cells.len(), &|rank| {
-                    if let Some(cell) = cells.get(rank) {
-                        copy_chunk(&mut cell.lock().unwrap_or_else(|e| e.into_inner()));
-                    }
-                });
-            }
-            // Fresh-spawn baseline: one scoped thread per chunk.
-            None => std::thread::scope(|scope| {
-                for mut item in items {
-                    let copy_chunk = &copy_chunk;
-                    scope.spawn(move || copy_chunk(&mut item));
-                }
-            }),
-        }
+        });
         buf
     }
 }
@@ -648,10 +609,9 @@ pub enum ExecBackend {
     /// Threaded per-destination execution ([`ThreadedExecutor`]).
     Threaded(ThreadedExecutor),
     /// Distributed-memory execution ([`crate::shard::ShardedExecutor`]):
-    /// each rank holds only its local shard and fused wire buffers travel
-    /// over real [`vf_machine::spmd`] channels.  Non-wire plan phases
-    /// (scatter updates, plain per-part copies) fall back to the serial
-    /// shared-memory oracle.
+    /// each rank reads only its own segment and every crossing pair of
+    /// every plan — one array or a class — travels as a frame over a real
+    /// [`vf_machine::spmd`] channel.
     Sharded(crate::shard::ShardedExecutor),
 }
 
@@ -663,8 +623,8 @@ impl ExecBackend {
     /// The serial/parallel cutoff can be overridden for benching through
     /// the `VF_EXEC_CUTOFF` environment variable (bytes; must be positive
     /// — a zero value is rejected with a warning and the default cutoff is
-    /// kept, since forcing the threaded path for every plan is what the
-    /// [`ThreadedExecutor::serial_cutoff_bytes`] API is for).
+    /// kept, since forcing the threaded path for every plan is what
+    /// [`ThreadedExecutor::with_serial_cutoff`] is for).
     ///
     /// With `VF_EXEC_BACKEND=sharded` the backend is
     /// [`crate::shard::ShardedExecutor::new`], whose receive bound is
@@ -680,7 +640,7 @@ impl ExecBackend {
                 Ok(0) => eprintln!(
                     "warning: VF_EXEC_CUTOFF=0 is not honoured (it would force threaded \
                      dispatch for every plan); keeping the default cutoff — use \
-                     ThreadedExecutor::serial_cutoff_bytes(0) to force threading in code"
+                     ThreadedExecutor::with_serial_cutoff(0) to force threading in code"
                 ),
                 Ok(cutoff) => threaded = threaded.with_serial_cutoff(cutoff),
                 // A set-but-unparseable override must not be measured
@@ -712,7 +672,7 @@ impl ExecBackend {
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         match self {
             ExecBackend::Serial => None,
-            ExecBackend::Threaded(t) => t.pool(),
+            ExecBackend::Threaded(t) => Some(t.pool()),
             ExecBackend::Sharded(s) => s.pool(),
         }
     }
@@ -767,6 +727,35 @@ impl PlanExecutor for ExecBackend {
             ExecBackend::Sharded(s) => s.run_indexed(num_items, copy_bytes, tracker, work),
         }
     }
+
+    fn execute<T: Element>(
+        &self,
+        plan: &Arc<CommPlan>,
+        src: &[Vec<T>],
+        dst_sizes: &[usize],
+        tracker: &CommTracker,
+        aggregate: bool,
+    ) -> Result<(Vec<Vec<T>>, ExecReport)> {
+        match self {
+            ExecBackend::Serial => SerialExecutor.execute(plan, src, dst_sizes, tracker, aggregate),
+            ExecBackend::Threaded(t) => t.execute(plan, src, dst_sizes, tracker, aggregate),
+            ExecBackend::Sharded(s) => s.execute(plan, src, dst_sizes, tracker, aggregate),
+        }
+    }
+
+    fn execute_fused<T: Element>(
+        &self,
+        fused: &FusedPlan,
+        srcs: &[&[Vec<T>]],
+        dst_sizes: &[Vec<usize>],
+        tracker: &CommTracker,
+    ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
+        match self {
+            ExecBackend::Serial => SerialExecutor.execute_fused(fused, srcs, dst_sizes, tracker),
+            ExecBackend::Threaded(t) => t.execute_fused(fused, srcs, dst_sizes, tracker),
+            ExecBackend::Sharded(s) => s.execute_fused(fused, srcs, dst_sizes, tracker),
+        }
+    }
 }
 
 /// One part's share of a fused wire message: `elements` elements of part
@@ -786,6 +775,13 @@ pub struct FusedSlice {
     pub elements: usize,
     /// Element offset of the part's payload within the fused message.
     pub wire_offset: usize,
+}
+
+impl FusedSlice {
+    /// The part's element window of its pair's message.
+    pub(crate) fn window(&self) -> std::ops::Range<usize> {
+        self.wire_offset..self.wire_offset + self.elements
+    }
 }
 
 /// A set of same-kind communication plans fused into one schedule.
@@ -972,6 +968,28 @@ impl FusedPlan {
         self.moved_elements * elem_bytes
     }
 
+    /// Part `part`'s transfer of the elements that stay on processor `d`,
+    /// if any — these never meet a wire buffer or a frame.
+    pub(crate) fn local_transfer(&self, part: usize, d: usize) -> Option<&Transfer> {
+        let &ti = self.pair_transfer[part].get(&(d, d))?;
+        Some(&self.parts[part].transfers()[ti])
+    }
+
+    /// The message of crossing pair `pi` (an index into `pair_elements`),
+    /// part by part in wire order: each part's slice of the message and
+    /// the transfer whose runs pack into and unpack from that slice — the
+    /// one walk every engine (wire, split, channel frames) makes.
+    pub(crate) fn pair_parts(&self, pi: usize) -> impl Iterator<Item = (FusedSlice, &Transfer)> {
+        let ((s, d), _) = self.pair_elements[pi];
+        self.pair_slices[pi]
+            .iter()
+            .filter(|sl| sl.elements > 0)
+            .map(move |sl| {
+                let ti = self.pair_transfer[sl.part][&(s, d)];
+                (*sl, &self.parts[sl.part].transfers()[ti])
+            })
+    }
+
     /// Validates that the fusion is of `expected` kind and covers exactly
     /// `arrays` arrays — the guard every fused executor runs first.
     pub(crate) fn check_parts(
@@ -1007,102 +1025,6 @@ impl FusedPlan {
             .map(|&((src, dst), elements)| (src, dst, elements * elem_bytes))
             .collect()
     }
-}
-
-/// Executes a fused `DISTRIBUTE`: every array is redistributed by its own
-/// part plan (copies run through `executor`), while the modelled
-/// communication is posted **once for the whole class** — a single message
-/// per processor pair — before any copy starts and completed after the last
-/// one finishes.
-///
-/// `arrays` must align with [`FusedPlan::parts`] (array `i` is moved by
-/// part `i`).  Returns one [`RedistReport`] per array, whose
-/// `messages`/`bytes` fields record what the array *would* have charged
-/// unfused (the per-array diagnostic), plus the fused [`ExecReport`] of
-/// what was actually charged to the tracker.
-///
-/// # Errors
-/// [`RuntimeError::FusionMismatch`] if `arrays` and parts disagree in
-/// length; [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`]
-/// if any part does not apply to its array (validated for *all* arrays
-/// before any data moves, so a failed fused execute changes nothing).
-pub fn execute_redistribute_fused<T: Element, E: PlanExecutor>(
-    arrays: &mut [&mut DistArray<T>],
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<(Vec<RedistReport>, ExecReport)> {
-    fused.check_parts(
-        PlanKind::Redistribute,
-        "execute_redistribute_fused",
-        arrays.len(),
-    )?;
-    // Validate every (array, part) pair before moving anything.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        if !matches!(&part.index, PlanIndex::Redistribute { .. }) {
-            return Err(RuntimeError::PlanMismatch {
-                expected: part.src_fingerprint(),
-                found: array.dist().fingerprint(),
-            });
-        }
-        part.check_executable(array.dist(), tracker)?;
-    }
-
-    let mut reports = Vec::with_capacity(arrays.len());
-    let exec = execute_fused_parts(fused, tracker, T::BYTES, |idx, part| {
-        let array = &mut arrays[idx];
-        let PlanIndex::Redistribute { new_dist } = &part.index else {
-            unreachable!("validated above");
-        };
-        let mut dst_sizes = vec![0usize; part.total_procs()];
-        for &q in new_dist.proc_ids() {
-            dst_sizes[q.0] = new_dist.local_size(q);
-        }
-        let new_locals = executor.run_copies(part.transfers(), array.locals(), &dst_sizes, tracker);
-        array.replace(new_dist.clone(), new_locals);
-        array.broadcast_canonical();
-        reports.push(RedistReport {
-            moved_elements: part.moved_elements(),
-            stayed_elements: part.stayed_elements(),
-            messages: part.num_messages(),
-            bytes: part.bytes_for(T::BYTES),
-        });
-    });
-    Ok((reports, exec))
-}
-
-/// The shared charging skeleton of every fused execution: directory
-/// fetches complete first, the **single message per crossing pair** batch
-/// is posted, `copy_part(idx, part)` runs each part's copies (the whole
-/// class's copy seconds accumulate per destination), and the batch
-/// completes with the accumulated credit — so fused redistribution and
-/// fused ghost exchange can never drift apart in how they charge.
-pub(crate) fn execute_fused_parts(
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    elem_bytes: usize,
-    mut copy_part: impl FnMut(usize, &CommPlan),
-) -> ExecReport {
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(elem_bytes);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let pending = tracker.post_many(batch);
-    let mut fused_copy_secs: Vec<f64> = Vec::new();
-    for (idx, part) in fused.parts().iter().enumerate() {
-        copy_part(idx, part);
-        let part_secs = copy_seconds(part.transfers(), elem_bytes, tracker);
-        if fused_copy_secs.len() < part_secs.len() {
-            fused_copy_secs.resize(part_secs.len(), 0.0);
-        }
-        for (acc, s) in fused_copy_secs.iter_mut().zip(part_secs) {
-            *acc += s;
-        }
-    }
-    finish_with_copy_credit(tracker, pending, &fused_copy_secs);
-    ExecReport { messages, bytes }
 }
 
 // ---------------------------------------------------------------------------
@@ -1249,38 +1171,54 @@ fn arm_corruption(fused: &FusedPlan, tracker: &CommTracker) -> Option<(usize, u6
         return None;
     }
     let inj = tracker.fault_injector()?;
-    let crossing: Vec<usize> = fused
-        .pair_elements
-        .iter()
-        .enumerate()
-        .filter(|&(_, &((s, d), total))| s != d && total > 0)
-        .map(|(i, _)| i)
-        .collect();
-    if crossing.is_empty() {
+    // `pair_elements` holds exactly the crossing pairs with traffic.
+    let crossing = fused.pair_elements.len();
+    if crossing == 0 {
         return None;
     }
     let spec = inj.corrupt_wire()?;
-    let pi = crossing[(spec.pair_seed as usize) % crossing.len()];
-    Some((pi, spec.elem_seed, spec.bit))
+    Some((
+        (spec.pair_seed as usize) % crossing,
+        spec.elem_seed,
+        spec.bit,
+    ))
 }
 
-/// The simulated per-part executors copy each part's runs straight from
-/// source to destination storage; a real machine instead **packs** every
-/// (sender → receiver) pair's payload into one contiguous wire buffer laid
-/// out by [`FusedPlan::wire_slices`], ships it as a single message, and
-/// **unpacks** it at the receiver by replaying each part's run list against
-/// the slice at its wire offset.  This engine performs exactly those two
-/// memcpy streams per pair (plus the direct copies of elements that stay
-/// local), so the produced buffers are bitwise identical to the per-part
-/// executors while the charged traffic is the same one-message-per-pair
-/// batch — only the copy work is reorganised from per-part scattered runs
-/// into per-pair contiguous streams.
-/// Produces destination processor `d`'s buffers for every part of a fused
-/// plan: direct copies for elements staying on `d`, then one pack →
-/// unpack stream per sending processor, all driven by the indexes
-/// [`FusedPlan::fuse`] precomputed (`pair_transfer`, `pairs_by_dst`) — no
-/// per-execute indexing.  Each destination is written by exactly one
-/// call, so calls for different destinations are embarrassingly parallel.
+/// Fresh (default-filled) destination buffers of part `idx` on processor
+/// `d`, with the part's stay-local runs already copied in.
+fn local_dest_buffer<T: Element>(
+    fused: &FusedPlan,
+    srcs: &[&[Vec<T>]],
+    dst_sizes: &[Vec<usize>],
+    idx: usize,
+    d: usize,
+) -> Vec<T> {
+    let mut buf = vec![T::default(); dst_sizes[idx].get(d).copied().unwrap_or(0)];
+    if let Some(t) = fused.local_transfer(idx, d) {
+        copy_runs(t, &srcs[idx][d], &mut buf);
+    }
+    buf
+}
+
+/// Packs crossing pair `pi`'s message: every part's payload lands at its
+/// wire offset, runs in plan order — one contiguous buffer per pair,
+/// exactly the message a real backend would post.
+fn pack_pair<T: Element>(fused: &FusedPlan, pi: usize, srcs: &[&[Vec<T>]]) -> Vec<T> {
+    let ((s, _), total) = fused.pair_elements[pi];
+    let mut wire = vec![T::default(); total];
+    for (sl, t) in fused.pair_parts(pi) {
+        pack_runs(t, &srcs[sl.part][s], &mut wire[sl.window()]);
+    }
+    wire
+}
+
+/// The wire engine's unit of work: produces destination processor `d`'s
+/// buffers for every part of a fused plan — direct copies for elements
+/// staying on `d`, then one pack → frame → unpack stream per sending
+/// processor, all driven by the indexes [`FusedPlan::fuse`] precomputed.
+/// Each destination is written by exactly one call, so calls for different
+/// destinations are embarrassingly parallel.
+///
 /// `framing` frames each packed wire and (with `verify` set, i.e. with a
 /// fault injector attached) validates it before unpack; `sabotage` (from
 /// [`arm_corruption`]) flips one bit of one pair's wire after framing —
@@ -1296,7 +1234,6 @@ fn wire_copy_for_dest<T: Element>(
     framing: Option<WireFraming>,
     sabotage: Option<(usize, u64, u32)>,
 ) -> Result<Vec<Vec<T>>> {
-    let parts = fused.parts();
     // One span covers this destination's whole copy stream (local copies,
     // pack, verify, unpack): per-destination is the granularity the pool
     // dispatches at, and coarse enough that tracing a dispatch-dominated
@@ -1304,54 +1241,15 @@ fn wire_copy_for_dest<T: Element>(
     // a single-core host (the split streaming path keeps per-pair spans —
     // there the caller's overlapped compute absorbs the recording cost).
     let _span = trace::OpenSpan::begin_dest(trace::Phase::Unpack, d);
-    let mut bufs: Vec<Vec<T>> = dst_sizes
-        .iter()
-        .map(|sizes| vec![T::default(); sizes.get(d).copied().unwrap_or(0)])
+    let mut bufs: Vec<Vec<T>> = (0..fused.parts().len())
+        .map(|idx| local_dest_buffer(fused, srcs, dst_sizes, idx, d))
         .collect();
-    // Elements that stay on `d` never touch a wire buffer.
-    for (idx, part) in parts.iter().enumerate() {
-        if let Some(&ti) = fused.pair_transfer[idx].get(&(d, d)) {
-            let t = &part.transfers()[ti];
-            let src_local = &srcs[idx][d];
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                bufs[idx][run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-            }
-        }
-    }
     // One wire message per sending processor with traffic to `d`, walked
     // through the precomputed per-destination pair lists.
     let arriving = fused.pairs_by_dst.get(d).map_or(&[][..], |v| v);
     for &pi in arriving {
         let ((s, _), total) = fused.pair_elements[pi];
-        if s == d || total == 0 {
-            continue;
-        }
-        let slices = &fused.pair_slices[pi][..];
-        // Pack: every part's payload lands at its wire offset, runs in
-        // plan order — one contiguous buffer per pair, exactly the
-        // message a real backend would post.
-        let mut wire: Vec<T> = vec![T::default(); total];
-        for sl in slices {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
-            let src_local = &srcs[sl.part][s];
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                wire[off..off + run.len]
-                    .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-                off += run.len;
-            }
-            debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
-        }
+        let mut wire = pack_pair(fused, pi, srcs);
         // The frame checksum is one contiguous whole-buffer pass — cheaper
         // than folding the xor into the scattered per-run copies, because
         // plain run copies stay `memcpy` and the sequential sweep
@@ -1386,22 +1284,8 @@ fn wire_copy_for_dest<T: Element>(
                 trace::instant(trace::Phase::CorruptionRepair);
             }
         }
-        // Unpack: replay the same run lists against the receiver's
-        // per-part buffers (ghost slots / new local offsets unchanged).
-        for sl in slices {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                bufs[sl.part][run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&wire[off..off + run.len]);
-                off += run.len;
-            }
+        for (sl, t) in fused.pair_parts(pi) {
+            unpack_runs(t, &wire[sl.window()], &mut bufs[sl.part]);
         }
     }
     Ok(bufs)
@@ -1441,36 +1325,37 @@ pub(crate) fn wire_copy_seconds(
     secs
 }
 
-/// The charging + copy skeleton of the wire-packed fused executors: the
-/// single-message-per-pair batch is posted, every destination's pack →
-/// unpack streams run through `executor` (one work item per destination,
-/// parallelised by the pooled backend above its cutoff), and the batch
-/// completes with the pack/unpack seconds credited as copy-overlap
-/// compute.  Returns per-part, per-processor destination buffers.
-///
-/// # Errors
-/// [`RuntimeError::CorruptMessage`] if a framed wire buffer fails
-/// validation and cannot be repaired — the posted charges are settled
-/// before the error propagates, so the tracker never carries a leaked
-/// pending batch.
-pub(crate) fn execute_fused_wire<T: Element, E: PlanExecutor>(
+/// Charges the class's directory fetches and posts its single message per
+/// crossing pair — the opening every fused engine (wire, split, channel
+/// frames) shares.  Returns the pending batch and what it charges.
+pub(crate) fn post_fused(
+    fused: &FusedPlan,
+    elem_bytes: usize,
+    tracker: &CommTracker,
+) -> (vf_machine::PendingSends, ExecReport) {
+    for part in fused.parts() {
+        part.charge_directory(tracker);
+    }
+    let batch = fused.message_batch(elem_bytes);
+    let messages = batch.len();
+    let bytes = batch.iter().map(|m| m.2).sum();
+    let post = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
+    let pending = tracker.post_many(batch);
+    post.end();
+    (pending, ExecReport { messages, bytes })
+}
+
+/// The wire engine — the provided body of [`PlanExecutor::execute_fused`].
+fn execute_fused_wire<T: Element, E: PlanExecutor + ?Sized>(
     fused: &FusedPlan,
     tracker: &CommTracker,
     executor: &E,
     srcs: &[&[Vec<T>]],
     dst_sizes: &[Vec<usize>],
 ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(T::BYTES);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let post = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
-    let pending = tracker.post_many(batch);
-    post.end();
+    let (pending, report) = post_fused(fused, T::BYTES, tracker);
     let framing = wire_framing_enabled().then(|| WireFraming {
-        seq_base: NEXT_WIRE_SEQ.fetch_add(fused.pair_elements.len() as u64, Ordering::Relaxed),
+        seq_base: next_wire_seq_block(fused.pair_elements.len() as u64),
         verify: tracker.fault_injector().is_some(),
     });
     let sabotage = arm_corruption(fused, tracker);
@@ -1510,77 +1395,7 @@ pub(crate) fn execute_fused_wire<T: Element, E: PlanExecutor>(
             }
         }
     }
-    Ok((out, ExecReport { messages, bytes }))
-}
-
-/// [`execute_redistribute_fused`] through the **wire-layout** path: every
-/// crossing processor pair's payload is packed into one contiguous wire
-/// buffer (laid out by [`FusedPlan::wire_slices`]), charged as exactly one
-/// message, and unpacked at the destination — per-pair memcpy streams
-/// instead of per-part scattered copies, with the pack/unpack phases run
-/// through `executor` and credited as copy-overlap compute.  Buffers,
-/// reports and charged traffic are bitwise identical to
-/// [`execute_redistribute_fused`]; only the copy organisation differs.
-///
-/// # Errors
-/// Exactly as [`execute_redistribute_fused`]: everything is validated
-/// before any data moves.
-pub fn execute_redistribute_fused_wire<T: Element, E: PlanExecutor>(
-    arrays: &mut [&mut DistArray<T>],
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<(Vec<RedistReport>, ExecReport)> {
-    fused.check_parts(
-        PlanKind::Redistribute,
-        "execute_redistribute_fused_wire",
-        arrays.len(),
-    )?;
-    // Validate every (array, part) pair before moving anything.
-    let mut new_dists = Vec::with_capacity(arrays.len());
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        let PlanIndex::Redistribute { new_dist } = &part.index else {
-            return Err(RuntimeError::PlanMismatch {
-                expected: part.src_fingerprint(),
-                found: array.dist().fingerprint(),
-            });
-        };
-        part.check_executable(array.dist(), tracker)?;
-        new_dists.push(new_dist.clone());
-    }
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
-        .iter()
-        .zip(&new_dists)
-        .map(|(part, new_dist)| {
-            let mut sizes = vec![0usize; part.total_procs()];
-            for &q in new_dist.proc_ids() {
-                sizes[q.0] = new_dist.local_size(q);
-            }
-            sizes
-        })
-        .collect();
-    let (bufs, exec) = {
-        let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-        execute_fused_wire(fused, tracker, executor, &srcs, &dst_sizes)?
-    };
-    let mut reports = Vec::with_capacity(arrays.len());
-    for (((array, part), new_dist), locals) in arrays
-        .iter_mut()
-        .zip(fused.parts())
-        .zip(new_dists)
-        .zip(bufs)
-    {
-        array.replace(new_dist, locals);
-        array.broadcast_canonical();
-        reports.push(RedistReport {
-            moved_elements: part.moved_elements(),
-            stayed_elements: part.stayed_elements(),
-            messages: part.num_messages(),
-            bytes: part.bytes_for(T::BYTES),
-        });
-    }
-    Ok((reports, exec))
+    Ok((out, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -1613,11 +1428,10 @@ pub struct SplitExecReport {
 /// packing and the stay-local copies read the *borrowed* sources at post
 /// time on the caller thread, so nothing in here borrows the arrays.
 struct SplitShared<T> {
+    /// The plan; its crossing pairs (`fused.pair_elements`, by index) are
+    /// the independent unpack work items.
     fused: FusedPlan,
-    /// Indices into `fused.pair_elements` of the crossing pairs with
-    /// traffic — the independent unpack work items.
-    crossing: Vec<usize>,
-    /// Packed wire buffer per crossing pair (aligned with `crossing`).
+    /// Packed wire buffer per crossing pair (aligned with the pairs).
     /// Behind a mutex so the unpacking rank can repair an injected
     /// corruption in place (one uncontended lock per item — each item is
     /// claimed by exactly one rank at a time).
@@ -1638,7 +1452,7 @@ struct SplitShared<T> {
     /// access through the shared job; pairs into one destination write
     /// pairwise-disjoint runs, so there is no contention on the data.
     bufs: Vec<Vec<Mutex<Vec<T>>>>,
-    /// Next unclaimed index into `crossing` (work stealing).
+    /// Next unclaimed pair index (work stealing).
     claim: AtomicUsize,
     /// Crossing pairs not yet unpacked, per destination processor —
     /// per-pair completion, so a consumer can wait for one destination
@@ -1662,8 +1476,8 @@ struct SplitShared<T> {
     help_nanos: AtomicU64,
 }
 
-/// The armed wire corruption of a split exchange: item `item` of the
-/// crossing list had element `elem` bit-flipped after framing; `orig` is
+/// The armed wire corruption of a split exchange: crossing pair `item`
+/// had element `elem` bit-flipped after framing; `orig` is
 /// the pristine value the repair (modelled retransmission) restores.
 struct SplitSabotage<T> {
     item: usize,
@@ -1677,23 +1491,25 @@ struct SplitSabotage<T> {
 struct SimulatedWorkerDeath;
 
 impl<T: Element> SplitShared<T> {
-    /// Unpacks crossing pair `crossing[k]` into its destination's per-part
-    /// buffers — the unpack half of [`wire_copy_for_dest`], run by
-    /// whichever rank claimed the item.  A framed wire is validated
-    /// ([`verify_wire`]) before any unpack copy; a checksum failure
-    /// matching the armed sabotage is repaired by restoring the pristine
-    /// element (modelled retransmission) and revalidating, anything still
-    /// failing is recorded as fatal and the pair is never unpacked — the
-    /// wait reports the error and no corrupt element reaches a caller.
-    fn unpack_claimed(&self, k: usize, pi: usize) {
+    /// Unpacks crossing pair `pi` into its destination's per-part buffers —
+    /// the unpack half of [`wire_copy_for_dest`], run by whichever rank
+    /// claimed the pair.  A framed wire is validated ([`verify_wire`])
+    /// before any unpack copy; a checksum failure matching the armed
+    /// sabotage is repaired by restoring the pristine element (modelled
+    /// retransmission) and revalidating, anything still failing is
+    /// recorded as fatal and the pair is never unpacked — the wait reports
+    /// the error and no corrupt element reaches a caller.
+    fn unpack_claimed(&self, pi: usize) {
         let ((s, d), _) = self.fused.pair_elements[pi];
         let _span = trace::OpenSpan::begin_pair(trace::Phase::Unpack, s, d);
         {
-            let mut wire = self.wires[k].lock().unwrap_or_else(PoisonError::into_inner);
-            let valid = match &self.frames[k] {
+            let mut wire = self.wires[pi]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let valid = match &self.frames[pi] {
                 Some(frame) if self.verify => verify_wire(&wire, frame, s, d).or_else(|_| {
                     if let Some(sab) = &self.sabotage {
-                        if sab.item == k {
+                        if sab.item == pi {
                             wire[sab.elem] = sab.orig;
                         }
                     }
@@ -1703,7 +1519,14 @@ impl<T: Element> SplitShared<T> {
                 _ => Ok(()),
             };
             match valid {
-                Ok(()) => self.unpack_pair(pi, s, d, &wire),
+                Ok(()) => {
+                    for (sl, t) in self.fused.pair_parts(pi) {
+                        if let Some(cell) = self.bufs[sl.part].get(d) {
+                            let mut buf = cell.lock().unwrap_or_else(PoisonError::into_inner);
+                            unpack_runs(t, &wire[sl.window()], &mut buf);
+                        }
+                    }
+                }
                 Err(e) => {
                     *self.fatal.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
                 }
@@ -1714,31 +1537,6 @@ impl<T: Element> SplitShared<T> {
         // A fatal frame failure still counts as delivered so waiters never
         // spin on a destination that can no longer complete.
         self.remaining_by_dst[d].fetch_sub(1, Ordering::Release);
-    }
-
-    /// One replay of pair `pi`'s run lists from its (already validated)
-    /// wire into the destination buffers.
-    fn unpack_pair(&self, pi: usize, s: usize, d: usize, wire: &[T]) {
-        for sl in &self.fused.pair_slices[pi] {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &self.fused.parts()[sl.part].transfers()
-                [self.fused.pair_transfer[sl.part][&(s, d)]];
-            let Some(cell) = self.bufs[sl.part].get(d) else {
-                continue;
-            };
-            let mut buf = cell.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                buf[run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&wire[off..off + run.len]);
-                off += run.len;
-            }
-        }
     }
 
     /// Claims and unpacks items until none are left — the pool job body
@@ -1757,22 +1555,22 @@ impl<T: Element> SplitShared<T> {
             &self.background_nanos
         };
         loop {
-            let k = self.claim.fetch_add(1, Ordering::Relaxed);
-            let Some(&pi) = self.crossing.get(k) else {
+            let pi = self.claim.fetch_add(1, Ordering::Relaxed);
+            if pi >= self.wires.len() {
                 break;
-            };
+            }
             let t0 = Instant::now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if self.die_rank == Some(rank) {
                     std::panic::panic_any(SimulatedWorkerDeath);
                 }
-                self.unpack_claimed(k, pi);
+                self.unpack_claimed(pi);
             }));
             if outcome.is_err() {
                 self.abandoned
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .push(k);
+                    .push(pi);
                 self.died.store(true, Ordering::Release);
                 break;
             }
@@ -1791,15 +1589,20 @@ impl<T: Element> SplitShared<T> {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .pop();
-            let Some(k) = next else {
+            let Some(pi) = next else {
                 break;
             };
-            let pi = self.crossing[k];
-            let t0 = Instant::now();
-            self.unpack_claimed(k, pi);
-            self.help_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.help_unpack(pi);
         }
+    }
+
+    /// Unpacks pair `pi` on the caller thread, timed as help — kept apart
+    /// from the background time so help is never misreported as overlap.
+    fn help_unpack(&self, pi: usize) {
+        let t0 = Instant::now();
+        self.unpack_claimed(pi);
+        self.help_nanos
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Blocks until every pair arriving at destination `d` has been
@@ -1810,13 +1613,10 @@ impl<T: Element> SplitShared<T> {
             return;
         };
         while remaining.load(Ordering::Acquire) > 0 {
-            if self.claim.load(Ordering::Relaxed) <= self.crossing.len() {
-                let k = self.claim.fetch_add(1, Ordering::Relaxed);
-                if let Some(&pi) = self.crossing.get(k) {
-                    let t0 = Instant::now();
-                    self.unpack_claimed(k, pi);
-                    self.help_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            if self.claim.load(Ordering::Relaxed) <= self.wires.len() {
+                let pi = self.claim.fetch_add(1, Ordering::Relaxed);
+                if pi < self.wires.len() {
+                    self.help_unpack(pi);
                     continue;
                 }
             }
@@ -1834,7 +1634,7 @@ impl<T: Element> SplitShared<T> {
 /// A fused wire exchange caught between its post and its wait — the
 /// [`SplitPhaseExchange`] engine.
 ///
-/// Created by [`split_execute_fused_wire`] after the pack + post phases
+/// Created by the split verbs after the pack + post phases
 /// have completed on the caller thread: the modelled messages are posted,
 /// every crossing pair's payload sits packed in an owned wire buffer, and
 /// the stay-local runs are already copied.  With a multi-worker pool
@@ -1843,7 +1643,7 @@ impl<T: Element> SplitShared<T> {
 /// caller does next*; [`SplitPhaseExchange::wait`] helps drain the
 /// remaining pairs, completes the posted messages with exactly the
 /// blocking path's overlap credit, and returns buffers bitwise identical
-/// to [`execute_fused_wire`].
+/// to [`PlanExecutor::execute_fused`].
 ///
 /// Per-pair completion is exposed through
 /// [`SplitPhaseExchange::wait_dest`]: a consumer that only needs one
@@ -1857,12 +1657,11 @@ impl<T: Element> SplitShared<T> {
 /// ignored).
 ///
 /// The handle is **cancel-safe**: dropping it without calling
-/// [`SplitPhaseExchange::wait`] (or calling
-/// [`SplitPhaseExchange::cancel`], which is the same thing spelled out)
-/// drains the in-flight background unpack and settles the posted tracker
-/// charges — the messages were already sent at the post, so cancellation
-/// completes them rather than pretending they never happened.  No charge
-/// is ever leaked and the pool's submission turn is always released.
+/// [`SplitPhaseExchange::wait`] drains the in-flight background unpack
+/// and settles the posted tracker charges — the messages were already
+/// sent at the post, so cancellation completes them rather than
+/// pretending they never happened.  No charge is ever leaked and the
+/// pool's submission turn is always released.
 pub struct SplitPhaseExchange<'e, T: Element> {
     shared: Arc<SplitShared<T>>,
     ticket: Option<JobTicket<'e>>,
@@ -1876,8 +1675,8 @@ pub struct SplitPhaseExchange<'e, T: Element> {
     posted_at: Instant,
     /// The explicitly begun/ended [`trace::Phase::SplitPending`] span
     /// covering the post→settle in-flight window.  Ended in
-    /// [`SplitPhaseExchange::settle_unpack`] so `wait`, `cancel` and a
-    /// bare drop all balance it; the `OpenSpan` drop guard backstops any
+    /// [`SplitPhaseExchange::settle_unpack`] so `wait` and a bare drop
+    /// both balance it; the `OpenSpan` drop guard backstops any
     /// path that skips the settle.
     span: Option<trace::OpenSpan>,
 }
@@ -1944,22 +1743,13 @@ impl<T: Element> SplitPhaseExchange<'_, T> {
         measured_overlap
     }
 
-    /// Cancels the exchange without taking its results: drains the
-    /// in-flight background unpack and settles the posted tracker charges
-    /// (the messages were already sent — cancellation completes them).
-    /// Exactly equivalent to dropping the handle; provided so call sites
-    /// can make the intent explicit.
-    pub fn cancel(self) {
-        drop(self);
-    }
-
     /// Completes the exchange: helps unpack the remaining pairs, blocks
     /// until the background workers are done, charges the posted messages
     /// with the same copy-overlap credit as the blocking wire path, and
     /// records the *measured* overlap (background unpack seconds clamped
     /// to the post→wait interval) with the tracker.  Returns the per-part,
     /// per-processor destination buffers — bitwise identical to
-    /// [`execute_fused_wire`] — and the report.
+    /// [`PlanExecutor::execute_fused`] — and the report.
     ///
     /// # Errors
     /// [`RuntimeError::CorruptMessage`] if a framed wire buffer failed
@@ -2065,108 +1855,53 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     srcs: &[&[Vec<T>]],
     dst_sizes: &[Vec<usize>],
 ) -> SplitPhaseExchange<'e, T> {
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(T::BYTES);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let post_span = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
-    let pending = tracker.post_many(batch);
-    post_span.end();
+    let (pending, ExecReport { messages, bytes }) = post_fused(&fused, T::BYTES, tracker);
     let copy_secs = wire_copy_seconds(&fused, T::BYTES, tracker);
 
-    // Destination buffers (default-filled) with the stay-local runs copied
-    // in now — exactly the local half of `wire_copy_for_dest`.
+    // Destination buffers with the stay-local runs copied in, and every
+    // crossing pair's wire buffer packed — the same helpers as
+    // `wire_copy_for_dest`, run caller-side because they read the borrowed
+    // sources.
     let pack_span = trace::OpenSpan::begin_static(trace::Phase::WirePack, "split pack");
-    let mut bufs: Vec<Vec<Mutex<Vec<T>>>> = Vec::with_capacity(fused.parts().len());
-    for (idx, sizes) in dst_sizes.iter().enumerate() {
-        let part = &fused.parts()[idx];
-        let mut per_proc = Vec::with_capacity(sizes.len());
-        for (d, &len) in sizes.iter().enumerate() {
-            let mut buf = vec![T::default(); len];
-            if let Some(&ti) = fused.pair_transfer[idx].get(&(d, d)) {
-                let src_local = &srcs[idx][d];
-                for run in &part.transfers()[ti].runs {
-                    if run.len == 0 {
-                        continue;
-                    }
-                    buf[run.dst_start..run.dst_start + run.len]
-                        .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-                }
-            }
-            per_proc.push(Mutex::new(buf));
-        }
-        bufs.push(per_proc);
-    }
-
-    // Pack every crossing pair's wire buffer — the pack half of
-    // `wire_copy_for_dest`, reading the borrowed sources caller-side.
-    let crossing: Vec<usize> = fused
-        .pair_elements
+    let bufs: Vec<Vec<Mutex<Vec<T>>>> = dst_sizes
         .iter()
         .enumerate()
-        .filter(|&(_, &((s, d), total))| s != d && total > 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut wires: Vec<Vec<T>> = crossing
-        .iter()
-        .map(|&pi| {
-            let ((s, d), total) = fused.pair_elements[pi];
-            let mut wire = vec![T::default(); total];
-            for sl in &fused.pair_slices[pi] {
-                if sl.elements == 0 {
-                    continue;
-                }
-                let t = &fused.parts()[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
-                let src_local = &srcs[sl.part][s];
-                let mut off = sl.wire_offset;
-                for run in &t.runs {
-                    if run.len == 0 {
-                        continue;
-                    }
-                    wire[off..off + run.len]
-                        .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-                    off += run.len;
-                }
-                debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
-            }
-            wire
+        .map(|(idx, sizes)| {
+            (0..sizes.len())
+                .map(|d| Mutex::new(local_dest_buffer(&fused, srcs, dst_sizes, idx, d)))
+                .collect()
         })
         .collect();
+    let pairs = fused.pair_elements.len();
+    let mut wires: Vec<Vec<T>> = (0..pairs).map(|pi| pack_pair(&fused, pi, srcs)).collect();
 
     // Frame each wire over its pristine payload, then arm any injected
     // corruption: flip one bit of one wire, remember the pristine element
     // (the repair is a modelled retransmission, charged now, caller-side,
     // so the accounting is deterministic whichever rank unpacks the item).
-    let framing = wire_framing_enabled();
-    let frames: Vec<Option<WireFrame>> = if framing {
+    let frames: Vec<Option<WireFrame>> = if wire_framing_enabled() {
         wires.iter().map(|w| Some(frame_wire(w))).collect()
     } else {
-        vec![None; wires.len()]
+        vec![None; pairs]
     };
     pack_span.end();
     let sabotage = arm_corruption(&fused, tracker).map(|(pi, elem_seed, bit)| {
-        let k = crossing
-            .iter()
-            .position(|&c| c == pi)
-            .expect("corruption is only armed on a crossing pair");
-        let e = (elem_seed as usize) % wires[k].len();
-        let orig = wires[k][e];
-        wires[k][e] = orig.flip_bit(bit);
+        let e = (elem_seed as usize) % wires[pi].len();
+        let orig = wires[pi][e];
+        wires[pi][e] = orig.flip_bit(bit);
         let ((s, d), total) = fused.pair_elements[pi];
         tracker.record_fault();
         tracker.charge_retransmissions(s, d, total * T::BYTES, 1);
         SplitSabotage {
-            item: k,
+            item: pi,
             elem: e,
             orig,
         }
     });
 
     let mut remaining = vec![0usize; fused.pairs_by_dst.len()];
-    for &pi in &crossing {
-        remaining[fused.pair_elements[pi].0 .1] += 1;
+    for &((_, d), _) in &fused.pair_elements {
+        remaining[d] += 1;
     }
     let unpack_bytes = fused.moved_elements() * T::BYTES;
 
@@ -2175,9 +1910,9 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     // inline now (no overlap, identical results).
     let streaming_pool = match backend {
         ExecBackend::Threaded(t)
-            if !crossing.is_empty() && unpack_bytes >= t.effective_serial_cutoff() =>
+            if pairs > 0 && unpack_bytes >= t.effective_serial_cutoff() && t.workers() > 1 =>
         {
-            t.pool().filter(|p| p.workers() > 1)
+            Some(t.pool())
         }
         _ => None,
     };
@@ -2201,7 +1936,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
                     inj.mark_worker_dead();
                     tracker.record_fault();
                     tracker.record_fallback();
-                    let width = 1 + crossing.len().min(pool.workers() - 1);
+                    let width = 1 + pairs.min(pool.workers() - 1);
                     die_rank = Some(1 + inj.pick(width - 1));
                 }
                 Some(pool)
@@ -2212,7 +1947,6 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
 
     let shared = Arc::new(SplitShared {
         fused,
-        crossing,
         wires: wires.into_iter().map(Mutex::new).collect(),
         frames,
         verify: tracker.fault_injector().is_some(),
@@ -2232,7 +1966,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
             let job = Arc::clone(&shared);
             // Rank 0 (the caller) helps at the wait; wake only as many
             // background ranks as there are pairs to unpack.
-            let width = 1 + shared.crossing.len().min(pool.workers() - 1);
+            let width = 1 + pairs.min(pool.workers() - 1);
             Some(pool.submit(width, Arc::new(move |rank| job.drain(rank))))
         }
         None => {
@@ -2256,157 +1990,11 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     }
 }
 
-/// A single-array redistribution caught between its post and its wait —
-/// the split-phase counterpart of
-/// [`redistribute_cached_with`](crate::redistribute_cached_with), built on
-/// [`SplitPhaseExchange`].
-///
-/// Created by [`redistribute_split`] after packing the crossing payloads
-/// and posting the modelled messages.  The caller can then:
-///
-/// 1. run any work that does not touch the array while the destination
-///    buffers stream in on the pool's background workers,
-/// 2. pipeline per-destination: [`SplitRedistribute::wait_dest`]`(d)`
-///    followed by [`SplitRedistribute::with_dest_mut`]`(d, ..)` operates
-///    on destination `d`'s *new* local buffer while other destinations
-///    are still in flight (the ADI sweep works this way),
-/// 3. call [`SplitRedistribute::finish_into`] to install the new locals
-///    and descriptor — results bitwise identical to the blocking path.
-pub struct SplitRedistribute<'e, T: Element> {
-    inner: SplitPhaseExchange<'e, T>,
-    new_dist: vf_dist::Distribution,
-    src_fingerprint: u64,
-    moved: usize,
-    stayed: usize,
-    plan_messages: usize,
-    plan_bytes: usize,
-}
-
-impl<T: Element> SplitRedistribute<'_, T> {
-    /// The distribution the array will have after
-    /// [`SplitRedistribute::finish_into`].
-    pub fn new_dist(&self) -> &vf_dist::Distribution {
-        &self.new_dist
-    }
-
-    /// Whether the unpack is streaming on background workers.
-    pub fn is_streaming(&self) -> bool {
-        self.inner.is_streaming()
-    }
-
-    /// Blocks until destination processor `d`'s new local buffer is fully
-    /// assembled (helping unpack while waiting); other destinations may
-    /// still be in flight.
-    pub fn wait_dest(&self, d: usize) {
-        self.inner.wait_dest(d);
-    }
-
-    /// Runs `f` on destination processor `d`'s new local buffer.  Call
-    /// [`SplitRedistribute::wait_dest`]`(d)` first; mutations made here are
-    /// what [`SplitRedistribute::finish_into`] installs.
-    pub fn with_dest_mut<R>(&self, d: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        self.inner.with_dest_mut(0, d, f)
-    }
-
-    /// Completes the exchange and installs the new locals and descriptor
-    /// into `array` (which must still carry the distribution the plan was
-    /// posted from), broadcasting to replicated copies exactly like the
-    /// blocking path.
-    ///
-    /// Cancels the redistribution without touching the array: drains the
-    /// in-flight unpack and settles the posted charges (see
-    /// [`SplitPhaseExchange::cancel`]); the array keeps its old
-    /// distribution.  Equivalent to dropping the handle.
-    pub fn cancel(self) {
-        self.inner.cancel();
-    }
-
-    /// # Errors
-    /// [`RuntimeError::PlanMismatch`] if `array` was redistributed between
-    /// the post and this call; [`RuntimeError::CorruptMessage`] if a wire
-    /// buffer failed validation and could not be repaired (the array is
-    /// left untouched on its old distribution).
-    pub fn finish_into(
-        self,
-        array: &mut DistArray<T>,
-        tracker: &CommTracker,
-    ) -> Result<(RedistReport, SplitExecReport)> {
-        if array.dist().fingerprint() != self.src_fingerprint {
-            return Err(RuntimeError::PlanMismatch {
-                expected: self.src_fingerprint,
-                found: array.dist().fingerprint(),
-            });
-        }
-        let (mut bufs, report) = self.inner.wait(tracker)?;
-        let locals = bufs.pop().expect("exactly one fused part");
-        array.replace(self.new_dist, locals);
-        array.broadcast_canonical();
-        Ok((
-            RedistReport {
-                moved_elements: self.moved,
-                stayed_elements: self.stayed,
-                messages: self.plan_messages,
-                bytes: self.plan_bytes,
-            },
-            report,
-        ))
-    }
-}
-
-/// Posts a split-phase redistribution of `array` to `new_dist`: plans (or
-/// reuses) the schedule through `cache`, packs the crossing payloads,
-/// posts the aggregated messages, copies the stay-local runs, and returns
-/// with the per-destination unpacks streaming on `backend`'s pool (inline
-/// when the backend is serial or the volume is below its cutoff).  The
-/// array itself is untouched until [`SplitRedistribute::finish_into`];
-/// it must not be mutated while the handle is live (the packed payloads
-/// would silently ignore the mutation).
-///
-/// # Errors
-/// Exactly as [`redistribute_cached_with`](crate::redistribute_cached_with):
-/// everything is validated before any message is posted.
-pub fn redistribute_split<'e, T: Element>(
-    array: &DistArray<T>,
-    new_dist: vf_dist::Distribution,
-    tracker: &CommTracker,
-    cache: &crate::plan::PlanCache,
-    backend: &'e ExecBackend,
-) -> Result<SplitRedistribute<'e, T>> {
-    let plan = cache.redistribute_plan(array.dist(), &new_dist)?;
-    plan.check_executable(array.dist(), tracker)?;
-    let _span = trace::OpenSpan::begin_static(trace::Phase::Redistribute, "split post");
-    let fused = FusedPlan::fuse(vec![plan])?;
-    let (dst_sizes, src_fingerprint, moved, stayed, plan_messages, plan_bytes) = {
-        let part = &fused.parts()[0];
-        let mut sizes = vec![0usize; part.total_procs()];
-        for &q in new_dist.proc_ids() {
-            sizes[q.0] = new_dist.local_size(q);
-        }
-        (
-            sizes,
-            part.src_fingerprint(),
-            part.moved_elements(),
-            part.stayed_elements(),
-            part.num_messages(),
-            part.bytes_for(T::BYTES),
-        )
-    };
-    let inner = split_execute_fused_wire(fused, tracker, backend, &[array.locals()], &[dst_sizes]);
-    Ok(SplitRedistribute {
-        inner,
-        new_dist,
-        src_fingerprint,
-        moved,
-        stayed,
-        plan_messages,
-        plan_bytes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::plan_redistribute;
+    use crate::{execute_class_redistribute, execute_redistribute, DistArray, RedistOptions};
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
@@ -2415,30 +2003,38 @@ mod tests {
         Distribution::new(t, IndexDomain::d1(n), ProcessorView::linear(p)).unwrap()
     }
 
-    fn redistribute_with<E: PlanExecutor>(
+    /// A threaded executor on its own `workers`-wide pool that threads
+    /// every plan, however small.
+    fn forced_threaded(workers: usize) -> ThreadedExecutor {
+        ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0)
+    }
+
+    fn block_to_cyclic_under<E: PlanExecutor>(
         executor: &E,
         n: usize,
         p: usize,
     ) -> (Vec<f64>, ExecReport, vf_machine::CommStats) {
         let from = dist_1d(DistType::block1d(), n, p);
         let to = dist_1d(DistType::cyclic1d(1), n, p);
-        let plan = plan_redistribute(&from, &to).unwrap();
+        let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
         let a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64 * 0.5);
         let tracker = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
         let mut dst_sizes = vec![0usize; p];
         for &q in to.proc_ids() {
             dst_sizes[q.0] = to.local_size(q);
         }
-        let (bufs, report) = executor.execute(&plan, a.locals(), &dst_sizes, &tracker, true);
+        let (bufs, report) = executor
+            .execute(&plan, a.locals(), &dst_sizes, &tracker, true)
+            .unwrap();
         let flat: Vec<f64> = bufs.into_iter().flatten().collect();
         (flat, report, tracker.snapshot())
     }
 
     #[test]
     fn threaded_buffers_and_charges_match_serial() {
-        let serial = redistribute_with(&SerialExecutor, 64, 4);
-        let forced = ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0);
-        let threaded = redistribute_with(&forced, 64, 4);
+        let serial = block_to_cyclic_under(&SerialExecutor, 64, 4);
+        let forced = forced_threaded(3);
+        let threaded = block_to_cyclic_under(&forced, 64, 4);
         assert_eq!(serial.0, threaded.0, "copied buffers differ");
         assert_eq!(serial.1, threaded.1, "charged totals differ");
         assert_eq!(serial.2, threaded.2, "tracker snapshots differ");
@@ -2451,22 +2047,15 @@ mod tests {
         // Below the cutoff the threaded executor degrades to the serial
         // loop; the observable behaviour is identical either way, so this
         // only checks the configuration plumbing.
-        let t = ThreadedExecutor::with_workers(4);
+        let t = ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(4)));
         assert_eq!(
             t.effective_serial_cutoff(),
-            ThreadedExecutor::DEFAULT_SERIAL_CUTOFF_BYTES
-        );
-        assert_eq!(t.workers(), 4);
-        assert!(t.pool().is_none(), "with_workers is the fresh-spawn mode");
-        // Attaching a pool drops the default cutoff to the pooled
-        // crossover; an explicit override always wins.
-        let pooled = t.clone().pooled(vf_machine::pool::global());
-        assert_eq!(
-            pooled.effective_serial_cutoff(),
             ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES
         );
-        assert!(pooled.pool().is_some());
-        assert_eq!(pooled.with_serial_cutoff(7).effective_serial_cutoff(), 7);
+        assert_eq!(t.workers(), 4);
+        assert_eq!(t.pool().workers(), 4);
+        // An explicit override always wins.
+        assert_eq!(t.with_serial_cutoff(7).effective_serial_cutoff(), 7);
         let auto = ExecBackend::auto();
         match auto {
             ExecBackend::Threaded(t) => assert!(t.workers() > 1),
@@ -2495,44 +2084,43 @@ mod tests {
         let mut sizes = vec![0usize; p];
         sizes[0] = n;
         let to = dist_1d(DistType::gen_block1d(sizes), n, p);
-        let plan = plan_redistribute(&from, &to).unwrap();
+        let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
         let a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64 * 1.25);
         let mut dst_sizes = vec![0usize; p];
         for &q in to.proc_ids() {
             dst_sizes[q.0] = to.local_size(q);
         }
         let t_serial = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
-        let (serial, rs) = SerialExecutor.execute(&plan, a.locals(), &dst_sizes, &t_serial, true);
+        let (serial, rs) = SerialExecutor
+            .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
+            .unwrap();
         for workers in [2, 3, 5] {
-            // Both dispatch modes must split the hot destination
-            // identically: the fresh-spawn scoped threads and the
-            // persistent pool.
-            let pool = Arc::new(vf_machine::WorkerPool::new(workers));
-            for forced in [
-                ThreadedExecutor::with_workers(workers).serial_cutoff_bytes(0),
-                ThreadedExecutor::with_pool(Arc::clone(&pool)).serial_cutoff_bytes(0),
-            ] {
-                let t_thr = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
-                let (threaded, rt) = forced.execute(&plan, a.locals(), &dst_sizes, &t_thr, true);
-                assert_eq!(serial, threaded, "buffers differ with {workers} workers");
-                assert_eq!(rs, rt);
-                assert_eq!(t_serial.snapshot(), t_thr.snapshot());
-            }
-            assert!(pool.jobs_dispatched() > 0, "pooled run used the pool");
+            let forced = forced_threaded(workers);
+            let t_thr = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
+            let (threaded, rt) = forced
+                .execute(&plan, a.locals(), &dst_sizes, &t_thr, true)
+                .unwrap();
+            assert_eq!(serial, threaded, "buffers differ with {workers} workers");
+            assert_eq!(rs, rt);
+            assert_eq!(t_serial.snapshot(), t_thr.snapshot());
+            assert!(forced.pool().jobs_dispatched() > 0, "the run used the pool");
         }
         // A partial hot receiver (most but not all traffic to P1, scattered
         // run layout) exercises the gap-preserving split path too.
         let mut sizes = vec![8usize; p];
         sizes[1] = n - 8 * (p - 1);
         let to = dist_1d(DistType::gen_block1d(sizes), n, p);
-        let plan = plan_redistribute(a.dist(), &to).unwrap();
+        let plan = Arc::new(plan_redistribute(a.dist(), &to).unwrap());
         let mut dst_sizes = vec![0usize; p];
         for &q in to.proc_ids() {
             dst_sizes[q.0] = to.local_size(q);
         }
-        let (serial, _) = SerialExecutor.execute(&plan, a.locals(), &dst_sizes, &t_serial, true);
-        let forced = ThreadedExecutor::with_workers(4).serial_cutoff_bytes(0);
-        let (threaded, _) = forced.execute(&plan, a.locals(), &dst_sizes, &t_serial, true);
+        let (serial, _) = SerialExecutor
+            .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
+            .unwrap();
+        let (threaded, _) = forced_threaded(4)
+            .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
+            .unwrap();
         assert_eq!(serial, threaded);
     }
 
@@ -2542,7 +2130,7 @@ mod tests {
         let p = 4usize;
         let from = dist_1d(DistType::block1d(), n, p);
         let to = dist_1d(DistType::cyclic1d(1), n, p);
-        let plan = plan_redistribute(&from, &to).unwrap();
+        let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
         let a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64);
         let mut dst_sizes = vec![0usize; p];
         for &q in to.proc_ids() {
@@ -2551,7 +2139,9 @@ mod tests {
         // Baseline: copies priced at zero — no compute time, full
         // communication time, exactly the pre-credit behaviour.
         let zero_rate = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-        SerialExecutor.execute(&plan, a.locals(), &dst_sizes, &zero_rate, true);
+        SerialExecutor
+            .execute(&plan, a.locals(), &dst_sizes, &zero_rate, true)
+            .unwrap();
         let base = zero_rate.snapshot();
         assert_eq!(base.total_compute_time(), 0.0);
         assert!(base.critical_time() > 0.0);
@@ -2562,7 +2152,9 @@ mod tests {
             p,
             CostModel::from_alpha_beta(1.0, 0.5).with_copy_bandwidth(1e6),
         );
-        SerialExecutor.execute(&plan, a.locals(), &dst_sizes, &priced, true);
+        SerialExecutor
+            .execute(&plan, a.locals(), &dst_sizes, &priced, true)
+            .unwrap();
         let credited = priced.snapshot();
         // Message and byte counts are untouched by the credit.
         assert_eq!(credited.total_messages(), base.total_messages());
@@ -2615,7 +2207,7 @@ mod tests {
         let mut b = a.clone();
         let tracker = CommTracker::new(4, CostModel::zero());
         assert!(matches!(
-            execute_redistribute_fused(
+            execute_class_redistribute(
                 &mut [&mut a, &mut b],
                 &fused_ghost,
                 &tracker,
@@ -2672,7 +2264,7 @@ mod tests {
         let mut c = DistArray::from_fn("C", from.clone(), |pt| pt.coord(0) as f64 * 3.0);
         let dense = (a.to_dense(), b.to_dense(), c.to_dense());
         let tracker = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-        let (reports, exec) = execute_redistribute_fused(
+        let (reports, exec) = execute_class_redistribute(
             &mut [&mut a, &mut b, &mut c],
             &fused,
             &tracker,
@@ -2699,9 +2291,10 @@ mod tests {
     #[test]
     fn wire_fused_redistribute_matches_per_part_bitwise() {
         // A class of three arrays with two *different* target layouts in
-        // one fusion: the wire-packed executor must produce bitwise the
-        // per-part buffers, identical reports and identical tracker
-        // traffic, serial and pooled alike.
+        // one fusion: the class verb (the wire engine) must produce bitwise
+        // what each part's own array verb (the direct-copy reference)
+        // produces, with identical per-array reports, bytes conserved and
+        // one message per crossing pair — serial and pooled alike.
         let n = 48usize;
         let p = 4usize;
         let from = dist_1d(DistType::block1d(), n, p);
@@ -2713,52 +2306,61 @@ mod tests {
             FusedPlan::fuse(vec![Arc::clone(&plan_a), Arc::clone(&plan_b), plan_a]).unwrap();
 
         let build = || {
-            (
+            [
                 DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64 * 1.5),
                 DistArray::from_fn("B", from.clone(), |pt| -(pt.coord(0) as f64)),
                 DistArray::from_fn("C", from.clone(), |pt| pt.coord(0) as f64 + 0.25),
-            )
+            ]
         };
-        let (mut a1, mut b1, mut c1) = build();
+        let mut alone = build();
         let t1 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-        let (reports1, exec1) = execute_redistribute_fused(
-            &mut [&mut a1, &mut b1, &mut c1],
-            &fused,
-            &t1,
-            &SerialExecutor,
-        )
-        .unwrap();
+        let reports1: Vec<_> = alone
+            .iter_mut()
+            .zip(fused.parts())
+            .map(|(array, part)| {
+                let opts = RedistOptions::default();
+                execute_redistribute(array, part, &t1, &opts, &SerialExecutor).unwrap()
+            })
+            .collect();
 
-        let pool = Arc::new(vf_machine::WorkerPool::new(3));
+        let pool = Arc::new(WorkerPool::new(3));
         for (name, executor) in [
-            ("serial-wire", ExecBackend::Serial),
+            ("serial", ExecBackend::Serial),
             (
-                "pooled-wire",
+                "pooled",
                 ExecBackend::Threaded(
                     ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0),
                 ),
             ),
         ] {
-            let (mut a2, mut b2, mut c2) = build();
+            let mut class = build();
             let t2 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-            let (reports2, exec2) = execute_redistribute_fused_wire(
-                &mut [&mut a2, &mut b2, &mut c2],
-                &fused,
-                &t2,
-                &executor,
-            )
-            .unwrap();
-            assert_eq!(a1.to_dense(), a2.to_dense(), "{name}");
-            assert_eq!(b1.to_dense(), b2.to_dense(), "{name}");
-            assert_eq!(c1.to_dense(), c2.to_dense(), "{name}");
+            let (reports2, exec2) = {
+                let mut refs: Vec<&mut DistArray<f64>> = class.iter_mut().collect();
+                execute_class_redistribute(&mut refs, &fused, &t2, &executor).unwrap()
+            };
+            for (one, fused_member) in alone.iter().zip(&class) {
+                assert_eq!(one.to_dense(), fused_member.to_dense(), "{name}");
+                assert_eq!(one.dist(), fused_member.dist(), "{name}");
+            }
             assert_eq!(reports1, reports2, "{name}");
-            assert_eq!(exec1, exec2, "{name}");
-            assert_eq!(t1.snapshot(), t2.snapshot(), "{name}");
+            // One message per crossing pair, bytes conserved over the parts.
+            assert_eq!(exec2.messages, fused.num_messages(), "{name}");
+            assert_eq!(
+                exec2.bytes,
+                reports1.iter().map(|r| r.bytes).sum::<usize>(),
+                "{name}"
+            );
+            let (alone_stats, class_stats) = (t1.snapshot(), t2.snapshot());
+            assert_eq!(class_stats.total_messages(), exec2.messages, "{name}");
+            assert_eq!(
+                class_stats.total_bytes(),
+                alone_stats.total_bytes(),
+                "{name}"
+            );
+            assert!(class_stats.total_messages() < alone_stats.total_messages());
         }
-        // One message per crossing pair, bytes conserved over the parts.
-        assert_eq!(exec1.messages, fused.num_messages());
-        assert_eq!(exec1.bytes, reports1.iter().map(|r| r.bytes).sum::<usize>());
-        assert!(pool.jobs_dispatched() > 0, "the wire path used the pool");
+        assert!(pool.jobs_dispatched() > 0, "the wire engine used the pool");
     }
 
     #[test]
@@ -2771,32 +2373,7 @@ mod tests {
         let mut bad = DistArray::from_fn("B", to, |pt| pt.coord(0) as f64);
         let before = good.to_dense();
         let tracker = CommTracker::new(4, CostModel::zero());
-        let err = execute_redistribute_fused_wire(
-            &mut [&mut good, &mut bad],
-            &fused,
-            &tracker,
-            &SerialExecutor,
-        );
-        assert!(matches!(err, Err(RuntimeError::PlanMismatch { .. })));
-        assert_eq!(good.to_dense(), before, "no data moved on failure");
-        assert_eq!(tracker.snapshot().total_messages(), 0);
-    }
-
-    #[test]
-    fn fused_execution_validates_before_moving() {
-        let n = 16usize;
-        let p = 4usize;
-        let from = dist_1d(DistType::block1d(), n, p);
-        let to = dist_1d(DistType::cyclic1d(1), n, p);
-        let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
-        let fused = FusedPlan::fuse(vec![Arc::clone(&plan), plan]).unwrap();
-        let mut good = DistArray::from_fn("G", from, |pt| pt.coord(0) as f64);
-        // The second array is *not* block-distributed: the fused execute
-        // must fail before touching either array.
-        let mut bad = DistArray::from_fn("B", to, |pt| pt.coord(0) as f64);
-        let before = good.to_dense();
-        let tracker = CommTracker::new(p, CostModel::zero());
-        let err = execute_redistribute_fused(
+        let err = execute_class_redistribute(
             &mut [&mut good, &mut bad],
             &fused,
             &tracker,
@@ -2817,7 +2394,7 @@ mod tests {
         let mut b = a.clone();
         let tracker = CommTracker::new(2, CostModel::zero());
         let err =
-            execute_redistribute_fused(&mut [&mut a, &mut b], &fused, &tracker, &SerialExecutor);
+            execute_class_redistribute(&mut [&mut a, &mut b], &fused, &tracker, &SerialExecutor);
         assert!(matches!(err, Err(RuntimeError::FusionMismatch { .. })));
     }
 

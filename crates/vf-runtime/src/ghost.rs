@@ -1,26 +1,34 @@
-//! Overlap (ghost/halo) area exchange for regular stencil accesses.
+//! Overlap (ghost/halo) area exchange.
 //!
 //! The VFE maintains "overlap areas" for arrays accessed with regular
 //! stencils (paper §3.1: the compiler "generates code to create and maintain
 //! data structures describing the distributions and other attributes of
 //! arrays, such as the associated overlap areas").  The geometry — which
-//! boundary elements each processor needs and who owns them — is computed
-//! once by [`crate::plan::plan_ghost`] as a run-length-encoded
-//! [`CommPlan`]; executing the plan fills a [`GhostRegion`] buffer with one
-//! `copy_from_slice` per run and charges one aggregated message per
-//! (owner → reader) pair.  Iterative stencil codes reuse the plan through a
-//! [`PlanCache`] ([`exchange_ghosts_cached`]) so the per-step cost is the
-//! copy, not the geometry.
+//! boundary elements each processor needs and who owns them — is a ghost
+//! [`CommPlan`], planned once and replayed every step:
+//!
+//! * for a regular stencil, [`crate::PlanCache::ghost_plan`]`(dist, widths)`
+//!   (or [`crate::plan::plan_ghost`] for a one-off);
+//! * for an irregular (connectivity-driven) halo,
+//!   [`crate::PlanCache::ghost_irregular_plan`]`(dist, conn)` or an
+//!   [`crate::parti::IncrementalSchedule`]'s `plan()`;
+//! * for a class of arrays, [`crate::PlanCache::ghost_class_plan`], which fuses
+//!   the members' plans into one message per processor pair.
+//!
+//! Three verbs execute a plan, all through the executor that picks the
+//! transport (see [`crate::exec`]): [`exchange_ghosts`] (one array),
+//! [`exchange_class_ghosts`] (a class, blocking) and
+//! [`exchange_class_ghosts_split`] (a class, post now / wait later).  Each
+//! fills a [`GhostRegion`] per array, addressable by global point.
 
 use crate::exec::{
-    execute_fused_parts, execute_fused_wire, split_execute_fused_wire, ExecBackend, FusedPlan,
-    PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange,
+    split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor, SplitExecReport,
+    SplitPhaseExchange,
 };
-use crate::plan::{plan_ghost, plan_ghost_irregular, CommPlan, PlanCache, PlanKind};
-use crate::shard::{RankShards, ShardedExecutor};
+use crate::plan::{CommPlan, PlanKind};
 use crate::{DistArray, Element, ExecReport, Result, RuntimeError};
 use std::sync::Arc;
-use vf_dist::{Connectivity, ProcId};
+use vf_dist::ProcId;
 use vf_index::Point;
 use vf_machine::{trace, CommTracker};
 
@@ -34,9 +42,8 @@ pub struct GhostRegion<T> {
 }
 
 impl<T> GhostRegion<T> {
-    /// Assembles a region from a plan and per-processor value buffers —
-    /// the constructor the channel-backed sharded exchange uses after
-    /// gathering each rank's ghost buffer.
+    /// Assembles a region from a plan and the per-processor value buffers
+    /// an exchange filled.
     pub(crate) fn from_parts(plan: Arc<CommPlan>, values: Vec<Vec<T>>) -> Self {
         Self { plan, values }
     }
@@ -91,71 +98,16 @@ pub fn get_with_ghosts<T: Element>(
         .ok_or(RuntimeError::GhostWidthExceeded { dim: 0, width: 0 })
 }
 
-/// Exchanges the overlap areas of `array` for a stencil that reads up to
-/// `widths[d].0` elements below and `widths[d].1` elements above the owned
-/// segment in dimension `d`.
-///
-/// Every processor must own a contiguous rectangular segment (true for
-/// `BLOCK`, general block and `:` dimensions); each (owner → reader) pair
-/// exchanges a single aggregated message.  The exchange plans from scratch
-/// on every call; iterative codes should prefer [`exchange_ghosts_cached`].
-pub fn exchange_ghosts<T: Element>(
+/// The one *prepare* of the overlap exchange, per (array, plan) pair: a
+/// ghost plan, built for the array's distribution, on a tracker modelling
+/// enough processors; returns the sizes of the array's per-processor ghost
+/// buffers.  Every verb prepares **all** its pairs before anything is
+/// charged.
+fn prepare<T: Element>(
     array: &DistArray<T>,
-    widths: &[(usize, usize)],
+    plan: &CommPlan,
     tracker: &CommTracker,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let plan = Arc::new(plan_ghost(array.dist(), widths)?);
-    exchange_ghosts_planned(array, &plan, tracker)
-}
-
-/// [`exchange_ghosts`] with plan reuse through `cache`: the halo geometry
-/// is planned once per (distribution fingerprint, widths) pair and every
-/// later step only replays the copy runs — the schedule reuse that makes
-/// iterative stencils (smoothing, PIC field halos) cheap.
-pub fn exchange_ghosts_cached<T: Element>(
-    array: &DistArray<T>,
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    exchange_ghosts_cached_with(array, widths, tracker, cache, &SerialExecutor)
-}
-
-/// [`exchange_ghosts_cached`] with an explicit execution backend: the halo
-/// copies run through `executor` (e.g. the threaded backend), the filled
-/// ghost buffers are bit-identical to serial execution.
-pub fn exchange_ghosts_cached_with<T: Element, E: PlanExecutor>(
-    array: &DistArray<T>,
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let plan = cache.ghost_plan(array.dist(), widths)?;
-    exchange_ghosts_planned_with(array, &plan, tracker, executor)
-}
-
-/// The executor half of the overlap exchange with the serial backend —
-/// see [`exchange_ghosts_planned_with`].
-pub fn exchange_ghosts_planned<T: Element>(
-    array: &DistArray<T>,
-    plan: &Arc<CommPlan>,
-    tracker: &CommTracker,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    exchange_ghosts_planned_with(array, plan, tracker, &SerialExecutor)
-}
-
-/// The executor half of the overlap exchange: replays a (possibly cached)
-/// ghost [`CommPlan`] through the chosen [`PlanExecutor`] backend — one
-/// `copy_from_slice` per run from the owner's local buffer into the
-/// reader's ghost buffer — posting one aggregated message per crossing
-/// (owner → reader) pair before the copies and completing them afterwards.
-pub fn exchange_ghosts_planned_with<T: Element, E: PlanExecutor>(
-    array: &DistArray<T>,
-    plan: &Arc<CommPlan>,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<(GhostRegion<T>, GhostReport)> {
+) -> Result<Vec<usize>> {
     if plan.kind() != PlanKind::Ghost {
         return Err(RuntimeError::PlanMismatch {
             expected: plan.src_fingerprint(),
@@ -163,250 +115,100 @@ pub fn exchange_ghosts_planned_with<T: Element, E: PlanExecutor>(
         });
     }
     plan.check_executable(array.dist(), tracker)?;
-
-    let _span = trace::OpenSpan::begin_static(trace::Phase::GhostExchange, "planned");
-    let dst_sizes: Vec<usize> = (0..plan.total_procs())
+    Ok((0..plan.total_procs())
         .map(|p| plan.ghost_len(ProcId(p)))
-        .collect();
-    let (values, exec) = executor.execute(plan, array.locals(), &dst_sizes, tracker, true);
+        .collect())
+}
+
+/// [`prepare`] for every member of a class against its part of `fused`,
+/// which must be a ghost fusion of exactly `arrays.len()` parts.
+fn prepare_class<T: Element>(
+    arrays: &[&DistArray<T>],
+    fused: &FusedPlan,
+    tracker: &CommTracker,
+) -> Result<Vec<Vec<usize>>> {
+    fused.check_parts(PlanKind::Ghost, "a class ghost exchange", arrays.len())?;
+    arrays
+        .iter()
+        .zip(fused.parts())
+        .map(|(array, part)| prepare(array, part, tracker))
+        .collect()
+}
+
+/// The one *finish* of the overlap exchange: each array's filled buffers
+/// wrapped with the plan that addresses them.
+fn regions<T>(plans: &[Arc<CommPlan>], bufs: Vec<Vec<Vec<T>>>) -> Vec<GhostRegion<T>> {
+    plans
+        .iter()
+        .zip(bufs)
+        .map(|(plan, values)| GhostRegion::from_parts(Arc::clone(plan), values))
+        .collect()
+}
+
+/// Exchanges the overlap areas of one array: replays the ghost `plan`
+/// through `executor` — one `copy_from_slice` per run from the owner's
+/// local buffer into the reader's ghost buffer on a shared-memory
+/// executor, one frame per (owner → reader) pair on a sharded one —
+/// posting one aggregated message per crossing pair before the data moves
+/// and completing them afterwards.
+///
+/// # Errors
+/// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
+/// `plan` is not a ghost plan for `array`'s distribution on this tracker;
+/// transport errors as [`PlanExecutor::execute`].
+pub fn exchange_ghosts<T: Element, E: PlanExecutor>(
+    array: &DistArray<T>,
+    plan: &Arc<CommPlan>,
+    tracker: &CommTracker,
+    executor: &E,
+) -> Result<(GhostRegion<T>, GhostReport)> {
+    let dst_sizes = prepare(array, plan, tracker)?;
+    let _span = trace::OpenSpan::begin_static(trace::Phase::GhostExchange, "array");
+    let (values, exec) = executor.execute(plan, array.locals(), &dst_sizes, tracker, true)?;
     let report = GhostReport {
         messages: exec.messages,
         bytes: exec.bytes,
         elements: plan.moved_elements(),
     };
-    Ok((
-        GhostRegion {
-            plan: Arc::clone(plan),
-            values,
-        },
-        report,
-    ))
+    Ok((GhostRegion::from_parts(Arc::clone(plan), values), report))
 }
 
-/// Exchanges the overlap areas of a whole *class* of arrays — the fused
-/// ghost exchange — with the serial backend: every array's halo is planned
-/// through `cache`, the per-array plans are fused, and the class pays
-/// **one message per communicating processor pair** instead of one per
-/// array per pair.  See [`exchange_ghosts_fused_planned_with`].
-pub fn exchange_ghosts_fused<T: Element>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    exchange_ghosts_fused_with(arrays, widths, tracker, cache, &SerialExecutor)
-}
-
-/// [`exchange_ghosts_fused`] with an explicit execution backend.
-pub fn exchange_ghosts_fused_with<T: Element, E: PlanExecutor>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
-    exchange_ghosts_fused_planned_with(arrays, &fused, tracker, executor)
-}
-
-/// The executor half of the fused overlap exchange: every array's ghost
-/// buffers are filled by its own part plan (so each array's point → slot
-/// index is untouched — the per-pair payload remapping lives in
-/// [`FusedPlan::wire_slices`]), while the modelled communication is posted
-/// **once for the whole class** — a single message per crossing processor
-/// pair, carrying the concatenated payloads — before any copy starts and
-/// completed after the last one finishes.  Byte and element totals equal
-/// the sum over per-array exchanges exactly; only the message count drops.
+/// Exchanges the overlap areas of a whole *class* of arrays (`arrays[i]`
+/// by part `i` of `fused`): the class pays **one message per communicating
+/// processor pair** — the concatenated halo slices of every member, laid
+/// out by [`FusedPlan::wire_slices`] — instead of one per array per pair.
+/// Every array's ghost buffers are addressed by its own part plan, so
+/// regions are bitwise those of one [`exchange_ghosts`] per array; byte
+/// and element totals are the sums, only the message count drops.
 ///
 /// # Errors
 /// [`RuntimeError::FusionMismatch`] if `fused` is not a ghost fusion or
 /// `arrays` disagrees with the parts in length;
 /// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
 /// any part does not apply to its array (validated for *all* arrays before
-/// anything executes).
-pub fn exchange_ghosts_fused_planned_with<T: Element, E: PlanExecutor>(
+/// anything is charged); transport errors as
+/// [`PlanExecutor::execute_fused`].
+pub fn exchange_class_ghosts<T: Element, E: PlanExecutor>(
     arrays: &[&DistArray<T>],
     fused: &FusedPlan,
     tracker: &CommTracker,
     executor: &E,
 ) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    fused.check_parts(PlanKind::Ghost, "exchange_ghosts_fused", arrays.len())?;
-    // Validate every (array, part) pair before anything is charged.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
-
+    let dst_sizes = prepare_class(arrays, fused, tracker)?;
     let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
-        format!("fused {} arrays", arrays.len())
+        format!("class of {} arrays", arrays.len())
     });
-    let mut regions = Vec::with_capacity(arrays.len());
-    let exec = execute_fused_parts(fused, tracker, T::BYTES, |idx, part| {
-        let dst_sizes: Vec<usize> = (0..part.total_procs())
-            .map(|p| part.ghost_len(ProcId(p)))
-            .collect();
-        let values =
-            executor.run_copies(part.transfers(), arrays[idx].locals(), &dst_sizes, tracker);
-        regions.push(GhostRegion {
-            plan: Arc::clone(&fused.parts()[idx]),
-            values,
-        });
-    });
-    Ok((regions, exec))
+    let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
+    let (bufs, exec) = executor.execute_fused(fused, &srcs, &dst_sizes, tracker)?;
+    Ok((regions(fused.parts(), bufs), exec))
 }
 
-/// [`exchange_ghosts_fused`] through the **wire-layout** path (serial
-/// backend) — see [`exchange_ghosts_fused_wire_with`].
-pub fn exchange_ghosts_fused_wire<T: Element>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    exchange_ghosts_fused_wire_with(arrays, widths, tracker, cache, &SerialExecutor)
-}
-
-/// [`exchange_ghosts_fused_with`] through the **wire-layout** path: each
-/// communicating processor pair's payload — the concatenated halo slices
-/// of every array in the class, laid out by
-/// [`FusedPlan::wire_slices`] — is packed into one contiguous wire buffer,
-/// charged as exactly one message, and unpacked into the per-array ghost
-/// buffers at the destination.  Regions, reports and charged traffic are
-/// bitwise identical to the per-part fused exchange; only the copy
-/// organisation changes from per-part scattered runs to per-pair memcpy
-/// streams, with the pack/unpack phases run through `executor` (the
-/// pooled backend parallelises them over destinations) and credited as
-/// copy-overlap compute.
-pub fn exchange_ghosts_fused_wire_with<T: Element, E: PlanExecutor>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
-    exchange_ghosts_fused_planned_wire_with(arrays, &fused, tracker, executor)
-}
-
-/// The executor half of the wire-packed fused overlap exchange — the
-/// wire-layout counterpart of [`exchange_ghosts_fused_planned_with`],
-/// with identical validation, errors and charged traffic.
-pub fn exchange_ghosts_fused_planned_wire_with<T: Element, E: PlanExecutor>(
-    arrays: &[&DistArray<T>],
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    fused.check_parts(PlanKind::Ghost, "exchange_ghosts_fused_wire", arrays.len())?;
-    // Validate every (array, part) pair before anything is charged.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
-    let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
-        format!("wire {} arrays", arrays.len())
-    });
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
-        .iter()
-        .map(|part| {
-            (0..part.total_procs())
-                .map(|p| part.ghost_len(ProcId(p)))
-                .collect()
-        })
-        .collect();
-    let (bufs, exec) = {
-        let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-        execute_fused_wire(fused, tracker, executor, &srcs, &dst_sizes)?
-    };
-    let regions = fused
-        .parts()
-        .iter()
-        .zip(bufs)
-        .map(|(part, values)| GhostRegion {
-            plan: Arc::clone(part),
-            values,
-        })
-        .collect();
-    Ok((regions, exec))
-}
-
-/// The wire-packed fused overlap exchange through the distributed-memory
-/// backend: each rank reads only its own segment of every array, and the
-/// halo payloads travel over real [`vf_machine::spmd`] channels as framed
-/// wire messages.  Ghost regions, the report and the modelled charges are
-/// bitwise identical to [`exchange_ghosts_fused_wire_with`]; the real
-/// channel traffic is additionally counted in the tracker's channel
-/// statistics.
-///
-/// # Errors
-/// As [`exchange_ghosts_fused_wire_with`], plus [`RuntimeError::Channel`]
-/// when a rank's channel operation fails mid-region.
-pub fn exchange_ghosts_fused_sharded<T: Element>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &ShardedExecutor,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
-    exchange_ghosts_fused_planned_sharded(arrays, &fused, tracker, executor)
-}
-
-/// The executor half of [`exchange_ghosts_fused_sharded`], for callers
-/// that manage the fused plan themselves.
-pub fn exchange_ghosts_fused_planned_sharded<T: Element>(
-    arrays: &[&DistArray<T>],
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    executor: &ShardedExecutor,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    fused.check_parts(
-        PlanKind::Ghost,
-        "exchange_ghosts_fused_sharded",
-        arrays.len(),
-    )?;
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
-    let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
-        format!("sharded {} arrays", arrays.len())
-    });
-    let copy_secs = crate::exec::wire_copy_seconds(fused, T::BYTES, tracker);
-    let (bufs, exec) = crate::shard::sharded_fused_exchange(
-        fused,
-        tracker,
-        executor,
-        &RankShards::of(arrays),
-        &|idx, r| fused.parts()[idx].ghost_len(ProcId(r)),
-        &copy_secs,
-    )?;
-    let regions = fused
-        .parts()
-        .iter()
-        .zip(bufs)
-        .map(|(part, values)| GhostRegion::from_parts(Arc::clone(part), values))
-        .collect();
-    Ok((regions, exec))
-}
-
-/// A fused ghost exchange caught between its post and its wait: the halo
+/// A class ghost exchange caught between its post and its wait: the halo
 /// payloads are packed and posted, the backend's pool streams the per-pair
 /// unpacks while the caller computes its interior, and
 /// [`SplitGhostExchange::wait`] returns ghost regions bitwise identical to
-/// [`exchange_ghosts_fused_wire_with`] — the PARTI/CHAOS split-phase
-/// execution model (post → interior compute → wait) made real in
-/// wall-clock terms.
+/// [`exchange_class_ghosts`] — the PARTI/CHAOS split-phase execution model
+/// (post → interior compute → wait) made real in wall-clock terms.
 ///
 /// The source arrays must not be mutated while the exchange is in flight
 /// (their halo values are already packed; late writes would be silently
@@ -417,7 +219,7 @@ pub struct SplitGhostExchange<'e, T: Element> {
     parts: Vec<Arc<CommPlan>>,
 }
 
-impl<'e, T: Element> SplitGhostExchange<'e, T> {
+impl<T: Element> SplitGhostExchange<'_, T> {
     /// Messages posted (one per crossing processor pair).
     pub fn messages(&self) -> usize {
         self.inner.messages()
@@ -442,16 +244,8 @@ impl<'e, T: Element> SplitGhostExchange<'e, T> {
         self.inner.wait_dest(proc);
     }
 
-    /// Cancels the exchange without taking the ghost regions: drains the
-    /// in-flight unpack and settles the posted charges (see
-    /// [`SplitPhaseExchange::cancel`]).  Equivalent to dropping the
-    /// handle.
-    pub fn cancel(self) {
-        self.inner.cancel();
-    }
-
     /// Completes the exchange: drains the remaining pairs, charges the
-    /// posted messages exactly as the blocking wire path does, records the
+    /// posted messages exactly as the blocking verb does, records the
     /// measured overlap with the tracker, and returns the filled ghost
     /// regions (one per array, bitwise identical to blocking execution).
     ///
@@ -461,146 +255,59 @@ impl<'e, T: Element> SplitGhostExchange<'e, T> {
     /// never unpacked).
     pub fn wait(self, tracker: &CommTracker) -> Result<(Vec<GhostRegion<T>>, SplitExecReport)> {
         let (bufs, report) = self.inner.wait(tracker)?;
-        let regions = self
-            .parts
-            .into_iter()
-            .zip(bufs)
-            .map(|(plan, values)| GhostRegion { plan, values })
-            .collect();
-        Ok((regions, report))
+        Ok((regions(&self.parts, bufs), report))
     }
 }
 
-/// Posts the fused overlap exchange of a class of arrays and returns a
+/// Posts the overlap exchange of a class of arrays and returns a
 /// [`SplitGhostExchange`] handle *before* the halo payloads are unpacked —
-/// the split-phase counterpart of [`exchange_ghosts_fused_wire_with`].
-/// Plan the class through `cache`, pack + post on the calling thread, then
-/// compute interior points while the backend's pool streams the unpacks;
-/// call [`SplitGhostExchange::wait`] before reading any ghost value.
+/// the split-phase form of [`exchange_class_ghosts`] (a single array is a
+/// class of one: fuse its plan alone).  Pack + post run on the calling
+/// thread; compute interior points while `backend`'s pool streams the
+/// unpacks, and call [`SplitGhostExchange::wait`] before reading any ghost
+/// value.  The handle owns `fused`.
+///
+/// The split engine packs through shared memory on every backend: on
+/// [`ExecBackend::Sharded`] it unpacks inline at the post and no channel
+/// is involved (a sharded split-phase halo does not exist yet).
 ///
 /// # Errors
-/// Exactly as [`exchange_ghosts_fused_wire_with`] — everything is
-/// validated before anything is charged or packed.
-pub fn exchange_ghosts_fused_wire_split<'e, T: Element>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    backend: &'e ExecBackend,
-) -> Result<SplitGhostExchange<'e, T>> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
-    exchange_ghosts_fused_planned_split(arrays, fused, tracker, backend)
-}
-
-/// The executor half of the split-phase fused overlap exchange: validates
-/// like the blocking wire path, then packs, posts and hands the unpacks to
-/// the backend's pool.  The handle owns `fused`.
-///
-/// # Errors
-/// Exactly as [`exchange_ghosts_fused_planned_wire_with`].
-pub fn exchange_ghosts_fused_planned_split<'e, T: Element>(
+/// Exactly as [`exchange_class_ghosts`] — everything is validated before
+/// anything is charged or packed.
+pub fn exchange_class_ghosts_split<'e, T: Element>(
     arrays: &[&DistArray<T>],
     fused: FusedPlan,
     tracker: &CommTracker,
     backend: &'e ExecBackend,
 ) -> Result<SplitGhostExchange<'e, T>> {
-    fused.check_parts(
-        PlanKind::Ghost,
-        "exchange_ghosts_fused_wire_split",
-        arrays.len(),
-    )?;
-    // Validate every (array, part) pair before anything is charged.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
-        .iter()
-        .map(|part| {
-            (0..part.total_procs())
-                .map(|p| part.ghost_len(ProcId(p)))
-                .collect()
-        })
-        .collect();
+    let dst_sizes = prepare_class(arrays, &fused, tracker)?;
     let parts = fused.parts().to_vec();
     let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
         format!("split post {} arrays", arrays.len())
     });
-    let inner = {
-        let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-        split_execute_fused_wire(fused, tracker, backend, &srcs, &dst_sizes)
-    };
+    let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
+    let inner = split_execute_fused_wire(fused, tracker, backend, &srcs, &dst_sizes);
     Ok(SplitGhostExchange { inner, parts })
-}
-
-/// Posts a *single-array* ghost exchange from an already-cached plan as a
-/// split-phase exchange — the one-part degenerate of
-/// [`exchange_ghosts_fused_wire_split`], used by consumers whose plan
-/// comes from an irregular (connectivity-driven) halo or another cache
-/// path rather than stencil widths.
-///
-/// # Errors
-/// [`RuntimeError::FusionMismatch`] when `plan` is not a ghost plan;
-/// otherwise as [`exchange_ghosts_fused_planned_split`].
-pub fn exchange_ghosts_planned_split<'e, T: Element>(
-    array: &DistArray<T>,
-    plan: &Arc<CommPlan>,
-    tracker: &CommTracker,
-    backend: &'e ExecBackend,
-) -> Result<SplitGhostExchange<'e, T>> {
-    let fused = FusedPlan::fuse(vec![Arc::clone(plan)])?;
-    exchange_ghosts_fused_planned_split(&[array], fused, tracker, backend)
-}
-
-/// Exchanges the irregular (connectivity-driven) overlap areas of `array`:
-/// the PARTI incremental schedule is planned fresh from `conn` (see
-/// [`plan_ghost_irregular`]) and executed like any ghost plan.  Iterative
-/// sweeps should prefer [`exchange_ghosts_irregular_cached`].
-pub fn exchange_ghosts_irregular<T: Element>(
-    array: &DistArray<T>,
-    conn: &Connectivity,
-    tracker: &CommTracker,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let plan = Arc::new(plan_ghost_irregular(array.dist(), conn)?);
-    exchange_ghosts_planned(array, &plan, tracker)
-}
-
-/// [`exchange_ghosts_irregular`] with schedule reuse through `cache`: the
-/// halo set is derived once per (distribution fingerprint, connectivity
-/// fingerprint) pair — a repartitioning changes the fingerprint and
-/// therefore replans, so stale halos are never replayed — and every later
-/// sweep only replays the copy runs.
-pub fn exchange_ghosts_irregular_cached<T: Element>(
-    array: &DistArray<T>,
-    conn: &Connectivity,
-    tracker: &CommTracker,
-    cache: &PlanCache,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    exchange_ghosts_irregular_cached_with(array, conn, tracker, cache, &SerialExecutor)
-}
-
-/// [`exchange_ghosts_irregular_cached`] with an explicit execution backend.
-pub fn exchange_ghosts_irregular_cached_with<T: Element, E: PlanExecutor>(
-    array: &DistArray<T>,
-    conn: &Connectivity,
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let plan = cache.ghost_irregular_plan(array.dist(), conn)?;
-    exchange_ghosts_planned_with(array, &plan, tracker, executor)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::plan_ghost;
+    use crate::{PlanCache, SerialExecutor};
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
+
+    /// A freshly planned (uncached) stencil exchange on the serial backend.
+    fn exchange_fresh(
+        array: &DistArray<f64>,
+        widths: &[(usize, usize)],
+        tracker: &CommTracker,
+    ) -> Result<(GhostRegion<f64>, GhostReport)> {
+        let plan = Arc::new(plan_ghost(array.dist(), widths)?);
+        exchange_ghosts(array, &plan, tracker, &SerialExecutor)
+    }
 
     fn array_2d(t: DistType, n: usize, view: ProcessorView) -> DistArray<f64> {
         let dist = Distribution::new(t, IndexDomain::d2(n, n), view).unwrap();
@@ -613,7 +320,7 @@ mod tests {
         // processors receive 2 columns of 8 elements, edge processors 1.
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let tracker = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
-        let (ghosts, report) = exchange_ghosts(&a, &[(1, 1), (1, 1)], &tracker).unwrap();
+        let (ghosts, report) = exchange_fresh(&a, &[(1, 1), (1, 1)], &tracker).unwrap();
         assert_eq!(ghosts.len(ProcId(0)), 8);
         assert_eq!(ghosts.len(ProcId(1)), 16);
         assert_eq!(ghosts.len(ProcId(2)), 16);
@@ -655,7 +362,7 @@ mod tests {
     fn blocks2d_exchange_includes_corners() {
         let a = array_2d(DistType::blocks2d(), 8, ProcessorView::grid2d(2, 2));
         let tracker = CommTracker::new(4, CostModel::zero());
-        let (ghosts, report) = exchange_ghosts(&a, &[(1, 1), (1, 1)], &tracker).unwrap();
+        let (ghosts, report) = exchange_fresh(&a, &[(1, 1), (1, 1)], &tracker).unwrap();
         // Each processor owns a 4x4 block; the halo is two faces of 4 plus a
         // corner = 9 elements.
         for p in 0..4 {
@@ -674,7 +381,7 @@ mod tests {
     fn get_with_ghosts_resolves_local_and_halo() {
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let tracker = CommTracker::new(4, CostModel::zero());
-        let (ghosts, _) = exchange_ghosts(&a, &[(0, 0), (1, 1)], &tracker).unwrap();
+        let (ghosts, _) = exchange_fresh(&a, &[(0, 0), (1, 1)], &tracker).unwrap();
         // Local element.
         assert_eq!(
             get_with_ghosts(&a, &ghosts, ProcId(0), &Point::d2(5, 1)).unwrap(),
@@ -693,7 +400,7 @@ mod tests {
     fn zero_width_halo_exchanges_nothing() {
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let tracker = CommTracker::new(4, CostModel::zero());
-        let (ghosts, report) = exchange_ghosts(&a, &[(0, 0), (0, 0)], &tracker).unwrap();
+        let (ghosts, report) = exchange_fresh(&a, &[(0, 0), (0, 0)], &tracker).unwrap();
         assert_eq!(report.messages, 0);
         assert!(ghosts.is_empty(ProcId(1)));
     }
@@ -711,7 +418,7 @@ mod tests {
         .unwrap();
         let a: DistArray<f64> = DistArray::new("C", dist);
         let tracker = CommTracker::new(4, CostModel::zero());
-        let err = exchange_ghosts(&a, &[(1, 1), (0, 0)], &tracker);
+        let err = exchange_fresh(&a, &[(1, 1), (0, 0)], &tracker);
         assert!(matches!(
             err,
             Err(RuntimeError::NonContiguousLayout { dim: 0, .. })
@@ -724,7 +431,7 @@ mod tests {
     fn width_rank_mismatch_rejected() {
         let a = array_2d(DistType::columns(), 4, ProcessorView::linear(2));
         let tracker = CommTracker::new(2, CostModel::zero());
-        assert!(exchange_ghosts(&a, &[(1, 1)], &tracker).is_err());
+        assert!(exchange_fresh(&a, &[(1, 1)], &tracker).is_err());
     }
 
     #[test]
@@ -735,10 +442,14 @@ mod tests {
         let t_fresh = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));
         let widths = [(1, 1), (1, 1)];
 
-        let (fresh_ghosts, fresh_report) = exchange_ghosts(&a, &widths, &t_fresh).unwrap();
+        let (fresh_ghosts, fresh_report) = exchange_fresh(&a, &widths, &t_fresh).unwrap();
         // Two cached exchanges: one miss, one hit.
-        let (g1, r1) = exchange_ghosts_cached(&a, &widths, &t_cached, &cache).unwrap();
-        let (g2, r2) = exchange_ghosts_cached(&a, &widths, &t_cached, &cache).unwrap();
+        let cached = |tracker: &CommTracker| {
+            let plan = cache.ghost_plan(a.dist(), &widths).unwrap();
+            exchange_ghosts(&a, &plan, tracker, &SerialExecutor).unwrap()
+        };
+        let (g1, r1) = cached(&t_cached);
+        let (g2, r2) = cached(&t_cached);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(r1, fresh_report);
@@ -777,14 +488,17 @@ mod tests {
         let widths = [(1, 1), (1, 1)];
         let cache = PlanCache::new();
         let t_fused = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));
+        let fused = cache
+            .ghost_class_plan([&a, &b, &c].map(|x| x.dist()), &widths)
+            .unwrap();
         let (regions, exec) =
-            exchange_ghosts_fused(&[&a, &b, &c], &widths, &t_fused, &cache).unwrap();
+            exchange_class_ghosts(&[&a, &b, &c], &fused, &t_fused, &SerialExecutor).unwrap();
         assert_eq!(regions.len(), 3);
 
         let t_single = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));
-        let (ga, ra) = exchange_ghosts(&a, &widths, &t_single).unwrap();
-        let (gb, rb) = exchange_ghosts(&b, &widths, &t_single).unwrap();
-        let (gc, rc) = exchange_ghosts(&c, &widths, &t_single).unwrap();
+        let (ga, ra) = exchange_fresh(&a, &widths, &t_single).unwrap();
+        let (gb, rb) = exchange_fresh(&b, &widths, &t_single).unwrap();
+        let (gc, rc) = exchange_fresh(&c, &widths, &t_single).unwrap();
         // One message per communicating pair — not per array per pair.
         assert_eq!(exec.messages, ra.messages);
         assert_eq!(
@@ -818,12 +532,12 @@ mod tests {
         let fused = FusedPlan::fuse(vec![Arc::clone(&plan), plan]).unwrap();
         // Wrong arity.
         assert!(matches!(
-            exchange_ghosts_fused_planned_with(&[&a], &fused, &tracker, &SerialExecutor),
+            exchange_class_ghosts(&[&a], &fused, &tracker, &SerialExecutor),
             Err(RuntimeError::FusionMismatch { .. })
         ));
         // Wrong distribution on the second array: nothing charged.
         assert!(matches!(
-            exchange_ghosts_fused_planned_with(&[&a, &rows], &fused, &tracker, &SerialExecutor),
+            exchange_class_ghosts(&[&a, &rows], &fused, &tracker, &SerialExecutor),
             Err(RuntimeError::PlanMismatch { .. })
         ));
         assert_eq!(tracker.snapshot().total_messages(), 0);
@@ -831,7 +545,7 @@ mod tests {
 
     #[test]
     fn irregular_exchange_serves_scattered_indirect_layouts() {
-        use vf_dist::IndirectMap;
+        use vf_dist::{Connectivity, IndirectMap};
         // An alternating-owner indirect layout with a ring connectivity:
         // every neighbour is remote, so each processor's halo is the other
         // processor's whole half.
@@ -854,8 +568,11 @@ mod tests {
         let conn = Connectivity::from_csr(xadj, adjncy).unwrap();
         let cache = PlanCache::new();
         let tracker = CommTracker::new(2, CostModel::zero());
-        let (ghosts, report) =
-            exchange_ghosts_irregular_cached(&a, &conn, &tracker, &cache).unwrap();
+        let cached = || {
+            let plan = cache.ghost_irregular_plan(a.dist(), &conn).unwrap();
+            exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap()
+        };
+        let (ghosts, report) = cached();
         assert_eq!(report.elements, n);
         assert_eq!(report.messages, 2);
         for p in 0..2usize {
@@ -871,11 +588,13 @@ mod tests {
             }
         }
         // A second exchange replays the cached incremental schedule.
-        exchange_ghosts_irregular_cached(&a, &conn, &tracker, &cache).unwrap();
+        cached();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         // The fresh (uncached) variant produces the same region.
-        let (fresh, fresh_report) = exchange_ghosts_irregular(&a, &conn, &tracker).unwrap();
+        let fresh_plan = Arc::new(crate::plan::plan_ghost_irregular(a.dist(), &conn).unwrap());
+        let (fresh, fresh_report) =
+            exchange_ghosts(&a, &fresh_plan, &tracker, &SerialExecutor).unwrap();
         assert_eq!(fresh_report, report);
         for p in 0..2usize {
             for point in a.domain().iter() {
@@ -892,7 +611,7 @@ mod tests {
         let plan =
             std::sync::Arc::new(crate::plan::plan_ghost(a.dist(), &[(1, 1), (1, 1)]).unwrap());
         assert!(matches!(
-            exchange_ghosts_planned(&b, &plan, &tracker),
+            exchange_ghosts(&b, &plan, &tracker, &SerialExecutor),
             Err(RuntimeError::PlanMismatch { .. })
         ));
     }

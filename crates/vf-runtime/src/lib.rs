@@ -13,10 +13,12 @@
 //!   `DISTRIBUTE` statement of §3.2.2 (evaluate the new distribution,
 //!   derive the distributions of connected arrays, communicate), including
 //!   the `NOTRANSFER` attribute and aggregated ("pre-compiled routine")
-//!   versus element-wise communication planning;
-//! * [`ghost`] — overlap-area (halo) exchange for regular stencil accesses,
-//!   with face-aggregated messages (the paper's "sophisticated buffering
-//!   schemes for accesses to non-local objects");
+//!   versus element-wise communication planning; [`execute_redistribute`],
+//!   [`execute_class_redistribute`] and [`redistribute_split`] are its
+//!   planned, class and split-phase forms;
+//! * [`ghost`] — overlap-area (halo) exchange, regular or irregular, for
+//!   one array or a class, with face-aggregated messages (the paper's
+//!   "sophisticated buffering schemes for accesses to non-local objects");
 //! * [`parti`] — PARTI-style translation tables, inspector/executor
 //!   communication schedules and gather/scatter executors for irregular
 //!   accesses (§3.2, item 1, citing Saltz et al.);
@@ -26,11 +28,15 @@
 //!   ([`PlanCache`], byte-bounded LRU) and replayed by the executors,
 //!   realising the PARTI schedule-reuse idea for every communication path
 //!   of the engine;
-//! * [`exec`] — multi-backend plan execution: the [`PlanExecutor`] trait
-//!   with serial and threaded backends (post/wait charging, copies driven
-//!   from the `vf-machine` SPMD worker threads) and [`FusedPlan`] merging
-//!   the per-array schedules of a connect-class `DISTRIBUTE` into one
-//!   message per processor pair (see `crates/vf-runtime/README.md`);
+//! * [`exec`] — plan execution: every statement kind is **one verb that
+//!   takes its plan and a [`PlanExecutor`]**, and the executor picks the
+//!   transport — direct copy or wire buffers through shared memory
+//!   ([`SerialExecutor`], the pooled [`ThreadedExecutor`]), or frames over
+//!   real channels ([`shard::ShardedExecutor`]); [`FusedPlan`] merges the
+//!   per-array schedules of a class into one message per processor pair
+//!   (the verb and engine tables are in `crates/vf-runtime/README.md`);
+//! * [`shard`] — the channel transport and rank-resident shards for SPMD
+//!   application loops;
 //! * [`reduce`] — global reductions charged as tree collectives;
 //! * [`assign`] — array assignment between differently distributed arrays
 //!   (the storage-wasting alternative to dynamic redistribution discussed
@@ -61,16 +67,13 @@ pub use descriptor::ArrayDescriptor;
 pub use element::{decode_slice, encode_slice, Element};
 pub use error::RuntimeError;
 pub use exec::{
-    execute_redistribute_fused, execute_redistribute_fused_wire, redistribute_split,
     set_wire_framing, wire_framing_enabled, ExecBackend, ExecReport, FusedPlan, FusedSlice,
-    PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange, SplitRedistribute,
-    ThreadedExecutor,
+    PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange, ThreadedExecutor,
 };
 pub use plan::{CommPlan, PlanCache, PlanCacheStats, PlanKind, PlanRun, Transfer};
 pub use redistribute_impl::{
-    execute_redistribute, execute_redistribute_fused_sharded, execute_redistribute_with,
-    redistribute, redistribute_cached, redistribute_cached_with, redistribute_sharded,
-    redistribute_with, RedistOptions, RedistReport,
+    execute_class_redistribute, execute_redistribute, redistribute, redistribute_split,
+    RedistOptions, RedistReport, SplitRedistribute,
 };
 pub use shard::{ShardedArray, ShardedExecutor, ShardedHaloExchange};
 pub use translation::{invalidate, table_for, DistTranslationTable, TranslationStats};

@@ -11,22 +11,19 @@
 //! * [`TranslationTable`] — global index → (owner, local offset),
 //! * [`inspector`] — builds a deduplicated [`CommSchedule`] (a gather
 //!   [`CommPlan`]) from the non-local accesses each processor intends to
-//!   make; [`inspector_cached`] reuses schedules across iterations while
-//!   the distribution and access pattern are unchanged,
-//! * [`execute_gather`] — replays the plan runs (one `copy_from_slice`
-//!   per run, one aggregated message per (owner → reader) pair),
+//!   make, reusing schedules through a [`PlanCache`] while the
+//!   distribution and access pattern are unchanged,
+//! * [`incremental_schedule`] — the halo set of an irregularly distributed
+//!   array as a ghost plan; execute it with
+//!   [`crate::ghost::exchange_ghosts`]`(array, schedule.plan(), ..)`,
+//! * [`execute_gather`] — replays a schedule through the executor that
+//!   picks the transport (one aggregated message per (owner → reader)
+//!   pair),
 //! * [`execute_scatter`] — pushes updates to owners with a user-supplied
-//!   combine function, placement planned through [`crate::plan::plan_scatter`].
+//!   combine function, placement planned through a [`PlanCache`].
 
-use crate::exec::{ExecBackend, FusedPlan, PlanExecutor, SerialExecutor};
-use crate::ghost::{
-    exchange_ghosts_planned_split, exchange_ghosts_planned_with, GhostRegion, GhostReport,
-    SplitGhostExchange,
-};
-use crate::plan::{
-    plan_gather, plan_ghost_irregular, plan_scatter, CommPlan, PlanCache, PlanIndex, PlanKind,
-};
-use crate::shard::{RankShards, ShardedExecutor};
+use crate::exec::PlanExecutor;
+use crate::plan::{CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::{DistArray, Element, Result, RuntimeError};
 use std::sync::Arc;
 use vf_dist::{Connectivity, Distribution, ProcId};
@@ -116,18 +113,12 @@ impl CommSchedule {
 /// intends to make and produces a deduplicated [`CommSchedule`].  Local
 /// accesses are dropped; repeated accesses to the same element are fetched
 /// once (the "buffering scheme" of the PARTI routines).
-pub fn inspector(dist: &Distribution, accesses: &[(ProcId, Point)]) -> Result<CommSchedule> {
-    let _span = trace::OpenSpan::begin_static(trace::Phase::Plan, "inspector");
-    Ok(CommSchedule {
-        plan: Arc::new(plan_gather(dist, accesses)?),
-    })
-}
-
-/// [`inspector`] with schedule reuse: the plan is looked up in `cache` by
-/// (distribution fingerprint, access-pattern hash) and rebuilt only on a
-/// miss — the PARTI schedule reuse for iterative irregular codes whose
-/// access pattern repeats.
-pub fn inspector_cached(
+///
+/// The plan is looked up in `cache` by (distribution fingerprint,
+/// access-pattern hash) and rebuilt only on a miss — the PARTI schedule
+/// reuse for iterative irregular codes whose access pattern repeats (pass
+/// `&PlanCache::new()` for a one-off pattern).
+pub fn inspector(
     dist: &Distribution,
     accesses: &[(ProcId, Point)],
     cache: &PlanCache,
@@ -142,8 +133,9 @@ pub fn inspector_cached(
 /// geometry — processor `p`'s schedule covers every element referenced by
 /// something `p` owns but owned elsewhere.  The underlying plan is an
 /// ordinary ghost [`CommPlan`] (see
-/// [`crate::plan::plan_ghost_irregular`]), so it executes through the
-/// ghost executors and caches in the shared [`PlanCache`].
+/// [`crate::plan::plan_ghost_irregular`]), so it executes through
+/// [`crate::ghost::exchange_ghosts`] (or, fused alone, the split verb) and
+/// caches in the shared [`PlanCache`].
 #[derive(Debug, Clone)]
 pub struct IncrementalSchedule {
     plan: Arc<CommPlan>,
@@ -172,25 +164,14 @@ impl IncrementalSchedule {
 }
 
 /// Builds the incremental schedule of `dist` under the access pattern
-/// `conn` — the inspector of the irregular overlap exchange.  Use
-/// [`incremental_schedule_cached`] in iterative sweeps.
+/// `conn` — the inspector of the irregular overlap exchange.
+///
+/// The schedule is cached by (distribution fingerprint, connectivity
+/// fingerprint), so repeated sweeps replay it and a repartitioning (new
+/// mapping array → new fingerprint) replans from scratch — stale halos are
+/// structurally unreachable, and executing a schedule held across a
+/// repartitioning is rejected with [`RuntimeError::PlanMismatch`].
 pub fn incremental_schedule(
-    dist: &Distribution,
-    conn: &Connectivity,
-) -> Result<IncrementalSchedule> {
-    let _span = trace::OpenSpan::begin_static(trace::Phase::Plan, "incremental-schedule");
-    Ok(IncrementalSchedule {
-        plan: Arc::new(plan_ghost_irregular(dist, conn)?),
-    })
-}
-
-/// [`incremental_schedule`] with schedule reuse: keyed by (distribution
-/// fingerprint, connectivity fingerprint), so repeated sweeps replay the
-/// cached schedule and a repartitioning (new mapping array → new
-/// fingerprint) replans from scratch — stale halos are structurally
-/// unreachable, and executing a schedule held across a repartitioning is
-/// rejected with [`RuntimeError::PlanMismatch`].
-pub fn incremental_schedule_cached(
     dist: &Distribution,
     conn: &Connectivity,
     cache: &PlanCache,
@@ -200,57 +181,12 @@ pub fn incremental_schedule_cached(
     })
 }
 
-/// The executor half of the incremental schedule with the serial backend —
-/// see [`execute_halo_with`].
-pub fn execute_halo<T: Element>(
-    array: &DistArray<T>,
-    schedule: &IncrementalSchedule,
-    tracker: &CommTracker,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    execute_halo_with(array, schedule, tracker, &SerialExecutor)
-}
-
-/// The executor half of the incremental schedule: replays the halo plan
-/// through the chosen backend, filling a [`GhostRegion`] addressable by
-/// global point exactly like the regular overlap exchange — one aggregated
-/// message per (owner → reader) pair.
-pub fn execute_halo_with<T: Element, E: PlanExecutor>(
-    array: &DistArray<T>,
-    schedule: &IncrementalSchedule,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let _span = trace::OpenSpan::begin(trace::Phase::HaloExchange);
-    exchange_ghosts_planned_with(array, &schedule.plan, tracker, executor)
-}
-
-/// Split-phase variant of [`execute_halo_with`]: packs and posts the halo
-/// immediately and returns an in-flight [`SplitGhostExchange`], so the
-/// caller can sweep interior nodes (all neighbours same-owner) while the
-/// cut-edge halo streams in, then `wait()` and finish the boundary nodes.
-pub fn execute_halo_split<'e, T: Element>(
-    array: &DistArray<T>,
-    schedule: &IncrementalSchedule,
-    tracker: &CommTracker,
-    backend: &'e ExecBackend,
-) -> Result<SplitGhostExchange<'e, T>> {
-    exchange_ghosts_planned_split(array, &schedule.plan, tracker, backend)
-}
-
 /// The values fetched by [`execute_gather`], addressable by global index
 /// through the schedule's slot index.
 #[derive(Debug, Clone)]
 pub struct GatherResult<T> {
     plan: Arc<CommPlan>,
     values: Vec<Vec<T>>,
-}
-
-impl<T> GatherResult<T> {
-    /// Assembles a result from a plan and per-processor fetch buffers —
-    /// the constructor the channel-backed sharded gather uses.
-    pub(crate) fn from_parts(plan: Arc<CommPlan>, values: Vec<Vec<T>>) -> Self {
-        Self { plan, values }
-    }
 }
 
 impl<T: Copy> GatherResult<T> {
@@ -272,22 +208,18 @@ impl<T: Copy> GatherResult<T> {
     }
 }
 
-/// The executor phase for reads with the serial backend — see
-/// [`execute_gather_with`].
-pub fn execute_gather<T: Element>(
-    array: &DistArray<T>,
-    schedule: &CommSchedule,
-    tracker: &CommTracker,
-) -> Result<GatherResult<T>> {
-    execute_gather_with(array, schedule, tracker, &SerialExecutor)
-}
-
-/// The executor phase for reads: replays the schedule's plan through the
-/// chosen [`PlanExecutor`] backend — one `copy_from_slice` per run from
-/// the owner's local storage into the requester's gather buffer — posting
-/// one aggregated message per (owner → reader) pair before the copies and
-/// completing them afterwards.
-pub fn execute_gather_with<T: Element, E: PlanExecutor>(
+/// The executor phase for reads: replays the schedule's plan through
+/// `executor` — one `copy_from_slice` per run from the owner's local
+/// storage into the requester's gather buffer on a shared-memory executor,
+/// one frame per (owner → reader) pair on a sharded one — posting one
+/// aggregated message per pair before the data moves and completing them
+/// afterwards.
+///
+/// # Errors
+/// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
+/// the schedule was not built for `array`'s distribution on this tracker;
+/// transport errors as [`PlanExecutor::execute`].
+pub fn execute_gather<T: Element, E: PlanExecutor>(
     array: &DistArray<T>,
     schedule: &CommSchedule,
     tracker: &CommTracker,
@@ -307,113 +239,28 @@ pub fn execute_gather_with<T: Element, E: PlanExecutor>(
     let dst_sizes: Vec<usize> = (0..plan.total_procs())
         .map(|p| plan.gather_len(ProcId(p)))
         .collect();
-    let (values, _exec) = executor.execute(plan, array.locals(), &dst_sizes, tracker, true);
+    let (values, _exec) = executor.execute(plan, array.locals(), &dst_sizes, tracker, true)?;
     Ok(GatherResult {
         plan: Arc::clone(plan),
         values,
     })
 }
 
-/// The executor phase for reads through the distributed-memory backend:
-/// the owner's values travel to each requester over a real
-/// [`vf_machine::spmd`] channel as one framed wire message per
-/// (owner → reader) pair — the fetch buffers, the modelled charges and
-/// the slot addressing are bitwise identical to [`execute_gather_with`],
-/// and the real channel traffic is additionally counted in the tracker's
-/// channel statistics.
-///
-/// # Errors
-/// As [`execute_gather_with`], plus [`RuntimeError::Channel`] when a
-/// rank's channel operation fails mid-region.
-pub fn execute_gather_sharded<T: Element>(
-    array: &DistArray<T>,
-    schedule: &CommSchedule,
-    tracker: &CommTracker,
-    executor: &ShardedExecutor,
-) -> Result<GatherResult<T>> {
-    let plan = &schedule.plan;
-    if plan.kind() != PlanKind::Gather {
-        return Err(RuntimeError::PlanMismatch {
-            expected: plan.src_fingerprint(),
-            found: array.dist().fingerprint(),
-        });
-    }
-    plan.check_executable(array.dist(), tracker)?;
-    let _span = trace::OpenSpan::begin_with(trace::Phase::Gather, || {
-        format!("sharded {} elements", plan.moved_elements())
-    });
-    // Gather schedules are never multi-plan fused (their buffers are
-    // access-pattern-specific), but a single plan wears the fused wire
-    // layout fine: one transfer per pair means one slice per message.
-    let fused = FusedPlan::fuse_one(Arc::clone(plan));
-    // The shared gather charges only the destination's unpack as copy
-    // credit (`copy_seconds`), unlike the wire exchanges which also
-    // charge the sender's pack — match it exactly.
-    let copy_secs = crate::exec::copy_seconds(plan.transfers(), T::BYTES, tracker);
-    let (bufs, _) = crate::shard::sharded_fused_exchange(
-        &fused,
-        tracker,
-        executor,
-        &RankShards::of(std::slice::from_ref(array)),
-        &|_, r| plan.gather_len(ProcId(r)),
-        &copy_secs,
-    )?;
-    let values = bufs.into_iter().next().unwrap_or_default();
-    Ok(GatherResult::from_parts(Arc::clone(plan), values))
-}
-
 /// The executor phase for writes: each update `(from, point, value)` is
 /// applied at the owner of `point` with `combine(current, value)`; updates
 /// that cross processors are aggregated into one message per (source →
-/// owner) pair.  Placement is planned through
-/// [`crate::plan::plan_scatter`]; use [`execute_scatter_cached`] when the
-/// same update pattern repeats.  Returns the number of aggregated messages.
-pub fn execute_scatter<T: Element>(
-    array: &mut DistArray<T>,
-    updates: &[(ProcId, Point, T)],
-    tracker: &CommTracker,
-    combine: impl FnMut(T, T) -> T,
-) -> Result<usize> {
-    let sources: Vec<(ProcId, Point)> = updates.iter().map(|&(p, pt, _)| (p, pt)).collect();
-    let plan = Arc::new(plan_scatter(array.dist(), &sources)?);
-    scatter_planned(array, updates, &plan, tracker, combine)
-}
-
-/// [`execute_scatter`] with placement-plan reuse through `cache`.
-pub fn execute_scatter_cached<T: Element>(
-    array: &mut DistArray<T>,
-    updates: &[(ProcId, Point, T)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    combine: impl FnMut(T, T) -> T,
-) -> Result<usize> {
-    let sources: Vec<(ProcId, Point)> = updates.iter().map(|&(p, pt, _)| (p, pt)).collect();
-    let plan = cache.scatter_plan(array.dist(), &sources)?;
-    scatter_planned(array, updates, &plan, tracker, combine)
-}
-
-/// [`execute_scatter`] with an explicit execution backend: the updates are
-/// partitioned *by owner* — the order of updates to one owner is preserved
-/// (the combine function is order-sensitive there), while different
-/// owners' update lists are independent and run in parallel on a threaded
-/// backend.  Results are bitwise identical to the serial path.
+/// owner) pair.  Placement is planned through `cache` (pass
+/// `&PlanCache::new()` for a one-off pattern).  Returns the number of
+/// aggregated messages.
 ///
-/// Unlike [`execute_scatter`], the combine function must be `Fn + Sync`
-/// (it may run concurrently for different owners).
-pub fn execute_scatter_with<T: Element, E: PlanExecutor>(
-    array: &mut DistArray<T>,
-    updates: &[(ProcId, Point, T)],
-    tracker: &CommTracker,
-    executor: &E,
-    combine: impl Fn(T, T) -> T + Sync,
-) -> Result<usize> {
-    let sources: Vec<(ProcId, Point)> = updates.iter().map(|&(p, pt, _)| (p, pt)).collect();
-    let plan = Arc::new(plan_scatter(array.dist(), &sources)?);
-    scatter_planned_with(array, updates, &plan, tracker, executor, combine)
-}
-
-/// [`execute_scatter_with`] with placement-plan reuse through `cache`.
-pub fn execute_scatter_cached_with<T: Element, E: PlanExecutor>(
+/// The updates are partitioned *by owner*: the order of updates to one
+/// owner is preserved (the combine function is order-sensitive there),
+/// while different owners' update lists are independent and
+/// [`PlanExecutor::run_updates`] may run them in parallel — hence
+/// `Fn + Sync`.  Results are bitwise identical on every backend.  The
+/// updates are applied in place: there is no payload to put on a channel,
+/// so a sharded executor applies them exactly as the serial one does.
+pub fn execute_scatter<T: Element, E: PlanExecutor>(
     array: &mut DistArray<T>,
     updates: &[(ProcId, Point, T)],
     tracker: &CommTracker,
@@ -423,17 +270,6 @@ pub fn execute_scatter_cached_with<T: Element, E: PlanExecutor>(
 ) -> Result<usize> {
     let sources: Vec<(ProcId, Point)> = updates.iter().map(|&(p, pt, _)| (p, pt)).collect();
     let plan = cache.scatter_plan(array.dist(), &sources)?;
-    scatter_planned_with(array, updates, &plan, tracker, executor, combine)
-}
-
-fn scatter_planned_with<T: Element, E: PlanExecutor>(
-    array: &mut DistArray<T>,
-    updates: &[(ProcId, Point, T)],
-    plan: &Arc<CommPlan>,
-    tracker: &CommTracker,
-    executor: &E,
-    combine: impl Fn(T, T) -> T + Sync,
-) -> Result<usize> {
     let PlanIndex::Scatter { ops, replicated } = &plan.index else {
         return Err(RuntimeError::PlanMismatch {
             expected: plan.src_fingerprint(),
@@ -441,72 +277,30 @@ fn scatter_planned_with<T: Element, E: PlanExecutor>(
         });
     };
     plan.check_executable(array.dist(), tracker)?;
-    if ops.len() != updates.len() {
-        return Err(RuntimeError::PlanMismatch {
-            expected: plan.src_fingerprint(),
-            found: array.dist().fingerprint(),
-        });
-    }
+    let _span =
+        trace::OpenSpan::begin_with(trace::Phase::Scatter, || format!("{} updates", ops.len()));
     if *replicated {
-        // Replicated targets update every copy from the canonical one — an
-        // inherently cross-owner order, kept on the serial path.
-        return scatter_planned(array, updates, plan, tracker, combine);
-    }
-    let _span =
-        trace::OpenSpan::begin_with(trace::Phase::Scatter, || format!("{} updates", ops.len()));
-    // Partition the updates by owner, preserving program order per owner.
-    let total_procs = plan.total_procs();
-    let mut per_owner: Vec<Vec<(usize, T)>> = vec![Vec::new(); total_procs];
-    for (op, &(_, _, value)) in ops.iter().zip(updates.iter()) {
-        per_owner[op.owner.0].push((op.local, value));
-    }
-    executor.run_updates(array.locals_mut(), &per_owner, &combine);
-    let (messages, _) = plan.charge(tracker, T::BYTES, true);
-    Ok(messages)
-}
-
-fn scatter_planned<T: Element>(
-    array: &mut DistArray<T>,
-    updates: &[(ProcId, Point, T)],
-    plan: &Arc<CommPlan>,
-    tracker: &CommTracker,
-    mut combine: impl FnMut(T, T) -> T,
-) -> Result<usize> {
-    let PlanIndex::Scatter { ops, replicated } = &plan.index else {
-        return Err(RuntimeError::PlanMismatch {
-            expected: plan.src_fingerprint(),
-            found: array.dist().fingerprint(),
-        });
-    };
-    plan.check_executable(array.dist(), tracker)?;
-    if ops.len() != updates.len() {
-        return Err(RuntimeError::PlanMismatch {
-            expected: plan.src_fingerprint(),
-            found: array.dist().fingerprint(),
-        });
-    }
-    let replicated = *replicated;
-    let _span =
-        trace::OpenSpan::begin_with(trace::Phase::Scatter, || format!("{} updates", ops.len()));
-    let all_procs: Vec<ProcId> = array.dist().proc_ids().to_vec();
-    for (op, (_, _, value)) in ops.iter().zip(updates.iter()) {
-        if replicated {
-            // Every copy of a replicated array receives the update, as
-            // DistArray::set does: the combine runs once against the
-            // canonical first copy and its result overwrites every
-            // replica (so a stateful combine sees each update exactly
-            // once, and replicas can never drift apart).
-            let Some((&canonical, _)) = all_procs.split_first() else {
-                continue;
-            };
-            let combined = combine(array.local(canonical)[op.local], *value);
-            for &p in &all_procs {
-                array.local_mut(p)[op.local] = combined;
+        // Every copy of a replicated array receives the update, as
+        // `DistArray::set` does: the combine runs once against the
+        // canonical first copy and its result overwrites every replica —
+        // an inherently cross-owner order, applied on the calling thread.
+        let all_procs: Vec<ProcId> = array.dist().proc_ids().to_vec();
+        if let Some(&canonical) = all_procs.first() {
+            for (op, &(_, _, value)) in ops.iter().zip(updates) {
+                let combined = combine(array.local(canonical)[op.local], value);
+                for &p in &all_procs {
+                    array.local_mut(p)[op.local] = combined;
+                }
             }
-        } else {
-            let slot = &mut array.local_mut(op.owner)[op.local];
-            *slot = combine(*slot, *value);
         }
+    } else {
+        // Partition the updates by owner, preserving program order per
+        // owner.
+        let mut per_owner: Vec<Vec<(usize, T)>> = vec![Vec::new(); plan.total_procs()];
+        for (op, &(_, _, value)) in ops.iter().zip(updates) {
+            per_owner[op.owner.0].push((op.local, value));
+        }
+        executor.run_updates(array.locals_mut(), &per_owner, &combine);
     }
     let (messages, _) = plan.charge(tracker, T::BYTES, true);
     Ok(messages)
@@ -515,9 +309,12 @@ fn scatter_planned<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{SerialExecutor, ThreadedExecutor};
+    use crate::ghost::exchange_ghosts;
     use vf_dist::{DistType, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
+    use vf_machine::WorkerPool;
 
     fn cyclic_array(n: usize, p: usize) -> DistArray<f64> {
         let dist = Distribution::new(
@@ -554,7 +351,7 @@ mod tests {
             (ProcId(0), Point::d1(3)),
             (ProcId(3), Point::d1(1)),
         ];
-        let schedule = inspector(a.dist(), &accesses).unwrap();
+        let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
         assert_eq!(schedule.num_elements(), 3);
         assert_eq!(schedule.num_messages(), 3);
         assert_eq!(schedule.owners_for(ProcId(0)), vec![ProcId(1), ProcId(2)]);
@@ -570,14 +367,14 @@ mod tests {
         let accesses: Vec<(ProcId, Point)> = (0..20)
             .map(|i| (ProcId(i % 4), Point::d1(((i * 7) % 24) as i64 + 1)))
             .collect();
-        let schedule = inspector(a.dist(), &accesses).unwrap();
+        let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
 
         let oracle_tracker = CommTracker::new(4, CostModel::zero());
-        let oracle = execute_gather(&a, &schedule, &oracle_tracker).unwrap();
+        let oracle = execute_gather(&a, &schedule, &oracle_tracker, &SerialExecutor).unwrap();
 
         let tracker = CommTracker::new(4, CostModel::zero());
         let exec = crate::shard::ShardedExecutor::new();
-        let sharded = execute_gather_sharded(&a, &schedule, &tracker, &exec).unwrap();
+        let sharded = execute_gather(&a, &schedule, &tracker, &exec).unwrap();
 
         for &(p, ref pt) in &accesses {
             assert_eq!(
@@ -603,9 +400,9 @@ mod tests {
             (ProcId(0), Point::d1(6)),
             (ProcId(1), Point::d1(12)),
         ];
-        let schedule = inspector(a.dist(), &accesses).unwrap();
+        let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
         let tracker = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
-        let gathered = execute_gather(&a, &schedule, &tracker).unwrap();
+        let gathered = execute_gather(&a, &schedule, &tracker, &SerialExecutor).unwrap();
         assert_eq!(gathered.get(ProcId(0), a.dist(), &Point::d1(2)), Some(2.0));
         assert_eq!(gathered.get(ProcId(0), a.dist(), &Point::d1(6)), Some(6.0));
         assert_eq!(
@@ -631,7 +428,15 @@ mod tests {
             (ProcId(0), Point::d1(1), 5.0),  // local → no message
             (ProcId(1), Point::d1(2), 1.0),  // local → no message
         ];
-        let messages = execute_scatter(&mut a, &updates, &tracker, |a, b| a + b).unwrap();
+        let messages = execute_scatter(
+            &mut a,
+            &updates,
+            &tracker,
+            &PlanCache::new(),
+            &SerialExecutor,
+            |a, b| a + b,
+        )
+        .unwrap();
         assert_eq!(messages, 1);
         assert_eq!(a.get(&Point::d1(2)).unwrap(), 2.0 + 10.0 + 1.0);
         assert_eq!(a.get(&Point::d1(1)).unwrap(), 1.0 + 5.0);
@@ -640,7 +445,6 @@ mod tests {
 
     #[test]
     fn scatter_through_executor_matches_serial_with_order_sensitive_combine() {
-        use crate::exec::ThreadedExecutor;
         // Repeated updates to the same element through a non-commutative,
         // non-associative combine: only per-owner in-order application
         // gives the serial result, so this fails if a backend reorders
@@ -659,31 +463,27 @@ mod tests {
             .collect();
         let mut serial = cyclic_array(n, p);
         let t1 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-        let m_serial = execute_scatter(&mut serial, &updates, &t1, combine).unwrap();
+        let fresh = PlanCache::new();
+        let m_serial =
+            execute_scatter(&mut serial, &updates, &t1, &fresh, &SerialExecutor, combine).unwrap();
         for workers in [2, 3] {
             let mut threaded = cyclic_array(n, p);
             let t2 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-            let exec = ThreadedExecutor::with_workers(workers).serial_cutoff_bytes(0);
-            let m_thr = execute_scatter_with(&mut threaded, &updates, &t2, &exec, combine).unwrap();
+            let exec = ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers)))
+                .with_serial_cutoff(0);
+            let m_thr =
+                execute_scatter(&mut threaded, &updates, &t2, &fresh, &exec, combine).unwrap();
             assert_eq!(m_serial, m_thr);
             assert_eq!(serial.to_dense(), threaded.to_dense(), "{workers} workers");
             assert_eq!(t1.snapshot(), t2.snapshot());
         }
-        // The cached variant reuses the placement plan.
-        let cache = PlanCache::new();
-        let mut c1 = cyclic_array(n, p);
-        let t3 = CommTracker::new(p, CostModel::zero());
-        execute_scatter_cached_with(&mut c1, &updates, &t3, &cache, &SerialExecutor, combine)
-            .unwrap();
-        execute_scatter_cached_with(&mut c1, &updates, &t3, &cache, &SerialExecutor, combine)
-            .unwrap();
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 1);
+        // The placement plan was planned once and reused ever since.
+        assert_eq!(fresh.stats().misses, 1);
+        assert_eq!(fresh.stats().hits, 2);
     }
 
     #[test]
     fn scatter_with_replicated_target_falls_back_to_serial_semantics() {
-        use crate::exec::ThreadedExecutor;
         let dist = Distribution::new(
             DistType::new(vec![vf_dist::DimDist::NotDistributed]),
             IndexDomain::d1(4),
@@ -692,14 +492,15 @@ mod tests {
         .unwrap();
         let mut a: DistArray<f64> = DistArray::new("R", dist);
         let tracker = CommTracker::new(3, CostModel::zero());
-        let exec = ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0);
-        execute_scatter_with(
+        let exec = ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(3))).with_serial_cutoff(0);
+        execute_scatter(
             &mut a,
             &[
                 (ProcId(2), Point::d1(2), 7.0),
                 (ProcId(0), Point::d1(2), 1.0),
             ],
             &tracker,
+            &PlanCache::new(),
             &exec,
             |x, y| x + y,
         )
@@ -723,6 +524,8 @@ mod tests {
             &mut a,
             &[(ProcId(2), Point::d1(2), 7.0)],
             &tracker,
+            &PlanCache::new(),
+            &SerialExecutor,
             |x, y| x + y,
         )
         .unwrap();
@@ -759,7 +562,7 @@ mod tests {
             xadj.push(adjncy.len());
         }
         let conn = Connectivity::from_csr(xadj, adjncy).unwrap();
-        let schedule = incremental_schedule(&dist, &conn).unwrap();
+        let schedule = incremental_schedule(&dist, &conn, &PlanCache::new()).unwrap();
 
         // The same reads, expressed as explicit per-edge gather accesses.
         let locator = dist.locator();
@@ -770,7 +573,7 @@ mod tests {
             })
             .map(|(o, v)| (o, Point::d1(v as i64 + 1)))
             .collect();
-        let gather = inspector(&dist, &accesses).unwrap();
+        let gather = inspector(&dist, &accesses, &PlanCache::new()).unwrap();
         assert_eq!(schedule.num_elements(), gather.num_elements());
         assert_eq!(schedule.num_messages(), gather.num_messages());
         for q in 0..p {
@@ -783,8 +586,8 @@ mod tests {
 
         let t1 = CommTracker::new(p, CostModel::zero());
         let t2 = CommTracker::new(p, CostModel::zero());
-        let (halo, report) = execute_halo(&a, &schedule, &t1).unwrap();
-        let fetched = execute_gather(&a, &gather, &t2).unwrap();
+        let (halo, report) = exchange_ghosts(&a, schedule.plan(), &t1, &SerialExecutor).unwrap();
+        let fetched = execute_gather(&a, &gather, &t2, &SerialExecutor).unwrap();
         assert_eq!(report.elements, gather.num_elements());
         for (q, point) in &accesses {
             if a.dist().is_local(*q, point) {
@@ -804,10 +607,10 @@ mod tests {
         // the ablation of DESIGN.md §5 (inspector reuse).
         let a = cyclic_array(16, 4);
         let accesses: Vec<_> = (1..=16).map(|i| (ProcId(0), Point::d1(i))).collect();
-        let schedule = inspector(a.dist(), &accesses).unwrap();
+        let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
         let tracker = CommTracker::new(4, CostModel::zero());
-        let g1 = execute_gather(&a, &schedule, &tracker).unwrap();
-        let g2 = execute_gather(&a, &schedule, &tracker).unwrap();
+        let g1 = execute_gather(&a, &schedule, &tracker, &SerialExecutor).unwrap();
+        let g2 = execute_gather(&a, &schedule, &tracker, &SerialExecutor).unwrap();
         assert_eq!(g1.len(ProcId(0)), g2.len(ProcId(0)));
         assert_eq!(
             tracker.snapshot().total_messages(),
@@ -820,15 +623,15 @@ mod tests {
         let a = cyclic_array(16, 4);
         let cache = PlanCache::new();
         let accesses: Vec<_> = (1..=16).map(|i| (ProcId(0), Point::d1(i))).collect();
-        let s1 = inspector_cached(a.dist(), &accesses, &cache).unwrap();
-        let s2 = inspector_cached(a.dist(), &accesses, &cache).unwrap();
+        let s1 = inspector(a.dist(), &accesses, &cache).unwrap();
+        let s2 = inspector(a.dist(), &accesses, &cache).unwrap();
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
         // Both handles share one plan.
         assert!(Arc::ptr_eq(s1.plan(), s2.plan()));
         // A different access pattern misses.
         let other: Vec<_> = (1..=8).map(|i| (ProcId(1), Point::d1(i))).collect();
-        inspector_cached(a.dist(), &other, &cache).unwrap();
+        inspector(a.dist(), &other, &cache).unwrap();
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -844,7 +647,7 @@ mod tests {
         .unwrap();
         let a = DistArray::from_fn("B", dist, |pt| pt.coord(0) as f64);
         let accesses: Vec<_> = (5..=8).map(|i| (ProcId(0), Point::d1(i))).collect();
-        let schedule = inspector(a.dist(), &accesses).unwrap();
+        let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
         assert_eq!(schedule.plan().transfers().len(), 1);
         assert_eq!(schedule.plan().transfers()[0].runs.len(), 1);
         assert_eq!(schedule.plan().transfers()[0].elements, 4);

@@ -1243,6 +1243,23 @@ impl PlanCache {
         )
     }
 
+    /// The fused ghost plan of a class of arrays distributed as `dists`
+    /// under one stencil: each member's halo plan through the cache, then
+    /// fused — what [`crate::ghost::exchange_class_ghosts`] and its split
+    /// form execute.  The fusion itself is rebuilt per call (it is a small
+    /// index over the cached parts).
+    pub fn ghost_class_plan<'d>(
+        &self,
+        dists: impl IntoIterator<Item = &'d Distribution>,
+        widths: &[(usize, usize)],
+    ) -> Result<crate::FusedPlan> {
+        let parts = dists
+            .into_iter()
+            .map(|dist| self.ghost_plan(dist, widths))
+            .collect::<Result<Vec<_>>>()?;
+        crate::FusedPlan::fuse(parts)
+    }
+
     /// The cached irregular (connectivity-driven) halo plan for `dist` —
     /// keyed by (distribution fingerprint, connectivity fingerprint), so a
     /// repartitioned array (new map, new fingerprint) can never reuse a
@@ -1382,7 +1399,7 @@ mod tests {
     fn executing_a_stale_plan_is_rejected() {
         let block = dist_1d(DistType::block1d(), 16, 4);
         let cyclic = dist_1d(DistType::cyclic1d(1), 16, 4);
-        let plan = plan_redistribute(&block, &cyclic).unwrap();
+        let plan = Arc::new(plan_redistribute(&block, &cyclic).unwrap());
         // The array has since been redistributed to gen-block: the cached
         // plan no longer applies and execution must refuse.
         let mut a = DistArray::from_fn(
@@ -1391,8 +1408,9 @@ mod tests {
             |p| p.coord(0) as f64,
         );
         let tracker = CommTracker::new(4, CostModel::zero());
+        let opts = crate::RedistOptions::default();
         let err =
-            crate::execute_redistribute(&mut a, &plan, &tracker, &crate::RedistOptions::default());
+            crate::execute_redistribute(&mut a, &plan, &tracker, &opts, &crate::SerialExecutor);
         assert!(matches!(err, Err(RuntimeError::PlanMismatch { .. })));
     }
 
@@ -1426,11 +1444,14 @@ mod tests {
         .unwrap();
         let mut a = DistArray::from_fn("A", block.clone(), |p| (p.coord(0) + 1) as f64);
         let before = a.to_dense();
+        let (opts, cache) = (crate::RedistOptions::default(), PlanCache::new());
         crate::redistribute(
             &mut a,
             rep.clone(),
             &tracker,
-            &crate::RedistOptions::default(),
+            &opts,
+            &cache,
+            &crate::SerialExecutor,
         )
         .unwrap();
         // Every replica holds the full data.
@@ -1441,8 +1462,15 @@ mod tests {
                 "replica on P{p} incomplete"
             );
         }
-        let report =
-            crate::redistribute(&mut a, block, &tracker, &crate::RedistOptions::default()).unwrap();
+        let report = crate::redistribute(
+            &mut a,
+            block,
+            &tracker,
+            &opts,
+            &cache,
+            &crate::SerialExecutor,
+        )
+        .unwrap();
         assert_eq!(a.to_dense(), before, "round trip lost data");
         // Only the canonical copy sent: each element placed exactly once.
         assert_eq!(report.moved_elements + report.stayed_elements, 8);

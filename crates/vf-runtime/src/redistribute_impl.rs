@@ -1,16 +1,28 @@
 //! The realisation of the executable `DISTRIBUTE` statement (paper §3.2.2).
 //!
-//! Data motion runs through the unified communication-plan layer
-//! ([`crate::plan`]): [`plan_redistribute`](crate::plan::plan_redistribute)
-//! derives the run-length-encoded (sender, receiver) schedule once, and
-//! [`execute_redistribute`] replays it — a single pass over the runs with
-//! one aggregated cost-model charge per message.  Iterative codes reuse
-//! plans through a [`PlanCache`] via [`redistribute_cached`].
+//! One statement, four verbs, all taking the executor that picks the
+//! transport (see [`crate::exec`]):
+//!
+//! * [`redistribute`] — plan `old → new` through a [`PlanCache`] (pass
+//!   `&PlanCache::new()` for a one-off) and execute it;
+//! * [`execute_redistribute`] — replay an already-planned [`CommPlan`];
+//! * [`execute_class_redistribute`] — replay a [`FusedPlan`] over a class:
+//!   one message per processor pair for all arrays;
+//! * [`redistribute_split`] — post now, install at
+//!   [`SplitRedistribute::finish_into`].
+//!
+//! Each runs the same *prepare* (validate every (array, plan) pair, size
+//! every destination buffer — before anything is charged) and the same
+//! *install* (swap in the new descriptor and locals, report) around the
+//! engine call.
 
-use crate::exec::{FusedPlan, PlanExecutor, SerialExecutor};
-use crate::plan::{plan_redistribute, CommPlan, PlanCache, PlanIndex, PlanKind};
-use crate::shard::{RankShards, ShardedExecutor};
+use crate::exec::{
+    split_execute_fused_wire, ExecBackend, ExecReport, FusedPlan, PlanExecutor, SplitExecReport,
+    SplitPhaseExchange,
+};
+use crate::plan::{CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::{DistArray, Element, Result, RuntimeError};
+use std::sync::Arc;
 use vf_dist::Distribution;
 use vf_machine::{trace, CommTracker};
 
@@ -26,7 +38,10 @@ pub struct RedistOptions {
     /// Aggregate all elements travelling between one pair of processors
     /// into a single message (the paper's "efficient pre-compiled routine").
     /// When `false`, every element is charged as its own message — the
-    /// naive strategy used as an ablation baseline in experiment E4.
+    /// naive strategy used as an ablation baseline in experiment E4.  The
+    /// ablation is a property of the *model*: it runs on the direct-copy
+    /// engine on every backend, channels included (there is no
+    /// message-per-element transport to measure).
     pub aggregate: bool,
 }
 
@@ -72,71 +87,39 @@ pub struct RedistReport {
     pub bytes: usize,
 }
 
-/// Redistributes `array` to `new_dist`, moving data from old owners to new
-/// owners and charging the resulting messages to `tracker`.
+/// Redistributes `array` to `new_dist` (paper §3.2.2, step 3): each
+/// processor determines the new locations of its current local data,
+/// "sends" it there, and receives data from other processors; the
+/// resulting messages are charged to `tracker`.
 ///
-/// This follows the three per-processor steps of §3.2.2: the new
-/// distribution (and its access functions) has already been evaluated by the
-/// caller (step 1); connected arrays are each redistributed by the language
-/// layer with their own call (step 2); this function performs step 3 — each
-/// processor determines the new locations of its current local data, "sends"
-/// it there, and receives data from other processors.  Data motion is
-/// suppressed entirely under `NOTRANSFER`.
-pub fn redistribute<T: Element>(
+/// The `old → new` schedule is looked up in `cache` by the distributions'
+/// structural fingerprints and planned only on a miss, so iterative codes
+/// (the ADI pattern of Figure 1, the PIC rebalancing of Figure 2) amortise
+/// the inspector cost exactly as the PARTI routines the paper cites.  Two
+/// cases never reach the planner: `NOTRANSFER` only swaps the descriptor,
+/// and a `DISTRIBUTE` onto the mapping the array already has is a no-op —
+/// nothing is planned, copied or charged, the descriptor takes `new_dist`
+/// and the report says every element stayed.
+pub fn redistribute<T: Element, E: PlanExecutor>(
     array: &mut DistArray<T>,
     new_dist: Distribution,
     tracker: &CommTracker,
     opts: &RedistOptions,
-) -> Result<RedistReport> {
-    redistribute_with(array, new_dist, tracker, opts, &SerialExecutor)
-}
-
-/// [`redistribute`] with an explicit execution backend — the copies run
-/// through `executor` (e.g. [`crate::exec::ThreadedExecutor`]), the result
-/// is bit-identical to serial execution.
-pub fn redistribute_with<T: Element, E: PlanExecutor>(
-    array: &mut DistArray<T>,
-    new_dist: Distribution,
-    tracker: &CommTracker,
-    opts: &RedistOptions,
+    cache: &PlanCache,
     executor: &E,
 ) -> Result<RedistReport> {
     if opts.notransfer {
         return redistribute_notransfer(array, new_dist, tracker);
     }
-    let plan = plan_redistribute(array.dist(), &new_dist)?;
-    execute_redistribute_with(array, &plan, tracker, opts, executor)
-}
-
-/// [`redistribute`] with plan reuse: the (old, new) schedule is looked up
-/// in `cache` by the distributions' structural fingerprints and planned
-/// only on a miss, so iterative codes (the ADI pattern of Figure 1, the PIC
-/// rebalancing of Figure 2) amortise the inspector cost across iterations
-/// exactly as the PARTI routines the paper cites.
-pub fn redistribute_cached<T: Element>(
-    array: &mut DistArray<T>,
-    new_dist: Distribution,
-    tracker: &CommTracker,
-    opts: &RedistOptions,
-    cache: &PlanCache,
-) -> Result<RedistReport> {
-    redistribute_cached_with(array, new_dist, tracker, opts, cache, &SerialExecutor)
-}
-
-/// [`redistribute_cached`] with an explicit execution backend.
-pub fn redistribute_cached_with<T: Element, E: PlanExecutor>(
-    array: &mut DistArray<T>,
-    new_dist: Distribution,
-    tracker: &CommTracker,
-    opts: &RedistOptions,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<RedistReport> {
-    if opts.notransfer {
-        return redistribute_notransfer(array, new_dist, tracker);
+    if array.is_mapped_as(&new_dist) {
+        array.set_dist(new_dist);
+        return Ok(RedistReport {
+            stayed_elements: array.domain().size(),
+            ..RedistReport::default()
+        });
     }
     let plan = cache.redistribute_plan(array.dist(), &new_dist)?;
-    execute_redistribute_with(array, &plan, tracker, opts, executor)
+    execute_redistribute(array, &plan, tracker, opts, executor)
 }
 
 /// The `NOTRANSFER` path: only the descriptor changes, no plan is needed.
@@ -178,170 +161,273 @@ fn check_tracker(old: &Distribution, new: &Distribution, tracker: &CommTracker) 
     Ok(())
 }
 
-/// The executor half of the `DISTRIBUTE` realisation with the serial
-/// backend — see [`execute_redistribute_with`].
-///
-/// # Errors
-/// [`RuntimeError::PlanMismatch`] if the array's current distribution is
-/// not the one the plan was built for.
-pub fn execute_redistribute<T: Element>(
-    array: &mut DistArray<T>,
+/// The one *prepare* of the statement, per (array, plan) pair: the plan is
+/// a redistribution, built for the array's current distribution, and
+/// `tracker` models enough processors; returns the target distribution and
+/// the sizes of the array's new per-processor buffers.  Every verb prepares
+/// **all** its pairs before anything is charged or moved.
+fn prepare<T: Element>(
+    array: &DistArray<T>,
     plan: &CommPlan,
     tracker: &CommTracker,
-    opts: &RedistOptions,
-) -> Result<RedistReport> {
-    execute_redistribute_with(array, plan, tracker, opts, &SerialExecutor)
-}
-
-/// The executor half of the `DISTRIBUTE` realisation: replays a
-/// (possibly cached) [`CommPlan`] against the array through the chosen
-/// [`PlanExecutor`] backend — every run is one `copy_from_slice` between
-/// the sender's old buffer and the receiver's new buffer — posting the
-/// aggregated per-pair messages before the copies and completing them
-/// afterwards (or one message per element under
-/// [`RedistOptions::element_wise`]).
-///
-/// # Errors
-/// [`RuntimeError::PlanMismatch`] if the array's current distribution is
-/// not the one the plan was built for.
-pub fn execute_redistribute_with<T: Element, E: PlanExecutor>(
-    array: &mut DistArray<T>,
-    plan: &CommPlan,
-    tracker: &CommTracker,
-    opts: &RedistOptions,
-    executor: &E,
-) -> Result<RedistReport> {
+) -> Result<(Distribution, Vec<usize>)> {
     let PlanIndex::Redistribute { new_dist } = &plan.index else {
         return Err(RuntimeError::PlanMismatch {
             expected: plan.src_fingerprint(),
             found: array.dist().fingerprint(),
         });
     };
-    debug_assert_eq!(plan.kind(), PlanKind::Redistribute);
     plan.check_executable(array.dist(), tracker)?;
+    let mut sizes = vec![0usize; plan.total_procs()];
+    for &q in new_dist.proc_ids() {
+        sizes[q.0] = new_dist.local_size(q);
+    }
+    Ok((new_dist.clone(), sizes))
+}
 
+/// The one *install* of the statement: the array takes its new descriptor
+/// and locals (the plan targets the canonical first owner; every copy of a
+/// replicated array receives the data) and reports what `plan` moved.
+/// `messages` / `bytes` are what the array charged on its own, or would
+/// have, had it not travelled fused.
+fn install<T: Element>(
+    array: &mut DistArray<T>,
+    plan: &CommPlan,
+    new_dist: Distribution,
+    locals: Vec<Vec<T>>,
+    charged: ExecReport,
+) -> RedistReport {
+    array.replace(new_dist, locals);
+    array.broadcast_canonical();
+    RedistReport {
+        moved_elements: plan.moved_elements(),
+        stayed_elements: plan.stayed_elements(),
+        messages: charged.messages,
+        bytes: charged.bytes,
+    }
+}
+
+/// The executor half of `DISTRIBUTE` for one array: replays a (possibly
+/// cached) [`CommPlan`] through `executor` — direct copy on a
+/// shared-memory executor, channel frames on a sharded one — posting the
+/// aggregated per-pair messages before the data moves and completing them
+/// afterwards (or one message per element under
+/// [`RedistOptions::element_wise`]).
+///
+/// # Errors
+/// [`RuntimeError::PlanMismatch`] if the array's current distribution is
+/// not the one the plan was built for; transport errors as
+/// [`PlanExecutor::execute`] — the array is untouched either way.
+pub fn execute_redistribute<T: Element, E: PlanExecutor>(
+    array: &mut DistArray<T>,
+    plan: &Arc<CommPlan>,
+    tracker: &CommTracker,
+    opts: &RedistOptions,
+    executor: &E,
+) -> Result<RedistReport> {
+    let (new_dist, dst_sizes) = prepare(array, plan, tracker)?;
     let _span = trace::OpenSpan::begin_with(trace::Phase::Redistribute, || {
         format!("{} moved", plan.moved_elements())
     });
-    let mut dst_sizes = vec![0usize; plan.total_procs()];
-    for &q in new_dist.proc_ids() {
-        dst_sizes[q.0] = new_dist.local_size(q);
-    }
-    let (new_locals, exec) =
-        executor.execute(plan, array.locals(), &dst_sizes, tracker, opts.aggregate);
-    array.replace(new_dist.clone(), new_locals);
-    // The plan targets the canonical first owner; every copy of a
-    // replicated array receives the data.
-    array.broadcast_canonical();
-    Ok(RedistReport {
-        moved_elements: plan.moved_elements(),
-        stayed_elements: plan.stayed_elements(),
-        messages: exec.messages,
-        bytes: exec.bytes,
-    })
+    let (locals, charged) =
+        executor.execute(plan, array.locals(), &dst_sizes, tracker, opts.aggregate)?;
+    Ok(install(array, plan, new_dist, locals, charged))
 }
 
-/// [`crate::exec::execute_redistribute_fused_wire`] through the
-/// distributed-memory backend: each rank reads only its own segment of
-/// the arrays, every crossing pair travels as one frame over a real
-/// [`vf_machine::spmd`] channel, and the ranks' new locals replace the
-/// arrays' old ones.  Buffers, reports and modelled charges are
-/// bitwise identical to the shared wire path; the real channel traffic is
-/// additionally counted in the tracker's channel statistics.
+/// The executor half of a class `DISTRIBUTE`: every array is moved by its
+/// own part of `fused` (`arrays[i]` by part `i`) while the class pays **one
+/// message per processor pair** — the wire engine on a shared-memory
+/// executor, channel frames on a sharded one.  Buffers are bitwise those
+/// of one [`execute_redistribute`] per array, bytes are conserved, only
+/// the message count drops.
+///
+/// Returns one [`RedistReport`] per array, whose `messages` / `bytes`
+/// record what the array *would* have charged on its own, plus the
+/// [`ExecReport`] of what the class actually charged.
 ///
 /// # Errors
-/// As the shared wire path (everything is validated before any data
-/// moves), plus [`RuntimeError::Channel`] / [`RuntimeError::CorruptMessage`]
-/// when a rank's channel operation or frame validation fails mid-region —
-/// the arrays are left untouched on their *old* distribution in that case.
-pub fn execute_redistribute_fused_sharded<T: Element>(
+/// [`RuntimeError::FusionMismatch`] if `fused` is not a redistribution
+/// fusion or disagrees with `arrays` in length;
+/// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
+/// any part does not apply to its array — validated for *all* arrays
+/// before anything is charged, so a failed class statement changes
+/// nothing; transport errors as [`PlanExecutor::execute_fused`].
+pub fn execute_class_redistribute<T: Element, E: PlanExecutor>(
     arrays: &mut [&mut DistArray<T>],
     fused: &FusedPlan,
     tracker: &CommTracker,
-    executor: &ShardedExecutor,
-) -> Result<(Vec<RedistReport>, crate::ExecReport)> {
+    executor: &E,
+) -> Result<(Vec<RedistReport>, ExecReport)> {
     fused.check_parts(
         PlanKind::Redistribute,
-        "execute_redistribute_fused_sharded",
+        "execute_class_redistribute",
         arrays.len(),
     )?;
-    // Validate every (array, part) pair before moving anything.
-    let mut new_dists = Vec::with_capacity(arrays.len());
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        let PlanIndex::Redistribute { new_dist } = &part.index else {
-            return Err(RuntimeError::PlanMismatch {
-                expected: part.src_fingerprint(),
-                found: array.dist().fingerprint(),
-            });
-        };
-        part.check_executable(array.dist(), tracker)?;
-        new_dists.push(new_dist.clone());
-    }
-    let _span = trace::OpenSpan::begin_with(trace::Phase::Redistribute, || {
-        format!("sharded {} arrays", arrays.len())
-    });
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
+    let prepared: Result<Vec<_>> = arrays
         .iter()
-        .zip(&new_dists)
-        .map(|(part, new_dist)| {
-            let mut sizes = vec![0usize; part.total_procs()];
-            for &q in new_dist.proc_ids() {
-                sizes[q.0] = new_dist.local_size(q);
-            }
-            sizes
-        })
+        .zip(fused.parts())
+        .map(|(array, part)| prepare(array, part, tracker))
         .collect();
-    let copy_secs = crate::exec::wire_copy_seconds(fused, T::BYTES, tracker);
-    let (bufs, exec) = crate::shard::sharded_fused_exchange(
-        fused,
-        tracker,
-        executor,
-        &RankShards::of(arrays),
-        &|idx, r| dst_sizes[idx].get(r).copied().unwrap_or(0),
-        &copy_secs,
-    )?;
-    let mut reports = Vec::with_capacity(arrays.len());
-    for (((array, part), new_dist), locals) in arrays
+    let (new_dists, dst_sizes): (Vec<_>, Vec<_>) = prepared?.into_iter().unzip();
+    let _span = trace::OpenSpan::begin_with(trace::Phase::Redistribute, || {
+        format!("class of {} arrays", arrays.len())
+    });
+    let (bufs, charged) = {
+        let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
+        executor.execute_fused(fused, &srcs, &dst_sizes, tracker)?
+    };
+    let reports = arrays
         .iter_mut()
         .zip(fused.parts())
-        .zip(new_dists)
-        .zip(bufs)
-    {
-        array.replace(new_dist, locals);
-        array.broadcast_canonical();
-        reports.push(RedistReport {
-            moved_elements: part.moved_elements(),
-            stayed_elements: part.stayed_elements(),
-            messages: part.num_messages(),
-            bytes: part.bytes_for(T::BYTES),
-        });
-    }
-    Ok((reports, exec))
+        .zip(new_dists.into_iter().zip(bufs))
+        .map(|((array, part), (new_dist, locals))| {
+            let alone = ExecReport {
+                messages: part.num_messages(),
+                bytes: part.bytes_for(T::BYTES),
+            };
+            install(array, part, new_dist, locals, alone)
+        })
+        .collect();
+    Ok((reports, charged))
 }
 
-/// Single-array `DISTRIBUTE` through the distributed-memory backend, with
-/// plan reuse through `cache` — the sharded counterpart of
-/// [`redistribute_cached_with`] (always aggregated, never `NOTRANSFER`).
-pub fn redistribute_sharded<T: Element>(
-    array: &mut DistArray<T>,
-    new_dist: &Distribution,
+/// A single-array redistribution caught between its post and its wait —
+/// the split-phase form of [`redistribute`], built on
+/// [`SplitPhaseExchange`].
+///
+/// Created by [`redistribute_split`] after packing the crossing payloads
+/// and posting the modelled messages.  The caller can then:
+///
+/// 1. run any work that does not touch the array while the destination
+///    buffers stream in on the pool's background workers,
+/// 2. pipeline per-destination: [`SplitRedistribute::wait_dest`]`(d)`
+///    followed by [`SplitRedistribute::with_dest_mut`]`(d, ..)` operates
+///    on destination `d`'s *new* local buffer while other destinations
+///    are still in flight (the ADI sweep works this way),
+/// 3. call [`SplitRedistribute::finish_into`] to install the new locals
+///    and descriptor — results bitwise identical to the blocking verb.
+pub struct SplitRedistribute<'e, T: Element> {
+    inner: SplitPhaseExchange<'e, T>,
+    plan: Arc<CommPlan>,
+    new_dist: Distribution,
+}
+
+impl<T: Element> SplitRedistribute<'_, T> {
+    /// The distribution the array will have after
+    /// [`SplitRedistribute::finish_into`].
+    pub fn new_dist(&self) -> &Distribution {
+        &self.new_dist
+    }
+
+    /// Whether the unpack is streaming on background workers.
+    pub fn is_streaming(&self) -> bool {
+        self.inner.is_streaming()
+    }
+
+    /// Blocks until destination processor `d`'s new local buffer is fully
+    /// assembled (helping unpack while waiting); other destinations may
+    /// still be in flight.
+    pub fn wait_dest(&self, d: usize) {
+        self.inner.wait_dest(d);
+    }
+
+    /// Runs `f` on destination processor `d`'s new local buffer.  Call
+    /// [`SplitRedistribute::wait_dest`]`(d)` first; mutations made here are
+    /// what [`SplitRedistribute::finish_into`] installs.
+    pub fn with_dest_mut<R>(&self, d: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        self.inner.with_dest_mut(0, d, f)
+    }
+
+    /// Completes the exchange and installs the new locals and descriptor
+    /// into `array` (which must still carry the distribution the plan was
+    /// posted from), broadcasting to replicated copies exactly like the
+    /// blocking verb.
+    ///
+    /// # Errors
+    /// [`RuntimeError::PlanMismatch`] if `array` was redistributed between
+    /// the post and this call; [`RuntimeError::CorruptMessage`] if a wire
+    /// buffer failed validation and could not be repaired (the array is
+    /// left untouched on its old distribution).
+    pub fn finish_into(
+        self,
+        array: &mut DistArray<T>,
+        tracker: &CommTracker,
+    ) -> Result<(RedistReport, SplitExecReport)> {
+        if array.dist().fingerprint() != self.plan.src_fingerprint() {
+            return Err(RuntimeError::PlanMismatch {
+                expected: self.plan.src_fingerprint(),
+                found: array.dist().fingerprint(),
+            });
+        }
+        let (mut bufs, report) = self.inner.wait(tracker)?;
+        let locals = bufs.pop().expect("exactly one fused part");
+        let charged = ExecReport {
+            messages: report.messages,
+            bytes: report.bytes,
+        };
+        Ok((
+            install(array, &self.plan, self.new_dist, locals, charged),
+            report,
+        ))
+    }
+}
+
+/// Posts a split-phase redistribution of `array` to `new_dist`: plans (or
+/// reuses) the schedule through `cache`, packs the crossing payloads,
+/// posts the aggregated messages, copies the stay-local runs, and returns
+/// with the per-destination unpacks streaming on `backend`'s pool (inline
+/// when the backend has no pool to stream on or the volume is below its
+/// cutoff).  The array itself is untouched until
+/// [`SplitRedistribute::finish_into`]; it must not be mutated while the
+/// handle is live (the packed payloads would silently ignore the
+/// mutation).
+///
+/// # Errors
+/// Exactly as [`redistribute`]: everything is validated before any
+/// message is posted.
+pub fn redistribute_split<'e, T: Element>(
+    array: &DistArray<T>,
+    new_dist: Distribution,
     tracker: &CommTracker,
     cache: &PlanCache,
-    executor: &ShardedExecutor,
-) -> Result<RedistReport> {
-    let plan = cache.redistribute_plan(array.dist(), new_dist)?;
-    let fused = FusedPlan::fuse(vec![plan])?;
-    let (reports, _) = execute_redistribute_fused_sharded(&mut [array], &fused, tracker, executor)?;
-    Ok(reports.into_iter().next().unwrap_or_default())
+    backend: &'e ExecBackend,
+) -> Result<SplitRedistribute<'e, T>> {
+    let plan = cache.redistribute_plan(array.dist(), &new_dist)?;
+    let (_, dst_sizes) = prepare(array, &plan, tracker)?;
+    let _span = trace::OpenSpan::begin_static(trace::Phase::Redistribute, "split post");
+    let fused = FusedPlan::fuse(vec![Arc::clone(&plan)])?;
+    let inner = split_execute_fused_wire(fused, tracker, backend, &[array.locals()], &[dst_sizes]);
+    Ok(SplitRedistribute {
+        inner,
+        plan,
+        new_dist,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SerialExecutor;
     use vf_dist::{DistType, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
+
+    /// A one-off `DISTRIBUTE`: fresh plan cache, serial executor.
+    fn redistribute_once<T: Element>(
+        array: &mut DistArray<T>,
+        new_dist: Distribution,
+        tracker: &CommTracker,
+        opts: &RedistOptions,
+    ) -> Result<RedistReport> {
+        redistribute(
+            array,
+            new_dist,
+            tracker,
+            opts,
+            &PlanCache::new(),
+            &SerialExecutor,
+        )
+    }
 
     fn dist_1d(t: DistType, n: usize, p: usize) -> Distribution {
         Distribution::new(t, IndexDomain::d1(n), ProcessorView::linear(p)).unwrap()
@@ -354,7 +440,7 @@ mod tests {
             p.coord(0) as f64
         });
         let before = a.to_dense();
-        let report = redistribute(
+        let report = redistribute_once(
             &mut a,
             dist_1d(DistType::cyclic1d(1), 16, 4),
             &tracker,
@@ -374,7 +460,7 @@ mod tests {
         let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), 12, 3), |p| {
             p.coord(0) as f64
         });
-        let report = redistribute(
+        let report = redistribute_once(
             &mut a,
             dist_1d(DistType::block1d(), 12, 3),
             &tracker,
@@ -405,7 +491,7 @@ mod tests {
         .unwrap();
         let mut v = DistArray::from_fn("V", cols, |p| (p.coord(0) * 100 + p.coord(1)) as f64);
         let before = v.to_dense();
-        let report = redistribute(&mut v, rows, &tracker, &RedistOptions::default()).unwrap();
+        let report = redistribute_once(&mut v, rows, &tracker, &RedistOptions::default()).unwrap();
         assert_eq!(v.to_dense(), before);
         // Each processor keeps its diagonal block (2x2 of the 4x4 processor
         // blocks): 8*8 elements, each proc owns 16, keeps 4.
@@ -421,7 +507,7 @@ mod tests {
         let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), 8, 2), |p| {
             p.coord(0) as f64
         });
-        let report = redistribute(
+        let report = redistribute_once(
             &mut a,
             dist_1d(DistType::cyclic1d(1), 8, 2),
             &tracker,
@@ -446,7 +532,7 @@ mod tests {
         };
         let t_agg = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
         let mut a = mk();
-        let agg = redistribute(
+        let agg = redistribute_once(
             &mut a,
             dist_1d(DistType::cyclic1d(1), 64, 4),
             &t_agg,
@@ -455,7 +541,7 @@ mod tests {
         .unwrap();
         let t_elem = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
         let mut b = mk();
-        let elem = redistribute(
+        let elem = redistribute_once(
             &mut b,
             dist_1d(DistType::cyclic1d(1), 64, 4),
             &t_elem,
@@ -474,7 +560,7 @@ mod tests {
     fn domain_mismatch_rejected() {
         let tracker = CommTracker::new(2, CostModel::zero());
         let mut a: DistArray<f64> = DistArray::new("A", dist_1d(DistType::block1d(), 8, 2));
-        let err = redistribute(
+        let err = redistribute_once(
             &mut a,
             dist_1d(DistType::block1d(), 9, 2),
             &tracker,
@@ -487,7 +573,7 @@ mod tests {
     fn tracker_too_small_rejected() {
         let tracker = CommTracker::new(2, CostModel::zero());
         let mut a: DistArray<f64> = DistArray::new("A", dist_1d(DistType::block1d(), 8, 2));
-        let err = redistribute(
+        let err = redistribute_once(
             &mut a,
             dist_1d(DistType::block1d(), 8, 4),
             &tracker,
@@ -520,15 +606,17 @@ mod tests {
             } else {
                 DistType::columns()
             };
-            let rc = redistribute_cached(
+            let rc = redistribute(
                 &mut a,
                 mk(target.clone()),
                 &t_cached,
                 &RedistOptions::default(),
                 &cache,
+                &SerialExecutor,
             )
             .unwrap();
-            let rf = redistribute(&mut b, mk(target), &t_fresh, &RedistOptions::default()).unwrap();
+            let rf =
+                redistribute_once(&mut b, mk(target), &t_fresh, &RedistOptions::default()).unwrap();
             assert_eq!(rc, rf, "iteration {iter}");
             assert_eq!(a.to_dense(), b.to_dense(), "iteration {iter}");
         }
@@ -547,12 +635,13 @@ mod tests {
         let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), 8, 2), |p| {
             p.coord(0) as f64
         });
-        let report = redistribute_cached(
+        let report = redistribute(
             &mut a,
             dist_1d(DistType::cyclic1d(1), 8, 2),
             &tracker,
             &RedistOptions::notransfer(),
             &cache,
+            &SerialExecutor,
         )
         .unwrap();
         assert_eq!(report, RedistReport::default());
@@ -570,7 +659,7 @@ mod tests {
         });
         let before = a.to_dense();
         for sizes in [vec![2, 8, 6, 4], vec![5, 5, 5, 5], vec![0, 0, 10, 10]] {
-            redistribute(
+            redistribute_once(
                 &mut a,
                 dist_1d(DistType::gen_block1d(sizes), 20, 4),
                 &tracker,

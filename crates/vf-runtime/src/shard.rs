@@ -9,6 +9,14 @@
 //! whatever crosses ranks crosses a real channel as one framed message per
 //! processor pair.
 //!
+//! The backend is a *transport*, not a function family:
+//! [`ShardedExecutor`] overrides the two methods of
+//! [`PlanExecutor`] that move data, so every verb handed a sharded
+//! executor (or [`crate::ExecBackend::Sharded`]) — `redistribute`,
+//! `exchange_ghosts`, `execute_gather`, `assign`, the class verbs,
+//! `CheckpointStore::restore_into` — moves its crossing elements over
+//! channels, from every call site.
+//!
 //! # The data path
 //!
 //! A statement (`DISTRIBUTE`, halo exchange, gather) is one SPMD region.
@@ -63,10 +71,10 @@
 
 use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
 use crate::exec::{
-    finish_checksum, finish_with_copy_credit, wire_copy_seconds, ExecReport, FusedPlan,
-    PlanExecutor, SerialExecutor,
+    copy_runs, copy_seconds, finish_checksum, finish_with_copy_credit, next_wire_seq_block,
+    post_fused, wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor, SerialExecutor,
 };
-use crate::plan::{PlanKind, Transfer};
+use crate::plan::{CommPlan, PlanKind, Transfer};
 use crate::{DistArray, Element, Result, RuntimeError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -177,13 +185,11 @@ pub(crate) struct RankShards<'a, T> {
 }
 
 impl<'a, T: Element> RankShards<'a, T> {
-    /// Borrows the local segments of `arrays`, in order.
-    pub(crate) fn of<A>(arrays: &'a [A]) -> Self
-    where
-        A: std::borrow::Borrow<DistArray<T>>,
-    {
+    /// Wraps the per-processor local segments of a statement's arrays
+    /// (what a verb hands its executor), in order.
+    pub(crate) fn of(locals: &[&'a [Vec<T>]]) -> Self {
         Self {
-            locals: arrays.iter().map(|a| a.borrow().locals()).collect(),
+            locals: locals.to_vec(),
         }
     }
 
@@ -244,12 +250,15 @@ impl FramePool {
 /// The distributed-memory backend handle: where its SPMD regions run and
 /// how long a rank waits on a channel before declaring a peer lost.
 ///
-/// As a [`PlanExecutor`] it behaves exactly like [`SerialExecutor`] — the
-/// non-channel phases (plain per-part copies, scatter updates) have no
-/// wire representation and stay on the shared-memory oracle.  The
-/// channel-backed entry points ([`crate::redistribute_sharded`],
-/// [`crate::exchange_ghosts_fused_sharded`],
-/// [`crate::execute_gather_sharded`]) take the executor explicitly.
+/// As a [`PlanExecutor`] it is the channel transport: both
+/// [`PlanExecutor::execute`] (one plan, wearing the fused wire layout as a
+/// fusion of one) and [`PlanExecutor::execute_fused`] (a class) run one
+/// SPMD region in which every crossing pair travels as a frame, with the
+/// model charged exactly as the shared-memory engines charge it.  Two
+/// things have no wire representation and run as on [`SerialExecutor`]:
+/// the element-wise modelling ablation ([`crate::RedistOptions::element_wise`]
+/// — it prices one message per element, which no transport sends) and
+/// scatter updates ([`PlanExecutor::run_updates`], applied in place).
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
     pool: Option<Arc<WorkerPool>>,
@@ -364,11 +373,40 @@ impl PlanExecutor for ShardedExecutor {
     ) -> Vec<Vec<T>> {
         SerialExecutor.run_copies(transfers, src, dst_sizes, tracker)
     }
-}
 
-/// The transfer of fused part `part` carrying the `(s, d)` pair.
-fn pair_runs(fused: &FusedPlan, part: usize, s: usize, d: usize) -> &Transfer {
-    &fused.parts()[part].transfers()[fused.pair_transfer[part][&(s, d)]]
+    fn execute<T: Element>(
+        &self,
+        plan: &Arc<CommPlan>,
+        src: &[Vec<T>],
+        dst_sizes: &[usize],
+        tracker: &CommTracker,
+        aggregate: bool,
+    ) -> Result<(Vec<Vec<T>>, ExecReport)> {
+        if !aggregate {
+            return SerialExecutor.execute(plan, src, dst_sizes, tracker, aggregate);
+        }
+        // Any single plan wears the fused wire layout: one transfer per
+        // pair means one slice per message.  The copy credit is the
+        // array verb's (the destination's unpack only), so the model is
+        // charged exactly as the direct-copy engine charges it.
+        let fused = FusedPlan::fuse_one(Arc::clone(plan));
+        let copy_secs = copy_seconds(plan.transfers(), T::BYTES, tracker);
+        let (mut bufs, report) =
+            sharded_fused_exchange(&fused, tracker, self, &[src], &[dst_sizes], &copy_secs)?;
+        Ok((bufs.pop().unwrap_or_default(), report))
+    }
+
+    fn execute_fused<T: Element>(
+        &self,
+        fused: &FusedPlan,
+        srcs: &[&[Vec<T>]],
+        dst_sizes: &[Vec<usize>],
+        tracker: &CommTracker,
+    ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
+        let dst_sizes: Vec<&[usize]> = dst_sizes.iter().map(Vec::as_slice).collect();
+        let copy_secs = wire_copy_seconds(fused, T::BYTES, tracker);
+        sharded_fused_exchange(fused, tracker, self, srcs, &dst_sizes, &copy_secs)
+    }
 }
 
 /// Sender half: packs crossing pair `pi` of `fused` out of the sending
@@ -383,13 +421,13 @@ fn pack_frame<T: Element>(
     seq: u64,
     frame: &mut Vec<u8>,
 ) {
-    let ((s, d), total) = fused.pair_elements[pi];
+    let (_, total) = fused.pair_elements[pi];
     frame.resize(WIRE_FRAME_BYTES + total * T::BYTES, 0);
     let (header, payload) = frame.split_at_mut(WIRE_FRAME_BYTES);
     let mut acc = 0u64;
-    for sl in &fused.pair_slices[pi] {
+    for (sl, t) in fused.pair_parts(pi) {
         let mut off = sl.wire_offset;
-        for run in &pair_runs(fused, sl.part, s, d).runs {
+        for run in &t.runs {
             acc ^= pack_le_xor(
                 &my[sl.part][run.src_start..run.src_start + run.len],
                 &mut payload[off * T::BYTES..(off + run.len) * T::BYTES],
@@ -436,9 +474,9 @@ fn unpack_frame<T: Element>(
             seq: header.seq,
         });
     }
-    for sl in &fused.pair_slices[pi] {
+    for (sl, t) in fused.pair_parts(pi) {
         let mut off = sl.wire_offset;
-        for run in &pair_runs(fused, sl.part, s, d).runs {
+        for run in &t.runs {
             unpack_le(
                 &payload[off * T::BYTES..(off + run.len) * T::BYTES],
                 &mut bufs[sl.part][run.dst_start..run.dst_start + run.len],
@@ -474,11 +512,8 @@ fn rank_exchange<T: Element>(
         .collect();
     // Elements that stay on `r` never touch a frame.
     for (idx, buf) in bufs.iter_mut().enumerate() {
-        if let Some(&ti) = fused.pair_transfer[idx].get(&(r, r)) {
-            for run in &fused.parts()[idx].transfers()[ti].runs {
-                buf[run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&my[idx][run.src_start..run.src_start + run.len]);
-            }
+        if let Some(t) = fused.local_transfer(idx, r) {
+            copy_runs(t, my[idx], buf);
         }
     }
     // Outgoing pairs.  `pair_elements` only holds crossing pairs with
@@ -511,12 +546,14 @@ fn rank_exchange<T: Element>(
     Ok(bufs)
 }
 
-/// The sharded counterpart of [`crate::exec::execute_fused_wire`]: charges
-/// the model identically (directory → single-message-per-pair post →
-/// settle with the pack/unpack copy credit in `copy_secs`), but moves the
-/// data through an SPMD region in which each rank reads only its own
-/// segments of `shards` and every crossing pair travels as one frame over
-/// a real channel (see the module docs for the data path).
+/// The channel engine behind [`ShardedExecutor`]'s `execute*`: charges the
+/// model exactly as the shared-memory engines do (directory →
+/// single-message-per-pair post → settle with the copy credit in
+/// `copy_secs`), but moves the data through an SPMD region in which each
+/// rank reads only its own segments of `srcs` and every crossing pair
+/// travels as one frame over a real channel (see the module docs for the
+/// data path).  `srcs[i]` / `dst_sizes[i]` are part `i`'s per-processor
+/// source segments and destination sizes.
 ///
 /// Returns per-part, per-processor destination buffers and the modelled
 /// report; the *channel* traffic lands in the tracker's
@@ -529,37 +566,30 @@ fn rank_exchange<T: Element>(
 /// failed validation.  The posted charges are settled before any error
 /// propagates; the source arrays are only borrowed, so they are unchanged
 /// whatever happened.
-pub(crate) fn sharded_fused_exchange<T: Element>(
+fn sharded_fused_exchange<T: Element>(
     fused: &FusedPlan,
     tracker: &CommTracker,
     exec: &ShardedExecutor,
-    shards: &RankShards<'_, T>,
-    dst_len: &(dyn Fn(usize, usize) -> usize + Sync),
+    srcs: &[&[Vec<T>]],
+    dst_sizes: &[&[usize]],
     copy_secs: &[f64],
 ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-    debug_assert_eq!(
-        shards.locals.len(),
-        fused.parts().len(),
-        "one array per part"
-    );
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(T::BYTES);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let post = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
-    let pending = tracker.post_many(batch);
-    post.end();
-    let seq_base = crate::exec::next_wire_seq_block(fused.pair_elements.len() as u64);
-    let procs = tracker.num_procs();
-    let per_rank: Vec<Result<Vec<Vec<T>>>> = exec.run_region(procs, tracker, |ctx| {
+    debug_assert_eq!(srcs.len(), fused.parts().len(), "one array per part");
+    let shards = RankShards::of(srcs);
+    let (pending, report) = post_fused(fused, T::BYTES, tracker);
+    let seq_base = next_wire_seq_block(fused.pair_elements.len() as u64);
+    // One rank per processor the plan can name: every rank with traffic
+    // or a destination buffer is below both bounds (the verbs validated
+    // the tracker against the plan).
+    let ranks = tracker.num_procs().min(fused.pairs_by_dst.len());
+    let dst_len = |idx: usize, r: usize| dst_sizes[idx].get(r).copied().unwrap_or(0);
+    let per_rank: Vec<Result<Vec<Vec<T>>>> = exec.run_region(ranks, tracker, |ctx| {
         let my = shards.mine(ctx);
         rank_exchange(
             fused,
             ctx,
             &my,
-            dst_len,
+            &dst_len,
             seq_base,
             exec.timeout,
             &exec.frames,
@@ -570,15 +600,18 @@ pub(crate) fn sharded_fused_exchange<T: Element>(
     let wait = trace::OpenSpan::begin(trace::Phase::Wait);
     finish_with_copy_credit(tracker, pending, copy_secs);
     wait.end();
-    let mut out: Vec<Vec<Vec<T>>> = (0..fused.parts().len())
-        .map(|_| vec![Vec::new(); procs])
+    let mut out: Vec<Vec<Vec<T>>> = dst_sizes
+        .iter()
+        .map(|sizes| vec![Vec::new(); sizes.len()])
         .collect();
     for (d, bufs) in per_rank.into_iter().enumerate() {
         for (idx, buf) in bufs?.into_iter().enumerate() {
-            out[idx][d] = buf;
+            if d < out[idx].len() {
+                out[idx][d] = buf;
+            }
         }
     }
-    Ok((out, ExecReport { messages, bytes }))
+    Ok((out, report))
 }
 
 /// A reusable rank-level halo exchange for SPMD application loops: the
@@ -632,10 +665,7 @@ impl ShardedHaloExchange {
     /// Charges one step's modelled traffic (directory + message batch).
     /// Call from exactly one rank per step, before any rank sends.
     pub fn post(&self, tracker: &CommTracker, elem_bytes: usize) -> vf_machine::PendingSends {
-        for part in self.fused.parts() {
-            part.charge_directory(tracker);
-        }
-        tracker.post_many(self.fused.message_batch(elem_bytes))
+        post_fused(&self.fused, elem_bytes, tracker).0
     }
 
     /// Completes one step's modelled traffic with the wire pack/unpack
@@ -670,7 +700,7 @@ impl ShardedHaloExchange {
         ctx: &mut ProcCtx,
         my: &[&[T]],
     ) -> Result<Vec<Vec<T>>> {
-        let seq_base = crate::exec::next_wire_seq_block(self.fused.pair_elements.len() as u64);
+        let seq_base = next_wire_seq_block(self.fused.pair_elements.len() as u64);
         rank_exchange(
             &self.fused,
             ctx,
@@ -744,7 +774,7 @@ mod tests {
             let mut oracle = DistArray::from_dense("A", from.clone(), &data).unwrap();
             let fused =
                 FusedPlan::fuse(vec![Arc::new(plan_redistribute(&from, &to).unwrap())]).unwrap();
-            let (oracle_reports, oracle_exec) = crate::exec::execute_redistribute_fused_wire(
+            let (oracle_reports, oracle_exec) = crate::execute_class_redistribute(
                 &mut [&mut oracle],
                 &fused,
                 &oracle_tracker,
@@ -757,13 +787,8 @@ mod tests {
             let mut array = DistArray::from_dense("A", from.clone(), &data).unwrap();
             let exec = ShardedExecutor::new();
             let (reports, exec_report) =
-                crate::redistribute_impl::execute_redistribute_fused_sharded(
-                    &mut [&mut array],
-                    &fused,
-                    &tracker,
-                    &exec,
-                )
-                .unwrap();
+                crate::execute_class_redistribute(&mut [&mut array], &fused, &tracker, &exec)
+                    .unwrap();
 
             assert_eq!(array.to_dense(), oracle.to_dense(), "{procs} procs");
             assert_eq!(reports, oracle_reports);
@@ -795,27 +820,22 @@ mod tests {
         let oracle_tracker = CommTracker::new(procs, CostModel::zero());
         let oracle_arr = DistArray::from_dense("G", dist.clone(), &data).unwrap();
         let cache = PlanCache::new();
-        let (oracle_regions, oracle_exec) = crate::ghost::exchange_ghosts_fused_wire_with(
+        let fused = cache
+            .ghost_class_plan([dist.clone()].iter(), &[(1, 1)])
+            .unwrap();
+        let (oracle_regions, oracle_exec) = crate::ghost::exchange_class_ghosts(
             &[&oracle_arr],
-            &[(1, 1)],
+            &fused,
             &oracle_tracker,
-            &cache,
             &SerialExecutor,
         )
         .unwrap();
 
         let tracker = CommTracker::new(procs, CostModel::zero());
         let arr = DistArray::from_dense("G", dist, &data).unwrap();
-        let cache2 = PlanCache::new();
         let exec = ShardedExecutor::new();
-        let (regions, exec_report) = crate::ghost::exchange_ghosts_fused_sharded(
-            &[&arr],
-            &[(1, 1)],
-            &tracker,
-            &cache2,
-            &exec,
-        )
-        .unwrap();
+        let (regions, exec_report) =
+            crate::ghost::exchange_class_ghosts(&[&arr], &fused, &tracker, &exec).unwrap();
 
         assert_eq!(exec_report, oracle_exec);
         for p in 0..procs {
@@ -855,7 +875,7 @@ mod tests {
             FusedPlan::fuse(vec![Arc::new(plan_redistribute(&from, &to).unwrap())]).unwrap();
         let ((s, d), _) = fused.pair_elements[0];
         let tracker = CommTracker::new(procs, CostModel::zero());
-        let shards = RankShards::of(std::slice::from_ref(&array));
+        let shards = RankShards::of(&[array.locals()]);
         let mut results = spmd::run(procs, &tracker, |ctx| {
             if ctx.rank() == s {
                 let mut frame = Vec::new();
@@ -918,7 +938,7 @@ mod tests {
             DistArray::from_dense("A", dist.clone(), &[1.0f64; 10]).unwrap(),
             DistArray::from_dense("B", dist, &[2.0f64; 10]).unwrap(),
         ];
-        let shards = RankShards::of(&arrays);
+        let shards = RankShards::of(&arrays.each_ref().map(|a| a.locals()));
         let tracker = CommTracker::new(procs, CostModel::zero());
         // The accessor takes no rank: identity comes from the caller's
         // own context, so what each rank sees is its segment and nothing
@@ -942,7 +962,7 @@ mod tests {
     fn rank_view_refuses_a_rank_without_a_segment() {
         let dist = dist_1d(DistType::block1d(), 8, 2);
         let array = DistArray::from_dense("A", dist, &[0.0f64; 8]).unwrap();
-        let shards = RankShards::of(std::slice::from_ref(&array));
+        let shards = RankShards::of(&[array.locals()]);
         // A region one rank wider than the array: rank 2 asks for a
         // segment that does not exist and is refused, not handed a
         // neighbour's.
@@ -983,7 +1003,9 @@ mod tests {
         let cache = PlanCache::new();
         let exec = ShardedExecutor::new();
         for target in [&b, &a, &b, &a] {
-            crate::redistribute_sharded(&mut array, target, &tracker, &cache, &exec).unwrap();
+            let opts = crate::RedistOptions::default();
+            crate::redistribute(&mut array, target.clone(), &tracker, &opts, &cache, &exec)
+                .unwrap();
             // One frame per crossing pair, however many statements ran.
             assert_eq!(exec.frames.0.lock().unwrap().len(), 2);
         }

@@ -25,3 +25,120 @@ pub fn dist_2d(dist_type: DistType, n: usize, m: usize, p: usize) -> Distributio
     Distribution::new(dist_type, IndexDomain::d2(n, m), ProcessorView::linear(p))
         .expect("valid 2-D distribution")
 }
+
+// ---------------------------------------------------------------------------
+// Plan-then-execute in one call, for tests that are not about the plan.
+// ---------------------------------------------------------------------------
+
+use vf_core::vf_runtime::ghost::{
+    exchange_class_ghosts, exchange_class_ghosts_split, exchange_ghosts, GhostRegion, GhostReport,
+    SplitGhostExchange,
+};
+use vf_core::vf_runtime::Result;
+
+/// Plans `array`'s stencil halo through `cache` and exchanges it on
+/// `executor` (the array verb).
+pub fn halo<T: Element, E: PlanExecutor>(
+    array: &DistArray<T>,
+    widths: &[(usize, usize)],
+    tracker: &CommTracker,
+    cache: &PlanCache,
+    executor: &E,
+) -> Result<(GhostRegion<T>, GhostReport)> {
+    let plan = cache.ghost_plan(array.dist(), widths)?;
+    exchange_ghosts(array, &plan, tracker, executor)
+}
+
+/// Plans and fuses the class's stencil halo through `cache` and exchanges
+/// it on `executor` (the blocking class verb).
+pub fn class_halo<T: Element, E: PlanExecutor>(
+    arrays: &[&DistArray<T>],
+    widths: &[(usize, usize)],
+    tracker: &CommTracker,
+    cache: &PlanCache,
+    executor: &E,
+) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
+    let fused = cache.ghost_class_plan(arrays.iter().map(|a| a.dist()), widths)?;
+    exchange_class_ghosts(arrays, &fused, tracker, executor)
+}
+
+/// [`class_halo`], split-phase: posted on `backend`, completed at the
+/// handle's `wait`.
+pub fn class_halo_split<'e, T: Element>(
+    arrays: &[&DistArray<T>],
+    widths: &[(usize, usize)],
+    tracker: &CommTracker,
+    cache: &PlanCache,
+    backend: &'e ExecBackend,
+) -> Result<SplitGhostExchange<'e, T>> {
+    let fused = cache.ghost_class_plan(arrays.iter().map(|a| a.dist()), widths)?;
+    exchange_class_ghosts_split(arrays, fused, tracker, backend)
+}
+
+/// A one-off `DISTRIBUTE`: fresh plan cache, serial executor.
+pub fn distribute_once<T: Element>(
+    array: &mut DistArray<T>,
+    new_dist: Distribution,
+    tracker: &CommTracker,
+    opts: &RedistOptions,
+) -> Result<RedistReport> {
+    redistribute(
+        array,
+        new_dist,
+        tracker,
+        opts,
+        &PlanCache::new(),
+        &SerialExecutor,
+    )
+}
+
+/// A threaded backend on its own `workers`-wide pool that threads every
+/// plan, however small — "forced threaded" for equivalence tests.
+pub fn forced_threaded(workers: usize) -> ThreadedExecutor {
+    ThreadedExecutor::with_pool(std::sync::Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0)
+}
+
+// ---------------------------------------------------------------------------
+// Fixtures and assertions the halo suites share.
+// ---------------------------------------------------------------------------
+
+/// An `n`×`n` field distributed by `t` over `p` processors, every element
+/// a distinct value scaled by `scale`.
+pub fn grid_array(name: &str, t: DistType, n: usize, p: usize, scale: f64) -> DistArray<f64> {
+    let dist = Distribution::new(t, IndexDomain::d2(n, n), ProcessorView::linear(p))
+        .expect("valid 2-D distribution");
+    DistArray::from_fn(name, dist, |pt| {
+        (pt.coord(0) * 1000 + pt.coord(1)) as f64 * scale
+    })
+}
+
+/// A backend whose split-phase unpack genuinely streams on `pool`'s
+/// background workers: a zero cutoff forces the threaded path regardless
+/// of volume.
+pub fn streaming_backend(pool: &std::sync::Arc<WorkerPool>) -> ExecBackend {
+    ExecBackend::Threaded(
+        ThreadedExecutor::with_pool(std::sync::Arc::clone(pool)).with_serial_cutoff(0),
+    )
+}
+
+/// Asserts that two exchanges of the class `arrays` produced the same
+/// ghost value (or none) for every point on every processor.
+pub fn assert_regions_equal<A: std::borrow::Borrow<DistArray<f64>>>(
+    arrays: &[A],
+    a: &[GhostRegion<f64>],
+    b: &[GhostRegion<f64>],
+    ctx: &str,
+) {
+    assert_eq!(a.len(), b.len(), "{ctx}: region count");
+    for (k, array) in arrays.iter().map(|x| x.borrow()).enumerate() {
+        for proc in array.dist().proc_ids() {
+            for point in array.domain().iter() {
+                assert_eq!(
+                    a[k].get(*proc, &point),
+                    b[k].get(*proc, &point),
+                    "{ctx}: array {k} at {point:?} on {proc:?}"
+                );
+            }
+        }
+    }
+}

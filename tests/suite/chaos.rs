@@ -22,26 +22,12 @@ use vf_apps::pic::{self, PicConfig, PicStrategy};
 use vf_apps::smoothing::{self, SmoothingConfig, SmoothingLayout};
 use vf_apps::workloads::{self, ParticleLayout};
 use vf_core::prelude::*;
-use vf_integration::zero_machine;
-use vf_machine::{FaultInjector, FaultKind, FaultPlan};
-use vf_runtime::ghost::{
-    exchange_ghosts_fused_wire, exchange_ghosts_fused_wire_split, exchange_ghosts_fused_wire_with,
-    GhostRegion,
+use vf_integration::{
+    assert_regions_equal, class_halo, class_halo_split, grid_array, streaming_backend, zero_machine,
 };
+use vf_machine::{FaultInjector, FaultKind, FaultPlan};
 
 const WIDTHS: [(usize, usize); 2] = [(1, 1), (1, 1)];
-
-fn grid_array(name: &str, t: DistType, n: usize, p: usize, scale: f64) -> DistArray<f64> {
-    let dist = Distribution::new(t, IndexDomain::d2(n, n), ProcessorView::linear(p)).unwrap();
-    DistArray::from_fn(name, dist, |pt| {
-        (pt.coord(0) * 1000 + pt.coord(1)) as f64 * scale
-    })
-}
-
-/// A backend whose unpack genuinely streams on background pool workers.
-fn streaming_backend(pool: &Arc<WorkerPool>) -> ExecBackend {
-    ExecBackend::Threaded(ThreadedExecutor::with_pool(Arc::clone(pool)).serial_cutoff_bytes(0))
-}
 
 /// A tracker that is **never** armed by the environment: chaos references
 /// must stay clean even when CI runs this binary under `VF_FAULT_SEED`.
@@ -53,26 +39,6 @@ fn clean_tracker(p: usize) -> CommTracker {
 /// env-derived one).
 fn faulty_tracker(p: usize, inj: &Arc<FaultInjector>) -> CommTracker {
     CommTracker::new(p, CostModel::zero()).with_fault_injector(Arc::clone(inj))
-}
-
-fn assert_regions_equal(
-    arrays: &[DistArray<f64>],
-    a: &[GhostRegion<f64>],
-    b: &[GhostRegion<f64>],
-    ctx: &str,
-) {
-    assert_eq!(a.len(), b.len(), "{ctx}: region count");
-    for (k, array) in arrays.iter().enumerate() {
-        for proc in array.dist().proc_ids() {
-            for point in array.domain().iter() {
-                assert_eq!(
-                    a[k].get(*proc, &point),
-                    b[k].get(*proc, &point),
-                    "{ctx}: array {k} at {point:?} on {proc:?}"
-                );
-            }
-        }
-    }
 }
 
 /// Every decision the injector fires must be recorded exactly once in the
@@ -91,7 +57,7 @@ fn injector_counters_flow_into_tracker_stats() {
     // Fault-free reference.
     let t_clean = clean_tracker(p);
     let (clean, _) =
-        exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_clean, &PlanCache::new()).unwrap();
+        class_halo(&refs, &WIDTHS, &t_clean, &PlanCache::new(), &SerialExecutor).unwrap();
 
     let plan = FaultPlan::new(0xC0FFEE).with_rate(1.0).with_max_faults(64);
     let inj = Arc::new(FaultInjector::new(plan));
@@ -103,7 +69,7 @@ fn injector_counters_flow_into_tracker_stats() {
     // all on the same injected tracker.
     for round in 0..3 {
         let (regions, _) =
-            exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
+            class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         assert_regions_equal(
             &arrays,
             &regions,
@@ -112,8 +78,7 @@ fn injector_counters_flow_into_tracker_stats() {
         );
 
         let split =
-            exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-                .unwrap();
+            class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
         let (regions, _) = split.wait(&tracker).unwrap();
         assert_regions_equal(&arrays, &regions, &clean, &format!("split round {round}"));
     }
@@ -144,7 +109,7 @@ fn injected_corruption_is_always_detected_and_repaired() {
 
         let t_clean = clean_tracker(p);
         let (clean, _) =
-            exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_clean, &PlanCache::new()).unwrap();
+            class_halo(&refs, &WIDTHS, &t_clean, &PlanCache::new(), &SerialExecutor).unwrap();
 
         let plan = FaultPlan::new(7)
             .with_rate(1.0)
@@ -156,12 +121,11 @@ fn injected_corruption_is_always_detected_and_repaired() {
         let backend = streaming_backend(&pool);
 
         let (regions, _) =
-            exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
+            class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         assert_regions_equal(&arrays, &regions, &clean, &format!("{t} blocking"));
 
         let split =
-            exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-                .unwrap();
+            class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
         let (regions, _) = split.wait(&tracker).unwrap();
         assert_regions_equal(&arrays, &regions, &clean, &format!("{t} split"));
 
@@ -190,7 +154,7 @@ fn worker_death_degrades_pooled_dispatch_bitwise() {
 
     let t_clean = clean_tracker(p);
     let (clean, _) =
-        exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_clean, &PlanCache::new()).unwrap();
+        class_halo(&refs, &WIDTHS, &t_clean, &PlanCache::new(), &SerialExecutor).unwrap();
 
     // 4 workers, 1 death → partitioned degraded path; 2 workers, 1 death →
     // serial degraded path.
@@ -202,17 +166,11 @@ fn worker_death_degrades_pooled_dispatch_bitwise() {
         let inj = Arc::new(FaultInjector::new(plan));
         let tracker = faulty_tracker(p, &inj);
         let executor =
-            ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).serial_cutoff_bytes(0);
+            ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0);
 
         for round in 0..2 {
-            let (regions, _) = exchange_ghosts_fused_wire_with(
-                &refs,
-                &WIDTHS,
-                &tracker,
-                &PlanCache::new(),
-                &executor,
-            )
-            .unwrap();
+            let (regions, _) =
+                class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &executor).unwrap();
             assert_regions_equal(
                 &arrays,
                 &regions,
@@ -245,7 +203,7 @@ fn worker_death_mid_stream_recovers_and_pool_stays_usable() {
 
     let t_clean = clean_tracker(p);
     let (clean, _) =
-        exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_clean, &PlanCache::new()).unwrap();
+        class_halo(&refs, &WIDTHS, &t_clean, &PlanCache::new(), &SerialExecutor).unwrap();
 
     let pool = Arc::new(WorkerPool::new(3));
     let backend = streaming_backend(&pool);
@@ -257,9 +215,7 @@ fn worker_death_mid_stream_recovers_and_pool_stays_usable() {
     let inj = Arc::new(FaultInjector::new(plan));
     let tracker = faulty_tracker(p, &inj);
 
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-            .unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
     assert!(split.is_streaming(), "death still streams, minus one rank");
     let (regions, _) = split.wait(&tracker).unwrap();
     assert_regions_equal(&arrays, &regions, &clean, "mid-stream death");
@@ -272,9 +228,7 @@ fn worker_death_mid_stream_recovers_and_pool_stays_usable() {
     // The pool survived the simulated death: a later exchange on the same
     // pool (fresh, uninjected tracker) streams and agrees bitwise.
     let t_after = clean_tracker(p);
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &t_after, &PlanCache::new(), &backend)
-            .unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &t_after, &PlanCache::new(), &backend).unwrap();
     assert!(split.is_streaming(), "pool is still usable after the death");
     let (regions, _) = split.wait(&t_after).unwrap();
     assert_regions_equal(&arrays, &regions, &clean, "pool reuse after death");
@@ -294,7 +248,7 @@ fn cancelled_streaming_falls_back_inline_bitwise() {
 
     let t_clean = clean_tracker(p);
     let (clean, _) =
-        exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_clean, &PlanCache::new()).unwrap();
+        class_halo(&refs, &WIDTHS, &t_clean, &PlanCache::new(), &SerialExecutor).unwrap();
 
     let plan = FaultPlan::new(3)
         .with_rate(1.0)
@@ -305,9 +259,7 @@ fn cancelled_streaming_falls_back_inline_bitwise() {
     let pool = Arc::new(WorkerPool::new(3));
     let backend = streaming_backend(&pool);
 
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-            .unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
     assert!(
         !split.is_streaming(),
         "a fired cancel degrades to the inline drain"
@@ -321,7 +273,7 @@ fn cancelled_streaming_falls_back_inline_bitwise() {
     assert_eq!(stats.faults_injected(), 1);
 }
 
-/// Satellite (pinning test): dropping or cancelling a split-phase handle
+/// Satellite (pinning test): dropping (= cancelling) a split-phase handle
 /// without waiting settles its pending communication charges — the
 /// tracker ends up with exactly the blocking path's per-processor totals,
 /// never a leak. Covers the raw ghost handle, the redistribute wrapper,
@@ -340,25 +292,17 @@ fn dropped_and_cancelled_handles_settle_their_charges() {
 
     // Ghost exchange: blocking reference charges.
     let t_block = CommTracker::new(p, cost());
-    exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_block, &PlanCache::new()).unwrap();
+    class_halo(&refs, &WIDTHS, &t_block, &PlanCache::new(), &SerialExecutor).unwrap();
 
-    // Drop without wait, and explicit cancel(): both settle.
-    for (consume, label) in [(false, "drop-without-wait"), (true, "explicit cancel")] {
-        let tracker = CommTracker::new(p, cost());
-        let split =
-            exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-                .unwrap();
-        if consume {
-            split.cancel();
-        } else {
-            drop(split);
-        }
-        assert_eq!(
-            tracker.snapshot().per_proc(),
-            t_block.snapshot().per_proc(),
-            "{label}: per-proc charges settled, not leaked"
-        );
-    }
+    // Drop without wait — which is how a handle is cancelled — settles.
+    let tracker = CommTracker::new(p, cost());
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
+    drop(split);
+    assert_eq!(
+        tracker.snapshot().per_proc(),
+        t_block.snapshot().per_proc(),
+        "drop-without-wait: per-proc charges settled, not leaked"
+    );
 
     // Redistribute wrapper: the abandoned handle's charges equal the
     // blocking redistribution's.
@@ -373,7 +317,7 @@ fn dropped_and_cancelled_handles_settle_their_charges() {
     };
     let mut blocking = original.clone();
     let t_rblock = CommTracker::new(p, cost());
-    redistribute_cached_with(
+    redistribute(
         &mut blocking,
         columns(),
         &t_rblock,
@@ -385,7 +329,7 @@ fn dropped_and_cancelled_handles_settle_their_charges() {
     let t_rdrop = CommTracker::new(p, cost());
     let split =
         redistribute_split(&original, columns(), &t_rdrop, &PlanCache::new(), &backend).unwrap();
-    split.cancel();
+    drop(split);
     assert_eq!(
         t_rdrop.snapshot().per_proc(),
         t_rblock.snapshot().per_proc(),
@@ -417,7 +361,7 @@ fn dropped_and_cancelled_handles_settle_their_charges() {
     let mut s = build();
     s.set_executor(streaming_backend(&pool));
     let halo = s.exchange_class_ghosts_split("U", &widths).unwrap();
-    halo.cancel();
+    drop(halo);
     assert_eq!(
         s.stats().per_proc(),
         s_block.stats().per_proc(),
@@ -443,7 +387,7 @@ fn faulty_split_redistribute_matches_blocking() {
 
     let mut blocking = original.clone();
     let t_clean = clean_tracker(p);
-    redistribute_cached_with(
+    redistribute(
         &mut blocking,
         rows(),
         &t_clean,

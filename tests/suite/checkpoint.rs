@@ -19,8 +19,7 @@ use vf_apps::mesh::{
     run_sweep, run_sweep_with_restart, unstructured_mesh, MeshPartition, MeshSweepConfig,
 };
 use vf_apps::smoothing::{
-    recover_and_resume_with, run_sharded, run_sharded_checkpointed_with, SmoothingConfig,
-    SmoothingLayout,
+    recover_and_resume, run_sharded, run_sharded_checkpointed, SmoothingConfig, SmoothingLayout,
 };
 use vf_apps::workloads;
 use vf_core::prelude::*;
@@ -265,7 +264,7 @@ fn injected_rank_death_degrades_structured_and_bounded() {
     let store = fresh_store("degrade");
     let executor = ShardedExecutor::new().with_timeout(Duration::from_millis(500));
     let start = std::time::Instant::now();
-    let result = run_sharded_checkpointed_with(
+    let result = run_sharded_checkpointed(
         &SmoothingConfig {
             n,
             steps: 4,
@@ -310,7 +309,7 @@ fn smoothing_crash_recovery_is_bitwise_identical() {
         let machine = zero_machine(4).with_fault_plan(plan);
         let store = fresh_store("recover");
         let executor = ShardedExecutor::new().with_timeout(Duration::from_millis(500));
-        let recovered = recover_and_resume_with(
+        let recovered = recover_and_resume(
             &SmoothingConfig { n, steps, layout },
             &machine,
             &initial,

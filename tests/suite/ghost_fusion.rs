@@ -5,22 +5,15 @@
 
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::zero_machine;
-use vf_runtime::ghost::{
-    exchange_ghosts, exchange_ghosts_fused, exchange_ghosts_fused_planned_with,
-    exchange_ghosts_fused_with,
+use vf_integration::{
+    assert_regions_equal, class_halo, distribute_once, forced_threaded, grid_array, halo,
+    zero_machine,
 };
+use vf_runtime::ghost::exchange_class_ghosts;
 use vf_runtime::plan::{plan_ghost, plan_ghost_irregular};
 use vf_runtime::{RuntimeError, SerialExecutor};
 
 const WIDTHS: [(usize, usize); 2] = [(1, 1), (1, 1)];
-
-fn grid_array(name: &str, t: DistType, n: usize, p: usize, scale: f64) -> DistArray<f64> {
-    let dist = Distribution::new(t, IndexDomain::d2(n, n), ProcessorView::linear(p)).unwrap();
-    DistArray::from_fn(name, dist, |pt| {
-        (pt.coord(0) * 1000 + pt.coord(1)) as f64 * scale
-    })
-}
 
 /// The set of communicating (owner, reader) pairs of a ghost plan.
 fn crossing_pairs(plan: &CommPlan) -> std::collections::BTreeSet<(usize, usize)> {
@@ -43,7 +36,8 @@ fn fused_ghost_equals_per_array_ghost_bitwise_and_conserves_traffic() {
         let cache = PlanCache::new();
         let machine = zero_machine(p);
         let t_fused = machine.tracker();
-        let (regions, exec) = exchange_ghosts_fused(&refs, &WIDTHS, &t_fused, &cache).unwrap();
+        let (regions, exec) =
+            class_halo(&refs, &WIDTHS, &t_fused, &cache, &SerialExecutor).unwrap();
 
         // Exactly one message per communicating processor pair, regardless
         // of class size.
@@ -57,7 +51,14 @@ fn fused_ghost_equals_per_array_ghost_bitwise_and_conserves_traffic() {
         let mut single_messages = 0usize;
         let mut single_bytes = 0usize;
         for (k, array) in arrays.iter().enumerate() {
-            let (ghosts, report) = exchange_ghosts(array, &WIDTHS, &t_single).unwrap();
+            let (ghosts, report) = halo(
+                array,
+                &WIDTHS,
+                &t_single,
+                &PlanCache::new(),
+                &SerialExecutor,
+            )
+            .unwrap();
             single_messages += report.messages;
             single_bytes += report.bytes;
             for proc in array.dist().proc_ids() {
@@ -96,26 +97,14 @@ fn threaded_equals_serial_on_fused_ghost_plans() {
     let machine = Machine::new(p, CostModel::from_alpha_beta(1.0, 0.25));
     let cache = PlanCache::new();
     let t_serial = machine.tracker();
-    let (serial, rs) =
-        exchange_ghosts_fused_with(&refs, &WIDTHS, &t_serial, &cache, &SerialExecutor).unwrap();
+    let (serial, rs) = class_halo(&refs, &WIDTHS, &t_serial, &cache, &SerialExecutor).unwrap();
     for workers in [2, 3, 5] {
-        let forced = ThreadedExecutor::with_workers(workers).serial_cutoff_bytes(0);
+        let forced = forced_threaded(workers);
         let t_thr = machine.tracker();
-        let (threaded, rt) =
-            exchange_ghosts_fused_with(&refs, &WIDTHS, &t_thr, &cache, &forced).unwrap();
+        let (threaded, rt) = class_halo(&refs, &WIDTHS, &t_thr, &cache, &forced).unwrap();
         assert_eq!(rs, rt, "{workers} workers");
         assert_eq!(t_serial.snapshot(), t_thr.snapshot(), "{workers} workers");
-        for (k, array) in arrays.iter().enumerate() {
-            for proc in array.dist().proc_ids() {
-                for point in array.domain().iter() {
-                    assert_eq!(
-                        serial[k].get(*proc, &point),
-                        threaded[k].get(*proc, &point),
-                        "array {k} differs with {workers} workers"
-                    );
-                }
-            }
-        }
+        assert_regions_equal(&arrays, &serial, &threaded, &format!("{workers} workers"));
     }
 }
 
@@ -131,9 +120,9 @@ fn cached_fused_plans_equal_fresh_ones_and_invalidate_by_fingerprint() {
     // distribution), so the second exchange plans nothing.
     let cache = PlanCache::new();
     let t_cached = machine.tracker();
-    let (g1, e1) = exchange_ghosts_fused(&[&a, &b], &WIDTHS, &t_cached, &cache).unwrap();
+    let (g1, e1) = class_halo(&[&a, &b], &WIDTHS, &t_cached, &cache, &SerialExecutor).unwrap();
     assert_eq!(cache.stats().misses, 1);
-    let (g2, e2) = exchange_ghosts_fused(&[&a, &b], &WIDTHS, &t_cached, &cache).unwrap();
+    let (g2, e2) = class_halo(&[&a, &b], &WIDTHS, &t_cached, &cache, &SerialExecutor).unwrap();
     assert_eq!(cache.stats().misses, 1);
     assert!(cache.stats().hits >= 3, "replay served from the cache");
     assert_eq!(e1, e2);
@@ -145,17 +134,10 @@ fn cached_fused_plans_equal_fresh_ones_and_invalidate_by_fingerprint() {
     ])
     .unwrap();
     let t_fresh = machine.tracker();
-    let (g3, e3) =
-        exchange_ghosts_fused_planned_with(&[&a, &b], &fresh, &t_fresh, &SerialExecutor).unwrap();
+    let (g3, e3) = exchange_class_ghosts(&[&a, &b], &fresh, &t_fresh, &SerialExecutor).unwrap();
     assert_eq!(e3, e1);
-    for k in 0..2 {
-        for proc in a.dist().proc_ids() {
-            for point in a.domain().iter() {
-                assert_eq!(g1[k].get(*proc, &point), g2[k].get(*proc, &point));
-                assert_eq!(g1[k].get(*proc, &point), g3[k].get(*proc, &point));
-            }
-        }
-    }
+    assert_regions_equal(&[&a, &b], &g1, &g2, "cache hit");
+    assert_regions_equal(&[&a, &b], &g1, &g3, "fresh plan");
 
     // Invalidation: once the arrays are redistributed, the held fused plan
     // no longer matches their fingerprint and is rejected before charging.
@@ -167,10 +149,10 @@ fn cached_fused_plans_equal_fresh_ones_and_invalidate_by_fingerprint() {
     )
     .unwrap();
     let tracker = machine.tracker();
-    redistribute(&mut moved, columns, &tracker, &RedistOptions::default()).unwrap();
+    distribute_once(&mut moved, columns, &tracker, &RedistOptions::default()).unwrap();
     tracker.take();
     assert!(matches!(
-        exchange_ghosts_fused_planned_with(&[&moved, &b], &fresh, &tracker, &SerialExecutor),
+        exchange_class_ghosts(&[&moved, &b], &fresh, &tracker, &SerialExecutor),
         Err(RuntimeError::PlanMismatch { .. })
     ));
     assert_eq!(tracker.snapshot().total_messages(), 0);

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, zero_machine};
+use vf_integration::{dist_1d, distribute_once, forced_threaded, zero_machine};
 use vf_runtime::plan::plan_redistribute;
 use vf_runtime::DistTranslationTable;
 
@@ -43,7 +43,7 @@ fn indirect_redistribute_round_trips_bitwise() {
     let mut a = DistArray::from_fn("A", block.clone(), |pt| (pt.coord(0) as f64).sqrt());
     let before = a.to_dense();
     for target in [map_a, map_b, block] {
-        let report = redistribute(&mut a, target, &tracker, &RedistOptions::default()).unwrap();
+        let report = distribute_once(&mut a, target, &tracker, &RedistOptions::default()).unwrap();
         assert_eq!(a.to_dense(), before, "data lost");
         a.check_invariants().unwrap();
         assert_eq!(report.moved_elements + report.stayed_elements, n);
@@ -66,7 +66,7 @@ fn indirect_plans_conserve_against_the_per_element_oracle() {
         (&ind_a, &ind_b),
         (&ind_b, &ind_a),
     ] {
-        let plan = plan_redistribute(from, to).unwrap();
+        let plan = Arc::new(plan_redistribute(from, to).unwrap());
         let moved = oracle_moved(from, to);
         assert_eq!(plan.moved_elements(), moved, "{from} -> {to}");
         assert_eq!(plan.moved_elements() + plan.stayed_elements(), n);
@@ -81,9 +81,14 @@ fn indirect_plans_conserve_against_the_per_element_oracle() {
         let tracker = machine.tracker();
         let mut arr = DistArray::from_fn("X", from.clone(), |pt| pt.coord(0) as f64 * 0.5);
         let dense = arr.to_dense();
-        let report =
-            vf_runtime::execute_redistribute(&mut arr, &plan, &tracker, &RedistOptions::default())
-                .unwrap();
+        let report = vf_runtime::execute_redistribute(
+            &mut arr,
+            &plan,
+            &tracker,
+            &RedistOptions::default(),
+            &SerialExecutor,
+        )
+        .unwrap();
         assert_eq!(arr.to_dense(), dense);
         assert_eq!(report.moved_elements, moved);
         assert_eq!(
@@ -97,7 +102,14 @@ fn indirect_plans_conserve_against_the_per_element_oracle() {
         assert_eq!(plan.pending_directory_traffic(), (0, 0));
         let t2 = zero_machine(p).tracker();
         let mut arr2 = DistArray::from_fn("X", from.clone(), |pt| pt.coord(0) as f64 * 0.5);
-        vf_runtime::execute_redistribute(&mut arr2, &plan, &t2, &RedistOptions::default()).unwrap();
+        vf_runtime::execute_redistribute(
+            &mut arr2,
+            &plan,
+            &t2,
+            &RedistOptions::default(),
+            &SerialExecutor,
+        )
+        .unwrap();
         assert_eq!(t2.snapshot().total_bytes(), moved * 8);
     }
 }
@@ -191,9 +203,7 @@ fn indirect_class_fuses_and_threaded_matches_serial() {
         (scope, report)
     };
     let (serial_scope, serial_report) = build(ExecBackend::Serial);
-    let (threaded_scope, threaded_report) = build(ExecBackend::Threaded(
-        ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0),
-    ));
+    let (threaded_scope, threaded_report) = build(ExecBackend::Threaded(forced_threaded(3)));
     assert!(serial_report.fused.is_some());
     assert!(serial_report.messages() < serial_report.unfused_messages());
     assert_eq!(serial_report, threaded_report);
@@ -227,8 +237,9 @@ fn indirect_gather_and_scatter_resolve_through_the_map() {
             ]
         })
         .collect();
-    let schedule = vf_runtime::parti::inspector(a.dist(), &accesses).unwrap();
-    let gathered = vf_runtime::parti::execute_gather(&a, &schedule, &tracker).unwrap();
+    let schedule = vf_runtime::parti::inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
+    let gathered =
+        vf_runtime::parti::execute_gather(&a, &schedule, &tracker, &SerialExecutor).unwrap();
     for (q, point) in &accesses {
         let expect = point.coord(0) as f64;
         let owner = a.dist().owner(point).unwrap();
@@ -242,7 +253,15 @@ fn indirect_gather_and_scatter_resolve_through_the_map() {
     let updates: Vec<(ProcId, Point, f64)> = (1..=n as i64)
         .map(|i| (ProcId(0), Point::d1(i), 100.0))
         .collect();
-    vf_runtime::parti::execute_scatter(&mut a, &updates, &tracker, |x, y| x + y).unwrap();
+    vf_runtime::parti::execute_scatter(
+        &mut a,
+        &updates,
+        &tracker,
+        &PlanCache::new(),
+        &SerialExecutor,
+        |x, y| x + y,
+    )
+    .unwrap();
     for i in 1..=n as i64 {
         assert_eq!(a.get(&Point::d1(i)).unwrap(), i as f64 + 100.0);
     }
@@ -269,19 +288,18 @@ proptest! {
         let cache = PlanCache::new();
         let mut a = DistArray::from_fn("P", from.clone(), |pt| (pt.coord(0) * 3) as f64);
         let dense = a.to_dense();
-        let report = redistribute_cached(
-            &mut a, to.clone(), &tracker, &RedistOptions::default(), &cache,
-        ).unwrap();
+        let opts = RedistOptions::default();
+        let report =
+            redistribute(&mut a, to.clone(), &tracker, &opts, &cache, &SerialExecutor).unwrap();
         prop_assert_eq!(a.to_dense(), dense.clone());
         prop_assert_eq!(report.moved_elements, oracle_moved(&from, &to));
-        let back = redistribute_cached(
-            &mut a, from.clone(), &tracker, &RedistOptions::default(), &cache,
-        ).unwrap();
+        let back =
+            redistribute(&mut a, from.clone(), &tracker, &opts, &cache, &SerialExecutor).unwrap();
         prop_assert_eq!(a.to_dense(), dense);
         prop_assert_eq!(back.moved_elements, report.moved_elements);
         // Second cycle: pure cache hits.
-        redistribute_cached(&mut a, to, &tracker, &RedistOptions::default(), &cache).unwrap();
-        redistribute_cached(&mut a, from, &tracker, &RedistOptions::default(), &cache).unwrap();
+        redistribute(&mut a, to, &tracker, &opts, &cache, &SerialExecutor).unwrap();
+        redistribute(&mut a, from, &tracker, &opts, &cache, &SerialExecutor).unwrap();
         prop_assert_eq!(cache.stats().misses, 2);
         prop_assert_eq!(cache.stats().hits, 2);
     }

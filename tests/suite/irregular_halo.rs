@@ -11,10 +11,9 @@ use vf_apps::mesh::{
     partition_greedy, run_sweep, unstructured_mesh, MeshPartition, MeshSweepConfig,
 };
 use vf_core::prelude::*;
-use vf_integration::zero_machine;
-use vf_runtime::parti::{
-    execute_gather, execute_halo, incremental_schedule, incremental_schedule_cached, inspector,
-};
+use vf_integration::{distribute_once, halo as stencil_halo, zero_machine};
+use vf_runtime::ghost::exchange_ghosts;
+use vf_runtime::parti::{execute_gather, incremental_schedule, inspector};
 use vf_runtime::plan::plan_ghost;
 use vf_runtime::RuntimeError;
 
@@ -57,28 +56,28 @@ fn stale_halo_plans_are_detected_after_repartitioning() {
     // Initial partition: coordinate-ish striping by id.
     let dist_a = indirect_1d((0..n).map(|u| u * p / n).collect(), p);
     let mut a = DistArray::from_fn("VAL", dist_a.clone(), |pt| (pt.coord(0) * 3) as f64);
-    let stale = incremental_schedule_cached(&dist_a, &conn, &cache).unwrap();
-    execute_halo(&a, &stale, &tracker).unwrap();
+    let stale = incremental_schedule(&dist_a, &conn, &cache).unwrap();
+    exchange_ghosts(&a, stale.plan(), &tracker, &SerialExecutor).unwrap();
     assert_eq!(cache.stats().misses, 1);
 
     // Mid-run repartitioning: a greedy connectivity-aware map.
     let dist_b = indirect_1d(partition_greedy(&mesh, p), p);
-    redistribute(&mut a, dist_b.clone(), &tracker, &RedistOptions::default()).unwrap();
+    distribute_once(&mut a, dist_b.clone(), &tracker, &RedistOptions::default()).unwrap();
 
     // The held schedule is stale: execution is rejected before anything is
     // charged — the stale-halo detection.
     tracker.take();
     assert!(matches!(
-        execute_halo(&a, &stale, &tracker),
+        exchange_ghosts(&a, stale.plan(), &tracker, &SerialExecutor),
         Err(RuntimeError::PlanMismatch { .. })
     ));
     assert_eq!(tracker.snapshot().total_messages(), 0);
 
     // The cache replans for the new fingerprint (a miss, not a stale hit)
     // and the fresh schedule serves correct values.
-    let fresh = incremental_schedule_cached(&dist_b, &conn, &cache).unwrap();
+    let fresh = incremental_schedule(&dist_b, &conn, &cache).unwrap();
     assert_eq!(cache.stats().misses, 2);
-    let (halo, _) = execute_halo(&a, &fresh, &tracker).unwrap();
+    let (halo, _) = exchange_ghosts(&a, fresh.plan(), &tracker, &SerialExecutor).unwrap();
     let locator = dist_b.locator();
     for u in 0..n {
         let owner = locator.locate_lin(u).0;
@@ -209,17 +208,18 @@ proptest! {
         let dist = indirect_1d(owners, p);
         let a = DistArray::from_fn("N", dist.clone(), |pt| ((pt.coord(0) * 37) % 101) as f64);
 
-        let schedule = incremental_schedule(&dist, &conn).unwrap();
+        let schedule = incremental_schedule(&dist, &conn, &PlanCache::new()).unwrap();
         let accesses = edge_accesses(&conn, &dist);
-        let gather = inspector(&dist, &accesses).unwrap();
+        let gather = inspector(&dist, &accesses, &PlanCache::new()).unwrap();
         prop_assert_eq!(schedule.num_elements(), gather.num_elements());
         prop_assert_eq!(schedule.num_messages(), gather.num_messages());
 
         let machine = zero_machine(p);
         let t_halo = machine.tracker();
         let t_gather = machine.tracker();
-        let (halo, report) = execute_halo(&a, &schedule, &t_halo).unwrap();
-        let fetched = execute_gather(&a, &gather, &t_gather).unwrap();
+        let (halo, report) =
+            exchange_ghosts(&a, schedule.plan(), &t_halo, &SerialExecutor).unwrap();
+        let fetched = execute_gather(&a, &gather, &t_gather, &SerialExecutor).unwrap();
         prop_assert_eq!(report.elements, schedule.num_elements());
         // Identical modelled traffic...
         prop_assert_eq!(
@@ -257,7 +257,8 @@ proptest! {
         let a = DistArray::from_fn("W", dist.clone(), |pt| (pt.coord(0) * 2) as f64);
         let machine = zero_machine(p);
         let tracker = machine.tracker();
-        let (halo, _) = ghost::exchange_ghosts(&a, &[(lo, hi)], &tracker).unwrap();
+        let (halo, _) =
+            stencil_halo(&a, &[(lo, hi)], &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         for u in 0..n {
             let owner = ProcId(owners[u]);
             for v in u.saturating_sub(lo)..=(u + hi).min(n - 1) {

@@ -9,9 +9,8 @@ use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::dist_1d;
-use vf_runtime::ghost::{exchange_ghosts_cached, exchange_ghosts_cached_with};
-use vf_runtime::parti::{execute_gather, execute_gather_with, inspector};
+use vf_integration::{dist_1d, forced_threaded, halo};
+use vf_runtime::parti::{execute_gather, inspector};
 
 /// Strategy for an arbitrary 1-D distribution type valid for `n` elements
 /// on `p` processors (same shape as `plan_reuse`).
@@ -36,12 +35,9 @@ fn arb_dist_type(n: usize, p: usize) -> impl Strategy<Value = DistType> {
     ]
 }
 
-/// A threaded executor forced onto the threaded path regardless of plan
-/// size (cutoff 0), with more workers than this host may have cores —
-/// correctness must not depend on either.
-fn forced_threaded() -> ThreadedExecutor {
-    ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0)
-}
+/// Workers of the forced-threaded executor: more than this host may have
+/// cores — correctness must not depend on it.
+const WORKERS: usize = 3;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -64,14 +60,16 @@ proptest! {
 
         let t_serial = CommTracker::new(p, CostModel::ipsc860(p));
         let mut a_serial = DistArray::from_fn("A", from.clone(), init);
-        let r_serial = redistribute_with(
-            &mut a_serial, to.clone(), &t_serial, &RedistOptions::default(), &SerialExecutor,
+        let opts = RedistOptions::default();
+        let r_serial = redistribute(
+            &mut a_serial, to.clone(), &t_serial, &opts, &PlanCache::new(), &SerialExecutor,
         ).unwrap();
 
         let t_threaded = CommTracker::new(p, CostModel::ipsc860(p));
         let mut a_threaded = DistArray::from_fn("A", from.clone(), init);
-        let r_threaded = redistribute_with(
-            &mut a_threaded, to.clone(), &t_threaded, &RedistOptions::default(), &forced_threaded(),
+        let r_threaded = redistribute(
+            &mut a_threaded, to.clone(), &t_threaded, &opts, &PlanCache::new(),
+            &forced_threaded(WORKERS),
         ).unwrap();
 
         prop_assert_eq!(&r_serial, &r_threaded);
@@ -105,10 +103,9 @@ proptest! {
         let t_serial = CommTracker::new(p, CostModel::ipsc860(p));
         let t_threaded = CommTracker::new(p, CostModel::ipsc860(p));
         let (g_serial, r_serial) =
-            exchange_ghosts_cached(&a, &widths, &t_serial, &PlanCache::new()).unwrap();
-        let (g_threaded, r_threaded) = exchange_ghosts_cached_with(
-            &a, &widths, &t_threaded, &PlanCache::new(), &forced_threaded(),
-        ).unwrap();
+            halo(&a, &widths, &t_serial, &PlanCache::new(), &SerialExecutor).unwrap();
+        let (g_threaded, r_threaded) =
+            halo(&a, &widths, &t_threaded, &PlanCache::new(), &forced_threaded(WORKERS)).unwrap();
         prop_assert_eq!(r_serial, r_threaded);
         for &proc in dist.proc_ids() {
             prop_assert_eq!(g_serial.len(proc), g_threaded.len(proc));
@@ -133,12 +130,12 @@ proptest! {
             .step_by(stride)
             .map(|i| (ProcId((i as usize) % p), Point::d1(i)))
             .collect();
-        let schedule = inspector(&dist, &accesses).unwrap();
+        let schedule = inspector(&dist, &accesses, &PlanCache::new()).unwrap();
         let t_serial = CommTracker::new(p, CostModel::ipsc860(p));
         let t_threaded = CommTracker::new(p, CostModel::ipsc860(p));
-        let g_serial = execute_gather(&a, &schedule, &t_serial).unwrap();
+        let g_serial = execute_gather(&a, &schedule, &t_serial, &SerialExecutor).unwrap();
         let g_threaded =
-            execute_gather_with(&a, &schedule, &t_threaded, &forced_threaded()).unwrap();
+            execute_gather(&a, &schedule, &t_threaded, &forced_threaded(WORKERS)).unwrap();
         for q in 0..p {
             prop_assert_eq!(g_serial.len(ProcId(q)), g_threaded.len(ProcId(q)));
         }
@@ -195,9 +192,10 @@ proptest! {
         let tracker = CommTracker::new(p, CostModel::ipsc860(p));
         let mut refs: Vec<&mut DistArray<f64>> = datas.iter_mut().collect();
         let (reports, exec) = if threaded {
-            execute_redistribute_fused(&mut refs, &fused, &tracker, &forced_threaded()).unwrap()
+            execute_class_redistribute(&mut refs, &fused, &tracker, &forced_threaded(WORKERS))
+                .unwrap()
         } else {
-            execute_redistribute_fused(&mut refs, &fused, &tracker, &SerialExecutor).unwrap()
+            execute_class_redistribute(&mut refs, &fused, &tracker, &SerialExecutor).unwrap()
         };
 
         // Every array survived the fused motion with its own data.

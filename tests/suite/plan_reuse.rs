@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use vf_core::prelude::*;
-use vf_integration::dist_1d;
-use vf_runtime::ghost::{exchange_ghosts, exchange_ghosts_cached};
+use vf_integration::{dist_1d, distribute_once, halo};
 
 /// Strategy for an arbitrary 1-D distribution type valid for `n` elements on
 /// `p` processors (same shape as `property_cross_crate`).
@@ -75,16 +74,19 @@ proptest! {
         // Fresh planning.
         let t_fresh = CommTracker::new(p, CostModel::zero());
         let mut a_fresh = DistArray::from_fn("A", from.clone(), init);
-        let fresh = redistribute(&mut a_fresh, to.clone(), &t_fresh, &RedistOptions::default())
+        let fresh = distribute_once(&mut a_fresh, to.clone(), &t_fresh, &RedistOptions::default())
             .unwrap();
 
         // Cached planning, executed twice on identical inputs.
         let cache = PlanCache::new();
         let t_cached = CommTracker::new(p, CostModel::zero());
         let mut a1 = DistArray::from_fn("A", from.clone(), init);
-        let r1 = redistribute_cached(&mut a1, to.clone(), &t_cached, &RedistOptions::default(), &cache).unwrap();
+        let opts = RedistOptions::default();
+        let r1 =
+            redistribute(&mut a1, to.clone(), &t_cached, &opts, &cache, &SerialExecutor).unwrap();
         let mut a2 = DistArray::from_fn("A", from.clone(), init);
-        let r2 = redistribute_cached(&mut a2, to.clone(), &t_cached, &RedistOptions::default(), &cache).unwrap();
+        let r2 =
+            redistribute(&mut a2, to.clone(), &t_cached, &opts, &cache, &SerialExecutor).unwrap();
         prop_assert_eq!(cache.stats().misses, 1);
         prop_assert_eq!(cache.stats().hits, 1);
 
@@ -131,12 +133,13 @@ proptest! {
         let mut a = DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64);
         let before = a.to_dense();
 
-        redistribute_cached(&mut a, to1.clone(), &tracker, &RedistOptions::default(), &cache).unwrap();
+        let opts = RedistOptions::default();
+        redistribute(&mut a, to1.clone(), &tracker, &opts, &cache, &SerialExecutor).unwrap();
         let stale = cache.redistribute_plan(&from, &to1).unwrap();
         // Second hop with a *different* target: must be a cache miss with
         // its own key, and the data must survive.
         let misses_before = cache.stats().misses;
-        redistribute_cached(&mut a, to2.clone(), &tracker, &RedistOptions::default(), &cache).unwrap();
+        redistribute(&mut a, to2.clone(), &tracker, &opts, &cache, &SerialExecutor).unwrap();
         prop_assert_eq!(cache.stats().misses, misses_before + 1);
         prop_assert_eq!(a.to_dense(), before);
         a.check_invariants().unwrap();
@@ -145,12 +148,8 @@ proptest! {
         // distributed as to2) — unless to2 is structurally the same
         // distribution as from, in which case the plan genuinely applies.
         if to2.fingerprint() != from.fingerprint() {
-            let err = vf_runtime::execute_redistribute(
-                &mut a,
-                &stale,
-                &tracker,
-                &RedistOptions::default(),
-            );
+            let err =
+                vf_runtime::execute_redistribute(&mut a, &stale, &tracker, &opts, &SerialExecutor);
             prop_assert!(matches!(err, Err(vf_runtime::RuntimeError::PlanMismatch { .. })));
         }
     }
@@ -174,9 +173,9 @@ proptest! {
         let t_fresh = CommTracker::new(p, CostModel::zero());
         for _ in 0..steps {
             let (g_cached, r_cached) =
-                exchange_ghosts_cached(&a, &[(1, 1), (1, 1)], &t_cached, &cache).unwrap();
+                halo(&a, &[(1, 1), (1, 1)], &t_cached, &cache, &SerialExecutor).unwrap();
             let (g_fresh, r_fresh) =
-                exchange_ghosts(&a, &[(1, 1), (1, 1)], &t_fresh).unwrap();
+                halo(&a, &[(1, 1), (1, 1)], &t_fresh, &PlanCache::new(), &SerialExecutor).unwrap();
             prop_assert_eq!(r_cached, r_fresh);
             for &proc in dist.proc_ids() {
                 prop_assert_eq!(g_cached.len(proc), g_fresh.len(proc));

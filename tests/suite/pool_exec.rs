@@ -1,40 +1,29 @@
-//! Differential tests for the persistent SPMD worker pool and the
-//! wire-layout fused executors: pooled dispatch must be **bitwise
-//! indistinguishable** from the fresh-spawn harness and from serial
-//! execution across every communication path (values, reports and tracker
-//! snapshots), the wire-packed fused executors must match the per-part
-//! fused executors exactly (identical buffers, identical messages/bytes),
-//! one pool must be reused across repeated `DISTRIBUTE` statements, and a
-//! panicking worker must leave the pool usable.
+//! Differential tests for the persistent SPMD worker pool and the wire
+//! engine: pooled dispatch must be **bitwise indistinguishable** from
+//! serial execution across every communication path (values, reports and
+//! tracker snapshots), the class verbs (wire engine) must match one array
+//! verb per member exactly (identical buffers, bytes conserved, one
+//! message per pair), one pool must be reused across repeated `DISTRIBUTE`
+//! statements, and a panicking worker must leave the pool usable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, dist_2d, zero_machine};
-use vf_runtime::ghost::{
-    exchange_ghosts_cached_with, exchange_ghosts_fused_planned_wire_with,
-    exchange_ghosts_fused_planned_with,
+use vf_integration::{
+    assert_regions_equal, class_halo, class_halo_split, dist_1d, dist_2d, halo, zero_machine,
 };
-use vf_runtime::parti::{execute_gather_with, execute_scatter_with, inspector};
+use vf_runtime::assign::assign;
+use vf_runtime::ghost::{exchange_class_ghosts, exchange_ghosts};
+use vf_runtime::parti::{execute_gather, execute_scatter, inspector};
 use vf_runtime::plan::plan_redistribute;
 
-/// The three executors every path is run under: the serial baseline, the
-/// fresh-spawn threaded harness, and the pooled threaded backend — the
-/// latter two forced onto the parallel path (cutoff 0) with more workers
-/// than this host may have cores.
-fn executors() -> (
-    SerialExecutor,
-    ThreadedExecutor,
-    ThreadedExecutor,
-    Arc<WorkerPool>,
-) {
+/// The two backends every path is run under: the serial baseline and the
+/// pooled threaded backend, forced onto the parallel path (cutoff 0) with
+/// more workers than this host may have cores.
+fn executors() -> (ExecBackend, ExecBackend, Arc<WorkerPool>) {
     let pool = Arc::new(WorkerPool::new(3));
-    (
-        SerialExecutor,
-        ThreadedExecutor::with_workers(3).with_serial_cutoff(0),
-        ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0),
-        pool,
-    )
+    let pooled = ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0);
+    (ExecBackend::Serial, ExecBackend::Threaded(pooled), pool)
 }
 
 fn tracker(p: usize) -> CommTracker {
@@ -45,26 +34,17 @@ fn tracker(p: usize) -> CommTracker {
 fn pooled_spawn_serial_identical_for_redistribute() {
     let n = 256usize;
     let p = 4usize;
-    let (serial, spawn, pooled, pool) = executors();
+    let (serial, pooled, pool) = executors();
     let from = dist_1d(DistType::cyclic1d(3), n, p);
     let to = dist_1d(DistType::gen_block1d(vec![13, 101, 80, 62]), n, p);
-    let run = |executor: &dyn Fn(&mut DistArray<f64>, &CommTracker) -> RedistReport| {
+    let run = |exec: &ExecBackend| {
         let mut a = DistArray::from_fn("A", from.clone(), |pt| (pt.coord(0) as f64).sin());
         let t = tracker(p);
-        let report = executor(&mut a, &t);
+        let (opts, cache) = (RedistOptions::default(), PlanCache::new());
+        let report = redistribute(&mut a, to.clone(), &t, &opts, &cache, exec).unwrap();
         (a.to_dense(), report, t.snapshot())
     };
-    let base = run(&|a, t| {
-        redistribute_with(a, to.clone(), t, &RedistOptions::default(), &serial).unwrap()
-    });
-    let spawned = run(&|a, t| {
-        redistribute_with(a, to.clone(), t, &RedistOptions::default(), &spawn).unwrap()
-    });
-    let pooled_r = run(&|a, t| {
-        redistribute_with(a, to.clone(), t, &RedistOptions::default(), &pooled).unwrap()
-    });
-    assert_eq!(base, spawned, "fresh-spawn differs from serial");
-    assert_eq!(base, pooled_r, "pooled differs from serial");
+    assert_eq!(run(&serial), run(&pooled), "pooled differs from serial");
     assert!(pool.jobs_dispatched() > 0, "the pooled run used the pool");
 }
 
@@ -72,135 +52,71 @@ fn pooled_spawn_serial_identical_for_redistribute() {
 fn pooled_spawn_serial_identical_for_ghost_exchange() {
     let n = 16usize;
     let p = 4usize;
-    let (serial, spawn, pooled, _pool) = executors();
+    let (serial, pooled, _pool) = executors();
     let dist = dist_2d(DistType::blocks2d(), n, n, p);
     let a = DistArray::from_fn("U", dist, |pt| (pt.coord(0) * 100 + pt.coord(1)) as f64);
-    let widths = [(1, 1), (1, 1)];
-    let run = |e: &dyn PlanExecutor2| {
+    let run = |exec: &ExecBackend| {
         let t = tracker(p);
-        let cache = PlanCache::new();
-        let (g, rep) = e.ghost(&a, &widths, &cache, &t);
-        (ghost_values(&a, &g), rep, t.snapshot())
-    };
-    let base = run(&serial);
-    assert_eq!(base, run(&spawn), "fresh-spawn ghost exchange differs");
-    assert_eq!(base, run(&pooled), "pooled ghost exchange differs");
-}
-
-/// Flattens every processor's view of every ghost point for comparison.
-fn ghost_values(a: &DistArray<f64>, g: &vf_runtime::ghost::GhostRegion<f64>) -> Vec<Option<f64>> {
-    let mut out = Vec::new();
-    for proc in a.dist().proc_ids() {
-        for point in a.domain().iter() {
-            out.push(g.get(*proc, &point));
+        let (g, rep) = halo(&a, &[(1, 1), (1, 1)], &t, &PlanCache::new(), exec).unwrap();
+        // Every processor's view of every ghost point.
+        let mut values = Vec::new();
+        for proc in a.dist().proc_ids() {
+            values.extend(a.domain().iter().map(|point| g.get(*proc, &point)));
         }
-    }
-    out
+        (values, rep, t.snapshot())
+    };
+    assert_eq!(run(&serial), run(&pooled), "pooled ghost exchange differs");
 }
 
 #[test]
 fn pooled_spawn_serial_identical_for_gather_and_assign() {
     let n = 128usize;
     let p = 4usize;
-    let (serial, spawn, pooled, _pool) = executors();
+    let (serial, pooled, _pool) = executors();
     let dist = dist_1d(DistType::cyclic1d(1), n, p);
     let a = DistArray::from_fn("X", dist.clone(), |pt| pt.coord(0) as f64 * 0.5);
     // Every processor reads a strided window of remote elements.
     let accesses: Vec<(ProcId, Point)> = (0..n)
         .map(|i| (ProcId((i * 7) % p), Point::d1((i % n) as i64 + 1)))
         .collect();
-    let schedule = inspector(a.dist(), &accesses).unwrap();
-    let gather_under = |e: &dyn PlanExecutor2| {
+    let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
+    let gather_under = |exec: &ExecBackend| {
         let t = tracker(p);
-        let g = e.gather(&a, &schedule, &t);
-        let mut vals = Vec::new();
-        for (q, pt) in &accesses {
-            vals.push(g.get(*q, a.dist(), pt));
-        }
+        let g = execute_gather(&a, &schedule, &t, exec).unwrap();
+        let vals: Vec<_> = accesses
+            .iter()
+            .map(|(q, pt)| g.get(*q, a.dist(), pt))
+            .collect();
         (vals, t.snapshot())
     };
-    let base = gather_under(&serial);
-    assert_eq!(base, gather_under(&spawn), "spawned gather differs");
-    assert_eq!(base, gather_under(&pooled), "pooled gather differs");
+    assert_eq!(
+        gather_under(&serial),
+        gather_under(&pooled),
+        "pooled gather differs"
+    );
 
     // Assignment between different layouts.
     let rows = dist_2d(DistType::rows(), 32, 32, p);
     let cols = dist_2d(DistType::columns(), 32, 32, p);
     let src = DistArray::from_fn("S", cols, |pt| (pt.coord(0) * 31 + pt.coord(1)) as f64);
-    let assign_under = |e: &dyn PlanExecutor2| {
+    let assign_under = |exec: &ExecBackend| {
         let mut dst: DistArray<f64> = DistArray::new("D", rows.clone());
         let t = tracker(p);
-        let rep = e.assign(&mut dst, &src, &t);
+        let rep = assign(&mut dst, &src, &t, &PlanCache::new(), exec).unwrap();
         (dst.to_dense(), rep, t.snapshot())
     };
-    let base = assign_under(&serial);
-    assert_eq!(base, assign_under(&spawn), "spawned assign differs");
-    assert_eq!(base, assign_under(&pooled), "pooled assign differs");
-}
-
-/// Object-safe adapter so the same closure body can run under all three
-/// backends (the `PlanExecutor` trait itself has generic methods).
-trait PlanExecutor2 {
-    fn gather(
-        &self,
-        a: &DistArray<f64>,
-        s: &vf_runtime::parti::CommSchedule,
-        t: &CommTracker,
-    ) -> vf_runtime::parti::GatherResult<f64>;
-    fn assign(
-        &self,
-        dst: &mut DistArray<f64>,
-        src: &DistArray<f64>,
-        t: &CommTracker,
-    ) -> vf_runtime::assign::AssignReport;
-    fn ghost(
-        &self,
-        a: &DistArray<f64>,
-        widths: &[(usize, usize)],
-        cache: &PlanCache,
-        t: &CommTracker,
-    ) -> (
-        vf_runtime::ghost::GhostRegion<f64>,
-        vf_runtime::ghost::GhostReport,
+    assert_eq!(
+        assign_under(&serial),
+        assign_under(&pooled),
+        "pooled assign differs"
     );
-}
-
-impl<E: PlanExecutor> PlanExecutor2 for E {
-    fn gather(
-        &self,
-        a: &DistArray<f64>,
-        s: &vf_runtime::parti::CommSchedule,
-        t: &CommTracker,
-    ) -> vf_runtime::parti::GatherResult<f64> {
-        execute_gather_with(a, s, t, self).unwrap()
-    }
-    fn assign(
-        &self,
-        dst: &mut DistArray<f64>,
-        src: &DistArray<f64>,
-        t: &CommTracker,
-    ) -> vf_runtime::assign::AssignReport {
-        vf_runtime::assign::assign_with(dst, src, t, self).unwrap()
-    }
-    fn ghost(
-        &self,
-        a: &DistArray<f64>,
-        widths: &[(usize, usize)],
-        cache: &PlanCache,
-        t: &CommTracker,
-    ) -> (
-        vf_runtime::ghost::GhostRegion<f64>,
-        vf_runtime::ghost::GhostReport,
-    ) {
-        exchange_ghosts_cached_with(a, widths, t, cache, self).unwrap()
-    }
 }
 
 #[test]
 fn pooled_scatter_matches_serial_with_order_sensitive_combine() {
     let n = 96usize;
     let p = 4usize;
-    let (_, _, pooled, _pool) = executors();
+    let (_, pooled, _pool) = executors();
     let dist = dist_1d(DistType::cyclic1d(2), n, p);
     let combine = |a: f64, b: f64| a * 0.5 + b; // neither commutative nor associative
     let updates: Vec<(ProcId, Point, f64)> = (0..3 * n)
@@ -214,10 +130,26 @@ fn pooled_scatter_matches_serial_with_order_sensitive_combine() {
         .collect();
     let mut serial_arr = DistArray::from_fn("S", dist.clone(), |pt| pt.coord(0) as f64);
     let t1 = tracker(p);
-    let m1 = vf_runtime::parti::execute_scatter(&mut serial_arr, &updates, &t1, combine).unwrap();
+    let m1 = execute_scatter(
+        &mut serial_arr,
+        &updates,
+        &t1,
+        &PlanCache::new(),
+        &SerialExecutor,
+        combine,
+    )
+    .unwrap();
     let mut pooled_arr = DistArray::from_fn("S", dist, |pt| pt.coord(0) as f64);
     let t2 = tracker(p);
-    let m2 = execute_scatter_with(&mut pooled_arr, &updates, &t2, &pooled, combine).unwrap();
+    let m2 = execute_scatter(
+        &mut pooled_arr,
+        &updates,
+        &t2,
+        &PlanCache::new(),
+        &pooled,
+        combine,
+    )
+    .unwrap();
     assert_eq!(m1, m2);
     assert_eq!(serial_arr.to_dense(), pooled_arr.to_dense());
     assert_eq!(t1.snapshot(), t2.snapshot());
@@ -227,7 +159,7 @@ fn pooled_scatter_matches_serial_with_order_sensitive_combine() {
 fn wire_packed_fused_ghost_matches_per_part_with_identical_traffic() {
     let n = 12usize;
     let p = 4usize;
-    let (serial, _, pooled, _pool) = executors();
+    let (serial, pooled, _pool) = executors();
     let dist = dist_2d(DistType::blocks2d(), n, n, p);
     let a = DistArray::from_fn("A", dist.clone(), |pt| {
         (pt.coord(0) * 17 + pt.coord(1)) as f64
@@ -245,54 +177,31 @@ fn wire_packed_fused_ghost_matches_per_part_with_identical_traffic() {
     .unwrap();
     let arrays = [&a, &b, &c];
 
+    // The reference: one array verb (direct copy) per member.
     let t_parts = tracker(p);
-    let (per_part, exec_parts) =
-        exchange_ghosts_fused_planned_with(&arrays, &fused, &t_parts, &serial).unwrap();
-    for (name, executor) in [
-        ("serial", &serial as &dyn WireGhost),
-        ("pooled", &pooled as &dyn WireGhost),
-    ] {
+    let (per_part, part_reports): (Vec<_>, Vec<_>) = arrays
+        .iter()
+        .map(|array| exchange_ghosts(array, &plan, &t_parts, &serial).unwrap())
+        .unzip();
+    for (name, executor) in [("serial", &serial), ("pooled", &pooled)] {
         let t_wire = tracker(p);
-        let (wire, exec_wire) = executor.wire(&arrays, &fused, &t_wire);
-        // Identical charged traffic: exactly one message per communicating
-        // pair, bytes conserved, tracker snapshots equal.
-        assert_eq!(exec_parts, exec_wire, "{name}");
+        let (wire, exec_wire) = exchange_class_ghosts(&arrays, &fused, &t_wire, executor).unwrap();
+        // Exactly one message per communicating pair for the whole class,
+        // bytes conserved over the members.
         assert_eq!(exec_wire.messages, fused.num_messages(), "{name}");
+        assert_eq!(exec_wire.messages, part_reports[0].messages, "{name}");
         assert_eq!(exec_wire.bytes, fused.bytes_for(8), "{name}");
-        assert_eq!(t_parts.snapshot(), t_wire.snapshot(), "{name}");
-        // Region values are the per-part execution bitwise.
-        for (idx, array) in arrays.iter().enumerate() {
-            for proc in array.dist().proc_ids() {
-                for point in array.domain().iter() {
-                    assert_eq!(
-                        per_part[idx].get(*proc, &point),
-                        wire[idx].get(*proc, &point),
-                        "{name}: array {idx} at {point:?} on {proc:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Object-safe adapter for the wire ghost exchange under both backends.
-trait WireGhost {
-    fn wire(
-        &self,
-        arrays: &[&DistArray<f64>; 3],
-        fused: &FusedPlan,
-        t: &CommTracker,
-    ) -> (Vec<vf_runtime::ghost::GhostRegion<f64>>, ExecReport);
-}
-
-impl<E: PlanExecutor> WireGhost for E {
-    fn wire(
-        &self,
-        arrays: &[&DistArray<f64>; 3],
-        fused: &FusedPlan,
-        t: &CommTracker,
-    ) -> (Vec<vf_runtime::ghost::GhostRegion<f64>>, ExecReport) {
-        exchange_ghosts_fused_planned_wire_with(&arrays[..], fused, t, self).unwrap()
+        assert_eq!(
+            exec_wire.bytes,
+            part_reports.iter().map(|r| r.bytes).sum::<usize>(),
+            "{name}"
+        );
+        let (alone, class) = (t_parts.snapshot(), t_wire.snapshot());
+        assert_eq!(class.total_messages(), exec_wire.messages, "{name}");
+        assert_eq!(class.total_bytes(), alone.total_bytes(), "{name}");
+        assert_eq!(alone.total_messages(), 3 * class.total_messages(), "{name}");
+        // Region values are the per-array execution bitwise.
+        assert_regions_equal(&arrays, &per_part, &wire, name);
     }
 }
 
@@ -300,30 +209,41 @@ impl<E: PlanExecutor> WireGhost for E {
 fn wire_packed_fused_redistribute_matches_per_part() {
     let n = 64usize;
     let p = 4usize;
-    let (serial, _, pooled, _pool) = executors();
+    let (serial, pooled, _pool) = executors();
     let from = dist_1d(DistType::block1d(), n, p);
     let to = dist_1d(DistType::cyclic1d(1), n, p);
     let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
-    let fused = FusedPlan::fuse(vec![Arc::clone(&plan), plan]).unwrap();
+    let fused = FusedPlan::fuse(vec![Arc::clone(&plan), Arc::clone(&plan)]).unwrap();
     let build = || {
         (
             DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64),
             DistArray::from_fn("B", from.clone(), |pt| (pt.coord(0) as f64).powi(2)),
         )
     };
+    // The reference: one array verb (direct copy) per member.
     let (mut a1, mut b1) = build();
     let t1 = tracker(p);
-    let (r1, e1) =
-        execute_redistribute_fused(&mut [&mut a1, &mut b1], &fused, &t1, &serial).unwrap();
-    let (mut a2, mut b2) = build();
-    let t2 = tracker(p);
-    let (r2, e2) =
-        execute_redistribute_fused_wire(&mut [&mut a2, &mut b2], &fused, &t2, &pooled).unwrap();
-    assert_eq!(a1.to_dense(), a2.to_dense());
-    assert_eq!(b1.to_dense(), b2.to_dense());
-    assert_eq!(r1, r2);
-    assert_eq!(e1, e2);
-    assert_eq!(t1.snapshot(), t2.snapshot());
+    let opts = RedistOptions::default();
+    let r1 = [&mut a1, &mut b1]
+        .map(|member| execute_redistribute(member, &plan, &t1, &opts, &serial).unwrap());
+    for (name, executor) in [("serial", &serial), ("pooled", &pooled)] {
+        let (mut a2, mut b2) = build();
+        let t2 = tracker(p);
+        let (r2, e2) =
+            execute_class_redistribute(&mut [&mut a2, &mut b2], &fused, &t2, executor).unwrap();
+        assert_eq!(a1.to_dense(), a2.to_dense(), "{name}");
+        assert_eq!(b1.to_dense(), b2.to_dense(), "{name}");
+        assert_eq!(r1.as_slice(), r2.as_slice(), "{name}");
+        assert_eq!(e2.messages, fused.num_messages(), "{name}");
+        assert_eq!(
+            e2.bytes,
+            r1.iter().map(|r| r.bytes).sum::<usize>(),
+            "{name}"
+        );
+        let (alone, class) = (t1.snapshot(), t2.snapshot());
+        assert_eq!(class.total_bytes(), alone.total_bytes(), "{name}");
+        assert_eq!(alone.total_messages(), 2 * class.total_messages(), "{name}");
+    }
 }
 
 #[test]
@@ -417,7 +337,15 @@ fn worker_panic_leaves_the_pool_usable_for_executors() {
     let mut a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64);
     let expect = a.to_dense();
     let tr = tracker(p);
-    redistribute_with(&mut a, to, &tr, &RedistOptions::default(), &pooled).unwrap();
+    redistribute(
+        &mut a,
+        to,
+        &tr,
+        &RedistOptions::default(),
+        &PlanCache::new(),
+        &pooled,
+    )
+    .unwrap();
     assert_eq!(a.to_dense(), expect, "data intact after the poisoned job");
 }
 
@@ -455,49 +383,29 @@ fn worker_panic_leaves_the_pool_usable_for_streaming_split_phase() {
 
     let t_block = tracker(p);
     let (blocking, _) =
-        vf_runtime::ghost::exchange_ghosts_fused_wire(&refs, &widths, &t_block, &PlanCache::new())
-            .unwrap();
+        class_halo(&refs, &widths, &t_block, &PlanCache::new(), &SerialExecutor).unwrap();
 
-    let backend = ExecBackend::Threaded(
-        ThreadedExecutor::with_pool(Arc::clone(&pool)).serial_cutoff_bytes(0),
-    );
+    let backend =
+        ExecBackend::Threaded(ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0));
     let t_split = tracker(p);
-    let split = vf_runtime::ghost::exchange_ghosts_fused_wire_split(
-        &refs,
-        &widths,
-        &t_split,
-        &PlanCache::new(),
-        &backend,
-    )
-    .unwrap();
+    let split = class_halo_split(&refs, &widths, &t_split, &PlanCache::new(), &backend).unwrap();
     assert!(split.is_streaming(), "the poisoned pool still streams");
     let (regions, _) = split.wait(&t_split).unwrap();
-    for (k, array) in arrays.iter().enumerate() {
-        for proc in array.dist().proc_ids() {
-            for point in array.domain().iter() {
-                assert_eq!(
-                    regions[k].get(*proc, &point),
-                    blocking[k].get(*proc, &point),
-                    "array {k} at {point:?} on {proc:?}"
-                );
-            }
-        }
-    }
+    assert_regions_equal(&arrays, &regions, &blocking, "after the poisoned job");
     assert_eq!(t_split.snapshot().per_proc(), t_block.snapshot().per_proc());
 }
 
 #[test]
 fn zero_width_halo_posts_no_messages_through_the_wire_path() {
     let p = 4usize;
-    let (_, _, pooled, _pool) = executors();
+    let (_, pooled, _pool) = executors();
     let dist = dist_2d(DistType::columns(), 8, 8, p);
     let a = DistArray::from_fn("Z", dist.clone(), |pt| pt.coord(0) as f64);
     let cache = PlanCache::new();
     let plan = cache.ghost_plan(&dist, &[(0, 0), (0, 0)]).unwrap();
     let fused = FusedPlan::fuse(vec![Arc::clone(&plan), plan]).unwrap();
     let t = tracker(p);
-    let (regions, exec) =
-        exchange_ghosts_fused_planned_wire_with(&[&a, &a], &fused, &t, &pooled).unwrap();
+    let (regions, exec) = exchange_class_ghosts(&[&a, &a], &fused, &t, &pooled).unwrap();
     assert_eq!(exec.messages, 0);
     assert_eq!(exec.bytes, 0);
     assert_eq!(

@@ -2,7 +2,7 @@
 //! accounting consistency, and connect-class propagation.
 
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, dist_2d, zero_machine};
+use vf_integration::{dist_1d, dist_2d, distribute_once, zero_machine};
 
 fn all_1d_types(n: usize, p: usize) -> Vec<DistType> {
     vec![
@@ -33,7 +33,7 @@ fn all_pairs_of_1d_distribution_types_preserve_data() {
                 (pt.coord(0) * 7) as f64
             });
             let before = a.to_dense();
-            let report = redistribute(
+            let report = distribute_once(
                 &mut a,
                 dist_1d(to.clone(), n, p),
                 &tracker,
@@ -71,7 +71,7 @@ fn two_dimensional_redistributions_preserve_data() {
                 (pt.coord(0) * 100 + pt.coord(1)) as f64
             });
             let before = a.to_dense();
-            redistribute(
+            distribute_once(
                 &mut a,
                 dist_2d(to.clone(), 12, 18, p),
                 &tracker,
@@ -207,7 +207,7 @@ fn aggregation_ablation_shows_latency_savings() {
         let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), n, p), |pt| {
             pt.coord(0) as f64
         });
-        let report = redistribute(
+        let report = distribute_once(
             &mut a,
             dist_1d(DistType::cyclic1d(1), n, p),
             &tracker,

@@ -10,9 +10,8 @@ use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::dist_1d;
-use vf_runtime::ghost::{exchange_ghosts_fused_sharded, exchange_ghosts_fused_wire_with};
-use vf_runtime::parti::{execute_gather, execute_gather_sharded, inspector};
+use vf_integration::{class_halo, dist_1d};
+use vf_runtime::parti::{execute_gather, inspector};
 
 /// Strategy for an arbitrary 1-D distribution type valid for `n` elements
 /// on `p` processors — block, cyclic, generalised block, or a
@@ -96,7 +95,7 @@ proptest! {
             .collect();
         let mut refs: Vec<&mut DistArray<f64>> = a_shared.iter_mut().collect();
         let (r_shared, e_shared) =
-            execute_redistribute_fused_wire(&mut refs, &fused, &t_shared, &SerialExecutor)
+            execute_class_redistribute(&mut refs, &fused, &t_shared, &SerialExecutor)
                 .unwrap();
 
         let t_sharded = CommTracker::new(p, CostModel::ipsc860(p));
@@ -105,10 +104,9 @@ proptest! {
             .collect();
         let mut refs: Vec<&mut DistArray<f64>> = a_sharded.iter_mut().collect();
         let fused2 = plan_once();
-        let (r_sharded, e_sharded) = execute_redistribute_fused_sharded(
-            &mut refs, &fused2, &t_sharded, &ShardedExecutor::new(),
-        )
-        .unwrap();
+        let (r_sharded, e_sharded) =
+            execute_class_redistribute(&mut refs, &fused2, &t_sharded, &ShardedExecutor::new())
+                .unwrap();
 
         prop_assert_eq!(r_shared, r_sharded);
         prop_assert_eq!(&e_shared, &e_sharded);
@@ -139,16 +137,13 @@ proptest! {
         let widths = [(lo, hi)];
 
         let t_shared = CommTracker::new(p, CostModel::ipsc860(p));
-        let (g_shared, e_shared) = exchange_ghosts_fused_wire_with(
-            &[&a], &widths, &t_shared, &PlanCache::new(), &SerialExecutor,
-        )
-        .unwrap();
+        let (g_shared, e_shared) =
+            class_halo(&[&a], &widths, &t_shared, &PlanCache::new(), &SerialExecutor).unwrap();
 
         let t_sharded = CommTracker::new(p, CostModel::ipsc860(p));
-        let (g_sharded, e_sharded) = exchange_ghosts_fused_sharded(
-            &[&a], &widths, &t_sharded, &PlanCache::new(), &ShardedExecutor::new(),
-        )
-        .unwrap();
+        let sharded = ShardedExecutor::new();
+        let (g_sharded, e_sharded) =
+            class_halo(&[&a], &widths, &t_sharded, &PlanCache::new(), &sharded).unwrap();
 
         prop_assert_eq!(&e_shared, &e_sharded);
         for q in 0..p {
@@ -182,15 +177,15 @@ proptest! {
             .collect();
         // One schedule per run — directory page charges are consumed on
         // first execution.
-        let schedule = inspector(&dist, &accesses).unwrap();
-        let schedule2 = inspector(&dist, &accesses).unwrap();
+        let schedule = inspector(&dist, &accesses, &PlanCache::new()).unwrap();
+        let schedule2 = inspector(&dist, &accesses, &PlanCache::new()).unwrap();
 
         let t_shared = CommTracker::new(p, CostModel::ipsc860(p));
-        let g_shared = execute_gather(&a, &schedule, &t_shared).unwrap();
+        let g_shared = execute_gather(&a, &schedule, &t_shared, &SerialExecutor).unwrap();
 
         let t_sharded = CommTracker::new(p, CostModel::ipsc860(p));
         let g_sharded =
-            execute_gather_sharded(&a, &schedule2, &t_sharded, &ShardedExecutor::new()).unwrap();
+            execute_gather(&a, &schedule2, &t_sharded, &ShardedExecutor::new()).unwrap();
 
         for q in 0..p {
             prop_assert_eq!(g_shared.len(ProcId(q)), g_sharded.len(ProcId(q)));
@@ -242,7 +237,7 @@ fn assert_element_type_matches_shared<T: Element>(value: impl Fn(usize) -> T + C
     let t_shared = CommTracker::new(p, CostModel::ipsc860(p));
     let mut shared = make();
     let refs: Vec<&DistArray<T>> = shared.iter().collect();
-    let (g_shared, ge_shared) = exchange_ghosts_fused_wire_with(
+    let (g_shared, ge_shared) = class_halo(
         &refs,
         &widths,
         &t_shared,
@@ -252,19 +247,17 @@ fn assert_element_type_matches_shared<T: Element>(value: impl Fn(usize) -> T + C
     .unwrap();
     let mut refs: Vec<&mut DistArray<T>> = shared.iter_mut().collect();
     let (r_shared, e_shared) =
-        execute_redistribute_fused_wire(&mut refs, &plan_once(), &t_shared, &SerialExecutor)
-            .unwrap();
+        execute_class_redistribute(&mut refs, &plan_once(), &t_shared, &SerialExecutor).unwrap();
 
     let exec = ShardedExecutor::new();
     let t_sharded = CommTracker::new(p, CostModel::ipsc860(p));
     let mut sharded = make();
     let refs: Vec<&DistArray<T>> = sharded.iter().collect();
     let (g_sharded, ge_sharded) =
-        exchange_ghosts_fused_sharded(&refs, &widths, &t_sharded, &PlanCache::new(), &exec)
-            .unwrap();
+        class_halo(&refs, &widths, &t_sharded, &PlanCache::new(), &exec).unwrap();
     let mut refs: Vec<&mut DistArray<T>> = sharded.iter_mut().collect();
     let (r_sharded, e_sharded) =
-        execute_redistribute_fused_sharded(&mut refs, &plan_once(), &t_sharded, &exec).unwrap();
+        execute_class_redistribute(&mut refs, &plan_once(), &t_sharded, &exec).unwrap();
 
     let what = std::any::type_name::<T>();
     assert_eq!(ge_shared, ge_sharded, "{what}: halo report");
@@ -348,7 +341,7 @@ fn failed_exchange_leaves_the_arrays_on_their_old_distribution() {
     let before = make();
     let mut arrays = make();
     let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
-    let err = execute_redistribute_fused_sharded(&mut refs, &fused(), &tracker, &exec)
+    let err = execute_class_redistribute(&mut refs, &fused(), &tracker, &exec)
         .expect_err("a rank died mid-exchange");
     assert!(
         matches!(err, vf_runtime::RuntimeError::Channel(_)),
@@ -364,7 +357,7 @@ fn failed_exchange_leaves_the_arrays_on_their_old_distribution() {
 
     // The fault budget is spent: the retried statement goes through.
     let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
-    execute_redistribute_fused_sharded(&mut refs, &fused(), &tracker, &exec).unwrap();
+    execute_class_redistribute(&mut refs, &fused(), &tracker, &exec).unwrap();
     for (a, b) in arrays.iter().zip(&before) {
         assert_eq!(a.dist().fingerprint(), to.fingerprint());
         assert_eq!(a.to_dense(), b.to_dense());

@@ -9,28 +9,12 @@
 
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::zero_machine;
-use vf_runtime::ghost::{exchange_ghosts_fused_wire, exchange_ghosts_fused_wire_split};
+use vf_integration::{
+    assert_regions_equal, class_halo, class_halo_split, grid_array, streaming_backend, zero_machine,
+};
 
 const WIDTHS: [(usize, usize); 2] = [(1, 1), (1, 1)];
 
-fn grid_array(name: &str, t: DistType, n: usize, p: usize, scale: f64) -> DistArray<f64> {
-    let dist = Distribution::new(t, IndexDomain::d2(n, n), ProcessorView::linear(p)).unwrap();
-    DistArray::from_fn(name, dist, |pt| {
-        (pt.coord(0) * 1000 + pt.coord(1)) as f64 * scale
-    })
-}
-
-/// A backend whose unpack genuinely streams on background pool workers:
-/// zero cutoff forces the threaded path regardless of volume.
-fn streaming_backend(workers: usize) -> ExecBackend {
-    ExecBackend::Threaded(
-        ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).serial_cutoff_bytes(0),
-    )
-}
-
-/// Per-processor charges and the credited overlap must agree; the measured
-/// overlap is the one quantity a streaming run may legitimately add.
 fn assert_charges_equal(a: &CommStats, b: &CommStats, ctx: &str) {
     assert_eq!(a.per_proc(), b.per_proc(), "{ctx}: per-proc charges");
     assert!(
@@ -54,34 +38,25 @@ fn split_fused_ghost_equals_blocking_wire_bitwise() {
         let cache_b = PlanCache::new();
         let t_block = machine.tracker();
         let (blocking, exec) =
-            exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_block, &cache_b).unwrap();
+            class_halo(&refs, &WIDTHS, &t_block, &cache_b, &SerialExecutor).unwrap();
         assert_eq!(t_block.snapshot().measured_overlap_seconds(), 0.0);
 
         for (backend, label) in [
             (ExecBackend::Serial, "serial"),
-            (streaming_backend(3), "streaming"),
+            (
+                streaming_backend(&Arc::new(WorkerPool::new(3))),
+                "streaming",
+            ),
         ] {
             let cache = PlanCache::new();
             let t_split = machine.tracker();
-            let split =
-                exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &t_split, &cache, &backend)
-                    .unwrap();
+            let split = class_halo_split(&refs, &WIDTHS, &t_split, &cache, &backend).unwrap();
             assert_eq!(split.messages(), exec.messages, "{t} {label}");
             assert_eq!(split.bytes(), exec.bytes, "{t} {label}");
             let (regions, report) = split.wait(&t_split).unwrap();
             assert_eq!(report.messages, exec.messages, "{t} {label}");
             assert_eq!(report.bytes, exec.bytes, "{t} {label}");
-            for (k, array) in arrays.iter().enumerate() {
-                for proc in array.dist().proc_ids() {
-                    for point in array.domain().iter() {
-                        assert_eq!(
-                            regions[k].get(*proc, &point),
-                            blocking[k].get(*proc, &point),
-                            "{t} {label} array {k} at {point:?} on {proc:?}"
-                        );
-                    }
-                }
-            }
+            assert_regions_equal(&arrays, &regions, &blocking, &format!("{t} {label}"));
             assert_charges_equal(
                 &t_block.snapshot(),
                 &t_split.snapshot(),
@@ -114,7 +89,7 @@ fn split_redistribute_equals_blocking_bitwise() {
     let mut blocking = original.clone();
     let cache_b = PlanCache::new();
     let t_block = machine.tracker();
-    let ref_report = redistribute_cached_with(
+    let ref_report = redistribute(
         &mut blocking,
         columns(),
         &t_block,
@@ -126,7 +101,10 @@ fn split_redistribute_equals_blocking_bitwise() {
 
     for (backend, label) in [
         (ExecBackend::Serial, "serial"),
-        (streaming_backend(3), "streaming"),
+        (
+            streaming_backend(&Arc::new(WorkerPool::new(3))),
+            "streaming",
+        ),
     ] {
         let mut array = original.clone();
         let cache = PlanCache::new();
@@ -166,7 +144,10 @@ fn pipelined_destination_mutation_survives_finish() {
 
     for (backend, label) in [
         (ExecBackend::Serial, "serial"),
-        (streaming_backend(3), "streaming"),
+        (
+            streaming_backend(&Arc::new(WorkerPool::new(3))),
+            "streaming",
+        ),
     ] {
         let mut array = original.clone();
         let cache = PlanCache::new();
@@ -209,7 +190,7 @@ fn split_redistribute_rejects_stale_source_fingerprint() {
         redistribute_split(&array, rows.clone(), &tracker, &cache, &ExecBackend::Serial).unwrap();
     // Redistribute a clone of the source out from under the handle.
     let mut other = array.clone();
-    redistribute_cached_with(
+    redistribute(
         &mut other,
         rows,
         &tracker,
@@ -237,11 +218,10 @@ fn forced_streaming_overlaps_compute_with_the_halo() {
         .collect();
     let refs: Vec<&DistArray<f64>> = arrays.iter().collect();
     let machine = zero_machine(p);
-    let backend = streaming_backend(3);
+    let backend = streaming_backend(&Arc::new(WorkerPool::new(3)));
     let cache = PlanCache::new();
     let tracker = machine.tracker();
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &cache, &backend).unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &cache, &backend).unwrap();
     assert!(split.is_streaming(), "zero cutoff + 3 workers must stream");
     std::thread::sleep(std::time::Duration::from_millis(50));
     let (_regions, report) = split.wait(&tracker).unwrap();
@@ -285,7 +265,7 @@ fn scope_split_class_exchange_equals_blocking() {
     for streaming in [false, true] {
         let mut s = build();
         if streaming {
-            s.set_executor(streaming_backend(3));
+            s.set_executor(streaming_backend(&Arc::new(WorkerPool::new(3))));
         }
         let halo = s.exchange_class_ghosts_split("U", &widths).unwrap();
         assert_eq!(halo.messages(), exec.messages, "streaming={streaming}");

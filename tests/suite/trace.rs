@@ -23,9 +23,9 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use vf_core::prelude::*;
+use vf_integration::{class_halo, class_halo_split, streaming_backend};
 use vf_machine::trace;
 use vf_machine::{FaultInjector, FaultKind, FaultPlan};
-use vf_runtime::ghost::{exchange_ghosts_fused_wire, exchange_ghosts_fused_wire_split};
 
 const WIDTHS: [(usize, usize); 2] = [(1, 1), (1, 1)];
 
@@ -57,10 +57,6 @@ fn grid_arrays(n: usize, p: usize, fields: usize) -> Vec<DistArray<f64>> {
         .collect()
 }
 
-fn streaming_backend(pool: &Arc<WorkerPool>) -> ExecBackend {
-    ExecBackend::Threaded(ThreadedExecutor::with_pool(Arc::clone(pool)).serial_cutoff_bytes(0))
-}
-
 /// Blocking, waited-split, dropped-split and fault-degraded executions all
 /// leave zero spans open.
 #[test]
@@ -74,21 +70,17 @@ fn spans_balance_on_every_execution_path() {
 
     // Blocking wire path.
     let tracker = CommTracker::new(p, CostModel::zero());
-    exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
+    class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
     assert_eq!(trace::open_spans(), 0, "blocking");
 
     // Split-phase, waited.
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-            .unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
     split.wait(&tracker).unwrap();
     assert_eq!(trace::open_spans(), 0, "split waited");
 
     // Split-phase, dropped without wait: the cancellation path must close
     // the pending-handle span and every worker span.
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-            .unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
     drop(split);
     assert_eq!(trace::open_spans(), 0, "split dropped");
 
@@ -101,15 +93,9 @@ fn spans_balance_on_every_execution_path() {
     let chaos_pool = Arc::new(WorkerPool::new(3));
     let chaos_backend = streaming_backend(&chaos_pool);
     for _ in 0..3 {
-        exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
-        let split = exchange_ghosts_fused_wire_split(
-            &refs,
-            &WIDTHS,
-            &tracker,
-            &PlanCache::new(),
-            &chaos_backend,
-        )
-        .unwrap();
+        class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
+        let split =
+            class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &chaos_backend).unwrap();
         split.wait(&tracker).unwrap();
     }
     assert!(inj.faults_injected() > 0, "the chaos schedule fired");
@@ -131,10 +117,8 @@ fn disabled_mode_records_no_events() {
     let pool = Arc::new(WorkerPool::new(3));
     let backend = streaming_backend(&pool);
 
-    exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-            .unwrap();
+    class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
     split.wait(&tracker).unwrap();
 
     assert_eq!(trace::snapshot().events.len(), 0, "no events");
@@ -160,15 +144,9 @@ fn trace_shape_is_deterministic_under_a_fault_seed() {
         let pool = Arc::new(WorkerPool::new(3));
         let backend = streaming_backend(&pool);
         for _ in 0..2 {
-            exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
-            let split = exchange_ghosts_fused_wire_split(
-                &refs,
-                &WIDTHS,
-                &tracker,
-                &PlanCache::new(),
-                &backend,
-            )
-            .unwrap();
+            class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
+            let split =
+                class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
             split.wait(&tracker).unwrap();
         }
         let mut shape: Vec<(String, String)> = trace::snapshot()
@@ -200,10 +178,8 @@ fn chrome_export_round_trips_through_the_parser() {
     let tracker = CommTracker::new(p, CostModel::zero());
     let pool = Arc::new(WorkerPool::new(3));
     let backend = streaming_backend(&pool);
-    exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
-    let split =
-        exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-            .unwrap();
+    class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
+    let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
     split.wait(&tracker).unwrap();
 
     let snap = trace::snapshot();
@@ -292,10 +268,9 @@ fn fault_instants_match_comm_stats_counters_exactly() {
     let pool = Arc::new(WorkerPool::new(3));
     let backend = streaming_backend(&pool);
     for _ in 0..3 {
-        exchange_ghosts_fused_wire(&refs, &WIDTHS, &tracker, &PlanCache::new()).unwrap();
+        class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         let split =
-            exchange_ghosts_fused_wire_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend)
-                .unwrap();
+            class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
         split.wait(&tracker).unwrap();
     }
 
