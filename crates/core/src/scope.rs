@@ -627,103 +627,100 @@ impl<T: Element> VfScope<T> {
             )?;
         }
 
-        // Phase 2: execute.  First-time allocations, NOTRANSFER descriptor
-        // swaps and members already mapped as the statement asks settle
-        // per array without data motion; everything with data to move is
-        // collected and executed as one fused schedule when there is more
-        // than one such array.
+        // Phase 2: execute.  The members a class schedule would carry are
+        // those with data to move: allocated, not NOTRANSFER, and not
+        // already distributed as the statement asks.  Two or more of them
+        // travel as one fused schedule; everything else — first-time
+        // allocations aside — is the array verb, which settles NOTRANSFER
+        // and no-op members without data motion.
         let mut reports: Vec<Option<vf_runtime::RedistReport>> = vec![None; works.len()];
-        let mut moving: Vec<usize> = Vec::new();
+        let mut moving: Vec<usize> = (0..works.len())
+            .filter(|&idx| {
+                let work = &works[idx];
+                let data = self.arrays[&work.name].data.as_ref();
+                !work.notransfer && data.is_some_and(|d| d.dist() != &work.new_dist)
+            })
+            .collect();
+        if moving.len() < 2 {
+            moving.clear();
+        }
         for (idx, work) in works.iter().enumerate() {
+            if moving.contains(&idx) {
+                continue;
+            }
             let entry = self.arrays.get_mut(&work.name).expect("validated above");
-            match entry.data.as_mut() {
+            let report = match entry.data.as_mut() {
                 None => {
                     // First distribution: allocate, nothing moves.
                     entry.data = Some(DistArray::new(work.name.clone(), work.new_dist.clone()));
-                    reports[idx] = Some(Default::default());
+                    Default::default()
                 }
-                Some(data) if work.notransfer || data.is_mapped_as(&work.new_dist) => {
+                Some(data) => {
                     let opts = RedistOptions {
                         notransfer: work.notransfer,
                         ..RedistOptions::default()
                     };
-                    reports[idx] = Some(redistribute(
+                    redistribute(
                         data,
                         work.new_dist.clone(),
                         &self.tracker,
                         &opts,
                         &self.plan_cache,
                         &self.executor,
-                    )?);
+                    )?
                 }
-                Some(_) => moving.push(idx),
-            }
+            };
+            reports[idx] = Some(report);
         }
 
-        let fused_charge = match moving.len() {
-            0 => None,
-            1 => {
-                let idx = moving[0];
+        let fused_charge = if moving.is_empty() {
+            None
+        } else {
+            // Plan every array against the shared cache, then fuse.
+            let mut parts = Vec::with_capacity(moving.len());
+            for &idx in &moving {
                 let work = &works[idx];
-                let entry = self.arrays.get_mut(&work.name).expect("validated above");
-                let data = entry.data.as_mut().expect("phase 2 saw data");
-                reports[idx] = Some(redistribute(
-                    data,
-                    work.new_dist.clone(),
-                    &self.tracker,
-                    &RedistOptions::default(),
-                    &self.plan_cache,
-                    &self.executor,
-                )?);
-                None
+                let entry = self.arrays.get(&work.name).expect("validated above");
+                let data = entry.data.as_ref().expect("phase 2 saw data");
+                parts.push(
+                    self.plan_cache
+                        .redistribute_plan(data.dist(), &work.new_dist)?,
+                );
             }
-            _ => {
-                // Plan every array against the shared cache, then fuse.
-                let mut parts = Vec::with_capacity(moving.len());
-                for &idx in &moving {
-                    let work = &works[idx];
-                    let entry = self.arrays.get(&work.name).expect("validated above");
-                    let data = entry.data.as_ref().expect("phase 2 saw data");
-                    parts.push(
-                        self.plan_cache
-                            .redistribute_plan(data.dist(), &work.new_dist)?,
-                    );
-                }
-                let fused = FusedPlan::fuse(parts)?;
-                // Take the arrays out for the duration of the fused
-                // execution (it needs simultaneous mutable access).
-                let mut datas: Vec<DistArray<T>> = moving
-                    .iter()
-                    .map(|&idx| {
-                        self.arrays
-                            .get_mut(&works[idx].name)
-                            .expect("validated above")
-                            .data
-                            .take()
-                            .expect("phase 2 saw data")
-                    })
-                    .collect();
-                // The class moves as one packed message per processor
-                // pair, on whatever transport the scope's backend is.
-                let result = {
-                    let mut refs: Vec<&mut DistArray<T>> = datas.iter_mut().collect();
-                    execute_class_redistribute(&mut refs, &fused, &self.tracker, &self.executor)
-                };
-                // Put the arrays back whether or not execution succeeded
-                // (a failed fused execute validates before moving, so the
-                // data is unchanged).
-                for (&idx, data) in moving.iter().zip(datas) {
+            let fused = FusedPlan::fuse(parts)?;
+            // Take the arrays out for the duration of the fused
+            // execution (it needs simultaneous mutable access).
+            let mut datas: Vec<DistArray<T>> = moving
+                .iter()
+                .map(|&idx| {
                     self.arrays
                         .get_mut(&works[idx].name)
                         .expect("validated above")
-                        .data = Some(data);
-                }
-                let (part_reports, exec) = result?;
-                for (&idx, part_report) in moving.iter().zip(part_reports) {
-                    reports[idx] = Some(part_report);
-                }
-                Some(exec)
+                        .data
+                        .take()
+                        .expect("phase 2 saw data")
+                })
+                .collect();
+            // The class moves as one packed message per processor
+            // pair, on whatever transport the scope's backend is.
+            let result = {
+                let mut refs: Vec<&mut DistArray<T>> = datas.iter_mut().collect();
+                execute_class_redistribute(&mut refs, &fused, &self.tracker, &self.executor)
+            };
+            // Put the arrays back whether or not execution succeeded
+            // (a failed fused execute validates before moving, so the
+            // data is unchanged).
+            for (&idx, data) in moving.iter().zip(datas) {
+                self.arrays
+                    .get_mut(&works[idx].name)
+                    .expect("validated above")
+                    .data = Some(data);
             }
+            let (part_reports, exec) = result?;
+            for (&idx, part_report) in moving.iter().zip(part_reports) {
+                reports[idx] = Some(part_report);
+            }
+            Some(exec)
         };
 
         Ok(DistributeReport {

@@ -179,7 +179,10 @@ impl Distribution {
         if self.domain != other.domain {
             return false;
         }
-        if self.dist_type == other.dist_type && self.procs == other.procs {
+        // Equal distribution types are not enough: `construct` permutes the
+        // processor-grid mapping and a translation-table distribution
+        // carries its base's type.
+        if self == other {
             return true;
         }
         // Fall back to an element-wise comparison for derived distributions.
@@ -1367,6 +1370,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn same_mapping_sees_the_processor_grid_mapping() {
+        // (BLOCK, BLOCK) derived through a transpose has the plain
+        // distribution's type, domain and processors but maps the array
+        // dimensions to the other grid dimensions: not the same mapping.
+        let plain = Distribution::new(
+            DistType::blocks2d(),
+            IndexDomain::d2(8, 8),
+            ProcessorView::grid2d(2, 2),
+        )
+        .unwrap();
+        let derived = construct(&Alignment::transpose2d(), &plain, &IndexDomain::d2(8, 8)).unwrap();
+        assert_eq!(derived.dist_type(), plain.dist_type());
+        assert_ne!(derived, plain);
+        assert!(!derived.same_mapping(&plain));
+        assert!(derived.same_mapping(&derived.clone()));
     }
 
     #[test]

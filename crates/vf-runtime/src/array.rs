@@ -203,28 +203,6 @@ impl<T: Element> DistArray<T> {
         self.locals = locals;
     }
 
-    /// Whether the array is already laid out as `dist` asks — a
-    /// `DISTRIBUTE` to it would move nothing ([`crate::redistribute`]
-    /// makes it a no-op).  This is the structural half of
-    /// [`Distribution::same_mapping`]: same domain, distribution type and
-    /// processors.  Two *differently described* distributions that happen
-    /// to place every element alike answer `false` without an owner scan;
-    /// redistributing between those is still correct, every element just
-    /// "stays" through the planner.
-    pub fn is_mapped_as(&self, dist: &Distribution) -> bool {
-        self.dist.domain() == dist.domain()
-            && self.dist.dist_type() == dist.dist_type()
-            && self.dist.procs() == dist.procs()
-    }
-
-    /// Replaces the descriptor alone — for a distribution that maps every
-    /// element exactly where the current one does, so the local buffers
-    /// are already right.
-    pub(crate) fn set_dist(&mut self, dist: Distribution) {
-        debug_assert!(self.dist.same_mapping(&dist));
-        self.dist = dist;
-    }
-
     /// Copies the canonical first replica's buffer into every other
     /// replica of a replicated array (no-op otherwise) — executors call
     /// this after a plan targeting the canonical owner has run, since

@@ -2003,12 +2003,6 @@ mod tests {
         Distribution::new(t, IndexDomain::d1(n), ProcessorView::linear(p)).unwrap()
     }
 
-    /// A threaded executor on its own `workers`-wide pool that threads
-    /// every plan, however small.
-    fn forced_threaded(workers: usize) -> ThreadedExecutor {
-        ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0)
-    }
-
     fn block_to_cyclic_under<E: PlanExecutor>(
         executor: &E,
         n: usize,
@@ -2033,7 +2027,8 @@ mod tests {
     #[test]
     fn threaded_buffers_and_charges_match_serial() {
         let serial = block_to_cyclic_under(&SerialExecutor, 64, 4);
-        let forced = forced_threaded(3);
+        let forced =
+            ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(3))).with_serial_cutoff(0);
         let threaded = block_to_cyclic_under(&forced, 64, 4);
         assert_eq!(serial.0, threaded.0, "copied buffers differ");
         assert_eq!(serial.1, threaded.1, "charged totals differ");
@@ -2095,7 +2090,8 @@ mod tests {
             .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
             .unwrap();
         for workers in [2, 3, 5] {
-            let forced = forced_threaded(workers);
+            let forced = ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers)))
+                .with_serial_cutoff(0);
             let t_thr = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
             let (threaded, rt) = forced
                 .execute(&plan, a.locals(), &dst_sizes, &t_thr, true)
@@ -2118,7 +2114,8 @@ mod tests {
         let (serial, _) = SerialExecutor
             .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
             .unwrap();
-        let (threaded, _) = forced_threaded(4)
+        let (threaded, _) = ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(4)))
+            .with_serial_cutoff(0)
             .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
             .unwrap();
         assert_eq!(serial, threaded);

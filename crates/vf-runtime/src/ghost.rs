@@ -293,21 +293,10 @@ pub fn exchange_class_ghosts_split<'e, T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan_ghost;
     use crate::{PlanCache, SerialExecutor};
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
-
-    /// A freshly planned (uncached) stencil exchange on the serial backend.
-    fn exchange_fresh(
-        array: &DistArray<f64>,
-        widths: &[(usize, usize)],
-        tracker: &CommTracker,
-    ) -> Result<(GhostRegion<f64>, GhostReport)> {
-        let plan = Arc::new(plan_ghost(array.dist(), widths)?);
-        exchange_ghosts(array, &plan, tracker, &SerialExecutor)
-    }
 
     fn array_2d(t: DistType, n: usize, view: ProcessorView) -> DistArray<f64> {
         let dist = Distribution::new(t, IndexDomain::d2(n, n), view).unwrap();
@@ -320,7 +309,10 @@ mod tests {
         // processors receive 2 columns of 8 elements, edge processors 1.
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let tracker = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
-        let (ghosts, report) = exchange_fresh(&a, &[(1, 1), (1, 1)], &tracker).unwrap();
+        let plan = PlanCache::new()
+            .ghost_plan(a.dist(), &[(1, 1), (1, 1)])
+            .unwrap();
+        let (ghosts, report) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
         assert_eq!(ghosts.len(ProcId(0)), 8);
         assert_eq!(ghosts.len(ProcId(1)), 16);
         assert_eq!(ghosts.len(ProcId(2)), 16);
@@ -362,7 +354,10 @@ mod tests {
     fn blocks2d_exchange_includes_corners() {
         let a = array_2d(DistType::blocks2d(), 8, ProcessorView::grid2d(2, 2));
         let tracker = CommTracker::new(4, CostModel::zero());
-        let (ghosts, report) = exchange_fresh(&a, &[(1, 1), (1, 1)], &tracker).unwrap();
+        let plan = PlanCache::new()
+            .ghost_plan(a.dist(), &[(1, 1), (1, 1)])
+            .unwrap();
+        let (ghosts, report) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
         // Each processor owns a 4x4 block; the halo is two faces of 4 plus a
         // corner = 9 elements.
         for p in 0..4 {
@@ -381,7 +376,10 @@ mod tests {
     fn get_with_ghosts_resolves_local_and_halo() {
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let tracker = CommTracker::new(4, CostModel::zero());
-        let (ghosts, _) = exchange_fresh(&a, &[(0, 0), (1, 1)], &tracker).unwrap();
+        let plan = PlanCache::new()
+            .ghost_plan(a.dist(), &[(0, 0), (1, 1)])
+            .unwrap();
+        let (ghosts, _) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
         // Local element.
         assert_eq!(
             get_with_ghosts(&a, &ghosts, ProcId(0), &Point::d2(5, 1)).unwrap(),
@@ -400,7 +398,10 @@ mod tests {
     fn zero_width_halo_exchanges_nothing() {
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let tracker = CommTracker::new(4, CostModel::zero());
-        let (ghosts, report) = exchange_fresh(&a, &[(0, 0), (0, 0)], &tracker).unwrap();
+        let plan = PlanCache::new()
+            .ghost_plan(a.dist(), &[(0, 0), (0, 0)])
+            .unwrap();
+        let (ghosts, report) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
         assert_eq!(report.messages, 0);
         assert!(ghosts.is_empty(ProcId(1)));
     }
@@ -417,8 +418,7 @@ mod tests {
         )
         .unwrap();
         let a: DistArray<f64> = DistArray::new("C", dist);
-        let tracker = CommTracker::new(4, CostModel::zero());
-        let err = exchange_fresh(&a, &[(1, 1), (0, 0)], &tracker);
+        let err = PlanCache::new().ghost_plan(a.dist(), &[(1, 1), (0, 0)]);
         assert!(matches!(
             err,
             Err(RuntimeError::NonContiguousLayout { dim: 0, .. })
@@ -430,8 +430,7 @@ mod tests {
     #[test]
     fn width_rank_mismatch_rejected() {
         let a = array_2d(DistType::columns(), 4, ProcessorView::linear(2));
-        let tracker = CommTracker::new(2, CostModel::zero());
-        assert!(exchange_fresh(&a, &[(1, 1)], &tracker).is_err());
+        assert!(PlanCache::new().ghost_plan(a.dist(), &[(1, 1)]).is_err());
     }
 
     #[test]
@@ -442,7 +441,9 @@ mod tests {
         let t_fresh = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));
         let widths = [(1, 1), (1, 1)];
 
-        let (fresh_ghosts, fresh_report) = exchange_fresh(&a, &widths, &t_fresh).unwrap();
+        let plan = PlanCache::new().ghost_plan(a.dist(), &widths).unwrap();
+        let (fresh_ghosts, fresh_report) =
+            exchange_ghosts(&a, &plan, &t_fresh, &SerialExecutor).unwrap();
         // Two cached exchanges: one miss, one hit.
         let cached = |tracker: &CommTracker| {
             let plan = cache.ghost_plan(a.dist(), &widths).unwrap();
@@ -496,9 +497,11 @@ mod tests {
         assert_eq!(regions.len(), 3);
 
         let t_single = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));
-        let (ga, ra) = exchange_fresh(&a, &widths, &t_single).unwrap();
-        let (gb, rb) = exchange_fresh(&b, &widths, &t_single).unwrap();
-        let (gc, rc) = exchange_fresh(&c, &widths, &t_single).unwrap();
+        // The members share a distribution, so one plan serves all three.
+        let plan = cache.ghost_plan(a.dist(), &widths).unwrap();
+        let (ga, ra) = exchange_ghosts(&a, &plan, &t_single, &SerialExecutor).unwrap();
+        let (gb, rb) = exchange_ghosts(&b, &plan, &t_single, &SerialExecutor).unwrap();
+        let (gc, rc) = exchange_ghosts(&c, &plan, &t_single, &SerialExecutor).unwrap();
         // One message per communicating pair — not per array per pair.
         assert_eq!(exec.messages, ra.messages);
         assert_eq!(

@@ -97,9 +97,10 @@ pub struct RedistReport {
 /// (the ADI pattern of Figure 1, the PIC rebalancing of Figure 2) amortise
 /// the inspector cost exactly as the PARTI routines the paper cites.  Two
 /// cases never reach the planner: `NOTRANSFER` only swaps the descriptor,
-/// and a `DISTRIBUTE` onto the mapping the array already has is a no-op —
-/// nothing is planned, copied or charged, the descriptor takes `new_dist`
-/// and the report says every element stayed.
+/// and a `DISTRIBUTE` onto the distribution the array already has
+/// (structurally equal — processor-grid mapping and translation tables
+/// included, not merely the same distribution type) is a no-op: nothing is
+/// planned, copied or charged and the report says every element stayed.
 pub fn redistribute<T: Element, E: PlanExecutor>(
     array: &mut DistArray<T>,
     new_dist: Distribution,
@@ -111,8 +112,8 @@ pub fn redistribute<T: Element, E: PlanExecutor>(
     if opts.notransfer {
         return redistribute_notransfer(array, new_dist, tracker);
     }
-    if array.is_mapped_as(&new_dist) {
-        array.set_dist(new_dist);
+    if array.dist() == &new_dist {
+        check_tracker(array.dist(), &new_dist, tracker)?;
         return Ok(RedistReport {
             stayed_elements: array.domain().size(),
             ..RedistReport::default()
@@ -412,23 +413,6 @@ mod tests {
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
 
-    /// A one-off `DISTRIBUTE`: fresh plan cache, serial executor.
-    fn redistribute_once<T: Element>(
-        array: &mut DistArray<T>,
-        new_dist: Distribution,
-        tracker: &CommTracker,
-        opts: &RedistOptions,
-    ) -> Result<RedistReport> {
-        redistribute(
-            array,
-            new_dist,
-            tracker,
-            opts,
-            &PlanCache::new(),
-            &SerialExecutor,
-        )
-    }
-
     fn dist_1d(t: DistType, n: usize, p: usize) -> Distribution {
         Distribution::new(t, IndexDomain::d1(n), ProcessorView::linear(p)).unwrap()
     }
@@ -440,11 +424,13 @@ mod tests {
             p.coord(0) as f64
         });
         let before = a.to_dense();
-        let report = redistribute_once(
+        let report = redistribute(
             &mut a,
             dist_1d(DistType::cyclic1d(1), 16, 4),
             &tracker,
             &RedistOptions::default(),
+            &PlanCache::new(),
+            &SerialExecutor,
         )
         .unwrap();
         assert_eq!(a.to_dense(), before);
@@ -460,11 +446,13 @@ mod tests {
         let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), 12, 3), |p| {
             p.coord(0) as f64
         });
-        let report = redistribute_once(
+        let report = redistribute(
             &mut a,
             dist_1d(DistType::block1d(), 12, 3),
             &tracker,
             &RedistOptions::default(),
+            &PlanCache::new(),
+            &SerialExecutor,
         )
         .unwrap();
         assert_eq!(report.moved_elements, 0);
@@ -491,7 +479,15 @@ mod tests {
         .unwrap();
         let mut v = DistArray::from_fn("V", cols, |p| (p.coord(0) * 100 + p.coord(1)) as f64);
         let before = v.to_dense();
-        let report = redistribute_once(&mut v, rows, &tracker, &RedistOptions::default()).unwrap();
+        let report = redistribute(
+            &mut v,
+            rows,
+            &tracker,
+            &RedistOptions::default(),
+            &PlanCache::new(),
+            &SerialExecutor,
+        )
+        .unwrap();
         assert_eq!(v.to_dense(), before);
         // Each processor keeps its diagonal block (2x2 of the 4x4 processor
         // blocks): 8*8 elements, each proc owns 16, keeps 4.
@@ -507,11 +503,13 @@ mod tests {
         let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), 8, 2), |p| {
             p.coord(0) as f64
         });
-        let report = redistribute_once(
+        let report = redistribute(
             &mut a,
             dist_1d(DistType::cyclic1d(1), 8, 2),
             &tracker,
             &RedistOptions::notransfer(),
+            &PlanCache::new(),
+            &SerialExecutor,
         )
         .unwrap();
         assert_eq!(report.moved_elements, 0);
@@ -532,20 +530,24 @@ mod tests {
         };
         let t_agg = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
         let mut a = mk();
-        let agg = redistribute_once(
+        let agg = redistribute(
             &mut a,
             dist_1d(DistType::cyclic1d(1), 64, 4),
             &t_agg,
             &RedistOptions::default(),
+            &PlanCache::new(),
+            &SerialExecutor,
         )
         .unwrap();
         let t_elem = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
         let mut b = mk();
-        let elem = redistribute_once(
+        let elem = redistribute(
             &mut b,
             dist_1d(DistType::cyclic1d(1), 64, 4),
             &t_elem,
             &RedistOptions::element_wise(),
+            &PlanCache::new(),
+            &SerialExecutor,
         )
         .unwrap();
         assert_eq!(agg.bytes, elem.bytes);
@@ -560,11 +562,13 @@ mod tests {
     fn domain_mismatch_rejected() {
         let tracker = CommTracker::new(2, CostModel::zero());
         let mut a: DistArray<f64> = DistArray::new("A", dist_1d(DistType::block1d(), 8, 2));
-        let err = redistribute_once(
+        let err = redistribute(
             &mut a,
             dist_1d(DistType::block1d(), 9, 2),
             &tracker,
             &RedistOptions::default(),
+            &PlanCache::new(),
+            &SerialExecutor,
         );
         assert!(matches!(err, Err(RuntimeError::DomainMismatch { .. })));
     }
@@ -572,14 +576,19 @@ mod tests {
     #[test]
     fn tracker_too_small_rejected() {
         let tracker = CommTracker::new(2, CostModel::zero());
-        let mut a: DistArray<f64> = DistArray::new("A", dist_1d(DistType::block1d(), 8, 2));
-        let err = redistribute_once(
-            &mut a,
-            dist_1d(DistType::block1d(), 8, 4),
-            &tracker,
-            &RedistOptions::default(),
-        );
-        assert!(matches!(err, Err(RuntimeError::TrackerMismatch { .. })));
+        // From 4 processors the statement is a no-op, and validated all the same.
+        for from in [2, 4] {
+            let mut a: DistArray<f64> = DistArray::new("A", dist_1d(DistType::block1d(), 8, from));
+            let err = redistribute(
+                &mut a,
+                dist_1d(DistType::block1d(), 8, 4),
+                &tracker,
+                &RedistOptions::default(),
+                &PlanCache::new(),
+                &SerialExecutor,
+            );
+            assert!(matches!(err, Err(RuntimeError::TrackerMismatch { .. })));
+        }
     }
 
     #[test]
@@ -615,8 +624,15 @@ mod tests {
                 &SerialExecutor,
             )
             .unwrap();
-            let rf =
-                redistribute_once(&mut b, mk(target), &t_fresh, &RedistOptions::default()).unwrap();
+            let rf = redistribute(
+                &mut b,
+                mk(target),
+                &t_fresh,
+                &RedistOptions::default(),
+                &PlanCache::new(),
+                &SerialExecutor,
+            )
+            .unwrap();
             assert_eq!(rc, rf, "iteration {iter}");
             assert_eq!(a.to_dense(), b.to_dense(), "iteration {iter}");
         }
@@ -659,11 +675,13 @@ mod tests {
         });
         let before = a.to_dense();
         for sizes in [vec![2, 8, 6, 4], vec![5, 5, 5, 5], vec![0, 0, 10, 10]] {
-            redistribute_once(
+            redistribute(
                 &mut a,
                 dist_1d(DistType::gen_block1d(sizes), 20, 4),
                 &tracker,
                 &RedistOptions::default(),
+                &PlanCache::new(),
+                &SerialExecutor,
             )
             .unwrap();
             assert_eq!(a.to_dense(), before);

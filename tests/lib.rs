@@ -31,23 +31,9 @@ pub fn dist_2d(dist_type: DistType, n: usize, m: usize, p: usize) -> Distributio
 // ---------------------------------------------------------------------------
 
 use vf_core::vf_runtime::ghost::{
-    exchange_class_ghosts, exchange_class_ghosts_split, exchange_ghosts, GhostRegion, GhostReport,
-    SplitGhostExchange,
+    exchange_class_ghosts, exchange_class_ghosts_split, GhostRegion, SplitGhostExchange,
 };
 use vf_core::vf_runtime::Result;
-
-/// Plans `array`'s stencil halo through `cache` and exchanges it on
-/// `executor` (the array verb).
-pub fn halo<T: Element, E: PlanExecutor>(
-    array: &DistArray<T>,
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let plan = cache.ghost_plan(array.dist(), widths)?;
-    exchange_ghosts(array, &plan, tracker, executor)
-}
 
 /// Plans and fuses the class's stencil halo through `cache` and exchanges
 /// it on `executor` (the blocking class verb).
@@ -73,23 +59,6 @@ pub fn class_halo_split<'e, T: Element>(
 ) -> Result<SplitGhostExchange<'e, T>> {
     let fused = cache.ghost_class_plan(arrays.iter().map(|a| a.dist()), widths)?;
     exchange_class_ghosts_split(arrays, fused, tracker, backend)
-}
-
-/// A one-off `DISTRIBUTE`: fresh plan cache, serial executor.
-pub fn distribute_once<T: Element>(
-    array: &mut DistArray<T>,
-    new_dist: Distribution,
-    tracker: &CommTracker,
-    opts: &RedistOptions,
-) -> Result<RedistReport> {
-    redistribute(
-        array,
-        new_dist,
-        tracker,
-        opts,
-        &PlanCache::new(),
-        &SerialExecutor,
-    )
 }
 
 /// A threaded backend on its own `workers`-wide pool that threads every

@@ -5,11 +5,8 @@
 
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::{
-    assert_regions_equal, class_halo, distribute_once, forced_threaded, grid_array, halo,
-    zero_machine,
-};
-use vf_runtime::ghost::exchange_class_ghosts;
+use vf_integration::{assert_regions_equal, class_halo, forced_threaded, grid_array, zero_machine};
+use vf_runtime::ghost::{exchange_class_ghosts, exchange_ghosts};
 use vf_runtime::plan::{plan_ghost, plan_ghost_irregular};
 use vf_runtime::{RuntimeError, SerialExecutor};
 
@@ -51,11 +48,10 @@ fn fused_ghost_equals_per_array_ghost_bitwise_and_conserves_traffic() {
         let mut single_messages = 0usize;
         let mut single_bytes = 0usize;
         for (k, array) in arrays.iter().enumerate() {
-            let (ghosts, report) = halo(
+            let (ghosts, report) = exchange_ghosts(
                 array,
-                &WIDTHS,
+                &PlanCache::new().ghost_plan(array.dist(), &WIDTHS).unwrap(),
                 &t_single,
-                &PlanCache::new(),
                 &SerialExecutor,
             )
             .unwrap();
@@ -149,7 +145,15 @@ fn cached_fused_plans_equal_fresh_ones_and_invalidate_by_fingerprint() {
     )
     .unwrap();
     let tracker = machine.tracker();
-    distribute_once(&mut moved, columns, &tracker, &RedistOptions::default()).unwrap();
+    redistribute(
+        &mut moved,
+        columns,
+        &tracker,
+        &RedistOptions::default(),
+        &PlanCache::new(),
+        &SerialExecutor,
+    )
+    .unwrap();
     tracker.take();
     assert!(matches!(
         exchange_class_ghosts(&[&moved, &b], &fresh, &tracker, &SerialExecutor),

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, distribute_once, forced_threaded, zero_machine};
+use vf_integration::{dist_1d, forced_threaded, zero_machine};
 use vf_runtime::plan::plan_redistribute;
 use vf_runtime::DistTranslationTable;
 
@@ -43,7 +43,15 @@ fn indirect_redistribute_round_trips_bitwise() {
     let mut a = DistArray::from_fn("A", block.clone(), |pt| (pt.coord(0) as f64).sqrt());
     let before = a.to_dense();
     for target in [map_a, map_b, block] {
-        let report = distribute_once(&mut a, target, &tracker, &RedistOptions::default()).unwrap();
+        let report = redistribute(
+            &mut a,
+            target,
+            &tracker,
+            &RedistOptions::default(),
+            &PlanCache::new(),
+            &SerialExecutor,
+        )
+        .unwrap();
         assert_eq!(a.to_dense(), before, "data lost");
         a.check_invariants().unwrap();
         assert_eq!(report.moved_elements + report.stayed_elements, n);

@@ -11,7 +11,7 @@ use vf_apps::mesh::{
     partition_greedy, run_sweep, unstructured_mesh, MeshPartition, MeshSweepConfig,
 };
 use vf_core::prelude::*;
-use vf_integration::{distribute_once, halo as stencil_halo, zero_machine};
+use vf_integration::zero_machine;
 use vf_runtime::ghost::exchange_ghosts;
 use vf_runtime::parti::{execute_gather, incremental_schedule, inspector};
 use vf_runtime::plan::plan_ghost;
@@ -62,7 +62,15 @@ fn stale_halo_plans_are_detected_after_repartitioning() {
 
     // Mid-run repartitioning: a greedy connectivity-aware map.
     let dist_b = indirect_1d(partition_greedy(&mesh, p), p);
-    distribute_once(&mut a, dist_b.clone(), &tracker, &RedistOptions::default()).unwrap();
+    redistribute(
+        &mut a,
+        dist_b.clone(),
+        &tracker,
+        &RedistOptions::default(),
+        &PlanCache::new(),
+        &SerialExecutor,
+    )
+    .unwrap();
 
     // The held schedule is stale: execution is rejected before anything is
     // charged — the stale-halo detection.
@@ -257,8 +265,8 @@ proptest! {
         let a = DistArray::from_fn("W", dist.clone(), |pt| (pt.coord(0) * 2) as f64);
         let machine = zero_machine(p);
         let tracker = machine.tracker();
-        let (halo, _) =
-            stencil_halo(&a, &[(lo, hi)], &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
+        let plan = PlanCache::new().ghost_plan(a.dist(), &[(lo, hi)]).unwrap();
+        let (halo, _) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
         for u in 0..n {
             let owner = ProcId(owners[u]);
             for v in u.saturating_sub(lo)..=(u + hi).min(n - 1) {

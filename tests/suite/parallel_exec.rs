@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, forced_threaded, halo};
+use vf_integration::{dist_1d, forced_threaded};
+use vf_runtime::ghost::exchange_ghosts;
 use vf_runtime::parti::{execute_gather, inspector};
 
 /// Strategy for an arbitrary 1-D distribution type valid for `n` elements
@@ -102,10 +103,11 @@ proptest! {
         let widths = [(1, 1), (1, 1)];
         let t_serial = CommTracker::new(p, CostModel::ipsc860(p));
         let t_threaded = CommTracker::new(p, CostModel::ipsc860(p));
+        let plan = PlanCache::new().ghost_plan(a.dist(), &widths).unwrap();
         let (g_serial, r_serial) =
-            halo(&a, &widths, &t_serial, &PlanCache::new(), &SerialExecutor).unwrap();
+            exchange_ghosts(&a, &plan, &t_serial, &SerialExecutor).unwrap();
         let (g_threaded, r_threaded) =
-            halo(&a, &widths, &t_threaded, &PlanCache::new(), &forced_threaded(WORKERS)).unwrap();
+            exchange_ghosts(&a, &plan, &t_threaded, &forced_threaded(WORKERS)).unwrap();
         prop_assert_eq!(r_serial, r_threaded);
         for &proc in dist.proc_ids() {
             prop_assert_eq!(g_serial.len(proc), g_threaded.len(proc));

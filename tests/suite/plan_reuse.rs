@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, distribute_once, halo};
+use vf_integration::dist_1d;
+use vf_runtime::ghost::exchange_ghosts;
 
 /// Strategy for an arbitrary 1-D distribution type valid for `n` elements on
 /// `p` processors (same shape as `property_cross_crate`).
@@ -74,8 +75,10 @@ proptest! {
         // Fresh planning.
         let t_fresh = CommTracker::new(p, CostModel::zero());
         let mut a_fresh = DistArray::from_fn("A", from.clone(), init);
-        let fresh = distribute_once(&mut a_fresh, to.clone(), &t_fresh, &RedistOptions::default())
-            .unwrap();
+        let (opts, uncached) = (RedistOptions::default(), PlanCache::new());
+        let fresh =
+            redistribute(&mut a_fresh, to.clone(), &t_fresh, &opts, &uncached, &SerialExecutor)
+                .unwrap();
 
         // Cached planning, executed twice on identical inputs.
         let cache = PlanCache::new();
@@ -172,10 +175,12 @@ proptest! {
         let t_cached = CommTracker::new(p, CostModel::zero());
         let t_fresh = CommTracker::new(p, CostModel::zero());
         for _ in 0..steps {
+            let cached = cache.ghost_plan(a.dist(), &[(1, 1), (1, 1)]).unwrap();
             let (g_cached, r_cached) =
-                halo(&a, &[(1, 1), (1, 1)], &t_cached, &cache, &SerialExecutor).unwrap();
+                exchange_ghosts(&a, &cached, &t_cached, &SerialExecutor).unwrap();
+            let fresh = PlanCache::new().ghost_plan(a.dist(), &[(1, 1), (1, 1)]).unwrap();
             let (g_fresh, r_fresh) =
-                halo(&a, &[(1, 1), (1, 1)], &t_fresh, &PlanCache::new(), &SerialExecutor).unwrap();
+                exchange_ghosts(&a, &fresh, &t_fresh, &SerialExecutor).unwrap();
             prop_assert_eq!(r_cached, r_fresh);
             for &proc in dist.proc_ids() {
                 prop_assert_eq!(g_cached.len(proc), g_fresh.len(proc));

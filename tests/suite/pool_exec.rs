@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use vf_core::prelude::*;
 use vf_integration::{
-    assert_regions_equal, class_halo, class_halo_split, dist_1d, dist_2d, halo, zero_machine,
+    assert_regions_equal, class_halo, class_halo_split, dist_1d, dist_2d, zero_machine,
 };
 use vf_runtime::assign::assign;
 use vf_runtime::ghost::{exchange_class_ghosts, exchange_ghosts};
@@ -57,7 +57,15 @@ fn pooled_spawn_serial_identical_for_ghost_exchange() {
     let a = DistArray::from_fn("U", dist, |pt| (pt.coord(0) * 100 + pt.coord(1)) as f64);
     let run = |exec: &ExecBackend| {
         let t = tracker(p);
-        let (g, rep) = halo(&a, &[(1, 1), (1, 1)], &t, &PlanCache::new(), exec).unwrap();
+        let (g, rep) = exchange_ghosts(
+            &a,
+            &PlanCache::new()
+                .ghost_plan(a.dist(), &[(1, 1), (1, 1)])
+                .unwrap(),
+            &t,
+            exec,
+        )
+        .unwrap();
         // Every processor's view of every ghost point.
         let mut values = Vec::new();
         for proc in a.dist().proc_ids() {

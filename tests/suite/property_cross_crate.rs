@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, distribute_once, halo};
+use vf_integration::dist_1d;
+use vf_runtime::ghost::exchange_ghosts;
 
 /// Strategy for an arbitrary 1-D distribution type valid for `n` elements on
 /// `p` processors.
@@ -57,8 +58,9 @@ proptest! {
         let mut total_bytes = 0usize;
         for t in &types[1..] {
             let target = dist_1d(t.clone(), n, p);
+            let (opts, uncached) = (RedistOptions::default(), PlanCache::new());
             let report =
-                distribute_once(&mut a, target, &tracker, &RedistOptions::default()).unwrap();
+                redistribute(&mut a, target, &tracker, &opts, &uncached, &SerialExecutor).unwrap();
             total_bytes += report.bytes;
             prop_assert_eq!(report.moved_elements + report.stayed_elements, n);
             a.check_invariants().unwrap();
@@ -96,8 +98,8 @@ proptest! {
         ).unwrap();
         let a = DistArray::from_fn("U", dist.clone(), |pt| (pt.coord(0) * 37 + pt.coord(1)) as f64);
         let tracker = CommTracker::new(p, CostModel::zero());
-        let (ghosts, _) =
-            halo(&a, &[(1, 1), (1, 1)], &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
+        let plan = PlanCache::new().ghost_plan(a.dist(), &[(1, 1), (1, 1)]).unwrap();
+        let (ghosts, _) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
         for &proc in dist.proc_ids() {
             for point in dist.local_points(proc) {
                 for (dim, delta) in [(0, -1i64), (0, 1), (1, -1), (1, 1)] {
@@ -136,8 +138,9 @@ proptest! {
         // Runtime layer.
         let tracker = CommTracker::new(p, CostModel::zero());
         let mut direct = DistArray::from_fn("B", dist_1d(from, n, p), |pt| pt.coord(0) as f64);
+        let (opts, uncached) = (RedistOptions::default(), PlanCache::new());
         let direct_report =
-            distribute_once(&mut direct, dist_1d(to, n, p), &tracker, &RedistOptions::default())
+            redistribute(&mut direct, dist_1d(to, n, p), &tracker, &opts, &uncached, &SerialExecutor)
                 .unwrap();
 
         prop_assert_eq!(report.moved_elements(), direct_report.moved_elements);

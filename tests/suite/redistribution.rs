@@ -2,7 +2,7 @@
 //! accounting consistency, and connect-class propagation.
 
 use vf_core::prelude::*;
-use vf_integration::{dist_1d, dist_2d, distribute_once, zero_machine};
+use vf_integration::{dist_1d, dist_2d, zero_machine};
 
 fn all_1d_types(n: usize, p: usize) -> Vec<DistType> {
     vec![
@@ -33,11 +33,13 @@ fn all_pairs_of_1d_distribution_types_preserve_data() {
                 (pt.coord(0) * 7) as f64
             });
             let before = a.to_dense();
-            let report = distribute_once(
+            let report = redistribute(
                 &mut a,
                 dist_1d(to.clone(), n, p),
                 &tracker,
                 &RedistOptions::default(),
+                &PlanCache::new(),
+                &SerialExecutor,
             )
             .unwrap();
             assert_eq!(a.to_dense(), before, "{from} -> {to} corrupted data");
@@ -71,11 +73,13 @@ fn two_dimensional_redistributions_preserve_data() {
                 (pt.coord(0) * 100 + pt.coord(1)) as f64
             });
             let before = a.to_dense();
-            distribute_once(
+            redistribute(
                 &mut a,
                 dist_2d(to.clone(), 12, 18, p),
                 &tracker,
                 &RedistOptions::default(),
+                &PlanCache::new(),
+                &SerialExecutor,
             )
             .unwrap();
             assert_eq!(a.to_dense(), before, "{from} -> {to} on {p} processors");
@@ -207,11 +211,13 @@ fn aggregation_ablation_shows_latency_savings() {
         let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), n, p), |pt| {
             pt.coord(0) as f64
         });
-        let report = distribute_once(
+        let report = redistribute(
             &mut a,
             dist_1d(DistType::cyclic1d(1), n, p),
             &tracker,
             &opts,
+            &PlanCache::new(),
+            &SerialExecutor,
         )
         .unwrap();
         (report, tracker.snapshot().critical_time())

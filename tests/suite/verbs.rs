@@ -494,3 +494,38 @@ fn distribute_onto_the_current_mapping_is_a_no_op() {
         assert_eq!(s, expect, "{backend}");
     }
 }
+
+/// Equal distribution *types* are not equal distributions: `CONSTRUCT`
+/// through a transpose permutes the processor-grid mapping, and a shifted
+/// alignment keeps its base's type behind a translation table.  A
+/// `DISTRIBUTE` from either to the plain distribution of that type places
+/// elements differently, so it must move them — not be taken for a no-op.
+#[test]
+fn distribute_between_distributions_of_one_type_still_moves_the_data() {
+    let square = IndexDomain::d2(8, 8);
+    let grid = ProcessorView::grid2d(2, 2);
+    let plain = Distribution::new(DistType::blocks2d(), square.clone(), grid).unwrap();
+    let transposed = construct(&Alignment::transpose2d(), &plain, &square).unwrap();
+    let base = dist_1d(DistType::block1d(), 12, P);
+    let shift = Alignment::new(1, vec![vf_core::vf_dist::AlignExpr::shifted(0, 2)]).unwrap();
+    let shifted = construct(&shift, &base, &IndexDomain::d1(10)).unwrap();
+    let cases = [
+        (transposed, plain),
+        (shifted, dist_1d(DistType::block1d(), 10, P)),
+    ];
+    for (from, to) in cases {
+        assert_eq!(from.dist_type(), to.dist_type());
+        assert_eq!(from.procs(), to.procs());
+        for (backend, exec) in backends() {
+            let value = |pt: &Point| pt.coords().iter().fold(0, |v, c| v * 100 + c) as f64;
+            let mut a = DistArray::from_fn("A", from.clone(), value);
+            let placed = DistArray::from_fn("A", to.clone(), value);
+            let (t, cache, opts) = (tracker(), PlanCache::new(), RedistOptions::default());
+            let report = redistribute(&mut a, to.clone(), &t, &opts, &cache, &exec).unwrap();
+            assert!(report.moved_elements > 0, "{backend}: {from} -> {to}");
+            assert_eq!(t.snapshot().total_messages(), report.messages, "{backend}");
+            assert_eq!(a.dist(), &to, "{backend}");
+            assert_eq!(array_bits(&a), array_bits(&placed), "{backend}: {to}");
+        }
+    }
+}
