@@ -121,7 +121,7 @@ fn main() {
     assert_eq!(split.messages(), exec.messages, "messages not conserved");
     assert_eq!(split.bytes(), exec.bytes, "bytes not conserved");
     let streaming = split.is_streaming();
-    let (split_regions, probe) = split.wait(&tracker).unwrap();
+    let (split_regions, probe) = split.wait().unwrap();
     for (a, b) in blocking_regions.iter().zip(&split_regions) {
         for proc in dist.proc_ids() {
             assert_eq!(a.len(*proc), b.len(*proc), "ghost slot counts differ");
@@ -145,7 +145,7 @@ fn main() {
             exchange_class_ghosts_split(&refs, class_plan(&refs, &cache), tracker, &backend)
                 .unwrap();
         black_box(compute_kernel(dense, iters));
-        split.wait(tracker)
+        split.wait()
     };
     let t_blocking = ns(time_min(REPS, run_blocking));
     let t_split = ns(time_min(REPS, || run_split(&tracker)));
@@ -186,7 +186,7 @@ fn main() {
         let split =
             exchange_class_ghosts_split(refs, class_plan(refs, cache), tracker, backend).unwrap();
         let acc = black_box(compute_kernel(dense, iters));
-        let (_, report) = split.wait(tracker).unwrap();
+        let (_, report) = split.wait().unwrap();
         (vec![acc], report)
     }
     let (credited, report) = overlap_once(iters);

@@ -84,37 +84,24 @@ impl<T: Element> Default for ClassHalo<T> {
 /// class arrays must not be mutated and no other scope operation that uses
 /// the executor may run while the handle is live (the pool's submission
 /// turn is held).
+///
+/// The handle is the runtime's [`SplitGhostExchange`] (to which it
+/// derefs: `messages`, `bytes`, `is_streaming`, `wait_dest`) plus the
+/// finishers that name the regions.
 pub struct ClassHaloExchange<'s, T: Element> {
     inner: SplitGhostExchange<'s, T>,
     names: Vec<String>,
-    tracker: &'s CommTracker,
+}
+
+impl<'s, T: Element> std::ops::Deref for ClassHaloExchange<'s, T> {
+    type Target = SplitGhostExchange<'s, T>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.inner
+    }
 }
 
 impl<T: Element> ClassHaloExchange<'_, T> {
-    /// Messages posted (one per communicating processor pair, whole class).
-    pub fn messages(&self) -> usize {
-        self.inner.messages()
-    }
-
-    /// Bytes posted.
-    pub fn bytes(&self) -> usize {
-        self.inner.bytes()
-    }
-
-    /// Whether the unpack is streaming on background workers (`false`: it
-    /// already completed inline at the post).
-    pub fn is_streaming(&self) -> bool {
-        self.inner.is_streaming()
-    }
-
-    /// Blocks until processor `proc`'s ghost slots (every class member)
-    /// have landed, helping unpack while waiting; other processors' halos
-    /// may still be in flight.  [`ClassHaloExchange::wait`] or
-    /// [`ClassHaloExchange::wait_into`] is still required afterwards.
-    pub fn wait_dest(&self, proc: usize) {
-        self.inner.wait_dest(proc);
-    }
-
     /// Completes the exchange: ghost regions bitwise identical to
     /// [`VfScope::exchange_class_ghosts`], plus the split-phase report
     /// with the *measured* wall-clock overlap.
@@ -123,7 +110,7 @@ impl<T: Element> ClassHaloExchange<'_, T> {
     /// An unrepairable [`vf_runtime::RuntimeError::CorruptMessage`] —
     /// charges are settled and the corrupt payload is never unpacked.
     pub fn wait(self) -> Result<(ClassGhosts<T>, SplitExecReport)> {
-        let (regions, report) = self.inner.wait(self.tracker)?;
+        let (regions, report) = self.inner.wait()?;
         Ok((self.names.into_iter().zip(regions).collect(), report))
     }
 
@@ -490,11 +477,7 @@ impl<T: Element> VfScope<T> {
         let (names, members) = self.class_members(primary)?;
         let fused = self.class_halo_plan(&members, widths)?;
         let inner = exchange_class_ghosts_split(&members, fused, &self.tracker, &self.executor)?;
-        Ok(ClassHaloExchange {
-            inner,
-            names,
-            tracker: &self.tracker,
-        })
+        Ok(ClassHaloExchange { inner, names })
     }
 
     /// The connect equivalence class of a primary array.

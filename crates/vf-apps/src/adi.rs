@@ -228,7 +228,7 @@ fn pipelined_distribute_sweep(
         });
     }
     let (report, _split_report) = split
-        .finish_into(array, tracker)
+        .finish_into(array)
         .expect("array untouched while the handle was live");
     (report.messages, report.bytes)
 }

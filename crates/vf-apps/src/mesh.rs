@@ -35,7 +35,6 @@
 use std::sync::Arc;
 use vf_core::prelude::*;
 use vf_runtime::ghost::{exchange_class_ghosts_split, GhostRegion};
-use vf_runtime::parti::incremental_schedule;
 use vf_runtime::trace;
 
 /// A CSR unstructured mesh with 2-D node coordinates.
@@ -452,16 +451,18 @@ fn run_sweep_inner(
         // keyed by (map fingerprint, connectivity fingerprint): sweeps
         // over an unchanged partition replay it from the cache, and a
         // repartitioning replans by construction.
-        let schedule = incremental_schedule(&dist, &conn, scope.plan_cache())
+        let schedule = scope
+            .plan_cache()
+            .ghost_irregular_plan(&dist, &conn)
             .expect("mesh connectivity matches the domain");
-        gathered_elements += schedule.num_elements();
+        gathered_elements += schedule.moved_elements();
         gather_messages += schedule.num_messages();
         // Post the cut-edge halo split-phase: the per-pair payloads stream
         // in on the executor's background workers while the interior nodes
         // (no off-processor neighbour) are swept below.
         let split = exchange_class_ghosts_split(
             &[scope.array("VAL").expect("distributed")],
-            FusedPlan::fuse(vec![Arc::clone(schedule.plan())]).expect("a ghost plan"),
+            FusedPlan::fuse(vec![schedule]).expect("a ghost plan"),
             scope.tracker(),
             scope.executor(),
         )
@@ -510,7 +511,7 @@ fn run_sweep_inner(
             }
             interior_span.end();
             let (mut regions, _halo_report) = split
-                .wait(tracker)
+                .wait()
                 .expect("split-phase halo exchange survives injected faults");
             let halo = regions.pop().expect("exactly one halo part");
             for u in (0..n).filter(|&u| !is_interior(u)) {

@@ -314,7 +314,7 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
         }
         // Complete the halo posted before the push — the whole particle
         // phase ran in its shadow.
-        halo.wait(&tracker)
+        halo.wait()
             .expect("split-phase halo exchange survives injected faults");
 
         per_step.push(PicStepStats {

@@ -317,108 +317,17 @@ pub fn run(config: &SmoothingConfig, machine: &Machine, initial: &[f64]) -> Smoo
 /// wire-exchanged ghost buffer.  The gathered field is bitwise identical
 /// to [`run`]'s, and the tracker's `channel_*` counters record the real
 /// per-step wire traffic alongside the modelled costs.
+///
+/// This is the checkpointed driver without a store: one segment covering
+/// every step, nothing saved.
 pub fn run_sharded(
     config: &SmoothingConfig,
     machine: &Machine,
     initial: &[f64],
 ) -> SmoothingResult {
-    let tracker = machine.tracker();
-    let plans = PlanCache::new();
-    let executor = ShardedExecutor::new();
-    let dist = grid_distribution(config.layout, config.n, machine);
-    let widths = [(1, 1), (1, 1)];
-    let mut current =
-        DistArray::from_dense("U", dist.clone(), initial).expect("initial field has N*N elements");
-
-    // Identical halo geometry in every step: one plan, fused once, reused
-    // by every rank for the whole run.
-    let plan = plans.ghost_plan(&dist, &widths).expect("block layouts");
-    let fused = FusedPlan::fuse(vec![plan]).expect("a single ghost part always fuses");
-    let halo = ShardedHaloExchange::new(fused, executor.timeout())
-        .expect("ghost plans build halo exchanges");
-    let messages_per_step = halo.fused().num_messages();
-    let bytes_per_step = halo.fused().bytes_for(8);
-
-    let shards = ShardedArray::scatter(&current);
-    let procs = machine.num_procs();
-    let n = config.n as i64;
-    let steps = config.steps;
-    let locator = dist.locator();
-    // Rank 0 charges the modelled step traffic between barriers so the
-    // post → copies → settle order matches the shared-memory executors.
-    let pending_slot: Mutex<Option<PendingSends>> = Mutex::new(None);
-
-    executor.run_region(procs, &tracker, |ctx| {
-        let r = ctx.rank();
-        let me = ProcId(r);
-        let points = dist.local_points(me);
-        let mut my = shards.take(r);
-        let mut next = vec![0.0f64; my.len()];
-        for step in 0..steps {
-            ctx.barrier();
-            let step_span = (r == 0).then(|| {
-                trace::OpenSpan::begin_with(trace::Phase::Step, || format!("sharded step {step}"))
-            });
-            if r == 0 {
-                *pending_slot.lock().expect("pending slot") = Some(halo.post(&tracker, 8));
-            }
-            ctx.barrier();
-            let bufs = halo
-                .exchange_on_rank(ctx, &[&my])
-                .expect("sharded halo exchange over channels");
-            let ghosts =
-                halo.ghost_region_on_rank(0, r, bufs.into_iter().next().expect("one part"));
-            let relax_span = trace::OpenSpan::begin_dest(trace::Phase::InteriorCompute, r);
-            let mut interior = 0usize;
-            for (l, point) in points.iter().enumerate() {
-                let (i, j) = (point.coord(0), point.coord(1));
-                next[l] = if i == 1 || i == n || j == 1 || j == n {
-                    my[l]
-                } else {
-                    interior += 1;
-                    let read = |q: Point| {
-                        let (owner, off) = locator.locate(&q).expect("neighbour in domain");
-                        if owner == me {
-                            my[off]
-                        } else {
-                            ghosts.get(me, &q).expect("neighbour within 1-wide halo")
-                        }
-                    };
-                    0.25 * (read(point.offset(0, -1))
-                        + read(point.offset(0, 1))
-                        + read(point.offset(1, -1))
-                        + read(point.offset(1, 1)))
-                };
-            }
-            ctx.charge_compute(interior * FLOPS_PER_POINT);
-            relax_span.end();
-            ctx.barrier();
-            if r == 0 {
-                let pending = pending_slot
-                    .lock()
-                    .expect("pending slot")
-                    .take()
-                    .expect("posted this step");
-                halo.settle(&tracker, pending, 8);
-            }
-            if let Some(span) = step_span {
-                span.end();
-            }
-            std::mem::swap(&mut my, &mut next);
-        }
-        shards.put(r, my);
-    });
-
-    shards.gather_into(&mut current);
-    let field = current.to_dense();
-    let checksum = field.iter().sum();
-    SmoothingResult {
-        stats: tracker.snapshot(),
-        messages_per_step,
-        bytes_per_step,
-        checksum,
-        field,
-    }
+    let (tracker, executor) = (machine.tracker(), ShardedExecutor::new());
+    run_checkpointed_attempt(config, machine, initial, None, &tracker, &executor, false)
+        .expect("sharded halo exchange over channels")
 }
 
 /// Outcome of [`recover_and_resume`]: the completed run plus how many
@@ -456,9 +365,8 @@ pub fn run_sharded_checkpointed(
     executor: &ShardedExecutor,
 ) -> vf_runtime::Result<SmoothingResult> {
     let tracker = machine.tracker();
-    run_checkpointed_attempt(
-        config, machine, initial, store, ckpt_every, &tracker, executor, false,
-    )
+    let ckpt = Some((store, ckpt_every));
+    run_checkpointed_attempt(config, machine, initial, ckpt, &tracker, executor, false)
 }
 
 /// The crash-recovery driver: runs [`run_sharded_checkpointed`] and, when
@@ -486,16 +394,10 @@ pub fn recover_and_resume(
     let tracker = machine.tracker();
     let mut restarts = 0usize;
     loop {
-        let attempt = run_checkpointed_attempt(
-            config,
-            machine,
-            initial,
-            store,
-            ckpt_every,
-            &tracker,
-            executor,
-            restarts > 0,
-        );
+        let ckpt = Some((store, ckpt_every));
+        let resume = restarts > 0;
+        let attempt =
+            run_checkpointed_attempt(config, machine, initial, ckpt, &tracker, executor, resume);
         match attempt {
             Ok(result) => return Ok(RecoveredSmoothing { result, restarts }),
             Err(e @ RuntimeError::Channel(_)) => {
@@ -509,23 +411,24 @@ pub fn recover_and_resume(
     }
 }
 
-/// One attempt of the checkpointed run: resolves the starting state
-/// (initial field, or the newest checkpoint when `resume` is set), then
-/// alternates fallible SPMD segments with checkpoint saves on a stable
-/// cadence (every `ckpt_every` steps from step 0, so restarts rejoin the
-/// same checkpoint schedule).
-#[allow(clippy::too_many_arguments)]
+/// One attempt of the sharded run: resolves the starting state (initial
+/// field, or the newest checkpoint when `resume` is set), then alternates
+/// fallible SPMD segments with saves into `ckpt`'s store on a stable
+/// cadence (every `ckpt.1` steps from step 0, so restarts rejoin the same
+/// checkpoint schedule).  Without a store the run is one segment.
 fn run_checkpointed_attempt(
     config: &SmoothingConfig,
     machine: &Machine,
     initial: &[f64],
-    store: &CheckpointStore,
-    ckpt_every: usize,
+    ckpt: Option<(&CheckpointStore, usize)>,
     tracker: &vf_machine::CommTracker,
     executor: &ShardedExecutor,
     resume: bool,
 ) -> vf_runtime::Result<SmoothingResult> {
-    assert!(ckpt_every > 0, "checkpoint cadence must be positive");
+    assert!(
+        ckpt.is_none_or(|(_, every)| every > 0),
+        "checkpoint cadence must be positive"
+    );
     let plans = PlanCache::new();
     let dist = grid_distribution(config.layout, config.n, machine);
     let widths = [(1, 1), (1, 1)];
@@ -533,7 +436,7 @@ fn run_checkpointed_attempt(
     let from_initial = || {
         DistArray::from_dense("U", dist.clone(), initial).expect("initial field has N*N elements")
     };
-    let (mut current, start_step) = if resume {
+    let (mut current, start_step) = if let (true, Some((store, _))) = (resume, ckpt) {
         // Redistribute-on-read: a checkpoint written under any distribution
         // restores into the live grid distribution.  An empty (or fully
         // corrupt) store means the crash predated the first save — restart
@@ -560,7 +463,9 @@ fn run_checkpointed_attempt(
 
     let mut done = start_step;
     while done < config.steps {
-        let seg_end = config.steps.min((done / ckpt_every + 1) * ckpt_every);
+        let seg_end = ckpt.map_or(config.steps, |(_, every)| {
+            config.steps.min((done / every + 1) * every)
+        });
         run_fallible_segment(
             &dist,
             &halo,
@@ -571,7 +476,9 @@ fn run_checkpointed_attempt(
             seg_end,
             n,
         )?;
-        store.save(&current, seg_end as u64, tracker)?;
+        if let Some((store, _)) = ckpt {
+            store.save(&current, seg_end as u64, tracker)?;
+        }
         done = seg_end;
     }
 
@@ -620,9 +527,7 @@ fn run_fallible_segment(
         for step in start..end {
             ctx.barrier_checked(timeout)?;
             let step_span = (r == 0).then(|| {
-                trace::OpenSpan::begin_with(trace::Phase::Step, || {
-                    format!("ckpt-sharded step {step}")
-                })
+                trace::OpenSpan::begin_with(trace::Phase::Step, || format!("sharded step {step}"))
             });
             if r == 0 {
                 *pending_slot.lock().expect("pending slot") = Some(halo.post(tracker, 8));
@@ -633,6 +538,9 @@ fn run_fallible_segment(
                 halo.ghost_region_on_rank(0, r, bufs.into_iter().next().expect("one part"));
             let relax_span = trace::OpenSpan::begin_dest(trace::Phase::InteriorCompute, r);
             let mut interior = 0usize;
+            // The one sharded kernel.  Per point: ((i-1) + (i+1)) + (j-1)
+            // + (j+1), then × 0.25 — the floating-point operation order of
+            // `sequential_step`, which bitwise equality with it depends on.
             for (l, point) in points.iter().enumerate() {
                 let (i, j) = (point.coord(0), point.coord(1));
                 next[l] = if i == 1 || i == n || j == 1 || j == n {
@@ -767,7 +675,7 @@ pub fn run_class(
         }
         interior_span.end();
         let (regions, _split_report) = split
-            .wait(&tracker)
+            .wait()
             .expect("split-phase ghost exchange survives injected faults");
         for (field, ((src, dst), field_counts)) in current
             .iter()

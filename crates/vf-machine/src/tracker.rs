@@ -2,6 +2,7 @@
 
 use crate::fault::FaultInjector;
 use crate::{CommStats, CostModel};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The kind of a collective operation, used for cost accounting.
@@ -31,9 +32,20 @@ pub enum CollectiveKind {
 pub struct PendingSends {
     /// `(src, dst, bytes, modelled_time)` per message.
     messages: Vec<(usize, usize, usize, f64)>,
+    /// Sequence number of the batch's first message on its tracker.
+    seq_base: u64,
 }
 
 impl PendingSends {
+    /// The sequence number of the batch's first message: message `i` of
+    /// the batch is message `seq_base() + i` posted on its tracker, which
+    /// is what a transport stamps into that message's wire frame.  The
+    /// numbers depend only on what was posted on this tracker (and its
+    /// clones) before, never on other trackers in the process.
+    pub fn seq_base(&self) -> u64 {
+        self.seq_base
+    }
+
     /// Number of posted messages (messages to self excluded — they are
     /// free, as in [`CommTracker::send`]).
     pub fn num_messages(&self) -> usize {
@@ -63,6 +75,9 @@ impl PendingSends {
 pub struct CommTracker {
     cost: CostModel,
     stats: Arc<Mutex<CommStats>>,
+    /// Messages posted so far — the next batch's [`PendingSends::seq_base`].
+    /// A statistic that publishes no other data, hence `Relaxed`.
+    next_seq: Arc<AtomicU64>,
     injector: Option<Arc<FaultInjector>>,
 }
 
@@ -72,6 +87,7 @@ impl CommTracker {
         Self {
             cost,
             stats: Arc::new(Mutex::new(CommStats::new(num_procs))),
+            next_seq: Arc::default(),
             injector: None,
         }
     }
@@ -167,6 +183,10 @@ impl CommTracker {
     /// retransmissions plus exponential backoff to one message's duration
     /// (and counts the retries), a delayed delivery adds extra latency.
     /// Message and byte counts stay those of the logical batch.
+    ///
+    /// Posting also numbers the batch's messages consecutively after
+    /// everything posted on this tracker before
+    /// ([`PendingSends::seq_base`]).
     pub fn post_many<I>(&self, messages: I) -> PendingSends
     where
         I: IntoIterator<Item = (usize, usize, usize)>,
@@ -185,7 +205,10 @@ impl CommTracker {
         if let Some(inj) = &self.injector {
             self.inject_post_faults(inj, &mut messages);
         }
-        PendingSends { messages }
+        let seq_base = self
+            .next_seq
+            .fetch_add(messages.len() as u64, Ordering::Relaxed);
+        PendingSends { messages, seq_base }
     }
 
     /// Applies message-post faults to a freshly posted batch (self
@@ -475,6 +498,28 @@ mod tests {
         posted.wait(pending, 0.0);
         direct.send_many(messages);
         assert_eq!(posted.snapshot(), direct.snapshot());
+    }
+
+    #[test]
+    fn posted_batches_are_numbered_per_tracker() {
+        let t = CommTracker::new(4, CostModel::zero());
+        let other = CommTracker::new(4, CostModel::zero());
+        let first = t.post_many([(0usize, 1usize, 8usize), (1, 2, 8), (2, 3, 8)]);
+        // Posting elsewhere — and not yet waiting here — changes nothing.
+        let elsewhere = other.post_many([(0usize, 1usize, 8usize)]);
+        let second = t.clone().post_many([(3usize, 0usize, 8usize)]);
+        assert_eq!(
+            (first.seq_base(), second.seq_base(), elsewhere.seq_base()),
+            (0, 3, 0)
+        );
+        t.wait(first, 0.0);
+        t.wait(second, 0.0);
+        other.wait(elsewhere, 0.0);
+        // `take` resets the statistics, not the numbering.
+        t.take();
+        let third = t.post_many([(0usize, 1usize, 8usize)]);
+        assert_eq!(third.seq_base(), 4);
+        t.wait(third, 0.0);
     }
 
     #[test]

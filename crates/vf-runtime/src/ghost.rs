@@ -10,8 +10,8 @@
 //! * for a regular stencil, [`crate::PlanCache::ghost_plan`]`(dist, widths)`
 //!   (or [`crate::plan::plan_ghost`] for a one-off);
 //! * for an irregular (connectivity-driven) halo,
-//!   [`crate::PlanCache::ghost_irregular_plan`]`(dist, conn)` or an
-//!   [`crate::parti::IncrementalSchedule`]'s `plan()`;
+//!   [`crate::PlanCache::ghost_irregular_plan`]`(dist, conn)` (the PARTI
+//!   *incremental schedule*);
 //! * for a class of arrays, [`crate::PlanCache::ghost_class_plan`], which fuses
 //!   the members' plans into one message per processor pair.
 //!
@@ -210,51 +210,38 @@ pub fn exchange_class_ghosts<T: Element, E: PlanExecutor>(
 /// [`exchange_class_ghosts`] — the PARTI/CHAOS split-phase execution model
 /// (post → interior compute → wait) made real in wall-clock terms.
 ///
-/// The source arrays must not be mutated while the exchange is in flight
-/// (their halo values are already packed; late writes would be silently
-/// ignored), and the submitting thread must not run other jobs on the same
-/// pool until the wait (see [`SplitPhaseExchange`]).
+/// The handle is the engine's [`SplitPhaseExchange`] (to which it derefs:
+/// `messages`, `bytes`, `is_streaming`, `wait_dest`) plus the typed
+/// finisher.  The source arrays must not be mutated while the exchange is
+/// in flight (their halo values are already packed; late writes would be
+/// silently ignored), and the submitting thread must not run other jobs on
+/// the same pool until the wait.
 pub struct SplitGhostExchange<'e, T: Element> {
     inner: SplitPhaseExchange<'e, T>,
     parts: Vec<Arc<CommPlan>>,
 }
 
+impl<'e, T: Element> std::ops::Deref for SplitGhostExchange<'e, T> {
+    type Target = SplitPhaseExchange<'e, T>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.inner
+    }
+}
+
 impl<T: Element> SplitGhostExchange<'_, T> {
-    /// Messages posted (one per crossing processor pair).
-    pub fn messages(&self) -> usize {
-        self.inner.messages()
-    }
-
-    /// Bytes posted.
-    pub fn bytes(&self) -> usize {
-        self.inner.bytes()
-    }
-
-    /// Whether the unpack is streaming on background workers (`false`
-    /// means everything already ran inline at the post).
-    pub fn is_streaming(&self) -> bool {
-        self.inner.is_streaming()
-    }
-
-    /// Blocks until every halo pair arriving at processor `proc` has been
-    /// unpacked, helping while waiting — per-destination completion for
-    /// pipelined consumers.  [`SplitGhostExchange::wait`] is still
-    /// required afterwards.
-    pub fn wait_dest(&self, proc: usize) {
-        self.inner.wait_dest(proc);
-    }
-
-    /// Completes the exchange: drains the remaining pairs, charges the
-    /// posted messages exactly as the blocking verb does, records the
-    /// measured overlap with the tracker, and returns the filled ghost
-    /// regions (one per array, bitwise identical to blocking execution).
+    /// Completes the exchange on the tracker it was posted on: drains the
+    /// remaining pairs, charges the posted messages exactly as the
+    /// blocking verb does, records the measured overlap, and returns the
+    /// filled ghost regions (one per array, bitwise identical to blocking
+    /// execution).
     ///
     /// # Errors
     /// Exactly as [`SplitPhaseExchange::wait`]: an unrepairable
     /// [`RuntimeError::CorruptMessage`] (charges settled, corrupt payload
     /// never unpacked).
-    pub fn wait(self, tracker: &CommTracker) -> Result<(Vec<GhostRegion<T>>, SplitExecReport)> {
-        let (bufs, report) = self.inner.wait(tracker)?;
+    pub fn wait(self) -> Result<(Vec<GhostRegion<T>>, SplitExecReport)> {
+        let (bufs, report) = self.inner.wait()?;
         Ok((regions(&self.parts, bufs), report))
     }
 }
@@ -267,8 +254,8 @@ impl<T: Element> SplitGhostExchange<'_, T> {
 /// unpacks, and call [`SplitGhostExchange::wait`] before reading any ghost
 /// value.  The handle owns `fused`.
 ///
-/// The split engine packs through shared memory on every backend: on
-/// [`ExecBackend::Sharded`] it unpacks inline at the post and no channel
+/// The split mode packs through shared memory on every backend: on
+/// [`ExecBackend::Sharded`] it delivers inline at the post and no channel
 /// is involved (a sharded split-phase halo does not exist yet).
 ///
 /// # Errors

@@ -67,8 +67,8 @@ pub use descriptor::ArrayDescriptor;
 pub use element::{decode_slice, encode_slice, Element};
 pub use error::RuntimeError;
 pub use exec::{
-    set_wire_framing, wire_framing_enabled, ExecBackend, ExecReport, FusedPlan, FusedSlice,
-    PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange, ThreadedExecutor,
+    ExecBackend, ExecReport, FusedPlan, FusedSlice, PlanExecutor, SerialExecutor, SplitExecReport,
+    SplitPhaseExchange, ThreadedExecutor,
 };
 pub use plan::{CommPlan, PlanCache, PlanCacheStats, PlanKind, PlanRun, Transfer};
 pub use redistribute_impl::{

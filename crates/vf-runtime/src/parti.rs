@@ -8,14 +8,14 @@
 //! inspector/executor paradigm".  This module provides those pieces on top
 //! of the unified communication-plan layer ([`crate::plan`]):
 //!
-//! * [`TranslationTable`] — global index → (owner, local offset),
 //! * [`inspector`] — builds a deduplicated [`CommSchedule`] (a gather
 //!   [`CommPlan`]) from the non-local accesses each processor intends to
 //!   make, reusing schedules through a [`PlanCache`] while the
 //!   distribution and access pattern are unchanged,
-//! * [`incremental_schedule`] — the halo set of an irregularly distributed
-//!   array as a ghost plan; execute it with
-//!   [`crate::ghost::exchange_ghosts`]`(array, schedule.plan(), ..)`,
+//! * the *incremental schedule* — the halo set of an irregularly
+//!   distributed array — is an ordinary ghost plan:
+//!   [`PlanCache::ghost_irregular_plan`]`(dist, conn)`, executed with
+//!   [`crate::ghost::exchange_ghosts`],
 //! * [`execute_gather`] — replays a schedule through the executor that
 //!   picks the transport (one aggregated message per (owner → reader)
 //!   pair),
@@ -26,57 +26,9 @@ use crate::exec::PlanExecutor;
 use crate::plan::{CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::{DistArray, Element, Result, RuntimeError};
 use std::sync::Arc;
-use vf_dist::{Connectivity, Distribution, ProcId};
+use vf_dist::{Distribution, ProcId};
 use vf_index::Point;
 use vf_machine::{trace, CommTracker};
-
-/// A translation table: for every element (by column-major global offset)
-/// the owning processor and the local offset on that owner.
-///
-/// For regular distributions this information is computable in closed form;
-/// the table materialises it so that irregular accesses can be resolved in
-/// O(1) per access, exactly as PARTI does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TranslationTable {
-    owners: Vec<usize>,
-    local_offsets: Vec<usize>,
-}
-
-impl TranslationTable {
-    /// Builds the table for a distribution (one [`vf_dist::Locator`]
-    /// resolution per element — table reads, no per-point searching).
-    pub fn build(dist: &Distribution) -> Result<Self> {
-        let size = dist.domain().size();
-        let locator = dist.locator();
-        let mut owners = Vec::with_capacity(size);
-        let mut local_offsets = Vec::with_capacity(size);
-        for lin in 0..size {
-            let (o, l) = locator.locate_lin(lin);
-            owners.push(o.0);
-            local_offsets.push(l);
-        }
-        Ok(Self {
-            owners,
-            local_offsets,
-        })
-    }
-
-    /// Number of elements covered.
-    pub fn len(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
-    }
-
-    /// Owner and local offset of the element with global linear offset
-    /// `lin`.
-    pub fn lookup(&self, lin: usize) -> (ProcId, usize) {
-        (ProcId(self.owners[lin]), self.local_offsets[lin])
-    }
-}
 
 /// A communication schedule built by the [`inspector`]: a gather
 /// [`CommPlan`] recording, for every requesting processor, the elements it
@@ -125,59 +77,6 @@ pub fn inspector(
 ) -> Result<CommSchedule> {
     Ok(CommSchedule {
         plan: cache.gather_plan(dist, accesses)?,
-    })
-}
-
-/// A PARTI *incremental schedule*: the halo set of an irregularly
-/// distributed array, derived from the access connectivity instead of
-/// geometry — processor `p`'s schedule covers every element referenced by
-/// something `p` owns but owned elsewhere.  The underlying plan is an
-/// ordinary ghost [`CommPlan`] (see
-/// [`crate::plan::plan_ghost_irregular`]), so it executes through
-/// [`crate::ghost::exchange_ghosts`] (or, fused alone, the split verb) and
-/// caches in the shared [`PlanCache`].
-#[derive(Debug, Clone)]
-pub struct IncrementalSchedule {
-    plan: Arc<CommPlan>,
-}
-
-impl IncrementalSchedule {
-    /// The underlying ghost communication plan.
-    pub fn plan(&self) -> &Arc<CommPlan> {
-        &self.plan
-    }
-
-    /// Number of aggregated messages one halo exchange will generate.
-    pub fn num_messages(&self) -> usize {
-        self.plan.num_messages()
-    }
-
-    /// Total halo elements, summed over processors.
-    pub fn num_elements(&self) -> usize {
-        self.plan.moved_elements()
-    }
-
-    /// The owners processor `proc` receives halo data from.
-    pub fn owners_for(&self, proc: ProcId) -> Vec<ProcId> {
-        self.plan.senders_to(proc)
-    }
-}
-
-/// Builds the incremental schedule of `dist` under the access pattern
-/// `conn` — the inspector of the irregular overlap exchange.
-///
-/// The schedule is cached by (distribution fingerprint, connectivity
-/// fingerprint), so repeated sweeps replay it and a repartitioning (new
-/// mapping array → new fingerprint) replans from scratch — stale halos are
-/// structurally unreachable, and executing a schedule held across a
-/// repartitioning is rejected with [`RuntimeError::PlanMismatch`].
-pub fn incremental_schedule(
-    dist: &Distribution,
-    conn: &Connectivity,
-    cache: &PlanCache,
-) -> Result<IncrementalSchedule> {
-    Ok(IncrementalSchedule {
-        plan: cache.ghost_irregular_plan(dist, conn)?,
     })
 }
 
@@ -324,20 +223,6 @@ mod tests {
         )
         .unwrap();
         DistArray::from_fn("X", dist, |pt| pt.coord(0) as f64)
-    }
-
-    #[test]
-    fn translation_table_matches_distribution() {
-        let a = cyclic_array(10, 3);
-        let table = TranslationTable::build(a.dist()).unwrap();
-        assert_eq!(table.len(), 10);
-        assert!(!table.is_empty());
-        for point in a.domain().iter() {
-            let lin = a.domain().linearize(&point).unwrap();
-            let (owner, off) = table.lookup(lin);
-            assert_eq!(owner, a.dist().owner(&point).unwrap());
-            assert_eq!(off, a.dist().loc_map(owner, &point).unwrap());
-        }
     }
 
     #[test]
@@ -562,7 +447,7 @@ mod tests {
             xadj.push(adjncy.len());
         }
         let conn = Connectivity::from_csr(xadj, adjncy).unwrap();
-        let schedule = incremental_schedule(&dist, &conn, &PlanCache::new()).unwrap();
+        let schedule = PlanCache::new().ghost_irregular_plan(&dist, &conn).unwrap();
 
         // The same reads, expressed as explicit per-edge gather accesses.
         let locator = dist.locator();
@@ -574,11 +459,11 @@ mod tests {
             .map(|(o, v)| (o, Point::d1(v as i64 + 1)))
             .collect();
         let gather = inspector(&dist, &accesses, &PlanCache::new()).unwrap();
-        assert_eq!(schedule.num_elements(), gather.num_elements());
+        assert_eq!(schedule.moved_elements(), gather.num_elements());
         assert_eq!(schedule.num_messages(), gather.num_messages());
         for q in 0..p {
             assert_eq!(
-                schedule.owners_for(ProcId(q)),
+                schedule.senders_to(ProcId(q)),
                 gather.owners_for(ProcId(q)),
                 "P{q}"
             );
@@ -586,7 +471,7 @@ mod tests {
 
         let t1 = CommTracker::new(p, CostModel::zero());
         let t2 = CommTracker::new(p, CostModel::zero());
-        let (halo, report) = exchange_ghosts(&a, schedule.plan(), &t1, &SerialExecutor).unwrap();
+        let (halo, report) = exchange_ghosts(&a, &schedule, &t1, &SerialExecutor).unwrap();
         let fetched = execute_gather(&a, &gather, &t2, &SerialExecutor).unwrap();
         assert_eq!(report.elements, gather.num_elements());
         for (q, point) in &accesses {

@@ -237,7 +237,7 @@ pub fn execute_redistribute<T: Element, E: PlanExecutor>(
 
 /// The executor half of a class `DISTRIBUTE`: every array is moved by its
 /// own part of `fused` (`arrays[i]` by part `i`) while the class pays **one
-/// message per processor pair** — the wire engine on a shared-memory
+/// message per processor pair** — the wire pipeline on a shared-memory
 /// executor, channel frames on a sharded one.  Buffers are bitwise those
 /// of one [`execute_redistribute`] per array, bytes are conserved, only
 /// the message count drops.
@@ -293,24 +293,33 @@ pub fn execute_class_redistribute<T: Element, E: PlanExecutor>(
 }
 
 /// A single-array redistribution caught between its post and its wait —
-/// the split-phase form of [`redistribute`], built on
-/// [`SplitPhaseExchange`].
+/// the split-phase form of [`redistribute`]: the engine's
+/// [`SplitPhaseExchange`] (to which it derefs: `is_streaming`,
+/// `wait_dest`, ..) plus the typed finisher.
 ///
 /// Created by [`redistribute_split`] after packing the crossing payloads
 /// and posting the modelled messages.  The caller can then:
 ///
 /// 1. run any work that does not touch the array while the destination
 ///    buffers stream in on the pool's background workers,
-/// 2. pipeline per-destination: [`SplitRedistribute::wait_dest`]`(d)`
-///    followed by [`SplitRedistribute::with_dest_mut`]`(d, ..)` operates
-///    on destination `d`'s *new* local buffer while other destinations
-///    are still in flight (the ADI sweep works this way),
+/// 2. pipeline per-destination: `wait_dest(d)` followed by
+///    [`SplitRedistribute::with_dest_mut`]`(d, ..)` operates on
+///    destination `d`'s *new* local buffer while other destinations are
+///    still in flight (the ADI sweep works this way),
 /// 3. call [`SplitRedistribute::finish_into`] to install the new locals
 ///    and descriptor — results bitwise identical to the blocking verb.
 pub struct SplitRedistribute<'e, T: Element> {
     inner: SplitPhaseExchange<'e, T>,
     plan: Arc<CommPlan>,
     new_dist: Distribution,
+}
+
+impl<'e, T: Element> std::ops::Deref for SplitRedistribute<'e, T> {
+    type Target = SplitPhaseExchange<'e, T>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.inner
+    }
 }
 
 impl<T: Element> SplitRedistribute<'_, T> {
@@ -320,47 +329,31 @@ impl<T: Element> SplitRedistribute<'_, T> {
         &self.new_dist
     }
 
-    /// Whether the unpack is streaming on background workers.
-    pub fn is_streaming(&self) -> bool {
-        self.inner.is_streaming()
-    }
-
-    /// Blocks until destination processor `d`'s new local buffer is fully
-    /// assembled (helping unpack while waiting); other destinations may
-    /// still be in flight.
-    pub fn wait_dest(&self, d: usize) {
-        self.inner.wait_dest(d);
-    }
-
     /// Runs `f` on destination processor `d`'s new local buffer.  Call
-    /// [`SplitRedistribute::wait_dest`]`(d)` first; mutations made here are
+    /// `wait_dest(d)` first; mutations made here are
     /// what [`SplitRedistribute::finish_into`] installs.
     pub fn with_dest_mut<R>(&self, d: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
         self.inner.with_dest_mut(0, d, f)
     }
 
-    /// Completes the exchange and installs the new locals and descriptor
-    /// into `array` (which must still carry the distribution the plan was
-    /// posted from), broadcasting to replicated copies exactly like the
-    /// blocking verb.
+    /// Completes the exchange on the tracker it was posted on and installs
+    /// the new locals and descriptor into `array` (which must still carry
+    /// the distribution the plan was posted from), broadcasting to
+    /// replicated copies exactly like the blocking verb.
     ///
     /// # Errors
     /// [`RuntimeError::PlanMismatch`] if `array` was redistributed between
     /// the post and this call; [`RuntimeError::CorruptMessage`] if a wire
     /// buffer failed validation and could not be repaired (the array is
     /// left untouched on its old distribution).
-    pub fn finish_into(
-        self,
-        array: &mut DistArray<T>,
-        tracker: &CommTracker,
-    ) -> Result<(RedistReport, SplitExecReport)> {
+    pub fn finish_into(self, array: &mut DistArray<T>) -> Result<(RedistReport, SplitExecReport)> {
         if array.dist().fingerprint() != self.plan.src_fingerprint() {
             return Err(RuntimeError::PlanMismatch {
                 expected: self.plan.src_fingerprint(),
                 found: array.dist().fingerprint(),
             });
         }
-        let (mut bufs, report) = self.inner.wait(tracker)?;
+        let (mut bufs, report) = self.inner.wait()?;
         let locals = bufs.pop().expect("exactly one fused part");
         let charged = ExecReport {
             messages: report.messages,

@@ -71,11 +71,12 @@
 
 use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
 use crate::exec::{
-    copy_runs, copy_seconds, finish_checksum, finish_with_copy_credit, next_wire_seq_block,
-    post_fused, wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor, SerialExecutor,
+    assemble, copy_runs, copy_seconds, finish_checksum, finish_with_copy_credit, lock, post_fused,
+    wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor, SerialExecutor,
 };
 use crate::plan::{CommPlan, PlanKind, Transfer};
 use crate::{DistArray, Element, Result, RuntimeError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use vf_dist::{Distribution, ProcId};
@@ -134,18 +135,14 @@ impl<T: Element> ShardedArray<T> {
     /// Takes rank `rank`'s shard out of the array.  Panics if the shard
     /// was already taken — each rank owns exactly its own shard.
     pub fn take(&self, rank: usize) -> Vec<T> {
-        self.shards[rank]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.shards[rank])
             .take()
             .expect("shard already taken: each rank must take only its own shard, once")
     }
 
     /// Returns rank `rank`'s shard after the region's work on it is done.
     pub fn put(&self, rank: usize, shard: Vec<T>) {
-        *self.shards[rank]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(shard);
+        *lock(&self.shards[rank]) = Some(shard);
     }
 
     /// Gathers every shard back into `(distribution, per-rank locals)` —
@@ -227,7 +224,7 @@ impl FramePool {
     /// capacity suffices, else the largest (the packer's resize grows it
     /// in place of a second allocation), else a new empty one.
     fn take(&self, len: usize) -> Vec<u8> {
-        let mut spare = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut spare = lock(&self.0);
         let fit = spare
             .iter()
             .enumerate()
@@ -240,10 +237,7 @@ impl FramePool {
 
     /// Returns a frame the receiver has finished decoding.
     fn give(&self, frame: Vec<u8>) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(frame);
+        lock(&self.0).push(frame);
     }
 }
 
@@ -577,7 +571,7 @@ fn sharded_fused_exchange<T: Element>(
     debug_assert_eq!(srcs.len(), fused.parts().len(), "one array per part");
     let shards = RankShards::of(srcs);
     let (pending, report) = post_fused(fused, T::BYTES, tracker);
-    let seq_base = next_wire_seq_block(fused.pair_elements.len() as u64);
+    let seq_base = pending.seq_base();
     // One rank per processor the plan can name: every rank with traffic
     // or a destination buffer is below both bounds (the verbs validated
     // the tracker against the plan).
@@ -600,17 +594,8 @@ fn sharded_fused_exchange<T: Element>(
     let wait = trace::OpenSpan::begin(trace::Phase::Wait);
     finish_with_copy_credit(tracker, pending, copy_secs);
     wait.end();
-    let mut out: Vec<Vec<Vec<T>>> = dst_sizes
-        .iter()
-        .map(|sizes| vec![Vec::new(); sizes.len()])
-        .collect();
-    for (d, bufs) in per_rank.into_iter().enumerate() {
-        for (idx, buf) in bufs?.into_iter().enumerate() {
-            if d < out[idx].len() {
-                out[idx][d] = buf;
-            }
-        }
-    }
+    let per_rank = per_rank.into_iter().collect::<Result<Vec<_>>>()?;
+    let out = assemble(per_rank, dst_sizes.iter().map(|sizes| sizes.len()));
     Ok((out, report))
 }
 
@@ -633,6 +618,10 @@ pub struct ShardedHaloExchange {
     timeout: Duration,
     /// Spare wire frames, recycled from step to step.
     frames: FramePool,
+    /// [`vf_machine::PendingSends::seq_base`] of the step in flight —
+    /// stored by the charging rank's [`ShardedHaloExchange::post`], read by
+    /// every rank's exchange; the barrier between the two orders them.
+    seq_base: AtomicU64,
 }
 
 impl ShardedHaloExchange {
@@ -654,6 +643,7 @@ impl ShardedHaloExchange {
             fused,
             timeout,
             frames: FramePool::default(),
+            seq_base: AtomicU64::new(0),
         })
     }
 
@@ -662,10 +652,13 @@ impl ShardedHaloExchange {
         &self.fused
     }
 
-    /// Charges one step's modelled traffic (directory + message batch).
-    /// Call from exactly one rank per step, before any rank sends.
+    /// Charges one step's modelled traffic (directory + message batch) and
+    /// publishes the step's frame numbering.  Call from exactly one rank
+    /// per step, with a barrier before any rank sends.
     pub fn post(&self, tracker: &CommTracker, elem_bytes: usize) -> vf_machine::PendingSends {
-        post_fused(&self.fused, elem_bytes, tracker).0
+        let pending = post_fused(&self.fused, elem_bytes, tracker).0;
+        self.seq_base.store(pending.seq_base(), Ordering::Relaxed);
+        pending
     }
 
     /// Completes one step's modelled traffic with the wire pack/unpack
@@ -688,9 +681,9 @@ impl ShardedHaloExchange {
 
     /// One rank's halo exchange: `my` is the rank's shard of each fused
     /// array; returns the rank's filled ghost buffer per array (sized by
-    /// each part's ghost length for this rank).  Wire sequence numbers are
-    /// drawn fresh from the global counter per call, so frames stay
-    /// globally identifiable across steps and ranks.
+    /// each part's ghost length for this rank).  Pair `pi`'s frame carries
+    /// the number the step's [`post`](ShardedHaloExchange::post) gave it,
+    /// the same on every rank.
     ///
     /// # Errors
     /// As [`sharded_fused_exchange`]'s rank half: channel failures and
@@ -700,13 +693,12 @@ impl ShardedHaloExchange {
         ctx: &mut ProcCtx,
         my: &[&[T]],
     ) -> Result<Vec<Vec<T>>> {
-        let seq_base = next_wire_seq_block(self.fused.pair_elements.len() as u64);
         rank_exchange(
             &self.fused,
             ctx,
             my,
             &|idx, r| self.fused.parts()[idx].ghost_len(ProcId(r)),
-            seq_base,
+            self.seq_base.load(Ordering::Relaxed),
             self.timeout,
             &self.frames,
         )
@@ -1002,12 +994,19 @@ mod tests {
         let tracker = CommTracker::new(procs, CostModel::zero());
         let cache = PlanCache::new();
         let exec = ShardedExecutor::new();
-        for target in [&b, &a, &b, &a] {
+        for (statement, target) in [&b, &a, &b, &a].into_iter().enumerate() {
             let opts = crate::RedistOptions::default();
             crate::redistribute(&mut array, target.clone(), &tracker, &opts, &cache, &exec)
                 .unwrap();
-            // One frame per crossing pair, however many statements ran.
-            assert_eq!(exec.frames.0.lock().unwrap().len(), 2);
+            // One frame per crossing pair, however many statements ran
+            // (two ranks: both send before either can receive) — and the
+            // header each still holds numbers it `seq_base + pi` within
+            // the statement's batch on this tracker, as on the shared wire.
+            let seq = |f: &Vec<u8>| WireFrameMsg::from_bytes(f).unwrap().seq;
+            let mut sent: Vec<u64> = exec.frames.0.lock().unwrap().iter().map(seq).collect();
+            sent.sort_unstable();
+            let base = 2 * statement as u64;
+            assert_eq!(sent, [base, base + 1]);
         }
         assert_eq!(array.to_dense(), data);
     }

@@ -79,7 +79,7 @@ fn injector_counters_flow_into_tracker_stats() {
 
         let split =
             class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
-        let (regions, _) = split.wait(&tracker).unwrap();
+        let (regions, _) = split.wait().unwrap();
         assert_regions_equal(&arrays, &regions, &clean, &format!("split round {round}"));
     }
 
@@ -126,7 +126,7 @@ fn injected_corruption_is_always_detected_and_repaired() {
 
         let split =
             class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
-        let (regions, _) = split.wait(&tracker).unwrap();
+        let (regions, _) = split.wait().unwrap();
         assert_regions_equal(&arrays, &regions, &clean, &format!("{t} split"));
 
         let stats = tracker.snapshot();
@@ -217,7 +217,7 @@ fn worker_death_mid_stream_recovers_and_pool_stays_usable() {
 
     let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
     assert!(split.is_streaming(), "death still streams, minus one rank");
-    let (regions, _) = split.wait(&tracker).unwrap();
+    let (regions, _) = split.wait().unwrap();
     assert_regions_equal(&arrays, &regions, &clean, "mid-stream death");
 
     assert_eq!(inj.fired_of(FaultKind::WorkerDeath), 1);
@@ -230,7 +230,7 @@ fn worker_death_mid_stream_recovers_and_pool_stays_usable() {
     let t_after = clean_tracker(p);
     let split = class_halo_split(&refs, &WIDTHS, &t_after, &PlanCache::new(), &backend).unwrap();
     assert!(split.is_streaming(), "pool is still usable after the death");
-    let (regions, _) = split.wait(&t_after).unwrap();
+    let (regions, _) = split.wait().unwrap();
     assert_regions_equal(&arrays, &regions, &clean, "pool reuse after death");
 }
 
@@ -264,7 +264,7 @@ fn cancelled_streaming_falls_back_inline_bitwise() {
         !split.is_streaming(),
         "a fired cancel degrades to the inline drain"
     );
-    let (regions, _) = split.wait(&tracker).unwrap();
+    let (regions, _) = split.wait().unwrap();
     assert_regions_equal(&arrays, &regions, &clean, "cancelled streaming");
 
     assert_eq!(inj.fired_of(FaultKind::CancelHandle), 1);
@@ -405,7 +405,7 @@ fn faulty_split_redistribute_matches_blocking() {
 
     let mut array = original.clone();
     let split = redistribute_split(&array, rows(), &tracker, &PlanCache::new(), &backend).unwrap();
-    split.finish_into(&mut array, &tracker).unwrap();
+    split.finish_into(&mut array).unwrap();
     assert_eq!(array.dist(), blocking.dist());
     assert_eq!(array.to_dense(), blocking.to_dense(), "bitwise install");
 

@@ -13,7 +13,7 @@ use vf_apps::mesh::{
 use vf_core::prelude::*;
 use vf_integration::zero_machine;
 use vf_runtime::ghost::exchange_ghosts;
-use vf_runtime::parti::{execute_gather, incremental_schedule, inspector};
+use vf_runtime::parti::{execute_gather, inspector};
 use vf_runtime::plan::plan_ghost;
 use vf_runtime::RuntimeError;
 
@@ -56,8 +56,8 @@ fn stale_halo_plans_are_detected_after_repartitioning() {
     // Initial partition: coordinate-ish striping by id.
     let dist_a = indirect_1d((0..n).map(|u| u * p / n).collect(), p);
     let mut a = DistArray::from_fn("VAL", dist_a.clone(), |pt| (pt.coord(0) * 3) as f64);
-    let stale = incremental_schedule(&dist_a, &conn, &cache).unwrap();
-    exchange_ghosts(&a, stale.plan(), &tracker, &SerialExecutor).unwrap();
+    let stale = cache.ghost_irregular_plan(&dist_a, &conn).unwrap();
+    exchange_ghosts(&a, &stale, &tracker, &SerialExecutor).unwrap();
     assert_eq!(cache.stats().misses, 1);
 
     // Mid-run repartitioning: a greedy connectivity-aware map.
@@ -76,16 +76,16 @@ fn stale_halo_plans_are_detected_after_repartitioning() {
     // charged — the stale-halo detection.
     tracker.take();
     assert!(matches!(
-        exchange_ghosts(&a, stale.plan(), &tracker, &SerialExecutor),
+        exchange_ghosts(&a, &stale, &tracker, &SerialExecutor),
         Err(RuntimeError::PlanMismatch { .. })
     ));
     assert_eq!(tracker.snapshot().total_messages(), 0);
 
     // The cache replans for the new fingerprint (a miss, not a stale hit)
     // and the fresh schedule serves correct values.
-    let fresh = incremental_schedule(&dist_b, &conn, &cache).unwrap();
+    let fresh = cache.ghost_irregular_plan(&dist_b, &conn).unwrap();
     assert_eq!(cache.stats().misses, 2);
-    let (halo, _) = exchange_ghosts(&a, fresh.plan(), &tracker, &SerialExecutor).unwrap();
+    let (halo, _) = exchange_ghosts(&a, &fresh, &tracker, &SerialExecutor).unwrap();
     let locator = dist_b.locator();
     for u in 0..n {
         let owner = locator.locate_lin(u).0;
@@ -216,19 +216,21 @@ proptest! {
         let dist = indirect_1d(owners, p);
         let a = DistArray::from_fn("N", dist.clone(), |pt| ((pt.coord(0) * 37) % 101) as f64);
 
-        let schedule = incremental_schedule(&dist, &conn, &PlanCache::new()).unwrap();
+        let schedule = PlanCache::new()
+            .ghost_irregular_plan(&dist, &conn)
+            .unwrap();
         let accesses = edge_accesses(&conn, &dist);
         let gather = inspector(&dist, &accesses, &PlanCache::new()).unwrap();
-        prop_assert_eq!(schedule.num_elements(), gather.num_elements());
+        prop_assert_eq!(schedule.moved_elements(), gather.num_elements());
         prop_assert_eq!(schedule.num_messages(), gather.num_messages());
 
         let machine = zero_machine(p);
         let t_halo = machine.tracker();
         let t_gather = machine.tracker();
         let (halo, report) =
-            exchange_ghosts(&a, schedule.plan(), &t_halo, &SerialExecutor).unwrap();
+            exchange_ghosts(&a, &schedule, &t_halo, &SerialExecutor).unwrap();
         let fetched = execute_gather(&a, &gather, &t_gather, &SerialExecutor).unwrap();
-        prop_assert_eq!(report.elements, schedule.num_elements());
+        prop_assert_eq!(report.elements, schedule.moved_elements());
         // Identical modelled traffic...
         prop_assert_eq!(
             t_halo.snapshot().total_bytes(),

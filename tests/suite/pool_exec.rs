@@ -398,7 +398,7 @@ fn worker_panic_leaves_the_pool_usable_for_streaming_split_phase() {
     let t_split = tracker(p);
     let split = class_halo_split(&refs, &widths, &t_split, &PlanCache::new(), &backend).unwrap();
     assert!(split.is_streaming(), "the poisoned pool still streams");
-    let (regions, _) = split.wait(&t_split).unwrap();
+    let (regions, _) = split.wait().unwrap();
     assert_regions_equal(&arrays, &regions, &blocking, "after the poisoned job");
     assert_eq!(t_split.snapshot().per_proc(), t_block.snapshot().per_proc());
 }

@@ -53,7 +53,7 @@ fn split_fused_ghost_equals_blocking_wire_bitwise() {
             let split = class_halo_split(&refs, &WIDTHS, &t_split, &cache, &backend).unwrap();
             assert_eq!(split.messages(), exec.messages, "{t} {label}");
             assert_eq!(split.bytes(), exec.bytes, "{t} {label}");
-            let (regions, report) = split.wait(&t_split).unwrap();
+            let (regions, report) = split.wait().unwrap();
             assert_eq!(report.messages, exec.messages, "{t} {label}");
             assert_eq!(report.bytes, exec.bytes, "{t} {label}");
             assert_regions_equal(&arrays, &regions, &blocking, &format!("{t} {label}"));
@@ -111,7 +111,7 @@ fn split_redistribute_equals_blocking_bitwise() {
         let t_split = machine.tracker();
         let split = redistribute_split(&array, columns(), &t_split, &cache, &backend).unwrap();
         assert_eq!(split.new_dist(), blocking.dist(), "{label}");
-        let (report, split_report) = split.finish_into(&mut array, &t_split).unwrap();
+        let (report, split_report) = split.finish_into(&mut array).unwrap();
         assert_eq!(report.moved_elements, ref_report.moved_elements, "{label}");
         assert_eq!(
             report.stayed_elements, ref_report.stayed_elements,
@@ -161,7 +161,7 @@ fn pipelined_destination_mutation_survives_finish() {
                 }
             });
         }
-        split.finish_into(&mut array, &tracker).unwrap();
+        split.finish_into(&mut array).unwrap();
         for point in array.domain().iter() {
             let expect = (point.coord(0) * 1000 + point.coord(1)) as f64 * 2.0 + 1.0;
             assert_eq!(array.get(&point).unwrap(), expect, "{label} at {point:?}");
@@ -200,7 +200,7 @@ fn split_redistribute_rejects_stale_source_fingerprint() {
     )
     .unwrap();
     assert!(matches!(
-        split.finish_into(&mut other, &tracker),
+        split.finish_into(&mut other),
         Err(vf_runtime::RuntimeError::PlanMismatch { .. })
     ));
 }
@@ -224,7 +224,7 @@ fn forced_streaming_overlaps_compute_with_the_halo() {
     let split = class_halo_split(&refs, &WIDTHS, &tracker, &cache, &backend).unwrap();
     assert!(split.is_streaming(), "zero cutoff + 3 workers must stream");
     std::thread::sleep(std::time::Duration::from_millis(50));
-    let (_regions, report) = split.wait(&tracker).unwrap();
+    let (_regions, report) = split.wait().unwrap();
     assert!(
         report.measured_overlap_seconds > 0.0,
         "background unpack ran while the caller slept"

@@ -75,7 +75,7 @@ fn spans_balance_on_every_execution_path() {
 
     // Split-phase, waited.
     let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
-    split.wait(&tracker).unwrap();
+    split.wait().unwrap();
     assert_eq!(trace::open_spans(), 0, "split waited");
 
     // Split-phase, dropped without wait: the cancellation path must close
@@ -96,7 +96,7 @@ fn spans_balance_on_every_execution_path() {
         class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         let split =
             class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &chaos_backend).unwrap();
-        split.wait(&tracker).unwrap();
+        split.wait().unwrap();
     }
     assert!(inj.faults_injected() > 0, "the chaos schedule fired");
     assert_eq!(trace::open_spans(), 0, "fault-degraded");
@@ -119,7 +119,7 @@ fn disabled_mode_records_no_events() {
 
     class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
     let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
-    split.wait(&tracker).unwrap();
+    split.wait().unwrap();
 
     assert_eq!(trace::snapshot().events.len(), 0, "no events");
     assert!(trace::metrics().phases.is_empty(), "no metrics");
@@ -147,7 +147,7 @@ fn trace_shape_is_deterministic_under_a_fault_seed() {
             class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
             let split =
                 class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
-            split.wait(&tracker).unwrap();
+            split.wait().unwrap();
         }
         let mut shape: Vec<(String, String)> = trace::snapshot()
             .events
@@ -180,7 +180,7 @@ fn chrome_export_round_trips_through_the_parser() {
     let backend = streaming_backend(&pool);
     class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
     let split = class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
-    split.wait(&tracker).unwrap();
+    split.wait().unwrap();
 
     let snap = trace::snapshot();
     assert!(!snap.events.is_empty());
@@ -271,7 +271,7 @@ fn fault_instants_match_comm_stats_counters_exactly() {
         class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &SerialExecutor).unwrap();
         let split =
             class_halo_split(&refs, &WIDTHS, &tracker, &PlanCache::new(), &backend).unwrap();
-        split.wait(&tracker).unwrap();
+        split.wait().unwrap();
     }
 
     let stats = tracker.snapshot();

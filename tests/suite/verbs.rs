@@ -6,11 +6,13 @@
 //! scatter, assign — on `{Serial, pooled Threaded with cutoff 0, Sharded}`
 //! and holds it to the **Serial array-verb result**: buffers bitwise equal,
 //! modelled traffic equal, and for a class exactly one message per crossing
-//! processor pair carrying the members' bytes summed.  On the sharded
-//! backend the statement's traffic must additionally have crossed real
-//! channels — which is what makes Sharded a transport rather than a
-//! function family, and what the second test pins for the call sites that
-//! silently stayed in shared memory before.
+//! processor pair carrying the members' bytes summed.  A split verb is
+//! additionally held to its blocking form on the same backend — buffers,
+//! report and tracker — because the mode is only *when* the pipeline
+//! delivers.  On the sharded backend the statement's traffic must
+//! additionally have crossed real channels — which is what makes Sharded a
+//! transport rather than a function family, and what the second test pins
+//! for the call sites that silently stayed in shared memory before.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -177,7 +179,7 @@ fn ghosts_class_with(exec: &ExecBackend, split: bool) -> Outcome {
     let t = tracker();
     let (regions, charged) = if split {
         let handle = exchange_class_ghosts_split(&refs, fused, &t, exec).unwrap();
-        let (regions, report) = handle.wait(&t).unwrap();
+        let (regions, report) = handle.wait().unwrap();
         (regions, (report.messages, report.bytes))
     } else {
         let (regions, report) = exchange_class_ghosts(&refs, &fused, &t, exec).unwrap();
@@ -246,7 +248,7 @@ fn redistribute_split_phase(exec: &ExecBackend) -> Outcome {
     let (t, cache, mut a) = (tracker(), PlanCache::new(), vector(scattered()));
     let plan = cache.redistribute_plan(a.dist(), &block()).unwrap();
     let handle = redistribute_split(&a, block(), &t, &cache, exec).unwrap();
-    let (report, _) = handle.finish_into(&mut a, &t).unwrap();
+    let (report, _) = handle.finish_into(&mut a).unwrap();
     let (bits, charged) = (vec![array_bits(&a)], (report.messages, report.bytes));
     Outcome::new(bits, charged, crossing_pairs(&[plan]), &t)
 }
@@ -313,31 +315,35 @@ struct Row {
     /// is held to.  `None`: the verb is an array verb, its own reference.
     per_member: Option<Verb>,
     /// Whether a sharded backend carries the statement over channels (the
-    /// split engine and in-place scatter updates do not — yet).
+    /// split mode and in-place scatter updates do not — yet).
     on_channels: bool,
+    /// For a split verb (post, then wait at once): the blocking form of
+    /// the same statement.
+    blocking: Option<Verb>,
 }
 
 #[rustfmt::skip]
 fn table() -> Vec<Row> {
-    let row = |name, verb, per_member| Row { name, verb, per_member, on_channels: true };
+    let row = |name, verb, per_member| Row { name, verb, per_member, on_channels: true, blocking: None };
     let array = |name, verb: fn(&ExecBackend) -> Outcome| row(name, Box::new(verb), None);
     let class = |name, verb: fn(&ExecBackend) -> Outcome, members: fn(&ExecBackend) -> Outcome| {
         row(name, Box::new(verb), Some(Box::new(members) as Verb))
     };
     let distribute = |name, from, to, opts| row(name, redistributed(from, to, opts), None);
     let in_shared_memory = |row: Row| Row { on_channels: false, ..row };
+    let split_of = |blocking: Verb, row: Row| Row { blocking: Some(blocking), ..in_shared_memory(row) };
     let (moved, notransfer) = (RedistOptions::default, RedistOptions::notransfer);
     vec![
         array("ghosts / array", ghosts_array),
         array("ghosts / array, irregular plan", ghosts_array_irregular),
         class("ghosts / class", ghosts_class, ghosts_per_member),
-        in_shared_memory(class("ghosts / class, split", ghosts_class_split, ghosts_per_member)),
+        split_of(Box::new(ghosts_class), class("ghosts / class, split", ghosts_class_split, ghosts_per_member)),
         distribute("redistribute / BLOCK -> CYCLIC(3)", block(), dist_1d(DistType::cyclic1d(3), N, P), moved()),
         distribute("redistribute / INDIRECT -> BLOCK", scattered(), block(), moved()),
         distribute("redistribute / BLOCK -> INDIRECT", block(), scattered(), moved()),
         distribute("redistribute / NOTRANSFER", block(), scattered(), notransfer()),
         class("redistribute / class", redistribute_class, redistribute_per_member),
-        in_shared_memory(array("redistribute / split", redistribute_split_phase)),
+        split_of(redistributed(scattered(), block(), moved()), array("redistribute / split", redistribute_split_phase)),
         array("gather", gathered),
         in_shared_memory(array("scatter", scattered_updates)),
         array("assign", assigned),
@@ -373,6 +379,96 @@ fn every_verb_on_every_backend_equals_the_serial_array_verb() {
             let on_wire = if sharded { got.charged } else { (0, 0) };
             let channels = (got.stats.channel_messages(), got.stats.channel_bytes());
             assert_eq!(channels, on_wire, "{what}: channel traffic");
+            // Split-then-wait is the blocking statement: same buffers, same
+            // report, same tracker — all but the measured wall-clock
+            // overlap (and, on Sharded, the channels the split mode does
+            // not cross yet).
+            if let Some(blocking) = &row.blocking {
+                let want = blocking(&exec);
+                assert_eq!(got.bits, want.bits, "{what}: blocking buffers");
+                assert_eq!(got.charged, want.charged, "{what}: blocking report");
+                let charges = |s: &CommStats| {
+                    let credit = s.credited_overlap_seconds().to_bits();
+                    (s.per_proc().to_vec(), credit, s.retries(), s.fallbacks())
+                };
+                assert_eq!(charges(&got.stats), charges(&want.stats), "{what}: tracker");
+            }
+        }
+    }
+}
+
+/// A split handle settles on the tracker it was posted on — its finisher
+/// takes no tracker (it used to, and charged the batch to the argument).
+#[test]
+fn a_split_statement_settles_on_the_tracker_it_was_posted_on() {
+    for (backend, exec) in backends() {
+        let untouched = tracker().snapshot();
+        let (arrays, plans) = fields();
+        let refs: Vec<&DistArray<f64>> = arrays.iter().collect();
+        let (posted_on, bystander) = (tracker(), tracker());
+        let fused = FusedPlan::fuse(plans).unwrap();
+        let handle = exchange_class_ghosts_split(&refs, fused, &posted_on, &exec).unwrap();
+        assert_eq!(
+            posted_on.snapshot(),
+            untouched,
+            "{backend}: charged at the wait"
+        );
+        handle.wait().unwrap();
+        let blocking = ghosts_class(&exec).stats;
+        assert_eq!(
+            posted_on.snapshot().per_proc(),
+            blocking.per_proc(),
+            "{backend}"
+        );
+        assert_eq!(bystander.snapshot(), untouched, "{backend}");
+
+        let (cache, mut a) = (PlanCache::new(), vector(scattered()));
+        let (posted_on, bystander) = (tracker(), tracker());
+        let handle = redistribute_split(&a, block(), &posted_on, &cache, &exec).unwrap();
+        handle.finish_into(&mut a).unwrap();
+        let blocking = redistributed(scattered(), block(), RedistOptions::default())(&exec).stats;
+        assert_eq!(
+            posted_on.snapshot().per_proc(),
+            blocking.per_proc(),
+            "{backend}"
+        );
+        assert_eq!(bystander.snapshot(), untouched, "{backend}");
+    }
+}
+
+/// What a statement costs the pool: a blocking class statement above the
+/// cutoff is **one** dispatch (one work item per destination inside it), a
+/// streaming split statement is **one** submitted job, and a statement
+/// that runs inline — below the cutoff, or on `Serial` — never wakes a
+/// worker.
+#[test]
+fn class_statements_stay_within_their_dispatch_budget() {
+    let pool = Arc::new(WorkerPool::new(3));
+    let pooled = |cutoff: Option<usize>| {
+        let threaded = ThreadedExecutor::with_pool(Arc::clone(&pool));
+        ExecBackend::Threaded(match cutoff {
+            Some(bytes) => threaded.with_serial_cutoff(bytes),
+            None => threaded,
+        })
+    };
+    type Statement = fn(&ExecBackend) -> Outcome;
+    let statements: [(&str, Statement); 4] = [
+        ("ghosts / class", ghosts_class),
+        ("ghosts / class, split", ghosts_class_split),
+        ("redistribute / class", redistribute_class),
+        ("redistribute / split", redistribute_split_phase),
+    ];
+    for (name, statement) in statements {
+        let budget = [
+            ("above the cutoff", pooled(Some(0)), 1),
+            ("below the cutoff", pooled(None), 0),
+            ("serial", ExecBackend::Serial, 0),
+        ];
+        for (when, exec, jobs) in budget {
+            let before = pool.jobs_dispatched();
+            statement(&exec);
+            let spent = pool.jobs_dispatched() - before;
+            assert_eq!(spent, jobs, "{name}, {when}");
         }
     }
 }
