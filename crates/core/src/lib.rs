@@ -103,11 +103,12 @@ pub mod prelude {
     pub use vf_index::{DimRange, IndexDomain, Point, Section, Triplet};
     pub use vf_machine::{CommStats, CommTracker, CostModel, Machine, Topology, WorkerPool};
     pub use vf_runtime::{
-        assign, execute_class_redistribute, execute_redistribute, ghost, parti, plan, redistribute,
-        redistribute_split, reduce, table_for, translation, ArrayDescriptor, CheckpointStore,
-        CommPlan, DistArray, DistTranslationTable, Element, ExecBackend, ExecReport, FusedPlan,
-        PlanCache, PlanCacheStats, PlanExecutor, RedistOptions, RedistReport, RestoredCheckpoint,
-        SerialExecutor, ShardedArray, ShardedExecutor, ShardedHaloExchange, SplitExecReport,
-        SplitPhaseExchange, SplitRedistribute, ThreadedExecutor, TranslationStats,
+        assign, execute_class_redistribute, execute_redistribute, forall_owned, ghost, parti, plan,
+        redistribute, redistribute_split, reduce, table_for, translation, ArrayDescriptor,
+        CheckpointStore, CommPlan, DistArray, DistTranslationTable, Element, ExecBackend,
+        ExecReport, FusedPlan, LocalView, LocalViewMut, PlanCache, PlanCacheStats, PlanExecutor,
+        RedistOptions, RedistReport, RestoredCheckpoint, SerialExecutor, ShardedArray,
+        ShardedExecutor, ShardedHaloExchange, SplitExecReport, SplitPhaseExchange,
+        SplitRedistribute, ThreadedExecutor, TranslationStats,
     };
 }

@@ -13,11 +13,12 @@
 //! experiments can compare them.
 
 use crate::tridiag::{self, TridiagCoeffs};
-use std::collections::HashMap;
-use vf_dist::{DistType, Distribution, ProcessorView};
-use vf_index::{IndexDomain, Point};
+use vf_dist::{DistType, Distribution, ProcId, ProcessorView};
+use vf_index::IndexDomain;
 use vf_machine::{trace, CommStats, CommTracker, Machine};
-use vf_runtime::{assign::assign, redistribute_split, DistArray, ExecBackend, PlanCache};
+use vf_runtime::{
+    assign::assign, redistribute_split, DistArray, ExecBackend, LocalView, LocalViewMut, PlanCache,
+};
 
 /// The distribution strategy of an ADI run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,69 +97,116 @@ pub fn sequential_reference(n: usize, iterations: usize, initial: &[f64]) -> Vec
     field
 }
 
+/// The offsets, in `segment`'s column-major buffer, of its line along
+/// `dim` at `fixed` (the coordinate in the other dimension): a column
+/// (`dim` 0) is contiguous, a row has the segment's column length as its
+/// one stride.
+fn line_in(segment: &IndexDomain, dim: usize, fixed: i64) -> impl Iterator<Item = usize> + Clone {
+    let across = (fixed - segment.dim(1 - dim).lower()) as usize;
+    let rows = segment.extent(0);
+    let (first, stride) = if dim == 0 {
+        (across * rows, 1)
+    } else {
+        (across, rows)
+    };
+    (first..first + segment.extent(dim) * stride).step_by(stride.max(1))
+}
+
+/// Solves every line of `view` along `sweep_dim`, which must lie wholly
+/// inside it, and charges each solve to `proc`.  A column is solved in
+/// place; a row is gathered with its one stride into a scratch line,
+/// solved and scattered back — the same values through the same solve as
+/// [`sequential_reference`], so the result is bitwise its.
+fn solve_local_lines(
+    view: &mut LocalViewMut<'_, f64>,
+    sweep_dim: usize,
+    proc: ProcId,
+    tracker: &CommTracker,
+) {
+    let segment = view.segment().clone();
+    let n = segment.extent(sweep_dim);
+    let mut line = vec![0.0f64; n];
+    for fixed in segment.dim(1 - sweep_dim).iter() {
+        let mut at = line_in(&segment, sweep_dim, fixed);
+        if sweep_dim == 0 {
+            let first = at.next().unwrap_or(0);
+            tridiag::solve_in_place(coeffs(), &mut view[first..first + n]);
+        } else {
+            line.iter_mut()
+                .zip(at.clone())
+                .for_each(|(v, o)| *v = view[o]);
+            tridiag::solve_in_place(coeffs(), &mut line);
+            line.iter().zip(at).for_each(|(&v, o)| view[o] = v);
+        }
+        tracker.compute(proc.0, tridiag::tridiag_flops(n));
+    }
+}
+
 /// Performs one sweep of tridiagonal solves along dimension `sweep_dim` of
 /// the distributed array (0 = x-lines/columns, 1 = y-lines/rows).
 ///
-/// Lines that are fully local to a processor are solved without any
-/// communication (the owner-computes rule).  Lines that span processors are
-/// gathered to the processor owning the first element, solved there, and
-/// scattered back — each contributing processor exchanges one message in
-/// each direction, which is how the compiler-embedded communication of the
-/// static-distribution variant behaves.
-fn sweep(
-    array: &mut DistArray<f64>,
-    sweep_dim: usize,
-    tracker: &vf_machine::CommTracker,
-) -> (usize, usize) {
+/// Each line is gathered to the processor owning its first element, solved
+/// there, and scattered back.  A line that is fully local to a processor
+/// costs no communication (the owner-computes rule); every other processor
+/// holding a piece of a line exchanges one message in each direction,
+/// which is how the compiler-embedded communication of the
+/// static-distribution variant behaves.  Which processors hold a piece of
+/// a line, and where, is read off their segments.
+fn sweep(array: &mut DistArray<f64>, sweep_dim: usize, tracker: &CommTracker) -> (usize, usize) {
     let dist = array.dist().clone();
-    let domain = dist.domain().clone();
-    let n_sweep = domain.extent(sweep_dim);
-    let other_dim = 1 - sweep_dim;
-    let n_other = domain.extent(other_dim);
-    let mut messages = 0usize;
-    let mut bytes = 0usize;
-
+    let domain = dist.domain();
+    let (along, across) = (domain.dim(sweep_dim), domain.dim(1 - sweep_dim));
     let _span = trace::OpenSpan::begin_with(trace::Phase::InteriorCompute, || {
         format!("sweep dim {sweep_dim}")
     });
-    for line in 0..n_other {
-        let fixed = domain.dim(other_dim).lower() + line as i64;
-        // Collect the line and the owners of its elements.
-        let mut values = Vec::with_capacity(n_sweep);
-        let mut owner_counts: HashMap<usize, usize> = HashMap::new();
-        let mut first_owner = None;
-        for k in 0..n_sweep {
-            let coord = domain.dim(sweep_dim).lower() + k as i64;
-            let point = if sweep_dim == 0 {
-                Point::d2(coord, fixed)
-            } else {
-                Point::d2(fixed, coord)
-            };
-            let owner = dist.owner(&point).expect("point in domain");
-            first_owner.get_or_insert(owner);
-            *owner_counts.entry(owner.0).or_insert(0) += 1;
-            values.push(array.get(&point).expect("point in domain"));
-        }
-        let solver = first_owner.expect("line is non-empty");
-        // Gather the remote parts, solve, scatter back.
-        for (&owner, &count) in &owner_counts {
-            if owner != solver.0 {
-                tracker.send(owner, solver.0, count * 8);
-                tracker.send(solver.0, owner, count * 8);
+    // The non-empty segments, in the order their pieces follow each other
+    // along a swept line.
+    let mut segments: Vec<(ProcId, IndexDomain)> = dist
+        .proc_ids()
+        .iter()
+        .map(|&p| (p, dist.local_segment(p).expect("block layouts")))
+        .filter(|(_, segment)| !segment.is_empty())
+        .collect();
+    segments.sort_by_key(|(_, segment)| segment.dim(sweep_dim).lower());
+    let mut values = vec![0.0f64; along.len()];
+    let (mut messages, mut bytes) = (0usize, 0usize);
+    for fixed in across.iter() {
+        // Each piece of the line: its owner, its stretch of `values` and
+        // its offsets in the owner's buffer.
+        let held = segments
+            .iter()
+            .filter(|(_, segment)| segment.dim(1 - sweep_dim).contains(fixed));
+        let pieces: Vec<_> = held
+            .map(|(owner, segment)| {
+                let piece = segment.dim(sweep_dim);
+                let first = (piece.lower() - along.lower()) as usize;
+                (
+                    *owner,
+                    first..first + piece.len(),
+                    line_in(segment, sweep_dim, fixed),
+                )
+            })
+            .collect();
+        let solver = pieces.first().expect("line is non-empty").0;
+        for (owner, stretch, at) in &pieces {
+            let local = array.local(*owner);
+            let gathered = values[stretch.clone()].iter_mut().zip(at.clone());
+            gathered.for_each(|(v, o)| *v = local[o]);
+            if *owner != solver {
+                tracker.send(owner.0, solver.0, stretch.len() * 8);
+                tracker.send(solver.0, owner.0, stretch.len() * 8);
                 messages += 2;
-                bytes += 2 * count * 8;
+                bytes += 2 * stretch.len() * 8;
             }
         }
         tridiag::solve_in_place(coeffs(), &mut values);
-        tracker.compute(solver.0, tridiag::tridiag_flops(n_sweep));
-        for (k, &v) in values.iter().enumerate() {
-            let coord = domain.dim(sweep_dim).lower() + k as i64;
-            let point = if sweep_dim == 0 {
-                Point::d2(coord, fixed)
-            } else {
-                Point::d2(fixed, coord)
-            };
-            array.set(&point, v).expect("point in domain");
+        tracker.compute(solver.0, tridiag::tridiag_flops(along.len()));
+        for (owner, stretch, at) in pieces {
+            let local = array.local_mut(owner);
+            values[stretch]
+                .iter()
+                .zip(at)
+                .for_each(|(&v, o)| local[o] = v);
         }
     }
     (messages, bytes)
@@ -168,13 +216,14 @@ fn sweep(
 /// split-phase redistribution: the redistribution is posted, and as soon
 /// as one destination processor's new local block has fully landed
 /// ([`vf_runtime::SplitRedistribute::wait_dest`]) its now-local lines are
-/// solved *directly inside the in-flight destination buffer* — while the
-/// other processors' blocks are still streaming in on the executor's
-/// background workers.  `finish_into` then installs the solved buffers.
+/// solved *directly inside the in-flight destination buffer* — a
+/// [`LocalView`] opened over it — while the other processors' blocks are
+/// still streaming in on the executor's background workers.  `finish_into`
+/// then installs the solved buffers.
 ///
 /// Every line the target layout makes local is solved with the same
-/// gathered values, the same solve, and the same per-line FLOP charge as
-/// the blocking redistribute-then-[`sweep`] sequence, and the installed
+/// values, the same solve, and the same per-line FLOP charge as the
+/// blocking redistribute-then-[`sweep`] sequence, and the installed
 /// buffers hold the same solutions at the same offsets — the result is
 /// bitwise identical; only the schedule overlaps.
 fn pipelined_distribute_sweep(
@@ -187,44 +236,18 @@ fn pipelined_distribute_sweep(
 ) -> (usize, usize) {
     let split = redistribute_split(array, new_dist, tracker, plans, executor).expect("same domain");
     let dist = split.new_dist().clone();
-    let domain = dist.domain().clone();
-    let locator = dist.locator();
-    let n_sweep = domain.extent(sweep_dim);
-    let other_dim = 1 - sweep_dim;
-    let n_other = domain.extent(other_dim);
-    let point_at = |k: usize, line: usize| {
-        let coord = domain.dim(sweep_dim).lower() + k as i64;
-        let fixed = domain.dim(other_dim).lower() + line as i64;
-        if sweep_dim == 0 {
-            Point::d2(coord, fixed)
-        } else {
-            Point::d2(fixed, coord)
-        }
-    };
-    for &d in dist.proc_ids().to_vec().iter() {
+    for &d in dist.proc_ids() {
         split.wait_dest(d.0);
         let _solve_span = trace::OpenSpan::begin_with(trace::Phase::InteriorCompute, || {
             format!("sweep dest {}", d.0)
         });
         split.with_dest_mut(d.0, |buf| {
-            let mut values = vec![0.0f64; n_sweep];
-            let mut offsets = vec![0usize; n_sweep];
-            for line in 0..n_other {
-                if dist.owner(&point_at(0, line)).expect("point in domain") != d {
-                    continue;
-                }
-                for (k, (v, off)) in values.iter_mut().zip(offsets.iter_mut()).enumerate() {
-                    let (owner, o) = locator.locate(&point_at(k, line)).expect("point in domain");
-                    assert_eq!(owner, d, "the target layout keeps swept lines local");
-                    *off = o;
-                    *v = buf[o];
-                }
-                tridiag::solve_in_place(coeffs(), &mut values);
-                tracker.compute(d.0, tridiag::tridiag_flops(n_sweep));
-                for (&v, &off) in values.iter().zip(offsets.iter()) {
-                    buf[off] = v;
-                }
-            }
+            let mut view = LocalView::new(&dist, d, buf.as_mut_slice()).expect("block layouts");
+            assert!(
+                view.is_empty() || view.segment().dim(sweep_dim) == dist.domain().dim(sweep_dim),
+                "the target layout keeps swept lines local"
+            );
+            solve_local_lines(&mut view, sweep_dim, d, tracker);
         });
     }
     let (report, _split_report) = split
@@ -247,10 +270,12 @@ fn dist_for(n: usize, machine: &Machine, dist_type: DistType) -> Distribution {
 pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult {
     let tracker = machine.tracker();
     let n = config.n;
-    let mut sweep_messages = 0;
-    let mut sweep_bytes = 0;
-    let mut redist_messages = 0;
-    let mut redist_bytes = 0;
+    // (messages, bytes) inside the sweeps, and of DISTRIBUTE / assignment.
+    let (mut swept, mut moved) = ((0, 0), (0, 0));
+    let add = |total: &mut (usize, usize), (messages, bytes): (usize, usize)| {
+        total.0 += messages;
+        total.1 += bytes;
+    };
 
     let field = match config.strategy {
         AdiStrategy::StaticColumns | AdiStrategy::StaticRows => {
@@ -262,12 +287,8 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
             let mut v = DistArray::from_dense("V", dist_for(n, machine, dist_type), initial)
                 .expect("initial field has N*N elements");
             for _ in 0..config.iterations {
-                let (m, b) = sweep(&mut v, 0, &tracker);
-                sweep_messages += m;
-                sweep_bytes += b;
-                let (m, b) = sweep(&mut v, 1, &tracker);
-                sweep_messages += m;
-                sweep_bytes += b;
+                add(&mut swept, sweep(&mut v, 0, &tracker));
+                add(&mut swept, sweep(&mut v, 1, &tracker));
             }
             v.to_dense()
         }
@@ -285,40 +306,24 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
             let mut v =
                 DistArray::from_dense("V", dist_for(n, machine, DistType::columns()), initial)
                     .expect("initial field has N*N elements");
+            let distribute_sweep = |v: &mut DistArray<f64>, dist_type, sweep_dim| {
+                let new_dist = dist_for(n, machine, dist_type);
+                pipelined_distribute_sweep(v, new_dist, sweep_dim, &tracker, &plans, &executor)
+            };
             for iter in 0..config.iterations {
                 let _step_span =
                     trace::OpenSpan::begin_with(trace::Phase::Step, || format!("iter {iter}"));
                 if iter > 0 {
                     // Return to the column distribution and solve the
                     // x-lines as each processor's columns arrive.
-                    let (m, b) = pipelined_distribute_sweep(
-                        &mut v,
-                        dist_for(n, machine, DistType::columns()),
-                        0,
-                        &tracker,
-                        &plans,
-                        &executor,
-                    );
-                    redist_messages += m;
-                    redist_bytes += b;
+                    add(&mut moved, distribute_sweep(&mut v, DistType::columns(), 0));
                 } else {
                     // First x-sweep: the initial layout already keeps the
                     // columns local, nothing to redistribute.
-                    let (m, b) = sweep(&mut v, 0, &tracker);
-                    sweep_messages += m;
-                    sweep_bytes += b;
+                    add(&mut swept, sweep(&mut v, 0, &tracker));
                 }
                 // DISTRIBUTE V :: (BLOCK, :) pipelined with the y-sweep.
-                let (m, b) = pipelined_distribute_sweep(
-                    &mut v,
-                    dist_for(n, machine, DistType::rows()),
-                    1,
-                    &tracker,
-                    &plans,
-                    &executor,
-                );
-                redist_messages += m;
-                redist_bytes += b;
+                add(&mut moved, distribute_sweep(&mut v, DistType::rows(), 1));
             }
             v.to_dense()
         }
@@ -339,19 +344,13 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
                 if iter > 0 {
                     let report = assign(&mut v_cols, &v_rows, &tracker, &plans, &executor)
                         .expect("same domain");
-                    redist_messages += report.messages;
-                    redist_bytes += report.bytes;
+                    add(&mut moved, (report.messages, report.bytes));
                 }
-                let (m, b) = sweep(&mut v_cols, 0, &tracker);
-                sweep_messages += m;
-                sweep_bytes += b;
+                add(&mut swept, sweep(&mut v_cols, 0, &tracker));
                 let report =
                     assign(&mut v_rows, &v_cols, &tracker, &plans, &executor).expect("same domain");
-                redist_messages += report.messages;
-                redist_bytes += report.bytes;
-                let (m, b) = sweep(&mut v_rows, 1, &tracker);
-                sweep_messages += m;
-                sweep_bytes += b;
+                add(&mut moved, (report.messages, report.bytes));
+                add(&mut swept, sweep(&mut v_rows, 1, &tracker));
             }
             v_rows.to_dense()
         }
@@ -360,10 +359,10 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
     let checksum = field.iter().sum();
     AdiResult {
         stats: tracker.snapshot(),
-        sweep_messages,
-        sweep_bytes,
-        redist_messages,
-        redist_bytes,
+        sweep_messages: swept.0,
+        sweep_bytes: swept.1,
+        redist_messages: moved.0,
+        redist_bytes: moved.1,
         field,
         checksum,
     }
@@ -398,12 +397,12 @@ mod tests {
                 &machine,
                 &initial,
             );
-            for (a, b) in result.field.iter().zip(reference.iter()) {
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "{strategy:?} diverges from the sequential reference"
-                );
-            }
+            let bits = |field: &[f64]| field.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&result.field),
+                bits(&reference),
+                "{strategy:?} diverges from the sequential reference"
+            );
         }
     }
 

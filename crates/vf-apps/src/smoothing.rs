@@ -18,14 +18,12 @@
 use std::sync::Mutex;
 
 use vf_dist::{DistType, Distribution, ProcId, ProcessorView};
-use vf_index::{IndexDomain, Point};
+use vf_index::IndexDomain;
 use vf_machine::{trace, CommStats, CostModel, Machine, PendingSends};
-use vf_runtime::ghost::{
-    exchange_class_ghosts_split, exchange_ghosts, get_with_ghosts, GhostRegion,
-};
+use vf_runtime::ghost::{exchange_class_ghosts_split, exchange_ghosts};
 use vf_runtime::{
-    CheckpointStore, DistArray, ExecBackend, FusedPlan, PlanCache, RuntimeError, SerialExecutor,
-    ShardedArray, ShardedExecutor, ShardedHaloExchange,
+    forall_owned, CheckpointStore, DistArray, ExecBackend, FusedPlan, LocalView, LocalViewMut,
+    PlanCache, RuntimeError, SerialExecutor, ShardedArray, ShardedExecutor, ShardedHaloExchange,
 };
 
 /// The two candidate layouts of the N×N grid discussed in §4.
@@ -138,124 +136,94 @@ pub fn grid_distribution(layout: SmoothingLayout, n: usize, machine: &Machine) -
         .expect("square grid distributions are always valid")
 }
 
-/// One Jacobi relaxation step of one field: reads `src` (and its exchanged
-/// 1-wide ghosts), writes `dst`, and charges the interior FLOPs — the
-/// kernel shared by [`run`] and [`run_class`], so fused and independent
-/// runs stay bit-identical by construction.
-fn relax_field(
-    dist: &Distribution,
-    n: i64,
-    src: &DistArray<f64>,
-    ghosts: &vf_runtime::ghost::GhostRegion<f64>,
-    dst: &mut DistArray<f64>,
-    tracker: &vf_machine::CommTracker,
-) {
-    for &p in dist.proc_ids().to_vec().iter() {
-        let points = dist.local_points(p);
-        let mut interior = 0usize;
-        for (l, point) in points.into_iter().enumerate() {
-            let (i, j) = (point.coord(0), point.coord(1));
-            let value = if i == 1 || i == n || j == 1 || j == n {
-                src.get(&point).expect("point in domain")
-            } else {
-                interior += 1;
-                let read = |q: Point| {
-                    get_with_ghosts(src, ghosts, p, &q).expect("neighbour within 1-wide halo")
-                };
-                0.25 * (read(point.offset(0, -1))
-                    + read(point.offset(0, 1))
-                    + read(point.offset(1, -1))
-                    + read(point.offset(1, 1)))
-            };
-            dst.local_mut(p)[l] = value;
+/// The stencil's overlap widths: one element on every side.
+const WIDTHS: [(usize, usize); 2] = [(1, 1), (1, 1)];
+
+/// An inclusive box of grid points `[(i_lo, i_hi), (j_lo, j_hi)]`; empty
+/// when either pair is reversed.
+type Box2 = [(i64, i64); 2];
+
+/// The empty box: "no earlier pass" for [`relax_box`].
+const NOTHING: Box2 = [(1, 0); 2];
+
+fn box_points(b: Box2) -> usize {
+    b.iter()
+        .map(|&(lo, hi)| (hi - lo + 1).max(0) as usize)
+        .product()
+}
+
+/// The points of `segment` a step updates: all but the global boundary,
+/// which is copied through (both buffers of a run hold it from the start,
+/// so the kernel never touches it).
+fn updated(segment: &IndexDomain, domain: &IndexDomain) -> Box2 {
+    [0, 1].map(|d| {
+        let (seg, dom) = (segment.dim(d), domain.dim(d));
+        (
+            seg.lower().max(dom.lower() + 1),
+            seg.upper().min(dom.upper() - 1),
+        )
+    })
+}
+
+/// The points of `segment` whose whole stencil is on-processor — what a
+/// split-phase step relaxes while the halo is in flight.  A subset of
+/// [`updated`].
+fn interior(segment: &IndexDomain) -> Box2 {
+    [0, 1].map(|d| (segment.dim(d).lower() + 1, segment.dim(d).upper() - 1))
+}
+
+/// The one smoothing kernel: relaxes the points of `update` that are not
+/// in `done` (an earlier pass's box; empty for a whole step), reading the
+/// box `src` — which must cover `update` widened by one — and writing
+/// `dst`.
+///
+/// Per point the sum is `((i-1) + (i+1)) + (j-1) + (j+1)`, then `× 0.25`:
+/// the floating-point operation order of [`sequential_step`], which
+/// bitwise equality with it depends on.
+fn relax_box(src: &LocalView<&[f64]>, dst: &mut LocalViewMut<'_, f64>, update: Box2, done: Box2) {
+    if box_points(update) == 0 {
+        return;
+    }
+    let [(i_lo, i_hi), (j_lo, j_hi)] = update;
+    let [done_i, done_j] = done;
+    let skip = box_points(done) > 0;
+    let (src_i, src_j) = (src.segment().dim(0).lower(), src.segment().dim(1).lower());
+    let (dst_i, dst_j) = (dst.segment().dim(0).lower(), dst.segment().dim(1).lower());
+    let (src_rows, dst_rows) = (src.segment().extent(0), dst.segment().extent(0));
+    for j in j_lo..=j_hi {
+        let column = |j: i64| &src[(j - src_j) as usize * src_rows..][..src_rows];
+        let (west, here, east) = (column(j - 1), column(j), column(j + 1));
+        let out = &mut dst[(j - dst_j) as usize * dst_rows..][..dst_rows];
+        let stretches = if skip && (done_j.0..=done_j.1).contains(&j) {
+            [(i_lo, done_i.0 - 1), (done_i.1 + 1, i_hi)]
+        } else {
+            [(i_lo, i_hi), NOTHING[0]]
+        };
+        for (from, to) in stretches {
+            let len = (to - from + 1).max(0) as usize;
+            if len == 0 {
+                continue;
+            }
+            let at = (from - src_i) as usize;
+            let sources = here[at - 1..][..len]
+                .iter()
+                .zip(&here[at + 1..][..len])
+                .zip(&west[at..][..len])
+                .zip(&east[at..][..len]);
+            let out = &mut out[(from - dst_i) as usize..][..len];
+            for (out, (((north, south), west), east)) in out.iter_mut().zip(sources) {
+                *out = 0.25 * (north + south + west + east);
+            }
         }
-        tracker.compute(p.0, interior * FLOPS_PER_POINT);
     }
 }
 
-/// Which points a split-phase relaxation pass updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RelaxPass {
-    /// Points whose whole stencil is on-processor (plus the global
-    /// boundary copy-through) — computable while the halo is in flight.
-    Interior,
-    /// Points with at least one off-processor neighbour — these wait for
-    /// the halo.
-    Boundary,
-}
-
-/// One split-phase Jacobi pass: updates only the points selected by
-/// `pass`, reading off-processor neighbours from `ghosts` (only the
-/// boundary pass touches them) and accumulating per-processor
-/// updated-point counts into `counts` instead of charging FLOPs — the
-/// caller charges each processor **once** after both passes, so the
-/// modelled compute time is bit-identical to the single-pass
-/// [`relax_field`] kernel.
-fn relax_field_pass(
-    dist: &Distribution,
-    n: i64,
-    src: &DistArray<f64>,
-    ghosts: Option<&GhostRegion<f64>>,
-    dst: &mut DistArray<f64>,
-    pass: RelaxPass,
-    counts: &mut [usize],
-) {
-    let locator = dist.locator();
-    for &p in dist.proc_ids().to_vec().iter() {
-        let points = dist.local_points(p);
-        for (l, point) in points.into_iter().enumerate() {
-            let (i, j) = (point.coord(0), point.coord(1));
-            if i == 1 || i == n || j == 1 || j == n {
-                // Global boundary: copy-through, no neighbour reads —
-                // always safe in the interior pass.
-                if pass == RelaxPass::Interior {
-                    dst.local_mut(p)[l] = src.get(&point).expect("point in domain");
-                }
-                continue;
-            }
-            let neighbours = [
-                point.offset(0, -1),
-                point.offset(0, 1),
-                point.offset(1, -1),
-                point.offset(1, 1),
-            ];
-            let local = neighbours.iter().all(|q| {
-                locator
-                    .locate(q)
-                    .map(|(owner, _)| owner == p)
-                    .unwrap_or(false)
-            });
-            let wanted = if local {
-                RelaxPass::Interior
-            } else {
-                RelaxPass::Boundary
-            };
-            if wanted != pass {
-                continue;
-            }
-            counts[p.0] += 1;
-            let value = if local {
-                let read = |q: &Point| {
-                    let (_, off) = locator.locate(q).expect("neighbour in domain");
-                    src.local(p)[off]
-                };
-                0.25 * (read(&neighbours[0])
-                    + read(&neighbours[1])
-                    + read(&neighbours[2])
-                    + read(&neighbours[3]))
-            } else {
-                let ghosts = ghosts.expect("boundary pass runs after the halo has landed");
-                let read = |q: &Point| {
-                    get_with_ghosts(src, ghosts, p, q).expect("neighbour within 1-wide halo")
-                };
-                0.25 * (read(&neighbours[0])
-                    + read(&neighbours[1])
-                    + read(&neighbours[2])
-                    + read(&neighbours[3]))
-            };
-            dst.local_mut(p)[l] = value;
-        }
-    }
+/// One scratch buffer per processor for its extended box
+/// ([`vf_runtime::ghost::GhostRegion::extended`]), kept across steps.  A
+/// kernel runs one processor on one rank at a time, so the locks are
+/// never contended.
+fn scratch_boxes(procs: usize) -> Vec<Mutex<Vec<f64>>> {
+    (0..procs).map(|_| Mutex::default()).collect()
 }
 
 /// Runs the distributed smoothing kernel and returns statistics plus the
@@ -268,19 +236,19 @@ pub fn run(config: &SmoothingConfig, machine: &Machine, initial: &[f64]) -> Smoo
     let plans = PlanCache::new();
     let executor = ExecBackend::auto();
     let dist = grid_distribution(config.layout, config.n, machine);
-    let domain = dist.domain().clone();
+    let domain = dist.domain();
     let mut current =
         DistArray::from_dense("U", dist.clone(), initial).expect("initial field has N*N elements");
-    let mut next: DistArray<f64> = DistArray::new("V", dist.clone());
+    let mut next = current.clone();
+    let scratch = scratch_boxes(tracker.num_procs());
 
-    let n = config.n as i64;
     let mut messages_per_step = 0;
     let mut bytes_per_step = 0;
 
     for step in 0..config.steps {
         let _step_span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
         let halo = plans
-            .ghost_plan(current.dist(), &[(1, 1), (1, 1)])
+            .ghost_plan(current.dist(), &WIDTHS)
             .expect("block layouts");
         let (ghosts, report) = exchange_ghosts(&current, &halo, &tracker, &executor)
             .expect("the plan was made for this field");
@@ -288,16 +256,21 @@ pub fn run(config: &SmoothingConfig, machine: &Machine, initial: &[f64]) -> Smoo
             messages_per_step = report.messages;
             bytes_per_step = report.bytes;
         }
-        let relax_span =
-            trace::OpenSpan::begin_static(trace::Phase::InteriorCompute, "relax-field");
-        relax_field(&dist, n, &current, &ghosts, &mut next, &tracker);
-        relax_span.end();
+        forall_owned(&mut [&mut next], &tracker, &executor, |p, dst| {
+            let mut scratch = scratch[p.0].lock().expect("scratch box");
+            let src = ghosts
+                .extended(p, current.local(p), &mut scratch)
+                .expect("the halo was exchanged for this field");
+            let update = updated(dst[0].segment(), domain);
+            relax_box(&src, &mut dst[0], update, NOTHING);
+            box_points(update) * FLOPS_PER_POINT
+        })
+        .expect("block layouts");
         std::mem::swap(&mut current, &mut next);
     }
 
     let field = current.to_dense();
     let checksum = field.iter().sum();
-    let _ = domain;
     SmoothingResult {
         stats: tracker.snapshot(),
         messages_per_step,
@@ -431,7 +404,6 @@ fn run_checkpointed_attempt(
     );
     let plans = PlanCache::new();
     let dist = grid_distribution(config.layout, config.n, machine);
-    let widths = [(1, 1), (1, 1)];
 
     let from_initial = || {
         DistArray::from_dense("U", dist.clone(), initial).expect("initial field has N*N elements")
@@ -453,29 +425,19 @@ fn run_checkpointed_attempt(
         (from_initial(), 0)
     };
 
-    let plan = plans.ghost_plan(&dist, &widths).expect("block layouts");
+    let plan = plans.ghost_plan(&dist, &WIDTHS).expect("block layouts");
     let fused = FusedPlan::fuse(vec![plan]).expect("a single ghost part always fuses");
     let halo = ShardedHaloExchange::new(fused, executor.timeout())
         .expect("ghost plans build halo exchanges");
     let messages_per_step = halo.fused().num_messages();
     let bytes_per_step = halo.fused().bytes_for(8);
-    let n = config.n as i64;
 
     let mut done = start_step;
     while done < config.steps {
         let seg_end = ckpt.map_or(config.steps, |(_, every)| {
             config.steps.min((done / every + 1) * every)
         });
-        run_fallible_segment(
-            &dist,
-            &halo,
-            executor,
-            tracker,
-            &mut current,
-            done,
-            seg_end,
-            n,
-        )?;
+        run_fallible_segment(&dist, &halo, executor, tracker, &mut current, done, seg_end)?;
         if let Some((store, _)) = ckpt {
             store.save(&current, seg_end as u64, tracker)?;
         }
@@ -510,9 +472,7 @@ fn run_fallible_segment(
     current: &mut DistArray<f64>,
     start: usize,
     end: usize,
-    n: i64,
 ) -> vf_runtime::Result<()> {
-    let locator = dist.locator();
     let timeout = executor.timeout();
     let shards = ShardedArray::scatter(current);
     let procs = tracker.num_procs();
@@ -521,9 +481,10 @@ fn run_fallible_segment(
     let results: Vec<vf_runtime::Result<()>> = executor.run_region(procs, tracker, |ctx| {
         let r = ctx.rank();
         let me = ProcId(r);
-        let points = dist.local_points(me);
         let mut my = shards.take(r);
-        let mut next = vec![0.0f64; my.len()];
+        // The global boundary is never written: both buffers hold it.
+        let mut next = my.clone();
+        let mut scratch = Vec::new();
         for step in start..end {
             ctx.barrier_checked(timeout)?;
             let step_span = (r == 0).then(|| {
@@ -537,31 +498,11 @@ fn run_fallible_segment(
             let ghosts =
                 halo.ghost_region_on_rank(0, r, bufs.into_iter().next().expect("one part"));
             let relax_span = trace::OpenSpan::begin_dest(trace::Phase::InteriorCompute, r);
-            let mut interior = 0usize;
-            // The one sharded kernel.  Per point: ((i-1) + (i+1)) + (j-1)
-            // + (j+1), then × 0.25 — the floating-point operation order of
-            // `sequential_step`, which bitwise equality with it depends on.
-            for (l, point) in points.iter().enumerate() {
-                let (i, j) = (point.coord(0), point.coord(1));
-                next[l] = if i == 1 || i == n || j == 1 || j == n {
-                    my[l]
-                } else {
-                    interior += 1;
-                    let read = |q: Point| {
-                        let (owner, off) = locator.locate(&q).expect("neighbour in domain");
-                        if owner == me {
-                            my[off]
-                        } else {
-                            ghosts.get(me, &q).expect("neighbour within 1-wide halo")
-                        }
-                    };
-                    0.25 * (read(point.offset(0, -1))
-                        + read(point.offset(0, 1))
-                        + read(point.offset(1, -1))
-                        + read(point.offset(1, 1)))
-                };
-            }
-            ctx.charge_compute(interior * FLOPS_PER_POINT);
+            let src = ghosts.extended(me, &my, &mut scratch)?;
+            let mut dst = LocalView::new(dist, me, next.as_mut_slice())?;
+            let update = updated(dst.segment(), dist.domain());
+            relax_box(&src, &mut dst, update, NOTHING);
+            ctx.charge_compute(box_points(update) * FLOPS_PER_POINT);
             relax_span.end();
             ctx.barrier_checked(timeout)?;
             if r == 0 {
@@ -628,7 +569,6 @@ pub fn run_class(
     let plans = PlanCache::new();
     let executor = ExecBackend::auto();
     let dist = grid_distribution(config.layout, config.n, machine);
-    let widths = [(1, 1), (1, 1)];
     let mut current: Vec<DistArray<f64>> = initials
         .iter()
         .enumerate()
@@ -637,28 +577,28 @@ pub fn run_class(
                 .expect("initial field has N*N elements")
         })
         .collect();
-    let mut next: Vec<DistArray<f64>> = (0..initials.len())
-        .map(|k| DistArray::new(format!("V{k}"), dist.clone()))
-        .collect();
+    let mut next = current.clone();
+    let scratch = scratch_boxes(tracker.num_procs());
     let unfused_messages_per_step = initials.len()
         * plans
-            .ghost_plan(&dist, &widths)
+            .ghost_plan(&dist, &WIDTHS)
             .expect("block layouts")
             .num_messages();
 
-    let n = config.n as i64;
     let mut messages_per_step = 0;
     let mut bytes_per_step = 0;
     for step in 0..config.steps {
         let _step_span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
         let refs: Vec<&DistArray<f64>> = current.iter().collect();
+        let mut dsts: Vec<&mut DistArray<f64>> = next.iter_mut().collect();
         // Split-phase wire exchange: each pair's message is packed and
-        // posted up front, then the interior points of every field (whole
-        // stencil on-processor) are relaxed *while the halo is still in
-        // flight*; the boundary points run after the wait against ghost
+        // posted up front, then the interior box of every field (whole
+        // stencil on-processor) is relaxed *while the halo is still in
+        // flight* — on the caller, the pool being busy with the unpacks —
+        // and the rest of each segment after the wait, against ghost
         // regions bitwise identical to the blocking exchange.
         let halo = plans
-            .ghost_class_plan(refs.iter().map(|a| a.dist()), &widths)
+            .ghost_class_plan(refs.iter().map(|a| a.dist()), &WIDTHS)
             .expect("block layouts");
         let split = exchange_class_ghosts_split(&refs, halo, &tracker, &executor)
             .expect("the plan was made for these fields");
@@ -666,38 +606,32 @@ pub fn run_class(
             messages_per_step = split.messages();
             bytes_per_step = split.bytes();
         }
-        let mut counts: Vec<Vec<usize>> = vec![vec![0; tracker.num_procs()]; current.len()];
-        let interior_span = trace::OpenSpan::begin_with(trace::Phase::InteriorCompute, || {
-            format!("interior {} fields", current.len())
-        });
-        for ((src, dst), field_counts) in current.iter().zip(next.iter_mut()).zip(&mut counts) {
-            relax_field_pass(&dist, n, src, None, dst, RelaxPass::Interior, field_counts);
-        }
-        interior_span.end();
+        forall_owned(&mut dsts, &tracker, &SerialExecutor, |p, dsts| {
+            for (src, dst) in current.iter().zip(dsts) {
+                let src = LocalView::new(&dist, p, src.local(p)).expect("block layouts");
+                relax_box(&src, dst, interior(src.segment()), NOTHING);
+            }
+            // Charged with the rest of the step, once, below.
+            0
+        })
+        .expect("block layouts");
         let (regions, _split_report) = split
             .wait()
             .expect("split-phase ghost exchange survives injected faults");
-        for (field, ((src, dst), field_counts)) in current
-            .iter()
-            .zip(next.iter_mut())
-            .zip(&mut counts)
-            .enumerate()
-        {
-            relax_field_pass(
-                &dist,
-                n,
-                src,
-                Some(&regions[field]),
-                dst,
-                RelaxPass::Boundary,
-                field_counts,
-            );
-            // One FLOP charge per (field, processor), exactly like the
-            // single-pass kernel.
-            for (p, &points) in field_counts.iter().enumerate() {
-                tracker.compute(p, points * FLOPS_PER_POINT);
+        forall_owned(&mut dsts, &tracker, &executor, |p, dsts| {
+            let mut scratch = scratch[p.0].lock().expect("scratch box");
+            let mut points = 0;
+            for ((src, ghosts), dst) in current.iter().zip(&regions).zip(dsts) {
+                let src = ghosts
+                    .extended(p, src.local(p), &mut scratch)
+                    .expect("the halo was exchanged for this field");
+                let update = updated(dst.segment(), dist.domain());
+                relax_box(&src, dst, update, interior(dst.segment()));
+                points += box_points(update);
             }
-        }
+            points * FLOPS_PER_POINT
+        })
+        .expect("block layouts");
         std::mem::swap(&mut current, &mut next);
     }
 
@@ -731,9 +665,12 @@ mod tests {
                 &machine,
                 &initial,
             );
-            for (a, b) in result.field.iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 1e-12, "{layout:?} diverges from reference");
-            }
+            let bits = |field: &[f64]| field.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&result.field),
+                bits(&reference),
+                "{layout:?} diverges from reference"
+            );
         }
     }
 

@@ -66,11 +66,12 @@ pub struct ExecReport {
 /// Verbs call [`PlanExecutor::execute`] (one plan) or
 /// [`PlanExecutor::execute_fused`] (a class); the provided bodies are the
 /// shared-memory engines on the calling thread.  A backend says *where*
-/// copies run through the two `run_*` hooks ([`ThreadedExecutor`] also
-/// fans the class engine's destinations out over its pool); a backend
-/// with a different transport overrides the two `execute*` methods
-/// instead ([`crate::shard::ShardedExecutor`]).  Whatever the backend,
-/// buffers and charges are bit-identical to [`SerialExecutor`]'s.
+/// copies and per-owner work run through the `run_copies` and `run_owned`
+/// hooks ([`ThreadedExecutor`] also fans the class engine's destinations
+/// out over its pool); a backend with a different transport overrides the
+/// two `execute*` methods instead ([`crate::shard::ShardedExecutor`]).
+/// Whatever the backend, buffers and charges are bit-identical to
+/// [`SerialExecutor`]'s.
 pub trait PlanExecutor {
     /// Human-readable backend name (used by benches and reports).
     fn name(&self) -> &'static str;
@@ -87,6 +88,18 @@ pub trait PlanExecutor {
         tracker: &CommTracker,
     ) -> Vec<Vec<T>>;
 
+    /// Runs `work` once on each of `items` — independent per-processor
+    /// work (an owner's updates, a rank's kernel) touching `bytes` of data
+    /// in all.  This is the only parallelism over owners a backend may
+    /// exploit; the provided body runs the items in order on the calling
+    /// thread, and whatever a backend does instead must leave every item
+    /// as this would.
+    fn run_owned<I: Send>(&self, _bytes: usize, items: Vec<I>, work: &(dyn Fn(&mut I) + Sync)) {
+        for mut item in items {
+            work(&mut item);
+        }
+    }
+
     /// Applies owner-partitioned combine updates: `updates[p]` is the
     /// in-order list of `(local offset, value)` updates to apply to
     /// `locals[p]` with `combine(current, value)`.
@@ -94,20 +107,25 @@ pub trait PlanExecutor {
     /// The combine function is order-sensitive *per owner* (updates to one
     /// element must apply in program order), but owners are independent —
     /// that is the partition [`crate::parti::execute_scatter`] feeds this
-    /// hook, and the only parallelism a backend may exploit.  The default
-    /// implementation applies owners serially in order; backends must
-    /// produce bitwise-identical buffers.
+    /// method, which hands the owners that have updates to
+    /// [`PlanExecutor::run_owned`].
     fn run_updates<T: Element>(
         &self,
         locals: &mut [Vec<T>],
         updates: &[Vec<(usize, T)>],
         combine: &(dyn Fn(T, T) -> T + Sync),
     ) {
-        for (buf, ups) in locals.iter_mut().zip(updates) {
-            for &(off, v) in ups {
+        let owners: Vec<_> = locals
+            .iter_mut()
+            .zip(updates)
+            .filter(|(_, ups)| !ups.is_empty())
+            .collect();
+        let bytes = updates.iter().map(|u| u.len() * size_of::<T>()).sum();
+        self.run_owned(bytes, owners, &|(buf, ups)| {
+            for &(off, v) in *ups {
                 buf[off] = combine(buf[off], v);
             }
-        }
+        });
     }
 
     /// Executes one plan — the **direct copy** engine: posts the plan's
@@ -460,43 +478,20 @@ impl PlanExecutor for ThreadedExecutor {
         out
     }
 
-    fn run_updates<T: Element>(
-        &self,
-        locals: &mut [Vec<T>],
-        updates: &[Vec<(usize, T)>],
-        combine: &(dyn Fn(T, T) -> T + Sync),
-    ) {
-        let total_bytes: usize = updates
-            .iter()
-            .map(|u| u.len() * std::mem::size_of::<T>())
-            .sum();
-        if self.runs_serially(total_bytes) {
-            SerialExecutor.run_updates(locals, updates, combine);
-            return;
+    /// Above the cutoff the items are dealt round-robin over the workers
+    /// — each item is touched by exactly one worker, and one worker runs
+    /// its items in order — and the dispatch wakes only as many workers as
+    /// got one.
+    fn run_owned<I: Send>(&self, bytes: usize, items: Vec<I>, work: &(dyn Fn(&mut I) + Sync)) {
+        if items.is_empty() || self.runs_serially(bytes) {
+            return SerialExecutor.run_owned(bytes, items, work);
         }
-        // Round-robin the owners over the workers: each owner's buffer is
-        // touched by exactly one worker, and its updates apply in order,
-        // so the combine semantics are exactly the serial ones.  Owners
-        // with no updates are skipped outright, and empty bins are dropped
-        // so the dispatch wakes only as many workers as there are bins
-        // with work (owners are independent, so which rank drains which
-        // bin does not matter).
-        type OwnerWork<'a, T> = (&'a mut Vec<T>, &'a Vec<(usize, T)>);
         let workers = self.workers();
-        let mut bins: Vec<Vec<OwnerWork<'_, T>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, (buf, ups)) in locals.iter_mut().zip(updates).enumerate() {
-            if !ups.is_empty() {
-                bins[i % workers].push((buf, ups));
-            }
+        let mut bins: Vec<Vec<I>> = (0..workers.min(items.len())).map(|_| Vec::new()).collect();
+        for (i, item) in items.into_iter().enumerate() {
+            bins[i % workers].push(item);
         }
-        bins.retain(|bin| !bin.is_empty());
-        self.run_one_each(bins, |bin| {
-            for (buf, ups) in bin {
-                for &(off, v) in *ups {
-                    buf[off] = combine(buf[off], v);
-                }
-            }
-        });
+        self.run_one_each(bins, |bin| bin.iter_mut().for_each(work));
     }
 
     /// The wire pipeline with its destinations fanned out over the pool:
@@ -703,16 +698,11 @@ impl PlanExecutor for ExecBackend {
         }
     }
 
-    fn run_updates<T: Element>(
-        &self,
-        locals: &mut [Vec<T>],
-        updates: &[Vec<(usize, T)>],
-        combine: &(dyn Fn(T, T) -> T + Sync),
-    ) {
+    fn run_owned<I: Send>(&self, bytes: usize, items: Vec<I>, work: &(dyn Fn(&mut I) + Sync)) {
         match self {
-            ExecBackend::Serial => SerialExecutor.run_updates(locals, updates, combine),
-            ExecBackend::Threaded(t) => t.run_updates(locals, updates, combine),
-            ExecBackend::Sharded(s) => s.run_updates(locals, updates, combine),
+            ExecBackend::Serial => SerialExecutor.run_owned(bytes, items, work),
+            ExecBackend::Threaded(t) => t.run_owned(bytes, items, work),
+            ExecBackend::Sharded(s) => s.run_owned(bytes, items, work),
         }
     }
 

@@ -19,22 +19,38 @@
 //! transport (see [`crate::exec`]): [`exchange_ghosts`] (one array),
 //! [`exchange_class_ghosts`] (a class, blocking) and
 //! [`exchange_class_ghosts_split`] (a class, post now / wait later).  Each
-//! fills a [`GhostRegion`] per array, addressable by global point.
+//! fills a [`GhostRegion`] per array.
+//!
+//! A regular plan's overlap area is **slab-addressed**: a processor's
+//! ghost buffer holds the frame `extended \ segment` (the owned box widened
+//! by the stencil widths, clipped to the array) in global column-major
+//! order, so a slot is arithmetic on the two boxes and nothing is stored
+//! per point.  A kernel does not read slots one by one:
+//! [`GhostRegion::extended`] merges the owned segment and the frame into
+//! one dense box — the paper's local index space *over the segment
+//! extended by its overlap area* — and hands it back as a
+//! [`LocalView`].  A padded box rather than strided slabs, because the
+//! slot order interleaves the dimension-0 ends with the owned columns: a
+//! slab has a single stride only in two dimensions, whereas the merge is
+//! one sequential pass over two cursors in any rank, costs one copy of the
+//! segment, and leaves the kernel a dense loop with no edge cases.
+//! [`GhostRegion::get`] and [`get_with_ghosts`] address the same buffer by
+//! global point, for tests and scalar reads.
 
 use crate::exec::{
     split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor, SplitExecReport,
     SplitPhaseExchange,
 };
-use crate::plan::{CommPlan, PlanKind};
-use crate::{DistArray, Element, ExecReport, Result, RuntimeError};
+use crate::plan::{for_each_line, CommPlan, GhostSlots, PlanIndex, PlanKind};
+use crate::{DistArray, Element, ExecReport, LocalView, Result, RuntimeError};
 use std::sync::Arc;
 use vf_dist::ProcId;
 use vf_index::Point;
 use vf_machine::{trace, CommTracker};
 
 /// The ghost values gathered for every processor, backed by the plan that
-/// fetched them: a flat buffer per processor plus the plan's point → slot
-/// index.
+/// fetched them: a flat buffer per processor, addressed through the
+/// plan's slot index.
 #[derive(Debug, Clone)]
 pub struct GhostRegion<T> {
     plan: Arc<CommPlan>,
@@ -56,14 +72,67 @@ impl<T: Copy> GhostRegion<T> {
         self.values.get(proc.0).and_then(|v| v.get(slot)).copied()
     }
 
+    /// `proc`'s local index space over its segment *extended by the
+    /// overlap area*: merges `local` (the owned segment, as
+    /// [`DistArray::local`] holds it) and the exchanged frame into `out` —
+    /// one sequential pass, both in column-major order — and returns the
+    /// dense box as a view.  `out` is scratch the caller keeps across
+    /// steps, so a time loop allocates it once.
+    ///
+    /// # Errors
+    /// [`RuntimeError::NonContiguousLayout`] for an irregular plan (its
+    /// ghosts are a list, not a frame);
+    /// [`RuntimeError::DomainMismatch`] if `local` is not `proc`'s segment
+    /// or its ghosts were not exchanged.
+    pub fn extended<'o>(
+        &self,
+        proc: ProcId,
+        local: &[T],
+        out: &'o mut Vec<T>,
+    ) -> Result<LocalView<&'o [T]>> {
+        let frame = match &self.plan.index {
+            PlanIndex::Ghost { slots, .. } => slots.get(proc.0),
+            _ => None,
+        };
+        let Some(GhostSlots::Frame { segment, extended }) = frame else {
+            return Err(RuntimeError::NonContiguousLayout {
+                array: format!("the irregular overlap area of {proc}"),
+                dim: 0,
+            });
+        };
+        let ghosts = self.values.get(proc.0).map_or(&[][..], Vec::as_slice);
+        if local.len() != segment.size() || local.len() + ghosts.len() != extended.size() {
+            return Err(RuntimeError::DomainMismatch {
+                left: format!("{} local + {} ghost elements", local.len(), ghosts.len()),
+                right: format!("segment {segment} extended to {extended}"),
+            });
+        }
+        out.clear();
+        out.reserve(extended.size());
+        let owned = segment.dim(0);
+        let below = (owned.lower() - extended.dim(0).lower()) as usize;
+        let above = (extended.dim(0).upper() - owned.upper()) as usize;
+        let (mut local, mut ghosts) = (local, ghosts);
+        let mut take = |from: &mut &[T], n: usize| {
+            let (head, tail) = from.split_at(n);
+            out.extend_from_slice(head);
+            *from = tail;
+        };
+        for_each_line(segment, extended, |_, inside| {
+            if inside {
+                take(&mut ghosts, below);
+                take(&mut local, owned.len());
+                take(&mut ghosts, above);
+            } else {
+                take(&mut ghosts, below + owned.len() + above);
+            }
+        });
+        Ok(LocalView::over(extended.clone(), out))
+    }
+
     /// Number of ghost elements held by `proc`.
     pub fn len(&self, proc: ProcId) -> usize {
         self.plan.ghost_len(proc)
-    }
-
-    /// Whether `proc` holds no ghost elements.
-    pub fn is_empty(&self, proc: ProcId) -> bool {
-        self.len(proc) == 0
     }
 }
 
@@ -79,11 +148,15 @@ pub struct GhostReport {
 }
 
 /// Reads the element at `point` on behalf of `proc`, taking it from the
-/// local buffer if owned and from the exchanged ghost region otherwise.
+/// local buffer if owned and from the exchanged ghost region otherwise —
+/// the per-point form for tests and scalar reads; kernels read
+/// [`GhostRegion::extended`].
 ///
 /// # Errors
 /// [`RuntimeError::GhostWidthExceeded`] if the point is neither local nor in
-/// the exchanged overlap area.
+/// the exchanged overlap area, naming the dimension in which it lies
+/// beyond the overlap area and the width planned there (dimension 0,
+/// width 0 for an irregular plan).
 pub fn get_with_ghosts<T: Element>(
     array: &DistArray<T>,
     ghosts: &GhostRegion<T>,
@@ -93,9 +166,10 @@ pub fn get_with_ghosts<T: Element>(
     if array.dist().is_local(proc, point) {
         return array.get(point);
     }
-    ghosts
-        .get(proc, point)
-        .ok_or(RuntimeError::GhostWidthExceeded { dim: 0, width: 0 })
+    ghosts.get(proc, point).ok_or_else(|| {
+        let (dim, width) = ghosts.plan.ghost_miss(proc, point);
+        RuntimeError::GhostWidthExceeded { dim, width }
+    })
 }
 
 /// The one *prepare* of the overlap exchange, per (array, plan) pair: a
@@ -382,6 +456,35 @@ mod tests {
     }
 
     #[test]
+    fn a_miss_names_the_dimension_exceeded_and_its_planned_width() {
+        let miss = |t: DistType, view, widths: [(usize, usize); 2], proc, point| {
+            let a = array_2d(t, 8, view);
+            let tracker = CommTracker::new(4, CostModel::zero());
+            let plan = PlanCache::new().ghost_plan(a.dist(), &widths).unwrap();
+            let (ghosts, _) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
+            match get_with_ghosts(&a, &ghosts, ProcId(proc), &point) {
+                Err(RuntimeError::GhostWidthExceeded { dim, width }) => (dim, width),
+                other => panic!("expected a miss, got {other:?}"),
+            }
+        };
+        // P0 owns columns 1..2 and sees column 3: column 4 is two columns
+        // beyond, in dimension 1, where one was planned.
+        let columns = || (DistType::columns(), ProcessorView::linear(4));
+        let (t, view) = columns();
+        assert_eq!(miss(t, view, [(1, 1), (1, 1)], 0, Point::d2(5, 4)), (1, 1));
+        let (t, view) = columns();
+        assert_eq!(miss(t, view, [(1, 1), (0, 2)], 1, Point::d2(5, 2)), (1, 0));
+        // P0 owns rows and columns 1..4: row 5 lies in dimension 0, where
+        // the plan has no overlap at all — width 0 is the plan, not a
+        // placeholder.
+        let blocks = (DistType::blocks2d(), ProcessorView::grid2d(2, 2));
+        assert_eq!(
+            miss(blocks.0, blocks.1, [(0, 0), (1, 1)], 0, Point::d2(5, 4)),
+            (0, 0)
+        );
+    }
+
+    #[test]
     fn zero_width_halo_exchanges_nothing() {
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let tracker = CommTracker::new(4, CostModel::zero());
@@ -390,7 +493,7 @@ mod tests {
             .unwrap();
         let (ghosts, report) = exchange_ghosts(&a, &plan, &tracker, &SerialExecutor).unwrap();
         assert_eq!(report.messages, 0);
-        assert!(ghosts.is_empty(ProcId(1)));
+        assert_eq!(ghosts.len(ProcId(1)), 0);
     }
 
     #[test]
@@ -463,16 +566,11 @@ mod tests {
         // arrays' worth of bytes, and every ghost value must equal the
         // per-array exchange bitwise.
         let a = array_2d(DistType::blocks2d(), 8, ProcessorView::grid2d(2, 2));
-        let b = {
-            let mut b = a.clone();
-            b.map_all_owned(|_, _, v| -v);
-            b
+        let scaled = |k: f64| {
+            let value = |p: &Point| k * (p.coord(0) * 1000 + p.coord(1)) as f64;
+            DistArray::from_fn("U", a.dist().clone(), value)
         };
-        let c = {
-            let mut c = a.clone();
-            c.map_all_owned(|_, _, v| v * 3.0);
-            c
-        };
+        let (b, c) = (scaled(-1.0), scaled(3.0));
         let widths = [(1, 1), (1, 1)];
         let cache = PlanCache::new();
         let t_fused = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));

@@ -6,9 +6,12 @@
 //! programs … realised by a set of run time libraries" (paper §3.2).  This
 //! crate provides those libraries:
 //!
-//! * [`DistArray`] — a distributed array with per-processor local storage,
-//!   the `loc_map`/`segment` access functions of §3.2.1, and a global-view
-//!   accessor for the single logical thread of control;
+//! * [`DistArray`] — a distributed array with per-processor local storage
+//!   and a global-view accessor for the single logical thread of control;
+//!   [`LocalView`] — a processor's local index space (the `loc_map` /
+//!   `segment` access functions of §3.2.1) over its buffer; and
+//!   [`forall_owned`] — the compute verb that runs an owner-computes
+//!   kernel on the views, on the executor's ranks;
 //! * [`redistribute`] — the three-step realisation of the executable
 //!   `DISTRIBUTE` statement of §3.2.2 (evaluate the new distribution,
 //!   derive the distributions of connected arrays, communicate), including
@@ -61,7 +64,7 @@ pub mod reduce;
 pub mod shard;
 pub mod translation;
 
-pub use array::DistArray;
+pub use array::{forall_owned, DistArray, LocalView, LocalViewMut};
 pub use checkpoint::{CheckpointStore, RestoredCheckpoint};
 pub use descriptor::ArrayDescriptor;
 pub use element::{decode_slice, encode_slice, Element};

@@ -192,11 +192,88 @@ pub enum PlanKind {
 }
 
 /// Per-receiver slot index of a ghost plan: which buffer slot each global
-/// point occupies.
+/// point occupies.  Either way the slots follow ascending global
+/// column-major order.
 #[derive(Debug)]
-pub(crate) struct GhostSlots {
-    pub(crate) slot_of_point: HashMap<Point, usize>,
-    pub(crate) count: usize,
+pub(crate) enum GhostSlots {
+    /// A regular plan's overlap area: the frame `extended \ segment`, where
+    /// `extended` is the owned `segment` widened by the planned widths and
+    /// clipped to the array.  A point's slot is arithmetic on the two boxes
+    /// ([`frame_slot`]) — nothing is stored per point.
+    Frame {
+        /// The processor's owned box (possibly empty).
+        segment: IndexDomain,
+        /// The owned box plus its overlap area.
+        extended: IndexDomain,
+    },
+    /// An irregular (connectivity-driven) plan, or a processor outside the
+    /// view: the scheduled points, listed.
+    Listed(HashMap<Point, usize>),
+}
+
+impl GhostSlots {
+    /// Number of ghost slots.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            GhostSlots::Frame { segment, extended } => extended.size() - segment.size(),
+            GhostSlots::Listed(slots) => slots.len(),
+        }
+    }
+
+    fn slot(&self, point: &Point) -> Option<usize> {
+        match self {
+            GhostSlots::Frame { segment, extended } => frame_slot(segment, extended, point),
+            GhostSlots::Listed(slots) => slots.get(point).copied(),
+        }
+    }
+}
+
+/// The slot of `point` in the frame `extended \ segment` numbered in
+/// column-major order: its column-major rank in `extended` minus the owned
+/// points that precede it there.  The owned predecessors are counted from
+/// the highest dimension down — every owned point whose coordinate in `d`
+/// is smaller (the higher coordinates being equal) precedes `point`, and
+/// the count stops at the first dimension in which `point` leaves the
+/// owned range.
+fn frame_slot(segment: &IndexDomain, extended: &IndexDomain, point: &Point) -> Option<usize> {
+    if segment.contains(point) {
+        return None;
+    }
+    let rank = extended.linearize(point).ok()?;
+    let mut stride = segment.size();
+    let mut owned_before = 0usize;
+    for d in (0..segment.rank()).rev() {
+        let range = segment.dim(d);
+        stride /= range.len().max(1);
+        let below = (point.coord(d) - range.lower()).clamp(0, range.len() as i64);
+        owned_before += below as usize * stride;
+        if !range.contains(point.coord(d)) {
+            break;
+        }
+    }
+    Some(rank - owned_before)
+}
+
+/// Calls `visit(origin, inside)` for every dimension-0 line of `extended`
+/// in column-major order: `origin` is the line's first point and `inside`
+/// says whether the line crosses `segment` (its higher coordinates are all
+/// owned), in which case only its two ends belong to the frame.  This is
+/// the order ghost slots are numbered in, so the planner and
+/// [`crate::ghost::GhostRegion::extended`] both walk it.
+pub(crate) fn for_each_line(
+    segment: &IndexDomain,
+    extended: &IndexDomain,
+    mut visit: impl FnMut(&Point, bool),
+) {
+    if extended.is_empty() {
+        return;
+    }
+    let line_len = extended.extent(0);
+    for first in (0..extended.size()).step_by(line_len) {
+        let origin = extended.delinearize(first).expect("offset within the box");
+        let inside = (1..extended.rank()).all(|d| segment.dim(d).contains(origin.coord(d)));
+        visit(&origin, inside);
+    }
 }
 
 /// Per-requester slot index of a gather plan.
@@ -220,9 +297,14 @@ pub(crate) enum PlanIndex {
         /// The target distribution (used to size the new local buffers).
         new_dist: Distribution,
     },
+    /// Overlap exchange.  A regular plan keeps two boxes per processor
+    /// and the planned widths; only an irregular plan lists its points.
     Ghost {
         /// Per total-processor-id ghost slot index.
         slots: Vec<GhostSlots>,
+        /// The planned `(below, above)` widths per dimension (empty for an
+        /// irregular plan, which has no geometric width).
+        widths: Vec<(usize, usize)>,
     },
     Gather {
         /// Per total-processor-id gather slot index.
@@ -357,8 +439,9 @@ impl CommPlan {
     /// entry count.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
-        // Per-slot overhead of the point/offset hash maps of ghost and
-        // gather plans (key + value + bucket overhead, rounded up).
+        // Per-slot overhead of the point/offset hash maps of irregular
+        // ghost plans and gather plans (key + value + bucket overhead,
+        // rounded up).
         const SLOT_BYTES: usize = 64;
         let transfers: usize = self
             .transfers
@@ -370,9 +453,17 @@ impl CommPlan {
             // alignment-derived targets carry O(N) translation tables, so
             // their real footprint must count against the cache budget.
             PlanIndex::Redistribute { new_dist } => new_dist.estimated_bytes(),
-            PlanIndex::Ghost { slots } => slots
+            PlanIndex::Ghost { slots, .. } => slots
                 .iter()
-                .map(|s| size_of::<GhostSlots>() + s.slot_of_point.len() * SLOT_BYTES)
+                .map(|s| {
+                    size_of::<GhostSlots>()
+                        + match s {
+                            GhostSlots::Frame { segment, .. } => {
+                                2 * segment.rank() * size_of::<DimRange>()
+                            }
+                            GhostSlots::Listed(listed) => listed.len() * SLOT_BYTES,
+                        }
+                })
                 .sum(),
             PlanIndex::Gather { slots } => slots
                 .iter()
@@ -471,18 +562,34 @@ impl CommPlan {
     /// The ghost-buffer slot of `point` on `proc`, if the plan schedules it.
     pub(crate) fn ghost_slot(&self, proc: ProcId, point: &Point) -> Option<usize> {
         match &self.index {
-            PlanIndex::Ghost { slots } => slots
-                .get(proc.0)
-                .and_then(|s| s.slot_of_point.get(point))
-                .copied(),
+            PlanIndex::Ghost { slots, .. } => slots.get(proc.0).and_then(|s| s.slot(point)),
             _ => None,
         }
+    }
+
+    /// Why `point` is not in `proc`'s overlap area: the first dimension in
+    /// which it lies beyond the extended box, with the width planned on
+    /// that side — `(0, 0)` for an irregular plan, which has neither.
+    pub(crate) fn ghost_miss(&self, proc: ProcId, point: &Point) -> (usize, usize) {
+        if let PlanIndex::Ghost { slots, widths } = &self.index {
+            if let Some(GhostSlots::Frame { extended, .. }) = slots.get(proc.0) {
+                for (d, (range, &(below, above))) in extended.dims().iter().zip(widths).enumerate()
+                {
+                    match point.coords().get(d) {
+                        Some(&c) if c < range.lower() => return (d, below),
+                        Some(&c) if c > range.upper() => return (d, above),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        (0, 0)
     }
 
     /// Number of ghost slots held for `proc`.
     pub(crate) fn ghost_len(&self, proc: ProcId) -> usize {
         match &self.index {
-            PlanIndex::Ghost { slots } => slots.get(proc.0).map(|s| s.count).unwrap_or(0),
+            PlanIndex::Ghost { slots, .. } => slots.get(proc.0).map_or(0, GhostSlots::len),
             _ => 0,
         }
     }
@@ -636,7 +743,7 @@ pub fn plan_redistribute(old: &Distribution, new: &Distribution) -> Result<CommP
 /// the actual per-dimension segments ([`Distribution::scattered_dims`]),
 /// not from the distribution-function variants (a `CYCLIC(k)` that gives
 /// every processor one contiguous block is *not* scattered).
-fn non_contiguous_dim(dist: &Distribution) -> usize {
+pub(crate) fn non_contiguous_dim(dist: &Distribution) -> usize {
     dist.scattered_dims().first().copied().unwrap_or(0)
 }
 
@@ -666,55 +773,11 @@ pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<Comm
         return plan_ghost_irregular(dist, &chain);
     }
     let total_procs = dist.procs().array().num_procs();
-    // Degenerate stencils — every width zero — exchange nothing: return an
-    // empty plan immediately instead of walking every processor's segment
-    // to discover the same.  The empty plan still participates in caching
-    // (callers need the slot index for `GhostRegion`), but it carries no
-    // transfer groups and only a handful of bytes.
-    if widths.iter().all(|&(lo, hi)| lo == 0 && hi == 0) {
-        // Still validate the layout: ghost exchange is only defined for
-        // distributions whose processors own contiguous rectangular
-        // segments, and a degenerate width must not mask that error (a
-        // width-parameterised caller would otherwise see the zero case
-        // succeed and every nonzero case fail on the same array).
-        for &p in dist.proc_ids() {
-            if dist.local_segment(p).is_none() {
-                return Err(RuntimeError::NonContiguousLayout {
-                    array: dist.to_string(),
-                    dim: non_contiguous_dim(dist),
-                });
-            }
-        }
-        let fp = dist.fingerprint();
-        return Ok(CommPlan {
-            kind: PlanKind::Ghost,
-            src_fingerprint: fp,
-            dst_fingerprint: fp,
-            total_procs,
-            needed_procs: dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1),
-            transfers: Vec::new(),
-            moved_elements: 0,
-            stayed_elements: 0,
-            directory: Mutex::new(Vec::new()),
-            index: PlanIndex::Ghost {
-                slots: (0..total_procs)
-                    .map(|_| GhostSlots {
-                        slot_of_point: HashMap::new(),
-                        count: 0,
-                    })
-                    .collect(),
-            },
-        });
-    }
-    let mut resolver = OwnerResolver::for_dist(dist);
-    let mut slots: Vec<GhostSlots> = (0..total_procs)
-        .map(|_| GhostSlots {
-            slot_of_point: HashMap::new(),
-            count: 0,
-        })
-        .collect();
-    let mut b = PlanBuilder::new();
-
+    // Every processor must own one box; the error names the dimension
+    // that scatters.  (Checked before anything is resolved, so a layout
+    // that cannot be planned never builds a translation table, and a
+    // zero-width stencil reports it like any other.)
+    let mut segments = Vec::with_capacity(dist.num_procs());
     for &p in dist.proc_ids() {
         let Some(segment) = dist.local_segment(p) else {
             return Err(RuntimeError::NonContiguousLayout {
@@ -722,79 +785,50 @@ pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<Comm
                 dim: non_contiguous_dim(dist),
             });
         };
-        if segment.is_empty() {
-            continue;
-        }
-        // Collect the halo frame: for each dimension, the slab just below
-        // and just above the owned segment, extended by the halo in the
-        // other dimensions so corners are included (§3.1 overlap areas).
-        let mut lins: Vec<usize> = Vec::new();
-        for d in 0..domain.rank() {
-            let (w_lo, w_hi) = widths[d];
-            // Zero-width dimensions contribute no slabs at all.
-            if w_lo == 0 && w_hi == 0 {
-                continue;
-            }
-            for (side_width, below) in [(w_lo, true), (w_hi, false)] {
-                if side_width == 0 {
-                    continue;
-                }
-                let (slab_lo, slab_hi) = if below {
-                    (
-                        segment.dim(d).lower() - side_width as i64,
-                        segment.dim(d).lower() - 1,
-                    )
-                } else {
-                    (
-                        segment.dim(d).upper() + 1,
-                        segment.dim(d).upper() + side_width as i64,
-                    )
-                };
-                let slab_lo = slab_lo.max(domain.dim(d).lower());
-                let slab_hi = slab_hi.min(domain.dim(d).upper());
-                if slab_hi < slab_lo {
-                    continue;
-                }
-                let mut dims = Vec::with_capacity(domain.rank());
-                let mut ok = true;
-                #[allow(clippy::needless_range_loop)] // `e` indexes widths and two domains
-                for e in 0..domain.rank() {
-                    if e == d {
-                        dims.push(DimRange::new(slab_lo, slab_hi).expect("checked non-empty"));
-                    } else {
-                        let lo = (segment.dim(e).lower() - widths[e].0 as i64)
-                            .max(domain.dim(e).lower());
-                        let hi = (segment.dim(e).upper() + widths[e].1 as i64)
-                            .min(domain.dim(e).upper());
-                        if hi < lo {
-                            ok = false;
-                            break;
-                        }
-                        dims.push(DimRange::new(lo, hi).expect("checked non-empty"));
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                let slab = IndexDomain::new(dims).expect("rank preserved");
-                for point in slab.iter() {
-                    if !segment.contains(&point) {
-                        lins.push(domain.linearize(&point).expect("slab within domain"));
-                    }
+        segments.push((p, segment));
+    }
+    let mut resolver = OwnerResolver::for_dist(dist);
+    let mut slots: Vec<GhostSlots> = (0..total_procs)
+        .map(|_| GhostSlots::Listed(HashMap::new()))
+        .collect();
+    let mut b = PlanBuilder::new();
+
+    for (p, segment) in segments {
+        // The overlap area (§3.1): the segment widened by the stencil
+        // widths in every dimension — so corners are included — and
+        // clipped to the array.  A processor that owns nothing reads
+        // nothing.
+        let extended = if segment.is_empty() {
+            segment.clone()
+        } else {
+            let widened = segment.dims().iter().zip(widths).zip(domain.dims());
+            let dims = widened.map(|((seg, &(below, above)), dom)| {
+                let lower = (seg.lower() - below as i64).max(dom.lower());
+                let upper = (seg.upper() + above as i64).min(dom.upper());
+                DimRange::new(lower, upper).expect("the segment lies inside the array")
+            });
+            IndexDomain::new(dims.collect()).expect("rank preserved")
+        };
+        // Slots are numbered over the frame `extended \ segment` in global
+        // column-major order, grouped by owner and run-length-encoded over
+        // (owner local, slot).
+        let mut slot = 0usize;
+        for_each_line(&segment, &extended, |origin, inside| {
+            let (first, last) = (origin.coord(0), extended.dim(0).upper());
+            let owned = segment.dim(0);
+            let ends = [(first, owned.lower() - 1), (owned.upper() + 1, last)];
+            let whole = [(first, last)];
+            for &(from, to) in if inside { &ends[..] } else { &whole[..] } {
+                for i in from..=to {
+                    let point = origin.with_coord(0, i);
+                    let lin = domain.linearize(&point).expect("frame within the array");
+                    let (owner, local) = resolver.locate_from(p, lin);
+                    b.push(owner, p, local, slot);
+                    slot += 1;
                 }
             }
-        }
-        lins.sort_unstable();
-        lins.dedup();
-        // Assign buffer slots in global column-major order and group the
-        // fetches by owner, run-length-encoded over (owner local, slot).
-        for (slot, &lin) in lins.iter().enumerate() {
-            let point = domain.delinearize(lin).expect("lin from linearize");
-            let (owner, local) = resolver.locate_from(p, lin);
-            slots[p.0].slot_of_point.insert(point, slot);
-            b.push(owner, p, local, slot);
-        }
-        slots[p.0].count = lins.len();
+        });
+        slots[p.0] = GhostSlots::Frame { segment, extended };
     }
 
     let fp = dist.fingerprint();
@@ -810,7 +844,10 @@ pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<Comm
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.finish()),
-        index: PlanIndex::Ghost { slots },
+        index: PlanIndex::Ghost {
+            slots,
+            widths: widths.to_vec(),
+        },
     })
 }
 
@@ -839,12 +876,11 @@ pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<
     }
     let total_procs = dist.procs().array().num_procs();
     let fp = dist.fingerprint();
-    let mut slots: Vec<GhostSlots> = (0..total_procs)
-        .map(|_| GhostSlots {
-            slot_of_point: HashMap::new(),
-            count: 0,
-        })
-        .collect();
+    let mut slots: Vec<HashMap<Point, usize>> = vec![HashMap::new(); total_procs];
+    let index = |slots: Vec<HashMap<Point, usize>>| PlanIndex::Ghost {
+        slots: slots.into_iter().map(GhostSlots::Listed).collect(),
+        widths: Vec::new(),
+    };
     let needed_view = dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1);
     // A replicated view holds every element on every processor — no read
     // can be non-local — and an edge-free connectivity references nothing.
@@ -859,7 +895,7 @@ pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<
             moved_elements: 0,
             stayed_elements: 0,
             directory: Mutex::new(Vec::new()),
-            index: PlanIndex::Ghost { slots },
+            index: index(slots),
         });
     }
     // Requester-side ownership: every processor knows which global offsets
@@ -892,10 +928,9 @@ pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<
         for (slot, &lin) in lins.iter().enumerate() {
             let point = domain.delinearize(lin).expect("lin within the domain");
             let (owner, local) = resolver.locate_from(p, lin);
-            slots[p.0].slot_of_point.insert(point, slot);
+            slots[p.0].insert(point, slot);
             b.push(owner, p, local, slot);
         }
-        slots[p.0].count = lins.len();
     }
     Ok(CommPlan {
         kind: PlanKind::Ghost,
@@ -907,7 +942,7 @@ pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.finish()),
-        index: PlanIndex::Ghost { slots },
+        index: index(slots),
     })
 }
 
@@ -1550,18 +1585,27 @@ mod tests {
         for p in 0..4 {
             assert_eq!(empty.ghost_len(ProcId(p)), 0);
         }
-        // The degenerate plan costs almost nothing to cache, far less than
-        // a real halo plan over the same distribution.
+        // The degenerate plan carries no transfers, so it is the smaller
+        // one to cache — and a real halo plan stores nothing per point: a
+        // grid sixteen times the size costs the same bytes.
         let real = plan_ghost(&dist, &[(1, 1), (1, 1)]).unwrap();
-        assert!(empty.estimated_bytes() < real.estimated_bytes() / 4);
+        assert!(empty.estimated_bytes() < real.estimated_bytes());
+        let large = Distribution::new(
+            DistType::columns(),
+            IndexDomain::d2(256, 256),
+            ProcessorView::linear(4),
+        )
+        .unwrap();
+        let large = plan_ghost(&large, &[(1, 1), (1, 1)]).unwrap();
+        assert_eq!(large.estimated_bytes(), real.estimated_bytes());
         // A plan with one zero-width dimension only schedules the other —
         // for a column layout dimension 0 is undistributed, so its slabs
         // clip to nothing and the two plans coincide.
         let one_dim = plan_ghost(&dist, &[(0, 0), (1, 1)]).unwrap();
         assert!(one_dim.num_messages() > 0);
         assert_eq!(one_dim.moved_elements(), real.moved_elements());
-        // The zero-width fast path must not mask the contiguous-segment
-        // requirement: a cyclic layout is rejected at any width.
+        // A zero width must not mask the contiguous-segment requirement: a
+        // cyclic layout is rejected at any width.
         let cyclic = Distribution::new(
             DistType::new(vec![
                 vf_dist::DimDist::Cyclic(1),

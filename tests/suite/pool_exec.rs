@@ -423,7 +423,7 @@ fn zero_width_halo_posts_no_messages_through_the_wire_path() {
     );
     for r in &regions {
         for proc in a.dist().proc_ids() {
-            assert!(r.is_empty(*proc));
+            assert_eq!(r.len(*proc), 0);
         }
     }
 }

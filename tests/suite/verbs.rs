@@ -562,7 +562,8 @@ fn distribute_onto_the_current_mapping_is_a_no_op() {
         scope.declare_secondary(s).unwrap();
         for (name, sign) in [("B", 1.0), ("S", -1.0)] {
             let array = scope.array_mut(name).unwrap();
-            array.map_all_owned(|_, pt, _| sign * pt.coord(0) as f64);
+            let value = |pt: &Point| sign * pt.coord(0) as f64;
+            *array = DistArray::from_fn(name, array.dist().clone(), value);
         }
         let state = |scope: &VfScope<f64>| {
             let bits = ["B", "S"].map(|name| array_bits(scope.array(name).unwrap()));
