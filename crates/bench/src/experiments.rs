@@ -293,7 +293,10 @@ fn skewed_sizes(n: usize, p: usize) -> Vec<usize> {
 }
 
 /// E5 — DCASE query matching and reaching-distribution analysis overheads.
+/// Each row times at least one `SELECT DCASE`, so `repeats == 0` is read
+/// as 1 rather than dividing the elapsed time by zero.
 pub fn e5_queries(clause_counts: &[usize], repeats: usize) -> String {
+    let repeats = repeats.max(1);
     let mut rows = Vec::new();
     for &clauses in clause_counts {
         let mut scope: VfScope<f64> = VfScope::new(Machine::new(4, CostModel::zero()));
@@ -445,6 +448,17 @@ mod tests {
         let result = ReachingDistributions::analyze(&program);
         assert!(!result.accesses().is_empty());
         assert!(result.undistributed_accesses().is_empty());
+    }
+
+    #[test]
+    fn e5_queries_with_zero_repeats_prints_finite_cells() {
+        let q = e5_queries(&[1, 4], 0);
+        for row in q.lines().skip(2) {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            assert!(cells[2].parse::<usize>().is_ok(), "no clause ran: {row}");
+            let us: f64 = cells[3].trim_end_matches(" us").parse().unwrap();
+            assert!(us.is_finite(), "non-finite time cell: {row}");
+        }
     }
 
     #[test]

@@ -705,6 +705,7 @@ mod tests {
         // The mesh-aware partition fetches fewer elements over cut edges
         // and the indirect planning walked the translation table.
         assert!(coord.gathered_elements < block.gathered_elements);
+        assert!(greedy.gathered_elements < block.gathered_elements);
         assert!(coord.directory.page_fetches + coord.directory.home_hits > 0);
         assert_eq!(block.directory, TranslationStats::default());
     }

@@ -46,9 +46,9 @@
 //! [`parse_chrome_trace`] parses it back (the workspace has no
 //! serialisation dependency, so the JSON is hand-rolled and round-trips
 //! through its own parser).  [`MetricsReport`] is the machine-readable
-//! summary (same style as the `BENCH_*.json` artifacts) and carries the
-//! [`DriftReport`] comparing measured span seconds against the modelled
-//! seconds in a [`CommStats`](crate::CommStats).
+//! summary and carries the [`DriftReport`] comparing measured span
+//! seconds against the modelled seconds in a
+//! [`CommStats`](crate::CommStats).
 
 use crate::stats::CommStats;
 use std::cell::Cell;
@@ -1192,9 +1192,8 @@ impl fmt::Display for DriftReport {
 }
 
 /// The machine-readable metrics summary: per-phase counts, totals and
-/// percentiles plus the [`DriftReport`] — same spirit as the
-/// `BENCH_*.json` artifacts.  Render with [`MetricsReport::to_json`] or
-/// `{}` (a human-readable profile table).
+/// percentiles plus the [`DriftReport`].  Render with
+/// [`MetricsReport::to_json`] or `{}` (a human-readable profile table).
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// Number of simulated processors of the machine that produced the

@@ -48,12 +48,6 @@ impl ArrayDescriptor {
             per_proc,
         }
     }
-
-    /// Total number of locally stored elements summed over processors
-    /// (equals the domain size unless the array is replicated).
-    pub fn total_local_elements(&self) -> usize {
-        self.per_proc.iter().map(|(_, n, _)| n).sum()
-    }
 }
 
 impl fmt::Display for ArrayDescriptor {
@@ -91,7 +85,6 @@ mod tests {
         assert_eq!(d.name, "V");
         assert_eq!(d.dist_type, DistType::columns());
         assert_eq!(d.per_proc.len(), 4);
-        assert_eq!(d.total_local_elements(), 64);
         assert!(!d.uses_translation_table);
         assert!(d
             .per_proc

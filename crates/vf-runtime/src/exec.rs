@@ -73,7 +73,7 @@ pub struct ExecReport {
 /// Whatever the backend, buffers and charges are bit-identical to
 /// [`SerialExecutor`]'s.
 pub trait PlanExecutor {
-    /// Human-readable backend name (used by benches and reports).
+    /// Human-readable backend name (used by reports).
     fn name(&self) -> &'static str;
 
     /// Allocates one destination buffer per entry of `dst_sizes`
@@ -322,8 +322,9 @@ pub struct ThreadedExecutor {
 
 impl ThreadedExecutor {
     /// Default copy volume (in bytes) below which dispatch is not worth
-    /// waking the workers: a pool wake costs a few microseconds, the
-    /// memcpy equivalent of roughly this many bytes.
+    /// waking the workers: a pool wake costs a few microseconds
+    /// (`pool.dispatch_us` in the `perf` benchmark), the memcpy equivalent
+    /// of roughly this many bytes.
     pub const DEFAULT_POOLED_CUTOFF_BYTES: usize = 32 * 1024;
 
     /// A threaded executor with one worker per available hardware core,
@@ -346,7 +347,7 @@ impl ThreadedExecutor {
     /// volume is below the cutoff run on the calling thread (0 forces the
     /// threaded path for every plan — used by the equivalence tests).
     /// [`ExecBackend::auto`] additionally honours the `VF_EXEC_CUTOFF`
-    /// environment variable (bytes) for benching.
+    /// environment variable (bytes), for A/B runs of the `perf` benchmark.
     pub fn with_serial_cutoff(mut self, bytes: usize) -> Self {
         self.cutoff_override = Some(bytes);
         self
@@ -354,7 +355,7 @@ impl ThreadedExecutor {
 
     /// The cutoff currently in effect (override, or
     /// [`ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES`]).
-    pub fn effective_serial_cutoff(&self) -> usize {
+    pub(crate) fn effective_serial_cutoff(&self) -> usize {
         self.cutoff_override
             .unwrap_or(Self::DEFAULT_POOLED_CUTOFF_BYTES)
     }
@@ -604,7 +605,8 @@ impl ExecBackend {
     /// persistent worker pool when more than one hardware core is
     /// available, serial otherwise.
     ///
-    /// The serial/parallel cutoff can be overridden for benching through
+    /// The serial/parallel cutoff can be overridden — to A/B it against
+    /// the measured `pool.dispatch_us` of the `perf` benchmark — through
     /// the `VF_EXEC_CUTOFF` environment variable (bytes; must be positive
     /// — a zero value is rejected with a warning and the default cutoff is
     /// kept, since forcing the threaded path for every plan is what
@@ -1028,8 +1030,8 @@ struct WireFrame {
 /// accumulator, so injected single-bit corruption can never pass
 /// validation — and because the wire buffer is contiguous, the xor is one
 /// sequential sweep at cache speed ([`xor_bits`]), which is what keeps the
-/// always-on framing cheap (`e8_pool` bounds the whole wire path, checksum
-/// included).
+/// always-on framing cheap (`ghost.stmt_ms` of the `perf` benchmark times
+/// the whole wire path, checksum included).
 pub(crate) fn wire_checksum<T: Element>(wire: &[T]) -> u64 {
     finish_checksum(xor_bits(wire), wire.len())
 }
@@ -1388,10 +1390,11 @@ fn execute_fused_blocking<T: Element>(
         // One span covers this destination's whole copy stream (local
         // copies, pack, verify, unpack): per-destination is the
         // granularity the pool dispatches at, and coarse enough that
-        // tracing a dispatch-dominated exchange stays within the e11
-        // bench's enabled-overhead guard even on a single-core host (the
-        // split streaming path keeps per-pair spans — there the caller's
-        // overlapped compute absorbs the recording cost).
+        // tracing a dispatch-dominated exchange stays cheap even on a
+        // single-core host (`trace.overhead_ratio` in the `perf`
+        // benchmark; the split streaming path keeps per-pair spans —
+        // there the caller's overlapped compute absorbs the recording
+        // cost).
         let _span = trace::OpenSpan::begin_dest(trace::Phase::Unpack, d);
         exchange.stage_dest(srcs, dst_sizes, d);
         for &pi in &fused.pairs_by_dst[d] {

@@ -54,11 +54,6 @@ impl CommSchedule {
     pub fn num_elements(&self) -> usize {
         self.plan.moved_elements()
     }
-
-    /// The owners contacted by processor `proc`.
-    pub fn owners_for(&self, proc: ProcId) -> Vec<ProcId> {
-        self.plan.senders_to(proc)
-    }
 }
 
 /// The inspector phase: analyses the non-local accesses each processor
@@ -239,9 +234,10 @@ mod tests {
         let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
         assert_eq!(schedule.num_elements(), 3);
         assert_eq!(schedule.num_messages(), 3);
-        assert_eq!(schedule.owners_for(ProcId(0)), vec![ProcId(1), ProcId(2)]);
-        assert_eq!(schedule.owners_for(ProcId(3)), vec![ProcId(0)]);
-        assert!(schedule.owners_for(ProcId(1)).is_empty());
+        let plan = schedule.plan();
+        assert_eq!(plan.senders_to(ProcId(0)), vec![ProcId(1), ProcId(2)]);
+        assert_eq!(plan.senders_to(ProcId(3)), vec![ProcId(0)]);
+        assert!(plan.senders_to(ProcId(1)).is_empty());
     }
 
     #[test]
@@ -464,7 +460,7 @@ mod tests {
         for q in 0..p {
             assert_eq!(
                 schedule.senders_to(ProcId(q)),
-                gather.owners_for(ProcId(q)),
+                gather.plan().senders_to(ProcId(q)),
                 "P{q}"
             );
         }

@@ -16,8 +16,9 @@
 //!   collapse to a handful of runs per pair, instead of the per-point hash
 //!   maps the paths previously rebuilt on every call);
 //! * planning is separated from execution, exactly as in PARTI's
-//!   inspector/executor split: [`plan_redistribute`], [`plan_ghost`],
-//!   [`plan_gather`] and [`plan_scatter`] are the inspectors, the
+//!   inspector/executor split: [`plan_redistribute`], [`plan_ghost`]
+//!   and the gather / scatter planners behind [`crate::parti::inspector`]
+//!   and [`crate::parti::execute_scatter`] are the inspectors, the
 //!   `execute_*`/`exchange_*` functions of the client modules are the
 //!   executors (a single pass over the runs with one aggregated
 //!   [`CommTracker`] charge per message);
@@ -330,7 +331,10 @@ pub struct CommPlan {
     /// Fingerprint of the distribution the data currently lives in.
     src_fingerprint: u64,
     /// Fingerprint of the target distribution (redistribution) or of the
-    /// source distribution again (ghost/gather/scatter).
+    /// source distribution again (ghost/gather/scatter).  Read only by
+    /// `Debug`; it stays so that `size_of::<CommPlan>()`, and with it the
+    /// exact `plan.cache_bytes` count of the benchmark, does not move.
+    #[allow(dead_code)]
     dst_fingerprint: u64,
     /// Total processors of the declaring processor array (sizes the
     /// per-processor vectors of executors).
@@ -356,14 +360,8 @@ impl CommPlan {
 
     /// Fingerprint of the distribution the data must currently live in for
     /// the plan to be executable.
-    pub fn src_fingerprint(&self) -> u64 {
+    pub(crate) fn src_fingerprint(&self) -> u64 {
         self.src_fingerprint
-    }
-
-    /// Fingerprint of the target distribution (equals
-    /// [`CommPlan::src_fingerprint`] for ghost/gather/scatter plans).
-    pub fn dst_fingerprint(&self) -> u64 {
-        self.dst_fingerprint
     }
 
     /// The per-pair transfers, local copies included.
@@ -615,6 +613,7 @@ impl CommPlan {
     }
 
     /// The owners contacted by `proc`, sorted — the PARTI schedule query.
+    #[cfg(test)]
     pub(crate) fn senders_to(&self, proc: ProcId) -> Vec<ProcId> {
         let mut owners: Vec<ProcId> = self
             .transfers
@@ -950,7 +949,7 @@ pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<
 /// accesses each processor intends to make and produces a deduplicated
 /// gather plan.  Local accesses are dropped; repeated accesses to the same
 /// element are fetched once (the "buffering scheme" of the PARTI routines).
-pub fn plan_gather(dist: &Distribution, accesses: &[(ProcId, Point)]) -> Result<CommPlan> {
+pub(crate) fn plan_gather(dist: &Distribution, accesses: &[(ProcId, Point)]) -> Result<CommPlan> {
     let total_procs = dist.procs().array().num_procs();
     let mut resolver = OwnerResolver::for_dist(dist);
     // Every access of a replicated array is local (each processor of the
@@ -1008,7 +1007,7 @@ pub fn plan_gather(dist: &Distribution, accesses: &[(ProcId, Point)]) -> Result<
 /// updates are aggregated into one message per (source, owner) pair.  The
 /// update *values* are supplied at execution time — only the placement is
 /// cacheable.
-pub fn plan_scatter(dist: &Distribution, sources: &[(ProcId, Point)]) -> Result<CommPlan> {
+pub(crate) fn plan_scatter(dist: &Distribution, sources: &[(ProcId, Point)]) -> Result<CommPlan> {
     let mut resolver = OwnerResolver::for_dist(dist);
     let mut ops = Vec::with_capacity(sources.len());
     let mut b = PlanBuilder::new();
@@ -1127,7 +1126,7 @@ impl Default for PlanCacheInner {
 /// fingerprints — the VFE's realisation of PARTI schedule reuse.
 ///
 /// The cache is cheaply cloneable (an `Arc` around the interior), so the
-/// language layer, the applications and the benches can hold handles to
+/// language layer, the applications and the benchmark can hold handles to
 /// one cache, exactly like [`CommTracker`].  Iterative codes (ADI sweeps,
 /// smoothing steps, PIC steps) plan each distinct communication pattern
 /// once and afterwards hit the cache; executing a cached plan moves
@@ -1315,7 +1314,7 @@ impl PlanCache {
     }
 
     /// The cached gather plan for `dist` and `accesses`.
-    pub fn gather_plan(
+    pub(crate) fn gather_plan(
         &self,
         dist: &Distribution,
         accesses: &[(ProcId, Point)],
@@ -1330,7 +1329,7 @@ impl PlanCache {
     }
 
     /// The cached scatter plan for `dist` and update sources.
-    pub fn scatter_plan(
+    pub(crate) fn scatter_plan(
         &self,
         dist: &Distribution,
         sources: &[(ProcId, Point)],

@@ -59,11 +59,6 @@ pub fn min(array: &DistArray<f64>, tracker: &CommTracker) -> f64 {
     )
 }
 
-/// Euclidean norm of an `f64` array.
-pub fn norm2(array: &DistArray<f64>, tracker: &CommTracker) -> f64 {
-    reduce(array, tracker, 0.0, |a, v| a + v * v, |a, b| a + b).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,8 +89,6 @@ mod tests {
         let tracker = CommTracker::new(3, CostModel::zero());
         assert_eq!(max(&a, &tracker), 10.0);
         assert_eq!(min(&a, &tracker), 1.0);
-        let expected: f64 = (1..=10).map(|i| (i * i) as f64).sum::<f64>().sqrt();
-        assert!((norm2(&a, &tracker) - expected).abs() < 1e-12);
     }
 
     #[test]

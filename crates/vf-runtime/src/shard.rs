@@ -127,11 +127,6 @@ impl<T: Element> ShardedArray<T> {
         &self.dist
     }
 
-    /// Number of shards (one per modelled processor).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Takes rank `rank`'s shard out of the array.  Panics if the shard
     /// was already taken — each rank owns exactly its own shard.
     pub fn take(&self, rank: usize) -> Vec<T> {
@@ -744,7 +739,6 @@ mod tests {
         let data: Vec<f64> = (0..17).map(|i| i as f64).collect();
         let array = DistArray::from_dense("A", dist, &data).unwrap();
         let shards = ShardedArray::scatter(&array);
-        assert_eq!(shards.num_shards(), 4);
         assert_eq!(shards.name(), "A");
         let s2 = shards.take(2);
         shards.put(2, s2);

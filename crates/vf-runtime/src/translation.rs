@@ -20,11 +20,7 @@
 //!   processors);
 //! * every processor has a **page cache**: the first lookup of a page not
 //!   homed locally records a page fetch (home → requester, one message of
-//!   page-size × entry bytes), later lookups hit the cache for free;
-//! * for direct callers of [`DistTranslationTable::lookup_from`], fetches
-//!   accumulate as *pending directory traffic* until
-//!   [`DistTranslationTable::charge_pending`] charges them to a
-//!   [`CommTracker`].
+//!   page-size × entry bytes), later lookups hit the cache for free.
 //!
 //! The communication planners ([`crate::plan`]) consult a table through the
 //! process-wide registry [`table_for`] whenever a distribution involves an
@@ -40,7 +36,6 @@
 
 use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 use vf_dist::{DimDist, Distribution, ProcId};
-use vf_machine::CommTracker;
 
 /// Default number of directory entries per page.
 pub const DEFAULT_PAGE_SIZE: usize = 1024;
@@ -66,9 +61,6 @@ struct Inner {
     /// `cached[proc][page]`: whether `proc` holds a copy of `page`.
     cached: Vec<Vec<bool>>,
     stats: TranslationStats,
-    /// Page-fetch messages `(home, requester, bytes)` not yet charged to a
-    /// tracker.
-    pending: Vec<(usize, usize, usize)>,
 }
 
 /// A paged, block-distributed owner directory for one distribution — the
@@ -83,7 +75,6 @@ pub struct DistTranslationTable {
     pages: Vec<Vec<(u32, u32)>>,
     /// Home processor of each page (`BLOCK` over the view's processors).
     homes: Vec<ProcId>,
-    total_procs: usize,
     inner: Mutex<Inner>,
 }
 
@@ -125,7 +116,6 @@ impl DistTranslationTable {
             page_size,
             pages,
             homes,
-            total_procs,
             inner: Mutex::new(Inner {
                 cached: vec![Vec::new(); total_procs],
                 ..Inner::default()
@@ -163,7 +153,7 @@ impl DistTranslationTable {
     }
 
     /// Home processor of directory page `page`.
-    pub fn home_of_page(&self, page: usize) -> ProcId {
+    pub(crate) fn home_of_page(&self, page: usize) -> ProcId {
         self.homes[page]
     }
 
@@ -221,8 +211,6 @@ impl DistTranslationTable {
                     let bytes = self.pages[page].len() * ENTRY_BYTES;
                     inner.stats.page_fetches += 1;
                     inner.stats.fetched_bytes += bytes;
-                    let home = self.homes[page].0;
-                    inner.pending.push((home, requester.0, bytes));
                 }
             }
         }
@@ -233,29 +221,6 @@ impl DistTranslationTable {
     /// Current lookup counters.
     pub fn stats(&self) -> TranslationStats {
         self.lock().stats
-    }
-
-    /// Charges the pending page-fetch messages to `tracker` and drains
-    /// them.  Returns `(messages, bytes)` charged.  Callers that execute a
-    /// freshly planned schedule charge this alongside the data motion; a
-    /// cache-hit plan has nothing pending.
-    pub fn charge_pending(&self, tracker: &CommTracker) -> (usize, usize) {
-        let pending = std::mem::take(&mut self.lock().pending);
-        let messages = pending.iter().filter(|m| m.0 != m.1).count();
-        let bytes: usize = pending.iter().filter(|m| m.0 != m.1).map(|m| m.2).sum();
-        // The page-fetch path lets an armed fault injector fail one fetch
-        // transiently (retried with backoff, charged and counted); without
-        // an injector it charges exactly like `send_many`.
-        tracker.send_page_fetches(pending);
-        (messages, bytes)
-    }
-
-    /// Drops every processor's page cache and pending traffic (counters are
-    /// kept) — the state a fresh run of the program would start from.
-    pub fn reset_cache(&self) {
-        let mut inner = self.lock();
-        inner.cached = vec![Vec::new(); self.total_procs];
-        inner.pending.clear();
     }
 
     /// Estimated resident bytes of the directory (pages + homes).
@@ -339,7 +304,6 @@ mod tests {
     use std::sync::Arc;
     use vf_dist::{DistType, IndirectMap, ProcessorView};
     use vf_index::IndexDomain;
-    use vf_machine::CostModel;
 
     fn indirect_dist(n: usize, p: usize, seed: usize) -> Distribution {
         let map = Arc::new(IndirectMap::from_fn(n, |i| (i * 7 + seed) % p).unwrap());
@@ -402,20 +366,6 @@ mod tests {
         let again = table.stats();
         assert_eq!(again.page_fetches, 6);
         assert_eq!(again.cache_hits, stats.cache_hits + 48);
-        // The pending traffic charges once and then drains.
-        let tracker = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
-        let (messages, bytes) = table.charge_pending(&tracker);
-        assert_eq!(messages, 6);
-        assert_eq!(bytes, 6 * 8 * ENTRY_BYTES);
-        assert_eq!(tracker.snapshot().total_messages(), 6);
-        let (m2, b2) = table.charge_pending(&tracker);
-        assert_eq!((m2, b2), (0, 0));
-        // Resetting the cache makes the next sweep fetch again.
-        table.reset_cache();
-        for lin in 0..64 {
-            table.lookup_from(ProcId(0), lin);
-        }
-        assert_eq!(table.stats().page_fetches, 12);
     }
 
     #[test]

@@ -100,7 +100,16 @@ fn spans_balance_on_every_execution_path() {
     }
     assert!(inj.faults_injected() > 0, "the chaos schedule fired");
     assert_eq!(trace::open_spans(), 0, "fault-degraded");
-    assert!(!trace::snapshot().events.is_empty());
+    // Every phase of the wire path recorded spans.
+    let snap = trace::snapshot();
+    for phase in [
+        trace::Phase::GhostExchange,
+        trace::Phase::Post,
+        trace::Phase::Unpack,
+        trace::Phase::Wait,
+    ] {
+        assert!(snap.count(phase) > 0, "no {} spans", phase.name());
+    }
 
     trace::set_enabled(false);
 }
