@@ -26,16 +26,34 @@
 //!   optional mid-run repartitioning `DISTRIBUTE :: INDIRECT(map')` whose
 //!   connect class (values + fluxes) moves as one fused schedule and whose
 //!   stale halo schedule is invalidated by construction (the new map's
-//!   fingerprint keys a fresh plan; the old translation table is evicted).
+//!   fingerprint keys a fresh plan; the old translation table is evicted);
+//! * [`sequential_reference`] — the same sweep over plain vectors, the
+//!   oracle every distributed run equals bit for bit.
 //!
-//! The final values are independent of the partition bit-for-bit (the
-//! update order is fixed by the CSR layout), so every configuration is
-//! checked against every other — only the communication differs.
+//! The sweep computes in the inspector's local index space, never by
+//! global point: the cached plan carries each processor's rows of the
+//! connectivity localised against its buffer and ghost suffix
+//! ([`LocalisedConnectivity`]), split into interior rows (every neighbour
+//! owned) and boundary rows.  Each step is split-phase:
+//!
+//! 1. post the halo of `VAL` — packed and posted on the caller, unpacked
+//!    by the pool in the background;
+//! 2. sweep the interior rows from the local buffers alone, on the caller
+//!    ([`SerialExecutor`]: the pool's turn belongs to the halo until the
+//!    wait);
+//! 3. wait, then sweep the boundary rows over `[local | ghosts]`
+//!    (`GhostRegion::extended`) on the scope's executor;
+//! 4. swap the second buffer both passes wrote with `VAL`.
+//!
+//! Every node's neighbour terms are summed in CSR order, so the final
+//! values are independent of the partition bit-for-bit and equal
+//! [`sequential_reference`]; only the communication differs.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vf_core::prelude::*;
-use vf_runtime::ghost::{exchange_class_ghosts_split, GhostRegion};
+use vf_runtime::ghost::exchange_class_ghosts_split;
 use vf_runtime::trace;
+use vf_runtime::LocalisedConnectivity;
 
 /// A CSR unstructured mesh with 2-D node coordinates.
 #[derive(Debug, Clone)]
@@ -274,8 +292,9 @@ pub struct MeshSweepResult {
     /// `DCASE` arm label selected for the sweep ("parti" for indirect
     /// distributions, "regular" for block).
     pub dcase_arm: &'static str,
-    /// Translation-table lookup counters accumulated by planning against
-    /// indirect distributions (zeroes for the block baseline).
+    /// Translation-table lookup counters of this run's own planning
+    /// against indirect distributions (zeroes for the block baseline) —
+    /// `plan_cache.translation`.
     pub directory: TranslationStats,
     /// Plan-cache statistics of the scope (schedule reuse across steps).
     pub plan_cache: PlanCacheStats,
@@ -284,9 +303,25 @@ pub struct MeshSweepResult {
 const DAMP: f64 = 0.5;
 const FLOPS_PER_EDGE: usize = 2;
 
-fn owners_of(dist: &Distribution, n: usize) -> Vec<usize> {
-    let locator = dist.locator();
-    (0..n).map(|u| locator.locate_lin(u).0 .0).collect()
+/// The initial value of node `u`.
+fn initial_value(u: usize) -> f64 {
+    (u as f64 * 0.37).sin()
+}
+
+/// The initial flux of node `u`.
+fn initial_flux(u: usize) -> f64 {
+    (u as f64 * 0.11).cos()
+}
+
+/// The owner of every node under `dist`, from its local-to-global runs.
+fn owners_of(dist: &Distribution) -> Vec<usize> {
+    let mut owners = vec![0; dist.domain().size()];
+    for &p in dist.proc_ids() {
+        for run in dist.local_linear_runs(p) {
+            owners[run.global_start..run.global_start + run.len].fill(p.0);
+        }
+    }
+    owners
 }
 
 fn dist_type_for(mesh: &Mesh, partition: MeshPartition, nprocs: usize) -> DistType {
@@ -299,6 +334,49 @@ fn dist_type_for(mesh: &Mesh, partition: MeshPartition, nprocs: usize) -> DistTy
             IndirectMap::new(partition_greedy(mesh, nprocs)).expect("mesh is non-empty"),
         )),
     }
+}
+
+/// The sweep on one processor over plain vectors: `steps` Jacobi updates
+/// from the initial values, each node's neighbour terms summed in CSR
+/// order — what every distributed [`run_sweep`] equals bit for bit.
+pub fn sequential_reference(mesh: &Mesh, steps: usize) -> Vec<f64> {
+    let mut val: Vec<f64> = (0..mesh.num_nodes()).map(initial_value).collect();
+    let mut next = val.clone();
+    for _ in 0..steps {
+        for (u, new) in next.iter_mut().enumerate() {
+            let nbrs = mesh.neighbors(u);
+            *new = if nbrs.is_empty() {
+                val[u]
+            } else {
+                let acc = nbrs.iter().fold(0.0, |acc, &v| acc + val[v]);
+                (1.0 - DAMP) * val[u] + DAMP * acc / nbrs.len() as f64
+            };
+        }
+        std::mem::swap(&mut val, &mut next);
+    }
+    val
+}
+
+/// The Jacobi update of `rows` of one processor's localised connectivity:
+/// reads `src` (its buffer, followed by the ghost suffix when a row reads
+/// a ghost), writes `dst`, and returns the FLOPs.
+fn relax_rows(csr: &LocalisedConnectivity, rows: &[u32], src: &[f64], dst: &mut [f64]) -> usize {
+    let mut edges = 0;
+    for &row in rows {
+        let row = row as usize;
+        let nbrs = &csr.adjncy[csr.xadj[row] as usize..csr.xadj[row + 1] as usize];
+        dst[row] = if nbrs.is_empty() {
+            src[row]
+        } else {
+            let mut acc = 0.0;
+            for &v in nbrs {
+                acc += src[v as usize];
+            }
+            (1.0 - DAMP) * src[row] + DAMP * acc / nbrs.len() as f64
+        };
+        edges += nbrs.len();
+    }
+    edges * FLOPS_PER_EDGE
 }
 
 /// Runs the edge sweep on `machine` and returns statistics plus the final
@@ -338,23 +416,14 @@ fn run_sweep_inner(
     scope
         .declare_secondary(SecondaryDecl::extraction("FLUX", IndexDomain::d1(n), "VAL"))
         .expect("VAL is a dynamic primary");
-    for u in 0..n {
-        let point = Point::d1(u as i64 + 1);
-        let x = u as f64;
-        let value = match initial {
-            Some(values) => values[u],
-            None => (x * 0.37).sin(),
-        };
-        scope
-            .array_mut("VAL")
-            .expect("distributed")
-            .set(&point, value)
-            .expect("in domain");
-        scope
-            .array_mut("FLUX")
-            .expect("distributed")
-            .set(&point, (x * 0.11).cos())
-            .expect("in domain");
+    let values = match initial {
+        Some(values) => values.to_vec(),
+        None => (0..n).map(initial_value).collect(),
+    };
+    let fluxes: Vec<f64> = (0..n).map(initial_flux).collect();
+    for (name, dense) in [("VAL", &values), ("FLUX", &fluxes)] {
+        let array = scope.array_mut(name).expect("distributed");
+        *array = DistArray::from_dense(name, array.dist().clone(), dense).expect("one per node");
     }
 
     // DCASE dispatch: the sweep strategy follows the *current* distribution
@@ -375,35 +444,14 @@ fn run_sweep_inner(
 
     let edge_cut_initial = edge_cut(
         mesh,
-        &owners_of(scope.array("VAL").expect("distributed").dist(), n),
+        &owners_of(scope.array("VAL").expect("distributed").dist()),
     );
     let mut repartition: Option<DistributeReport> = None;
     let mut gathered_elements = 0usize;
     let mut gather_messages = 0usize;
-    // Directory accounting: the sweep may plan against several translation
-    // tables (initial map, post-repartition map).  The tables' counters are
-    // cumulative per process, so snapshot a baseline *before* the first
-    // planning against each table and report the summed deltas — this run's
-    // lookups only, across all its tables.
-    let mut tracked: Vec<(std::sync::Arc<DistTranslationTable>, TranslationStats)> = Vec::new();
-    let track = |tracked: &mut Vec<(std::sync::Arc<DistTranslationTable>, TranslationStats)>,
-                 dist: &Distribution| {
-        if !dist.dist_type().has_indirect() {
-            return;
-        }
-        let table = table_for(dist);
-        if !tracked
-            .iter()
-            .any(|(t, _)| std::sync::Arc::ptr_eq(t, &table))
-        {
-            let baseline = table.stats();
-            tracked.push((table, baseline));
-        }
-    };
-    track(
-        &mut tracked,
-        scope.array("VAL").expect("distributed").dist(),
-    );
+    // The second buffer both passes of a step write, laid out as VAL.
+    let mut next = scope.array("VAL").expect("distributed").clone();
+    let scratch: Vec<Mutex<Vec<f64>>> = (0..nprocs).map(|_| Mutex::default()).collect();
 
     let conn = mesh.connectivity();
     for step in start_step..config.steps {
@@ -416,18 +464,8 @@ fn run_sweep_inner(
             let map = Arc::new(
                 IndirectMap::new(partition_greedy(mesh, nprocs)).expect("mesh is non-empty"),
             );
-            let new_type = DistType::indirect1d(map);
-            // Baseline the new map's table before the DISTRIBUTE plans
-            // against it.
-            let new_dist = Distribution::new(
-                new_type.clone(),
-                IndexDomain::d1(n),
-                scope.default_procs().clone(),
-            )
-            .expect("map matches the domain");
-            track(&mut tracked, &new_dist);
             let report = scope
-                .distribute(DistributeStmt::new("VAL", new_type))
+                .distribute(DistributeStmt::new("VAL", DistType::indirect1d(map)))
                 .expect("INDIRECT is within the declared RANGE");
             // The old partition's halo schedule is stale by construction
             // (the new map's fingerprint keys a fresh plan); its
@@ -435,116 +473,85 @@ fn run_sweep_inner(
             // evict the stale directory from the bounded registry — unless
             // the repartitioner reproduced the same map, in which case the
             // directory is still live.
-            let now = scope.array("VAL").expect("distributed").dist().clone();
-            if old.dist_type().has_indirect() && old.fingerprint() != now.fingerprint() {
+            let now = scope.array("VAL").expect("distributed");
+            if old.dist_type().has_indirect() && old.fingerprint() != now.dist_fingerprint() {
                 vf_runtime::translation::invalidate(old.fingerprint());
             }
+            next = now.clone();
             repartition = Some(report);
         }
 
-        let dist = scope.array("VAL").expect("distributed").dist().clone();
-        let node_owner = owners_of(&dist, n);
+        let val = scope.array("VAL").expect("distributed");
         // Inspector: the incremental schedule derives each processor's
         // halo — every neighbour of an owned node that lives elsewhere —
-        // directly from the mesh connectivity, resolved through the
-        // distributed translation table for INDIRECT maps.  The plan is
-        // keyed by (map fingerprint, connectivity fingerprint): sweeps
-        // over an unchanged partition replay it from the cache, and a
-        // repartitioning replans by construction.
+        // and localises its rows, directly from the mesh connectivity,
+        // resolved through the distributed translation table for INDIRECT
+        // maps.  The plan is keyed by (map fingerprint, connectivity
+        // fingerprint): sweeps over an unchanged partition replay it from
+        // the cache, and a repartitioning replans by construction.
         let schedule = scope
             .plan_cache()
-            .ghost_irregular_plan(&dist, &conn)
+            .ghost_irregular_plan(val.dist(), &conn)
             .expect("mesh connectivity matches the domain");
         gathered_elements += schedule.moved_elements();
         gather_messages += schedule.num_messages();
-        // Post the cut-edge halo split-phase: the per-pair payloads stream
-        // in on the executor's background workers while the interior nodes
-        // (no off-processor neighbour) are swept below.
+        let localised = |p: ProcId| {
+            schedule
+                .localised(p)
+                .expect("an irregular plan localises every processor")
+        };
+        // Executor, split-phase (see the module docs): the interior rows
+        // in the halo's shadow, the boundary rows after the wait.
         let split = exchange_class_ghosts_split(
-            &[scope.array("VAL").expect("distributed")],
-            FusedPlan::fuse(vec![schedule]).expect("a ghost plan"),
+            &[val],
+            FusedPlan::fuse(vec![Arc::clone(&schedule)]).expect("a ghost plan"),
             scope.tracker(),
             scope.executor(),
         )
         .expect("schedule matches the distribution");
-
-        // Executor: Jacobi update in fixed CSR order, so the result is
-        // bitwise independent of the partition.  Split-phase ordering:
-        // interior nodes run in the halo's shadow, cut-boundary nodes
-        // after the wait — every node's reads and arithmetic are
-        // unchanged.
-        let mut new_values = vec![0.0f64; n];
-        {
-            let val = scope.array("VAL").expect("distributed");
-            let tracker = scope.tracker();
-            let mut update = |u: usize, halo: Option<&GhostRegion<f64>>| {
-                let point_u = Point::d1(u as i64 + 1);
-                let own = val.get(&point_u).expect("in domain");
-                let nbrs = mesh.neighbors(u);
-                let mut acc = 0.0;
-                for &v in nbrs {
-                    let point_v = Point::d1(v as i64 + 1);
-                    acc += if node_owner[v] == node_owner[u] {
-                        val.get(&point_v).expect("in domain")
-                    } else {
-                        halo.expect("cut edges sweep after the halo lands")
-                            .get(ProcId(node_owner[u]), &point_v)
-                            .expect("cut edge is in the incremental schedule")
-                    };
-                }
-                new_values[u] = if nbrs.is_empty() {
-                    own
-                } else {
-                    (1.0 - DAMP) * own + DAMP * acc / nbrs.len() as f64
-                };
-                tracker.compute(node_owner[u], nbrs.len() * FLOPS_PER_EDGE);
-            };
-            let is_interior = |u: usize| {
-                mesh.neighbors(u)
-                    .iter()
-                    .all(|&v| node_owner[v] == node_owner[u])
-            };
-            let interior_span =
-                trace::OpenSpan::begin_static(trace::Phase::InteriorCompute, "interior");
-            for u in (0..n).filter(|&u| is_interior(u)) {
-                update(u, None);
-            }
-            interior_span.end();
-            let (mut regions, _halo_report) = split
-                .wait()
-                .expect("split-phase halo exchange survives injected faults");
-            let halo = regions.pop().expect("exactly one halo part");
-            for u in (0..n).filter(|&u| !is_interior(u)) {
-                update(u, Some(&halo));
-            }
-        }
-        let val = scope.array_mut("VAL").expect("distributed");
-        for (u, &value) in new_values.iter().enumerate() {
-            val.set(&Point::d1(u as i64 + 1), value).expect("in domain");
-        }
-        let _ = step;
+        forall_owned(
+            &mut [&mut next],
+            scope.tracker(),
+            &SerialExecutor,
+            |p, dst| {
+                let csr = localised(p);
+                relax_rows(csr, &csr.interior, val.local(p), &mut dst[0])
+            },
+        )
+        .expect("VAL has local views");
+        let (regions, _halo_report) = split
+            .wait()
+            .expect("split-phase halo exchange survives injected faults");
+        forall_owned(
+            &mut [&mut next],
+            scope.tracker(),
+            scope.executor(),
+            |p, dst| {
+                let csr = localised(p);
+                let mut scratch = scratch[p.0].lock().expect("scratch buffer");
+                let src = regions[0]
+                    .extended(p, val.local(p), &mut scratch)
+                    .expect("the halo was exchanged for VAL");
+                relax_rows(csr, &csr.boundary, &src, &mut dst[0])
+            },
+        )
+        .expect("VAL has local views");
+        std::mem::swap(scope.array_mut("VAL").expect("distributed"), &mut next);
     }
 
-    let mut directory = TranslationStats::default();
-    for (table, baseline) in &tracked {
-        let now = table.stats();
-        directory.home_hits += now.home_hits - baseline.home_hits;
-        directory.cache_hits += now.cache_hits - baseline.cache_hits;
-        directory.page_fetches += now.page_fetches - baseline.page_fetches;
-        directory.fetched_bytes += now.fetched_bytes - baseline.fetched_bytes;
-    }
     let final_dist = scope.array("VAL").expect("distributed").dist().clone();
+    let plan_cache = scope.plan_cache().stats();
     let result = MeshSweepResult {
         stats: scope.stats(),
         values: scope.array("VAL").expect("distributed").to_dense(),
         gathered_elements,
         gather_messages,
         edge_cut_initial,
-        edge_cut_final: edge_cut(mesh, &owners_of(&final_dist, n)),
+        edge_cut_final: edge_cut(mesh, &owners_of(&final_dist)),
         repartition,
         dcase_arm,
-        directory,
-        plan_cache: scope.plan_cache().stats(),
+        directory: plan_cache.translation,
+        plan_cache,
     };
     (result, final_dist)
 }
@@ -699,6 +706,7 @@ mod tests {
         assert_eq!(block.values, coord.values, "block vs coordinate");
         assert_eq!(block.values, greedy.values, "block vs greedy");
         assert_eq!(block.values, remapped.values, "block vs remapped");
+        assert_eq!(block.values, sequential_reference(&m, steps), "reference");
         // DCASE selected the right arm for each class.
         assert_eq!(block.dcase_arm, "regular");
         assert_eq!(coord.dcase_arm, "parti");

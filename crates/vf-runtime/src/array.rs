@@ -29,7 +29,11 @@ use vf_machine::{trace, CommTracker};
 /// buffer: `&[T]` to read, `&mut [T]` ([`LocalViewMut`]) to update.
 ///
 /// `BLOCK`, general-block and `:` dimensions (and replicated arrays) own
-/// one box; cyclic and alignment-derived layouts scatter and have no view.
+/// one box.  A one-dimensional `INDIRECT` layout owns a list, and its local
+/// index space is its local offsets: the view's segment is `1..=len`, and
+/// local offset `l` holds the global index [`Distribution::local_linear_runs`]
+/// places there.  Cyclic and alignment-derived layouts scatter and have no
+/// view.
 #[derive(Debug)]
 pub struct LocalView<D> {
     segment: IndexDomain,
@@ -50,11 +54,14 @@ impl<T, D: Deref<Target = [T]>> LocalView<D> {
     /// [`RuntimeError::DomainMismatch`] when `data` is not the size of the
     /// segment.
     pub fn new(dist: &Distribution, proc: ProcId, data: D) -> Result<Self> {
-        let Some(segment) = dist.local_segment(proc) else {
-            return Err(RuntimeError::NonContiguousLayout {
-                array: dist.to_string(),
-                dim: non_contiguous_dim(dist),
-            });
+        let segment = if dist.domain().rank() == 1 && dist.dist_type().has_indirect() {
+            IndexDomain::d1(dist.local_size(proc))
+        } else {
+            dist.local_segment(proc)
+                .ok_or_else(|| RuntimeError::NonContiguousLayout {
+                    array: dist.to_string(),
+                    dim: non_contiguous_dim(dist),
+                })?
         };
         if data.len() != segment.size() {
             return Err(RuntimeError::DomainMismatch {
@@ -73,7 +80,8 @@ impl<T, D: Deref<Target = [T]>> LocalView<D> {
         Self { segment, data }
     }
 
-    /// The box of global indices the view covers.
+    /// The box of indices the view covers: global indices, or local
+    /// offsets (`1..=len`) where the layout owns a list rather than a box.
     pub fn segment(&self) -> &IndexDomain {
         &self.segment
     }

@@ -2033,9 +2033,9 @@ mod tests {
         let ghost = Arc::new(crate::plan::plan_ghost(&d, &[(1, 1)]).unwrap());
         let redist =
             Arc::new(plan_redistribute(&d, &dist_1d(DistType::cyclic1d(1), 16, 4)).unwrap());
-        let gather = Arc::new(
-            crate::plan::plan_gather(&d, &[(vf_dist::ProcId(0), vf_index::Point::d1(9))]).unwrap(),
-        );
+        let gather = crate::PlanCache::new()
+            .gather_plan(&d, &[(vf_dist::ProcId(0), vf_index::Point::d1(9))])
+            .unwrap();
         // Homogeneous ghost sets fuse now; gather plans and mixed kinds do
         // not, and neither does an empty set.
         let fused_ghost = FusedPlan::fuse(vec![Arc::clone(&ghost), Arc::clone(&ghost)]).unwrap();

@@ -34,7 +34,14 @@
 //! slab has a single stride only in two dimensions, whereas the merge is
 //! one sequential pass over two cursors in any rank, costs one copy of the
 //! segment, and leaves the kernel a dense loop with no edge cases.
-//! [`GhostRegion::get`] and [`get_with_ghosts`] address the same buffer by
+//!
+//! An irregular plan's overlap area is a **ghost suffix**: its slots list
+//! the fetched global offsets in ascending order, and the inspector
+//! localised the processor's rows of the connectivity against them
+//! ([`crate::plan::LocalisedConnectivity`]), so [`GhostRegion::extended`]
+//! is the buffer followed by the ghosts, `[local | ghosts]`.
+//!
+//! [`GhostRegion::get`] and [`get_with_ghosts`] address the same buffers by
 //! global point, for tests and scalar reads.
 
 use crate::exec::{
@@ -45,7 +52,7 @@ use crate::plan::{for_each_line, CommPlan, GhostSlots, PlanIndex, PlanKind};
 use crate::{DistArray, Element, ExecReport, LocalView, Result, RuntimeError};
 use std::sync::Arc;
 use vf_dist::ProcId;
-use vf_index::Point;
+use vf_index::{IndexDomain, Point};
 use vf_machine::{trace, CommTracker};
 
 /// The ghost values gathered for every processor, backed by the plan that
@@ -72,17 +79,21 @@ impl<T: Copy> GhostRegion<T> {
         self.values.get(proc.0).and_then(|v| v.get(slot)).copied()
     }
 
-    /// `proc`'s local index space over its segment *extended by the
-    /// overlap area*: merges `local` (the owned segment, as
-    /// [`DistArray::local`] holds it) and the exchanged frame into `out` —
-    /// one sequential pass, both in column-major order — and returns the
-    /// dense box as a view.  `out` is scratch the caller keeps across
-    /// steps, so a time loop allocates it once.
+    /// `proc`'s local index space *extended by the overlap area*, copied
+    /// into `out` and returned as a view; `local` is `proc`'s buffer, as
+    /// [`DistArray::local`] holds it.  `out` is scratch the caller keeps
+    /// across steps, so a time loop allocates it once.
+    ///
+    /// * A regular plan merges the owned segment and the exchanged frame
+    ///   — one sequential pass, both in column-major order — into the
+    ///   dense box of the segment widened by the overlap area.
+    /// * An irregular plan appends the ghost suffix to the buffer:
+    ///   `[local | ghosts]`, the index space its
+    ///   [`crate::plan::LocalisedConnectivity`] addresses.  The view's
+    ///   segment is the box of those local indices, `1..=len`.
     ///
     /// # Errors
-    /// [`RuntimeError::NonContiguousLayout`] for an irregular plan (its
-    /// ghosts are a list, not a frame);
-    /// [`RuntimeError::DomainMismatch`] if `local` is not `proc`'s segment
+    /// [`RuntimeError::DomainMismatch`] if `local` is not `proc`'s buffer
     /// or its ghosts were not exchanged.
     pub fn extended<'o>(
         &self,
@@ -90,22 +101,33 @@ impl<T: Copy> GhostRegion<T> {
         local: &[T],
         out: &'o mut Vec<T>,
     ) -> Result<LocalView<&'o [T]>> {
-        let frame = match &self.plan.index {
+        let ghosts = self.values.get(proc.0).map_or(&[][..], Vec::as_slice);
+        let mismatch = |planned: String| RuntimeError::DomainMismatch {
+            left: format!("{} local + {} ghost elements", local.len(), ghosts.len()),
+            right: planned,
+        };
+        let slots = match &self.plan.index {
             PlanIndex::Ghost { slots, .. } => slots.get(proc.0),
             _ => None,
         };
-        let Some(GhostSlots::Frame { segment, extended }) = frame else {
-            return Err(RuntimeError::NonContiguousLayout {
-                array: format!("the irregular overlap area of {proc}"),
-                dim: 0,
-            });
+        let (segment, extended) = match slots {
+            Some(GhostSlots::Frame { segment, extended }) => (segment, extended),
+            Some(GhostSlots::Listed { local: index, .. }) => {
+                let (rows, slots) = (index.rows(), index.ghosts.len());
+                if local.len() != rows || ghosts.len() != slots {
+                    return Err(mismatch(format!("{rows} rows + {slots} ghost slots")));
+                }
+                out.clear();
+                out.extend_from_slice(local);
+                out.extend_from_slice(ghosts);
+                return Ok(LocalView::over(IndexDomain::d1(out.len()), out));
+            }
+            None => return Err(mismatch(format!("no overlap area planned for {proc}"))),
         };
-        let ghosts = self.values.get(proc.0).map_or(&[][..], Vec::as_slice);
         if local.len() != segment.size() || local.len() + ghosts.len() != extended.size() {
-            return Err(RuntimeError::DomainMismatch {
-                left: format!("{} local + {} ghost elements", local.len(), ghosts.len()),
-                right: format!("segment {segment} extended to {extended}"),
-            });
+            return Err(mismatch(format!(
+                "segment {segment} extended to {extended}"
+            )));
         }
         out.clear();
         out.reserve(extended.size());

@@ -73,7 +73,9 @@ pub use exec::{
     ExecBackend, ExecReport, FusedPlan, FusedSlice, PlanExecutor, SerialExecutor, SplitExecReport,
     SplitPhaseExchange, ThreadedExecutor,
 };
-pub use plan::{CommPlan, PlanCache, PlanCacheStats, PlanKind, PlanRun, Transfer};
+pub use plan::{
+    CommPlan, LocalisedConnectivity, PlanCache, PlanCacheStats, PlanKind, PlanRun, Transfer,
+};
 pub use redistribute_impl::{
     execute_class_redistribute, execute_redistribute, redistribute, redistribute_split,
     RedistOptions, RedistReport, SplitRedistribute,

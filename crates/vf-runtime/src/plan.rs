@@ -37,7 +37,7 @@
 //!   accepted price of O(1) keys, as documented on
 //!   [`vf_dist::Distribution::fingerprint`].
 
-use crate::translation::{self, DistTranslationTable};
+use crate::translation::{self, DistTranslationTable, TranslationStats};
 use crate::{Result, RuntimeError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -54,7 +54,7 @@ struct TableSession {
     table: Arc<DistTranslationTable>,
     /// `seen[requester][page]`: fetched (or home) during this session.
     seen: Vec<Vec<bool>>,
-    stats: translation::TranslationStats,
+    stats: TranslationStats,
     /// Page-fetch messages `(home, requester, bytes)` of this session.
     fetches: Vec<(usize, usize, usize)>,
 }
@@ -91,7 +91,7 @@ impl<'a> OwnerResolver<'a> {
             OwnerResolver::Table(Box::new(TableSession {
                 table,
                 seen: vec![vec![false; num_pages]; total_procs],
-                stats: translation::TranslationStats::default(),
+                stats: TranslationStats::default(),
                 fetches: Vec::new(),
             }))
         } else {
@@ -132,14 +132,14 @@ impl<'a> OwnerResolver<'a> {
         }
     }
 
-    /// Ends the session: merges the lookup counters into the table's
-    /// cumulative stats (one lock) and returns the directory page-fetch
-    /// messages for the built plan to carry.
-    fn finish(self) -> Vec<(usize, usize, usize)> {
+    /// Ends the session: adds its lookup counters to `counters` and
+    /// returns the directory page-fetch messages for the built plan to
+    /// carry.
+    fn finish(self, counters: &mut TranslationStats) -> Vec<(usize, usize, usize)> {
         match self {
             OwnerResolver::Direct(_) => Vec::new(),
             OwnerResolver::Table(session) => {
-                session.table.absorb_stats(session.stats);
+                *counters += session.stats;
                 session.fetches
             }
         }
@@ -192,6 +192,41 @@ pub enum PlanKind {
     Scatter,
 }
 
+/// One processor's rows of an irregular halo plan's connectivity,
+/// *localised* by the inspector — PARTI's localisation of the indirection
+/// arrays.  The processor's local index space is its buffer followed by a
+/// **ghost suffix**: local index `l < n_local` is its own local offset `l`
+/// (in [`Distribution::local_linear_runs`] order), and `n_local + s` is
+/// ghost slot `s`, the copy of global offset `ghosts[s]` an exchange
+/// fetches.  Every neighbour reference is such an index, so a sweep over
+/// `[local | ghosts]` ([`crate::ghost::GhostRegion::extended`]) needs no
+/// ownership test, hash or global index.  Indices are `u32`, as in
+/// [`Connectivity`], which bounds every one of them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LocalisedConnectivity {
+    /// Global column-major offsets of the ghost suffix, ascending: a
+    /// slot is its rank in the list.
+    pub ghosts: Vec<usize>,
+    /// CSR row pointers over the owned elements in local order:
+    /// `n_local + 1` entries (none for a processor outside the view).
+    pub xadj: Vec<u32>,
+    /// CSR adjacency in local indices; each row keeps the neighbour order
+    /// of the global row, so a sum over it is the sequential sum.
+    pub adjncy: Vec<u32>,
+    /// Rows (local offsets) whose neighbours are all owned, ascending —
+    /// computable before the ghosts arrive.
+    pub interior: Vec<u32>,
+    /// Rows that read at least one ghost, ascending.
+    pub boundary: Vec<u32>,
+}
+
+impl LocalisedConnectivity {
+    /// Number of rows: the processor's owned elements.
+    pub(crate) fn rows(&self) -> usize {
+        self.xadj.len().saturating_sub(1)
+    }
+}
+
 /// Per-receiver slot index of a ghost plan: which buffer slot each global
 /// point occupies.  Either way the slots follow ascending global
 /// column-major order.
@@ -208,8 +243,15 @@ pub(crate) enum GhostSlots {
         extended: IndexDomain,
     },
     /// An irregular (connectivity-driven) plan, or a processor outside the
-    /// view: the scheduled points, listed.
-    Listed(HashMap<Point, usize>),
+    /// view: the scheduled global offsets, listed, with the connectivity
+    /// localised against them.  A point's slot is a binary search for its
+    /// offset in `domain`.
+    Listed {
+        /// The array's index domain.
+        domain: IndexDomain,
+        /// The ghost list and the localised rows.
+        local: Box<LocalisedConnectivity>,
+    },
 }
 
 impl GhostSlots {
@@ -217,14 +259,25 @@ impl GhostSlots {
     pub(crate) fn len(&self) -> usize {
         match self {
             GhostSlots::Frame { segment, extended } => extended.size() - segment.size(),
-            GhostSlots::Listed(slots) => slots.len(),
+            GhostSlots::Listed { local, .. } => local.ghosts.len(),
         }
     }
 
     fn slot(&self, point: &Point) -> Option<usize> {
         match self {
             GhostSlots::Frame { segment, extended } => frame_slot(segment, extended, point),
-            GhostSlots::Listed(slots) => slots.get(point).copied(),
+            GhostSlots::Listed { domain, local } => {
+                let lin = domain.linearize(point).ok()?;
+                local.ghosts.binary_search(&lin).ok()
+            }
+        }
+    }
+
+    /// An empty list over `domain`: a processor that reads nothing.
+    fn nothing(domain: &IndexDomain) -> Self {
+        GhostSlots::Listed {
+            domain: domain.clone(),
+            local: Box::default(),
         }
     }
 }
@@ -299,7 +352,8 @@ pub(crate) enum PlanIndex {
         new_dist: Distribution,
     },
     /// Overlap exchange.  A regular plan keeps two boxes per processor
-    /// and the planned widths; only an irregular plan lists its points.
+    /// and the planned widths; only an irregular plan lists its points
+    /// (and its localised connectivity).
     Ghost {
         /// Per total-processor-id ghost slot index.
         slots: Vec<GhostSlots>,
@@ -437,9 +491,8 @@ impl CommPlan {
     /// entry count.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
-        // Per-slot overhead of the point/offset hash maps of irregular
-        // ghost plans and gather plans (key + value + bucket overhead,
-        // rounded up).
+        // Per-slot overhead of the offset hash maps of gather plans (key +
+        // value + bucket overhead, rounded up).
         const SLOT_BYTES: usize = 64;
         let transfers: usize = self
             .transfers
@@ -459,7 +512,15 @@ impl CommPlan {
                             GhostSlots::Frame { segment, .. } => {
                                 2 * segment.rank() * size_of::<DimRange>()
                             }
-                            GhostSlots::Listed(listed) => listed.len() * SLOT_BYTES,
+                            GhostSlots::Listed { local, .. } => {
+                                size_of::<LocalisedConnectivity>()
+                                    + local.ghosts.len() * size_of::<usize>()
+                                    + (local.xadj.len()
+                                        + local.adjncy.len()
+                                        + local.interior.len()
+                                        + local.boundary.len())
+                                        * size_of::<u32>()
+                            }
                         }
                 })
                 .sum(),
@@ -592,6 +653,19 @@ impl CommPlan {
         }
     }
 
+    /// `proc`'s localised connectivity.  Every processor of an irregular
+    /// halo plan ([`plan_ghost_irregular`]) has one; a processor of a
+    /// regular plan that owns a box, and every other plan kind, has none.
+    pub fn localised(&self, proc: ProcId) -> Option<&LocalisedConnectivity> {
+        match &self.index {
+            PlanIndex::Ghost { slots, .. } => match slots.get(proc.0)? {
+                GhostSlots::Listed { local, .. } => Some(local),
+                GhostSlots::Frame { .. } => None,
+            },
+            _ => None,
+        }
+    }
+
     /// The gather-buffer slot of global offset `lin` on `proc`, if
     /// scheduled.
     pub(crate) fn gather_slot(&self, proc: ProcId, lin: usize) -> Option<usize> {
@@ -690,6 +764,16 @@ impl PlanBuilder {
 /// new local offset, and the placements are run-length-encoded per
 /// (sender, receiver) pair.
 pub fn plan_redistribute(old: &Distribution, new: &Distribution) -> Result<CommPlan> {
+    plan_redistribute_counted(old, new, &mut TranslationStats::default())
+}
+
+/// [`plan_redistribute`], adding its directory lookups to `counters` (as
+/// every `*_counted` planner does for its [`PlanCache`]).
+fn plan_redistribute_counted(
+    old: &Distribution,
+    new: &Distribution,
+    counters: &mut TranslationStats,
+) -> Result<CommPlan> {
     if new.domain() != old.domain() {
         return Err(RuntimeError::DomainMismatch {
             left: old.domain().to_string(),
@@ -730,7 +814,7 @@ pub fn plan_redistribute(old: &Distribution, new: &Distribution) -> Result<CommP
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
-        directory: Mutex::new(resolver.finish()),
+        directory: Mutex::new(resolver.finish(counters)),
         index: PlanIndex::Redistribute {
             new_dist: new.clone(),
         },
@@ -759,6 +843,14 @@ pub(crate) fn non_contiguous_dim(dist: &Distribution) -> usize {
 /// ([`Connectivity::chain`]) and the plan routes to the irregular halo
 /// planner [`plan_ghost_irregular`].
 pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<CommPlan> {
+    plan_ghost_counted(dist, widths, &mut TranslationStats::default())
+}
+
+fn plan_ghost_counted(
+    dist: &Distribution,
+    widths: &[(usize, usize)],
+    counters: &mut TranslationStats,
+) -> Result<CommPlan> {
     let domain = dist.domain();
     if widths.len() != domain.rank() {
         return Err(RuntimeError::Index(vf_index::IndexError::RankMismatch {
@@ -769,7 +861,7 @@ pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<Comm
     if dist.dist_type().has_indirect() && domain.rank() == 1 {
         let (lo, hi) = widths[0];
         let chain = Connectivity::chain(domain.size(), lo, hi)?;
-        return plan_ghost_irregular(dist, &chain);
+        return plan_ghost_irregular_counted(dist, &chain, counters);
     }
     let total_procs = dist.procs().array().num_procs();
     // Every processor must own one box; the error names the dimension
@@ -788,7 +880,7 @@ pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<Comm
     }
     let mut resolver = OwnerResolver::for_dist(dist);
     let mut slots: Vec<GhostSlots> = (0..total_procs)
-        .map(|_| GhostSlots::Listed(HashMap::new()))
+        .map(|_| GhostSlots::nothing(domain))
         .collect();
     let mut b = PlanBuilder::new();
 
@@ -842,7 +934,7 @@ pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<Comm
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
-        directory: Mutex::new(resolver.finish()),
+        directory: Mutex::new(resolver.finish(counters)),
         index: PlanIndex::Ghost {
             slots,
             widths: widths.to_vec(),
@@ -862,10 +954,20 @@ pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<Comm
 /// knows its own local-to-global table.  The produced plan is an ordinary
 /// ghost [`CommPlan`] (slots assigned in ascending global order), so the
 /// ghost executors, the [`PlanCache`] and the fused exchange all work on it
-/// unchanged.  Works for regular distributions too (closed-form owner
-/// lookup, no directory traffic) — the differential baseline the property
-/// suite compares against.
+/// unchanged.  The same walk over the owned rows also *localises* them:
+/// each processor's [`LocalisedConnectivity`] ([`CommPlan::localised`])
+/// is what an executor loop sweeps.  Works for regular distributions too
+/// (closed-form owner lookup, no directory traffic) — the differential
+/// baseline the property suite compares against.
 pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<CommPlan> {
+    plan_ghost_irregular_counted(dist, conn, &mut TranslationStats::default())
+}
+
+fn plan_ghost_irregular_counted(
+    dist: &Distribution,
+    conn: &Connectivity,
+    counters: &mut TranslationStats,
+) -> Result<CommPlan> {
     let domain = dist.domain();
     if conn.num_nodes() != domain.size() {
         return Err(RuntimeError::DomainMismatch {
@@ -874,74 +976,97 @@ pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<
         });
     }
     let total_procs = dist.procs().array().num_procs();
-    let fp = dist.fingerprint();
-    let mut slots: Vec<HashMap<Point, usize>> = vec![HashMap::new(); total_procs];
-    let index = |slots: Vec<HashMap<Point, usize>>| PlanIndex::Ghost {
-        slots: slots.into_iter().map(GhostSlots::Listed).collect(),
-        widths: Vec::new(),
-    };
-    let needed_view = dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1);
+    let mut slots: Vec<GhostSlots> = (0..total_procs)
+        .map(|_| GhostSlots::nothing(domain))
+        .collect();
     // A replicated view holds every element on every processor — no read
-    // can be non-local — and an edge-free connectivity references nothing.
-    if dist.is_replicated() || conn.num_edges() == 0 {
-        return Ok(CommPlan {
-            kind: PlanKind::Ghost,
-            src_fingerprint: fp,
-            dst_fingerprint: fp,
-            total_procs,
-            needed_procs: needed_view,
-            transfers: Vec::new(),
-            moved_elements: 0,
-            stayed_elements: 0,
-            directory: Mutex::new(Vec::new()),
-            index: index(slots),
-        });
-    }
+    // can be non-local — and an edge-free connectivity references nothing:
+    // neither consults the directory.
+    let replicated = dist.is_replicated();
+    let mut resolver = (!replicated && conn.num_edges() > 0).then(|| OwnerResolver::for_dist(dist));
     // Requester-side ownership: every processor knows which global offsets
-    // it owns (its local-to-global table), assembled here from the linear
-    // runs.  Resolving the *owner* of anything else is the part that costs
-    // directory traffic, and goes through the resolver below.
+    // it owns, and at which local offset (its local-to-global table),
+    // assembled here from the linear runs.  Resolving the *owner* of
+    // anything else is the part that costs directory traffic, and goes
+    // through the resolver below.
     let mut owner_of = vec![u32::MAX; domain.size()];
+    let mut local_of = vec![0u32; domain.size()];
     for &p in dist.proc_ids() {
         for run in dist.local_linear_runs(p) {
             for k in 0..run.len {
                 owner_of[run.global_start + k] = p.0 as u32;
+                local_of[run.global_start + k] = (run.local_start + k) as u32;
             }
         }
     }
-    let mut resolver = OwnerResolver::for_dist(dist);
     let mut b = PlanBuilder::new();
     for &p in dist.proc_ids() {
-        let mut lins: Vec<usize> = Vec::new();
+        let n_local = dist.local_size(p);
+        let mut local = LocalisedConnectivity {
+            xadj: Vec::with_capacity(n_local + 1),
+            ..LocalisedConnectivity::default()
+        };
+        local.xadj.push(0);
+        // One walk over the owned rows in local order.  An owned
+        // neighbour is its local offset; a remote one is parked as
+        // (adjacency position, global offset) until the ghost list is
+        // sorted and its slot known.
+        let mut remote: Vec<(usize, usize)> = Vec::new();
         for run in dist.local_linear_runs(p) {
             for k in 0..run.len {
+                let parked = remote.len();
                 for v in conn.neighbors(run.global_start + k) {
-                    if owner_of[v] != p.0 as u32 {
-                        lins.push(v);
+                    if replicated || owner_of[v] == p.0 as u32 {
+                        local.adjncy.push(local_of[v]);
+                    } else {
+                        remote.push((local.adjncy.len(), v));
+                        local.adjncy.push(0);
                     }
+                }
+                local.xadj.push(local.adjncy.len() as u32);
+                let row = (run.local_start + k) as u32;
+                if remote.len() == parked {
+                    local.interior.push(row);
+                } else {
+                    local.boundary.push(row);
                 }
             }
         }
-        lins.sort_unstable();
-        lins.dedup();
-        for (slot, &lin) in lins.iter().enumerate() {
-            let point = domain.delinearize(lin).expect("lin within the domain");
-            let (owner, local) = resolver.locate_from(p, lin);
-            slots[p.0].insert(point, slot);
-            b.push(owner, p, local, slot);
+        local.ghosts = remote.iter().map(|&(_, v)| v).collect();
+        local.ghosts.sort_unstable();
+        local.ghosts.dedup();
+        for (at, v) in remote {
+            let slot = local.ghosts.partition_point(|&g| g < v);
+            local.adjncy[at] = (n_local + slot) as u32;
         }
+        if let Some(resolver) = resolver.as_mut() {
+            for (slot, &lin) in local.ghosts.iter().enumerate() {
+                let (owner, offset) = resolver.locate_from(p, lin);
+                b.push(owner, p, offset, slot);
+            }
+        }
+        slots[p.0] = GhostSlots::Listed {
+            domain: domain.clone(),
+            local: Box::new(local),
+        };
     }
+    let fp = dist.fingerprint();
     Ok(CommPlan {
         kind: PlanKind::Ghost,
         src_fingerprint: fp,
         dst_fingerprint: fp,
         total_procs,
-        needed_procs: b.needed.max(needed_view),
+        needed_procs: b
+            .needed
+            .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
-        directory: Mutex::new(resolver.finish()),
-        index: index(slots),
+        directory: Mutex::new(resolver.map_or_else(Vec::new, |r| r.finish(counters))),
+        index: PlanIndex::Ghost {
+            slots,
+            widths: Vec::new(),
+        },
     })
 }
 
@@ -949,7 +1074,12 @@ pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<
 /// accesses each processor intends to make and produces a deduplicated
 /// gather plan.  Local accesses are dropped; repeated accesses to the same
 /// element are fetched once (the "buffering scheme" of the PARTI routines).
-pub(crate) fn plan_gather(dist: &Distribution, accesses: &[(ProcId, Point)]) -> Result<CommPlan> {
+/// Its directory lookups are added to `counters`.
+pub(crate) fn plan_gather(
+    dist: &Distribution,
+    accesses: &[(ProcId, Point)],
+    counters: &mut TranslationStats,
+) -> Result<CommPlan> {
     let total_procs = dist.procs().array().num_procs();
     let mut resolver = OwnerResolver::for_dist(dist);
     // Every access of a replicated array is local (each processor of the
@@ -997,7 +1127,7 @@ pub(crate) fn plan_gather(dist: &Distribution, accesses: &[(ProcId, Point)]) -> 
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
-        directory: Mutex::new(resolver.finish()),
+        directory: Mutex::new(resolver.finish(counters)),
         index: PlanIndex::Gather { slots },
     })
 }
@@ -1007,7 +1137,12 @@ pub(crate) fn plan_gather(dist: &Distribution, accesses: &[(ProcId, Point)]) -> 
 /// updates are aggregated into one message per (source, owner) pair.  The
 /// update *values* are supplied at execution time — only the placement is
 /// cacheable.
-pub(crate) fn plan_scatter(dist: &Distribution, sources: &[(ProcId, Point)]) -> Result<CommPlan> {
+/// Its directory lookups are added to `counters`.
+pub(crate) fn plan_scatter(
+    dist: &Distribution,
+    sources: &[(ProcId, Point)],
+    counters: &mut TranslationStats,
+) -> Result<CommPlan> {
     let mut resolver = OwnerResolver::for_dist(dist);
     let mut ops = Vec::with_capacity(sources.len());
     let mut b = PlanBuilder::new();
@@ -1036,7 +1171,7 @@ pub(crate) fn plan_scatter(dist: &Distribution, sources: &[(ProcId, Point)]) -> 
         transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
-        directory: Mutex::new(resolver.finish()),
+        directory: Mutex::new(resolver.finish(counters)),
         index: PlanIndex::Scatter {
             ops,
             replicated: dist.is_replicated(),
@@ -1092,6 +1227,10 @@ pub struct PlanCacheStats {
     /// ([`CommPlan::estimated_bytes`] summed) — the quantity the LRU
     /// eviction bounds.
     pub resident_bytes: usize,
+    /// Translation-table lookups of the planning sessions this cache's
+    /// misses ran — the directory traffic of the plans it built, whatever
+    /// other caches plan against the same tables meanwhile.
+    pub translation: TranslationStats,
 }
 
 #[derive(Debug)]
@@ -1107,6 +1246,7 @@ struct PlanCacheInner {
     resident_bytes: usize,
     hits: u64,
     misses: u64,
+    translation: TranslationStats,
 }
 
 impl Default for PlanCacheInner {
@@ -1118,6 +1258,7 @@ impl Default for PlanCacheInner {
             resident_bytes: 0,
             hits: 0,
             misses: 0,
+            translation: TranslationStats::default(),
         }
     }
 }
@@ -1176,6 +1317,7 @@ impl PlanCache {
             misses: inner.misses,
             entries: inner.map.len(),
             resident_bytes: inner.resident_bytes,
+            translation: inner.translation,
         }
     }
 
@@ -1189,7 +1331,7 @@ impl PlanCache {
     fn get_or_plan(
         &self,
         key: PlanKey,
-        plan: impl FnOnce() -> Result<CommPlan>,
+        plan: impl FnOnce(&mut TranslationStats) -> Result<CommPlan>,
     ) -> Result<Arc<CommPlan>> {
         if let Some(found) = {
             let mut inner = self.lock();
@@ -1209,13 +1351,15 @@ impl PlanCache {
         }
         // Plan outside the lock: planning is the expensive part.
         trace::instant(trace::Phase::PlanCacheMiss);
+        let mut counters = TranslationStats::default();
         let planned = {
             let _span = trace::OpenSpan::begin(trace::Phase::Plan);
-            Arc::new(plan()?)
+            Arc::new(plan(&mut counters)?)
         };
         let size = planned.estimated_bytes();
         let mut inner = self.lock();
         inner.misses += 1;
+        inner.translation += counters;
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner
@@ -1258,7 +1402,7 @@ impl PlanCache {
                 from: old.fingerprint(),
                 to: new.fingerprint(),
             },
-            || plan_redistribute(old, new),
+            |counters| plan_redistribute_counted(old, new, counters),
         )
     }
 
@@ -1273,7 +1417,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 widths: widths.to_vec(),
             },
-            || plan_ghost(dist, widths),
+            |counters| plan_ghost_counted(dist, widths, counters),
         )
     }
 
@@ -1297,8 +1441,8 @@ impl PlanCache {
     /// The cached irregular (connectivity-driven) halo plan for `dist` —
     /// keyed by (distribution fingerprint, connectivity fingerprint), so a
     /// repartitioned array (new map, new fingerprint) can never reuse a
-    /// stale halo schedule, while repeated sweeps over an unchanged
-    /// partition replay the cached incremental schedule for free.
+    /// stale halo schedule or localised connectivity, while repeated
+    /// sweeps over an unchanged partition replay both for free.
     pub fn ghost_irregular_plan(
         &self,
         dist: &Distribution,
@@ -1309,7 +1453,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 conn: conn.fingerprint(),
             },
-            || plan_ghost_irregular(dist, conn),
+            |counters| plan_ghost_irregular_counted(dist, conn, counters),
         )
     }
 
@@ -1324,7 +1468,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 accesses: hash_accesses(accesses),
             },
-            || plan_gather(dist, accesses),
+            |counters| plan_gather(dist, accesses, counters),
         )
     }
 
@@ -1339,7 +1483,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 sources: hash_accesses(sources),
             },
-            || plan_scatter(dist, sources),
+            |counters| plan_scatter(dist, sources, counters),
         )
     }
 }
@@ -1720,7 +1864,7 @@ mod tests {
             (ProcId(0), Point::d1(1)), // local
             (ProcId(1), Point::d1(8)), // local
         ];
-        let plan = plan_scatter(&d, &sources).unwrap();
+        let plan = plan_scatter(&d, &sources, &mut TranslationStats::default()).unwrap();
         assert_eq!(plan.kind(), PlanKind::Scatter);
         assert_eq!(plan.moved_elements(), 2);
         assert_eq!(plan.num_messages(), 1);

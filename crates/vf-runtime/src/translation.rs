@@ -43,7 +43,8 @@ pub const DEFAULT_PAGE_SIZE: usize = 1024;
 /// Wire bytes of one directory entry (owner + local offset, u32 each).
 pub const ENTRY_BYTES: usize = 8;
 
-/// Lookup counters of a [`DistTranslationTable`].
+/// Lookup counters of a [`DistTranslationTable`]'s own page cache, or of
+/// the planning sessions a [`crate::PlanCache`] ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TranslationStats {
     /// Lookups answered by a page homed on the requesting processor.
@@ -54,6 +55,15 @@ pub struct TranslationStats {
     pub page_fetches: u64,
     /// Bytes those page fetches moved.
     pub fetched_bytes: usize,
+}
+
+impl std::ops::AddAssign for TranslationStats {
+    fn add_assign(&mut self, delta: Self) {
+        self.home_hits += delta.home_hits;
+        self.cache_hits += delta.cache_hits;
+        self.page_fetches += delta.page_fetches;
+        self.fetched_bytes += delta.fetched_bytes;
+    }
 }
 
 #[derive(Debug, Default)]
@@ -132,11 +142,6 @@ impl DistTranslationTable {
         self.fingerprint
     }
 
-    /// Directory entries per page.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Number of directory pages.
     pub fn num_pages(&self) -> usize {
         self.pages.len()
@@ -174,17 +179,6 @@ impl DistTranslationTable {
         self.pages[page].len() * ENTRY_BYTES
     }
 
-    /// Merges lookup counters produced by a planning session (see
-    /// [`crate::plan`]'s session resolver) into this table's cumulative
-    /// stats, under a single lock acquisition.
-    pub(crate) fn absorb_stats(&self, delta: TranslationStats) {
-        let mut inner = self.lock();
-        inner.stats.home_hits += delta.home_hits;
-        inner.stats.cache_hits += delta.cache_hits;
-        inner.stats.page_fetches += delta.page_fetches;
-        inner.stats.fetched_bytes += delta.fetched_bytes;
-    }
-
     /// Resolves global offset `lin` on behalf of `requester` through the
     /// cached page path: a page homed on the requester is free, a cached
     /// page hits, and a missing page records one (home → requester) page
@@ -218,7 +212,8 @@ impl DistTranslationTable {
         (ProcId(o as usize), l as usize)
     }
 
-    /// Current lookup counters.
+    /// The lookup counters of [`DistTranslationTable::lookup_from`]
+    /// (planning sessions count into their plan cache's stats instead).
     pub fn stats(&self) -> TranslationStats {
         self.lock().stats
     }
@@ -249,14 +244,14 @@ static REGISTRY: LazyLock<Mutex<Registry>> = LazyLock::new(|| Mutex::new(Vec::ne
 /// [`REGISTRY_CAP`] most recently used tables.
 ///
 /// What the registry shares is the *immutable page data* (the expensive
-/// O(N) directory build) and the cumulative [`DistTranslationTable::stats`]
-/// counters.  Planning sessions do **not** share page-cache warmth through
-/// it: each planner tracks which pages its requesters have already fetched
-/// *within that planning session* and attaches the resulting directory
-/// messages to the plan it builds, so two independent simulations planning
-/// against the same distribution each model a cold directory — the
-/// instance-level cache of [`DistTranslationTable::lookup_from`] is only
-/// warmed by direct callers.
+/// O(N) directory build).  Planning sessions share neither page-cache
+/// warmth nor counters through it: each planner tracks which pages its
+/// requesters have already fetched *within that planning session*,
+/// attaches the resulting directory messages to the plan it builds and
+/// counts its lookups into its own [`crate::PlanCache`], so two independent
+/// simulations planning against the same distribution each model — and
+/// report — a cold directory.  The instance-level cache of
+/// [`DistTranslationTable::lookup_from`] is only warmed by direct callers.
 pub fn table_for(dist: &Distribution) -> Arc<DistTranslationTable> {
     let fp = dist.fingerprint();
     let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);

@@ -67,6 +67,30 @@ pub fn forced_threaded(workers: usize) -> ThreadedExecutor {
     ThreadedExecutor::with_pool(std::sync::Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0)
 }
 
+/// Runs `check` once per backend an app can take from the environment —
+/// Serial, pooled with every non-empty job dispatched (`VF_EXEC_CUTOFF=1`;
+/// 0 is refused by design) and Sharded — by setting `VF_EXEC_BACKEND` and
+/// `VF_EXEC_CUTOFF` for each, then restores both.  The variables are
+/// process-wide: a binary may hold only one test that calls this.
+pub fn for_each_ambient_backend(mut check: impl FnMut(&str)) {
+    let ambient =
+        ["VF_EXEC_BACKEND", "VF_EXEC_CUTOFF"].map(|name| (name, std::env::var(name).ok()));
+    for (backend, cutoff) in [("serial", None), ("threaded", Some("1")), ("sharded", None)] {
+        std::env::set_var("VF_EXEC_BACKEND", backend);
+        match cutoff {
+            Some(bytes) => std::env::set_var("VF_EXEC_CUTOFF", bytes),
+            None => std::env::remove_var("VF_EXEC_CUTOFF"),
+        }
+        check(backend);
+    }
+    for (name, value) in ambient {
+        match value {
+            Some(value) => std::env::set_var(name, value),
+            None => std::env::remove_var(name),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fixtures and assertions the halo suites share.
 // ---------------------------------------------------------------------------

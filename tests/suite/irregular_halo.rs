@@ -4,14 +4,21 @@
 //! random partitions; a repartitioning must invalidate the halo plan
 //! (stale-halo detection); and the structured non-contiguous-layout error
 //! must name the offending dimension.
+//!
+//! The mesh sweep itself is held to one table: every partition, with and
+//! without a mid-run repartition, on 1, 3, 4 and 7 processors and on the
+//! Serial, pooled and Sharded backends, is bitwise the plain sequential
+//! reference, with the communication of three rows pinned.  Concurrent
+//! sweeps report only their own directory traffic.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use vf_apps::mesh::{
-    partition_greedy, run_sweep, unstructured_mesh, MeshPartition, MeshSweepConfig,
+    partition_greedy, run_sweep, sequential_reference, unstructured_mesh, MeshPartition,
+    MeshSweepConfig,
 };
 use vf_core::prelude::*;
-use vf_integration::zero_machine;
+use vf_integration::{for_each_ambient_backend, zero_machine};
 use vf_runtime::ghost::exchange_ghosts;
 use vf_runtime::parti::{execute_gather, inspector};
 use vf_runtime::plan::plan_ghost;
@@ -189,6 +196,105 @@ fn mesh_sweep_values_survive_the_halo_switch_bitwise() {
     // cache was hit across steps.
     assert!(coord.directory.page_fetches + coord.directory.home_hits > 0);
     assert!(coord.plan_cache.hits > 0);
+}
+
+const SWEEP_STEPS: usize = 4;
+
+/// The communication of three rows of the table, pinned from the per-point
+/// sweep — computing on local buffers must not move it:
+/// `(partition, repartition, processors)` → (halo elements, halo
+/// messages, total messages, total bytes).
+type PinnedSweep = ((MeshPartition, Option<usize>, usize), [usize; 4]);
+const PINNED_SWEEPS: [PinnedSweep; 3] = [
+    ((MeshPartition::Block, None, 4), [764, 48, 48, 6112]),
+    ((MeshPartition::Coordinate, Some(2), 3), [146, 20, 30, 5904]),
+    ((MeshPartition::Greedy, Some(2), 7), [284, 88, 94, 6592]),
+];
+
+/// Every partition × repartition × processor count against the sequential
+/// reference, under whatever backend the environment selects.
+fn check_sweeps(backend: &str) {
+    let mesh = unstructured_mesh(10, 9, 31);
+    let reference: Vec<u64> = sequential_reference(&mesh, SWEEP_STEPS)
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let partitions = [
+        MeshPartition::Block,
+        MeshPartition::Coordinate,
+        MeshPartition::Greedy,
+    ];
+    for partition in partitions {
+        for repartition_at in [None, Some(SWEEP_STEPS / 2)] {
+            for p in [1usize, 3, 4, 7] {
+                let ctx = format!("{backend} {partition:?} repartition {repartition_at:?} on {p}");
+                let config = MeshSweepConfig {
+                    steps: SWEEP_STEPS,
+                    partition,
+                    repartition_at,
+                };
+                let machine = Machine::new(p, CostModel::from_alpha_beta(1.0, 0.01));
+                let result = run_sweep(&mesh, &config, &machine);
+                let bits: Vec<u64> = result.values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, reference, "{ctx}");
+                let pinned = PINNED_SWEEPS
+                    .iter()
+                    .find(|(row, _)| *row == (partition, repartition_at, p));
+                if let Some((_, expected)) = pinned {
+                    let got = [
+                        result.gathered_elements,
+                        result.gather_messages,
+                        result.stats.total_messages(),
+                        result.stats.total_bytes(),
+                    ];
+                    assert_eq!(&got, expected, "{ctx}: communication");
+                }
+            }
+        }
+    }
+}
+
+/// `run_sweep` takes its backend from the environment, so this test — the
+/// only one in this binary that sets it — sets it for each backend in turn.
+#[test]
+fn mesh_sweeps_are_the_sequential_reference_on_every_backend() {
+    for_each_ambient_backend(check_sweeps);
+}
+
+/// Two sweeps planning against the same translation table at once each
+/// report the directory traffic of their own planning, as a solo run does.
+#[test]
+fn concurrent_sweeps_report_only_their_own_directory_traffic() {
+    let mesh = unstructured_mesh(128, 128, 1);
+    let config = MeshSweepConfig {
+        steps: 3,
+        partition: MeshPartition::Greedy,
+        repartition_at: None,
+    };
+    let machine = || Machine::new(4, CostModel::from_alpha_beta(1.0, 0.01));
+    let solo = run_sweep(&mesh, &config, &machine()).directory;
+    assert_eq!(
+        (solo.page_fetches, solo.home_hits, solo.cache_hits),
+        (48, 138, 395)
+    );
+    for round in 0..3 {
+        let start = Barrier::new(2);
+        let concurrent: Vec<TranslationStats> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let machine = machine();
+                        start.wait();
+                        run_sweep(&mesh, &config, &machine).directory
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        for directory in concurrent {
+            assert_eq!(directory, solo, "round {round}");
+        }
+    }
 }
 
 proptest! {

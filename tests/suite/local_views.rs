@@ -7,6 +7,13 @@
 //!   `GhostRegion::extended` — the value `GhostRegion::get(Point)` and
 //!   the owner's `DistArray::get` give, after an exchange on Serial, the
 //!   pooled backend with cutoff 0 and Sharded.
+//! * The irregular overlap area, for `BLOCK` and `INDIRECT` layouts of a
+//!   mesh on up to more processors than nodes: `GhostRegion::extended` is
+//!   `[local | ghosts]`, every localised neighbour index resolves through
+//!   the local-to-global runs and the sorted ghost list to the global CSR
+//!   neighbour, every ghost holds its owner's value, the interior and
+//!   boundary rows partition the local rows, and `forall_owned` computes on
+//!   the list a layout owns.
 //! * `DistArray::from_dense` / `to_dense` (which copy runs) against a
 //!   per-element `owners` + `loc_map` oracle, for every kind of
 //!   distribution.
@@ -16,11 +23,12 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use vf_apps::mesh::unstructured_mesh;
 use vf_apps::smoothing::{self, SmoothingConfig, SmoothingLayout};
 use vf_apps::workloads;
 use vf_core::prelude::*;
 use vf_core::vf_dist::AlignExpr;
-use vf_integration::forced_threaded;
+use vf_integration::{for_each_ambient_backend, forced_threaded};
 use vf_runtime::ghost::exchange_ghosts;
 use vf_runtime::RuntimeError;
 
@@ -156,6 +164,107 @@ fn scattered_layouts_have_no_view_and_name_their_dimension() {
     let swept = forall_owned(&mut [&mut b], &tracker, &SerialExecutor, |_, _| 0);
     assert_eq!(scattered(swept), 1);
     assert_eq!(b, a, "nothing ran");
+}
+
+// --- the irregular local index space -----------------------------------------
+
+fn check_irregular_overlap_areas<E: PlanExecutor>(backend: &str, executor: &E) {
+    let mesh = unstructured_mesh(5, 4, 17);
+    let n = mesh.num_nodes();
+    let conn = mesh.connectivity();
+    let dense: Vec<f64> = (0..n).map(|u| u as f64 * 3.5 + 0.25).collect();
+    for p in [1usize, 3, 4, n + 3] {
+        let owners = IndirectMap::from_fn(n, |u| (u * 7 + u / 3) % p).unwrap();
+        let layouts = [
+            ("BLOCK", DistType::block1d()),
+            ("INDIRECT", DistType::indirect1d(Arc::new(owners))),
+        ];
+        for (layout, t) in layouts {
+            let ctx = format!("{backend} {layout} on {p}");
+            let dist = Distribution::new(t, IndexDomain::d1(n), ProcessorView::linear(p)).unwrap();
+            let a = DistArray::from_dense("M", dist.clone(), &dense).unwrap();
+            let plan = PlanCache::new().ghost_irregular_plan(&dist, &conn).unwrap();
+            let tracker = CommTracker::new(p, CostModel::zero());
+            let (ghosts, _) = exchange_ghosts(&a, &plan, &tracker, executor).unwrap();
+            let mut scratch = Vec::new();
+            for &q in dist.proc_ids() {
+                let local = a.local(q);
+                let n_local = local.len();
+                // A box where the layout owns one, the local offsets
+                // where it owns a list.
+                let owned = match layout {
+                    "INDIRECT" => IndexDomain::d1(n_local),
+                    _ => dist.local_segment(q).unwrap(),
+                };
+                let view = LocalView::new(&dist, q, local).unwrap();
+                assert_eq!(view.segment(), &owned, "{ctx}: {q}");
+                let csr = plan.localised(q).unwrap();
+                let mut global_of = vec![0; n_local];
+                for run in dist.local_linear_runs(q) {
+                    for k in 0..run.len {
+                        global_of[run.local_start + k] = run.global_start + k;
+                    }
+                }
+                // `extended` is the buffer followed by the ghost suffix.
+                let extended = ghosts.extended(q, local, &mut scratch).unwrap();
+                let len = n_local + csr.ghosts.len();
+                assert_eq!(extended.segment(), &IndexDomain::d1(len), "{ctx}: {q}");
+                assert_eq!(&extended[..n_local], local, "{ctx}: {q}");
+                assert!(csr.ghosts.windows(2).all(|w| w[0] < w[1]), "{ctx}: {q}");
+                for (s, &g) in csr.ghosts.iter().enumerate() {
+                    let point = Point::d1(g as i64 + 1);
+                    assert!(!dist.is_local(q, &point), "{ctx}: {q} ghosts its own {g}");
+                    let value = a.get(&point).unwrap();
+                    assert_eq!(extended[n_local + s], value, "{ctx}: {q} ghost {g}");
+                    assert_eq!(ghosts.get(q, &point), Some(value), "{ctx}: {q} ghost {g}");
+                }
+                // Every localised neighbour is the global one.
+                assert_eq!(csr.xadj.len(), n_local + 1, "{ctx}: {q}");
+                let global = |l: u32| match (l as usize).checked_sub(n_local) {
+                    None => global_of[l as usize],
+                    Some(s) => csr.ghosts[s],
+                };
+                for (row, &u) in global_of.iter().enumerate() {
+                    let nbrs = &csr.adjncy[csr.xadj[row] as usize..csr.xadj[row + 1] as usize];
+                    let resolved: Vec<usize> = nbrs.iter().map(|&l| global(l)).collect();
+                    assert_eq!(resolved, mesh.neighbors(u), "{ctx}: {q} row {row}");
+                }
+                // Interior rows read only owned elements; together with the
+                // boundary rows they are every local row once.
+                let reads_a_ghost = |&row: &u32| {
+                    let r = row as usize;
+                    let nbrs = &csr.adjncy[csr.xadj[r] as usize..csr.xadj[r + 1] as usize];
+                    nbrs.iter().any(|&l| l as usize >= n_local)
+                };
+                assert!(!csr.interior.iter().any(reads_a_ghost), "{ctx}: {q}");
+                assert!(csr.boundary.iter().all(reads_a_ghost), "{ctx}: {q}");
+                let mut rows: Vec<u32> = [&csr.interior[..], &csr.boundary[..]].concat();
+                rows.sort_unstable();
+                assert_eq!(rows, (0..n_local as u32).collect::<Vec<_>>(), "{ctx}: {q}");
+            }
+            // The compute verb runs on both layouts' local offsets.
+            let mut b = a.clone();
+            forall_owned(&mut [&mut b], &tracker, executor, |_, views| {
+                for (l, v) in views[0].iter_mut().enumerate() {
+                    *v = l as f64;
+                }
+                0
+            })
+            .unwrap();
+            for &q in dist.proc_ids() {
+                let expected: Vec<f64> = (0..b.local(q).len()).map(|l| l as f64).collect();
+                assert_eq!(b.local(q), expected.as_slice(), "{ctx}: {q}");
+            }
+        }
+    }
+}
+
+#[test]
+fn irregular_overlap_areas_are_the_buffer_and_a_ghost_suffix_on_every_backend() {
+    check_irregular_overlap_areas("serial", &SerialExecutor);
+    check_irregular_overlap_areas("pooled", &forced_threaded(2));
+    let sharded = ExecBackend::Sharded(ShardedExecutor::new());
+    check_irregular_overlap_areas("sharded", &sharded);
 }
 
 // --- dense conversions -------------------------------------------------------
@@ -363,24 +472,8 @@ fn check_smoothing(backend: &str) {
 
 /// `smoothing::run` and `run_class` take their backend from the
 /// environment, so this test — the only one in this binary that reads it —
-/// sets it for each backend in turn.  `VF_EXEC_CUTOFF=1` is the pooled
-/// backend with every non-empty job dispatched (0 is refused by design).
+/// sets it for each backend in turn.
 #[test]
 fn smoothing_is_the_sequential_reference_with_the_pinned_statistics_on_every_backend() {
-    let ambient =
-        ["VF_EXEC_BACKEND", "VF_EXEC_CUTOFF"].map(|name| (name, std::env::var(name).ok()));
-    for (backend, cutoff) in [("serial", None), ("threaded", Some("1")), ("sharded", None)] {
-        std::env::set_var("VF_EXEC_BACKEND", backend);
-        match cutoff {
-            Some(bytes) => std::env::set_var("VF_EXEC_CUTOFF", bytes),
-            None => std::env::remove_var("VF_EXEC_CUTOFF"),
-        }
-        check_smoothing(backend);
-    }
-    for (name, value) in ambient {
-        match value {
-            Some(value) => std::env::set_var(name, value),
-            None => std::env::remove_var(name),
-        }
-    }
+    for_each_ambient_backend(check_smoothing);
 }
