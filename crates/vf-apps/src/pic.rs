@@ -9,18 +9,49 @@
 //! so) and executes `DISTRIBUTE FIELD :: B_BLOCK(BOUNDS)`.
 //!
 //! The field array here is one value per cell (`FIELD(NCELL)`), standing in
-//! for the paper's `FIELD(NCELL, NPART, ...)`; the particle lists are kept
-//! per cell, owned by the processor owning the cell, and particle motion
-//! between cells on different processors is charged through the
-//! inspector/executor-style aggregation the paper prescribes for it.
+//! for the paper's `FIELD(NCELL, NPART, ...)`.  The particles live on the
+//! processors: each processor holds one list, the particles whose cell it
+//! owns.  A cell distribution is read once, when it is installed, as each
+//! processor's cells `[lo, hi)` (its segment) and a cell → owner table that
+//! only particles leaving their processor's cells consult.  Each step runs,
+//! in this order:
+//!
+//! 1. *Rebalance, when due.*  `DISTRIBUTE FIELD :: B_BLOCK(BOUNDS)` with
+//!    `BOUNDS` from the per-cell counts (built on rebalancing steps only),
+//!    then every list hands the particles of the cells it lost to their new
+//!    owner: one message of `count × 16` bytes per (old owner, new owner)
+//!    pair.
+//! 2. *Deposit and push*, one owner-computes kernel over `FIELD`
+//!    ([`forall_owned`], the processors in turn on the calling thread):
+//!    each processor zeroes its cells, adds one per particle it holds,
+//!    moves every particle, and puts each particle that left its cells in
+//!    its outbox for the cell's owner.  FLOPs are charged once per
+//!    processor.
+//! 3. *Post the 1-wide halo of `FIELD`, migrate, wait.*  The outboxes are
+//!    appended to their owners' lists — one message per pair, charged in
+//!    (source, destination) order, so identical runs charge an identical
+//!    ledger — while the halo streams.  The push reads no halo value, so
+//!    the kernel may run before the post.
+//!
+//! Where a particle is pushed never changes how: every run ends with the
+//! particles of [`sequential_reference`], as a multiset, bit for bit.
+//!
+//! At the `pic-rebalance` benchmark's sizes (4 096 cells, 50 000 particles,
+//! 40 steps, 4 processors), `DynamicGenBlock { period: 10, threshold: 1.1 }`
+//! never rebalances mid-run on seeds 1 or 7: only the initial `BOUNDS`
+//! `DISTRIBUTE` runs, so that workload measures the push and the migration.
+//! Rebalancing is covered by the PIC table of the integration suite.
 
 use crate::workloads::{particles_per_cell, Particle};
-use std::collections::HashMap;
-use vf_dist::{DistType, Distribution, ProcId, ProcessorView};
-use vf_index::{IndexDomain, Point};
-use vf_machine::{trace, CommStats, Machine};
+use std::ops::Range;
+use std::sync::Mutex;
+use vf_dist::{DistType, Distribution, ProcessorView};
+use vf_index::IndexDomain;
+use vf_machine::{trace, CommStats, CommTracker, Machine};
 use vf_runtime::ghost::exchange_class_ghosts_split;
-use vf_runtime::{redistribute, DistArray, ExecBackend, PlanCache, RedistOptions};
+use vf_runtime::{
+    forall_owned, redistribute, DistArray, ExecBackend, PlanCache, RedistOptions, SerialExecutor,
+};
 
 /// Flops charged per particle per phase (field contribution + position
 /// update).
@@ -91,6 +122,10 @@ pub struct PicResult {
     pub mean_imbalance: f64,
     /// Maximum over steps of the pre-rebalancing imbalance.
     pub max_imbalance: f64,
+    /// The final particles, by the processor holding them (indexed by
+    /// processor id): each list holds the particles whose cell that
+    /// processor owns at the end.
+    pub particles: Vec<Vec<Particle>>,
 }
 
 /// The `balance` routine of Figure 2: computes per-processor block sizes
@@ -137,6 +172,35 @@ pub fn needs_rebalance(imbalance: f64, threshold: f64) -> bool {
     imbalance > threshold
 }
 
+/// The simulation on one processor over a plain vector: `config.steps`
+/// pushes of every particle — the particles every distributed [`run`] ends
+/// with, as a multiset, bit for bit, whatever its strategy.
+pub fn sequential_reference(config: &PicConfig, initial: &[Particle]) -> Vec<Particle> {
+    let mut particles = initial.to_vec();
+    for _ in 0..config.steps {
+        for particle in &mut particles {
+            push(particle, config.ncell);
+        }
+    }
+    particles
+}
+
+/// Moves `particle` by one step: reflecting boundaries keep it inside the
+/// domain, and a clamp keeps it below the last cell's upper edge.
+fn push(particle: &mut Particle, ncell: usize) {
+    let mut pos = particle.pos + particle.vel;
+    if pos < 0.0 {
+        pos = -pos;
+        particle.vel = -particle.vel;
+    }
+    let limit = ncell as f64 - 1e-9;
+    if pos > limit {
+        pos = 2.0 * limit - pos;
+        particle.vel = -particle.vel;
+    }
+    particle.pos = pos.clamp(0.0, limit);
+}
+
 fn cell_distribution(ncell: usize, machine: &Machine, sizes: Option<Vec<usize>>) -> Distribution {
     let procs = ProcessorView::linear(machine.num_procs());
     let dist_type = match sizes {
@@ -147,17 +211,62 @@ fn cell_distribution(ncell: usize, machine: &Machine, sizes: Option<Vec<usize>>)
         .expect("cell distributions are valid")
 }
 
-fn owner_of_cell(dist: &Distribution, cell: usize) -> ProcId {
-    dist.owner(&Point::d1(cell as i64 + 1))
-        .expect("cell within domain")
+/// A cell distribution as the particle lists use it, read once per
+/// distribution: each processor's cells `[lo, hi)` (0-based, from its
+/// segment) and the owner of every cell.
+struct Cells {
+    ranges: Vec<Range<usize>>,
+    owner: Vec<u32>,
 }
 
-fn particles_per_proc(counts: &[usize], dist: &Distribution, nprocs: usize) -> Vec<usize> {
-    let mut per_proc = vec![0usize; nprocs];
-    for (cell, &c) in counts.iter().enumerate() {
-        per_proc[owner_of_cell(dist, cell).0] += c;
+impl Cells {
+    fn of(dist: &Distribution) -> Self {
+        let first = dist.domain().dim(0).lower();
+        let mut ranges = vec![0..0; dist.num_procs()];
+        let mut owner = vec![0u32; dist.domain().size()];
+        for &p in dist.proc_ids() {
+            let segment = dist
+                .local_segment(p)
+                .expect("block and general-block cells are one segment");
+            let lo = (segment.dim(0).lower() - first) as usize;
+            let cells = lo..lo + segment.size();
+            owner[cells.clone()].fill(p.0 as u32);
+            ranges[p.0] = cells;
+        }
+        Self { ranges, owner }
     }
-    per_proc
+
+    /// Whether processor `proc` owns `particle`'s cell; when it does not,
+    /// the particle goes to the cell owner's slot of `outbox`.
+    fn keeps(&self, proc: usize, particle: &Particle, outbox: &mut [Vec<Particle>]) -> bool {
+        let cell = particle.cell(self.owner.len());
+        if self.ranges[proc].contains(&cell) {
+            return true;
+        }
+        outbox[self.owner[cell] as usize].push(*particle);
+        false
+    }
+}
+
+/// Appends every outbox to its destination's list, charging one message
+/// of `count × PARTICLE_BYTES` per (source, destination) pair in
+/// (source, destination) order.  Returns the particles moved.
+fn migrate(
+    lists: &mut [Vec<Particle>],
+    outboxes: &mut [Vec<Vec<Particle>>],
+    tracker: &CommTracker,
+) -> usize {
+    let mut moved = 0;
+    for (src, outbox) in outboxes.iter_mut().enumerate() {
+        for (dst, leavers) in outbox.iter_mut().enumerate() {
+            if !leavers.is_empty() {
+                tracker.send(src, dst, leavers.len() * PARTICLE_BYTES);
+                moved += leavers.len();
+                lists[dst].append(leavers);
+            }
+        }
+    }
+    moved
 }
 
 fn imbalance_of(per_proc: &[usize]) -> f64 {
@@ -169,19 +278,19 @@ fn imbalance_of(per_proc: &[usize]) -> f64 {
     per_proc.iter().copied().max().unwrap_or(0) as f64 / avg
 }
 
-/// Runs the PIC simulation and returns statistics.  `initial_particles` is
-/// consumed and evolved in place.
+/// Runs the PIC simulation from `initial_particles` and returns statistics
+/// and the final particles.
 pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]) -> PicResult {
     let tracker = machine.tracker();
     // Shared plan cache: the per-step cell-halo exchange always hits after
     // the first step under an unchanged distribution, and recurring
     // BOUNDS partitions reuse their redistribution schedules.  Rebalance
-    // copies run on the auto-selected (threaded when multi-core) backend.
+    // copies and the halo run on the auto-selected (threaded when
+    // multi-core) backend.
     let plans = PlanCache::new();
     let executor = ExecBackend::auto();
     let nprocs = machine.num_procs();
     let ncell = config.ncell;
-    let mut particles: Vec<Particle> = initial_particles.to_vec();
 
     // FIELD(NCELL): one force value per cell.
     let mut field: DistArray<f64> =
@@ -190,8 +299,7 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
     // Initial partition of cells (Figure 2 computes BOUNDS right after the
     // initial positions are known, for the dynamic strategies).
     if !matches!(config.strategy, PicStrategy::StaticBlock) {
-        let counts = particles_per_cell(&particles, ncell);
-        let sizes = balance(&counts, nprocs);
+        let sizes = balance(&particles_per_cell(initial_particles, ncell), nprocs);
         redistribute(
             &mut field,
             cell_distribution(ncell, machine, Some(sizes)),
@@ -203,14 +311,31 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
         .expect("same domain");
     }
 
+    // Each processor's list, sized from its initial count with an eighth of
+    // headroom: a drifting cloud's net arrivals fit for many steps before a
+    // list must grow, and growing may copy the whole list.  Each
+    // processor's outbox has one slot per destination, kept across steps.
+    let mut cells = Cells::of(field.dist());
+    let mut held = vec![0usize; nprocs];
+    for particle in initial_particles {
+        held[cells.owner[particle.cell(ncell)] as usize] += 1;
+    }
+    let mut lists: Vec<Vec<Particle>> = held
+        .into_iter()
+        .map(|n| Vec::with_capacity(n + n / 8))
+        .collect();
+    for particle in initial_particles {
+        lists[cells.owner[particle.cell(ncell)] as usize].push(*particle);
+    }
+    let mut outboxes: Vec<Vec<Vec<Particle>>> = vec![vec![Vec::new(); nprocs]; nprocs];
+
     let mut per_step = Vec::with_capacity(config.steps);
     let mut rebalance_count = 0usize;
     let mut rebalance_bytes = 0usize;
 
     for step in 0..config.steps {
         let _step_span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
-        let counts = particles_per_cell(&particles, ncell);
-        let per_proc = particles_per_proc(&counts, field.dist(), nprocs);
+        let per_proc: Vec<usize> = lists.iter().map(Vec::len).collect();
         let imbalance = imbalance_of(&per_proc);
         let max_particles = per_proc.iter().copied().max().unwrap_or(0);
 
@@ -224,12 +349,13 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
             }
         };
         if rebalanced {
-            let sizes = balance(&counts, nprocs);
-            let old_dist = field.dist().clone();
-            let new_dist = cell_distribution(ncell, machine, Some(sizes));
+            let mut counts = vec![0usize; ncell];
+            for particle in lists.iter().flatten() {
+                counts[particle.cell(ncell)] += 1;
+            }
             let report = redistribute(
                 &mut field,
-                new_dist.clone(),
+                cell_distribution(ncell, machine, Some(balance(&counts, nprocs))),
                 &tracker,
                 &RedistOptions::default(),
                 &plans,
@@ -238,82 +364,54 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
             .expect("same domain");
             rebalance_count += 1;
             rebalance_bytes += report.bytes;
-            // Particles follow their cells: those whose cell changed owner
-            // are shipped as well (aggregated per processor pair).
-            let mut pair_particles: HashMap<(usize, usize), usize> = HashMap::new();
-            for (cell, &c) in counts.iter().enumerate() {
-                let from = owner_of_cell(&old_dist, cell);
-                let to = owner_of_cell(&new_dist, cell);
-                if from != to && c > 0 {
-                    *pair_particles.entry((from.0, to.0)).or_insert(0) += c;
-                }
+            // Particles follow their cells to the new owners.
+            cells = Cells::of(field.dist());
+            for (p, (list, outbox)) in lists.iter_mut().zip(&mut outboxes).enumerate() {
+                list.retain(|particle| cells.keeps(p, particle, outbox));
             }
-            for (&(src, dst), &count) in &pair_particles {
-                let bytes = count * PARTICLE_BYTES;
-                tracker.send(src, dst, bytes);
-                rebalance_bytes += bytes;
-            }
+            rebalance_bytes += migrate(&mut lists, &mut outboxes, &tracker) * PARTICLE_BYTES;
         }
 
-        // Phase 1: update_field — each cell owner accumulates the charge of
-        // its particles and the field value of the cell.
-        let counts_now = particles_per_cell(&particles, ncell);
-        for (cell, &c) in counts_now.iter().enumerate() {
-            let owner = owner_of_cell(field.dist(), cell);
-            tracker.compute(owner.0, c * FLOPS_PER_PARTICLE);
-            field
-                .set(&Point::d1(cell as i64 + 1), c as f64)
-                .expect("cell within domain");
-        }
+        // update_field + update_part: each processor deposits the charge
+        // of the particles it holds on its cells, then moves them; leavers
+        // wait in its outbox.  The kernel of processor `p` is the only one
+        // to lock rank `p`.  The processors run one after the other on the
+        // calling thread.  At the `pic-rebalance` size `FIELD` is exactly
+        // at the pooled cutoff, and fanned out over a two-core host's pool
+        // a run took 9 ms in some processes and 15 ms in others, by how
+        // contended the second core was; on the caller it takes 15 ms in
+        // every process.
+        let ranks: Vec<Mutex<_>> = lists
+            .iter_mut()
+            .zip(&mut outboxes)
+            .map(Mutex::new)
+            .collect();
+        forall_owned(&mut [&mut field], &tracker, &SerialExecutor, |p, views| {
+            let mut rank = ranks[p.0].lock().expect("one kernel per processor");
+            let (list, outbox) = &mut *rank;
+            let charge = &mut views[0];
+            charge.fill(0.0);
+            let lo = cells.ranges[p.0].start;
+            let pushed = list.len();
+            list.retain_mut(|particle| {
+                charge[particle.cell(ncell) - lo] += 1.0;
+                push(particle, ncell);
+                cells.keeps(p.0, particle, outbox)
+            });
+            2 * FLOPS_PER_PARTICLE * pushed
+        })
+        .expect("block and general-block cells have local views");
+        drop(ranks);
+
         // Neighbouring-cell field values are needed for the force on each
-        // particle: post the 1-wide cell halo split-phase and let it stream
-        // while phase 2 pushes particles (which reads only the particle
-        // lists and the distribution, never the in-flight halo values).
+        // particle: post the 1-wide cell halo split-phase and move the
+        // leavers to their new owners while it streams.
         let halo_plan = plans
             .ghost_class_plan([field.dist()], &[(1, 1)])
             .expect("block and general block cells have contiguous segments");
         let halo = exchange_class_ghosts_split(&[&field], halo_plan, &tracker, &executor)
             .expect("the plan was made for this field");
-
-        // Phase 2: update_part — move particles; those that cross to a cell
-        // owned by another processor must be communicated (irregular,
-        // aggregated per processor pair as the inspector/executor would).
-        let push_span = trace::OpenSpan::begin_with(trace::Phase::InteriorCompute, || {
-            format!("push {} particles", particles.len())
-        });
-        let mut migrated = 0usize;
-        let mut pair_particles: HashMap<(usize, usize), usize> = HashMap::new();
-        for particle in &mut particles {
-            let old_cell = particle.cell(ncell);
-            let owner_before = owner_of_cell(field.dist(), old_cell);
-            tracker.compute(owner_before.0, FLOPS_PER_PARTICLE);
-            // Reflecting boundaries keep every particle inside the domain.
-            let mut pos = particle.pos + particle.vel;
-            if pos < 0.0 {
-                pos = -pos;
-                particle.vel = -particle.vel;
-            }
-            let limit = ncell as f64 - 1e-9;
-            if pos > limit {
-                pos = 2.0 * limit - pos;
-                particle.vel = -particle.vel;
-            }
-            particle.pos = pos.clamp(0.0, limit);
-            let new_cell = particle.cell(ncell);
-            let owner_after = owner_of_cell(field.dist(), new_cell);
-            if owner_before != owner_after {
-                migrated += 1;
-                *pair_particles
-                    .entry((owner_before.0, owner_after.0))
-                    .or_insert(0) += 1;
-            }
-        }
-        push_span.end();
-        for (&(src, dst), &count) in &pair_particles {
-            tracker.send(src, dst, count * PARTICLE_BYTES);
-        }
-        // Complete the halo posted before the push — the whole particle
-        // phase ran in its shadow.
+        let migrated = migrate(&mut lists, &mut outboxes, &tracker);
         halo.wait()
             .expect("split-phase halo exchange survives injected faults");
 
@@ -332,11 +430,12 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
     PicResult {
         stats: tracker.snapshot(),
         per_step,
-        total_particles: particles.len(),
+        total_particles: lists.iter().map(Vec::len).sum(),
         rebalance_count,
         rebalance_bytes,
         mean_imbalance,
         max_imbalance,
+        particles: lists,
     }
 }
 
@@ -416,6 +515,32 @@ mod tests {
             );
             assert_eq!(result.total_particles, 800, "{strategy:?} lost particles");
             assert_eq!(result.per_step.len(), 12);
+        }
+    }
+
+    #[test]
+    fn identical_runs_charge_an_identical_ledger() {
+        // Every charge is issued in a fixed order, so the per-processor
+        // float sums of modelled time repeat bit for bit.
+        let ncell = 128;
+        let init = clustered(ncell, 2000);
+        let config = PicConfig {
+            ncell,
+            steps: 30,
+            strategy: PicStrategy::Oracle,
+        };
+        let ledger = || {
+            let stats = run(&config, &Machine::new(8, CostModel::ipsc860(8)), &init).stats;
+            let times: Vec<u64> = stats
+                .per_proc()
+                .iter()
+                .map(|p| p.total_time().to_bits())
+                .collect();
+            (times, stats.critical_time().to_bits())
+        };
+        let first = ledger();
+        for run in 1..8 {
+            assert_eq!(ledger(), first, "run {run} charged a different ledger");
         }
     }
 

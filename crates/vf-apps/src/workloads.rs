@@ -49,9 +49,13 @@ pub struct Particle {
 }
 
 impl Particle {
-    /// The (0-based) cell index the particle currently belongs to.
+    /// The (0-based) cell index the particle currently belongs to: the
+    /// floor of its position, clamped into `[0, ncell)`.
     pub fn cell(&self, ncell: usize) -> usize {
-        (self.pos.floor() as usize).min(ncell - 1)
+        // The cast truncates toward zero and saturates negative positions
+        // at 0, so it equals `floor` for every input, without the libm call
+        // `floor` costs on baseline x86-64.
+        (self.pos as usize).min(ncell - 1)
     }
 }
 
@@ -142,6 +146,33 @@ mod tests {
         // All particles stay inside the domain.
         assert!(ps.iter().all(|p| p.pos >= 0.0 && p.pos < 100.0));
         assert!(ps.iter().all(|p| p.cell(100) < 100));
+    }
+
+    #[test]
+    fn cell_is_the_clamped_floor_of_every_position() {
+        let positions = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.5,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            3.999_999_999,
+            4.0,
+            7.5,
+            100.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for pos in positions {
+            let particle = Particle { pos, vel: 0.0 };
+            assert_eq!(
+                particle.cell(8),
+                (pos.floor() as usize).min(7),
+                "position {pos}"
+            );
+        }
     }
 
     #[test]

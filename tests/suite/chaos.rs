@@ -501,6 +501,21 @@ fn chaos_soak_apps_bitwise_equal_under_seeded_faults() {
         assert_eq!(faulty.rebalance_bytes, clean.rebalance_bytes, "seed={seed}");
         assert_eq!(faulty.mean_imbalance, clean.mean_imbalance, "seed={seed}");
         assert_eq!(faulty.max_imbalance, clean.max_imbalance, "seed={seed}");
+        let bits = |lists: &[Vec<workloads::Particle>]| -> Vec<Vec<(u64, u64)>> {
+            lists
+                .iter()
+                .map(|list| {
+                    list.iter()
+                        .map(|p| (p.pos.to_bits(), p.vel.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(
+            bits(&faulty.particles),
+            bits(&clean.particles),
+            "pic particles bitwise on every processor, seed={seed}"
+        );
         bounded(&faulty.stats, "pic", seed);
 
         // Unstructured mesh sweep with a mid-run repartition.
