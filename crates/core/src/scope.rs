@@ -144,7 +144,6 @@ impl<T: Element> ClassHaloExchange<'_, T> {
 pub struct VfScope<T: Element = f64> {
     machine: Machine,
     tracker: CommTracker,
-    plan_cache: PlanCache,
     executor: ExecBackend,
     default_procs: ProcessorView,
     arrays: HashMap<String, Entry<T>>,
@@ -167,7 +166,6 @@ impl<T: Element> VfScope<T> {
         Self {
             machine,
             tracker,
-            plan_cache: PlanCache::new(),
             executor: ExecBackend::auto(),
             default_procs,
             arrays: HashMap::new(),
@@ -216,12 +214,13 @@ impl<T: Element> VfScope<T> {
         &self.tracker
     }
 
-    /// The scope's communication-plan cache: `DISTRIBUTE` statements plan
-    /// each (from, to) distribution pair once and replay the cached
-    /// schedule on later executions — the PARTI schedule reuse of paper
-    /// §3.2 applied to the language layer.
+    /// The machine's plan store ([`PlanCache::of`]): `DISTRIBUTE`
+    /// statements and halo exchanges plan each pattern once and replay the
+    /// cached schedule on later executions — the PARTI schedule reuse of
+    /// paper §3.2 applied to the language layer.  Every scope and
+    /// application run on this machine (or a clone of it) shares it.
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
+        PlanCache::of(&self.machine)
     }
 
     /// The default processor view used when declarations and statements do
@@ -453,7 +452,7 @@ impl<T: Element> VfScope<T> {
         widths: &[(usize, usize)],
     ) -> Result<FusedPlan> {
         let dists = members.iter().map(|a| a.dist());
-        Ok(self.plan_cache.ghost_class_plan(dists, widths)?)
+        Ok(self.plan_cache().ghost_class_plan(dists, widths)?)
     }
 
     /// Split-phase variant of [`VfScope::exchange_class_ghosts`]: packs the
@@ -648,7 +647,7 @@ impl<T: Element> VfScope<T> {
                         work.new_dist.clone(),
                         &self.tracker,
                         &opts,
-                        &self.plan_cache,
+                        PlanCache::of(&self.machine),
                         &self.executor,
                     )?
                 }
@@ -666,8 +665,7 @@ impl<T: Element> VfScope<T> {
                 let entry = self.arrays.get(&work.name).expect("validated above");
                 let data = entry.data.as_ref().expect("phase 2 saw data");
                 parts.push(
-                    self.plan_cache
-                        .redistribute_plan(data.dist(), &work.new_dist)?,
+                    PlanCache::of(&self.machine).redistribute_plan(data.dist(), &work.new_dist)?,
                 );
             }
             let fused = FusedPlan::fuse(parts)?;

@@ -295,20 +295,21 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
         AdiStrategy::DynamicRedistribute => {
             // Figure 1: V is DYNAMIC with initial (:, BLOCK).  The two
             // DISTRIBUTE schedules (cols->rows, rows->cols) are planned in
-            // the first iteration and replayed from the cache afterwards —
-            // the inspector cost is paid once per pattern, not per step.
+            // the first iteration of the machine's first run and replayed
+            // from its plan store afterwards — the inspector cost is paid
+            // once per pattern, not per step or per run.
             // Each DISTRIBUTE + sweep pair runs pipelined: destination
             // blocks stream in split-phase, and each processor's lines are
             // solved as soon as its block lands (see
             // [`pipelined_distribute_sweep`]).
-            let plans = PlanCache::new();
+            let plans = PlanCache::of(machine);
             let executor = ExecBackend::auto();
             let mut v =
                 DistArray::from_dense("V", dist_for(n, machine, DistType::columns()), initial)
                     .expect("initial field has N*N elements");
             let distribute_sweep = |v: &mut DistArray<f64>, dist_type, sweep_dim| {
                 let new_dist = dist_for(n, machine, dist_type);
-                pipelined_distribute_sweep(v, new_dist, sweep_dim, &tracker, &plans, &executor)
+                pipelined_distribute_sweep(v, new_dist, sweep_dim, &tracker, plans, &executor)
             };
             for iter in 0..config.iterations {
                 let _step_span =
@@ -331,7 +332,7 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
             // Two statically distributed arrays connected by assignment;
             // both assignment schedules are planned once and reused, with
             // the copies on the auto-selected backend.
-            let plans = PlanCache::new();
+            let plans = PlanCache::of(machine);
             let executor = ExecBackend::auto();
             let mut v_cols =
                 DistArray::from_dense("V1", dist_for(n, machine, DistType::columns()), initial)
@@ -342,13 +343,13 @@ pub fn run(config: &AdiConfig, machine: &Machine, initial: &[f64]) -> AdiResult 
                 let _step_span =
                     trace::OpenSpan::begin_with(trace::Phase::Step, || format!("iter {iter}"));
                 if iter > 0 {
-                    let report = assign(&mut v_cols, &v_rows, &tracker, &plans, &executor)
+                    let report = assign(&mut v_cols, &v_rows, &tracker, plans, &executor)
                         .expect("same domain");
                     add(&mut moved, (report.messages, report.bytes));
                 }
                 add(&mut swept, sweep(&mut v_cols, 0, &tracker));
                 let report =
-                    assign(&mut v_rows, &v_cols, &tracker, &plans, &executor).expect("same domain");
+                    assign(&mut v_rows, &v_cols, &tracker, plans, &executor).expect("same domain");
                 add(&mut moved, (report.messages, report.bytes));
                 add(&mut swept, sweep(&mut v_rows, 1, &tracker));
             }

@@ -26,7 +26,8 @@
 //!   optional mid-run repartitioning `DISTRIBUTE :: INDIRECT(map')` whose
 //!   connect class (values + fluxes) moves as one fused schedule and whose
 //!   stale halo schedule is invalidated by construction (the new map's
-//!   fingerprint keys a fresh plan; the old translation table is evicted);
+//!   fingerprint keys a fresh plan and a fresh translation table; the old
+//!   ones age out of the machine's plan store);
 //! * [`sequential_reference`] — the same sweep over plain vectors, the
 //!   oracle every distributed run equals bit for bit.
 //!
@@ -293,10 +294,14 @@ pub struct MeshSweepResult {
     /// distributions, "regular" for block).
     pub dcase_arm: &'static str,
     /// Translation-table lookup counters of this run's own planning
-    /// against indirect distributions (zeroes for the block baseline) —
-    /// `plan_cache.translation`.
+    /// against indirect distributions — `plan_cache.translation`.  Zero
+    /// for the block baseline, and for a repeated run whose plans the
+    /// machine's store already holds.
     pub directory: TranslationStats,
-    /// Plan-cache statistics of the scope (schedule reuse across steps).
+    /// This run's activity in the machine's plan store
+    /// ([`PlanCacheStats::since`] the run began: schedule reuse across
+    /// steps and across runs), with the store's footprint at the end.
+    /// Runs sharing one machine at the same time share these counters.
     pub plan_cache: PlanCacheStats,
 }
 
@@ -401,6 +406,7 @@ fn run_sweep_inner(
     let n = mesh.num_nodes();
     let nprocs = machine.num_procs();
     let mut scope: VfScope<f64> = VfScope::new(machine.clone());
+    let plans_before = scope.plan_cache().stats();
 
     // DYNAMIC VAL(N) RANGE((BLOCK), (INDIRECT(*))), connected FLUX(N).
     scope
@@ -460,24 +466,17 @@ fn run_sweep_inner(
             // The partitioner *produces* the new mapping array; the
             // executable DISTRIBUTE moves the whole connect class (VAL and
             // FLUX) as one fused schedule.
-            let old = scope.array("VAL").expect("distributed").dist().clone();
             let map = Arc::new(
                 IndirectMap::new(partition_greedy(mesh, nprocs)).expect("mesh is non-empty"),
             );
             let report = scope
                 .distribute(DistributeStmt::new("VAL", DistType::indirect1d(map)))
                 .expect("INDIRECT is within the declared RANGE");
-            // The old partition's halo schedule is stale by construction
-            // (the new map's fingerprint keys a fresh plan); its
-            // translation table will never be consulted again either, so
-            // evict the stale directory from the bounded registry — unless
-            // the repartitioner reproduced the same map, in which case the
-            // directory is still live.
-            let now = scope.array("VAL").expect("distributed");
-            if old.dist_type().has_indirect() && old.fingerprint() != now.dist_fingerprint() {
-                vf_runtime::translation::invalidate(old.fingerprint());
-            }
-            next = now.clone();
+            // The old partition's halo schedule and translation table are
+            // stale by construction (the new map's fingerprint keys fresh
+            // entries) and age out of the machine's plan store like any
+            // unused entry.
+            next = scope.array("VAL").expect("distributed").clone();
             repartition = Some(report);
         }
 
@@ -540,7 +539,7 @@ fn run_sweep_inner(
     }
 
     let final_dist = scope.array("VAL").expect("distributed").dist().clone();
-    let plan_cache = scope.plan_cache().stats();
+    let plan_cache = scope.plan_cache().stats().since(plans_before);
     let result = MeshSweepResult {
         stats: scope.stats(),
         values: scope.array("VAL").expect("distributed").to_dense(),
@@ -605,8 +604,8 @@ pub fn run_sweep_with_restart(
         IndexDomain::d1(n),
         ProcessorView::linear(nprocs),
     )?;
-    let cache = PlanCache::new();
-    let restored = store.restore_into::<f64, _>(&live, &tracker, &cache, &SerialExecutor)?;
+    let plans = PlanCache::of(machine);
+    let restored = store.restore_into::<f64, _>(&live, &tracker, plans, &SerialExecutor)?;
     let resumed = restored.array.to_dense();
 
     let phase2 = MeshSweepConfig {

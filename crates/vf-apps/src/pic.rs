@@ -287,7 +287,7 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
     // BOUNDS partitions reuse their redistribution schedules.  Rebalance
     // copies and the halo run on the auto-selected (threaded when
     // multi-core) backend.
-    let plans = PlanCache::new();
+    let plans = PlanCache::of(machine);
     let executor = ExecBackend::auto();
     let nprocs = machine.num_procs();
     let ncell = config.ncell;
@@ -305,7 +305,7 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
             cell_distribution(ncell, machine, Some(sizes)),
             &tracker,
             &RedistOptions::default(),
-            &plans,
+            plans,
             &executor,
         )
         .expect("same domain");
@@ -358,7 +358,7 @@ pub fn run(config: &PicConfig, machine: &Machine, initial_particles: &[Particle]
                 cell_distribution(ncell, machine, Some(balance(&counts, nprocs))),
                 &tracker,
                 &RedistOptions::default(),
-                &plans,
+                plans,
                 &executor,
             )
             .expect("same domain");

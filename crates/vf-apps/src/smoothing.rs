@@ -233,7 +233,7 @@ pub fn run(config: &SmoothingConfig, machine: &Machine, initial: &[f64]) -> Smoo
     // The halo geometry is identical in every step: plan it once and
     // replay the cached exchange schedule afterwards, copying on the
     // auto-selected (threaded when multi-core) backend.
-    let plans = PlanCache::new();
+    let plans = PlanCache::of(machine);
     let executor = ExecBackend::auto();
     let dist = grid_distribution(config.layout, config.n, machine);
     let domain = dist.domain();
@@ -402,7 +402,7 @@ fn run_checkpointed_attempt(
         ckpt.is_none_or(|(_, every)| every > 0),
         "checkpoint cadence must be positive"
     );
-    let plans = PlanCache::new();
+    let plans = PlanCache::of(machine);
     let dist = grid_distribution(config.layout, config.n, machine);
 
     let from_initial = || {
@@ -413,7 +413,7 @@ fn run_checkpointed_attempt(
         // restores into the live grid distribution.  An empty (or fully
         // corrupt) store means the crash predated the first save — restart
         // from the initial field.
-        match store.restore_into::<f64, _>(&dist, tracker, &plans, &SerialExecutor) {
+        match store.restore_into::<f64, _>(&dist, tracker, plans, &SerialExecutor) {
             Ok(r) => {
                 let step = (r.step as usize).min(config.steps);
                 (r.array, step)
@@ -566,7 +566,7 @@ pub fn run_class(
 ) -> ClassSmoothingResult {
     assert!(!initials.is_empty(), "a class needs at least one field");
     let tracker = machine.tracker();
-    let plans = PlanCache::new();
+    let plans = PlanCache::of(machine);
     let executor = ExecBackend::auto();
     let dist = grid_distribution(config.layout, config.n, machine);
     let mut current: Vec<DistArray<f64>> = initials

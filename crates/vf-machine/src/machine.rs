@@ -2,7 +2,9 @@
 
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::{CommTracker, CostModel};
-use std::sync::Arc;
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A simulated distributed-memory machine: a number of processors plus a
 /// [`CostModel`].
@@ -10,11 +12,32 @@ use std::sync::Arc;
 /// The paper's `$NP` intrinsic (the number of executing processors, used to
 /// choose distributions at run time in §4) corresponds to
 /// [`Machine::num_procs`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A machine also owns one plan store ([`Machine::plan_store`]), shared by
+/// its clones; equality and `Debug` ignore it.
+#[derive(Clone)]
 pub struct Machine {
     num_procs: usize,
     cost: CostModel,
     fault_plan: Option<FaultPlan>,
+    plan_store: Arc<OnceLock<Box<dyn Any + Send + Sync>>>,
+}
+
+impl PartialEq for Machine {
+    fn eq(&self, other: &Self) -> bool {
+        (self.num_procs, &self.cost, &self.fault_plan)
+            == (other.num_procs, &other.cost, &other.fault_plan)
+    }
+}
+
+impl fmt::Debug for Machine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Machine")
+            .field("num_procs", &self.num_procs)
+            .field("cost", &self.cost)
+            .field("fault_plan", &self.fault_plan)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Machine {
@@ -26,6 +49,7 @@ impl Machine {
             num_procs,
             cost,
             fault_plan: None,
+            plan_store: Arc::default(),
         }
     }
 
@@ -73,6 +97,18 @@ impl Machine {
         }
     }
 
+    /// The machine's plan store, built by `init` on first use.  Every
+    /// clone of this machine returns the same store; a machine built by
+    /// [`Machine::new`] starts with none.  The slot is type-erased because
+    /// the store's type (the runtime's plan cache) lives in a crate above
+    /// this one: one type per machine, and asking for another panics.
+    pub fn plan_store<S: Any + Send + Sync>(&self, init: impl FnOnce() -> S) -> &S {
+        self.plan_store
+            .get_or_init(|| Box::new(init()))
+            .downcast_ref()
+            .expect("a machine holds one plan store type")
+    }
+
     /// The machine-readable metrics summary: per-phase measured counts,
     /// totals and latency percentiles from the global
     /// [`trace`](crate::trace) registry, plus the `drift` section
@@ -106,6 +142,18 @@ mod tests {
     #[should_panic(expected = "at least one processor")]
     fn zero_processors_rejected() {
         let _ = Machine::with_procs(0);
+    }
+
+    #[test]
+    fn clones_share_the_plan_store_and_equality_ignores_it() {
+        let m = Machine::with_procs(4);
+        let clone = m.clone();
+        let store: &Vec<u8> = m.plan_store(|| vec![7]);
+        assert!(std::ptr::eq(store, clone.plan_store(Vec::<u8>::new)));
+        let fresh = Machine::with_procs(4);
+        assert!(fresh.plan_store(Vec::<u8>::new).is_empty());
+        assert_eq!(m, fresh);
+        assert!(!format!("{m:?}").contains("plan_store"));
     }
 
     #[test]

@@ -100,8 +100,6 @@ pub enum Phase {
     PoolDispatch,
     /// Translation-table page fetches charged to the owner directory.
     PageFetch,
-    /// A translation-table invalidation.
-    Invalidate,
     /// A whole redistribute operation.
     Redistribute,
     /// A whole gather operation.
@@ -131,7 +129,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] kinds.
-pub const NUM_PHASES: usize = 27;
+pub const NUM_PHASES: usize = 26;
 
 impl Phase {
     /// Every phase kind, in declaration order.
@@ -152,7 +150,6 @@ impl Phase {
         Phase::CorruptionRepair,
         Phase::PoolDispatch,
         Phase::PageFetch,
-        Phase::Invalidate,
         Phase::Redistribute,
         Phase::Gather,
         Phase::Scatter,
@@ -184,7 +181,6 @@ impl Phase {
             Phase::CorruptionRepair => "corruption-repair",
             Phase::PoolDispatch => "pool-dispatch",
             Phase::PageFetch => "page-fetch",
-            Phase::Invalidate => "invalidate",
             Phase::Redistribute => "redistribute",
             Phase::Gather => "gather",
             Phase::Scatter => "scatter",

@@ -81,7 +81,7 @@ pub use redistribute_impl::{
     RedistOptions, RedistReport, SplitRedistribute,
 };
 pub use shard::{ShardedArray, ShardedExecutor, ShardedHaloExchange};
-pub use translation::{invalidate, table_for, DistTranslationTable, TranslationStats};
+pub use translation::{table_for, DistTranslationTable, TranslationStats};
 pub use vf_machine::trace;
 
 /// Convenience result alias for fallible runtime operations.

@@ -35,7 +35,12 @@
 //!   like the fingerprint itself, a 64-bit hash collision (~2⁻⁶⁴ per
 //!   pair) would silently reuse the colliding pattern's plan — the
 //!   accepted price of O(1) keys, as documented on
-//!   [`vf_dist::Distribution::fingerprint`].
+//!   [`vf_dist::Distribution::fingerprint`];
+//! * the store belongs to the [`Machine`] ([`PlanCache::of`]): every
+//!   application run and every `VfScope` on one machine (and its clones)
+//!   shares it, so a second run of the same program plans nothing.  The
+//!   translation tables the planners resolve `INDIRECT` ownership through
+//!   are entries of the same store, under the same byte budget and LRU.
 
 use crate::translation::{self, DistTranslationTable, TranslationStats};
 use crate::{Result, RuntimeError};
@@ -45,7 +50,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 use vf_dist::{Connectivity, Distribution, Locator, ProcId};
 use vf_index::{DimRange, IndexDomain, Point};
-use vf_machine::{trace, CommTracker};
+use vf_machine::{trace, CommTracker, Machine};
 
 /// Session-local translation-table state of one planning run: which pages
 /// each requester has fetched *during this session*, the lookup counters,
@@ -76,16 +81,17 @@ struct TableSession {
 /// same distribution each model a cold directory, and the session's fetch
 /// messages are handed to the built [`CommPlan`] by
 /// [`OwnerResolver::finish`], to be charged once at the plan's first
-/// execution.
+/// execution.  The table itself comes from the [`PlanCache`] the planner
+/// runs for.
 enum OwnerResolver<'a> {
     Direct(Locator<'a>),
     Table(Box<TableSession>),
 }
 
 impl<'a> OwnerResolver<'a> {
-    fn for_dist(dist: &'a Distribution) -> Self {
+    fn for_dist(dist: &'a Distribution, store: &PlanCache) -> Self {
         if dist.dist_type().has_indirect() {
-            let table = translation::table_for(dist);
+            let table = store.table(dist);
             let total_procs = dist.procs().array().num_procs();
             let num_pages = table.num_pages();
             OwnerResolver::Table(Box::new(TableSession {
@@ -764,14 +770,21 @@ impl PlanBuilder {
 /// new local offset, and the placements are run-length-encoded per
 /// (sender, receiver) pair.
 pub fn plan_redistribute(old: &Distribution, new: &Distribution) -> Result<CommPlan> {
-    plan_redistribute_counted(old, new, &mut TranslationStats::default())
+    plan_redistribute_counted(
+        old,
+        new,
+        &PlanCache::new(),
+        &mut TranslationStats::default(),
+    )
 }
 
-/// [`plan_redistribute`], adding its directory lookups to `counters` (as
-/// every `*_counted` planner does for its [`PlanCache`]).
+/// [`plan_redistribute`] for `store`: its translation tables come from the
+/// store and its directory lookups are added to `counters` (as every
+/// `*_counted` planner does for the [`PlanCache`] it runs for).
 fn plan_redistribute_counted(
     old: &Distribution,
     new: &Distribution,
+    store: &PlanCache,
     counters: &mut TranslationStats,
 ) -> Result<CommPlan> {
     if new.domain() != old.domain() {
@@ -780,7 +793,7 @@ fn plan_redistribute_counted(
             right: new.domain().to_string(),
         });
     }
-    let mut resolver = OwnerResolver::for_dist(new);
+    let mut resolver = OwnerResolver::for_dist(new, store);
     let mut b = PlanBuilder::new();
     // A replicated source holds one full copy per processor of the view;
     // only the canonical first copy sends (sending from every replica
@@ -843,12 +856,18 @@ pub(crate) fn non_contiguous_dim(dist: &Distribution) -> usize {
 /// ([`Connectivity::chain`]) and the plan routes to the irregular halo
 /// planner [`plan_ghost_irregular`].
 pub fn plan_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> Result<CommPlan> {
-    plan_ghost_counted(dist, widths, &mut TranslationStats::default())
+    plan_ghost_counted(
+        dist,
+        widths,
+        &PlanCache::new(),
+        &mut TranslationStats::default(),
+    )
 }
 
 fn plan_ghost_counted(
     dist: &Distribution,
     widths: &[(usize, usize)],
+    store: &PlanCache,
     counters: &mut TranslationStats,
 ) -> Result<CommPlan> {
     let domain = dist.domain();
@@ -861,7 +880,7 @@ fn plan_ghost_counted(
     if dist.dist_type().has_indirect() && domain.rank() == 1 {
         let (lo, hi) = widths[0];
         let chain = Connectivity::chain(domain.size(), lo, hi)?;
-        return plan_ghost_irregular_counted(dist, &chain, counters);
+        return plan_ghost_irregular_counted(dist, &chain, store, counters);
     }
     let total_procs = dist.procs().array().num_procs();
     // Every processor must own one box; the error names the dimension
@@ -878,7 +897,7 @@ fn plan_ghost_counted(
         };
         segments.push((p, segment));
     }
-    let mut resolver = OwnerResolver::for_dist(dist);
+    let mut resolver = OwnerResolver::for_dist(dist, store);
     let mut slots: Vec<GhostSlots> = (0..total_procs)
         .map(|_| GhostSlots::nothing(domain))
         .collect();
@@ -960,12 +979,18 @@ fn plan_ghost_counted(
 /// (closed-form owner lookup, no directory traffic) — the differential
 /// baseline the property suite compares against.
 pub fn plan_ghost_irregular(dist: &Distribution, conn: &Connectivity) -> Result<CommPlan> {
-    plan_ghost_irregular_counted(dist, conn, &mut TranslationStats::default())
+    plan_ghost_irregular_counted(
+        dist,
+        conn,
+        &PlanCache::new(),
+        &mut TranslationStats::default(),
+    )
 }
 
 fn plan_ghost_irregular_counted(
     dist: &Distribution,
     conn: &Connectivity,
+    store: &PlanCache,
     counters: &mut TranslationStats,
 ) -> Result<CommPlan> {
     let domain = dist.domain();
@@ -983,7 +1008,8 @@ fn plan_ghost_irregular_counted(
     // can be non-local — and an edge-free connectivity references nothing:
     // neither consults the directory.
     let replicated = dist.is_replicated();
-    let mut resolver = (!replicated && conn.num_edges() > 0).then(|| OwnerResolver::for_dist(dist));
+    let mut resolver =
+        (!replicated && conn.num_edges() > 0).then(|| OwnerResolver::for_dist(dist, store));
     // Requester-side ownership: every processor knows which global offsets
     // it owns, and at which local offset (its local-to-global table),
     // assembled here from the linear runs.  Resolving the *owner* of
@@ -1074,14 +1100,16 @@ fn plan_ghost_irregular_counted(
 /// accesses each processor intends to make and produces a deduplicated
 /// gather plan.  Local accesses are dropped; repeated accesses to the same
 /// element are fetched once (the "buffering scheme" of the PARTI routines).
-/// Its directory lookups are added to `counters`.
-pub(crate) fn plan_gather(
+/// Its tables come from `store` and its directory lookups are added to
+/// `counters`.
+fn plan_gather(
     dist: &Distribution,
     accesses: &[(ProcId, Point)],
+    store: &PlanCache,
     counters: &mut TranslationStats,
 ) -> Result<CommPlan> {
     let total_procs = dist.procs().array().num_procs();
-    let mut resolver = OwnerResolver::for_dist(dist);
+    let mut resolver = OwnerResolver::for_dist(dist, store);
     // Every access of a replicated array is local (each processor of the
     // view holds a full copy), so nothing is fetched.
     let replicated = dist.is_replicated();
@@ -1137,13 +1165,15 @@ pub(crate) fn plan_gather(
 /// updates are aggregated into one message per (source, owner) pair.  The
 /// update *values* are supplied at execution time — only the placement is
 /// cacheable.
-/// Its directory lookups are added to `counters`.
-pub(crate) fn plan_scatter(
+/// Its tables come from `store` and its directory lookups are added to
+/// `counters`.
+fn plan_scatter(
     dist: &Distribution,
     sources: &[(ProcId, Point)],
+    store: &PlanCache,
     counters: &mut TranslationStats,
 ) -> Result<CommPlan> {
-    let mut resolver = OwnerResolver::for_dist(dist);
+    let mut resolver = OwnerResolver::for_dist(dist, store);
     let mut ops = Vec::with_capacity(sources.len());
     let mut b = PlanBuilder::new();
     for (from, point) in sources {
@@ -1179,8 +1209,9 @@ pub(crate) fn plan_scatter(
     })
 }
 
-/// Key of a cached plan: the kind plus the structural fingerprints of the
-/// inputs.
+/// Key of a store entry: a plan's kind plus the structural fingerprints of
+/// its inputs, or the fingerprint of the distribution a translation table
+/// resolves.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum PlanKey {
     Redistribute {
@@ -1203,6 +1234,9 @@ enum PlanKey {
         dist: u64,
         sources: u64,
     },
+    Table {
+        dist: u64,
+    },
 }
 
 fn hash_accesses(accesses: &[(ProcId, Point)]) -> u64 {
@@ -1217,27 +1251,67 @@ fn hash_accesses(accesses: &[(ProcId, Point)]) -> u64 {
 /// Hit/miss counters and size of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
-    /// Lookups answered from the cache.
+    /// Plan lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to run a planner.
+    /// Plan lookups that had to run a planner.
     pub misses: u64,
-    /// Plans currently cached.
+    /// Entries currently stored: plans and translation tables.
     pub entries: usize,
-    /// Estimated bytes held by the cached plans
-    /// ([`CommPlan::estimated_bytes`] summed) — the quantity the LRU
+    /// Estimated bytes held by the stored plans
+    /// ([`CommPlan::estimated_bytes`]) and translation tables
+    /// ([`DistTranslationTable::estimated_bytes`]) — the quantity the LRU
     /// eviction bounds.
     pub resident_bytes: usize,
     /// Translation-table lookups of the planning sessions this cache's
-    /// misses ran — the directory traffic of the plans it built, whatever
-    /// other caches plan against the same tables meanwhile.
+    /// misses ran — the directory traffic of the plans it built.
     pub translation: TranslationStats,
+}
+
+impl PlanCacheStats {
+    /// The activity between the reading `before` and this one: hits,
+    /// misses and translation lookups as deltas, `entries` and
+    /// `resident_bytes` as they are now.  Runs that share one cache at
+    /// the same time (every run on one [`Machine`]) also share its
+    /// counters, so a delta over a concurrent stretch counts both.
+    pub fn since(&self, before: PlanCacheStats) -> PlanCacheStats {
+        PlanCacheStats {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            translation: self.translation - before.translation,
+            ..*self
+        }
+    }
+}
+
+/// A stored value: a plan, or a translation table its planners resolve
+/// `INDIRECT` ownership through.
+#[derive(Debug, Clone)]
+enum Entry {
+    Plan(Arc<CommPlan>),
+    Table(Arc<DistTranslationTable>),
+}
+
+impl Entry {
+    fn plan(self) -> Option<Arc<CommPlan>> {
+        match self {
+            Entry::Plan(plan) => Some(plan),
+            Entry::Table(_) => None,
+        }
+    }
+
+    fn table(self) -> Option<Arc<DistTranslationTable>> {
+        match self {
+            Entry::Table(table) => Some(table),
+            Entry::Plan(_) => None,
+        }
+    }
 }
 
 #[derive(Debug)]
 struct PlanCacheInner {
-    /// Cached plans tagged with their estimated size and the logical time
-    /// of their last use.
-    map: HashMap<PlanKey, (Arc<CommPlan>, usize, u64)>,
+    /// Stored entries tagged with their estimated size and the logical
+    /// time of their last use.
+    map: HashMap<PlanKey, (Entry, usize, u64)>,
     /// Monotonic use counter driving least-recently-used eviction.
     tick: u64,
     /// Estimated-byte budget beyond which LRU eviction kicks in.
@@ -1263,17 +1337,68 @@ impl Default for PlanCacheInner {
     }
 }
 
-/// A shared cache of communication plans keyed by distribution
-/// fingerprints — the VFE's realisation of PARTI schedule reuse.
+impl PlanCacheInner {
+    /// The entry under `key`, marked as just used.
+    fn touch(&mut self, key: &PlanKey) -> Option<Entry> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(key).map(|entry| {
+            entry.2 = tick;
+            entry.0.clone()
+        })
+    }
+
+    /// Stores `entry` of `size` estimated bytes under `key` and evicts
+    /// least-recently-used entries (never the new one) until the budget
+    /// holds again.  When a concurrent miss stored the key first, that
+    /// entry stays and is returned instead.
+    fn insert(&mut self, key: PlanKey, entry: Entry, size: usize) -> Entry {
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(stored) = self.map.get(&key) {
+            return stored.0.clone();
+        }
+        self.map.insert(key, (entry.clone(), size, tick));
+        self.resident_bytes += size;
+        while self.resident_bytes > self.budget_bytes && self.map.len() > 1 {
+            let Some(oldest) = self
+                .map
+                .iter()
+                .filter(|(_, (_, _, used))| *used != tick)
+                .min_by_key(|(_, (_, _, used))| *used)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            if let Some((_, evicted_size, _)) = self.map.remove(&oldest) {
+                self.resident_bytes -= evicted_size;
+                trace::instant(trace::Phase::PlanEvict);
+            }
+        }
+        entry
+    }
+}
+
+/// A shared store of communication plans keyed by distribution
+/// fingerprints — the VFE's realisation of PARTI schedule reuse — and of
+/// the translation tables their planners resolve `INDIRECT` ownership
+/// through.
 ///
-/// The cache is cheaply cloneable (an `Arc` around the interior), so the
-/// language layer, the applications and the benchmark can hold handles to
-/// one cache, exactly like [`CommTracker`].  Iterative codes (ADI sweeps,
-/// smoothing steps, PIC steps) plan each distinct communication pattern
-/// once and afterwards hit the cache; executing a cached plan moves
-/// exactly the same elements and charges exactly the same bytes as a
-/// freshly planned one (asserted by the property tests in
-/// `tests/suite/plan_reuse.rs`).
+/// The cache is cheaply cloneable (an `Arc` around the interior), like
+/// [`CommTracker`].  A program's store is its machine's
+/// ([`PlanCache::of`]): the language layer and every application run on
+/// one [`Machine`] share it, so iterative codes (ADI sweeps, smoothing
+/// steps, PIC steps, mesh sweeps) plan each distinct communication pattern
+/// once per machine and afterwards hit the cache; executing a cached plan
+/// moves exactly the same elements and charges exactly the same bytes as
+/// a freshly planned one (asserted by the property tests in
+/// `tests/suite/plan_reuse.rs`), except for the directory page fetches an
+/// `INDIRECT` plan charges once, at its first execution.
+///
+/// A translation table is an entry like a plan, keyed by the fingerprint
+/// of the distribution it resolves and counted in the same byte budget: a
+/// table is used only while planning, so once its plans exist it is the
+/// colder entry and ages out first; a later miss rebuilds it.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     inner: Arc<Mutex<PlanCacheInner>>,
@@ -1290,15 +1415,25 @@ impl PlanCache {
     /// staying within the same memory.
     pub const DEFAULT_BUDGET_BYTES: usize = 16 * 1024 * 1024;
 
-    /// An empty cache with [`PlanCache::DEFAULT_BUDGET_BYTES`].
+    /// An empty cache with [`PlanCache::DEFAULT_BUDGET_BYTES`], owned by
+    /// no machine — for one-off plans and tests; a program uses its
+    /// machine's ([`PlanCache::of`]).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty cache evicting least-recently-used plans once the summed
-    /// [`CommPlan::estimated_bytes`] exceeds `budget_bytes`.  The most
-    /// recently inserted plan is always kept, even when it alone exceeds
-    /// the budget.
+    /// The plan store of `machine`, created empty (with
+    /// [`PlanCache::DEFAULT_BUDGET_BYTES`]) on first use.  Clones of a
+    /// machine share its store; a machine from [`Machine::new`] has its
+    /// own.
+    pub fn of(machine: &Machine) -> &PlanCache {
+        machine.plan_store(PlanCache::new)
+    }
+
+    /// An empty cache evicting least-recently-used entries once their
+    /// summed estimated bytes exceed `budget_bytes`.  The most recently
+    /// inserted entry is always kept, even when it alone exceeds the
+    /// budget.
     pub fn with_budget_bytes(budget_bytes: usize) -> Self {
         let cache = Self::default();
         cache.lock().budget_bytes = budget_bytes;
@@ -1321,11 +1456,22 @@ impl PlanCache {
         }
     }
 
-    /// Drops every cached plan (counters are kept).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.resident_bytes = 0;
+    /// The translation table of `dist` from the store, built into it on a
+    /// miss.  Table lookups are not plan lookups: they count neither as
+    /// hits nor as misses.
+    fn table(&self, dist: &Distribution) -> Arc<DistTranslationTable> {
+        let key = PlanKey::Table {
+            dist: dist.fingerprint(),
+        };
+        if let Some(table) = self.lock().touch(&key).and_then(Entry::table) {
+            return table;
+        }
+        let table = Arc::new(translation::table_for(dist));
+        let size = table.estimated_bytes();
+        let stored = self
+            .lock()
+            .insert(key, Entry::Table(Arc::clone(&table)), size);
+        stored.table().unwrap_or(table)
     }
 
     fn get_or_plan(
@@ -1335,15 +1481,8 @@ impl PlanCache {
     ) -> Result<Arc<CommPlan>> {
         if let Some(found) = {
             let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let found = inner.map.get_mut(&key).map(|entry| {
-                entry.2 = tick;
-                Arc::clone(&entry.0)
-            });
-            if found.is_some() {
-                inner.hits += 1;
-            }
+            let found = inner.touch(&key).and_then(Entry::plan);
+            inner.hits += u64::from(found.is_some());
             found
         } {
             trace::instant(trace::Phase::PlanCacheHit);
@@ -1360,35 +1499,8 @@ impl PlanCache {
         let mut inner = self.lock();
         inner.misses += 1;
         inner.translation += counters;
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner
-            .map
-            .entry(key)
-            .or_insert_with(|| (Arc::clone(&planned), size, tick))
-            .0
-            .clone();
-        if Arc::ptr_eq(&entry, &planned) {
-            // We inserted: account the size and evict least-recently-used
-            // plans until the budget holds again (never the new entry).
-            inner.resident_bytes += size;
-            while inner.resident_bytes > inner.budget_bytes && inner.map.len() > 1 {
-                let Some(oldest) = inner
-                    .map
-                    .iter()
-                    .filter(|(_, (_, _, used))| *used != tick)
-                    .min_by_key(|(_, (_, _, used))| *used)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                if let Some((_, evicted_size, _)) = inner.map.remove(&oldest) {
-                    inner.resident_bytes -= evicted_size;
-                    trace::instant(trace::Phase::PlanEvict);
-                }
-            }
-        }
-        Ok(entry)
+        let stored = inner.insert(key, Entry::Plan(Arc::clone(&planned)), size);
+        Ok(stored.plan().unwrap_or(planned))
     }
 
     /// The cached redistribution plan `old -> new`, planning on a miss.
@@ -1402,7 +1514,7 @@ impl PlanCache {
                 from: old.fingerprint(),
                 to: new.fingerprint(),
             },
-            |counters| plan_redistribute_counted(old, new, counters),
+            |counters| plan_redistribute_counted(old, new, self, counters),
         )
     }
 
@@ -1417,7 +1529,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 widths: widths.to_vec(),
             },
-            |counters| plan_ghost_counted(dist, widths, counters),
+            |counters| plan_ghost_counted(dist, widths, self, counters),
         )
     }
 
@@ -1453,7 +1565,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 conn: conn.fingerprint(),
             },
-            |counters| plan_ghost_irregular_counted(dist, conn, counters),
+            |counters| plan_ghost_irregular_counted(dist, conn, self, counters),
         )
     }
 
@@ -1468,7 +1580,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 accesses: hash_accesses(accesses),
             },
-            |counters| plan_gather(dist, accesses, counters),
+            |counters| plan_gather(dist, accesses, self, counters),
         )
     }
 
@@ -1483,7 +1595,7 @@ impl PlanCache {
                 dist: dist.fingerprint(),
                 sources: hash_accesses(sources),
             },
-            |counters| plan_scatter(dist, sources, counters),
+            |counters| plan_scatter(dist, sources, self, counters),
         )
     }
 }
@@ -1566,11 +1678,10 @@ mod tests {
         cache.redistribute_plan(&cyclic, &block).unwrap();
         assert_eq!(cache.stats().misses, 3);
 
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().resident_bytes, 0);
-        cache.redistribute_plan(&block, &cyclic).unwrap();
-        assert_eq!(cache.stats().misses, 4);
+        // A fresh store replans.
+        let fresh = PlanCache::new();
+        fresh.redistribute_plan(&block, &cyclic).unwrap();
+        assert_eq!((fresh.stats().misses, cache.stats().misses), (1, 3));
     }
 
     #[test]
@@ -1697,6 +1808,97 @@ mod tests {
         assert_eq!(cache.stats().entries, 1);
         cache.redistribute_plan(&block, &cyclic).unwrap();
         assert_eq!(cache.stats().misses, 3);
+    }
+
+    fn indirect_1d(n: usize, p: usize, seed: usize) -> Distribution {
+        let map = vf_dist::IndirectMap::from_fn(n, |i| (i * 7 + seed) % p).unwrap();
+        dist_1d(DistType::indirect1d(Arc::new(map)), n, p)
+    }
+
+    #[test]
+    fn translation_tables_are_store_entries_under_the_budget() {
+        let (a, b) = (indirect_1d(64, 4, 3), indirect_1d(64, 4, 5));
+        let conn = Connectivity::chain(64, 1, 1).unwrap();
+        let cache = PlanCache::new();
+        let halo = cache.ghost_irregular_plan(&a, &conn).unwrap();
+        // One plan lookup, a miss; the table it planned against is an
+        // entry too, and counts in the resident bytes.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 2));
+        let table = cache.table(&a);
+        assert_eq!(table.fingerprint(), a.fingerprint());
+        assert_eq!(
+            stats.resident_bytes,
+            halo.estimated_bytes() + table.estimated_bytes()
+        );
+        // One map shares one table; another map gets its own.  Table
+        // lookups are not plan lookups.
+        assert!(Arc::ptr_eq(&table, &cache.table(&a)));
+        assert!(!Arc::ptr_eq(&table, &cache.table(&b)));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 3));
+    }
+
+    #[test]
+    fn a_budget_below_table_and_plan_evicts_the_table_and_a_miss_rebuilds_it() {
+        let (a, conn) = (
+            indirect_1d(64, 4, 3),
+            Connectivity::chain(64, 1, 1).unwrap(),
+        );
+        let block = dist_1d(DistType::block1d(), 64, 4);
+        let roomy = PlanCache::new();
+        let halo = roomy.ghost_irregular_plan(&a, &conn).unwrap();
+        let moved = roomy.redistribute_plan(&block, &a).unwrap();
+        let table_bytes = roomy.table(&a).estimated_bytes();
+        let tight = PlanCache::with_budget_bytes(table_bytes + halo.estimated_bytes() - 1);
+        // The table is stored before the plan built from it, so it is the
+        // colder entry and the one evicted.
+        let held = tight.table(&a);
+        let tight_halo = tight.ghost_irregular_plan(&a, &conn).unwrap();
+        let stats = tight.stats();
+        assert_eq!(
+            (stats.entries, stats.resident_bytes),
+            (1, halo.estimated_bytes())
+        );
+        // A later miss rebuilds the table, into the same plans.
+        let tight_moved = tight.redistribute_plan(&block, &a).unwrap();
+        assert!(!Arc::ptr_eq(&held, &tight.table(&a)));
+        assert_eq!(tight_halo.transfers(), halo.transfers());
+        for p in 0..4 {
+            assert_eq!(tight_halo.localised(ProcId(p)), halo.localised(ProcId(p)));
+        }
+        assert_eq!(tight_moved.transfers(), moved.transfers());
+        assert_eq!(
+            tight_moved.pending_directory_traffic(),
+            moved.pending_directory_traffic()
+        );
+        assert_eq!(tight.stats().translation, roomy.stats().translation);
+    }
+
+    #[test]
+    fn stats_since_report_deltas_and_the_current_footprint() {
+        let cache = PlanCache::new();
+        let (a, conn) = (
+            indirect_1d(64, 4, 3),
+            Connectivity::chain(64, 1, 1).unwrap(),
+        );
+        cache.ghost_irregular_plan(&a, &conn).unwrap();
+        let before = cache.stats();
+        cache.ghost_irregular_plan(&a, &conn).unwrap();
+        let delta = cache.stats().since(before);
+        assert_eq!((delta.hits, delta.misses), (1, 0));
+        assert_eq!(delta.translation, TranslationStats::default());
+        assert_eq!(
+            (delta.entries, delta.resident_bytes),
+            (before.entries, before.resident_bytes)
+        );
+        assert!(
+            before
+                .since(PlanCacheStats::default())
+                .translation
+                .page_fetches
+                > 0
+        );
     }
 
     #[test]
@@ -1864,7 +2066,7 @@ mod tests {
             (ProcId(0), Point::d1(1)), // local
             (ProcId(1), Point::d1(8)), // local
         ];
-        let plan = plan_scatter(&d, &sources, &mut TranslationStats::default()).unwrap();
+        let plan = PlanCache::new().scatter_plan(&d, &sources).unwrap();
         assert_eq!(plan.kind(), PlanKind::Scatter);
         assert_eq!(plan.moved_elements(), 2);
         assert_eq!(plan.num_messages(), 1);

@@ -22,19 +22,27 @@
 //!   homed locally records a page fetch (home → requester, one message of
 //!   page-size × entry bytes), later lookups hit the cache for free.
 //!
-//! The communication planners ([`crate::plan`]) consult a table through the
-//! process-wide registry [`table_for`] whenever a distribution involves an
-//! `INDIRECT` dimension.  They do **not** use the instance page cache:
-//! each planning session tracks its requesters' fetched pages locally
-//! (lock-free on the per-element path) and attaches the session's
-//! directory messages to the [`crate::plan::CommPlan`] it builds; the
-//! messages are charged once, at the plan's first execution — a cache-hit
-//! plan generates no new directory traffic at all, which is exactly the
-//! cold-vs-warm distinction of PARTI schedule reuse.  Lookups agree
-//! exactly with the element-wise [`vf_dist::Distribution::owner`] /
-//! `loc_map` API (asserted by the property suite).
+//! The communication planners ([`crate::plan`]) consult a table whenever a
+//! distribution involves an `INDIRECT` dimension.  The table is an entry
+//! of the [`crate::PlanCache`] the planner runs for — the machine's plan
+//! store — keyed by the distribution's fingerprint and counted in the same
+//! byte budget and LRU as the plans: a repartitioned array gets a fresh
+//! table under its new fingerprint, and the stale one ages out like a
+//! stale plan.  [`table_for`] is the uncached builder.
+//!
+//! The planners do **not** use the instance page cache: each planning
+//! session tracks its requesters' fetched pages locally (lock-free on the
+//! per-element path) and attaches the session's directory messages to the
+//! [`crate::plan::CommPlan`] it builds; the messages are charged once, at
+//! the plan's first execution — a cache-hit plan generates no new
+//! directory traffic at all, which is exactly the cold-vs-warm distinction
+//! of PARTI schedule reuse.  A shared table shares only its immutable
+//! pages, so two sessions planning against one table each model a cold
+//! directory.  Lookups agree exactly with the element-wise
+//! [`vf_dist::Distribution::owner`] / `loc_map` API (asserted by the
+//! property suite).
 
-use std::sync::{Arc, LazyLock, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use vf_dist::{DimDist, Distribution, ProcId};
 
 /// Default number of directory entries per page.
@@ -66,6 +74,19 @@ impl std::ops::AddAssign for TranslationStats {
     }
 }
 
+impl std::ops::Sub for TranslationStats {
+    type Output = Self;
+
+    fn sub(self, before: Self) -> Self {
+        Self {
+            home_hits: self.home_hits - before.home_hits,
+            cache_hits: self.cache_hits - before.cache_hits,
+            page_fetches: self.page_fetches - before.page_fetches,
+            fetched_bytes: self.fetched_bytes - before.fetched_bytes,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     /// `cached[proc][page]`: whether `proc` holds a copy of `page`.
@@ -89,11 +110,6 @@ pub struct DistTranslationTable {
 }
 
 impl DistTranslationTable {
-    /// Builds the table for `dist` with [`DEFAULT_PAGE_SIZE`].
-    pub fn build(dist: &Distribution) -> Self {
-        Self::with_page_size(dist, DEFAULT_PAGE_SIZE)
-    }
-
     /// Builds the table for `dist` with an explicit page size (clamped to
     /// at least 1).
     pub fn with_page_size(dist: &Distribution, page_size: usize) -> Self {
@@ -230,67 +246,18 @@ impl DistTranslationTable {
     }
 }
 
-/// Maximum number of tables the process-wide registry keeps alive.
-const REGISTRY_CAP: usize = 16;
-
-type Registry = Vec<(u64, Arc<DistTranslationTable>)>;
-
-static REGISTRY: LazyLock<Mutex<Registry>> = LazyLock::new(|| Mutex::new(Vec::new()));
-
-/// The process-wide translation table for `dist`, built on first use and
-/// shared afterwards (keyed by [`vf_dist::Distribution::fingerprint`], so a
-/// redistributed array gets a fresh table while repeated planning against
-/// an unchanged distribution reuses one).  The registry keeps the
-/// [`REGISTRY_CAP`] most recently used tables.
-///
-/// What the registry shares is the *immutable page data* (the expensive
-/// O(N) directory build).  Planning sessions share neither page-cache
-/// warmth nor counters through it: each planner tracks which pages its
-/// requesters have already fetched *within that planning session*,
-/// attaches the resulting directory messages to the plan it builds and
-/// counts its lookups into its own [`crate::PlanCache`], so two independent
-/// simulations planning against the same distribution each model — and
-/// report — a cold directory.  The instance-level cache of
-/// [`DistTranslationTable::lookup_from`] is only warmed by direct callers.
-pub fn table_for(dist: &Distribution) -> Arc<DistTranslationTable> {
-    let fp = dist.fingerprint();
-    let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(pos) = reg.iter().position(|(k, _)| *k == fp) {
-        let entry = reg.remove(pos);
-        let table = Arc::clone(&entry.1);
-        reg.push(entry);
-        return table;
-    }
+/// Builds the translation table of `dist` with [`DEFAULT_PAGE_SIZE`],
+/// uncached, inside a `Plan` span.
+/// The planners take their tables from the [`crate::PlanCache`] they run
+/// for, where a table is an entry keyed by the distribution's fingerprint
+/// under the cache's byte budget (see the module docs).
+pub fn table_for(dist: &Distribution) -> DistTranslationTable {
     let span = vf_machine::trace::OpenSpan::begin_with(vf_machine::trace::Phase::Plan, || {
         "translation-table build".into()
     });
-    let table = Arc::new(DistTranslationTable::build(dist));
+    let table = DistTranslationTable::with_page_size(dist, DEFAULT_PAGE_SIZE);
     span.end();
-    reg.push((fp, Arc::clone(&table)));
-    if reg.len() > REGISTRY_CAP {
-        reg.remove(0);
-    }
     table
-}
-
-/// Drops the registry's table for distribution fingerprint `fingerprint`,
-/// if one is resident — the stale-directory eviction a repartitioning
-/// triggers: once an array has been redistributed through a new mapping
-/// array, the old map's directory pages will never be consulted again, so
-/// keeping them resident only crowds the bounded registry.  Handles held
-/// elsewhere (`Arc`) stay valid; a later [`table_for`] of the same
-/// distribution rebuilds from scratch.  Returns whether a table was
-/// dropped.
-pub fn invalidate(fingerprint: u64) -> bool {
-    let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    match reg.iter().position(|(k, _)| *k == fingerprint) {
-        Some(pos) => {
-            reg.remove(pos);
-            vf_machine::trace::instant(vf_machine::trace::Phase::Invalidate);
-            true
-        }
-        None => false,
-    }
 }
 
 #[cfg(test)]
@@ -364,40 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_shares_and_distinguishes_tables() {
-        let a = indirect_dist(32, 2, 5);
-        let b = indirect_dist(32, 2, 6);
-        let ta1 = table_for(&a);
-        let ta2 = table_for(&a);
-        assert!(Arc::ptr_eq(&ta1, &ta2), "same distribution shares a table");
-        let tb = table_for(&b);
-        assert!(!Arc::ptr_eq(&ta1, &tb));
-        assert_eq!(ta1.fingerprint(), a.fingerprint());
-        assert!(ta1.estimated_bytes() > 32 * 8);
-    }
-
-    #[test]
-    fn invalidation_evicts_the_stale_directory() {
-        let a = indirect_dist(48, 3, 77);
-        let before = table_for(&a);
-        // Repartitioning away from `a` makes its directory stale: evicting
-        // it frees the registry slot, existing handles keep working, and a
-        // later lookup rebuilds a fresh table.
-        assert!(invalidate(a.fingerprint()));
-        assert!(!invalidate(a.fingerprint()), "second invalidate is a no-op");
-        assert_eq!(before.lookup(0), {
-            let locator = a.locator();
-            let (o, l) = locator.locate_lin(0);
-            (o, l)
-        });
-        let rebuilt = table_for(&a);
-        assert!(
-            !Arc::ptr_eq(&before, &rebuilt),
-            "invalidate forces a rebuild"
-        );
-    }
-
-    #[test]
     fn regular_distributions_can_be_tabled_too() {
         // The table is built from the locator, so it works for any
         // distribution — regular ones just never route through it.
@@ -407,7 +340,7 @@ mod tests {
             ProcessorView::linear(4),
         )
         .unwrap();
-        let table = DistTranslationTable::build(&dist);
+        let table = table_for(&dist);
         for (lin, point) in dist.domain().clone().iter().enumerate() {
             let owner = dist.owner(&point).unwrap();
             assert_eq!(table.lookup(lin).0, owner);

@@ -210,8 +210,9 @@ fn scope_class_halo_exchange_is_fused_at_the_language_level() {
 fn plan_cache_byte_budget_holds_under_mixed_regular_and_irregular_ghosts() {
     let p = 4usize;
     // A regular 2-D halo plan (hot) plus two irregular halo plans over
-    // indirect maps (one cold, one new): eviction must stay within the
-    // byte budget and claim the cold entry, never the hot one.
+    // indirect maps (one cold, one new), each with its translation table:
+    // eviction must stay within the byte budget and claim the coldest
+    // entry, never the hot one.
     let regular = Distribution::new(
         DistType::blocks2d(),
         IndexDomain::d2(12, 12),
@@ -239,7 +240,10 @@ fn plan_cache_byte_budget_holds_under_mixed_regular_and_irregular_ghosts() {
     let size_new = plan_ghost_irregular(&ind_b, &conn)
         .unwrap()
         .estimated_bytes();
-    let budget = size_hot + size_cold + size_new - 1;
+    // Each indirect map's translation table is a store entry too.
+    let table_a = table_for(&ind_a).estimated_bytes();
+    let table_b = table_for(&ind_b).estimated_bytes();
+    let budget = size_hot + table_a + size_cold + table_b + size_new - 1;
     let cache = PlanCache::with_budget_bytes(budget);
 
     cache.ghost_plan(&regular, &WIDTHS).unwrap(); // hot
@@ -251,21 +255,20 @@ fn plan_cache_byte_budget_holds_under_mixed_regular_and_irregular_ghosts() {
     assert_eq!(hits_before, 1);
 
     // The new irregular plan overflows the budget by one byte: exactly one
-    // LRU eviction, and it must take the cold indirect entry.
+    // LRU eviction, and it must take the coldest entry — the cold map's
+    // translation table, stored before the plan built from it.
     cache.ghost_irregular_plan(&ind_b, &conn).unwrap();
     let stats = cache.stats();
-    assert_eq!(stats.entries, 2);
+    assert_eq!(stats.entries, 4);
     assert!(stats.resident_bytes <= budget);
-    assert_eq!(stats.resident_bytes, size_hot + size_new);
-
-    // Hit-rate survives: the hot regular plan is still served from the
-    // cache, the cold indirect one replans.
-    cache.ghost_plan(&regular, &WIDTHS).unwrap();
-    assert_eq!(cache.stats().hits, hits_before + 1);
-    cache.ghost_irregular_plan(&ind_a, &conn).unwrap();
     assert_eq!(
-        cache.stats().misses,
-        4,
-        "the cold entry was the evicted one"
+        stats.resident_bytes,
+        size_hot + size_cold + table_b + size_new
     );
+
+    // Hit-rate survives: both halo plans are still served from the cache.
+    cache.ghost_plan(&regular, &WIDTHS).unwrap();
+    cache.ghost_irregular_plan(&ind_a, &conn).unwrap();
+    assert_eq!(cache.stats().hits, hits_before + 2);
+    assert_eq!(cache.stats().misses, 3, "only the table was evicted");
 }
