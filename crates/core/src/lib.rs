@@ -107,8 +107,8 @@ pub mod prelude {
         redistribute, redistribute_split, reduce, table_for, translation, ArrayDescriptor,
         CheckpointStore, CommPlan, DistArray, DistTranslationTable, Element, ExecBackend,
         ExecReport, FusedPlan, LocalView, LocalViewMut, PlanCache, PlanCacheStats, PlanExecutor,
-        RedistOptions, RedistReport, RestoredCheckpoint, SerialExecutor, ShardedArray,
-        ShardedExecutor, ShardedHaloExchange, SplitExecReport, SplitPhaseExchange,
+        RedistOptions, RedistReport, RestoredCheckpoint, RetiredLocals, SerialExecutor,
+        ShardedArray, ShardedExecutor, ShardedHaloExchange, SplitExecReport, SplitPhaseExchange,
         SplitRedistribute, ThreadedExecutor, TranslationStats,
     };
 }

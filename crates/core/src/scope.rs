@@ -14,7 +14,7 @@ use vf_runtime::ghost::{
 };
 use vf_runtime::{
     execute_class_redistribute, redistribute, ArrayDescriptor, DistArray, Element, ExecBackend,
-    ExecReport, FusedPlan, PlanCache, RedistOptions, SplitExecReport,
+    ExecReport, FusedPlan, PlanCache, RedistOptions, RetiredLocals, SplitExecReport,
 };
 
 struct Entry<T: Element> {
@@ -149,6 +149,10 @@ pub struct VfScope<T: Element = f64> {
     arrays: HashMap<String, Entry<T>>,
     order: Vec<String>,
     classes: HashMap<String, ConnectClass>,
+    /// The locals the last class `DISTRIBUTE` retired, which the next one
+    /// builds its destinations from; freed by any statement without a
+    /// class schedule.
+    retired: RetiredLocals<T>,
 }
 
 impl<T: Element> VfScope<T> {
@@ -171,6 +175,7 @@ impl<T: Element> VfScope<T> {
             arrays: HashMap::new(),
             order: Vec::new(),
             classes: HashMap::new(),
+            retired: RetiredLocals::default(),
         }
     }
 
@@ -571,7 +576,9 @@ impl<T: Element> VfScope<T> {
     /// per array per pair, with identical element and byte totals (the
     /// per-array split is still reported, see
     /// [`DistributeReport::fused`]).  The copies run on the scope's
-    /// [`ExecBackend`].
+    /// [`ExecBackend`].  A fused statement builds its destination buffers
+    /// from the locals the scope's previous one retired, which the scope
+    /// holds until its next `DISTRIBUTE` ([`RetiredLocals`]).
     pub fn distribute(&mut self, stmt: DistributeStmt) -> Result<DistributeReport> {
         let _span = trace::OpenSpan::begin_with(trace::Phase::Statement, || {
             format!("distribute {}", stmt.arrays.join(","))
@@ -625,6 +632,9 @@ impl<T: Element> VfScope<T> {
             .collect();
         if moving.len() < 2 {
             moving.clear();
+            // Spares serve a class schedule only: free them before the
+            // array verbs allocate.
+            self.retired = RetiredLocals::default();
         }
         for (idx, work) in works.iter().enumerate() {
             if moving.contains(&idx) {
@@ -686,7 +696,13 @@ impl<T: Element> VfScope<T> {
             // pair, on whatever transport the scope's backend is.
             let result = {
                 let mut refs: Vec<&mut DistArray<T>> = datas.iter_mut().collect();
-                execute_class_redistribute(&mut refs, &fused, &self.tracker, &self.executor)
+                execute_class_redistribute(
+                    &mut refs,
+                    &fused,
+                    &self.tracker,
+                    &self.executor,
+                    &mut self.retired,
+                )
             };
             // Put the arrays back whether or not execution succeeded
             // (a failed fused execute validates before moving, so the

@@ -335,11 +335,12 @@ impl<T: Element> DistArray<T> {
     }
 
     /// Replaces the distribution and the local buffers in one step — used by
-    /// the redistribution engine after it has moved the data.
-    pub(crate) fn replace(&mut self, dist: Distribution, locals: Vec<Vec<T>>) {
+    /// the redistribution engine after it has moved the data.  Returns the
+    /// buffers it replaced.
+    pub(crate) fn replace(&mut self, dist: Distribution, locals: Vec<Vec<T>>) -> Vec<Vec<T>> {
         debug_assert_eq!(locals.len(), dist.procs().array().num_procs());
         self.dist = dist;
-        self.locals = locals;
+        std::mem::replace(&mut self.locals, locals)
     }
 
     /// Copies the canonical first replica's buffer into every other

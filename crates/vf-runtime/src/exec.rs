@@ -17,8 +17,10 @@
 //!   exchange state with one stage body (a destination's buffers, a pair's
 //!   packed frame) and one `deliver` per pair (`WireExchange`).  The mode
 //!   is *when `deliver` runs*:
-//!   [`PlanExecutor::execute_fused`] (blocking) delivers each pair as soon
-//!   as it is staged, inside one pool dispatch; the split verbs
+//!   [`PlanExecutor::execute_fused`] (blocking) delivers each pair in its
+//!   destination's work item, inside one pool dispatch — and with no fault
+//!   injector attached stages no wire, copying each pair's runs straight
+//!   into destinations built from [`RetiredLocals`]; the split verbs
 //!   ([`crate::ghost::exchange_class_ghosts_split`],
 //!   [`crate::redistribute_split`]) stage at the post and stream the
 //!   deliveries on the backend's pool until the wait
@@ -178,12 +180,16 @@ pub trait PlanExecutor {
 
     /// Executes a fused class — the **wire pipeline**, blocking: the
     /// class's single message per crossing pair is posted, every
-    /// destination is staged and each of its arriving pairs delivered as
-    /// soon as it is packed, and the batch completes with the pack/unpack
-    /// seconds credited as copy-overlap compute.  The provided body walks
-    /// the destinations in order on the calling thread.  `srcs[i]` /
-    /// `dst_sizes[i]` are part `i`'s per-processor source buffers and
-    /// destination sizes; returns per-part, per-processor buffers.
+    /// destination is staged and each of its arriving pairs delivered,
+    /// and the batch completes with the pack/unpack seconds credited as
+    /// copy-overlap compute.  The provided body walks the destinations in
+    /// order on the calling thread.  `srcs[i]` / `dst_sizes[i]` are part
+    /// `i`'s per-processor source buffers and destination sizes; returns
+    /// per-part, per-processor buffers.  The destinations are built from
+    /// `spares` where they fit ([`RetiredLocals`]) — stale contents and
+    /// all, so only a redistribution, whose runs write every destination
+    /// element, passes any; pass `RetiredLocals::default()` for fresh
+    /// buffers.
     ///
     /// # Errors
     /// [`RuntimeError::CorruptMessage`] if a framed wire buffer fails
@@ -196,9 +202,18 @@ pub trait PlanExecutor {
         fused: &FusedPlan,
         srcs: &[&[Vec<T>]],
         dst_sizes: &[Vec<usize>],
+        spares: RetiredLocals<T>,
         tracker: &CommTracker,
     ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-        execute_fused_blocking(fused, srcs, dst_sizes, tracker, None)
+        execute_fused_blocking(fused, srcs, dst_sizes, spares, tracker, None)
+    }
+
+    /// Whether [`PlanExecutor::execute_fused`] builds destinations from
+    /// the [`RetiredLocals`] it is handed — true of the shared-memory wire
+    /// pipeline.  A transport whose ranks allocate their own segments
+    /// frees them instead, and a caller then keeps none.
+    fn recycles_locals(&self) -> bool {
+        true
     }
 }
 
@@ -243,25 +258,15 @@ pub(crate) fn finish_with_copy_credit(
 }
 
 /// Copies `t`'s runs from the sender's buffer `src` straight into the
-/// receiver's buffer `dst` — the direct-copy engine's unit of work, and
-/// how every engine moves the elements that stay on their processor.
+/// receiver's buffer `dst` — the direct-copy engine's unit of work, how
+/// every engine moves the elements that stay on their processor, and how
+/// the blocking wire pipeline delivers a pair when no wire is staged.
 /// Zero-length runs are skipped before any slice arithmetic.
 pub(crate) fn copy_runs<T: Copy>(t: &Transfer, src: &[T], dst: &mut [T]) {
     for run in t.runs.iter().filter(|r| r.len > 0) {
         dst[run.dst_start..run.dst_start + run.len]
             .copy_from_slice(&src[run.src_start..run.src_start + run.len]);
     }
-}
-
-/// Packs `t`'s runs, in plan order, into `wire` — the part's window of its
-/// pair's message, which the runs fill exactly.
-fn pack_runs<T: Copy>(t: &Transfer, src: &[T], wire: &mut [T]) {
-    let mut off = 0usize;
-    for run in t.runs.iter().filter(|r| r.len > 0) {
-        wire[off..off + run.len].copy_from_slice(&src[run.src_start..run.src_start + run.len]);
-        off += run.len;
-    }
-    debug_assert_eq!(off, wire.len(), "slice fills its window");
 }
 
 /// Replays `t`'s runs against the part's window `wire` of a received
@@ -503,9 +508,10 @@ impl PlanExecutor for ThreadedExecutor {
         fused: &FusedPlan,
         srcs: &[&[Vec<T>]],
         dst_sizes: &[Vec<usize>],
+        spares: RetiredLocals<T>,
         tracker: &CommTracker,
     ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-        execute_fused_blocking(fused, srcs, dst_sizes, tracker, Some(self))
+        execute_fused_blocking(fused, srcs, dst_sizes, spares, tracker, Some(self))
     }
 }
 
@@ -728,12 +734,23 @@ impl PlanExecutor for ExecBackend {
         fused: &FusedPlan,
         srcs: &[&[Vec<T>]],
         dst_sizes: &[Vec<usize>],
+        spares: RetiredLocals<T>,
         tracker: &CommTracker,
     ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
         match self {
-            ExecBackend::Serial => SerialExecutor.execute_fused(fused, srcs, dst_sizes, tracker),
-            ExecBackend::Threaded(t) => t.execute_fused(fused, srcs, dst_sizes, tracker),
-            ExecBackend::Sharded(s) => s.execute_fused(fused, srcs, dst_sizes, tracker),
+            ExecBackend::Serial => {
+                SerialExecutor.execute_fused(fused, srcs, dst_sizes, spares, tracker)
+            }
+            ExecBackend::Threaded(t) => t.execute_fused(fused, srcs, dst_sizes, spares, tracker),
+            ExecBackend::Sharded(s) => s.execute_fused(fused, srcs, dst_sizes, spares, tracker),
+        }
+    }
+
+    fn recycles_locals(&self) -> bool {
+        match self {
+            ExecBackend::Serial => SerialExecutor.recycles_locals(),
+            ExecBackend::Threaded(t) => t.recycles_locals(),
+            ExecBackend::Sharded(s) => s.recycles_locals(),
         }
     }
 }
@@ -1029,9 +1046,9 @@ struct WireFrame {
 /// the payload bits — flipping any single bit flips exactly one bit of the
 /// accumulator, so injected single-bit corruption can never pass
 /// validation — and because the wire buffer is contiguous, the xor is one
-/// sequential sweep at cache speed ([`xor_bits`]), which is what keeps the
-/// always-on framing cheap (`ghost.stmt_ms` of the `perf` benchmark times
-/// the whole wire path, checksum included).
+/// sequential sweep at cache speed ([`xor_bits`]), which is what keeps
+/// framing cheap wherever a wire is staged (`ghost.split_post_ms` of the
+/// `perf` benchmark times the split mode's pack, checksum included).
 pub(crate) fn wire_checksum<T: Element>(wire: &[T]) -> u64 {
     finish_checksum(xor_bits(wire), wire.len())
 }
@@ -1076,15 +1093,21 @@ fn verify_wire<T: Element>(wire: &[T], frame: &WireFrame, src: usize, dst: usize
     Ok(())
 }
 
-/// Packs crossing pair `pi`'s message: every part's payload lands at its
-/// wire offset, runs in plan order — one contiguous buffer per pair,
-/// exactly the message a real backend would post.
+/// Packs crossing pair `pi`'s message: every part's runs appended in
+/// plan order, parts in wire order (increasing `wire_offset`) — one
+/// contiguous buffer per pair, exactly the message a real backend would
+/// post, written once.
 fn pack_pair<T: Element>(fused: &FusedPlan, pi: usize, srcs: &[&[Vec<T>]]) -> Vec<T> {
     let ((s, _), total) = fused.pair_elements[pi];
-    let mut wire = vec![T::default(); total];
+    let mut wire = Vec::with_capacity(total);
     for (sl, t) in fused.pair_parts(pi) {
-        pack_runs(t, &srcs[sl.part][s], &mut wire[sl.window()]);
+        debug_assert_eq!(wire.len(), sl.wire_offset, "parts arrive in wire order");
+        let src = &srcs[sl.part][s];
+        for run in t.runs.iter().filter(|r| r.len > 0) {
+            wire.extend_from_slice(&src[run.src_start..run.src_start + run.len]);
+        }
     }
+    assert_eq!(wire.len(), total, "the runs fill the pair's message");
     wire
 }
 
@@ -1194,23 +1217,29 @@ struct Wire<T> {
 /// `P` is how the plan is held: borrowed by a blocking statement, owned by
 /// a split handle (whose pool job must be `'static`).
 ///
-/// Every wire is framed.  The receive-side checksum scan (`verify`) runs
-/// only with a [`vf_machine::FaultInjector`] attached to the tracker: the
-/// simulated channel is process memory, so a packed wire cannot change
-/// between frame and unpack unless an injector flips it — like a loopback
-/// interface marking packets `CHECKSUM_UNNECESSARY`.  Fault-free runs pay
-/// the sender-side checksum only, and injected corruption is still
-/// *always* detected: the injector's presence switches verification on.
+/// A frame exists where a wire does: split-mode staging (the post
+/// snapshots the sources) and, in either mode, an attached
+/// [`vf_machine::FaultInjector`] (`verify`).  The injector is the only
+/// thing that can change a packed wire between frame and unpack — the
+/// simulated channel is process memory, like a loopback interface marking
+/// packets `CHECKSUM_UNNECESSARY` — so it alone switches the receive-side
+/// checksum scan on, and injected corruption is *always* detected.  With
+/// no injector the blocking mode stages no wire at all: each pair's runs
+/// copy straight from the sender's locals into the destination
+/// ([`WireExchange::copy_pair`]), one pass per element.
 struct WireExchange<T, P> {
     plan: P,
     /// Pair `pi`'s frame is stamped `seq_base + pi`.
     seq_base: u64,
+    /// An injector is attached: wires are verified before unpack, and the
+    /// blocking mode stages them at all.
     verify: bool,
     /// The armed corruption, if any: `(pair, element seed, bit)`.
     sabotage: Option<(usize, u64, u32)>,
-    /// Per destination processor, its buffer of every part.  The mutexes
-    /// only hand `&mut` access through the shared job; pairs into one
-    /// destination write pairwise-disjoint runs.
+    /// Per destination processor, its buffer of every part (a recycled
+    /// spare of the right length, or empty until `stage_dest`).  The
+    /// mutexes only hand `&mut` access through the shared job; pairs into
+    /// one destination write pairwise-disjoint runs.
     dests: Vec<Mutex<Vec<Vec<T>>>>,
     /// Per crossing pair, its message while in flight.
     wires: Vec<Mutex<Option<Wire<T>>>>,
@@ -1227,8 +1256,13 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
     /// posts the class's messages and draws the statement's one corruption
     /// decision.  An armed flip is repaired at delivery; its modelled
     /// retransmission is charged here, so the accounting is deterministic
-    /// whichever thread performs the repair.
-    fn post(plan: P, tracker: &CommTracker) -> (Self, vf_machine::PendingSends, ExecReport) {
+    /// whichever thread performs the repair.  `recycled[d]` seeds
+    /// destination `d`'s buffers ([`RetiredLocals::fit`]).
+    fn post(
+        plan: P,
+        recycled: Vec<Vec<Vec<T>>>,
+        tracker: &CommTracker,
+    ) -> (Self, vf_machine::PendingSends, ExecReport) {
         let fused: &FusedPlan = plan.borrow();
         let (pending, report) = post_fused(fused, T::BYTES, tracker);
         // `pair_elements` holds exactly the crossing pairs with traffic;
@@ -1247,11 +1281,12 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
             tracker.record_fault();
             tracker.charge_retransmissions(s, d, total * T::BYTES, 1);
         }
+        let mut recycled = recycled.into_iter();
         let exchange = Self {
             seq_base: pending.seq_base(),
             verify: tracker.fault_injector().is_some(),
             sabotage,
-            dests: repeat_with(Mutex::default)
+            dests: repeat_with(|| Mutex::new(recycled.next().unwrap_or_default()))
                 .take(fused.pairs_by_dst.len())
                 .collect(),
             wires: repeat_with(Mutex::default)
@@ -1263,20 +1298,36 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
         (exchange, pending, report)
     }
 
-    /// Stages destination `d`: allocates its buffer of every part, with the
+    /// Stages destination `d`: its buffer of every part — the recycled
+    /// spare where one was fitted, a fresh one otherwise — with the
     /// stay-local runs copied in.  Each destination is staged by exactly
     /// one call, before any of its arriving pairs is delivered.
     fn stage_dest(&self, srcs: &[&[Vec<T>]], dst_sizes: &[Vec<usize>], d: usize) {
         let fused = self.fused();
-        *lock(&self.dests[d]) = (0..fused.parts().len())
-            .map(|idx| {
-                let mut buf = vec![T::default(); dst_sizes[idx].get(d).copied().unwrap_or(0)];
-                if let Some(t) = fused.local_transfer(idx, d) {
-                    copy_runs(t, &srcs[idx][d], &mut buf);
-                }
-                buf
-            })
-            .collect();
+        let mut bufs = lock(&self.dests[d]);
+        bufs.resize_with(fused.parts().len(), Vec::new);
+        for (idx, buf) in bufs.iter_mut().enumerate() {
+            let size = dst_sizes[idx].get(d).copied().unwrap_or(0);
+            if buf.len() != size {
+                *buf = vec![T::default(); size];
+            }
+            if let Some(t) = fused.local_transfer(idx, d) {
+                copy_runs(t, &srcs[idx][d], buf);
+            }
+        }
+    }
+
+    /// Delivers crossing pair `pi` with no wire: its runs copy straight
+    /// from the sender's locals into the destination's buffers, as the
+    /// stay-local runs do.  Only where nothing can touch a wire — the
+    /// blocking mode with no injector attached.
+    fn copy_pair(&self, srcs: &[&[Vec<T>]], pi: usize) {
+        let fused = self.fused();
+        let ((s, d), _) = fused.pair_elements[pi];
+        let mut bufs = lock(&self.dests[d]);
+        for (sl, t) in fused.pair_parts(pi) {
+            copy_runs(t, &srcs[sl.part][s], &mut bufs[sl.part]);
+        }
     }
 
     /// Stages crossing pair `pi`: packs and frames its message, then flips
@@ -1373,23 +1424,115 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
     }
 }
 
+/// The locals a class's last `DISTRIBUTE` retired, kept so that its next
+/// one builds destinations from them: memory that is already resident,
+/// filled by the statement's one copy pass, instead of fresh zeroed
+/// allocations the kernel faults in page by page.
+///
+/// The store belongs to whoever issues the class's statements — a
+/// `VfScope` keeps one — never to the process, and it holds one
+/// statement's retired locals only until the next redistribution there.
+/// That statement takes every spare: a destination is built from the
+/// shortest spare at least its length (and at most an eighth longer),
+/// trimmed to it, and every spare left over is freed before anything is
+/// allocated, so held bytes never exceed one class's locals.  An executor
+/// whose ranks allocate their own segments (see
+/// [`PlanExecutor::recycles_locals`]) frees the spares it is handed, and
+/// its caller keeps none.
+#[derive(Debug)]
+pub struct RetiredLocals<T>(Vec<Vec<T>>);
+
+impl<T> Default for RetiredLocals<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T: Element> RetiredLocals<T> {
+    /// Keeps `locals` — buffers a statement just replaced — for the next
+    /// statement.
+    pub(crate) fn retire(&mut self, locals: Vec<Vec<T>>) {
+        self.0
+            .extend(locals.into_iter().filter(|buf| buf.capacity() > 0));
+    }
+
+    /// Bytes held.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        self.0.iter().map(|buf| buf.capacity() * T::BYTES).sum()
+    }
+
+    /// Hands every spare to a statement whose part `idx` fills
+    /// `dst_sizes[idx][d]` elements on destination `d`: per destination
+    /// (`dests` of them), per part, the spare its buffer is built from —
+    /// trimmed to exactly that length — or an empty buffer where none
+    /// fits.  Largest destinations choose first, each the shortest spare
+    /// at least its length; a spare more than an eighth longer does not
+    /// fit, so trimming never leaves large holes behind.  The spares
+    /// nothing fits are freed here, before the statement allocates its
+    /// fresh buffers.
+    ///
+    /// A recycled buffer keeps its old contents: only a destination its
+    /// runs write completely may take one, as every redistribution's does.
+    fn fit(self, dst_sizes: &[Vec<usize>], dests: usize) -> Vec<Vec<Vec<T>>> {
+        let mut spares = self.0;
+        if spares.is_empty() {
+            return Vec::new();
+        }
+        spares.sort_unstable_by_key(Vec::len);
+        let mut wanted: Vec<(usize, usize, usize)> = dst_sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, sizes)| sizes.iter().enumerate().map(move |(d, &n)| (n, d, idx)))
+            .filter(|&(n, d, _)| n > 0 && d < dests)
+            .collect();
+        wanted.sort_unstable_by(|a, b| b.cmp(a));
+        let mut out: Vec<Vec<Vec<T>>> = vec![vec![Vec::new(); dst_sizes.len()]; dests];
+        for (n, d, idx) in wanted {
+            let shortest = spares.partition_point(|buf| buf.len() < n);
+            if spares
+                .get(shortest)
+                .is_some_and(|buf| buf.len() <= n + n / 8)
+            {
+                let mut buf = spares.remove(shortest);
+                buf.truncate(n);
+                buf.shrink_to_fit();
+                out[d][idx] = buf;
+            }
+        }
+        drop(spares);
+        out
+    }
+}
+
 /// The blocking mode of the wire pipeline — the body of
 /// [`PlanExecutor::execute_fused`] on a shared-memory executor: every
 /// destination is staged and its pairs delivered in one go, on `pool`'s
 /// workers (one dispatch, one work item per destination) when there is one
 /// and the copy volume clears its cutoff, on the calling thread otherwise.
+///
+/// With no injector attached nothing can happen to a wire, so none is
+/// staged: every crossing pair's runs copy straight from the source locals
+/// into the destination ([`WireExchange::copy_pair`]) — one pass per
+/// element.  With one attached each pair is packed, framed, verified and
+/// unpacked, so corruption is caught before it lands.  The destinations
+/// are built from `spares` where they fit; the rest are freed before
+/// anything is allocated.
 fn execute_fused_blocking<T: Element>(
     fused: &FusedPlan,
     srcs: &[&[Vec<T>]],
     dst_sizes: &[Vec<usize>],
+    spares: RetiredLocals<T>,
     tracker: &CommTracker,
     pool: Option<&ThreadedExecutor>,
 ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-    let (exchange, pending, report) = WireExchange::post(fused, tracker);
+    let dests = fused.pairs_by_dst.len();
+    let recycled = spares.fit(dst_sizes, dests);
+    let (exchange, pending, report) = WireExchange::post(fused, recycled, tracker);
     let run_dest = |d: usize| {
         // One span covers this destination's whole copy stream (local
-        // copies, pack, verify, unpack): per-destination is the
-        // granularity the pool dispatches at, and coarse enough that
+        // and direct copies, or pack, verify, unpack): per-destination is
+        // the granularity the pool dispatches at, and coarse enough that
         // tracing a dispatch-dominated exchange stays cheap even on a
         // single-core host (`trace.overhead_ratio` in the `perf`
         // benchmark; the split streaming path keeps per-pair spans —
@@ -1398,14 +1541,23 @@ fn execute_fused_blocking<T: Element>(
         let _span = trace::OpenSpan::begin_dest(trace::Phase::Unpack, d);
         exchange.stage_dest(srcs, dst_sizes, d);
         for &pi in &fused.pairs_by_dst[d] {
-            exchange.stage_pair(srcs, pi);
-            exchange.deliver(pi);
+            if exchange.verify {
+                exchange.stage_pair(srcs, pi);
+                exchange.deliver(pi);
+            } else {
+                exchange.copy_pair(srcs, pi);
+            }
         }
     };
-    // Pack + unpack touch every crossing element twice; stayed elements
-    // copy once.  This volume drives the threaded backend's cutoff.
-    let copy_bytes = (2 * fused.moved_elements() + fused.stayed_elements()) * T::BYTES;
-    let dests = fused.pairs_by_dst.len();
+    // The bytes the engine copies drive the threaded backend's cutoff:
+    // every element once, and a staged crossing element twice (pack and
+    // unpack).
+    let staged = if exchange.verify {
+        fused.moved_elements()
+    } else {
+        0
+    };
+    let copy_bytes = (fused.moved_elements() + staged + fused.stayed_elements()) * T::BYTES;
     match pool {
         Some(pool) if !pool.runs_serially(copy_bytes) => {
             pool.dispatch(tracker, dests, run_dest);
@@ -1761,7 +1913,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
 ) -> SplitPhaseExchange<'e, T> {
     let copy_secs = wire_copy_seconds(&fused, T::BYTES, tracker);
     let unpack_bytes = fused.moved_elements() * T::BYTES;
-    let (exchange, pending, report) = WireExchange::post(fused, tracker);
+    let (exchange, pending, report) = WireExchange::post(fused, Vec::new(), tracker);
     let fused = &exchange.plan;
     let pack_span = trace::OpenSpan::begin_static(trace::Phase::WirePack, "split pack");
     // Wires before destination buffers: the short-lived messages then sit
@@ -2063,7 +2215,8 @@ mod tests {
                 &mut [&mut a, &mut b],
                 &fused_ghost,
                 &tracker,
-                &SerialExecutor
+                &SerialExecutor,
+                &mut RetiredLocals::default()
             ),
             Err(RuntimeError::FusionMismatch { .. })
         ));
@@ -2121,6 +2274,7 @@ mod tests {
             &fused,
             &tracker,
             &SerialExecutor,
+            &mut RetiredLocals::default(),
         )
         .unwrap();
         // Data preserved per array; bytes are the sum of the parts.
@@ -2189,7 +2343,14 @@ mod tests {
             let t2 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
             let (reports2, exec2) = {
                 let mut refs: Vec<&mut DistArray<f64>> = class.iter_mut().collect();
-                execute_class_redistribute(&mut refs, &fused, &t2, &executor).unwrap()
+                execute_class_redistribute(
+                    &mut refs,
+                    &fused,
+                    &t2,
+                    &executor,
+                    &mut RetiredLocals::default(),
+                )
+                .unwrap()
             };
             for (one, fused_member) in alone.iter().zip(&class) {
                 assert_eq!(one.to_dense(), fused_member.to_dense(), "{name}");
@@ -2230,6 +2391,7 @@ mod tests {
             &fused,
             &tracker,
             &SerialExecutor,
+            &mut RetiredLocals::default(),
         );
         assert!(matches!(err, Err(RuntimeError::PlanMismatch { .. })));
         assert_eq!(good.to_dense(), before, "no data moved on failure");
@@ -2245,9 +2407,116 @@ mod tests {
         let mut a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64);
         let mut b = a.clone();
         let tracker = CommTracker::new(2, CostModel::zero());
-        let err =
-            execute_class_redistribute(&mut [&mut a, &mut b], &fused, &tracker, &SerialExecutor);
+        let err = execute_class_redistribute(
+            &mut [&mut a, &mut b],
+            &fused,
+            &tracker,
+            &SerialExecutor,
+            &mut RetiredLocals::default(),
+        );
         assert!(matches!(err, Err(RuntimeError::FusionMismatch { .. })));
+    }
+
+    #[test]
+    fn retired_locals_fit_best_and_free_the_rest_before_allocating() {
+        let spares = RetiredLocals(vec![
+            vec![1.0f64; 100],
+            vec![2.0; 64],
+            vec![3.0; 40],
+            vec![4.0; 10],
+            vec![5.0; 300],
+        ]);
+        // Part 0 wants 60 on processor 0 and 36 on 1, part 1 wants 95 on 1
+        // and 250 on 2; processor 2's part 0 and processor 0's part 1 are
+        // empty.
+        let out = spares.fit(&[vec![60, 36, 0], vec![0, 95, 250]], 3);
+        let held = |d: usize, part: usize| -> (usize, usize, Option<f64>) {
+            let buf: &Vec<f64> = &out[d][part];
+            (buf.len(), buf.capacity(), buf.first().copied())
+        };
+        // Largest first, each the shortest spare long enough, trimmed to
+        // its length: 95 takes the 100, 60 the 64, 36 the 40.
+        assert_eq!(held(1, 1), (95, 95, Some(1.0)));
+        assert_eq!(held(0, 0), (60, 60, Some(2.0)));
+        assert_eq!(held(1, 0), (36, 36, Some(3.0)));
+        // The 300 is more than an eighth longer than 250: no fit, and no
+        // fresh buffer either — `fit` allocates nothing, and the spares it
+        // could not place (the 300 and the 10) went with it.
+        assert_eq!(held(2, 1), (0, 0, None));
+        assert_eq!(held(0, 1), (0, 0, None));
+        assert_eq!(held(2, 0), (0, 0, None));
+        let kept: usize = out.iter().flatten().map(Vec::capacity).sum();
+        assert_eq!(kept, 95 + 60 + 36);
+        // An empty store fits nothing.
+        assert!(RetiredLocals::<f64>::default()
+            .fit(&[vec![8, 8]], 2)
+            .is_empty());
+    }
+
+    #[test]
+    fn retired_locals_recycle_and_never_outgrow_one_class() {
+        // A class of three cycled block -> cyclic(2) -> uneven gen_block ->
+        // block -> .. over eight statements with one store: the data stays bitwise, after every
+        // statement the store holds at most the class's local bytes — and
+        // on a backend that cannot use spares, nothing.
+        let (n, p) = (96usize, 4usize);
+        let layouts = [
+            DistType::block1d(),
+            DistType::cyclic1d(2),
+            DistType::gen_block1d(vec![10, 40, 30, 16]),
+        ];
+        let class_bytes = 3 * n * 8;
+        let pool = Arc::new(WorkerPool::new(3));
+        let backends = [
+            ExecBackend::Serial,
+            ExecBackend::Threaded(ThreadedExecutor::with_pool(pool).with_serial_cutoff(0)),
+            ExecBackend::Sharded(crate::ShardedExecutor::new()),
+        ];
+        for backend in &backends {
+            let fills: Vec<Vec<f64>> = (0..3)
+                .map(|k| (0..n).map(|i| (i * 3 + k) as f64 * 0.5).collect())
+                .collect();
+            let mut class: Vec<DistArray<f64>> = fills
+                .iter()
+                .map(|fill| DistArray::from_dense("A", dist_1d(layouts[0].clone(), n, p), fill))
+                .collect::<Result<_>>()
+                .unwrap();
+            let tracker = CommTracker::new(p, CostModel::zero());
+            let mut spares = RetiredLocals::default();
+            for (step, layout) in layouts.iter().cycle().skip(1).take(8).enumerate() {
+                let to = dist_1d(layout.clone(), n, p);
+                let plan = Arc::new(plan_redistribute(class[0].dist(), &to).unwrap());
+                let fused = FusedPlan::fuse(vec![plan; 3]).unwrap();
+                let held: Vec<*const f64> = spares.0.iter().map(|buf| buf.as_ptr()).collect();
+                let mut refs: Vec<&mut DistArray<f64>> = class.iter_mut().collect();
+                execute_class_redistribute(&mut refs, &fused, &tracker, backend, &mut spares)
+                    .unwrap();
+                let name = backend.name();
+                // The store holds the locals the last statement replaced:
+                // entering a block layout they are cyclic(2) locals of the
+                // same lengths, so each of the twelve destinations is one of
+                // them.  Elsewhere a fresh buffer may land where a freed
+                // spare was, so addresses prove nothing there.
+                if backend.recycles_locals() && step % 3 == 2 {
+                    let reused = class
+                        .iter()
+                        .flat_map(|array| array.locals())
+                        .filter(|buf| held.contains(&buf.as_ptr()))
+                        .count();
+                    assert_eq!(reused, 3 * p, "{name} step {step}");
+                }
+                if backend.recycles_locals() {
+                    assert!(spares.bytes() > 0, "{name} step {step}: retired");
+                    assert!(spares.bytes() <= class_bytes, "{name} step {step}");
+                } else {
+                    assert_eq!(spares.bytes(), 0, "{name} step {step}: holds none");
+                }
+                for (array, fill) in class.iter().zip(&fills) {
+                    assert_eq!(&array.to_dense(), fill, "{name} step {step}");
+                    array.check_invariants().unwrap();
+                }
+            }
+        }
     }
 
     #[test]
@@ -2321,7 +2590,7 @@ mod tests {
         // Stages one statement with the deliveries held back, reads the
         // stamped frames, then completes it.
         let staged_seqs = |t: &CommTracker| -> Vec<u64> {
-            let (exchange, pending, _) = WireExchange::post(&fused, t);
+            let (exchange, pending, _) = WireExchange::post(&fused, Vec::new(), t);
             (0..exchange.wires.len()).for_each(|pi| exchange.stage_pair(&srcs, pi));
             (0..p).for_each(|d| exchange.stage_dest(&srcs, &dst_sizes, d));
             let frame_seq = |w: &Mutex<Option<Wire<f64>>>| lock(w).as_ref().unwrap().frame.seq;

@@ -45,7 +45,7 @@
 //! global point, for tests and scalar reads.
 
 use crate::exec::{
-    split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor, SplitExecReport,
+    split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor, RetiredLocals, SplitExecReport,
     SplitPhaseExchange,
 };
 use crate::plan::{for_each_line, CommPlan, GhostSlots, PlanIndex, PlanKind};
@@ -295,7 +295,8 @@ pub fn exchange_class_ghosts<T: Element, E: PlanExecutor>(
         format!("class of {} arrays", arrays.len())
     });
     let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-    let (bufs, exec) = executor.execute_fused(fused, &srcs, &dst_sizes, tracker)?;
+    let fresh = RetiredLocals::default();
+    let (bufs, exec) = executor.execute_fused(fused, &srcs, &dst_sizes, fresh, tracker)?;
     Ok((regions(fused.parts(), bufs), exec))
 }
 

@@ -70,8 +70,8 @@ pub use descriptor::ArrayDescriptor;
 pub use element::{decode_slice, encode_slice, Element};
 pub use error::RuntimeError;
 pub use exec::{
-    ExecBackend, ExecReport, FusedPlan, FusedSlice, PlanExecutor, SerialExecutor, SplitExecReport,
-    SplitPhaseExchange, ThreadedExecutor,
+    ExecBackend, ExecReport, FusedPlan, FusedSlice, PlanExecutor, RetiredLocals, SerialExecutor,
+    SplitExecReport, SplitPhaseExchange, ThreadedExecutor,
 };
 pub use plan::{
     CommPlan, LocalisedConnectivity, PlanCache, PlanCacheStats, PlanKind, PlanRun, Transfer,

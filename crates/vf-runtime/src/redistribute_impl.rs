@@ -17,8 +17,8 @@
 //! engine call.
 
 use crate::exec::{
-    split_execute_fused_wire, ExecBackend, ExecReport, FusedPlan, PlanExecutor, SplitExecReport,
-    SplitPhaseExchange,
+    split_execute_fused_wire, ExecBackend, ExecReport, FusedPlan, PlanExecutor, RetiredLocals,
+    SplitExecReport, SplitPhaseExchange,
 };
 use crate::plan::{CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::{DistArray, Element, Result, RuntimeError};
@@ -188,17 +188,22 @@ fn prepare<T: Element>(
 
 /// The one *install* of the statement: the array takes its new descriptor
 /// and locals (the plan targets the canonical first owner; every copy of a
-/// replicated array receives the data) and reports what `plan` moved.
-/// `messages` / `bytes` are what the array charged on its own, or would
-/// have, had it not travelled fused.
+/// replicated array receives the data), its old locals go to `retired`
+/// when there is a store to keep them (dropped otherwise), and it reports
+/// what `plan` moved.  `messages` / `bytes` are what the array charged on
+/// its own, or would have, had it not travelled fused.
 fn install<T: Element>(
     array: &mut DistArray<T>,
     plan: &CommPlan,
     new_dist: Distribution,
     locals: Vec<Vec<T>>,
     charged: ExecReport,
+    retired: Option<&mut RetiredLocals<T>>,
 ) -> RedistReport {
-    array.replace(new_dist, locals);
+    let old = array.replace(new_dist, locals);
+    if let Some(store) = retired {
+        store.retire(old);
+    }
     array.broadcast_canonical();
     RedistReport {
         moved_elements: plan.moved_elements(),
@@ -232,7 +237,7 @@ pub fn execute_redistribute<T: Element, E: PlanExecutor>(
     });
     let (locals, charged) =
         executor.execute(plan, array.locals(), &dst_sizes, tracker, opts.aggregate)?;
-    Ok(install(array, plan, new_dist, locals, charged))
+    Ok(install(array, plan, new_dist, locals, charged, None))
 }
 
 /// The executor half of a class `DISTRIBUTE`: every array is moved by its
@@ -246,6 +251,13 @@ pub fn execute_redistribute<T: Element, E: PlanExecutor>(
 /// record what the array *would* have charged on its own, plus the
 /// [`ExecReport`] of what the class actually charged.
 ///
+/// `spares` is the caller's store of the locals the class's previous
+/// statement retired ([`RetiredLocals`]): the statement builds its
+/// destinations from them (or frees them, on an executor that does not
+/// [recycle](PlanExecutor::recycles_locals)), and leaves in it the locals
+/// it retired itself — nothing on such an executor.  Pass a fresh store
+/// for a one-off statement.
+///
 /// # Errors
 /// [`RuntimeError::FusionMismatch`] if `fused` is not a redistribution
 /// fusion or disagrees with `arrays` in length;
@@ -258,6 +270,7 @@ pub fn execute_class_redistribute<T: Element, E: PlanExecutor>(
     fused: &FusedPlan,
     tracker: &CommTracker,
     executor: &E,
+    spares: &mut RetiredLocals<T>,
 ) -> Result<(Vec<RedistReport>, ExecReport)> {
     fused.check_parts(
         PlanKind::Redistribute,
@@ -275,8 +288,10 @@ pub fn execute_class_redistribute<T: Element, E: PlanExecutor>(
     });
     let (bufs, charged) = {
         let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-        executor.execute_fused(fused, &srcs, &dst_sizes, tracker)?
+        let handed = std::mem::take(spares);
+        executor.execute_fused(fused, &srcs, &dst_sizes, handed, tracker)?
     };
+    let recycle = executor.recycles_locals();
     let reports = arrays
         .iter_mut()
         .zip(fused.parts())
@@ -286,7 +301,14 @@ pub fn execute_class_redistribute<T: Element, E: PlanExecutor>(
                 messages: part.num_messages(),
                 bytes: part.bytes_for(T::BYTES),
             };
-            install(array, part, new_dist, locals, alone)
+            install(
+                array,
+                part,
+                new_dist,
+                locals,
+                alone,
+                recycle.then_some(&mut *spares),
+            )
         })
         .collect();
     Ok((reports, charged))
@@ -360,7 +382,7 @@ impl<T: Element> SplitRedistribute<'_, T> {
             bytes: report.bytes,
         };
         Ok((
-            install(array, &self.plan, self.new_dist, locals, charged),
+            install(array, &self.plan, self.new_dist, locals, charged, None),
             report,
         ))
     }

@@ -72,7 +72,7 @@
 use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
 use crate::exec::{
     assemble, copy_runs, copy_seconds, finish_checksum, finish_with_copy_credit, lock, post_fused,
-    wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor, SerialExecutor,
+    wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor, RetiredLocals, SerialExecutor,
 };
 use crate::plan::{CommPlan, PlanKind, Transfer};
 use crate::{DistArray, Element, Result, RuntimeError};
@@ -390,11 +390,19 @@ impl PlanExecutor for ShardedExecutor {
         fused: &FusedPlan,
         srcs: &[&[Vec<T>]],
         dst_sizes: &[Vec<usize>],
+        spares: RetiredLocals<T>,
         tracker: &CommTracker,
     ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
+        // Each rank allocates its own segment: the spares are freed
+        // before any of them does.
+        drop(spares);
         let dst_sizes: Vec<&[usize]> = dst_sizes.iter().map(Vec::as_slice).collect();
         let copy_secs = wire_copy_seconds(fused, T::BYTES, tracker);
         sharded_fused_exchange(fused, tracker, self, srcs, &dst_sizes, &copy_secs)
+    }
+
+    fn recycles_locals(&self) -> bool {
+        false
     }
 }
 
@@ -765,6 +773,7 @@ mod tests {
                 &fused,
                 &oracle_tracker,
                 &SerialExecutor,
+                &mut RetiredLocals::default(),
             )
             .unwrap();
 
@@ -772,9 +781,14 @@ mod tests {
             let tracker = CommTracker::new(procs, CostModel::zero());
             let mut array = DistArray::from_dense("A", from.clone(), &data).unwrap();
             let exec = ShardedExecutor::new();
-            let (reports, exec_report) =
-                crate::execute_class_redistribute(&mut [&mut array], &fused, &tracker, &exec)
-                    .unwrap();
+            let (reports, exec_report) = crate::execute_class_redistribute(
+                &mut [&mut array],
+                &fused,
+                &tracker,
+                &exec,
+                &mut RetiredLocals::default(),
+            )
+            .unwrap();
 
             assert_eq!(array.to_dense(), oracle.to_dense(), "{procs} procs");
             assert_eq!(reports, oracle_reports);

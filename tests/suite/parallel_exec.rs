@@ -193,11 +193,13 @@ proptest! {
         let dense_before: Vec<Vec<f64>> = datas.iter().map(|d| d.to_dense()).collect();
         let tracker = CommTracker::new(p, CostModel::ipsc860(p));
         let mut refs: Vec<&mut DistArray<f64>> = datas.iter_mut().collect();
+        let spares = &mut RetiredLocals::default();
         let (reports, exec) = if threaded {
-            execute_class_redistribute(&mut refs, &fused, &tracker, &forced_threaded(WORKERS))
-                .unwrap()
+            let pooled = forced_threaded(WORKERS);
+            execute_class_redistribute(&mut refs, &fused, &tracker, &pooled, spares).unwrap()
         } else {
-            execute_class_redistribute(&mut refs, &fused, &tracker, &SerialExecutor).unwrap()
+            execute_class_redistribute(&mut refs, &fused, &tracker, &SerialExecutor, spares)
+                .unwrap()
         };
 
         // Every array survived the fused motion with its own data.

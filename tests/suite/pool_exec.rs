@@ -237,8 +237,14 @@ fn wire_packed_fused_redistribute_matches_per_part() {
     for (name, executor) in [("serial", &serial), ("pooled", &pooled)] {
         let (mut a2, mut b2) = build();
         let t2 = tracker(p);
-        let (r2, e2) =
-            execute_class_redistribute(&mut [&mut a2, &mut b2], &fused, &t2, executor).unwrap();
+        let (r2, e2) = execute_class_redistribute(
+            &mut [&mut a2, &mut b2],
+            &fused,
+            &t2,
+            executor,
+            &mut RetiredLocals::default(),
+        )
+        .unwrap();
         assert_eq!(a1.to_dense(), a2.to_dense(), "{name}");
         assert_eq!(b1.to_dense(), b2.to_dense(), "{name}");
         assert_eq!(r1.as_slice(), r2.as_slice(), "{name}");

@@ -94,9 +94,14 @@ proptest! {
             .map(|k| DistArray::from_fn(format!("A{k}"), from.clone(), init(k)))
             .collect();
         let mut refs: Vec<&mut DistArray<f64>> = a_shared.iter_mut().collect();
-        let (r_shared, e_shared) =
-            execute_class_redistribute(&mut refs, &fused, &t_shared, &SerialExecutor)
-                .unwrap();
+        let (r_shared, e_shared) = execute_class_redistribute(
+            &mut refs,
+            &fused,
+            &t_shared,
+            &SerialExecutor,
+            &mut RetiredLocals::default(),
+        )
+        .unwrap();
 
         let t_sharded = CommTracker::new(p, CostModel::ipsc860(p));
         let mut a_sharded: Vec<DistArray<f64>> = (0..arrays)
@@ -104,9 +109,14 @@ proptest! {
             .collect();
         let mut refs: Vec<&mut DistArray<f64>> = a_sharded.iter_mut().collect();
         let fused2 = plan_once();
-        let (r_sharded, e_sharded) =
-            execute_class_redistribute(&mut refs, &fused2, &t_sharded, &ShardedExecutor::new())
-                .unwrap();
+        let (r_sharded, e_sharded) = execute_class_redistribute(
+            &mut refs,
+            &fused2,
+            &t_sharded,
+            &ShardedExecutor::new(),
+            &mut RetiredLocals::default(),
+        )
+        .unwrap();
 
         prop_assert_eq!(r_shared, r_sharded);
         prop_assert_eq!(&e_shared, &e_sharded);
@@ -246,8 +256,14 @@ fn assert_element_type_matches_shared<T: Element>(value: impl Fn(usize) -> T + C
     )
     .unwrap();
     let mut refs: Vec<&mut DistArray<T>> = shared.iter_mut().collect();
-    let (r_shared, e_shared) =
-        execute_class_redistribute(&mut refs, &plan_once(), &t_shared, &SerialExecutor).unwrap();
+    let (r_shared, e_shared) = execute_class_redistribute(
+        &mut refs,
+        &plan_once(),
+        &t_shared,
+        &SerialExecutor,
+        &mut RetiredLocals::default(),
+    )
+    .unwrap();
 
     let exec = ShardedExecutor::new();
     let t_sharded = CommTracker::new(p, CostModel::ipsc860(p));
@@ -256,8 +272,14 @@ fn assert_element_type_matches_shared<T: Element>(value: impl Fn(usize) -> T + C
     let (g_sharded, ge_sharded) =
         class_halo(&refs, &widths, &t_sharded, &PlanCache::new(), &exec).unwrap();
     let mut refs: Vec<&mut DistArray<T>> = sharded.iter_mut().collect();
-    let (r_sharded, e_sharded) =
-        execute_class_redistribute(&mut refs, &plan_once(), &t_sharded, &exec).unwrap();
+    let (r_sharded, e_sharded) = execute_class_redistribute(
+        &mut refs,
+        &plan_once(),
+        &t_sharded,
+        &exec,
+        &mut RetiredLocals::default(),
+    )
+    .unwrap();
 
     let what = std::any::type_name::<T>();
     assert_eq!(ge_shared, ge_sharded, "{what}: halo report");
@@ -341,8 +363,14 @@ fn failed_exchange_leaves_the_arrays_on_their_old_distribution() {
     let before = make();
     let mut arrays = make();
     let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
-    let err = execute_class_redistribute(&mut refs, &fused(), &tracker, &exec)
-        .expect_err("a rank died mid-exchange");
+    let err = execute_class_redistribute(
+        &mut refs,
+        &fused(),
+        &tracker,
+        &exec,
+        &mut RetiredLocals::default(),
+    )
+    .expect_err("a rank died mid-exchange");
     assert!(
         matches!(err, vf_runtime::RuntimeError::Channel(_)),
         "structured channel failure, got {err:?}"
@@ -357,7 +385,14 @@ fn failed_exchange_leaves_the_arrays_on_their_old_distribution() {
 
     // The fault budget is spent: the retried statement goes through.
     let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
-    execute_class_redistribute(&mut refs, &fused(), &tracker, &exec).unwrap();
+    execute_class_redistribute(
+        &mut refs,
+        &fused(),
+        &tracker,
+        &exec,
+        &mut RetiredLocals::default(),
+    )
+    .unwrap();
     for (a, b) in arrays.iter().zip(&before) {
         assert_eq!(a.dist().fingerprint(), to.fingerprint());
         assert_eq!(a.to_dense(), b.to_dense());

@@ -232,7 +232,9 @@ fn redistribute_class(exec: &ExecBackend) -> Outcome {
     let fused = FusedPlan::fuse(plans.clone()).unwrap();
     let t = tracker();
     let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
-    let (reports, report) = execute_class_redistribute(&mut refs, &fused, &t, exec).unwrap();
+    let (reports, report) =
+        execute_class_redistribute(&mut refs, &fused, &t, exec, &mut RetiredLocals::default())
+            .unwrap();
     // The per-array reports still carry what each member would have
     // charged alone.
     for (r, plan) in reports.iter().zip(&plans) {
