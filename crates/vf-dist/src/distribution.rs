@@ -2,7 +2,7 @@
 //! domain and a processor view (paper Definition 1), plus the `CONSTRUCT`
 //! operation used for connected (aligned) arrays.
 
-use crate::{Alignment, DistError, DistType, ProcId, ProcessorView, Result};
+use crate::{Alignment, DimDist, DistError, DistType, ProcId, ProcessorView, Result};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use vf_index::{DimRange, IndexDomain, Point};
@@ -684,18 +684,21 @@ impl Distribution {
                         .map(|l| dd.global_offset(coord, l, n, extent))
                         .collect()
                 };
-                // Dimension 0 has stride 1 in both spaces.  Owned as one
-                // segment (`BLOCK`, general block, `:`), a whole local
-                // column is one contiguous stretch, known without visiting
-                // its elements; otherwise the column is walked by its
-                // offset table.
+                // Dimension 0 has stride 1 in both spaces, so a local column
+                // is a sequence of blocks contiguous in both, the same for
+                // every column and known without visiting its elements:
+                // the whole column when it is owned as one segment
+                // (`BLOCK`, general block, `:`), one block per owned block
+                // of `CYCLIC(k)`.  Only an `INDIRECT` column goes element by
+                // element through its offset table.
                 let (coord, extent) = axis(0);
                 let (dd, n) = (self.dist_type.dim(0), self.domain.extent(0));
                 let column_len = dd.local_count(coord, n, extent);
                 let segment = dd.segment(coord, n, extent);
-                let column = match segment {
-                    Some(_) => Vec::new(),
-                    None => global_of_local(0),
+                let block = match (segment, dd) {
+                    (Some(_), _) => column_len,
+                    (None, DimDist::Cyclic(k)) => *k,
+                    (None, _) => 1,
                 };
                 // Higher dimensions: offset tables and global strides.
                 let mut tables: Vec<Vec<usize>> = vec![Vec::new()];
@@ -715,13 +718,12 @@ impl Distribution {
                 let mut coords = vec![0usize; rank];
                 let mut glin: usize = (1..rank).map(|d| tables[d][0] * global_strides[d]).sum();
                 for local in (0..local_size).step_by(column_len) {
-                    match segment {
-                        Some(segment) => push(local, glin + segment.start, column_len),
-                        None => {
-                            for (l, &g) in column.iter().enumerate() {
-                                push(local + l, glin + g, 1);
-                            }
-                        }
+                    for l in (0..column_len).step_by(block) {
+                        let g = match segment {
+                            Some(segment) => segment.start + l,
+                            None => dd.global_offset(coord, l, n, extent),
+                        };
+                        push(local + l, glin + g, block.min(column_len - l));
                     }
                     for d in 1..rank {
                         let table = &tables[d];
@@ -744,8 +746,8 @@ impl Distribution {
     /// [`Distribution::owner`] and [`Distribution::loc_map`] recompute
     /// grid coordinates (an `O(P)` search) and general-block prefix sums on
     /// every call; a [`Locator`] materialises per-dimension lookup tables
-    /// once so the communication planner can resolve millions of elements
-    /// with table reads only.
+    /// once, so an element resolves with table reads only, and a whole
+    /// contiguous stretch of them with one ([`Locator::locate_stretch`]).
     pub fn locator(&self) -> Locator<'_> {
         Locator::new(self)
     }
@@ -826,9 +828,11 @@ enum LocMode {
 }
 
 /// A precomputed owner/local-offset resolver (see
-/// [`Distribution::locator`]).  Resolution is `O(rank)` table reads per
-/// element with no per-element allocation or hashing — the property the
-/// communication planner relies on.
+/// [`Distribution::locator`]).  One query is `O(rank)` table reads with no
+/// allocation or hashing, and [`Locator::locate_stretch`] answers it for a
+/// whole stretch of consecutive global offsets that stay on one owner at
+/// consecutive local offsets — so the communication planner pays per
+/// stretch, not per element.
 pub struct Locator<'a> {
     dist: &'a Distribution,
     mode: LocMode,
@@ -951,6 +955,40 @@ impl<'a> Locator<'a> {
                 (self.dist.proc_ids[plin], local)
             }
         }
+    }
+
+    /// The owner and owner-local offset of global offset `lin`, and the
+    /// length `len` (`1 ≤ len ≤ max`) of the stretch it starts: global
+    /// offsets `lin..lin + len` all live on that owner, at local offsets
+    /// `local..local + len`.  `lin` must be in range and `max` at least 1.
+    ///
+    /// The stretch comes from the distribution function of dimension 0,
+    /// which has stride 1 in both spaces: it ends at the owner's segment
+    /// end for `BLOCK` and general block, at the end of the block of `k`
+    /// for `CYCLIC(k)`, and at the column end for `:`.  On a replicated
+    /// array the rest of the array is one stretch; a translation-table
+    /// layout (alignment-derived or `INDIRECT`) has no closed form and
+    /// answers a stretch of one.
+    pub fn locate_stretch(&self, lin: usize, max: usize) -> (ProcId, usize, usize) {
+        let (owner, local) = self.locate_lin(lin);
+        let len = match &self.mode {
+            LocMode::Replicated => self.dist.domain.size() - lin,
+            LocMode::Aligned => 1,
+            LocMode::Regular { tables, counts, .. } => {
+                let n = self.dist.domain.extent(0);
+                let off = lin % n;
+                let end = match (self.dist.dist_type.dim(0), &tables[0]) {
+                    (DimDist::NotDistributed, _) => n - off,
+                    (DimDist::Cyclic(k), _) => k - off % k,
+                    (DimDist::Block | DimDist::GenBlock(_), Some((owner_t, local_t))) => {
+                        counts[0][owner_t[off] as usize] as usize - local_t[off] as usize
+                    }
+                    _ => 1,
+                };
+                end.min(n - off)
+            }
+        };
+        (owner, local, len.min(max).max(1))
     }
 
     /// The owner and owner-local offset of the element at `point`.
@@ -1450,6 +1488,7 @@ mod tests {
             assert_eq!(locator.locate_lin(lin), (owner, local), "lin {lin}");
             assert_eq!(locator.locate(&point).unwrap(), (owner, local));
         }
+        check_stretches(dist);
         for &p in dist.proc_ids() {
             let runs = dist.local_linear_runs(p);
             // Runs cover the local storage in order, exactly once.
@@ -1477,6 +1516,127 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every stretch [`Locator::locate_stretch`] answers is one owner at
+    /// consecutive local offsets, bounded by `max`, and walking the array
+    /// stretch by stretch visits every offset once.
+    fn check_stretches(dist: &Distribution) {
+        let locator = dist.locator();
+        let size = dist.domain().size();
+        for max in [1, 2, 5, usize::MAX] {
+            let mut lin = 0;
+            while lin < size {
+                let (owner, local, len) = locator.locate_stretch(lin, max);
+                assert!(
+                    (1..=max).contains(&len),
+                    "stretch {len} at {lin}, max {max}"
+                );
+                assert!(lin + len <= size, "stretch runs past the array at {lin}");
+                for k in 0..len {
+                    assert_eq!(locator.locate_lin(lin + k), (owner, local + k), "{lin}+{k}");
+                }
+                lin += len;
+            }
+        }
+    }
+
+    #[test]
+    fn cyclic_runs_are_one_per_owned_block_and_match_the_element_walk() {
+        let cases = [
+            // (dim 0, extent 0, dim 1, extent 1, processors)
+            (DimDist::Cyclic(1), 10, DimDist::NotDistributed, 1, 3),
+            (DimDist::Cyclic(1), 7, DimDist::NotDistributed, 4, 4),
+            (DimDist::Cyclic(3), 20, DimDist::NotDistributed, 3, 4),
+            (DimDist::Cyclic(3), 23, DimDist::Block, 5, 2),
+            (DimDist::Cyclic(2), 9, DimDist::Cyclic(2), 7, 3),
+            // k >= extent: one processor owns the whole column.
+            (DimDist::Cyclic(8), 8, DimDist::NotDistributed, 3, 3),
+            (DimDist::Cyclic(12), 5, DimDist::NotDistributed, 2, 4),
+            // More processors than elements: some own nothing.
+            (DimDist::Cyclic(1), 3, DimDist::NotDistributed, 2, 5),
+            (DimDist::Cyclic(2), 5, DimDist::NotDistributed, 1, 6),
+            (DimDist::Cyclic(1), 6, DimDist::NotDistributed, 2, 1),
+        ];
+        for (d0, n0, d1, n1, p) in cases {
+            let procs = if d1.is_distributed() {
+                ProcessorView::grid2d(p, 2)
+            } else {
+                ProcessorView::linear(p)
+            };
+            let dist = Distribution::new(
+                DistType::new(vec![d0.clone(), d1]),
+                IndexDomain::d2(n0, n1),
+                procs,
+            )
+            .unwrap();
+            // The runs against the element walk: maximal, in local order,
+            // each element at its `global_at` offset.
+            check_locator_and_runs(&dist);
+            for &q in dist.proc_ids() {
+                let owns_nothing = dist.local_size(q) == 0;
+                assert_eq!(
+                    dist.local_linear_runs(q).is_empty(),
+                    owns_nothing,
+                    "{dist} on {q}"
+                );
+            }
+            // A 1-D cyclic layout over several processors: exactly one run
+            // per owned block of k.
+            if let (DimDist::Cyclic(k), 1) = (&d0, n1) {
+                let nprocs = dist.num_procs();
+                for (c, &q) in dist.proc_ids().iter().enumerate() {
+                    let blocks = (0..n0).step_by(*k).skip(c).step_by(nprocs).count();
+                    let expected = if nprocs == 1 { blocks.min(1) } else { blocks };
+                    assert_eq!(dist.local_linear_runs(q).len(), expected, "{dist} on {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stretches_end_where_the_dimension_0_function_says() {
+        let dist = |t: DistType, n: usize, m: usize, p: usize| {
+            Distribution::new(t, IndexDomain::d2(n, m), ProcessorView::linear(p)).unwrap()
+        };
+        // (BLOCK, :) on 4: a 16-column splits into four stretches of 4.
+        let rows = dist(DistType::rows(), 16, 3, 4);
+        assert_eq!(rows.locator().locate_stretch(0, usize::MAX).2, 4);
+        assert_eq!(rows.locator().locate_stretch(5, usize::MAX).2, 3);
+        assert_eq!(rows.locator().locate_stretch(5, 2).2, 2);
+        // (CYCLIC(3), :): to the end of the block of 3, clipped at the column.
+        let cyc = dist(
+            DistType::new(vec![DimDist::Cyclic(3), DimDist::NotDistributed]),
+            10,
+            2,
+            2,
+        );
+        assert_eq!(cyc.locator().locate_stretch(0, usize::MAX).2, 3);
+        assert_eq!(cyc.locator().locate_stretch(4, usize::MAX).2, 2);
+        assert_eq!(cyc.locator().locate_stretch(9, usize::MAX).2, 1);
+        // (:, BLOCK): the rest of the column.
+        let cols = dist(DistType::columns(), 6, 4, 2);
+        assert_eq!(cols.locator().locate_stretch(7, usize::MAX).2, 5);
+        // General block with empty blocks: the owner's segment end.
+        let gen = Distribution::new(
+            DistType::gen_block1d(vec![0, 5, 0, 3]),
+            IndexDomain::d1(8),
+            ProcessorView::linear(4),
+        )
+        .unwrap();
+        assert_eq!(
+            gen.locator().locate_stretch(0, usize::MAX),
+            (ProcId(1), 0, 5)
+        );
+        assert_eq!(
+            gen.locator().locate_stretch(6, usize::MAX),
+            (ProcId(3), 1, 2)
+        );
+        // Replicated: the rest of the array is one stretch on the
+        // canonical owner.
+        let rep = dist(DistType::new(vec![DimDist::NotDistributed; 2]), 4, 4, 3);
+        assert_eq!(rep.locator().locate_stretch(3, 100), (ProcId(0), 3, 13));
+        assert_eq!(rep.locator().locate_stretch(3, 5), (ProcId(0), 3, 5));
     }
 
     #[test]

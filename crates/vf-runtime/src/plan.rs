@@ -15,6 +15,14 @@
 //!   [`PlanRun`]s of contiguous local offsets (`BLOCK`-family layouts
 //!   collapse to a handful of runs per pair, instead of the per-point hash
 //!   maps the paths previously rebuilt on every call);
+//! * the planners resolve ownership **by stretch, not by element**: one
+//!   query to the `OwnerResolver` places a whole stretch of consecutive
+//!   global offsets that the target keeps on one owner at consecutive
+//!   local offsets, its end read off the distribution function of
+//!   dimension 0 (a `BLOCK` or general-block segment end, a `CYCLIC(k)`
+//!   block end, a `:` column end).  A regular plan therefore costs
+//!   O(stretches) lookups, and only an `INDIRECT` target, resolved through
+//!   its translation table, still pays one lookup per element;
 //! * planning is separated from execution, exactly as in PARTI's
 //!   inspector/executor split: [`plan_redistribute`], [`plan_ghost`]
 //!   and the gather / scatter planners behind [`crate::parti::inspector`]
@@ -64,55 +72,78 @@ struct TableSession {
     fetches: Vec<(usize, usize, usize)>,
 }
 
-/// How a planner resolves global offsets to `(owner, local offset)`.
+/// How a planner resolves global offsets to `(owner, local offset)`: one
+/// query answers a whole *stretch* of consecutive global offsets that stay
+/// on one owner at consecutive local offsets, so a planner walks its
+/// elements stretch by stretch and pays per stretch, not per element.
 ///
 /// Regular distributions resolve in closed form through a
-/// [`vf_dist::Locator`].  `INDIRECT` distributions have no closed form —
-/// their ownership lives in a mapping array too large to replicate — so
-/// they resolve through the distributed translation table
-/// ([`crate::translation`]): each lookup is made *on behalf of* the
-/// requesting processor, walking that processor's cached-page path and
-/// recording the directory page fetches a real PARTI run would perform.
-/// Both paths return identical results; only the modelled directory
-/// traffic differs.
+/// [`vf_dist::Locator`], whose stretches end where the distribution
+/// function of dimension 0 says ([`Locator::locate_stretch`]).  `INDIRECT`
+/// distributions have no closed form — their ownership lives in a mapping
+/// array too large to replicate — so they resolve through the distributed
+/// translation table ([`crate::translation`]): each lookup is made *on
+/// behalf of* the requesting processor, walking that processor's
+/// cached-page path and recording the directory page fetches a real PARTI
+/// run would perform.  A table lookup answers a stretch of one, so the
+/// page-fetch and hit counters stay per element.  Both paths return
+/// identical placements; only the modelled directory traffic differs.
 ///
 /// The page-cache warmth is **session-local** (this resolver's `seen`
-/// table, no locks on the per-element path): independent plannings of the
+/// table, no locks on the lookup path): independent plannings of the
 /// same distribution each model a cold directory, and the session's fetch
 /// messages are handed to the built [`CommPlan`] by
 /// [`OwnerResolver::finish`], to be charged once at the plan's first
 /// execution.  The table itself comes from the [`PlanCache`] the planner
 /// runs for.
-enum OwnerResolver<'a> {
-    Direct(Locator<'a>),
+struct OwnerResolver<'a> {
+    by: Resolve<'a>,
+    /// Stretch queries answered: the planner's work, which the unit tests
+    /// bound.
+    #[cfg_attr(not(test), allow(dead_code))]
+    lookups: usize,
+}
+
+/// The two ways an [`OwnerResolver`] answers.
+enum Resolve<'a> {
+    Locator(Locator<'a>),
     Table(Box<TableSession>),
 }
 
 impl<'a> OwnerResolver<'a> {
     fn for_dist(dist: &'a Distribution, store: &PlanCache) -> Self {
-        if dist.dist_type().has_indirect() {
+        let by = if dist.dist_type().has_indirect() {
             let table = store.table(dist);
             let total_procs = dist.procs().array().num_procs();
             let num_pages = table.num_pages();
-            OwnerResolver::Table(Box::new(TableSession {
+            Resolve::Table(Box::new(TableSession {
                 table,
                 seen: vec![vec![false; num_pages]; total_procs],
                 stats: TranslationStats::default(),
                 fetches: Vec::new(),
             }))
         } else {
-            OwnerResolver::Direct(dist.locator())
-        }
+            Resolve::Locator(dist.locator())
+        };
+        Self { by, lookups: 0 }
     }
 
     /// Owner and owner-local offset of global offset `lin`, resolved on
-    /// behalf of `requester`.
-    fn locate_from(&mut self, requester: ProcId, lin: usize) -> (ProcId, usize) {
-        match self {
-            OwnerResolver::Direct(locator) => locator.locate_lin(lin),
-            OwnerResolver::Table(session) => {
+    /// behalf of `requester`, and the length (`1..=max`) of the stretch
+    /// from `lin` that stays on that owner at consecutive local offsets.
+    fn locate_from(&mut self, requester: ProcId, lin: usize, max: usize) -> (ProcId, usize, usize) {
+        self.lookups += 1;
+        match &mut self.by {
+            Resolve::Locator(locator) => locator.locate_stretch(lin, max),
+            Resolve::Table(session) => {
                 let table = &session.table;
                 let page = table.page_of(lin);
+                // A requester from a larger processor array (a source
+                // view the target's table does not span) starts cold.
+                if requester.0 >= session.seen.len() {
+                    let pages = table.num_pages();
+                    session.seen.resize(requester.0 + 1, vec![false; pages]);
+                }
                 let seen = &mut session.seen[requester.0];
                 if seen[page] {
                     if table.home_of_page(page) == requester {
@@ -133,7 +164,8 @@ impl<'a> OwnerResolver<'a> {
                             .push((table.home_of_page(page).0, requester.0, bytes));
                     }
                 }
-                table.lookup(lin)
+                let (owner, local) = table.lookup(lin);
+                (owner, local, 1)
             }
         }
     }
@@ -142,9 +174,9 @@ impl<'a> OwnerResolver<'a> {
     /// returns the directory page-fetch messages for the built plan to
     /// carry.
     fn finish(self, counters: &mut TranslationStats) -> Vec<(usize, usize, usize)> {
-        match self {
-            OwnerResolver::Direct(_) => Vec::new(),
-            OwnerResolver::Table(session) => {
+        match self.by {
+            Resolve::Locator(_) => Vec::new(),
+            Resolve::Table(session) => {
                 *counters += session.stats;
                 session.fetches
             }
@@ -691,23 +723,9 @@ impl CommPlan {
             _ => 0,
         }
     }
-
-    /// The owners contacted by `proc`, sorted — the PARTI schedule query.
-    #[cfg(test)]
-    pub(crate) fn senders_to(&self, proc: ProcId) -> Vec<ProcId> {
-        let mut owners: Vec<ProcId> = self
-            .transfers
-            .iter()
-            .filter(|t| t.dst == proc && t.src != proc && t.elements > 0)
-            .map(|t| t.src)
-            .collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners
-    }
 }
 
-/// Incremental builder grouping per-element placements into transfers and
+/// Incremental builder grouping placements into transfers and
 /// run-length-encoding each transfer's element list.
 struct PlanBuilder {
     transfers: Vec<Transfer>,
@@ -728,14 +746,15 @@ impl PlanBuilder {
         }
     }
 
-    /// Adds one element travelling `src[src_off] -> dst[dst_off]`, merging
-    /// it into the previous run of the pair when both offsets are
-    /// consecutive.
-    fn push(&mut self, src: ProcId, dst: ProcId, src_off: usize, dst_off: usize) {
+    /// Adds `len` elements travelling `src[src_off..] -> dst[dst_off..]`,
+    /// merging them into the previous run of the pair when both offsets
+    /// continue it — so a placement pushed as one stretch of `len` builds
+    /// the same runs as `len` single elements would.
+    fn push(&mut self, src: ProcId, dst: ProcId, src_off: usize, dst_off: usize, len: usize) {
         if src == dst {
-            self.stayed += 1;
+            self.stayed += len;
         } else {
-            self.moved += 1;
+            self.moved += len;
         }
         self.needed = self.needed.max(src.0 + 1).max(dst.0 + 1);
         let idx = *self.by_pair.entry((src.0, dst.0)).or_insert_with(|| {
@@ -748,27 +767,29 @@ impl PlanBuilder {
             self.transfers.len() - 1
         });
         let t = &mut self.transfers[idx];
-        t.elements += 1;
+        t.elements += len;
         match t.runs.last_mut() {
             Some(run)
                 if run.src_start + run.len == src_off && run.dst_start + run.len == dst_off =>
             {
-                run.len += 1;
+                run.len += len;
             }
             _ => t.runs.push(PlanRun {
                 src_start: src_off,
                 dst_start: dst_off,
-                len: 1,
+                len,
             }),
         }
     }
 }
 
 /// Plans the data motion of `DISTRIBUTE` from `old` to `new` (paper
-/// §3.2.2, step 3): each element of every sender's local storage — walked
-/// as contiguous [`vf_dist::LinearRun`]s — is placed at its new owner and
-/// new local offset, and the placements are run-length-encoded per
-/// (sender, receiver) pair.
+/// §3.2.2, step 3): every sender's local storage, walked as contiguous
+/// [`vf_dist::LinearRun`]s, is cut into the stretches that `new` places on
+/// one owner at consecutive local offsets — one lookup per stretch, from
+/// the target's distribution functions — and the placements are
+/// run-length-encoded per (sender, receiver) pair.  (An `INDIRECT` target
+/// resolves element by element through its translation table.)
 pub fn plan_redistribute(old: &Distribution, new: &Distribution) -> Result<CommPlan> {
     plan_redistribute_counted(
         old,
@@ -795,23 +816,7 @@ fn plan_redistribute_counted(
     }
     let mut resolver = OwnerResolver::for_dist(new, store);
     let mut b = PlanBuilder::new();
-    // A replicated source holds one full copy per processor of the view;
-    // only the canonical first copy sends (sending from every replica
-    // would count every element once per replica and let stale copies
-    // overwrite fresh data at the receivers).
-    let senders: &[vf_dist::ProcId] = if old.is_replicated() {
-        &old.proc_ids()[..1]
-    } else {
-        old.proc_ids()
-    };
-    for &p in senders {
-        for run in old.local_linear_runs(p) {
-            for k in 0..run.len {
-                let (q, dst_off) = resolver.locate_from(p, run.global_start + k);
-                b.push(p, q, run.local_start + k, dst_off);
-            }
-        }
-    }
+    place_senders(old, &mut resolver, &mut b);
     // Receivers that exist in the new distribution but get no elements
     // still constrain the tracker size.
     let needed = b
@@ -832,6 +837,29 @@ fn plan_redistribute_counted(
             new_dist: new.clone(),
         },
     })
+}
+
+/// Places every element `old`'s senders hold at its owner under
+/// `resolver`, one stretch per lookup.  A replicated source holds one full
+/// copy per processor of the view; only the canonical first copy sends
+/// (sending from every replica would count every element once per replica
+/// and let stale copies overwrite fresh data at the receivers).
+fn place_senders(old: &Distribution, resolver: &mut OwnerResolver, b: &mut PlanBuilder) {
+    let senders = if old.is_replicated() {
+        &old.proc_ids()[..1]
+    } else {
+        old.proc_ids()
+    };
+    for &p in senders {
+        for run in old.local_linear_runs(p) {
+            let mut k = 0;
+            while k < run.len {
+                let (q, dst_off, len) = resolver.locate_from(p, run.global_start + k, run.len - k);
+                b.push(p, q, run.local_start + k, dst_off, len);
+                k += len;
+            }
+        }
+    }
 }
 
 /// The first dimension of `dist` whose local layout scatters — the
@@ -928,13 +956,20 @@ fn plan_ghost_counted(
             let owned = segment.dim(0);
             let ends = [(first, owned.lower() - 1), (owned.upper() + 1, last)];
             let whole = [(first, last)];
+            // Along dimension 0 a stretch of the frame is consecutive in
+            // global offsets and in slots, so it is placed stretch by
+            // stretch.
             for &(from, to) in if inside { &ends[..] } else { &whole[..] } {
-                for i in from..=to {
-                    let point = origin.with_coord(0, i);
-                    let lin = domain.linearize(&point).expect("frame within the array");
-                    let (owner, local) = resolver.locate_from(p, lin);
-                    b.push(owner, p, local, slot);
-                    slot += 1;
+                if from > to {
+                    continue;
+                }
+                let point = origin.with_coord(0, from);
+                let mut lin = domain.linearize(&point).expect("frame within the array");
+                let mut left = (to - from + 1) as usize;
+                while left > 0 {
+                    let (owner, local, len) = resolver.locate_from(p, lin, left);
+                    b.push(owner, p, local, slot, len);
+                    (lin, slot, left) = (lin + len, slot + len, left - len);
                 }
             }
         });
@@ -1067,8 +1102,8 @@ fn plan_ghost_irregular_counted(
         }
         if let Some(resolver) = resolver.as_mut() {
             for (slot, &lin) in local.ghosts.iter().enumerate() {
-                let (owner, offset) = resolver.locate_from(p, lin);
-                b.push(owner, p, offset, slot);
+                let (owner, offset, _) = resolver.locate_from(p, lin, 1);
+                b.push(owner, p, offset, slot, 1);
             }
         }
         slots[p.0] = GhostSlots::Listed {
@@ -1121,7 +1156,7 @@ fn plan_gather(
         if replicated {
             continue;
         }
-        let (owner, local) = resolver.locate_from(*proc, lin);
+        let (owner, local, _) = resolver.locate_from(*proc, lin, 1);
         if owner == *proc {
             continue;
         }
@@ -1139,7 +1174,7 @@ fn plan_gather(
         reqs.dedup();
         for (slot, &(owner, lin, local)) in reqs.iter().enumerate() {
             slots[proc].slot_of_lin.insert(lin, slot);
-            b.push(ProcId(owner), ProcId(proc), local, slot);
+            b.push(ProcId(owner), ProcId(proc), local, slot, 1);
         }
         slots[proc].count = reqs.len();
     }
@@ -1178,11 +1213,11 @@ fn plan_scatter(
     let mut b = PlanBuilder::new();
     for (from, point) in sources {
         let lin = dist.domain().linearize(point)?;
-        let (owner, local) = resolver.locate_from(*from, lin);
+        let (owner, local, _) = resolver.locate_from(*from, lin, 1);
         ops.push(ScatterOp { owner, local });
         // Runs are not needed for scatter (values arrive with the updates);
         // the per-pair element counts drive the message aggregation.
-        b.push(*from, owner, 0, 0);
+        b.push(*from, owner, 0, 0, 1);
     }
     // Collapse the dummy runs: only the counts matter.
     let mut transfers = b.transfers;
@@ -1604,8 +1639,24 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::DistArray;
-    use vf_dist::{DistType, ProcessorView};
+    use vf_dist::{DimDist, DistType, ProcessorView};
     use vf_machine::CostModel;
+
+    impl CommPlan {
+        /// The owners contacted by `proc`, sorted — the PARTI schedule
+        /// query.
+        pub(crate) fn senders_to(&self, proc: ProcId) -> Vec<ProcId> {
+            let mut owners: Vec<ProcId> = self
+                .transfers
+                .iter()
+                .filter(|t| t.dst == proc && t.src != proc && t.elements > 0)
+                .map(|t| t.src)
+                .collect();
+            owners.sort_unstable();
+            owners.dedup();
+            owners
+        }
+    }
 
     fn dist_1d(t: DistType, n: usize, p: usize) -> Distribution {
         Distribution::new(t, IndexDomain::d1(n), ProcessorView::linear(p)).unwrap()
@@ -1898,6 +1949,47 @@ mod tests {
                 .translation
                 .page_fetches
                 > 0
+        );
+    }
+
+    /// The stretch queries the redistribution planner makes for
+    /// `old -> new`, through the planner's own walk (checked to build the
+    /// same transfers as [`plan_redistribute`]), with the translation
+    /// lookups of an `INDIRECT` target.
+    fn redistribute_lookups(old: &Distribution, new: &Distribution) -> (usize, TranslationStats) {
+        let store = PlanCache::new();
+        let mut resolver = OwnerResolver::for_dist(new, &store);
+        let mut b = PlanBuilder::new();
+        place_senders(old, &mut resolver, &mut b);
+        assert_eq!(b.transfers, plan_redistribute(old, new).unwrap().transfers);
+        let lookups = resolver.lookups;
+        let mut counters = TranslationStats::default();
+        resolver.finish(&mut counters);
+        (lookups, counters)
+    }
+
+    #[test]
+    fn the_planner_pays_per_stretch_not_per_element() {
+        let square = |t: DistType| {
+            Distribution::new(t, IndexDomain::d2(1024, 1024), ProcessorView::linear(4)).unwrap()
+        };
+        let columns = square(DistType::columns());
+        // (:,BLOCK) -> (BLOCK,:): four stretches per column of 1024.
+        let (lookups, _) = redistribute_lookups(&columns, &square(DistType::rows()));
+        assert!(lookups <= 4096, "{lookups} lookups");
+        // (:,BLOCK) -> (CYCLIC(8),:): one stretch per block of 8.
+        let cyclic8 = DistType::new(vec![DimDist::Cyclic(8), DimDist::NotDistributed]);
+        let (lookups, _) = redistribute_lookups(&columns, &square(cyclic8));
+        assert!(lookups <= 131_072, "{lookups} lookups");
+        // An INDIRECT target resolves through the translation table, one
+        // counted lookup per element.
+        let n = 10_000;
+        let (lookups, table) =
+            redistribute_lookups(&dist_1d(DistType::block1d(), n, 4), &indirect_1d(n, 4, 3));
+        assert_eq!(lookups, n);
+        assert_eq!(
+            (table.home_hits + table.cache_hits + table.page_fetches) as usize,
+            n
         );
     }
 

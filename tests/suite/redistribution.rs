@@ -228,3 +228,339 @@ fn aggregation_ablation_shows_latency_savings() {
     assert!(elem_report.messages > 10 * agg_report.messages);
     assert!(elem_time > 10.0 * agg_time);
 }
+
+// ---------------------------------------------------------------------------
+// The per-element oracle.  `plan_redistribute` and `plan_ghost` resolve one
+// contiguous stretch per lookup; the plans below are built one element at a
+// time from the public ownership functions (`Distribution::owner`,
+// `loc_map`, `local_linear_runs`), and every planned plan must equal them
+// run for run.  The layouts are a fixed grid, not a random draw.
+// ---------------------------------------------------------------------------
+
+use std::sync::Arc;
+use vf_core::vf_dist::AlignExpr;
+use vf_core::vf_runtime::plan::{plan_ghost, plan_redistribute, PlanRun, Transfer};
+
+/// A plan built one element at a time, run-length-encoded with the
+/// planner's rule: an element extends the last run of its pair when both
+/// offsets continue it.
+#[derive(Default)]
+struct ElementPlan {
+    transfers: Vec<Transfer>,
+    moved: usize,
+    stayed: usize,
+}
+
+impl ElementPlan {
+    fn push(&mut self, src: ProcId, dst: ProcId, src_off: usize, dst_off: usize) {
+        if src == dst {
+            self.stayed += 1;
+        } else {
+            self.moved += 1;
+        }
+        let at = match self
+            .transfers
+            .iter()
+            .position(|t| (t.src, t.dst) == (src, dst))
+        {
+            Some(at) => at,
+            None => {
+                self.transfers.push(Transfer {
+                    src,
+                    dst,
+                    elements: 0,
+                    runs: Vec::new(),
+                });
+                self.transfers.len() - 1
+            }
+        };
+        let t = &mut self.transfers[at];
+        t.elements += 1;
+        match t.runs.last_mut() {
+            Some(run)
+                if run.src_start + run.len == src_off && run.dst_start + run.len == dst_off =>
+            {
+                run.len += 1
+            }
+            _ => t.runs.push(PlanRun {
+                src_start: src_off,
+                dst_start: dst_off,
+                len: 1,
+            }),
+        }
+    }
+
+    fn num_messages(&self) -> usize {
+        let crossing = |t: &&Transfer| t.src != t.dst && t.elements > 0;
+        self.transfers.iter().filter(crossing).count()
+    }
+
+    /// The plan's resident estimate: the plan, its transfers and runs, and
+    /// the target distribution a redistribution plan keeps.
+    fn estimated_bytes(&self, new: &Distribution) -> usize {
+        use std::mem::size_of;
+        let transfers: usize = (self.transfers.iter())
+            .map(|t| size_of::<Transfer>() + t.runs.len() * size_of::<PlanRun>())
+            .sum();
+        size_of::<CommPlan>() + transfers + new.estimated_bytes()
+    }
+}
+
+/// `DISTRIBUTE old -> new`, element by element: every element the sending
+/// copies hold (only the first copy of a replicated source sends) goes to
+/// `new`'s owner at `new`'s local offset.
+fn element_redistribute(old: &Distribution, new: &Distribution) -> ElementPlan {
+    let mut plan = ElementPlan::default();
+    let senders = if old.is_replicated() {
+        &old.proc_ids()[..1]
+    } else {
+        old.proc_ids()
+    };
+    for &p in senders {
+        for run in old.local_linear_runs(p) {
+            for k in 0..run.len {
+                let point = old.domain().delinearize(run.global_start + k).unwrap();
+                let q = new.owner(&point).unwrap();
+                plan.push(p, q, run.local_start + k, new.loc_map(q, &point).unwrap());
+            }
+        }
+    }
+    plan
+}
+
+/// The halo of `widths` on a layout of boxes, element by element: each
+/// processor's owned box widened by the widths and clipped to the array,
+/// its frame numbered in column-major order, every frame point fetched
+/// from its owner.
+fn element_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> ElementPlan {
+    let mut plan = ElementPlan::default();
+    let domain = dist.domain();
+    for &p in dist.proc_ids() {
+        let segment = dist.local_segment(p).unwrap();
+        if segment.is_empty() {
+            continue;
+        }
+        let dims = (0..domain.rank()).map(|d| {
+            let (seg, all, (below, above)) = (segment.dim(d), domain.dim(d), widths[d]);
+            DimRange::new(
+                (seg.lower() - below as i64).max(all.lower()),
+                (seg.upper() + above as i64).min(all.upper()),
+            )
+            .unwrap()
+        });
+        let extended = IndexDomain::new(dims.collect()).unwrap();
+        let frame = extended.iter().filter(|point| !segment.contains(point));
+        for (slot, point) in frame.enumerate() {
+            let owner = dist.owner(&point).unwrap();
+            plan.push(owner, p, dist.loc_map(owner, &point).unwrap(), slot);
+        }
+    }
+    plan
+}
+
+fn check_redistribute(old: &Distribution, new: &Distribution) {
+    let what = format!("{old} -> {new} over {}", old.domain());
+    let plan = plan_redistribute(old, new).unwrap();
+    let expected = element_redistribute(old, new);
+    assert_eq!(plan.transfers(), &expected.transfers[..], "{what}");
+    assert_eq!(plan.moved_elements(), expected.moved, "{what}");
+    assert_eq!(plan.stayed_elements(), expected.stayed, "{what}");
+    assert_eq!(plan.num_messages(), expected.num_messages(), "{what}");
+    assert_eq!(
+        plan.estimated_bytes(),
+        expected.estimated_bytes(new),
+        "{what}"
+    );
+}
+
+/// General-block sizes over `procs` with empty blocks: every even
+/// processor owns nothing, the odd ones share the extent.
+fn gen_block_with_gaps(n: usize, procs: usize) -> Vec<usize> {
+    let owners: Vec<usize> = (0..procs).filter(|j| j % 2 == 1).collect();
+    let mut sizes = vec![0; procs];
+    match owners.len() {
+        0 => sizes[0] = n,
+        k => owners.iter().enumerate().for_each(|(i, &j)| {
+            sizes[j] = n / k + usize::from(i < n % k);
+        }),
+    }
+    sizes
+}
+
+/// The processor views of the grid: linear ones (P = 1 and P beyond the
+/// small extents), a strided section of a larger linear array (ids that
+/// do not start at 0), and 2-D grids.
+fn views() -> Vec<ProcessorView> {
+    let array = Arc::new(ProcessorArray::linear(6));
+    let strided = Section::new(vec![Triplet::new(2, 6, 2).unwrap()]).unwrap();
+    vec![
+        ProcessorView::linear(1),
+        ProcessorView::linear(3),
+        ProcessorView::linear(4),
+        ProcessorView::linear(7),
+        ProcessorView::new(array, strided).unwrap(),
+        ProcessorView::grid2d(2, 2),
+        ProcessorView::grid2d(1, 3),
+    ]
+}
+
+/// Every layout of `extents` over `views()` whose dimensions are each `:`,
+/// BLOCK, CYCLIC, CYCLIC(3), CYCLIC(k >= extent) or a general block with
+/// empty blocks.  A general block needs its dimension's processor count,
+/// so it is drawn only where the view fixes it (one distributed dimension,
+/// or as many as the view has).
+fn layouts(extents: &[usize]) -> Vec<Distribution> {
+    let domain = IndexDomain::new(
+        extents
+            .iter()
+            .map(|&n| DimRange::new(1, n as i64).unwrap())
+            .collect(),
+    )
+    .unwrap();
+    let choices = 6usize;
+    let mut out = Vec::new();
+    for view in views() {
+        for code in 0..choices.pow(extents.len() as u32) {
+            let picks: Vec<usize> = (0..extents.len())
+                .map(|d| code / choices.pow(d as u32) % choices)
+                .collect();
+            let distributed = picks.iter().filter(|&&c| c != 0).count();
+            let procs_of = |i: usize| match distributed {
+                1 => Some(view.num_procs()),
+                r if r == view.rank() => Some(view.grid_extents()[i]),
+                _ => None,
+            };
+            let mut dims = Vec::new();
+            let mut ddim = 0;
+            for (&n, &pick) in extents.iter().zip(&picks) {
+                dims.push(match pick {
+                    0 => DimDist::NotDistributed,
+                    1 => DimDist::Block,
+                    2 => DimDist::Cyclic(1),
+                    3 => DimDist::Cyclic(3),
+                    4 => DimDist::Cyclic(n + 1),
+                    _ => match procs_of(ddim) {
+                        Some(procs) => DimDist::GenBlock(gen_block_with_gaps(n, procs)),
+                        None => break,
+                    },
+                });
+                ddim += usize::from(pick != 0);
+            }
+            if dims.len() < extents.len() {
+                continue;
+            }
+            if let Ok(dist) = Distribution::new(DistType::new(dims), domain.clone(), view.clone()) {
+                out.push(dist);
+            }
+        }
+    }
+    out
+}
+
+/// Layouts `construct` derives for secondaries of `extents`: transposed
+/// (a regular layout with a permuted grid) for rank 2, and shifted (a
+/// translation-table layout) for rank 1.
+fn secondaries(extents: &[usize]) -> Vec<Distribution> {
+    match *extents {
+        [n, m] => layouts(&[m, n])
+            .iter()
+            .step_by(5)
+            .map(|base| construct(&Alignment::transpose2d(), base, &IndexDomain::d2(n, m)).unwrap())
+            .collect(),
+        [n] => layouts(&[n + 2])
+            .iter()
+            .step_by(3)
+            .map(|base| {
+                let shift = Alignment::new(1, vec![AlignExpr::shifted(0, 2)]).unwrap();
+                construct(&shift, base, &IndexDomain::d1(n)).unwrap()
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// `INDIRECT` layouts of a rank-1 array: the translation-table path.
+fn indirect_layouts(n: usize) -> Vec<Distribution> {
+    [3usize, 4]
+        .into_iter()
+        .map(|p| {
+            let map = IndirectMap::from_fn(n, |i| (i * 7 / 3 + 1) % p).unwrap();
+            Distribution::new(
+                DistType::indirect1d(Arc::new(map)),
+                IndexDomain::d1(n),
+                ProcessorView::linear(p),
+            )
+            .unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn redistribution_plans_equal_the_element_by_element_plan() {
+    let shapes: [&[usize]; 7] = [&[1], &[5], &[9], &[1, 4], &[5, 3], &[4, 4], &[3, 2, 4]];
+    let mut pairs = 0;
+    let (mut replicated, mut derived, mut table) = (0, 0, 0);
+    for extents in shapes {
+        let mut all = layouts(extents);
+        let regular = all.len();
+        all.extend(secondaries(extents));
+        if let [n] = *extents {
+            all.extend(indirect_layouts(n));
+        }
+        // Every ordered pair of a shape is planned when there are few; a
+        // fixed lattice of about 2 500 of them otherwise.
+        let stride = (all.len() * all.len()).div_ceil(2_500).max(1);
+        for (i, old) in all.iter().enumerate() {
+            for (j, new) in all.iter().enumerate() {
+                // Pairs with a translation-table layout are all planned.
+                let tabled = old.uses_translation_table() || new.uses_translation_table();
+                if !(i * all.len() + j).is_multiple_of(stride) && !tabled {
+                    continue;
+                }
+                check_redistribute(old, new);
+                pairs += 1;
+                replicated += usize::from(old.is_replicated() || new.is_replicated());
+                derived += usize::from(i.max(j) >= regular);
+                table += usize::from(tabled);
+            }
+        }
+    }
+    assert!(pairs >= 10_000, "only {pairs} pairs");
+    assert!(replicated > 0 && derived > table && table > 0);
+}
+
+#[test]
+fn ghost_plans_equal_the_element_by_element_plan() {
+    let widths = [(0, 0), (1, 1), (2, 2), (0, 2), (1, 0)];
+    let mut plans = 0;
+    for extents in [&[1][..], &[6], &[9], &[5, 4], &[3, 7], &[3, 2, 4]] {
+        for dist in layouts(extents) {
+            // Layouts of boxes: BLOCK, general block, `:`, and a CYCLIC(k)
+            // that deals each processor at most one block.
+            if dist
+                .proc_ids()
+                .iter()
+                .any(|&p| dist.local_segment(p).is_none())
+            {
+                continue;
+            }
+            // Every pair of widths in dimensions 0 and 1; dimension 2
+            // repeats dimension 0's.
+            let rank = extents.len() as u32;
+            for code in 0..widths.len().pow(rank.min(2)) {
+                let w: Vec<(usize, usize)> = (0..rank)
+                    .map(|d| widths[code / widths.len().pow(d % 2) % widths.len()])
+                    .collect();
+                let plan = plan_ghost(&dist, &w).unwrap();
+                let expected = element_ghost(&dist, &w);
+                let what = format!("{dist} over {} with {w:?}", dist.domain());
+                assert_eq!(plan.transfers(), &expected.transfers[..], "{what}");
+                assert_eq!(plan.moved_elements(), expected.moved, "{what}");
+                assert_eq!(plan.stayed_elements(), expected.stayed, "{what}");
+                assert_eq!(plan.num_messages(), expected.num_messages(), "{what}");
+                plans += 1;
+            }
+        }
+    }
+    assert!(plans >= 1_000, "only {plans} halo plans");
+}
