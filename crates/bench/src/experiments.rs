@@ -252,7 +252,16 @@ pub fn e4_redistribute(cost: &CostModel, sizes: &[usize], p: usize) -> String {
                 (report, tracker.snapshot().critical_time())
             };
             let (agg, t_agg) = run_with(&RedistOptions::default());
-            let (_elem, t_elem) = run_with(&RedistOptions::element_wise());
+            // The per-element strategy is priced, not executed: the same
+            // plan charged one message per element on a tracker of its own.
+            let t_elem = {
+                let tracker = CommTracker::new(p, cost.clone());
+                let plan = vf_runtime::PlanCache::new()
+                    .redistribute_plan(&dist_from, &dist_to)
+                    .expect("same domain");
+                plan.charge(&tracker, 8, false);
+                tracker.snapshot().critical_time()
+            };
             let (nt, t_nt) = run_with(&RedistOptions::notransfer());
             rows.push(vec![
                 n.to_string(),

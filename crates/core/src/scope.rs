@@ -650,7 +650,6 @@ impl<T: Element> VfScope<T> {
                 Some(data) => {
                     let opts = RedistOptions {
                         notransfer: work.notransfer,
-                        ..RedistOptions::default()
                     };
                     redistribute(
                         data,

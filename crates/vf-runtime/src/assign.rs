@@ -10,7 +10,7 @@
 //! ([`crate::plan::plan_redistribute`]), the same plan cache and the same
 //! executor seam ([`crate::exec`]).
 
-use crate::exec::PlanExecutor;
+use crate::exec::{execute_one, PlanExecutor};
 use crate::plan::PlanCache;
 use crate::{DistArray, Element, Result};
 use vf_machine::CommTracker;
@@ -33,8 +33,8 @@ pub struct AssignReport {
 /// destination owner) pair with traffic.  The schedule is planned through
 /// `cache` — the two-copy ADI variant of §4 alternates the same pair of
 /// assignments every iteration, so both are planned once — and moved by
-/// `executor` (direct copy on a shared-memory executor, channel frames on
-/// a sharded one).
+/// `executor` as a class of one (the wire pipeline on a shared-memory
+/// executor, channel frames on a sharded one).
 pub fn assign<T: Element, E: PlanExecutor>(
     dst: &mut DistArray<T>,
     src: &DistArray<T>,
@@ -52,7 +52,7 @@ pub fn assign<T: Element, E: PlanExecutor>(
     for &q in dst_dist.proc_ids() {
         dst_sizes[q.0] = dst_dist.local_size(q);
     }
-    let (new_locals, exec) = executor.execute(&plan, src.locals(), &dst_sizes, tracker, true)?;
+    let (new_locals, exec) = execute_one(executor, &plan, src.locals(), dst_sizes, tracker)?;
     dst.replace(dst_dist, new_locals);
     // The plan targets the canonical first owner; an assignment into a
     // replicated array updates every copy (as `DistArray::set` does).

@@ -3,20 +3,16 @@
 //! Planning and execution are separate (the PARTI inspector / executor
 //! split, see [`crate::plan`]): a statement verb — `redistribute`,
 //! `exchange_ghosts`, `execute_gather`, `assign`, and the class verbs —
-//! validates and sizes, then hands its plan to a [`PlanExecutor`].  The
-//! executor, not the caller, decides how the data moves.  There are three
-//! engines:
+//! validates and sizes, then hands its plan to a [`PlanExecutor`] as a
+//! [`FusedPlan`] — a single array is a class of one
+//! (`FusedPlan::fuse_one`).  The executor, not the caller, decides how
+//! the data moves.  There are two engines:
 //!
-//! * **direct copy** — [`PlanExecutor::execute`] runs *one plan* on a
-//!   shared-memory executor: one `copy_from_slice` per run from the
-//!   sender's buffer straight into the receiver's
-//!   ([`PlanExecutor::run_copies`]) — the reference every other engine is
-//!   tested against.
-//! * **wire pipeline** — a *fused class* ([`FusedPlan`]: one message per
-//!   processor pair for the whole class) on a shared-memory executor: one
-//!   exchange state with one stage body (a destination's buffers, a pair's
-//!   packed frame) and one `deliver` per pair (`WireExchange`).  The mode
-//!   is *when `deliver` runs*:
+//! * **wire pipeline** — a fused schedule (one message per processor pair
+//!   for the whole class) on a shared-memory executor: one exchange state
+//!   with one stage body (a destination's buffers, a pair's packed frame)
+//!   and one `deliver` per pair (`WireExchange`).  The mode is *when
+//!   `deliver` runs*:
 //!   [`PlanExecutor::execute_fused`] (blocking) delivers each pair in its
 //!   destination's work item, inside one pool dispatch — and with no fault
 //!   injector attached stages no wire, copying each pair's runs straight
@@ -26,10 +22,10 @@
 //!   deliveries on the backend's pool until the wait
 //!   ([`SplitPhaseExchange`]).
 //! * **channel frames** — [`crate::shard::ShardedExecutor`] (and so
-//!   [`ExecBackend::Sharded`]) overrides both `execute*` methods: each rank
-//!   reads only its own segment and every crossing pair travels over a
-//!   real [`vf_machine::spmd`] channel — from every call site, because the
-//!   override is in the executor.
+//!   [`ExecBackend::Sharded`]) overrides [`PlanExecutor::execute_fused`]:
+//!   each rank reads only its own segment and every crossing pair travels
+//!   over a real [`vf_machine::spmd`] channel — from every call site,
+//!   because the override is in the executor.
 //!
 //! The shared-memory executors are [`SerialExecutor`] (the calling thread)
 //! and [`ThreadedExecutor`] (destinations partitioned over a persistent
@@ -43,10 +39,9 @@
 //! never in what they produce or charge (asserted for every verb on every
 //! backend by `tests/suite/verbs.rs`).
 
-use crate::plan::{CommPlan, PlanKind, PlanRun, Transfer};
+use crate::plan::{CommPlan, PlanKind, Transfer};
 use crate::{Element, Result, RuntimeError};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
 use std::iter::repeat_with;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -65,30 +60,17 @@ pub struct ExecReport {
 /// A backend that executes communication plans: the seam where a
 /// statement's transport is chosen.
 ///
-/// Verbs call [`PlanExecutor::execute`] (one plan) or
-/// [`PlanExecutor::execute_fused`] (a class); the provided bodies are the
-/// shared-memory engines on the calling thread.  A backend says *where*
-/// copies and per-owner work run through the `run_copies` and `run_owned`
-/// hooks ([`ThreadedExecutor`] also fans the class engine's destinations
-/// out over its pool); a backend with a different transport overrides the
-/// two `execute*` methods instead ([`crate::shard::ShardedExecutor`]).
-/// Whatever the backend, buffers and charges are bit-identical to
-/// [`SerialExecutor`]'s.
+/// Verbs call [`PlanExecutor::execute_fused`] — with a class, or with one
+/// array's plan as a class of one; the provided body is the shared-memory
+/// wire pipeline on the calling thread.  A backend says *where* per-owner
+/// work runs through the `run_owned` hook ([`ThreadedExecutor`] also fans
+/// the pipeline's destinations out over its pool); a backend with a
+/// different transport overrides `execute_fused` instead
+/// ([`crate::shard::ShardedExecutor`]).  Whatever the backend, buffers and
+/// charges are bit-identical to [`SerialExecutor`]'s.
 pub trait PlanExecutor {
     /// Human-readable backend name (used by reports).
     fn name(&self) -> &'static str;
-
-    /// Allocates one destination buffer per entry of `dst_sizes`
-    /// (default-filled) and copies every run of every transfer from `src`
-    /// into it.  `tracker` is the machine context threads are accounted
-    /// against; the copies themselves charge nothing.
-    fn run_copies<T: Element>(
-        &self,
-        transfers: &[Transfer],
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        tracker: &CommTracker,
-    ) -> Vec<Vec<T>>;
 
     /// Runs `work` once on each of `items` — independent per-processor
     /// work (an owner's updates, a rank's kernel) touching `bytes` of data
@@ -130,61 +112,13 @@ pub trait PlanExecutor {
         });
     }
 
-    /// Executes one plan — the **direct copy** engine: posts the plan's
-    /// modelled messages, copies every run straight from `src` into fresh
-    /// destination buffers ([`PlanExecutor::run_copies`]), then completes
-    /// the posted messages — the non-blocking post/wait pattern of a real
-    /// message-passing machine.
-    ///
-    /// When the cost model prices local copies
-    /// ([`vf_machine::CostModel::copy_per_byte`] non-zero), the copy phase
-    /// is charged as per-destination compute time and credited as overlap
-    /// at the wait.  At the default zero rate the accounting is
-    /// bit-identical to a plain post/wait.
-    ///
-    /// Returns the destination buffers and what was charged.
-    ///
-    /// # Errors
-    /// Never on a shared-memory backend; a channel transport reports
-    /// [`RuntimeError::Channel`] / [`RuntimeError::CorruptMessage`] (the
-    /// posted charges are settled first, `src` is only borrowed).
-    fn execute<T: Element>(
-        &self,
-        plan: &Arc<CommPlan>,
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        tracker: &CommTracker,
-        aggregate: bool,
-    ) -> Result<(Vec<Vec<T>>, ExecReport)> {
-        // Directory page fetches of the inspection (indirect distributions
-        // only, first execution only) complete before the data moves; they
-        // are charged to the tracker but are not part of the data-plane
-        // report.
-        plan.charge_directory(tracker);
-        let (batch, messages, bytes) = plan.message_batch(T::BYTES, aggregate);
-        let post = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
-        let pending = tracker.post_many(batch);
-        post.end();
-        let copy = trace::OpenSpan::begin(trace::Phase::Unpack);
-        let out = self.run_copies(plan.transfers(), src, dst_sizes, tracker);
-        copy.end();
-        let wait = trace::OpenSpan::begin(trace::Phase::Wait);
-        finish_with_copy_credit(
-            tracker,
-            pending,
-            &copy_seconds(plan.transfers(), T::BYTES, tracker),
-        );
-        wait.end();
-        Ok((out, ExecReport { messages, bytes }))
-    }
-
-    /// Executes a fused class — the **wire pipeline**, blocking: the
-    /// class's single message per crossing pair is posted, every
-    /// destination is staged and each of its arriving pairs delivered,
-    /// and the batch completes with the pack/unpack seconds credited as
-    /// copy-overlap compute.  The provided body walks the destinations in
-    /// order on the calling thread.  `srcs[i]` / `dst_sizes[i]` are part
-    /// `i`'s per-processor source buffers and destination sizes; returns
+    /// Executes a fused schedule — the **wire pipeline**, blocking: the
+    /// single message per crossing pair is posted, every destination is
+    /// staged and each of its arriving pairs delivered, and the batch
+    /// completes with the pack/unpack seconds credited as copy-overlap
+    /// compute.  The provided body walks the destinations in order on the
+    /// calling thread.  `srcs[i]` / `dst_sizes[i]` are part `i`'s
+    /// per-processor source buffers and destination sizes; returns
     /// per-part, per-processor buffers.  The destinations are built from
     /// `spares` where they fit ([`RetiredLocals`]) — stale contents and
     /// all, so only a redistribution, whose runs write every destination
@@ -217,27 +151,26 @@ pub trait PlanExecutor {
     }
 }
 
-/// Per-destination-processor seconds spent in the copy phase of
-/// `transfers` under the tracker's cost model (empty when the model prices
-/// copies at zero — the default).  Each element lands in exactly one
-/// destination buffer, so the unpacking work is attributed to the
-/// destination.
-pub(crate) fn copy_seconds(
-    transfers: &[Transfer],
-    elem_bytes: usize,
+/// Executes one array's `plan` as a class of one
+/// ([`FusedPlan::fuse_one`], on the plan's own pair index) — the engine
+/// call of every single-array verb.  `src` / `dst_sizes` are the array's
+/// per-processor source buffers and destination sizes; returns its
+/// destination buffers and what was charged.
+///
+/// # Errors
+/// As [`PlanExecutor::execute_fused`].
+pub(crate) fn execute_one<T: Element, E: PlanExecutor>(
+    executor: &E,
+    plan: &Arc<CommPlan>,
+    src: &[Vec<T>],
+    dst_sizes: Vec<usize>,
     tracker: &CommTracker,
-) -> Vec<f64> {
-    let rate = tracker.cost().copy_per_byte;
-    if rate == 0.0 {
-        return Vec::new();
-    }
-    let mut secs = vec![0.0f64; tracker.num_procs()];
-    for t in transfers {
-        if let Some(s) = secs.get_mut(t.dst.0) {
-            *s += (t.elements * elem_bytes) as f64 * rate;
-        }
-    }
-    secs
+) -> Result<(Vec<Vec<T>>, ExecReport)> {
+    let fused = FusedPlan::fuse_one(Arc::clone(plan));
+    let fresh = RetiredLocals::default();
+    let (mut bufs, report) =
+        executor.execute_fused(&fused, &[src], &[dst_sizes], fresh, tracker)?;
+    Ok((bufs.pop().unwrap_or_default(), report))
 }
 
 /// Completes `pending`, crediting `copy_secs` (per-processor copy-phase
@@ -258,9 +191,9 @@ pub(crate) fn finish_with_copy_credit(
 }
 
 /// Copies `t`'s runs from the sender's buffer `src` straight into the
-/// receiver's buffer `dst` — the direct-copy engine's unit of work, how
-/// every engine moves the elements that stay on their processor, and how
-/// the blocking wire pipeline delivers a pair when no wire is staged.
+/// receiver's buffer `dst` — how every engine moves the elements that stay
+/// on their processor, and how the blocking wire pipeline delivers a pair
+/// when no wire is staged.
 /// Zero-length runs are skipped before any slice arithmetic.
 pub(crate) fn copy_runs<T: Copy>(t: &Transfer, src: &[T], dst: &mut [T]) {
     for run in t.runs.iter().filter(|r| r.len > 0) {
@@ -287,23 +220,6 @@ pub struct SerialExecutor;
 impl PlanExecutor for SerialExecutor {
     fn name(&self) -> &'static str {
         "serial"
-    }
-
-    fn run_copies<T: Element>(
-        &self,
-        transfers: &[Transfer],
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        _tracker: &CommTracker,
-    ) -> Vec<Vec<T>> {
-        let mut out: Vec<Vec<T>> = dst_sizes
-            .iter()
-            .map(|&len| vec![T::default(); len])
-            .collect();
-        for t in transfers.iter().filter(|t| t.elements > 0) {
-            copy_runs(t, &src[t.src.0], &mut out[t.dst.0]);
-        }
-        out
     }
 }
 
@@ -435,55 +351,6 @@ impl PlanExecutor for ThreadedExecutor {
         "threaded"
     }
 
-    fn run_copies<T: Element>(
-        &self,
-        transfers: &[Transfer],
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        tracker: &CommTracker,
-    ) -> Vec<Vec<T>> {
-        let elem = std::mem::size_of::<T>();
-        let mut dest_bytes = vec![0usize; dst_sizes.len()];
-        for t in transfers {
-            if let Some(b) = dest_bytes.get_mut(t.dst.0) {
-                *b += t.elements * elem;
-            }
-        }
-        let copy_bytes: usize = dest_bytes.iter().sum();
-        if self.runs_serially(copy_bytes) {
-            return SerialExecutor.run_copies(transfers, src, dst_sizes, tracker);
-        }
-        // Skew check: the per-destination partition serialises one worker
-        // on the hottest receiver.  When that receiver carries more than
-        // twice an even worker share, split *its* run list across the
-        // workers instead (irregular plans — gather-like redistributions
-        // into one owner — are exactly this case).
-        let (hot, &hot_bytes) = dest_bytes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, b)| *b)
-            .expect("dst_sizes is non-empty for a plan above the cutoff");
-        let skewed = hot_bytes * self.workers() > 2 * copy_bytes.max(1);
-        let mut out = self.dispatch(tracker, dst_sizes.len(), |dst| {
-            if skewed && dst == hot {
-                // Filled by the split phase below.
-                return Vec::new();
-            }
-            let mut buf = vec![T::default(); dst_sizes[dst]];
-            for t in transfers
-                .iter()
-                .filter(|t| t.dst.0 == dst && t.elements > 0)
-            {
-                copy_runs(t, &src[t.src.0], &mut buf);
-            }
-            buf
-        });
-        if skewed {
-            out[hot] = self.copy_hot_destination_split(transfers, src, dst_sizes[hot], hot);
-        }
-        out
-    }
-
     /// Above the cutoff the items are dealt round-robin over the workers
     /// — each item is touched by exactly one worker, and one worker runs
     /// its items in order — and the dispatch wakes only as many workers as
@@ -512,82 +379,6 @@ impl PlanExecutor for ThreadedExecutor {
         tracker: &CommTracker,
     ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
         execute_fused_blocking(fused, srcs, dst_sizes, spares, tracker, Some(self))
-    }
-}
-
-impl ThreadedExecutor {
-    /// Copies every run targeting the hot destination with the run list
-    /// split across the workers.
-    ///
-    /// Each destination element is written by exactly one run, so the runs
-    /// targeting one destination have pairwise-disjoint destination
-    /// intervals; sorted by destination offset they tile the buffer in
-    /// order, and cutting between runs yields independent contiguous
-    /// regions that `split_at_mut` hands to the pool's workers — safe
-    /// parallel writes into one buffer, no locking on the data path,
-    /// bitwise-identical output.
-    fn copy_hot_destination_split<T: Element>(
-        &self,
-        transfers: &[Transfer],
-        src: &[Vec<T>],
-        dst_size: usize,
-        hot: usize,
-    ) -> Vec<T> {
-        let mut runs: Vec<(usize, PlanRun)> = transfers
-            .iter()
-            .filter(|t| t.dst.0 == hot && t.elements > 0)
-            .flat_map(|t| t.runs.iter().map(move |r| (t.src.0, *r)))
-            .filter(|(_, r)| r.len > 0)
-            .collect();
-        runs.sort_unstable_by_key(|(_, r)| r.dst_start);
-        let total: usize = runs.iter().map(|(_, r)| r.len).sum();
-        let mut buf = vec![T::default(); dst_size];
-        if total == 0 {
-            return buf;
-        }
-        // Chunk boundaries between runs, at roughly even element counts.
-        let per_chunk = total.div_ceil(self.workers());
-        let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(self.workers()); // run index ranges
-        let mut start = 0usize;
-        let mut acc = 0usize;
-        for (i, (_, r)) in runs.iter().enumerate() {
-            acc += r.len;
-            if acc >= per_chunk && i + 1 < runs.len() {
-                chunks.push((start, i + 1));
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        chunks.push((start, runs.len()));
-        // Cut the buffer into the chunks' disjoint regions first, then
-        // hand each (base offset, region, runs) work item to a worker.
-        type HotChunk<'a, T> = (usize, &'a mut [T], &'a [(usize, PlanRun)]);
-        let mut items: Vec<HotChunk<'_, T>> = Vec::with_capacity(chunks.len());
-        {
-            let mut remaining: &mut [T] = &mut buf;
-            let mut offset = 0usize;
-            for (k, &(lo, hi)) in chunks.iter().enumerate() {
-                // The chunk's region ends where the next chunk's first run
-                // starts (disjoint sorted runs: every run of this chunk
-                // ends at or before that offset).
-                let end = if k + 1 < chunks.len() {
-                    runs[chunks[k + 1].0].1.dst_start
-                } else {
-                    dst_size
-                };
-                let (region, tail) = remaining.split_at_mut(end - offset);
-                items.push((offset, region, &runs[lo..hi]));
-                remaining = tail;
-                offset = end;
-            }
-        }
-        self.run_one_each(items, |(base, region, chunk_runs)| {
-            for &(sp, r) in *chunk_runs {
-                region[r.dst_start - *base..r.dst_start - *base + r.len]
-                    .copy_from_slice(&src[sp][r.src_start..r.src_start + r.len]);
-            }
-        });
-        buf
     }
 }
 
@@ -692,40 +483,11 @@ impl PlanExecutor for ExecBackend {
         }
     }
 
-    fn run_copies<T: Element>(
-        &self,
-        transfers: &[Transfer],
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        tracker: &CommTracker,
-    ) -> Vec<Vec<T>> {
-        match self {
-            ExecBackend::Serial => SerialExecutor.run_copies(transfers, src, dst_sizes, tracker),
-            ExecBackend::Threaded(t) => t.run_copies(transfers, src, dst_sizes, tracker),
-            ExecBackend::Sharded(s) => s.run_copies(transfers, src, dst_sizes, tracker),
-        }
-    }
-
     fn run_owned<I: Send>(&self, bytes: usize, items: Vec<I>, work: &(dyn Fn(&mut I) + Sync)) {
         match self {
             ExecBackend::Serial => SerialExecutor.run_owned(bytes, items, work),
             ExecBackend::Threaded(t) => t.run_owned(bytes, items, work),
             ExecBackend::Sharded(s) => s.run_owned(bytes, items, work),
-        }
-    }
-
-    fn execute<T: Element>(
-        &self,
-        plan: &Arc<CommPlan>,
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        tracker: &CommTracker,
-        aggregate: bool,
-    ) -> Result<(Vec<Vec<T>>, ExecReport)> {
-        match self {
-            ExecBackend::Serial => SerialExecutor.execute(plan, src, dst_sizes, tracker, aggregate),
-            ExecBackend::Threaded(t) => t.execute(plan, src, dst_sizes, tracker, aggregate),
-            ExecBackend::Sharded(s) => s.execute(plan, src, dst_sizes, tracker, aggregate),
         }
     }
 
@@ -756,8 +518,9 @@ impl PlanExecutor for ExecBackend {
 }
 
 /// One part's share of a fused wire message: `elements` elements of part
-/// `part` packed at byte-order offset `wire_offset` (in elements) within
-/// the pair's single fused message.
+/// `part`, moved by the runs of the part's transfer `transfer`, packed at
+/// byte-order offset `wire_offset` (in elements) within the pair's single
+/// fused message.
 ///
 /// This is the *slot remapping* that lets each array's ghost-buffer (or
 /// local-storage) offsets survive fusion: a receiver unpacks the slice at
@@ -768,6 +531,9 @@ impl PlanExecutor for ExecBackend {
 pub struct FusedSlice {
     /// Index of the part (array) within [`FusedPlan::parts`].
     pub part: usize,
+    /// Index of the part's transfer (in [`CommPlan::transfers`]) whose runs
+    /// pack into and unpack from this slice.
+    pub(crate) transfer: usize,
     /// Elements the part contributes to this pair's message.
     pub elements: usize,
     /// Element offset of the part's payload within the fused message.
@@ -778,6 +544,117 @@ impl FusedSlice {
     /// The part's element window of its pair's message.
     pub(crate) fn window(&self) -> std::ops::Range<usize> {
         self.wire_offset..self.wire_offset + self.elements
+    }
+}
+
+/// Who sends what to whom in a schedule of one or more plans — its
+/// *parts* — indexed the way every engine walks it: the crossing pairs
+/// (one message each) with their wire layout, the pairs arriving at each
+/// destination, and each destination's stay-local transfers.
+///
+/// Every [`CommPlan`] carries its own, built with the plan and cached with
+/// it in the machine's plan store, so a class of one
+/// ([`FusedPlan::fuse_one`]) executes on it as it is; [`FusedPlan::fuse`]
+/// builds one over several parts.
+#[derive(Debug)]
+pub(crate) struct PairIndex {
+    /// Crossing `(src, dst)` pairs with traffic in any part, sorted, with
+    /// the summed element count — one message each.
+    pub(crate) pairs: Vec<((usize, usize), usize)>,
+    /// Pair `pi`'s wire layout is `slices[bounds[pi]..bounds[pi + 1]]`,
+    /// parts in fusion order.
+    bounds: Vec<usize>,
+    slices: Vec<FusedSlice>,
+    /// Indices into `pairs`, grouped by destination processor: those
+    /// arriving at `d` are `arrivals[arrival_bounds[d]..arrival_bounds[d + 1]]`.
+    arrivals: Vec<usize>,
+    arrival_bounds: Vec<usize>,
+    /// At `d * parts + idx`: part `idx`'s transfer of the elements that
+    /// stay on processor `d`, if any.
+    local: Vec<Option<usize>>,
+    parts: usize,
+}
+
+impl PairIndex {
+    /// Indexes `parts` — each a plan's transfers, at most one per
+    /// `(src, dst)` pair, as every planner builds them — over `procs`
+    /// destination processors.
+    pub(crate) fn build(parts: &[&[Transfer]], procs: usize) -> Self {
+        let mut local = vec![None; procs * parts.len()];
+        let mut crossing = Vec::new();
+        for (idx, transfers) in parts.iter().enumerate() {
+            for (ti, t) in transfers.iter().enumerate().filter(|(_, t)| t.elements > 0) {
+                if t.src != t.dst {
+                    crossing.push(((t.src.0, t.dst.0), idx, ti, t.elements));
+                } else if let Some(slot) = local.get_mut(t.dst.0 * parts.len() + idx) {
+                    *slot = Some(ti);
+                }
+            }
+        }
+        crossing.sort_unstable_by_key(|&(pair, idx, ..)| (pair, idx));
+        let mut index = Self {
+            pairs: Vec::new(),
+            bounds: Vec::new(),
+            slices: Vec::with_capacity(crossing.len()),
+            arrivals: Vec::new(),
+            arrival_bounds: Vec::new(),
+            local,
+            parts: parts.len(),
+        };
+        for (pair, part, transfer, elements) in crossing {
+            let wire_offset = match index.pairs.last_mut() {
+                Some((last, total)) if *last == pair => {
+                    *total += elements;
+                    *total - elements
+                }
+                _ => {
+                    index.bounds.push(index.slices.len());
+                    index.pairs.push((pair, elements));
+                    0
+                }
+            };
+            index.slices.push(FusedSlice {
+                part,
+                transfer,
+                elements,
+                wire_offset,
+            });
+        }
+        index.bounds.push(index.slices.len());
+        let dst_of = |pi: usize| index.pairs[pi].0 .1;
+        let mut arrivals: Vec<usize> = (0..index.pairs.len())
+            .filter(|&pi| dst_of(pi) < procs)
+            .collect();
+        arrivals.sort_by_key(|&pi| dst_of(pi));
+        index.arrival_bounds = (0..=procs)
+            .map(|d| arrivals.partition_point(|&pi| dst_of(pi) < d))
+            .collect();
+        index.arrivals = arrivals;
+        index
+    }
+
+    /// The destination processors indexed.
+    pub(crate) fn procs(&self) -> usize {
+        self.arrival_bounds.len() - 1
+    }
+
+    /// Indices into `pairs` of the crossing pairs arriving at processor
+    /// `d`, by sender.
+    pub(crate) fn arriving(&self, d: usize) -> &[usize] {
+        match self.arrival_bounds.get(d..d + 2) {
+            Some(&[lo, hi]) => &self.arrivals[lo..hi],
+            _ => &[],
+        }
+    }
+
+    /// The index of one plan's `transfers`, as the plan keeps it.
+    pub(crate) fn of(transfers: &[Transfer], procs: usize) -> Arc<Self> {
+        Arc::new(Self::build(&[transfers], procs))
+    }
+
+    /// Crossing pair `pi`'s wire layout.
+    fn slices(&self, pi: usize) -> &[FusedSlice] {
+        &self.slices[self.bounds[pi]..self.bounds[pi + 1]]
     }
 }
 
@@ -800,20 +677,8 @@ pub struct FusedPlan {
     parts: Vec<Arc<CommPlan>>,
     moved_elements: usize,
     stayed_elements: usize,
-    /// Crossing (src, dst) pairs with traffic in any part, with the summed
-    /// element count — one fused message each.
-    pub(crate) pair_elements: Vec<((usize, usize), usize)>,
-    /// Per crossing pair (aligned with `pair_elements`): the wire layout of
-    /// the fused message, parts in fusion order.
-    pub(crate) pair_slices: Vec<Vec<FusedSlice>>,
-    /// Per part: index of the part's transfer carrying a (src, dst) pair
-    /// (at most one — plans aggregate per pair; local pairs included).
-    /// Precomputed here so the wire executors pay no per-execute indexing.
-    pub(crate) pair_transfer: Vec<HashMap<(usize, usize), usize>>,
-    /// Per destination processor: indices into `pair_elements` of the
-    /// pairs arriving there — the wire executors' per-destination work
-    /// lists, precomputed for the same reason.
-    pub(crate) pairs_by_dst: Vec<Vec<usize>>,
+    /// The schedule's pair index — a single part's own, shared.
+    pub(crate) index: Arc<PairIndex>,
 }
 
 impl FusedPlan {
@@ -846,76 +711,33 @@ impl FusedPlan {
         Ok(Self::build(kind, parts))
     }
 
-    /// Wraps one plan of *any* kind in the fused wire layout — the entry
-    /// the channel-backed sharded gather uses.  Safe for every planner
-    /// output because [`crate::plan::CommPlan`] carries at most one
-    /// transfer per `(src, dst)` pair, which is the only structural
-    /// assumption the pair index makes.  Not public: multi-plan fusion of
-    /// gather/scatter schedules remains rejected by [`FusedPlan::fuse`].
+    /// Wraps one plan of *any* kind as a class of one, on the plan's own
+    /// pair index — nothing is rebuilt, so the single-array verbs
+    /// (`redistribute`, `exchange_ghosts`, `assign`, `execute_gather`) pay
+    /// no fusion per statement.  Safe for every planner output because
+    /// [`crate::plan::CommPlan`] carries at most one transfer per
+    /// `(src, dst)` pair, which is the only structural assumption the pair
+    /// index makes.  Not public: multi-plan fusion of gather/scatter
+    /// schedules remains rejected by [`FusedPlan::fuse`].
     pub(crate) fn fuse_one(part: Arc<CommPlan>) -> Self {
         Self::build(part.kind(), vec![part])
     }
 
     fn build(kind: PlanKind, parts: Vec<Arc<CommPlan>>) -> Self {
-        let mut pairs: BTreeMap<(usize, usize), Vec<FusedSlice>> = BTreeMap::new();
-        let mut moved = 0usize;
-        let mut stayed = 0usize;
-        for (idx, part) in parts.iter().enumerate() {
-            moved += part.moved_elements();
-            stayed += part.stayed_elements();
-            for t in part.transfers() {
-                if t.src != t.dst && t.elements > 0 {
-                    let slices = pairs.entry((t.src.0, t.dst.0)).or_default();
-                    match slices.last_mut() {
-                        Some(last) if last.part == idx => last.elements += t.elements,
-                        _ => {
-                            let wire_offset = slices
-                                .last()
-                                .map(|s| s.wire_offset + s.elements)
-                                .unwrap_or(0);
-                            slices.push(FusedSlice {
-                                part: idx,
-                                elements: t.elements,
-                                wire_offset,
-                            });
-                        }
-                    }
-                }
+        let index = match parts.as_slice() {
+            [one] => Arc::clone(&one.pairs),
+            _ => {
+                let transfers: Vec<&[Transfer]> = parts.iter().map(|p| p.transfers()).collect();
+                let procs = parts.iter().map(|p| p.total_procs()).max().unwrap_or(0);
+                Arc::new(PairIndex::build(&transfers, procs))
             }
-        }
-        let mut pair_elements = Vec::with_capacity(pairs.len());
-        let mut pair_slices = Vec::with_capacity(pairs.len());
-        for (pair, slices) in pairs {
-            pair_elements.push((pair, slices.iter().map(|s| s.elements).sum()));
-            pair_slices.push(slices);
-        }
-        let pair_transfer = parts
-            .iter()
-            .map(|part| {
-                part.transfers()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.elements > 0)
-                    .map(|(i, t)| ((t.src.0, t.dst.0), i))
-                    .collect()
-            })
-            .collect();
-        let total_procs = parts.iter().map(|p| p.total_procs()).max().unwrap_or(0);
-        let mut pairs_by_dst: Vec<Vec<usize>> = vec![Vec::new(); total_procs];
-        for (i, &((_, dst), _)) in pair_elements.iter().enumerate() {
-            if let Some(list) = pairs_by_dst.get_mut(dst) {
-                list.push(i);
-            }
-        }
+        };
         Self {
             kind,
+            moved_elements: parts.iter().map(|p| p.moved_elements()).sum(),
+            stayed_elements: parts.iter().map(|p| p.stayed_elements()).sum(),
             parts,
-            moved_elements: moved,
-            stayed_elements: stayed,
-            pair_elements,
-            pair_slices,
-            pair_transfer,
-            pairs_by_dst,
+            index,
         }
     }
 
@@ -934,10 +756,11 @@ impl FusedPlan {
     /// pair.  Empty when the pair exchanges nothing.
     pub fn wire_slices(&self, src: usize, dst: usize) -> &[FusedSlice] {
         match self
-            .pair_elements
+            .index
+            .pairs
             .binary_search_by_key(&(src, dst), |&(pair, _)| pair)
         {
-            Ok(i) => &self.pair_slices[i],
+            Ok(i) => self.index.slices(i),
             Err(_) => &[],
         }
     }
@@ -946,7 +769,7 @@ impl FusedPlan {
     /// pair with traffic — at most `P·(P-1)`, independent of how many
     /// arrays were fused.
     pub fn num_messages(&self) -> usize {
-        self.pair_elements.len()
+        self.index.pairs.len()
     }
 
     /// Elements that cross processors, summed over the fused parts.
@@ -968,23 +791,20 @@ impl FusedPlan {
     /// Part `part`'s transfer of the elements that stay on processor `d`,
     /// if any — these never meet a wire buffer or a frame.
     pub(crate) fn local_transfer(&self, part: usize, d: usize) -> Option<&Transfer> {
-        let &ti = self.pair_transfer[part].get(&(d, d))?;
+        let index = &self.index;
+        let ti = (*index.local.get(d * index.parts + part)?)?;
         Some(&self.parts[part].transfers()[ti])
     }
 
-    /// The message of crossing pair `pi` (an index into `pair_elements`),
+    /// The message of crossing pair `pi` (an index into the pair index),
     /// part by part in wire order: each part's slice of the message and
     /// the transfer whose runs pack into and unpack from that slice — the
     /// one walk every engine (wire, split, channel frames) makes.
     pub(crate) fn pair_parts(&self, pi: usize) -> impl Iterator<Item = (FusedSlice, &Transfer)> {
-        let ((s, d), _) = self.pair_elements[pi];
-        self.pair_slices[pi]
+        self.index
+            .slices(pi)
             .iter()
-            .filter(|sl| sl.elements > 0)
-            .map(move |sl| {
-                let ti = self.pair_transfer[sl.part][&(s, d)];
-                (*sl, &self.parts[sl.part].transfers()[ti])
-            })
+            .map(|sl| (*sl, &self.parts[sl.part].transfers()[sl.transfer]))
     }
 
     /// Validates that the fusion is of `expected` kind and covers exactly
@@ -1016,7 +836,8 @@ impl FusedPlan {
     /// never emitted (a pair only appears with traffic, and elements are
     /// at least one byte wide).
     pub(crate) fn message_batch(&self, elem_bytes: usize) -> Vec<(usize, usize, usize)> {
-        self.pair_elements
+        self.index
+            .pairs
             .iter()
             .filter(|&&(_, elements)| elements * elem_bytes > 0)
             .map(|&((src, dst), elements)| (src, dst, elements * elem_bytes))
@@ -1098,7 +919,7 @@ fn verify_wire<T: Element>(wire: &[T], frame: &WireFrame, src: usize, dst: usize
 /// contiguous buffer per pair, exactly the message a real backend would
 /// post, written once.
 fn pack_pair<T: Element>(fused: &FusedPlan, pi: usize, srcs: &[&[Vec<T>]]) -> Vec<T> {
-    let ((s, _), total) = fused.pair_elements[pi];
+    let ((s, _), total) = fused.index.pairs[pi];
     let mut wire = Vec::with_capacity(total);
     for (sl, t) in fused.pair_parts(pi) {
         debug_assert_eq!(wire.len(), sl.wire_offset, "parts arrive in wire order");
@@ -1178,25 +999,6 @@ pub(crate) fn lock<X>(cell: &Mutex<X>) -> MutexGuard<'_, X> {
     cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Transposes destination-major buffers (`per_dest[d][part]`) into the
-/// per-part, per-processor result every fused engine returns; part `idx`
-/// covers `part_procs[idx]` processors.
-pub(crate) fn assemble<T>(
-    per_dest: impl IntoIterator<Item = Vec<Vec<T>>>,
-    part_procs: impl IntoIterator<Item = usize>,
-) -> Vec<Vec<Vec<T>>> {
-    let part_procs: Vec<usize> = part_procs.into_iter().collect();
-    let mut out: Vec<Vec<Vec<T>>> = part_procs.iter().map(|_| Vec::new()).collect();
-    for bufs in per_dest {
-        for (idx, buf) in bufs.into_iter().enumerate() {
-            if out[idx].len() < part_procs[idx] {
-                out[idx].push(buf);
-            }
-        }
-    }
-    out
-}
-
 /// One staged pair message, between its pack and its delivery.
 struct Wire<T> {
     payload: Vec<T>,
@@ -1236,12 +1038,14 @@ struct WireExchange<T, P> {
     verify: bool,
     /// The armed corruption, if any: `(pair, element seed, bit)`.
     sabotage: Option<(usize, u64, u32)>,
-    /// Per destination processor, its buffer of every part (a recycled
-    /// spare of the right length, or empty until `stage_dest`).  The
-    /// mutexes only hand `&mut` access through the shared job; pairs into
-    /// one destination write pairwise-disjoint runs.
-    dests: Vec<Mutex<Vec<Vec<T>>>>,
-    /// Per crossing pair, its message while in flight.
+    /// At `d * parts + idx`: part `idx`'s buffer on destination processor
+    /// `d` (a recycled spare of the right length, or empty until
+    /// `stage_dest`).  The mutexes only hand `&mut` access through the
+    /// shared job; pairs into one destination write pairwise-disjoint runs.
+    dests: Vec<Mutex<Vec<T>>>,
+    /// Per crossing pair, its message while in flight — only when the
+    /// exchange stages (split mode, or an attached injector); empty when
+    /// every pair is copied straight through.
     wires: Vec<Mutex<Option<Wire<T>>>>,
     /// First unrepairable validation failure; the pair is never unpacked.
     fatal: Mutex<Option<RuntimeError>>,
@@ -1252,22 +1056,30 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
         self.plan.borrow()
     }
 
+    /// Part `part`'s buffer on destination `d`.
+    fn dest(&self, d: usize, part: usize) -> MutexGuard<'_, Vec<T>> {
+        lock(&self.dests[d * self.fused().parts().len() + part])
+    }
+
     /// Opens the exchange, caller-side: charges the directory fetches,
     /// posts the class's messages and draws the statement's one corruption
     /// decision.  An armed flip is repaired at delivery; its modelled
     /// retransmission is charged here, so the accounting is deterministic
-    /// whichever thread performs the repair.  `recycled[d]` seeds
-    /// destination `d`'s buffers ([`RetiredLocals::fit`]).
+    /// whichever thread performs the repair.  `recycled` seeds the
+    /// destination buffers ([`RetiredLocals::fit`]); `split` says the
+    /// exchange stages every pair at the post, which a blocking one does
+    /// only under an injector.
     fn post(
         plan: P,
-        recycled: Vec<Vec<Vec<T>>>,
+        recycled: Vec<Vec<T>>,
         tracker: &CommTracker,
+        split: bool,
     ) -> (Self, vf_machine::PendingSends, ExecReport) {
         let fused: &FusedPlan = plan.borrow();
         let (pending, report) = post_fused(fused, T::BYTES, tracker);
-        // `pair_elements` holds exactly the crossing pairs with traffic;
+        // `index.pairs` holds exactly the crossing pairs with traffic;
         // with none nothing travels a wire and the injector is not polled.
-        let crossing = fused.pair_elements.len();
+        let crossing = fused.index.pairs.len();
         let sabotage = tracker
             .fault_injector()
             .filter(|_| crossing > 0)
@@ -1277,21 +1089,21 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
                 (pair, spec.elem_seed, spec.bit)
             });
         if let Some((pi, _, _)) = sabotage {
-            let ((s, d), total) = fused.pair_elements[pi];
+            let ((s, d), total) = fused.index.pairs[pi];
             tracker.record_fault();
             tracker.charge_retransmissions(s, d, total * T::BYTES, 1);
         }
+        let verify = tracker.fault_injector().is_some();
+        let staged = if split || verify { crossing } else { 0 };
         let mut recycled = recycled.into_iter();
         let exchange = Self {
             seq_base: pending.seq_base(),
-            verify: tracker.fault_injector().is_some(),
+            verify,
             sabotage,
             dests: repeat_with(|| Mutex::new(recycled.next().unwrap_or_default()))
-                .take(fused.pairs_by_dst.len())
+                .take(fused.index.procs() * fused.parts().len())
                 .collect(),
-            wires: repeat_with(Mutex::default)
-                .take(fused.pair_elements.len())
-                .collect(),
+            wires: repeat_with(Mutex::default).take(staged).collect(),
             fatal: Mutex::default(),
             plan,
         };
@@ -1304,15 +1116,14 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
     /// one call, before any of its arriving pairs is delivered.
     fn stage_dest(&self, srcs: &[&[Vec<T>]], dst_sizes: &[Vec<usize>], d: usize) {
         let fused = self.fused();
-        let mut bufs = lock(&self.dests[d]);
-        bufs.resize_with(fused.parts().len(), Vec::new);
-        for (idx, buf) in bufs.iter_mut().enumerate() {
-            let size = dst_sizes[idx].get(d).copied().unwrap_or(0);
+        for (idx, sizes) in dst_sizes.iter().enumerate() {
+            let mut buf = self.dest(d, idx);
+            let size = sizes.get(d).copied().unwrap_or(0);
             if buf.len() != size {
                 *buf = vec![T::default(); size];
             }
             if let Some(t) = fused.local_transfer(idx, d) {
-                copy_runs(t, &srcs[idx][d], buf);
+                copy_runs(t, &srcs[idx][d], &mut buf);
             }
         }
     }
@@ -1323,10 +1134,9 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
     /// blocking mode with no injector attached.
     fn copy_pair(&self, srcs: &[&[Vec<T>]], pi: usize) {
         let fused = self.fused();
-        let ((s, d), _) = fused.pair_elements[pi];
-        let mut bufs = lock(&self.dests[d]);
+        let ((s, d), _) = fused.index.pairs[pi];
         for (sl, t) in fused.pair_parts(pi) {
-            copy_runs(t, &srcs[sl.part][s], &mut bufs[sl.part]);
+            copy_runs(t, &srcs[sl.part][s], &mut self.dest(d, sl.part));
         }
     }
 
@@ -1366,7 +1176,7 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
     /// recorded for [`WireExchange::finish`], the pair never unpacked.
     fn deliver(&self, pi: usize) {
         let fused = self.fused();
-        let ((s, d), _) = fused.pair_elements[pi];
+        let ((s, d), _) = fused.index.pairs[pi];
         let mut slot = lock(&self.wires[pi]);
         let wire = slot
             .as_mut()
@@ -1384,9 +1194,8 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
         };
         match valid {
             Ok(()) => {
-                let mut bufs = lock(&self.dests[d]);
                 for (sl, t) in fused.pair_parts(pi) {
-                    unpack_runs(t, &wire.payload[sl.window()], &mut bufs[sl.part]);
+                    unpack_runs(t, &wire.payload[sl.window()], &mut self.dest(d, sl.part));
                 }
             }
             Err(e) => {
@@ -1415,12 +1224,11 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
         if let Some(e) = lock(&self.fatal).take() {
             return Err(e);
         }
-        let per_dest = self
-            .dests
-            .iter()
-            .map(|cell| std::mem::take(&mut *lock(cell)));
-        let part_procs = self.fused().parts().iter().map(|part| part.total_procs());
-        Ok(assemble(per_dest, part_procs))
+        let parts = self.fused().parts().iter().enumerate();
+        let take = |idx, d| std::mem::take(&mut *self.dest(d, idx));
+        Ok(parts
+            .map(|(idx, part)| (0..part.total_procs()).map(|d| take(idx, d)).collect())
+            .collect())
     }
 }
 
@@ -1463,10 +1271,10 @@ impl<T: Element> RetiredLocals<T> {
     }
 
     /// Hands every spare to a statement whose part `idx` fills
-    /// `dst_sizes[idx][d]` elements on destination `d`: per destination
-    /// (`dests` of them), per part, the spare its buffer is built from —
-    /// trimmed to exactly that length — or an empty buffer where none
-    /// fits.  Largest destinations choose first, each the shortest spare
+    /// `dst_sizes[idx][d]` elements on destination `d`: at
+    /// `d * parts + idx`, for `dests` destinations, the spare part `idx`'s
+    /// buffer on `d` is built from — trimmed to exactly that length — or
+    /// an empty buffer where none fits.  Largest destinations choose first, each the shortest spare
     /// at least its length; a spare more than an eighth longer does not
     /// fit, so trimming never leaves large holes behind.  The spares
     /// nothing fits are freed here, before the statement allocates its
@@ -1474,7 +1282,7 @@ impl<T: Element> RetiredLocals<T> {
     ///
     /// A recycled buffer keeps its old contents: only a destination its
     /// runs write completely may take one, as every redistribution's does.
-    fn fit(self, dst_sizes: &[Vec<usize>], dests: usize) -> Vec<Vec<Vec<T>>> {
+    fn fit(self, dst_sizes: &[Vec<usize>], dests: usize) -> Vec<Vec<T>> {
         let mut spares = self.0;
         if spares.is_empty() {
             return Vec::new();
@@ -1487,7 +1295,8 @@ impl<T: Element> RetiredLocals<T> {
             .filter(|&(n, d, _)| n > 0 && d < dests)
             .collect();
         wanted.sort_unstable_by(|a, b| b.cmp(a));
-        let mut out: Vec<Vec<Vec<T>>> = vec![vec![Vec::new(); dst_sizes.len()]; dests];
+        let parts = dst_sizes.len();
+        let mut out: Vec<Vec<T>> = repeat_with(Vec::new).take(dests * parts).collect();
         for (n, d, idx) in wanted {
             let shortest = spares.partition_point(|buf| buf.len() < n);
             if spares
@@ -1497,7 +1306,7 @@ impl<T: Element> RetiredLocals<T> {
                 let mut buf = spares.remove(shortest);
                 buf.truncate(n);
                 buf.shrink_to_fit();
-                out[d][idx] = buf;
+                out[d * parts + idx] = buf;
             }
         }
         drop(spares);
@@ -1526,9 +1335,9 @@ fn execute_fused_blocking<T: Element>(
     tracker: &CommTracker,
     pool: Option<&ThreadedExecutor>,
 ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-    let dests = fused.pairs_by_dst.len();
+    let dests = fused.index.procs();
     let recycled = spares.fit(dst_sizes, dests);
-    let (exchange, pending, report) = WireExchange::post(fused, recycled, tracker);
+    let (exchange, pending, report) = WireExchange::post(fused, recycled, tracker, false);
     let run_dest = |d: usize| {
         // One span covers this destination's whole copy stream (local
         // and direct copies, or pack, verify, unpack): per-destination is
@@ -1540,7 +1349,7 @@ fn execute_fused_blocking<T: Element>(
         // cost).
         let _span = trace::OpenSpan::begin_dest(trace::Phase::Unpack, d);
         exchange.stage_dest(srcs, dst_sizes, d);
-        for &pi in &fused.pairs_by_dst[d] {
+        for &pi in fused.index.arriving(d) {
             if exchange.verify {
                 exchange.stage_pair(srcs, pi);
                 exchange.deliver(pi);
@@ -1601,7 +1410,7 @@ pub struct SplitExecReport {
 /// caller thread, so nothing in here borrows the arrays) and the
 /// scheduling state of its deliveries.
 struct SplitShared<T> {
-    /// The staged exchange; its crossing pairs (`pair_elements`, by index)
+    /// The staged exchange; its crossing pairs (`index.pairs`, by index)
     /// are the independent delivery work items.
     exchange: WireExchange<T, FusedPlan>,
     /// Background rank armed to die (panic) before its first delivery —
@@ -1635,7 +1444,7 @@ struct SimulatedWorkerDeath;
 impl<T: Element> SplitShared<T> {
     /// Delivers crossing pair `pi`, run by whichever rank claimed it.
     fn unpack_claimed(&self, pi: usize) {
-        let ((s, d), _) = self.exchange.plan.pair_elements[pi];
+        let ((s, d), _) = self.exchange.plan.index.pairs[pi];
         let _span = trace::OpenSpan::begin_pair(trace::Phase::Unpack, s, d);
         self.exchange.deliver(pi);
         // `Release` pairs with the `Acquire` load in `help_until_dest`:
@@ -1662,7 +1471,7 @@ impl<T: Element> SplitShared<T> {
         };
         loop {
             let pi = self.claim.fetch_add(1, Ordering::Relaxed);
-            if pi >= self.exchange.wires.len() {
+            if pi >= self.exchange.plan.index.pairs.len() {
                 break;
             }
             let t0 = Instant::now();
@@ -1711,7 +1520,7 @@ impl<T: Element> SplitShared<T> {
         let Some(remaining) = self.remaining_by_dst.get(d) else {
             return;
         };
-        let pairs = self.exchange.wires.len();
+        let pairs = self.exchange.plan.index.pairs.len();
         while remaining.load(Ordering::Acquire) > 0 {
             if self.claim.load(Ordering::Relaxed) <= pairs {
                 let pi = self.claim.fetch_add(1, Ordering::Relaxed);
@@ -1812,7 +1621,7 @@ impl<T: Element> SplitPhaseExchange<'_, T> {
     /// Call [`SplitPhaseExchange::wait_dest`]`(d)` first — the lock hands
     /// out the buffer whether or not its pairs have all landed.
     pub fn with_dest_mut<R>(&self, part: usize, d: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        f(&mut lock(&self.shared.exchange.dests[d])[part])
+        f(&mut self.shared.exchange.dest(d, part))
     }
 
     /// Completes the exchange on the tracker it was posted on: helps
@@ -1913,7 +1722,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
 ) -> SplitPhaseExchange<'e, T> {
     let copy_secs = wire_copy_seconds(&fused, T::BYTES, tracker);
     let unpack_bytes = fused.moved_elements() * T::BYTES;
-    let (exchange, pending, report) = WireExchange::post(fused, Vec::new(), tracker);
+    let (exchange, pending, report) = WireExchange::post(fused, Vec::new(), tracker, true);
     let fused = &exchange.plan;
     let pack_span = trace::OpenSpan::begin_static(trace::Phase::WirePack, "split pack");
     // Wires before destination buffers: the short-lived messages then sit
@@ -1922,19 +1731,17 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     // Interleaving the two (destination, its wires, destination, ..)
     // fragments the heap instead — `adi-dynamic` peaked 2.3 MB (14 %)
     // higher that way.
-    for pi in 0..fused.pair_elements.len() {
+    for pi in 0..fused.index.pairs.len() {
         exchange.stage_pair(srcs, pi);
     }
-    for d in 0..fused.pairs_by_dst.len() {
+    for d in 0..fused.index.procs() {
         exchange.stage_dest(srcs, dst_sizes, d);
     }
     pack_span.end();
 
-    let pairs = fused.pair_elements.len();
-    let remaining_by_dst = fused
-        .pairs_by_dst
-        .iter()
-        .map(|arriving| AtomicUsize::new(arriving.len()))
+    let pairs = fused.index.pairs.len();
+    let remaining_by_dst = (0..fused.index.procs())
+        .map(|d| AtomicUsize::new(fused.index.arriving(d).len()))
         .collect();
 
     // Stream through the pool when there are background workers to stream
@@ -2019,7 +1826,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
 mod tests {
     use super::*;
     use crate::plan::plan_redistribute;
-    use crate::{execute_class_redistribute, execute_redistribute, DistArray, RedistOptions};
+    use crate::{execute_class_redistribute, execute_redistribute, DistArray};
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
@@ -2042,14 +1849,15 @@ mod tests {
     ) -> (Vec<f64>, ExecReport, vf_machine::CommStats) {
         let from = dist_1d(DistType::block1d(), n, p);
         let to = dist_1d(DistType::cyclic1d(1), n, p);
-        let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
+        let fused = FusedPlan::fuse_one(Arc::new(plan_redistribute(&from, &to).unwrap()));
         let a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64 * 0.5);
         let tracker = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
-        let dst_sizes = local_sizes(&to, p);
+        let dst_sizes = [local_sizes(&to, p)];
+        let fresh = RetiredLocals::default();
         let (bufs, report) = executor
-            .execute(&plan, a.locals(), &dst_sizes, &tracker, true)
+            .execute_fused(&fused, &[a.locals()], &dst_sizes, fresh, &tracker)
             .unwrap();
-        let flat: Vec<f64> = bufs.into_iter().flatten().collect();
+        let flat: Vec<f64> = bufs.into_iter().flatten().flatten().collect();
         (flat, report, tracker.snapshot())
     }
 
@@ -2084,68 +1892,20 @@ mod tests {
     }
 
     #[test]
-    fn hot_destination_split_matches_serial_bitwise() {
-        // Everything funnels into P0 (a gather-like repartition): the
-        // round-robin destination partition would serialise on one worker,
-        // so the threaded executor splits P0's run list across workers.
-        // Results and accounting must stay bitwise identical to serial.
-        let n = 4096usize;
-        let p = 8usize;
-        let from = dist_1d(DistType::cyclic1d(3), n, p);
-        let mut sizes = vec![0usize; p];
-        sizes[0] = n;
-        let to = dist_1d(DistType::gen_block1d(sizes), n, p);
-        let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
-        let a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64 * 1.25);
-        let dst_sizes = local_sizes(&to, p);
-        let t_serial = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
-        let (serial, rs) = SerialExecutor
-            .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
-            .unwrap();
-        for workers in [2, 3, 5] {
-            let forced = ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers)))
-                .with_serial_cutoff(0);
-            let t_thr = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
-            let (threaded, rt) = forced
-                .execute(&plan, a.locals(), &dst_sizes, &t_thr, true)
-                .unwrap();
-            assert_eq!(serial, threaded, "buffers differ with {workers} workers");
-            assert_eq!(rs, rt);
-            assert_eq!(t_serial.snapshot(), t_thr.snapshot());
-            assert!(forced.pool().jobs_dispatched() > 0, "the run used the pool");
-        }
-        // A partial hot receiver (most but not all traffic to P1, scattered
-        // run layout) exercises the gap-preserving split path too.
-        let mut sizes = vec![8usize; p];
-        sizes[1] = n - 8 * (p - 1);
-        let to = dist_1d(DistType::gen_block1d(sizes), n, p);
-        let plan = Arc::new(plan_redistribute(a.dist(), &to).unwrap());
-        let dst_sizes = local_sizes(&to, p);
-        let (serial, _) = SerialExecutor
-            .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
-            .unwrap();
-        let (threaded, _) = ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(4)))
-            .with_serial_cutoff(0)
-            .execute(&plan, a.locals(), &dst_sizes, &t_serial, true)
-            .unwrap();
-        assert_eq!(serial, threaded);
-    }
-
-    #[test]
     fn copy_phase_is_charged_as_compute_and_hides_communication() {
         let n = 64usize;
         let p = 4usize;
         let from = dist_1d(DistType::block1d(), n, p);
         let to = dist_1d(DistType::cyclic1d(1), n, p);
         let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
-        let a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64);
-        let dst_sizes = local_sizes(&to, p);
+        let moved = |tracker: &CommTracker| {
+            let mut a = DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64);
+            execute_redistribute(&mut a, &plan, tracker, &SerialExecutor).unwrap();
+        };
         // Baseline: copies priced at zero — no compute time, full
         // communication time, exactly the pre-credit behaviour.
         let zero_rate = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-        SerialExecutor
-            .execute(&plan, a.locals(), &dst_sizes, &zero_rate, true)
-            .unwrap();
+        moved(&zero_rate);
         let base = zero_rate.snapshot();
         assert_eq!(base.total_compute_time(), 0.0);
         assert!(base.critical_time() > 0.0);
@@ -2156,24 +1916,27 @@ mod tests {
             p,
             CostModel::from_alpha_beta(1.0, 0.5).with_copy_bandwidth(1e6),
         );
-        SerialExecutor
-            .execute(&plan, a.locals(), &dst_sizes, &priced, true)
-            .unwrap();
+        moved(&priced);
         let credited = priced.snapshot();
         // Message and byte counts are untouched by the credit.
         assert_eq!(credited.total_messages(), base.total_messages());
         assert_eq!(credited.total_bytes(), base.total_bytes());
         // Copy work shows as compute, and per-processor communication time
         // shrinks by exactly the credited copy seconds (none hit zero with
-        // this small rate).
+        // this small rate): a crossing element is packed on its sender and
+        // unpacked on its receiver, one that stays is copied once.
         assert!(credited.total_compute_time() > 0.0);
         for (pp, (c, b)) in credited.per_proc().iter().zip(base.per_proc()).enumerate() {
             let credit: f64 = plan
                 .transfers()
                 .iter()
-                .filter(|t| t.dst.0 == pp)
-                .map(|t| (t.elements * 8) as f64 * priced.cost().copy_per_byte)
+                .map(|t| {
+                    let (sends, receives) = (t.src.0 == pp && t.src != t.dst, t.dst.0 == pp);
+                    let copies = usize::from(sends) + usize::from(receives);
+                    (copies * t.elements * 8) as f64 * priced.cost().copy_per_byte
+                })
                 .sum();
+            assert!(credit > 0.0, "P{pp}");
             assert!((b.comm_time - c.comm_time - credit).abs() < 1e-12, "P{pp}");
             assert!((c.compute_time - credit).abs() < 1e-12, "P{pp}");
         }
@@ -2229,7 +1992,7 @@ mod tests {
         let two = Arc::new(crate::plan::plan_ghost(&d, &[(2, 2)]).unwrap());
         let fused = FusedPlan::fuse(vec![Arc::clone(&one), Arc::clone(&two), one]).unwrap();
         let mut checked = 0usize;
-        for &((src, dst), total) in &fused.pair_elements {
+        for &((src, dst), total) in &fused.index.pairs {
             let slices = fused.wire_slices(src, dst);
             assert!(!slices.is_empty());
             // Parts appear in fusion order and their payloads tile the
@@ -2297,10 +2060,10 @@ mod tests {
     #[test]
     fn wire_fused_redistribute_matches_per_part_bitwise() {
         // A class of three arrays with two *different* target layouts in
-        // one fusion: the class verb (the wire pipeline) must produce bitwise
-        // what each part's own array verb (the direct-copy reference)
-        // produces, with identical per-array reports, bytes conserved and
-        // one message per crossing pair — serial and pooled alike.
+        // one fusion: the class verb must produce bitwise what each part's
+        // own array verb (a class of one) produces, with identical
+        // per-array reports, bytes conserved and one message per crossing
+        // pair — serial and pooled alike.
         let n = 48usize;
         let p = 4usize;
         let from = dist_1d(DistType::block1d(), n, p);
@@ -2323,10 +2086,7 @@ mod tests {
         let reports1: Vec<_> = alone
             .iter_mut()
             .zip(fused.parts())
-            .map(|(array, part)| {
-                let opts = RedistOptions::default();
-                execute_redistribute(array, part, &t1, &opts, &SerialExecutor).unwrap()
-            })
+            .map(|(array, part)| execute_redistribute(array, part, &t1, &SerialExecutor).unwrap())
             .collect();
 
         let pool = Arc::new(WorkerPool::new(3));
@@ -2431,7 +2191,7 @@ mod tests {
         // empty.
         let out = spares.fit(&[vec![60, 36, 0], vec![0, 95, 250]], 3);
         let held = |d: usize, part: usize| -> (usize, usize, Option<f64>) {
-            let buf: &Vec<f64> = &out[d][part];
+            let buf: &Vec<f64> = &out[d * 2 + part];
             (buf.len(), buf.capacity(), buf.first().copied())
         };
         // Largest first, each the shortest spare long enough, trimmed to
@@ -2445,7 +2205,7 @@ mod tests {
         assert_eq!(held(2, 1), (0, 0, None));
         assert_eq!(held(0, 1), (0, 0, None));
         assert_eq!(held(2, 0), (0, 0, None));
-        let kept: usize = out.iter().flatten().map(Vec::capacity).sum();
+        let kept: usize = out.iter().map(Vec::capacity).sum();
         assert_eq!(kept, 95 + 60 + 36);
         // An empty store fits nothing.
         assert!(RetiredLocals::<f64>::default()
@@ -2590,7 +2350,7 @@ mod tests {
         // Stages one statement with the deliveries held back, reads the
         // stamped frames, then completes it.
         let staged_seqs = |t: &CommTracker| -> Vec<u64> {
-            let (exchange, pending, _) = WireExchange::post(&fused, Vec::new(), t);
+            let (exchange, pending, _) = WireExchange::post(&fused, Vec::new(), t, true);
             (0..exchange.wires.len()).for_each(|pi| exchange.stage_pair(&srcs, pi));
             (0..p).for_each(|d| exchange.stage_dest(&srcs, &dst_sizes, d));
             let frame_seq = |w: &Mutex<Option<Wire<f64>>>| lock(w).as_ref().unwrap().frame.seq;

@@ -45,8 +45,8 @@
 //! global point, for tests and scalar reads.
 
 use crate::exec::{
-    split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor, RetiredLocals, SplitExecReport,
-    SplitPhaseExchange,
+    execute_one, split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor, RetiredLocals,
+    SplitExecReport, SplitPhaseExchange,
 };
 use crate::plan::{for_each_line, CommPlan, GhostSlots, PlanIndex, PlanKind};
 use crate::{DistArray, Element, ExecReport, LocalView, Result, RuntimeError};
@@ -242,8 +242,8 @@ fn regions<T>(plans: &[Arc<CommPlan>], bufs: Vec<Vec<Vec<T>>>) -> Vec<GhostRegio
 }
 
 /// Exchanges the overlap areas of one array: replays the ghost `plan`
-/// through `executor` — one `copy_from_slice` per run from the owner's
-/// local buffer into the reader's ghost buffer on a shared-memory
+/// through `executor` as a class of one — the wire pipeline from the
+/// owner's local buffer into the reader's ghost buffer on a shared-memory
 /// executor, one frame per (owner → reader) pair on a sharded one —
 /// posting one aggregated message per crossing pair before the data moves
 /// and completing them afterwards.
@@ -251,7 +251,7 @@ fn regions<T>(plans: &[Arc<CommPlan>], bufs: Vec<Vec<Vec<T>>>) -> Vec<GhostRegio
 /// # Errors
 /// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
 /// `plan` is not a ghost plan for `array`'s distribution on this tracker;
-/// transport errors as [`PlanExecutor::execute`].
+/// transport errors as [`PlanExecutor::execute_fused`].
 pub fn exchange_ghosts<T: Element, E: PlanExecutor>(
     array: &DistArray<T>,
     plan: &Arc<CommPlan>,
@@ -260,7 +260,7 @@ pub fn exchange_ghosts<T: Element, E: PlanExecutor>(
 ) -> Result<(GhostRegion<T>, GhostReport)> {
     let dst_sizes = prepare(array, plan, tracker)?;
     let _span = trace::OpenSpan::begin_static(trace::Phase::GhostExchange, "array");
-    let (values, exec) = executor.execute(plan, array.locals(), &dst_sizes, tracker, true)?;
+    let (values, exec) = execute_one(executor, plan, array.locals(), dst_sizes, tracker)?;
     let report = GhostReport {
         messages: exec.messages,
         bytes: exec.bytes,

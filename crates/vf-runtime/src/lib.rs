@@ -16,7 +16,7 @@
 //!   `DISTRIBUTE` statement of §3.2.2 (evaluate the new distribution,
 //!   derive the distributions of connected arrays, communicate), including
 //!   the `NOTRANSFER` attribute and aggregated ("pre-compiled routine")
-//!   versus element-wise communication planning; [`execute_redistribute`],
+//!   communication, one message per processor pair; [`execute_redistribute`],
 //!   [`execute_class_redistribute`] and [`redistribute_split`] are its
 //!   planned, class and split-phase forms;
 //! * [`ghost`] — overlap-area (halo) exchange, regular or irregular, for
@@ -33,11 +33,12 @@
 //!   of the engine;
 //! * [`exec`] — plan execution: every statement kind is **one verb that
 //!   takes its plan and a [`PlanExecutor`]**, and the executor picks the
-//!   transport — direct copy or wire buffers through shared memory
+//!   transport — the wire pipeline through shared memory
 //!   ([`SerialExecutor`], the pooled [`ThreadedExecutor`]), or frames over
 //!   real channels ([`shard::ShardedExecutor`]); [`FusedPlan`] merges the
-//!   per-array schedules of a class into one message per processor pair
-//!   (the verb and engine tables are in `crates/vf-runtime/README.md`);
+//!   per-array schedules of a class into one message per processor pair,
+//!   and a single array is a class of one (the verb and engine tables are
+//!   in `crates/vf-runtime/README.md`);
 //! * [`shard`] — the channel transport and rank-resident shards for SPMD
 //!   application loops;
 //! * [`reduce`] — global reductions charged as tree collectives;

@@ -22,7 +22,7 @@
 //! * [`execute_scatter`] — pushes updates to owners with a user-supplied
 //!   combine function, placement planned through a [`PlanCache`].
 
-use crate::exec::PlanExecutor;
+use crate::exec::{execute_one, PlanExecutor};
 use crate::plan::{CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::{DistArray, Element, Result, RuntimeError};
 use std::sync::Arc;
@@ -103,7 +103,7 @@ impl<T: Copy> GatherResult<T> {
 }
 
 /// The executor phase for reads: replays the schedule's plan through
-/// `executor` — one `copy_from_slice` per run from the owner's local
+/// `executor` as a class of one — the wire pipeline from the owner's local
 /// storage into the requester's gather buffer on a shared-memory executor,
 /// one frame per (owner → reader) pair on a sharded one — posting one
 /// aggregated message per pair before the data moves and completing them
@@ -112,7 +112,7 @@ impl<T: Copy> GatherResult<T> {
 /// # Errors
 /// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
 /// the schedule was not built for `array`'s distribution on this tracker;
-/// transport errors as [`PlanExecutor::execute`].
+/// transport errors as [`PlanExecutor::execute_fused`].
 pub fn execute_gather<T: Element, E: PlanExecutor>(
     array: &DistArray<T>,
     schedule: &CommSchedule,
@@ -133,7 +133,7 @@ pub fn execute_gather<T: Element, E: PlanExecutor>(
     let dst_sizes: Vec<usize> = (0..plan.total_procs())
         .map(|p| plan.gather_len(ProcId(p)))
         .collect();
-    let (values, _exec) = executor.execute(plan, array.locals(), &dst_sizes, tracker, true)?;
+    let (values, _exec) = execute_one(executor, plan, array.locals(), dst_sizes, tracker)?;
     Ok(GatherResult {
         plan: Arc::clone(plan),
         values,

@@ -50,6 +50,7 @@
 //!   translation tables the planners resolve `INDIRECT` ownership through
 //!   are entries of the same store, under the same byte budget and LRU.
 
+use crate::exec::PairIndex;
 use crate::translation::{self, DistTranslationTable, TranslationStats};
 use crate::{Result, RuntimeError};
 use std::collections::hash_map::DefaultHasher;
@@ -422,12 +423,6 @@ pub struct CommPlan {
     kind: PlanKind,
     /// Fingerprint of the distribution the data currently lives in.
     src_fingerprint: u64,
-    /// Fingerprint of the target distribution (redistribution) or of the
-    /// source distribution again (ghost/gather/scatter).  Read only by
-    /// `Debug`; it stays so that `size_of::<CommPlan>()`, and with it the
-    /// exact `plan.cache_bytes` count of the benchmark, does not move.
-    #[allow(dead_code)]
-    dst_fingerprint: u64,
     /// Total processors of the declaring processor array (sizes the
     /// per-processor vectors of executors).
     total_procs: usize,
@@ -442,6 +437,11 @@ pub struct CommPlan {
     /// executor), so cached re-executions generate no directory traffic.
     directory: Mutex<Vec<(usize, usize, usize)>>,
     pub(crate) index: PlanIndex,
+    /// The transfers indexed by crossing pair and destination, built with
+    /// the plan: what an executor walks, and all of a class of one's
+    /// fusion ([`crate::FusedPlan::fuse_one`]).  Left out of
+    /// [`CommPlan::estimated_bytes`] (see there).
+    pub(crate) pairs: Arc<PairIndex>,
 }
 
 impl CommPlan {
@@ -526,7 +526,9 @@ impl CommPlan {
     /// per processor pair; strided cyclic targets degrade to one run per
     /// element, so plan sizes differ by orders of magnitude and the
     /// [`PlanCache`] bounds its memory by this estimate rather than by
-    /// entry count.
+    /// entry count.  The executors' pair index the plan keeps beside its
+    /// transfers is left out: on a 64-bit host, 72 bytes per crossing
+    /// pair, 24 per processor and about 180 per plan.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
         // Per-slot overhead of the offset hash maps of gather plans (key +
@@ -823,12 +825,13 @@ fn plan_redistribute_counted(
         .needed
         .max(new.proc_ids().iter().map(|q| q.0 + 1).max().unwrap_or(1))
         .max(old.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1));
+    let total_procs = new.procs().array().num_procs();
     Ok(CommPlan {
         kind: PlanKind::Redistribute,
         src_fingerprint: old.fingerprint(),
-        dst_fingerprint: new.fingerprint(),
-        total_procs: new.procs().array().num_procs(),
+        total_procs,
         needed_procs: needed,
+        pairs: PairIndex::of(&b.transfers, total_procs),
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
@@ -980,11 +983,11 @@ fn plan_ghost_counted(
     Ok(CommPlan {
         kind: PlanKind::Ghost,
         src_fingerprint: fp,
-        dst_fingerprint: fp,
         total_procs,
         needed_procs: b
             .needed
             .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
+        pairs: PairIndex::of(&b.transfers, total_procs),
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
@@ -1115,11 +1118,11 @@ fn plan_ghost_irregular_counted(
     Ok(CommPlan {
         kind: PlanKind::Ghost,
         src_fingerprint: fp,
-        dst_fingerprint: fp,
         total_procs,
         needed_procs: b
             .needed
             .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
+        pairs: PairIndex::of(&b.transfers, total_procs),
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
@@ -1182,11 +1185,11 @@ fn plan_gather(
     Ok(CommPlan {
         kind: PlanKind::Gather,
         src_fingerprint: fp,
-        dst_fingerprint: fp,
         total_procs,
         needed_procs: b
             .needed
             .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
+        pairs: PairIndex::of(&b.transfers, total_procs),
         transfers: b.transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
@@ -1224,15 +1227,15 @@ fn plan_scatter(
     for t in &mut transfers {
         t.runs.clear();
     }
-    let fp = dist.fingerprint();
+    let (fp, total_procs) = (dist.fingerprint(), dist.procs().array().num_procs());
     Ok(CommPlan {
         kind: PlanKind::Scatter,
         src_fingerprint: fp,
-        dst_fingerprint: fp,
-        total_procs: dist.procs().array().num_procs(),
+        total_procs,
         needed_procs: b
             .needed
             .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
+        pairs: PairIndex::of(&transfers, total_procs),
         transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
@@ -1748,9 +1751,7 @@ mod tests {
             |p| p.coord(0) as f64,
         );
         let tracker = CommTracker::new(4, CostModel::zero());
-        let opts = crate::RedistOptions::default();
-        let err =
-            crate::execute_redistribute(&mut a, &plan, &tracker, &opts, &crate::SerialExecutor);
+        let err = crate::execute_redistribute(&mut a, &plan, &tracker, &crate::SerialExecutor);
         assert!(matches!(err, Err(RuntimeError::PlanMismatch { .. })));
     }
 

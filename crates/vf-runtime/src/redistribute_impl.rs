@@ -17,8 +17,8 @@
 //! engine call.
 
 use crate::exec::{
-    split_execute_fused_wire, ExecBackend, ExecReport, FusedPlan, PlanExecutor, RetiredLocals,
-    SplitExecReport, SplitPhaseExchange,
+    execute_one, split_execute_fused_wire, ExecBackend, ExecReport, FusedPlan, PlanExecutor,
+    RetiredLocals, SplitExecReport, SplitPhaseExchange,
 };
 use crate::plan::{CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::{DistArray, Element, Result, RuntimeError};
@@ -27,7 +27,12 @@ use vf_dist::Distribution;
 use vf_machine::{trace, CommTracker};
 
 /// Options controlling how a redistribution is carried out.
-#[derive(Debug, Clone)]
+///
+/// Every moving statement sends one aggregated message per processor pair
+/// (the paper's "efficient pre-compiled routine").  What per-element
+/// messages would cost is a question for the model, not the engine:
+/// [`CommPlan::charge`] prices it on a tracker of its own (experiment E4).
+#[derive(Debug, Clone, Default)]
 pub struct RedistOptions {
     /// The `NOTRANSFER` attribute of the `DISTRIBUTE` statement (paper
     /// §2.4): only the access function (descriptor) is changed and the
@@ -35,40 +40,12 @@ pub struct RedistOptions {
     /// default values; the program is expected to overwrite them before
     /// reading (which is exactly the contract the paper gives the user).
     pub notransfer: bool,
-    /// Aggregate all elements travelling between one pair of processors
-    /// into a single message (the paper's "efficient pre-compiled routine").
-    /// When `false`, every element is charged as its own message — the
-    /// naive strategy used as an ablation baseline in experiment E4.  The
-    /// ablation is a property of the *model*: it runs on the direct-copy
-    /// engine on every backend, channels included (there is no
-    /// message-per-element transport to measure).
-    pub aggregate: bool,
-}
-
-impl Default for RedistOptions {
-    fn default() -> Self {
-        Self {
-            notransfer: false,
-            aggregate: true,
-        }
-    }
 }
 
 impl RedistOptions {
     /// The default options with `NOTRANSFER` set.
     pub fn notransfer() -> Self {
-        Self {
-            notransfer: true,
-            ..Self::default()
-        }
-    }
-
-    /// The default options with per-element (non-aggregated) messages.
-    pub fn element_wise() -> Self {
-        Self {
-            aggregate: false,
-            ..Self::default()
-        }
+        Self { notransfer: true }
     }
 }
 
@@ -120,7 +97,7 @@ pub fn redistribute<T: Element, E: PlanExecutor>(
         });
     }
     let plan = cache.redistribute_plan(array.dist(), &new_dist)?;
-    execute_redistribute(array, &plan, tracker, opts, executor)
+    execute_redistribute(array, &plan, tracker, executor)
 }
 
 /// The `NOTRANSFER` path: only the descriptor changes, no plan is needed.
@@ -214,29 +191,27 @@ fn install<T: Element>(
 }
 
 /// The executor half of `DISTRIBUTE` for one array: replays a (possibly
-/// cached) [`CommPlan`] through `executor` — direct copy on a
-/// shared-memory executor, channel frames on a sharded one — posting the
-/// aggregated per-pair messages before the data moves and completing them
-/// afterwards (or one message per element under
-/// [`RedistOptions::element_wise`]).
+/// cached) [`CommPlan`] through `executor` as a class of one — the wire
+/// pipeline on a shared-memory executor, channel frames on a sharded one —
+/// posting the aggregated per-pair messages before the data moves and
+/// completing them afterwards.  A planned statement always moves its data
+/// (`NOTRANSFER` is decided by [`redistribute`], before any plan exists).
 ///
 /// # Errors
 /// [`RuntimeError::PlanMismatch`] if the array's current distribution is
 /// not the one the plan was built for; transport errors as
-/// [`PlanExecutor::execute`] — the array is untouched either way.
+/// [`PlanExecutor::execute_fused`] — the array is untouched either way.
 pub fn execute_redistribute<T: Element, E: PlanExecutor>(
     array: &mut DistArray<T>,
     plan: &Arc<CommPlan>,
     tracker: &CommTracker,
-    opts: &RedistOptions,
     executor: &E,
 ) -> Result<RedistReport> {
     let (new_dist, dst_sizes) = prepare(array, plan, tracker)?;
     let _span = trace::OpenSpan::begin_with(trace::Phase::Redistribute, || {
         format!("{} moved", plan.moved_elements())
     });
-    let (locals, charged) =
-        executor.execute(plan, array.locals(), &dst_sizes, tracker, opts.aggregate)?;
+    let (locals, charged) = execute_one(executor, plan, array.locals(), dst_sizes, tracker)?;
     Ok(install(array, plan, new_dist, locals, charged, None))
 }
 
@@ -534,43 +509,6 @@ mod tests {
         assert_eq!(a.dist().dist_type(), &DistType::cyclic1d(1));
         // ...but the data was not transferred (buffers are default-filled).
         assert!(a.to_dense().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn element_wise_messages_cost_more() {
-        let mk = || {
-            DistArray::from_fn("A", dist_1d(DistType::block1d(), 64, 4), |p| {
-                p.coord(0) as f64
-            })
-        };
-        let t_agg = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
-        let mut a = mk();
-        let agg = redistribute(
-            &mut a,
-            dist_1d(DistType::cyclic1d(1), 64, 4),
-            &t_agg,
-            &RedistOptions::default(),
-            &PlanCache::new(),
-            &SerialExecutor,
-        )
-        .unwrap();
-        let t_elem = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
-        let mut b = mk();
-        let elem = redistribute(
-            &mut b,
-            dist_1d(DistType::cyclic1d(1), 64, 4),
-            &t_elem,
-            &RedistOptions::element_wise(),
-            &PlanCache::new(),
-            &SerialExecutor,
-        )
-        .unwrap();
-        assert_eq!(agg.bytes, elem.bytes);
-        assert!(elem.messages > agg.messages);
-        // With a pure-latency cost model the element-wise strategy is
-        // strictly slower — the motivation for aggregation.
-        assert!(t_elem.snapshot().critical_time() > t_agg.snapshot().critical_time());
-        assert_eq!(a.to_dense(), b.to_dense());
     }
 
     #[test]

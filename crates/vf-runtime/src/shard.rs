@@ -10,12 +10,12 @@
 //! processor pair.
 //!
 //! The backend is a *transport*, not a function family:
-//! [`ShardedExecutor`] overrides the two methods of
-//! [`PlanExecutor`] that move data, so every verb handed a sharded
-//! executor (or [`crate::ExecBackend::Sharded`]) — `redistribute`,
-//! `exchange_ghosts`, `execute_gather`, `assign`, the class verbs,
-//! `CheckpointStore::restore_into` — moves its crossing elements over
-//! channels, from every call site.
+//! [`ShardedExecutor`] overrides the one method of [`PlanExecutor`] that
+//! moves data, [`PlanExecutor::execute_fused`], so every verb handed a
+//! sharded executor (or [`crate::ExecBackend::Sharded`]) —
+//! `redistribute`, `exchange_ghosts`, `execute_gather`, `assign` (each a
+//! class of one), the class verbs, `CheckpointStore::restore_into` —
+//! moves its crossing elements over channels, from every call site.
 //!
 //! # The data path
 //!
@@ -71,10 +71,10 @@
 
 use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
 use crate::exec::{
-    assemble, copy_runs, copy_seconds, finish_checksum, finish_with_copy_credit, lock, post_fused,
-    wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor, RetiredLocals, SerialExecutor,
+    copy_runs, finish_checksum, finish_with_copy_credit, lock, post_fused, wire_copy_seconds,
+    ExecReport, FusedPlan, PlanExecutor, RetiredLocals,
 };
-use crate::plan::{CommPlan, PlanKind, Transfer};
+use crate::plan::PlanKind;
 use crate::{DistArray, Element, Result, RuntimeError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -239,15 +239,13 @@ impl FramePool {
 /// The distributed-memory backend handle: where its SPMD regions run and
 /// how long a rank waits on a channel before declaring a peer lost.
 ///
-/// As a [`PlanExecutor`] it is the channel transport: both
-/// [`PlanExecutor::execute`] (one plan, wearing the fused wire layout as a
-/// fusion of one) and [`PlanExecutor::execute_fused`] (a class) run one
-/// SPMD region in which every crossing pair travels as a frame, with the
-/// model charged exactly as the shared-memory engines charge it.  Two
-/// things have no wire representation and run as on [`SerialExecutor`]:
-/// the element-wise modelling ablation ([`crate::RedistOptions::element_wise`]
-/// — it prices one message per element, which no transport sends) and
-/// scatter updates ([`PlanExecutor::run_updates`], applied in place).
+/// As a [`PlanExecutor`] it is the channel transport:
+/// [`PlanExecutor::execute_fused`] — a class, or one array's plan as a
+/// class of one — runs one SPMD region in which every crossing pair
+/// travels as a frame, with the model charged exactly as the shared-memory
+/// wire pipeline charges it.  Scatter updates have no wire representation
+/// ([`PlanExecutor::run_updates`] applies them in place) and run as on
+/// [`crate::SerialExecutor`].
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
     pool: Option<Arc<WorkerPool>>,
@@ -353,38 +351,6 @@ impl PlanExecutor for ShardedExecutor {
         "sharded"
     }
 
-    fn run_copies<T: Element>(
-        &self,
-        transfers: &[Transfer],
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        tracker: &CommTracker,
-    ) -> Vec<Vec<T>> {
-        SerialExecutor.run_copies(transfers, src, dst_sizes, tracker)
-    }
-
-    fn execute<T: Element>(
-        &self,
-        plan: &Arc<CommPlan>,
-        src: &[Vec<T>],
-        dst_sizes: &[usize],
-        tracker: &CommTracker,
-        aggregate: bool,
-    ) -> Result<(Vec<Vec<T>>, ExecReport)> {
-        if !aggregate {
-            return SerialExecutor.execute(plan, src, dst_sizes, tracker, aggregate);
-        }
-        // Any single plan wears the fused wire layout: one transfer per
-        // pair means one slice per message.  The copy credit is the
-        // array verb's (the destination's unpack only), so the model is
-        // charged exactly as the direct-copy engine charges it.
-        let fused = FusedPlan::fuse_one(Arc::clone(plan));
-        let copy_secs = copy_seconds(plan.transfers(), T::BYTES, tracker);
-        let (mut bufs, report) =
-            sharded_fused_exchange(&fused, tracker, self, &[src], &[dst_sizes], &copy_secs)?;
-        Ok((bufs.pop().unwrap_or_default(), report))
-    }
-
     fn execute_fused<T: Element>(
         &self,
         fused: &FusedPlan,
@@ -396,9 +362,7 @@ impl PlanExecutor for ShardedExecutor {
         // Each rank allocates its own segment: the spares are freed
         // before any of them does.
         drop(spares);
-        let dst_sizes: Vec<&[usize]> = dst_sizes.iter().map(Vec::as_slice).collect();
-        let copy_secs = wire_copy_seconds(fused, T::BYTES, tracker);
-        sharded_fused_exchange(fused, tracker, self, srcs, &dst_sizes, &copy_secs)
+        sharded_fused_exchange(fused, tracker, self, srcs, dst_sizes)
     }
 
     fn recycles_locals(&self) -> bool {
@@ -418,7 +382,7 @@ fn pack_frame<T: Element>(
     seq: u64,
     frame: &mut Vec<u8>,
 ) {
-    let (_, total) = fused.pair_elements[pi];
+    let (_, total) = fused.index.pairs[pi];
     frame.resize(WIRE_FRAME_BYTES + total * T::BYTES, 0);
     let (header, payload) = frame.split_at_mut(WIRE_FRAME_BYTES);
     let mut acc = 0u64;
@@ -459,7 +423,7 @@ fn unpack_frame<T: Element>(
     frame: &[u8],
     bufs: &mut [Vec<T>],
 ) -> Result<()> {
-    let ((s, d), total) = fused.pair_elements[pi];
+    let ((s, d), total) = fused.index.pairs[pi];
     let payload = frame.get(WIRE_FRAME_BYTES..).unwrap_or_default();
     if payload.len() != total * T::BYTES
         || header.elements != total as u64
@@ -513,9 +477,9 @@ fn rank_exchange<T: Element>(
             copy_runs(t, my[idx], buf);
         }
     }
-    // Outgoing pairs.  `pair_elements` only holds crossing pairs with
+    // Outgoing pairs.  `index.pairs` only holds crossing pairs with
     // traffic, so `d != r` and `total > 0` hold structurally.
-    for (pi, &((s, d), total)) in fused.pair_elements.iter().enumerate() {
+    for (pi, &((s, d), total)) in fused.index.pairs.iter().enumerate() {
         if s != r {
             continue;
         }
@@ -530,9 +494,9 @@ fn rank_exchange<T: Element>(
     // Arriving pairs, in the same per-destination order the shared wire
     // path unpacks them.  The channel's per-tag queue matches by sender,
     // so arrival order across senders doesn't matter.
-    let arriving = fused.pairs_by_dst.get(r).map_or(&[][..], |v| v.as_slice());
+    let arriving = fused.index.arriving(r);
     for &pi in arriving {
-        let ((s, _), _) = fused.pair_elements[pi];
+        let ((s, _), _) = fused.index.pairs[pi];
         let (_, header, frame) = ctx.recv_wire(Some(s), WIRE_TAG, timeout)?;
         let unpack = trace::OpenSpan::begin_dest(trace::Phase::Unpack, r);
         let decoded = unpack_frame(fused, pi, &header, &frame, &mut bufs);
@@ -543,10 +507,10 @@ fn rank_exchange<T: Element>(
     Ok(bufs)
 }
 
-/// The channel engine behind [`ShardedExecutor`]'s `execute*`: charges the
-/// model exactly as the shared-memory engines do (directory →
-/// single-message-per-pair post → settle with the copy credit in
-/// `copy_secs`), but moves the data through an SPMD region in which each
+/// The channel engine behind [`ShardedExecutor`]'s `execute_fused`:
+/// charges the model exactly as the shared-memory wire pipeline does
+/// (directory → single-message-per-pair post → settle with the pack and
+/// unpack copy credit), but moves the data through an SPMD region in which each
 /// rank reads only its own segments of `srcs` and every crossing pair
 /// travels as one frame over a real channel (see the module docs for the
 /// data path).  `srcs[i]` / `dst_sizes[i]` are part `i`'s per-processor
@@ -568,8 +532,7 @@ fn sharded_fused_exchange<T: Element>(
     tracker: &CommTracker,
     exec: &ShardedExecutor,
     srcs: &[&[Vec<T>]],
-    dst_sizes: &[&[usize]],
-    copy_secs: &[f64],
+    dst_sizes: &[Vec<usize>],
 ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
     debug_assert_eq!(srcs.len(), fused.parts().len(), "one array per part");
     let shards = RankShards::of(srcs);
@@ -578,7 +541,7 @@ fn sharded_fused_exchange<T: Element>(
     // One rank per processor the plan can name: every rank with traffic
     // or a destination buffer is below both bounds (the verbs validated
     // the tracker against the plan).
-    let ranks = tracker.num_procs().min(fused.pairs_by_dst.len());
+    let ranks = tracker.num_procs().min(fused.index.procs());
     let dst_len = |idx: usize, r: usize| dst_sizes[idx].get(r).copied().unwrap_or(0);
     let per_rank: Vec<Result<Vec<Vec<T>>>> = exec.run_region(ranks, tracker, |ctx| {
         let my = shards.mine(ctx);
@@ -595,11 +558,31 @@ fn sharded_fused_exchange<T: Element>(
     // Settle the posted batch before any `?` — model charges must never
     // leak on a channel-failure path.
     let wait = trace::OpenSpan::begin(trace::Phase::Wait);
-    finish_with_copy_credit(tracker, pending, copy_secs);
+    let copy_secs = wire_copy_seconds(fused, T::BYTES, tracker);
+    finish_with_copy_credit(tracker, pending, &copy_secs);
     wait.end();
     let per_rank = per_rank.into_iter().collect::<Result<Vec<_>>>()?;
     let out = assemble(per_rank, dst_sizes.iter().map(|sizes| sizes.len()));
     Ok((out, report))
+}
+
+/// Transposes destination-major buffers (`per_dest[d][part]`) into the
+/// per-part, per-processor result the channel engine returns; part `idx`
+/// covers `part_procs[idx]` processors.
+fn assemble<T>(
+    per_dest: impl IntoIterator<Item = Vec<Vec<T>>>,
+    part_procs: impl IntoIterator<Item = usize>,
+) -> Vec<Vec<Vec<T>>> {
+    let part_procs: Vec<usize> = part_procs.into_iter().collect();
+    let mut out: Vec<Vec<Vec<T>>> = part_procs.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for bufs in per_dest {
+        for (idx, buf) in bufs.into_iter().enumerate() {
+            if out[idx].len() < part_procs[idx] {
+                out[idx].push(buf);
+            }
+        }
+    }
+    out
 }
 
 /// A reusable rank-level halo exchange for SPMD application loops: the
@@ -733,6 +716,7 @@ impl ShardedHaloExchange {
 mod tests {
     use super::*;
     use crate::plan::{plan_redistribute, PlanCache};
+    use crate::SerialExecutor;
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::{IndexDomain, Point};
     use vf_machine::CostModel;
@@ -873,7 +857,7 @@ mod tests {
         let array = DistArray::from_dense("A", from.clone(), &data).unwrap();
         let fused =
             FusedPlan::fuse(vec![Arc::new(plan_redistribute(&from, &to).unwrap())]).unwrap();
-        let ((s, d), _) = fused.pair_elements[0];
+        let ((s, d), _) = fused.index.pairs[0];
         let tracker = CommTracker::new(procs, CostModel::zero());
         let shards = RankShards::of(&[array.locals()]);
         let mut results = spmd::run(procs, &tracker, |ctx| {

@@ -5,11 +5,17 @@
 //! the same statements stage, frame and verify every pair's wire.  The two
 //! deliveries must be indistinguishable: the same bits in every local and
 //! ghost, the same modelled ledger to the bit — and recycled storage must
-//! never leak an old value into a new layout.
+//! never leak an old value into a new layout.  The single-array verbs run
+//! the same pipeline as a class of one, so they are held to the same, and
+//! a corrupted wire of theirs is caught and repaired like a class's.
 
+use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::forced_threaded;
-use vf_machine::FaultPlan;
+use vf_core::vf_runtime::assign::assign;
+use vf_core::vf_runtime::ghost::exchange_ghosts;
+use vf_core::vf_runtime::parti::{execute_gather, inspector};
+use vf_integration::{dist_2d, forced_threaded};
+use vf_machine::{FaultInjector, FaultKind, FaultPlan};
 
 const P: usize = 4;
 const N: usize = 48;
@@ -222,6 +228,159 @@ fn recycled_destinations_never_leak_an_old_layout() {
                     );
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The single-array verbs: a class of one on the same pipeline.
+// ---------------------------------------------------------------------------
+
+/// A filled `N x N` field laid out `layout` on `P` processors.
+fn field(layout: DistType) -> DistArray<f64> {
+    DistArray::from_fn("F", dist_2d(layout, N, N, P), |pt| fill(0, pt))
+}
+
+/// Per processor, the bits a statement produced.
+type Produced = Vec<Vec<u64>>;
+
+fn locals_of(array: &DistArray<f64>) -> Produced {
+    let bits = |p| array.local(ProcId(p)).iter().map(|v| v.to_bits()).collect();
+    (0..P).map(bits).collect()
+}
+
+/// One single-array statement, run on `tracker` and `backend`.
+type Statement = fn(&CommTracker, &ExecBackend) -> Produced;
+
+fn redistributed(t: &CommTracker, backend: &ExecBackend) -> Produced {
+    let mut a = field(DistType::columns());
+    let (opts, cache) = (RedistOptions::default(), PlanCache::new());
+    let rows = dist_2d(DistType::rows(), N, N, P);
+    redistribute(&mut a, rows, t, &opts, &cache, backend).unwrap();
+    locals_of(&a)
+}
+
+fn ghosts_exchanged(t: &CommTracker, backend: &ExecBackend) -> Produced {
+    let a = field(DistType::blocks2d());
+    let plan = PlanCache::new()
+        .ghost_plan(a.dist(), &[(1, 1), (1, 1)])
+        .unwrap();
+    let (region, _) = exchange_ghosts(&a, &plan, t, backend).unwrap();
+    let mut out = Vec::new();
+    let extended = |p: usize| {
+        region
+            .extended(ProcId(p), a.local(ProcId(p)), &mut out)
+            .unwrap();
+        out.iter().map(|v| v.to_bits()).collect()
+    };
+    (0..P).map(extended).collect()
+}
+
+fn assigned(t: &CommTracker, backend: &ExecBackend) -> Produced {
+    let src = field(DistType::columns());
+    let mut dst: DistArray<f64> = DistArray::new("D", dist_2d(DistType::rows(), N, N, P));
+    assign(&mut dst, &src, t, &PlanCache::new(), backend).unwrap();
+    locals_of(&dst)
+}
+
+fn gathered(t: &CommTracker, backend: &ExecBackend) -> Produced {
+    let a = field(DistType::blocks2d());
+    let access = |k: usize| {
+        let at = Point::d2((k * 7 % N) as i64 + 1, (k * 13 % N) as i64 + 1);
+        (ProcId(k % P), at)
+    };
+    let accesses: Vec<(ProcId, Point)> = (0..4 * N).map(access).collect();
+    let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
+    let got = execute_gather(&a, &schedule, t, backend).unwrap();
+    let slot = |q: usize| {
+        let value = |(_, pt): &(ProcId, Point)| got.get(ProcId(q), a.dist(), pt);
+        accesses
+            .iter()
+            .filter_map(value)
+            .map(f64::to_bits)
+            .collect()
+    };
+    (0..P).map(slot).collect()
+}
+
+fn array_verbs() -> [(&'static str, Statement); 4] {
+    [
+        ("redistribute", redistributed),
+        ("exchange_ghosts", ghosts_exchanged),
+        ("assign", assigned),
+        ("execute_gather", gathered),
+    ]
+}
+
+/// A tracker on the iPSC/860-like model, with `plan` injected if any.
+fn tracker_with(plan: Option<FaultPlan>) -> CommTracker {
+    let t = CommTracker::new(P, CostModel::ipsc860(P));
+    match plan {
+        Some(plan) => t.with_fault_injector(Arc::new(FaultInjector::new(plan))),
+        None => t,
+    }
+}
+
+#[test]
+fn array_verbs_deliver_directly_as_the_staged_verified_wire_does() {
+    for (name, backend) in backends() {
+        for (verb, statement) in array_verbs() {
+            let what = format!("{verb} on {name}");
+            let rate_0 = FaultPlan::new(7).with_rate(0.0);
+            let (direct, staged) = (tracker_with(None), tracker_with(Some(rate_0)));
+            let direct_bits = statement(&direct, &backend);
+            let staged_bits = statement(&staged, &backend);
+            assert_eq!(direct_bits, staged_bits, "{what}: buffers");
+            assert!(direct_bits.iter().any(|p| !p.is_empty()), "{what}: fixture");
+            let (direct_stats, staged_stats) = (direct.snapshot(), staged.snapshot());
+            assert!(direct_stats.total_messages() > 0, "{what}: data moved");
+            assert_eq!(ledger(&direct_stats), ledger(&staged_stats), "{what}");
+            assert_eq!(
+                direct_stats.critical_time().to_bits(),
+                staged_stats.critical_time().to_bits(),
+                "{what}"
+            );
+            assert_eq!(staged_stats.faults_injected(), 0, "{what}: rate 0");
+            assert_eq!(staged_stats.retries(), 0, "{what}");
+        }
+    }
+}
+
+#[test]
+fn an_array_verbs_corrupted_wire_is_caught_repaired_and_charged_once() {
+    let corrupting = FaultPlan::new(11)
+        .with_rate(1.0)
+        .with_kinds(&[FaultKind::CorruptWire]);
+    for (name, backend) in backends() {
+        for (verb, statement) in array_verbs() {
+            let what = format!("{verb} on {name}");
+            let (clean, corrupt) = (tracker_with(None), tracker_with(Some(corrupting.clone())));
+            let clean_bits = statement(&clean, &backend);
+            assert_eq!(
+                statement(&corrupt, &backend),
+                clean_bits,
+                "{what}: repaired"
+            );
+            let (clean_stats, corrupt_stats) = (clean.snapshot(), corrupt.snapshot());
+            assert_eq!(corrupt_stats.faults_injected(), 1, "{what}: one corruption");
+            assert_eq!(corrupt_stats.retries(), 1, "{what}: one retransmission");
+            assert_eq!(corrupt_stats.total_messages(), clean_stats.total_messages());
+            assert_eq!(corrupt_stats.total_bytes(), clean_stats.total_bytes());
+            // The retransmission is charged to the corrupted pair's two
+            // ends, the same time to each, and to nobody else.
+            let extra: Vec<f64> = corrupt_stats
+                .per_proc()
+                .iter()
+                .zip(clean_stats.per_proc())
+                .map(|(c, b)| c.comm_time - b.comm_time)
+                .collect();
+            let charged: Vec<f64> = extra.iter().copied().filter(|&x| x != 0.0).collect();
+            assert_eq!(charged.len(), 2, "{what}: {extra:?}");
+            assert!(charged[0] > 0.0, "{what}: {extra:?}");
+            assert!(
+                (charged[0] - charged[1]).abs() <= 1e-12 * charged[0],
+                "{what}"
+            );
         }
     }
 }

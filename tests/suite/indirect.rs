@@ -89,14 +89,8 @@ fn indirect_plans_conserve_against_the_per_element_oracle() {
         let tracker = machine.tracker();
         let mut arr = DistArray::from_fn("X", from.clone(), |pt| pt.coord(0) as f64 * 0.5);
         let dense = arr.to_dense();
-        let report = vf_runtime::execute_redistribute(
-            &mut arr,
-            &plan,
-            &tracker,
-            &RedistOptions::default(),
-            &SerialExecutor,
-        )
-        .unwrap();
+        let report =
+            vf_runtime::execute_redistribute(&mut arr, &plan, &tracker, &SerialExecutor).unwrap();
         assert_eq!(arr.to_dense(), dense);
         assert_eq!(report.moved_elements, moved);
         assert_eq!(
@@ -110,14 +104,7 @@ fn indirect_plans_conserve_against_the_per_element_oracle() {
         assert_eq!(plan.pending_directory_traffic(), (0, 0));
         let t2 = zero_machine(p).tracker();
         let mut arr2 = DistArray::from_fn("X", from.clone(), |pt| pt.coord(0) as f64 * 0.5);
-        vf_runtime::execute_redistribute(
-            &mut arr2,
-            &plan,
-            &t2,
-            &RedistOptions::default(),
-            &SerialExecutor,
-        )
-        .unwrap();
+        vf_runtime::execute_redistribute(&mut arr2, &plan, &t2, &SerialExecutor).unwrap();
         assert_eq!(t2.snapshot().total_bytes(), moved * 8);
     }
 }

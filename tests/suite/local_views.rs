@@ -392,8 +392,8 @@ fn bits(field: &[f64]) -> Vec<u64> {
 }
 
 /// Holds `stats` to a pinned row: `fields` arrays exchanged together, the
-/// halo copied `copies` times per element (unpack only for the array verb,
-/// pack and unpack on the wire).
+/// halo copied `copies` times per element (pack on the sender and unpack
+/// on the receiver — the one rule of every engine, so every driver pins 2).
 fn assert_pinned(stats: &CommStats, row: &Pinned, fields: usize, copies: usize, ctx: &str) {
     let &(_, messages, bytes, updated, ghosts) = row;
     assert_eq!(stats.total_messages(), messages, "{ctx}: messages");
@@ -438,7 +438,7 @@ fn check_smoothing(backend: &str) {
 
         let run = smoothing::run(&config, &machine(), &initials[0]);
         assert_eq!(bits(&run.field), references[0], "{ctx}: run");
-        assert_pinned(&run.stats, row, 1, 1, &format!("{ctx}: run"));
+        assert_pinned(&run.stats, row, 1, 2, &format!("{ctx}: run"));
 
         let sharded = smoothing::run_sharded(&config, &machine(), &initials[0]);
         assert_eq!(bits(&sharded.field), references[0], "{ctx}: run_sharded");

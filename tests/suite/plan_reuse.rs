@@ -163,7 +163,7 @@ proptest! {
         // distribution as from, in which case the plan genuinely applies.
         if to2.fingerprint() != from.fingerprint() {
             let err =
-                vf_runtime::execute_redistribute(&mut a, &stale, &tracker, &opts, &SerialExecutor);
+                vf_runtime::execute_redistribute(&mut a, &stale, &tracker, &SerialExecutor);
             prop_assert!(matches!(err, Err(vf_runtime::RuntimeError::PlanMismatch { .. })));
         }
     }

@@ -185,7 +185,7 @@ fn wire_packed_fused_ghost_matches_per_part_with_identical_traffic() {
     .unwrap();
     let arrays = [&a, &b, &c];
 
-    // The reference: one array verb (direct copy) per member.
+    // The reference: one array verb (a class of one) per member.
     let t_parts = tracker(p);
     let (per_part, part_reports): (Vec<_>, Vec<_>) = arrays
         .iter()
@@ -228,12 +228,11 @@ fn wire_packed_fused_redistribute_matches_per_part() {
             DistArray::from_fn("B", from.clone(), |pt| (pt.coord(0) as f64).powi(2)),
         )
     };
-    // The reference: one array verb (direct copy) per member.
+    // The reference: one array verb (a class of one) per member.
     let (mut a1, mut b1) = build();
     let t1 = tracker(p);
-    let opts = RedistOptions::default();
-    let r1 = [&mut a1, &mut b1]
-        .map(|member| execute_redistribute(member, &plan, &t1, &opts, &serial).unwrap());
+    let r1 =
+        [&mut a1, &mut b1].map(|member| execute_redistribute(member, &plan, &t1, &serial).unwrap());
     for (name, executor) in [("serial", &serial), ("pooled", &pooled)] {
         let (mut a2, mut b2) = build();
         let t2 = tracker(p);

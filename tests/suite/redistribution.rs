@@ -201,31 +201,30 @@ fn notransfer_applies_only_to_named_secondaries() {
 }
 
 /// The element-wise ablation charges the same bytes but many more messages,
-/// and therefore more modelled time on a latency-bound machine.
+/// and therefore more modelled time on a latency-bound machine.  It is
+/// priced, not executed: the statement's own plan charged one message per
+/// element on a tracker of its own.
 #[test]
 fn aggregation_ablation_shows_latency_savings() {
     let n = 2048;
     let p = 8;
-    let run_opts = |opts: RedistOptions| {
-        let tracker = CommTracker::new(p, CostModel::latency_bound());
-        let mut a = DistArray::from_fn("A", dist_1d(DistType::block1d(), n, p), |pt| {
-            pt.coord(0) as f64
-        });
-        let report = redistribute(
-            &mut a,
-            dist_1d(DistType::cyclic1d(1), n, p),
-            &tracker,
-            &opts,
-            &PlanCache::new(),
-            &SerialExecutor,
-        )
-        .unwrap();
-        (report, tracker.snapshot().critical_time())
-    };
-    let (agg_report, agg_time) = run_opts(RedistOptions::default());
-    let (elem_report, elem_time) = run_opts(RedistOptions::element_wise());
-    assert_eq!(agg_report.bytes, elem_report.bytes);
-    assert!(elem_report.messages > 10 * agg_report.messages);
+    let (from, to) = (
+        dist_1d(DistType::block1d(), n, p),
+        dist_1d(DistType::cyclic1d(1), n, p),
+    );
+    let cache = PlanCache::new();
+    let tracker = CommTracker::new(p, CostModel::latency_bound());
+    let mut a = DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64);
+    let opts = RedistOptions::default();
+    let agg = redistribute(&mut a, to.clone(), &tracker, &opts, &cache, &SerialExecutor).unwrap();
+    let agg_time = tracker.snapshot().critical_time();
+
+    let elem_tracker = CommTracker::new(p, CostModel::latency_bound());
+    let plan = cache.redistribute_plan(&from, &to).unwrap();
+    let (elem_messages, elem_bytes) = plan.charge(&elem_tracker, 8, false);
+    let elem_time = elem_tracker.snapshot().critical_time();
+    assert_eq!(agg.bytes, elem_bytes);
+    assert!(elem_messages > 10 * agg.messages);
     assert!(elem_time > 10.0 * agg_time);
 }
 

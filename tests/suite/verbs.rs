@@ -4,9 +4,13 @@
 //! exchange (regular and irregular plans), array / class / split
 //! `DISTRIBUTE` (INDIRECT ↔ BLOCK and `NOTRANSFER` included), gather,
 //! scatter, assign — on `{Serial, pooled Threaded with cutoff 0, Sharded}`
-//! and holds it to the **Serial array-verb result**: buffers bitwise equal,
-//! modelled traffic equal, and for a class exactly one message per crossing
-//! processor pair carrying the members' bytes summed.  A split verb is
+//! and holds it to oracles that are not the engine: every `DISTRIBUTE` or
+//! assigned member holds its source's dense field, every ghost slot its
+//! owner's value, every gathered value the array's, and scattered updates
+//! land as applied one by one to the dense field.  Across backends each
+//! row is also held to the **Serial array-verb result**: buffers bitwise
+//! equal, modelled traffic equal, and for a class exactly one message per
+//! crossing processor pair carrying the members' bytes summed.  A split verb is
 //! additionally held to its blocking form on the same backend — buffers,
 //! report and tracker — because the mode is only *when* the pipeline
 //! delivers.  On the sharded backend the statement's traffic must
@@ -85,6 +89,42 @@ fn array_bits(a: &DistArray<f64>) -> Bits {
     (0..P).map(|q| local(q).collect()).collect()
 }
 
+fn dense_bits(a: &DistArray<f64>) -> Vec<u64> {
+    a.to_dense().iter().map(|v| v.to_bits()).collect()
+}
+
+// --- oracles that are not the engine ----------------------------------------
+
+/// Every slot of `region` holds its owner's value of `a`, and every planned
+/// slot is there.
+fn assert_ghosts_hold_owner_values(a: &DistArray<f64>, region: &GhostRegion<f64>) {
+    let mut held = 0;
+    for q in 0..P {
+        for pt in a.domain().iter() {
+            if let Some(v) = region.get(ProcId(q), &pt) {
+                let owner = a.get(&pt).unwrap();
+                assert_eq!(
+                    v.to_bits(),
+                    owner.to_bits(),
+                    "{}: ghost {pt} on P{q}",
+                    a.name()
+                );
+                held += 1;
+            }
+        }
+    }
+    let planned: usize = (0..P).map(|q| region.len(ProcId(q))).sum();
+    assert_eq!(held, planned, "{}: every planned slot", a.name());
+}
+
+/// Every member holds its source's dense field (`sources[k]`, as bits).
+fn assert_dense_fields(arrays: &[DistArray<f64>], sources: &[Vec<u64>]) {
+    assert_eq!(arrays.len(), sources.len());
+    for (a, source) in arrays.iter().zip(sources) {
+        assert_eq!(&dense_bits(a), source, "{}: dense field", a.name());
+    }
+}
+
 fn region_bits(a: &DistArray<f64>, region: &GhostRegion<f64>) -> Bits {
     let slot = |q, pt| region.get(ProcId(q), &pt).map(f64::to_bits);
     (0..P)
@@ -150,6 +190,7 @@ fn ghosts_of(arrays: &[DistArray<f64>], plans: &[Arc<CommPlan>], exec: &ExecBack
     let (mut bits, mut charged) = (Vec::new(), (0, 0));
     for (a, plan) in arrays.iter().zip(plans) {
         let (region, report) = exchange_ghosts(a, plan, &t, exec).unwrap();
+        assert_ghosts_hold_owner_values(a, &region);
         bits.push(region_bits(a, &region));
         charged = (charged.0 + report.messages, charged.1 + report.bytes);
     }
@@ -185,6 +226,9 @@ fn ghosts_class_with(exec: &ExecBackend, split: bool) -> Outcome {
         let (regions, report) = exchange_class_ghosts(&refs, &fused, &t, exec).unwrap();
         (regions, (report.messages, report.bytes))
     };
+    for (a, region) in arrays.iter().zip(&regions) {
+        assert_ghosts_hold_owner_values(a, region);
+    }
     let bits = arrays.iter().zip(&regions).map(|(a, r)| region_bits(a, r));
     let bits = bits.collect();
     Outcome::new(bits, charged, crossing_pairs(&plans), &t)
@@ -207,9 +251,13 @@ fn redistributed(from: Distribution, to: Distribution, opts: RedistOptions) -> V
             true => vec![],
             false => vec![cache.redistribute_plan(&from, &to).unwrap()],
         };
+        let source = dense_bits(&a);
         let report = redistribute(&mut a, to.clone(), &t, &opts, &cache, exec).unwrap();
         assert!(a.dist().same_mapping(&to), "the descriptor changed");
         a.check_invariants().unwrap();
+        if !opts.notransfer {
+            assert_dense_fields(std::slice::from_ref(&a), &[source]);
+        }
         let (bits, charged) = (vec![array_bits(&a)], (report.messages, report.bytes));
         Outcome::new(bits, charged, crossing_pairs(&plans), &t)
     })
@@ -217,18 +265,21 @@ fn redistributed(from: Distribution, to: Distribution, opts: RedistOptions) -> V
 
 fn redistribute_per_member(exec: &ExecBackend) -> Outcome {
     let (mut arrays, plans) = class_moves();
+    let sources: Vec<_> = arrays.iter().map(dense_bits).collect();
     let t = tracker();
     let mut charged = (0, 0);
     for (a, plan) in arrays.iter_mut().zip(&plans) {
-        let r = execute_redistribute(a, plan, &t, &RedistOptions::default(), exec).unwrap();
+        let r = execute_redistribute(a, plan, &t, exec).unwrap();
         charged = (charged.0 + r.messages, charged.1 + r.bytes);
     }
+    assert_dense_fields(&arrays, &sources);
     let bits = arrays.iter().map(array_bits).collect();
     Outcome::new(bits, charged, crossing_pairs(&plans), &t)
 }
 
 fn redistribute_class(exec: &ExecBackend) -> Outcome {
     let (mut arrays, plans) = class_moves();
+    let sources: Vec<_> = arrays.iter().map(dense_bits).collect();
     let fused = FusedPlan::fuse(plans.clone()).unwrap();
     let t = tracker();
     let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
@@ -241,6 +292,7 @@ fn redistribute_class(exec: &ExecBackend) -> Outcome {
         let alone = (plan.num_messages(), plan.bytes_for(8));
         assert_eq!((r.messages, r.bytes), alone);
     }
+    assert_dense_fields(&arrays, &sources);
     let bits = arrays.iter().map(array_bits).collect();
     let charged = (report.messages, report.bytes);
     Outcome::new(bits, charged, crossing_pairs(&plans), &t)
@@ -249,8 +301,10 @@ fn redistribute_class(exec: &ExecBackend) -> Outcome {
 fn redistribute_split_phase(exec: &ExecBackend) -> Outcome {
     let (t, cache, mut a) = (tracker(), PlanCache::new(), vector(scattered()));
     let plan = cache.redistribute_plan(a.dist(), &block()).unwrap();
+    let source = dense_bits(&a);
     let handle = redistribute_split(&a, block(), &t, &cache, exec).unwrap();
     let (report, _) = handle.finish_into(&mut a).unwrap();
+    assert_dense_fields(std::slice::from_ref(&a), &[source]);
     let (bits, charged) = (vec![array_bits(&a)], (report.messages, report.bytes));
     Outcome::new(bits, charged, crossing_pairs(&[plan]), &t)
 }
@@ -264,6 +318,18 @@ fn gathered(exec: &ExecBackend) -> Outcome {
     let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
     let t = tracker();
     let got = execute_gather(&a, &schedule, &t, exec).unwrap();
+    for &(q, ref pt) in &accesses {
+        // A local access is not fetched; every scheduled one is the array's.
+        if let Some(v) = got.get(q, a.dist(), pt) {
+            assert_eq!(
+                v.to_bits(),
+                a.get(pt).unwrap().to_bits(),
+                "gather {pt} for {q:?}"
+            );
+        }
+    }
+    let fetched: usize = (0..P).map(|q| got.len(ProcId(q))).sum();
+    assert_eq!(fetched, schedule.num_elements(), "every scheduled value");
     let slot = |q, pt| got.get(ProcId(q), a.dist(), &pt).map(f64::to_bits);
     let bits = (0..P).map(|q| a.domain().iter().map(|pt| slot(q, pt)).collect());
     let bits = vec![bits.collect()];
@@ -290,7 +356,15 @@ fn scattered_updates(exec: &ExecBackend) -> Outcome {
     let updates: Vec<(ProcId, Point, f64)> = (0..3 * N).map(update).collect();
     let (t, cache) = (tracker(), PlanCache::new());
     let combine = |old: f64, new: f64| old * 0.5 + new;
+    // The updates applied one by one, in order, to the dense field.
+    let mut expect = a.to_dense();
+    for (_, pt, v) in &updates {
+        let at = a.domain().linearize(pt).unwrap();
+        expect[at] = combine(expect[at], *v);
+    }
     let messages = execute_scatter(&mut a, &updates, &t, &cache, exec, combine).unwrap();
+    let expect: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(dense_bits(&a), expect, "scatter: dense field");
     let charged = (messages, t.snapshot().total_bytes());
     Outcome::new(vec![array_bits(&a)], charged, messages, &t)
 }
@@ -301,7 +375,7 @@ fn assigned(exec: &ExecBackend) -> Outcome {
     let (t, cache) = (tracker(), PlanCache::new());
     let plan = cache.redistribute_plan(src.dist(), dst.dist()).unwrap();
     let report = assign(&mut dst, &src, &t, &cache, exec).unwrap();
-    assert_eq!(dst.to_dense(), src.to_dense());
+    assert_dense_fields(std::slice::from_ref(&dst), &[dense_bits(&src)]);
     let (bits, charged) = (vec![array_bits(&dst)], (report.messages, report.bytes));
     Outcome::new(bits, charged, crossing_pairs(&[plan]), &t)
 }
