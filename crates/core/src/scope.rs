@@ -813,7 +813,7 @@ struct DistributeWork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vf_dist::{Alignment, DimDist, DimPattern};
+    use vf_dist::{Alignment, DimDist, DimPattern, ProcId};
     use vf_index::Point;
     use vf_machine::CostModel;
 
@@ -1462,5 +1462,87 @@ mod tests {
             s.declare_secondary(SecondaryDecl::extraction("A", IndexDomain::d1(4), "U")),
             Err(CoreError::InvalidConnection { .. })
         ));
+    }
+
+    #[test]
+    fn a_layout_cycle_settles_on_the_buffers_its_statements_retire() {
+        // The stmt-shared cycle (:,BLOCK) -> (BLOCK,:) -> (CYCLIC(2),:) ->
+        // (:,GEN_BLOCK) -> (:,BLOCK) on a class of four, three times over.
+        // Its general blocks are longer and shorter than BLOCK's, so the
+        // first cycle allocates; from the second on every destination of
+        // every DISTRIBUTE is a buffer the previous statement retired, and
+        // the store never holds more than its bound.
+        let (n, p, members) = (24usize, 4usize, 4usize);
+        let blocks = vec![3, 6, 10, 5];
+        let longest = 10 * n;
+        let cycle = [
+            DistType::rows(),
+            DistType::new(vec![DimDist::Cyclic(2), DimDist::NotDistributed]),
+            DistType::new(vec![DimDist::NotDistributed, DimDist::GenBlock(blocks)]),
+            DistType::columns(),
+        ];
+        let backends = [
+            ExecBackend::Serial,
+            ExecBackend::Threaded(
+                vf_runtime::ThreadedExecutor::with_pool(std::sync::Arc::new(
+                    vf_machine::WorkerPool::new(2),
+                ))
+                .with_serial_cutoff(0),
+            ),
+        ];
+        for backend in backends {
+            let mut s = scope(p);
+            s.set_executor(backend);
+            let domain = IndexDomain::d2(n, n);
+            let names: Vec<String> = (0..members).map(|k| format!("A{k}")).collect();
+            s.declare_dynamic(
+                DynamicDecl::new(&names[0], domain.clone()).initial(DistType::columns()),
+            )
+            .unwrap();
+            for name in &names[1..] {
+                s.declare_secondary(SecondaryDecl::extraction(name, domain.clone(), &names[0]))
+                    .unwrap();
+            }
+            for (k, name) in names.iter().enumerate() {
+                let array = s.array_mut(name).unwrap();
+                for q in 0..p {
+                    for (i, v) in array.local_mut(ProcId(q)).iter_mut().enumerate() {
+                        *v = (k * 1000 + q * 100) as f64 + i as f64;
+                    }
+                }
+            }
+            let dense: Vec<Vec<f64>> = names
+                .iter()
+                .map(|a| s.array(a).unwrap().to_dense())
+                .collect();
+            let locals = |s: &VfScope<f64>| -> Vec<*const f64> {
+                (names.iter())
+                    .flat_map(|a| (0..p).map(move |q| (a, q)))
+                    .map(|(a, q)| s.array(a).unwrap().local(ProcId(q)).as_ptr())
+                    .collect()
+            };
+            let bound = members * p * longest * 8;
+            let mut before_last = Vec::new();
+            let mut held_per_cycle = Vec::new();
+            for round in 0..3 {
+                for layout in &cycle {
+                    let before = locals(&s);
+                    s.distribute(DistributeStmt::new(&names[0], layout.clone()))
+                        .unwrap();
+                    if round > 0 {
+                        let after = locals(&s);
+                        let recycled = after.iter().filter(|at| before_last.contains(*at));
+                        assert_eq!(recycled.count(), members * p, "round {round}, {layout}");
+                    }
+                    assert!(s.retired.held_bytes() <= bound, "round {round}, {layout}");
+                    before_last = before;
+                }
+                held_per_cycle.push(s.retired.held_bytes());
+                for (a, dense) in names.iter().zip(&dense) {
+                    assert_eq!(&s.array(a).unwrap().to_dense(), dense);
+                }
+            }
+            assert_eq!(held_per_cycle[1], held_per_cycle[2], "the store settled");
+        }
     }
 }

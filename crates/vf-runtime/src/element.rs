@@ -119,19 +119,25 @@ pub fn decode_slice<T: Element>(bytes: &[u8]) -> Vec<T> {
     bytes.chunks_exact(T::BYTES).map(T::read_bytes).collect()
 }
 
-/// Packs `values` into `out` — exactly `values.len() * T::BYTES` bytes,
-/// each element the low `BYTES` little-endian bytes of its
+/// Packs `values` into `out` — exactly `T::BYTES` bytes per value, each
+/// element the low `BYTES` little-endian bytes of its
 /// [`Element::to_bits64`] pattern — and returns the xor of those patterns,
 /// so a sender fills a wire frame (and a checkpoint save a run of its
-/// file) and accumulates the checksum in one pass over the data.
-pub(crate) fn pack_le_xor<T: Element>(values: &[T], out: &mut [u8]) -> u64 {
-    debug_assert_eq!(out.len(), values.len() * T::BYTES);
+/// file) and accumulates the checksum in one pass over the data.  The
+/// values may come from a slice or from a strided walk of one.
+pub(crate) fn pack_le_xor<'a, T: Element>(
+    values: impl IntoIterator<Item = &'a T>,
+    out: &mut [u8],
+) -> u64 {
     let mut acc = 0u64;
+    let mut packed = 0usize;
     for (chunk, v) in out.chunks_exact_mut(T::BYTES).zip(values) {
         let bits = v.to_bits64();
         acc ^= bits;
         chunk.copy_from_slice(&bits.to_le_bytes()[..T::BYTES]);
+        packed += 1;
     }
+    debug_assert_eq!(out.len(), packed * T::BYTES);
     acc
 }
 
@@ -153,13 +159,15 @@ pub(crate) fn xor_packed_le<T: Element>(bytes: &[u8]) -> u64 {
         .fold(0u64, |acc, chunk| acc ^ bits_le::<T>(chunk))
 }
 
-/// Decodes `out.len()` elements packed by [`pack_le_xor`] straight into
-/// `out`.
-pub(crate) fn unpack_le<T: Element>(bytes: &[u8], out: &mut [T]) {
-    debug_assert_eq!(bytes.len(), out.len() * T::BYTES);
-    for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
+/// Decodes the elements packed by [`pack_le_xor`] in `bytes` straight
+/// into `out` — a slice, or a strided walk of one — one per element slot.
+pub(crate) fn unpack_le<'a, T: Element>(bytes: &[u8], out: impl IntoIterator<Item = &'a mut T>) {
+    let mut unpacked = 0usize;
+    for (v, chunk) in out.into_iter().zip(bytes.chunks_exact(T::BYTES)) {
         *v = T::from_bits64(bits_le::<T>(chunk));
+        unpacked += 1;
     }
+    debug_assert_eq!(bytes.len(), unpacked * T::BYTES);
 }
 
 #[cfg(test)]

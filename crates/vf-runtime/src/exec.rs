@@ -193,12 +193,26 @@ pub(crate) fn finish_with_copy_credit(
 /// Copies `t`'s runs from the sender's buffer `src` straight into the
 /// receiver's buffer `dst` — how every engine moves the elements that stay
 /// on their processor, and how the blocking wire pipeline delivers a pair
-/// when no wire is staged.
-/// Zero-length runs are skipped before any slice arithmetic.
+/// when no wire is staged.  A lone element is one assignment, a run that
+/// does not repeat one copy, a repeating run of single elements one
+/// strided gather / scatter loop, any other run one copy per repetition.
 pub(crate) fn copy_runs<T: Copy>(t: &Transfer, src: &[T], dst: &mut [T]) {
-    for run in t.runs.iter().filter(|r| r.len > 0) {
-        dst[run.dst_start..run.dst_start + run.len]
-            .copy_from_slice(&src[run.src_start..run.src_start + run.len]);
+    for run in t.spans() {
+        match (run.len, run.count) {
+            (1, 1) => dst[run.dst.start] = src[run.src.start],
+            (_, 1) => dst[run.dst].copy_from_slice(&src[run.src]),
+            (1, _) => {
+                let to = dst[run.dst].iter_mut().step_by(run.dst_step);
+                let from = src[run.src].iter().step_by(run.src_step);
+                to.zip(from).for_each(|(d, s)| *d = *s);
+            }
+            (len, _) => {
+                let to = dst[run.dst].chunks_mut(run.dst_step);
+                let from = src[run.src].chunks(run.src_step);
+                to.zip(from)
+                    .for_each(|(d, s)| d[..len].copy_from_slice(&s[..len]));
+            }
+        }
     }
 }
 
@@ -206,10 +220,23 @@ pub(crate) fn copy_runs<T: Copy>(t: &Transfer, src: &[T], dst: &mut [T]) {
 /// message, landing every element at its own offset of `dst` (ghost slot /
 /// new local offset — untouched by fusion).
 fn unpack_runs<T: Copy>(t: &Transfer, wire: &[T], dst: &mut [T]) {
-    let mut off = 0usize;
-    for run in t.runs.iter().filter(|r| r.len > 0) {
-        dst[run.dst_start..run.dst_start + run.len].copy_from_slice(&wire[off..off + run.len]);
-        off += run.len;
+    let mut rest = wire;
+    for run in t.spans() {
+        let (payload, tail) = rest.split_at(run.len * run.count);
+        match (run.len, run.count) {
+            (1, 1) => dst[run.dst.start] = payload[0],
+            (_, 1) => dst[run.dst].copy_from_slice(payload),
+            (1, _) => {
+                let to = dst[run.dst].iter_mut().step_by(run.dst_step);
+                to.zip(payload).for_each(|(d, s)| *d = *s);
+            }
+            (len, _) => {
+                let to = dst[run.dst].chunks_mut(run.dst_step);
+                to.zip(payload.chunks(len))
+                    .for_each(|(d, s)| d[..len].copy_from_slice(s));
+            }
+        }
+        rest = tail;
     }
 }
 
@@ -287,7 +314,7 @@ impl ThreadedExecutor {
     }
 
     /// The worker count (the pool's).
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.pool.workers()
     }
 
@@ -924,8 +951,15 @@ fn pack_pair<T: Element>(fused: &FusedPlan, pi: usize, srcs: &[&[Vec<T>]]) -> Ve
     for (sl, t) in fused.pair_parts(pi) {
         debug_assert_eq!(wire.len(), sl.wire_offset, "parts arrive in wire order");
         let src = &srcs[sl.part][s];
-        for run in t.runs.iter().filter(|r| r.len > 0) {
-            wire.extend_from_slice(&src[run.src_start..run.src_start + run.len]);
+        for run in t.spans() {
+            match (run.len, run.count) {
+                (1, 1) => wire.push(src[run.src.start]),
+                (_, 1) => wire.extend_from_slice(&src[run.src]),
+                (1, _) => wire.extend(src[run.src].iter().step_by(run.src_step)),
+                (len, _) => src[run.src]
+                    .chunks(run.src_step)
+                    .for_each(|s| wire.extend_from_slice(&s[..len])),
+            }
         }
     }
     assert_eq!(wire.len(), total, "the runs fill the pair's message");
@@ -1241,10 +1275,21 @@ impl<T: Element, P: Borrow<FusedPlan>> WireExchange<T, P> {
 /// `VfScope` keeps one — never to the process, and it holds one
 /// statement's retired locals only until the next redistribution there.
 /// That statement takes every spare: a destination is built from the
-/// shortest spare at least its length (and at most an eighth longer),
-/// trimmed to it, and every spare left over is freed before anything is
-/// allocated, so held bytes never exceed one class's locals.  An executor
-/// whose ranks allocate their own segments (see
+/// spare of smallest *capacity* at least its length, cut or extended to
+/// that length within the capacity (nothing is reallocated or handed back
+/// to the allocator), and every spare left over is freed before anything
+/// is allocated.  A layout cycle whose local lengths differ — a general
+/// block beside a `BLOCK` — therefore settles on buffers every later
+/// statement fits, and stops faulting fresh pages in.
+///
+/// **Bound.**  The store holds at most one class's locals — one buffer per
+/// member and processor — and best fit never hands out more capacity than
+/// some spare already had, so no buffer's capacity exceeds the longest
+/// local the class has had.  Held bytes stay at most
+/// `members × processors × longest local × element bytes`
+/// ([`RetiredLocals::held_bytes`]).
+///
+/// An executor whose ranks allocate their own segments (see
 /// [`PlanExecutor::recycles_locals`]) frees the spares it is handed, and
 /// its caller keeps none.
 #[derive(Debug)]
@@ -1264,21 +1309,19 @@ impl<T: Element> RetiredLocals<T> {
             .extend(locals.into_iter().filter(|buf| buf.capacity() > 0));
     }
 
-    /// Bytes held.
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> usize {
+    /// Bytes held: the capacity of every spare.
+    pub fn held_bytes(&self) -> usize {
         self.0.iter().map(|buf| buf.capacity() * T::BYTES).sum()
     }
 
     /// Hands every spare to a statement whose part `idx` fills
     /// `dst_sizes[idx][d]` elements on destination `d`: at
     /// `d * parts + idx`, for `dests` destinations, the spare part `idx`'s
-    /// buffer on `d` is built from — trimmed to exactly that length — or
-    /// an empty buffer where none fits.  Largest destinations choose first, each the shortest spare
-    /// at least its length; a spare more than an eighth longer does not
-    /// fit, so trimming never leaves large holes behind.  The spares
-    /// nothing fits are freed here, before the statement allocates its
-    /// fresh buffers.
+    /// buffer on `d` is built from — resized to exactly that length within
+    /// its capacity — or an empty buffer where none fits.  Largest
+    /// destinations choose first, each the spare of smallest capacity at
+    /// least its length.  The spares nothing fits are freed here, before
+    /// the statement allocates its fresh buffers.
     ///
     /// A recycled buffer keeps its old contents: only a destination its
     /// runs write completely may take one, as every redistribution's does.
@@ -1287,7 +1330,7 @@ impl<T: Element> RetiredLocals<T> {
         if spares.is_empty() {
             return Vec::new();
         }
-        spares.sort_unstable_by_key(Vec::len);
+        spares.sort_unstable_by_key(Vec::capacity);
         let mut wanted: Vec<(usize, usize, usize)> = dst_sizes
             .iter()
             .enumerate()
@@ -1298,14 +1341,10 @@ impl<T: Element> RetiredLocals<T> {
         let parts = dst_sizes.len();
         let mut out: Vec<Vec<T>> = repeat_with(Vec::new).take(dests * parts).collect();
         for (n, d, idx) in wanted {
-            let shortest = spares.partition_point(|buf| buf.len() < n);
-            if spares
-                .get(shortest)
-                .is_some_and(|buf| buf.len() <= n + n / 8)
-            {
-                let mut buf = spares.remove(shortest);
-                buf.truncate(n);
-                buf.shrink_to_fit();
+            let smallest = spares.partition_point(|buf| buf.capacity() < n);
+            if smallest < spares.len() {
+                let mut buf = spares.remove(smallest);
+                buf.resize(n, T::default());
                 out[d * parts + idx] = buf;
             }
         }
@@ -1725,17 +1764,19 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     let (exchange, pending, report) = WireExchange::post(fused, Vec::new(), tracker, true);
     let fused = &exchange.plan;
     let pack_span = trace::OpenSpan::begin_static(trace::Phase::WirePack, "split pack");
-    // Wires before destination buffers: the short-lived messages then sit
-    // together below the buffers that become the arrays, and the hole they
-    // leave at delivery is refilled exactly by the next statement's wires.
-    // Interleaving the two (destination, its wires, destination, ..)
-    // fragments the heap instead — `adi-dynamic` peaked 2.3 MB (14 %)
-    // higher that way.
-    for pi in 0..fused.index.pairs.len() {
-        exchange.stage_pair(srcs, pi);
-    }
+    // Destination buffers before wires: the buffers that become the arrays
+    // are allocated first, and the short-lived messages above them leave a
+    // hole at delivery that the next statement's wires refill.  Either
+    // grouping beats interleaving (destination, its wires, destination,
+    // ..), which fragments the heap: `adi-dynamic` peaked 2.3 MB (14 %)
+    // higher that way.  Which grouping keeps the heap compact depends on
+    // what else the process holds: once plans stopped holding one run per
+    // column, wires first left `adi-dynamic` peaking 3.3 MB (21 %) higher.
     for d in 0..fused.index.procs() {
         exchange.stage_dest(srcs, dst_sizes, d);
+    }
+    for pi in 0..fused.index.pairs.len() {
+        exchange.stage_pair(srcs, pi);
     }
     pack_span.end();
 
@@ -2186,27 +2227,35 @@ mod tests {
             vec![4.0; 10],
             vec![5.0; 300],
         ]);
-        // Part 0 wants 60 on processor 0 and 36 on 1, part 1 wants 95 on 1
-        // and 250 on 2; processor 2's part 0 and processor 0's part 1 are
-        // empty.
-        let out = spares.fit(&[vec![60, 36, 0], vec![0, 95, 250]], 3);
-        let held = |d: usize, part: usize| -> (usize, usize, Option<f64>) {
-            let buf: &Vec<f64> = &out[d * 2 + part];
+        // Part 0 wants 60 on processor 0, 36 on 1 and 400 on 2; part 1
+        // wants 95 on 1 and 250 on 2; processor 0's part 1 is empty.
+        let out = spares.fit(&[vec![60, 36, 400], vec![0, 95, 250]], 3);
+        let held = |out: &[Vec<f64>], d: usize, part: usize| -> (usize, usize, Option<f64>) {
+            let buf = &out[d * 2 + part];
             (buf.len(), buf.capacity(), buf.first().copied())
         };
-        // Largest first, each the shortest spare long enough, trimmed to
-        // its length: 95 takes the 100, 60 the 64, 36 the 40.
-        assert_eq!(held(1, 1), (95, 95, Some(1.0)));
-        assert_eq!(held(0, 0), (60, 60, Some(2.0)));
-        assert_eq!(held(1, 0), (36, 36, Some(3.0)));
-        // The 300 is more than an eighth longer than 250: no fit, and no
-        // fresh buffer either — `fit` allocates nothing, and the spares it
-        // could not place (the 300 and the 10) went with it.
-        assert_eq!(held(2, 1), (0, 0, None));
-        assert_eq!(held(0, 1), (0, 0, None));
-        assert_eq!(held(2, 0), (0, 0, None));
+        // Largest first, each the spare of smallest capacity at least its
+        // length, cut to that length and keeping its capacity: 250 takes
+        // the 300 (however much longer it is), 95 the 100, 60 the 64, 36
+        // the 40.
+        assert_eq!(held(&out, 2, 1), (250, 300, Some(5.0)));
+        assert_eq!(held(&out, 1, 1), (95, 100, Some(1.0)));
+        assert_eq!(held(&out, 0, 0), (60, 64, Some(2.0)));
+        assert_eq!(held(&out, 1, 0), (36, 40, Some(3.0)));
+        // No spare holds 400: no fit, and no fresh buffer either — `fit`
+        // allocates nothing, and the spare it could not place (the 10)
+        // went with it.
+        assert_eq!(held(&out, 2, 0), (0, 0, None));
+        assert_eq!(held(&out, 0, 1), (0, 0, None));
         let kept: usize = out.iter().map(Vec::capacity).sum();
-        assert_eq!(kept, 95 + 60 + 36);
+        assert_eq!(kept, 300 + 100 + 64 + 40);
+        // A buffer cut short grows back within its capacity, in place: the
+        // 300 serves a 290 with the same allocation.
+        let at = out[2 * 2 + 1].as_ptr();
+        let again = RetiredLocals(out).fit(&[vec![290]], 1);
+        assert_eq!(held(&again, 0, 0), (290, 300, Some(5.0)));
+        assert_eq!(again[0].as_ptr(), at);
+        assert_eq!(again[0][250..], [0.0; 40]);
         // An empty store fits nothing.
         assert!(RetiredLocals::<f64>::default()
             .fit(&[vec![8, 8]], 2)
@@ -2216,16 +2265,18 @@ mod tests {
     #[test]
     fn retired_locals_recycle_and_never_outgrow_one_class() {
         // A class of three cycled block -> cyclic(2) -> uneven gen_block ->
-        // block -> .. over eight statements with one store: the data stays bitwise, after every
-        // statement the store holds at most the class's local bytes — and
-        // on a backend that cannot use spares, nothing.
+        // block -> .. over eight statements with one store: the data stays
+        // bitwise, after every statement the store holds at most one
+        // class's buffers of at most the longest local each (the bound on
+        // `RetiredLocals`) — and on a backend that cannot use spares,
+        // nothing.
         let (n, p) = (96usize, 4usize);
         let layouts = [
             DistType::block1d(),
             DistType::cyclic1d(2),
             DistType::gen_block1d(vec![10, 40, 30, 16]),
         ];
-        let class_bytes = 3 * n * 8;
+        let bound = 3 * p * 40 * 8;
         let pool = Arc::new(WorkerPool::new(3));
         let backends = [
             ExecBackend::Serial,
@@ -2266,10 +2317,10 @@ mod tests {
                     assert_eq!(reused, 3 * p, "{name} step {step}");
                 }
                 if backend.recycles_locals() {
-                    assert!(spares.bytes() > 0, "{name} step {step}: retired");
-                    assert!(spares.bytes() <= class_bytes, "{name} step {step}");
+                    assert!(spares.held_bytes() > 0, "{name} step {step}: retired");
+                    assert!(spares.held_bytes() <= bound, "{name} step {step}");
                 } else {
-                    assert_eq!(spares.bytes(), 0, "{name} step {step}: holds none");
+                    assert_eq!(spares.held_bytes(), 0, "{name} step {step}: holds none");
                 }
                 for (array, fill) in class.iter().zip(&fills) {
                     assert_eq!(&array.to_dense(), fill, "{name} step {step}");

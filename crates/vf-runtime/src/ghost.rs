@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn column_halo_is_run_length_encoded() {
         // A whole neighbour column is one contiguous run in both the
-        // owner's storage and the ghost buffer: the RLE collapses each
+        // owner's storage and the ghost buffer: the strided runs collapse each
         // (owner -> reader) face to a single run.
         let a = array_2d(DistType::columns(), 8, ProcessorView::linear(4));
         let plan =

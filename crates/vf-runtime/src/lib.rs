@@ -26,7 +26,7 @@
 //!   communication schedules and gather/scatter executors for irregular
 //!   accesses (§3.2, item 1, citing Saltz et al.);
 //! * [`plan`] — the unified communication-plan layer beneath all of the
-//!   above: run-length-encoded (sender → receiver) schedules
+//!   above: strided-run (sender → receiver) schedules
 //!   ([`CommPlan`]) built once, cached by distribution fingerprint
 //!   ([`PlanCache`], byte-bounded LRU) and replayed by the executors,
 //!   realising the PARTI schedule-reuse idea for every communication path

@@ -32,8 +32,8 @@ use vf_machine::{trace, CommTracker};
 
 /// A communication schedule built by the [`inspector`]: a gather
 /// [`CommPlan`] recording, for every requesting processor, the elements it
-/// must fetch from every owner — deduplicated, sorted and run-length
-/// encoded.
+/// must fetch from every owner — deduplicated, sorted and folded into
+/// strided runs.
 #[derive(Debug, Clone)]
 pub struct CommSchedule {
     plan: Arc<CommPlan>,

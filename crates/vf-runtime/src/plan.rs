@@ -11,10 +11,14 @@
 //! ([`crate::redistribute`], [`crate::ghost`], [`crate::parti`]) all build
 //! and execute their traffic through it:
 //!
-//! * a plan stores per-pair [`Transfer`]s as **run-length-encoded**
-//!   [`PlanRun`]s of contiguous local offsets (`BLOCK`-family layouts
-//!   collapse to a handful of runs per pair, instead of the per-point hash
-//!   maps the paths previously rebuilt on every call);
+//! * a plan stores per-pair [`Transfer`]s as **strided runs**
+//!   ([`PlanRun`]): `count` repetitions of `len` contiguous local offsets,
+//!   a constant stride apart on each side.  `BLOCK`-family layouts
+//!   collapse to a handful of runs per pair, and so do the regular strides
+//!   a contiguous run list cannot hold — a `CYCLIC(k)` target's blocks, a
+//!   halo face across column-major locals — which fold into one run per
+//!   stride as the planner pushes them.  Only an irregular pattern
+//!   (`INDIRECT`, a gather's access list) keeps one run per piece;
 //! * the planners resolve ownership **by stretch, not by element**: one
 //!   query to the `OwnerResolver` places a whole stretch of consecutive
 //!   global offsets that the target keeps on one owner at consecutive
@@ -185,9 +189,18 @@ impl<'a> OwnerResolver<'a> {
     }
 }
 
-/// One run-length-encoded transfer segment: `len` elements read from
-/// contiguous source offsets `src_start..src_start+len` and written to
-/// contiguous destination offsets `dst_start..dst_start+len`.
+/// One strided run of a transfer: `count` repetitions of `len` contiguous
+/// elements.  Repetition `k` reads source offsets from
+/// `src_start + k·src_stride` and writes destination offsets from
+/// `dst_start + k·dst_stride`, `len` of each, where the strides are the
+/// transfer's ([`Transfer::src_stride`], [`Transfer::dst_stride`]).  A run
+/// with `count == 1` is one contiguous copy and ignores the strides.
+///
+/// A run that does not repeat costs what a plain `(src, dst, len)` run
+/// would: `len` and `count` share one word, and the strides are stored once
+/// per transfer.  A plan of an irregular pattern — an `INDIRECT` layout, a
+/// connectivity-driven halo, a gather's access list — never folds, so it
+/// holds exactly the contiguous runs, at the same size.
 ///
 /// The meaning of the offsets depends on the plan kind: sender-local /
 /// receiver-local storage offsets for redistribution, sender-local storage
@@ -199,13 +212,23 @@ pub struct PlanRun {
     pub src_start: usize,
     /// First destination offset of the run.
     pub dst_start: usize,
-    /// Number of elements in the run.
-    pub len: usize,
+    /// Elements in each repetition (at least one).
+    pub len: u32,
+    /// Repetitions (at least one).
+    pub count: u32,
 }
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<PlanRun>() == 24);
 
 /// All traffic from one sender to one receiver: the element count and the
 /// run list.  `src == dst` transfers are local copies and are never charged
 /// to the cost model.
+///
+/// The elements travel in run order, each run repetition by repetition —
+/// the order the wire carries them in.  Every repeating run of a transfer
+/// steps by the same strides; a run whose stride differs is stored as runs
+/// that do not repeat.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transfer {
     /// Sending processor.
@@ -214,8 +237,53 @@ pub struct Transfer {
     pub dst: ProcId,
     /// Total elements moved by this transfer.
     pub elements: usize,
-    /// The run-length-encoded element list.
-    pub runs: Vec<PlanRun>,
+    /// The strided runs, in element order.
+    pub runs: Box<[PlanRun]>,
+    /// Source-offset distance between consecutive repetitions of a run (at
+    /// least the run's `len`; 0 when no run repeats).
+    pub src_stride: u32,
+    /// Destination-offset distance between consecutive repetitions of a
+    /// run (at least the run's `len`; 0 when no run repeats).
+    pub dst_stride: u32,
+}
+
+/// One run of a [`Transfer`] laid out for a walk: the source and
+/// destination spans it touches — first offset to last, gaps included —
+/// and the step between its repetitions in each.  A run that does not
+/// repeat steps by its own length, so every walk slices each span once and
+/// cuts it into `len`-element pieces every `step`.
+#[derive(Debug, Clone)]
+pub(crate) struct RunSpan {
+    pub(crate) src: std::ops::Range<usize>,
+    pub(crate) dst: std::ops::Range<usize>,
+    /// Elements per repetition.
+    pub(crate) len: usize,
+    /// Repetitions.
+    pub(crate) count: usize,
+    pub(crate) src_step: usize,
+    pub(crate) dst_step: usize,
+}
+
+impl Transfer {
+    /// The runs laid out for a walk, in element order.
+    pub(crate) fn spans(&self) -> impl Iterator<Item = RunSpan> + '_ {
+        self.runs.iter().map(|run| {
+            let (len, count) = (run.len as usize, run.count as usize);
+            let (src_step, dst_step) = if count == 1 {
+                (len, len)
+            } else {
+                (self.src_stride as usize, self.dst_stride as usize)
+            };
+            RunSpan {
+                src: run.src_start..run.src_start + (count - 1) * src_step + len,
+                dst: run.dst_start..run.dst_start + (count - 1) * dst_step + len,
+                len,
+                count,
+                src_step,
+                dst_step,
+            }
+        })
+    }
 }
 
 /// What a communication plan describes.
@@ -413,7 +481,7 @@ pub(crate) enum PlanIndex {
     },
 }
 
-/// A communication plan: the run-length-encoded schedule of one
+/// A communication plan: the strided-run schedule of one
 /// redistribution, ghost exchange, gather or scatter, independent of the
 /// element type.  Built once by a planner, executed any number of times
 /// while the involved distributions are unchanged (validated through their
@@ -523,12 +591,15 @@ impl CommPlan {
 
     /// Estimated resident size of the plan in bytes — what the plan costs
     /// to *keep*, not to execute.  Block-family schedules are a few runs
-    /// per processor pair; strided cyclic targets degrade to one run per
-    /// element, so plan sizes differ by orders of magnitude and the
-    /// [`PlanCache`] bounds its memory by this estimate rather than by
-    /// entry count.  The executors' pair index the plan keeps beside its
-    /// transfers is left out: on a 64-bit host, 72 bytes per crossing
-    /// pair, 24 per processor and about 180 per plan.
+    /// per processor pair, and so are regular strides, which fold into
+    /// repeating runs ([`PlanRun`]); an irregular pattern — an `INDIRECT`
+    /// target, a gather's scattered accesses — keeps one 24-byte run per
+    /// contiguous piece, down to one per element.  Plan sizes therefore
+    /// differ by orders of magnitude, and the [`PlanCache`] bounds its
+    /// memory by this estimate rather than by entry count.  The executors'
+    /// pair index the plan keeps beside its transfers is left out: on a
+    /// 64-bit host, 72 bytes per crossing pair, 24 per processor and about
+    /// 180 per plan.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
         // Per-slot overhead of the offset hash maps of gather plans (key +
@@ -727,32 +798,133 @@ impl CommPlan {
     }
 }
 
-/// Incremental builder grouping placements into transfers and
-/// run-length-encoding each transfer's element list.
+/// Incremental builder grouping placements into transfers and folding
+/// each transfer's element list into strided runs.
 struct PlanBuilder {
-    transfers: Vec<Transfer>,
+    transfers: Vec<PairRuns>,
     by_pair: HashMap<(usize, usize), usize>,
     moved: usize,
     stayed: usize,
     needed: usize,
+    /// Whether equal pieces a constant stride apart fold into repeating
+    /// runs ([`regular`]); otherwise every run is contiguous.
+    folds: bool,
+}
+
+/// Whether a plan over `dists` describes a regular pattern, whose pieces
+/// fold into repeating runs: none of them is `INDIRECT`.  An `INDIRECT`
+/// layout places elements by a mapping array, so its strides repeat only
+/// by chance — a chance fold saves 24 bytes and costs the executor a
+/// second kind of run to branch on, run after run.  The connectivity-driven
+/// halo, gather and scatter planners walk access lists and never fold.
+fn regular(dists: &[&Distribution]) -> bool {
+    dists.iter().all(|dist| !dist.dist_type().has_indirect())
+}
+
+/// One transfer under construction.
+struct PairRuns {
+    src: ProcId,
+    dst: ProcId,
+    elements: usize,
+    runs: Vec<PlanRun>,
+    /// The transfer's strides, fixed by its first repeating run.
+    strides: Option<(u32, u32)>,
+}
+
+impl PairRuns {
+    /// Appends `len` (`1..=u32::MAX`) elements travelling
+    /// `src_off.. -> dst_off..`, in one pass over nothing but the last run:
+    ///
+    /// * a piece that continues the last run's last repetition in both
+    ///   offsets extends it (a repeating run gives that repetition up to a
+    ///   new run first);
+    /// * a piece of the last run's length, one stride on from its last
+    ///   repetition, becomes its next repetition — the transfer's strides
+    ///   fixed by the first fold, and at least the length so repetitions
+    ///   never overlap;
+    /// * anything else starts a run.
+    ///
+    /// Unfolded, the runs are exactly the maximal contiguous pieces, so a
+    /// transfer never holds more runs than a contiguous run list would.
+    fn append(&mut self, src_off: usize, dst_off: usize, len: u32, folds: bool) {
+        if let Some(last) = self.runs.last_mut() {
+            let (ss, ds) = self.strides.unwrap_or((0, 0));
+            let reps = last.count as usize - 1;
+            let tail_src = last.src_start + reps * ss as usize;
+            let tail_dst = last.dst_start + reps * ds as usize;
+            let end = last.len as usize;
+            if tail_src + end == src_off && tail_dst + end == dst_off {
+                if let Some(grown) = last.len.checked_add(len) {
+                    if last.count == 1 {
+                        last.len = grown;
+                    } else {
+                        last.count -= 1;
+                        self.runs.push(PlanRun {
+                            src_start: tail_src,
+                            dst_start: tail_dst,
+                            len: grown,
+                            count: 1,
+                        });
+                    }
+                    return;
+                }
+            }
+            let step = |to: usize, from: usize| {
+                to.checked_sub(from)
+                    .and_then(|d| u32::try_from(d).ok())
+                    .filter(|&d| d >= len)
+            };
+            if folds && last.len == len && last.count < u32::MAX {
+                if let (Some(a), Some(b)) = (step(src_off, tail_src), step(dst_off, tail_dst)) {
+                    if *self.strides.get_or_insert((a, b)) == (a, b) {
+                        last.count += 1;
+                        return;
+                    }
+                }
+            }
+        }
+        self.runs.push(PlanRun {
+            src_start: src_off,
+            dst_start: dst_off,
+            len,
+            count: 1,
+        });
+    }
+
+    fn finish(self) -> Transfer {
+        let (src_stride, dst_stride) = self.strides.unwrap_or((0, 0));
+        Transfer {
+            src: self.src,
+            dst: self.dst,
+            elements: self.elements,
+            runs: self.runs.into_boxed_slice(),
+            src_stride,
+            dst_stride,
+        }
+    }
 }
 
 impl PlanBuilder {
-    fn new() -> Self {
+    fn new(folds: bool) -> Self {
         Self {
             transfers: Vec::new(),
             by_pair: HashMap::new(),
             moved: 0,
             stayed: 0,
             needed: 0,
+            folds,
         }
     }
 
     /// Adds `len` elements travelling `src[src_off..] -> dst[dst_off..]`,
-    /// merging them into the previous run of the pair when both offsets
-    /// continue it — so a placement pushed as one stretch of `len` builds
-    /// the same runs as `len` single elements would.
+    /// folded into the pair's runs as they arrive ([`PairRuns::append`]) —
+    /// so a placement pushed as one stretch of `len` builds the same
+    /// elements, in the same order, as `len` single elements would.  A
+    /// zero-length piece adds nothing, not even its pair.
     fn push(&mut self, src: ProcId, dst: ProcId, src_off: usize, dst_off: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
         if src == dst {
             self.stayed += len;
         } else {
@@ -760,28 +932,32 @@ impl PlanBuilder {
         }
         self.needed = self.needed.max(src.0 + 1).max(dst.0 + 1);
         let idx = *self.by_pair.entry((src.0, dst.0)).or_insert_with(|| {
-            self.transfers.push(Transfer {
+            self.transfers.push(PairRuns {
                 src,
                 dst,
                 elements: 0,
                 runs: Vec::new(),
+                strides: None,
             });
             self.transfers.len() - 1
         });
         let t = &mut self.transfers[idx];
         t.elements += len;
-        match t.runs.last_mut() {
-            Some(run)
-                if run.src_start + run.len == src_off && run.dst_start + run.len == dst_off =>
-            {
-                run.len += len;
-            }
-            _ => t.runs.push(PlanRun {
-                src_start: src_off,
-                dst_start: dst_off,
-                len,
-            }),
+        let mut done = 0;
+        while done < len {
+            let piece = u32::try_from(len - done).unwrap_or(u32::MAX);
+            t.append(src_off + done, dst_off + done, piece, self.folds);
+            done += piece as usize;
         }
+    }
+
+    /// The built transfers, in the order their pairs first appeared.
+    fn take_transfers(&mut self) -> Vec<Transfer> {
+        self.by_pair.clear();
+        std::mem::take(&mut self.transfers)
+            .into_iter()
+            .map(PairRuns::finish)
+            .collect()
     }
 }
 
@@ -789,8 +965,8 @@ impl PlanBuilder {
 /// §3.2.2, step 3): every sender's local storage, walked as contiguous
 /// [`vf_dist::LinearRun`]s, is cut into the stretches that `new` places on
 /// one owner at consecutive local offsets — one lookup per stretch, from
-/// the target's distribution functions — and the placements are
-/// run-length-encoded per (sender, receiver) pair.  (An `INDIRECT` target
+/// the target's distribution functions — and the placements are folded
+/// into strided runs per (sender, receiver) pair.  (An `INDIRECT` target
 /// resolves element by element through its translation table.)
 pub fn plan_redistribute(old: &Distribution, new: &Distribution) -> Result<CommPlan> {
     plan_redistribute_counted(
@@ -817,7 +993,7 @@ fn plan_redistribute_counted(
         });
     }
     let mut resolver = OwnerResolver::for_dist(new, store);
-    let mut b = PlanBuilder::new();
+    let mut b = PlanBuilder::new(regular(&[old, new]));
     place_senders(old, &mut resolver, &mut b);
     // Receivers that exist in the new distribution but get no elements
     // still constrain the tracker size.
@@ -826,13 +1002,14 @@ fn plan_redistribute_counted(
         .max(new.proc_ids().iter().map(|q| q.0 + 1).max().unwrap_or(1))
         .max(old.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1));
     let total_procs = new.procs().array().num_procs();
+    let transfers = b.take_transfers();
     Ok(CommPlan {
         kind: PlanKind::Redistribute,
         src_fingerprint: old.fingerprint(),
         total_procs,
         needed_procs: needed,
-        pairs: PairIndex::of(&b.transfers, total_procs),
-        transfers: b.transfers,
+        pairs: PairIndex::of(&transfers, total_procs),
+        transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.finish(counters)),
@@ -932,7 +1109,7 @@ fn plan_ghost_counted(
     let mut slots: Vec<GhostSlots> = (0..total_procs)
         .map(|_| GhostSlots::nothing(domain))
         .collect();
-    let mut b = PlanBuilder::new();
+    let mut b = PlanBuilder::new(regular(&[dist]));
 
     for (p, segment) in segments {
         // The overlap area (§3.1): the segment widened by the stencil
@@ -951,8 +1128,8 @@ fn plan_ghost_counted(
             IndexDomain::new(dims.collect()).expect("rank preserved")
         };
         // Slots are numbered over the frame `extended \ segment` in global
-        // column-major order, grouped by owner and run-length-encoded over
-        // (owner local, slot).
+        // column-major order, grouped by owner and folded into strided runs
+        // over (owner local, slot).
         let mut slot = 0usize;
         for_each_line(&segment, &extended, |origin, inside| {
             let (first, last) = (origin.coord(0), extended.dim(0).upper());
@@ -980,6 +1157,7 @@ fn plan_ghost_counted(
     }
 
     let fp = dist.fingerprint();
+    let transfers = b.take_transfers();
     Ok(CommPlan {
         kind: PlanKind::Ghost,
         src_fingerprint: fp,
@@ -987,8 +1165,8 @@ fn plan_ghost_counted(
         needed_procs: b
             .needed
             .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
-        pairs: PairIndex::of(&b.transfers, total_procs),
-        transfers: b.transfers,
+        pairs: PairIndex::of(&transfers, total_procs),
+        transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.finish(counters)),
@@ -1063,7 +1241,7 @@ fn plan_ghost_irregular_counted(
             }
         }
     }
-    let mut b = PlanBuilder::new();
+    let mut b = PlanBuilder::new(false);
     for &p in dist.proc_ids() {
         let n_local = dist.local_size(p);
         let mut local = LocalisedConnectivity {
@@ -1115,6 +1293,7 @@ fn plan_ghost_irregular_counted(
         };
     }
     let fp = dist.fingerprint();
+    let transfers = b.take_transfers();
     Ok(CommPlan {
         kind: PlanKind::Ghost,
         src_fingerprint: fp,
@@ -1122,8 +1301,8 @@ fn plan_ghost_irregular_counted(
         needed_procs: b
             .needed
             .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
-        pairs: PairIndex::of(&b.transfers, total_procs),
-        transfers: b.transfers,
+        pairs: PairIndex::of(&transfers, total_procs),
+        transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.map_or_else(Vec::new, |r| r.finish(counters))),
@@ -1171,7 +1350,7 @@ fn plan_gather(
             count: 0,
         })
         .collect();
-    let mut b = PlanBuilder::new();
+    let mut b = PlanBuilder::new(false);
     for (proc, mut reqs) in requests.into_iter().enumerate() {
         reqs.sort_unstable();
         reqs.dedup();
@@ -1182,6 +1361,7 @@ fn plan_gather(
         slots[proc].count = reqs.len();
     }
     let fp = dist.fingerprint();
+    let transfers = b.take_transfers();
     Ok(CommPlan {
         kind: PlanKind::Gather,
         src_fingerprint: fp,
@@ -1189,8 +1369,8 @@ fn plan_gather(
         needed_procs: b
             .needed
             .max(dist.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1)),
-        pairs: PairIndex::of(&b.transfers, total_procs),
-        transfers: b.transfers,
+        pairs: PairIndex::of(&transfers, total_procs),
+        transfers,
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.finish(counters)),
@@ -1213,7 +1393,7 @@ fn plan_scatter(
 ) -> Result<CommPlan> {
     let mut resolver = OwnerResolver::for_dist(dist, store);
     let mut ops = Vec::with_capacity(sources.len());
-    let mut b = PlanBuilder::new();
+    let mut b = PlanBuilder::new(false);
     for (from, point) in sources {
         let lin = dist.domain().linearize(point)?;
         let (owner, local, _) = resolver.locate_from(*from, lin, 1);
@@ -1223,9 +1403,9 @@ fn plan_scatter(
         b.push(*from, owner, 0, 0, 1);
     }
     // Collapse the dummy runs: only the counts matter.
-    let mut transfers = b.transfers;
+    let mut transfers = b.take_transfers();
     for t in &mut transfers {
-        t.runs.clear();
+        t.runs = Box::default();
     }
     let (fp, total_procs) = (dist.fingerprint(), dist.procs().array().num_procs());
     Ok(CommPlan {
@@ -1445,12 +1625,12 @@ pub struct PlanCache {
 impl PlanCache {
     /// Default estimated-byte budget (16 MiB) before least-recently-used
     /// eviction.  Plans differ wildly in size — a few runs per processor
-    /// pair for block-family layouts, one run per *element* for strided
-    /// cyclic targets — so the cache bounds the estimated bytes it holds
-    /// ([`CommPlan::estimated_bytes`]) rather than the entry count: a
-    /// drifting PIC load producing ever-new `BOUNDS` partitions evicts
-    /// many small block schedules or few huge cyclic ones, either way
-    /// staying within the same memory.
+    /// pair for block-family and strided layouts, one run per *element*
+    /// for scattered `INDIRECT` targets — so the cache bounds the
+    /// estimated bytes it holds ([`CommPlan::estimated_bytes`]) rather than
+    /// the entry count: a drifting PIC load producing ever-new `BOUNDS`
+    /// partitions evicts many small block schedules or few huge irregular
+    /// ones, either way staying within the same memory.
     pub const DEFAULT_BUDGET_BYTES: usize = 16 * 1024 * 1024;
 
     /// An empty cache with [`PlanCache::DEFAULT_BUDGET_BYTES`], owned by
@@ -1679,10 +1859,11 @@ mod tests {
         );
         for t in plan.transfers() {
             assert_eq!(t.runs.len(), 1, "{:?} -> {:?} fragmented", t.src, t.dst);
-            assert_eq!(t.elements, t.runs.iter().map(|r| r.len).sum::<usize>());
+            assert_eq!(t.runs[0].count, 1, "a contiguous overlap does not repeat");
+            assert_eq!(t.elements, t.runs[0].len as usize);
         }
         // The total run count is bounded by the pair count, not the element
-        // count — the memory argument for RLE schedules.
+        // count — the memory argument for run schedules.
         assert!(plan.transfers().len() <= 7);
     }
 
@@ -1960,9 +2141,12 @@ mod tests {
     fn redistribute_lookups(old: &Distribution, new: &Distribution) -> (usize, TranslationStats) {
         let store = PlanCache::new();
         let mut resolver = OwnerResolver::for_dist(new, &store);
-        let mut b = PlanBuilder::new();
+        let mut b = PlanBuilder::new(regular(&[old, new]));
         place_senders(old, &mut resolver, &mut b);
-        assert_eq!(b.transfers, plan_redistribute(old, new).unwrap().transfers);
+        assert_eq!(
+            b.take_transfers(),
+            plan_redistribute(old, new).unwrap().transfers
+        );
         let lookups = resolver.lookups;
         let mut counters = TranslationStats::default();
         resolver.finish(&mut counters);
@@ -1996,16 +2180,92 @@ mod tests {
 
     #[test]
     fn estimated_bytes_track_run_counts() {
-        // A strided cyclic target degrades to one run per element, so its
-        // plan must be estimated (much) larger than the handful-of-runs
-        // block shift over the same domain.
+        // A strided cyclic target folds into one repeating run per pair,
+        // as small to keep as the handful-of-runs block shift over the same
+        // domain; a scattered INDIRECT target keeps a run per piece and is
+        // estimated (much) larger.
         let n = 256usize;
         let block = dist_1d(DistType::block1d(), n, 4);
         let cyclic = dist_1d(DistType::cyclic1d(1), n, 4);
         let gen = dist_1d(DistType::gen_block1d(vec![32, 96, 64, 64]), n, 4);
-        let fragmented = plan_redistribute(&block, &cyclic).unwrap();
+        let strided = plan_redistribute(&block, &cyclic).unwrap();
         let compact = plan_redistribute(&block, &gen).unwrap();
-        assert!(fragmented.estimated_bytes() > 4 * compact.estimated_bytes());
+        for t in strided.transfers() {
+            assert_eq!(t.runs.len(), 1, "{:?} -> {:?}", t.src, t.dst);
+            assert_eq!((t.src_stride, t.dst_stride), (4, 1));
+        }
+        let scattered = plan_redistribute(&block, &scattered_1d(n, 4)).unwrap();
+        assert!(scattered.estimated_bytes() > 4 * strided.estimated_bytes());
+        assert!(scattered.estimated_bytes() > 4 * compact.estimated_bytes());
+    }
+
+    /// An `INDIRECT` layout of `n` elements over `p` processors with a
+    /// scrambled map: pieces of every length, a constant stride only by
+    /// chance.
+    fn scattered_1d(n: usize, p: usize) -> Distribution {
+        let owner = |i: usize| (i.wrapping_mul(2_654_435_761) >> 7) % p;
+        let map = vf_dist::IndirectMap::from_fn(n, owner).unwrap();
+        dist_1d(DistType::indirect1d(Arc::new(map)), n, p)
+    }
+
+    /// The contiguous run list of `t` — its elements in order, merged
+    /// wherever both offsets continue — as `(src, dst, len)`.
+    fn contiguous_runs(t: &Transfer) -> Vec<(usize, usize, usize)> {
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for run in t.spans() {
+            for k in 0..run.count {
+                let (s, d) = (
+                    run.src.start + k * run.src_step,
+                    run.dst.start + k * run.dst_step,
+                );
+                match runs.last_mut() {
+                    Some(last) if last.0 + last.2 == s && last.1 + last.2 == d => last.2 += run.len,
+                    _ => runs.push((s, d, run.len)),
+                }
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn an_indirect_plan_keeps_the_contiguous_runs_and_their_size() {
+        use std::mem::{size_of, size_of_val};
+        // Folding stores the strides once per transfer and `len`/`count`
+        // in one word: neither a run nor a transfer grew.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!((size_of::<PlanRun>(), size_of::<Transfer>()), (24, 48));
+        let n = 4096;
+        let block = dist_1d(DistType::block1d(), n, 4);
+        for (old, new) in [
+            (block.clone(), scattered_1d(n, 4)),
+            (scattered_1d(n, 4), block.clone()),
+            (scattered_1d(n, 3), scattered_1d(n, 4)),
+        ] {
+            // A scrambled map repeats a stride now and then by chance; an
+            // INDIRECT plan still folds nothing, so it holds exactly the
+            // contiguous run list and is estimated at exactly its size.
+            let plan = plan_redistribute(&old, &new).unwrap();
+            let mut runs = 0;
+            for t in plan.transfers() {
+                let contiguous: Vec<_> = contiguous_runs(t);
+                let stored: Vec<_> = (t.runs.iter())
+                    .map(|r| (r.src_start, r.dst_start, r.len as usize))
+                    .collect();
+                assert_eq!(stored, contiguous);
+                assert!(t.runs.iter().all(|r| r.count == 1));
+                runs += t.runs.len();
+            }
+            let expected = size_of::<CommPlan>()
+                + size_of_val(plan.transfers())
+                + runs * size_of::<PlanRun>()
+                + new.estimated_bytes();
+            assert_eq!(plan.estimated_bytes(), expected);
+        }
+        // The same scrambled pieces between regular layouts would fold
+        // where a stride repeats: a BLOCK -> CYCLIC(1) plan is one
+        // repeating run per pair.
+        let cyclic = plan_redistribute(&block, &dist_1d(DistType::cyclic1d(1), n, 4)).unwrap();
+        assert!(cyclic.transfers().iter().all(|t| t.runs.len() == 1));
     }
 
     #[test]

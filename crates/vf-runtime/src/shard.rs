@@ -388,12 +388,21 @@ fn pack_frame<T: Element>(
     let mut acc = 0u64;
     for (sl, t) in fused.pair_parts(pi) {
         let mut off = sl.wire_offset;
-        for run in &t.runs {
-            acc ^= pack_le_xor(
-                &my[sl.part][run.src_start..run.src_start + run.len],
-                &mut payload[off * T::BYTES..(off + run.len) * T::BYTES],
-            );
-            off += run.len;
+        for run in t.spans() {
+            let n = run.len * run.count;
+            let out = &mut payload[off * T::BYTES..(off + n) * T::BYTES];
+            let from = &my[sl.part][run.src];
+            acc ^= if run.count == 1 {
+                pack_le_xor(from, out)
+            } else if run.len == 1 {
+                pack_le_xor(from.iter().step_by(run.src_step), out)
+            } else {
+                let reps = from
+                    .chunks(run.src_step)
+                    .zip(out.chunks_mut(run.len * T::BYTES));
+                reps.fold(0, |acc, (s, o)| acc ^ pack_le_xor(&s[..run.len], o))
+            };
+            off += n;
         }
         debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
     }
@@ -437,12 +446,21 @@ fn unpack_frame<T: Element>(
     }
     for (sl, t) in fused.pair_parts(pi) {
         let mut off = sl.wire_offset;
-        for run in &t.runs {
-            unpack_le(
-                &payload[off * T::BYTES..(off + run.len) * T::BYTES],
-                &mut bufs[sl.part][run.dst_start..run.dst_start + run.len],
-            );
-            off += run.len;
+        for run in t.spans() {
+            let n = run.len * run.count;
+            let bytes = &payload[off * T::BYTES..(off + n) * T::BYTES];
+            let to = &mut bufs[sl.part][run.dst];
+            if run.count == 1 {
+                unpack_le(bytes, to);
+            } else if run.len == 1 {
+                unpack_le(bytes, to.iter_mut().step_by(run.dst_step));
+            } else {
+                let reps = to
+                    .chunks_mut(run.dst_step)
+                    .zip(bytes.chunks(run.len * T::BYTES));
+                reps.for_each(|(d, b)| unpack_le(b, &mut d[..run.len]));
+            }
+            off += n;
         }
     }
     Ok(())

@@ -230,22 +230,27 @@ fn aggregation_ablation_shows_latency_savings() {
 
 // ---------------------------------------------------------------------------
 // The per-element oracle.  `plan_redistribute` and `plan_ghost` resolve one
-// contiguous stretch per lookup; the plans below are built one element at a
-// time from the public ownership functions (`Distribution::owner`,
-// `loc_map`, `local_linear_runs`), and every planned plan must equal them
-// run for run.  The layouts are a fixed grid, not a random draw.
+// contiguous stretch per lookup and fold equal pieces into strided runs;
+// the plans below are built one element at a time from the public
+// ownership functions (`Distribution::owner`, `loc_map`,
+// `local_linear_runs`), and every planned transfer, expanded element by
+// element, must list the same elements in the same order.
 // ---------------------------------------------------------------------------
 
+use std::mem::size_of;
 use std::sync::Arc;
 use vf_core::vf_dist::AlignExpr;
 use vf_core::vf_runtime::plan::{plan_ghost, plan_redistribute, PlanRun, Transfer};
 
-/// A plan built one element at a time, run-length-encoded with the
-/// planner's rule: an element extends the last run of its pair when both
-/// offsets continue it.
+/// One pair's traffic: sender, receiver and the `(source, destination)`
+/// offsets of every element in wire order.
+type ElementTransfer = (ProcId, ProcId, Vec<(usize, usize)>);
+
+/// A plan built one element at a time: its transfers in the order the
+/// pairs first appear.
 #[derive(Default)]
 struct ElementPlan {
-    transfers: Vec<Transfer>,
+    transfers: Vec<ElementTransfer>,
     moved: usize,
     stayed: usize,
 }
@@ -257,52 +262,72 @@ impl ElementPlan {
         } else {
             self.moved += 1;
         }
-        let at = match self
-            .transfers
-            .iter()
-            .position(|t| (t.src, t.dst) == (src, dst))
-        {
+        let at = match self.transfers.iter().position(|t| (t.0, t.1) == (src, dst)) {
             Some(at) => at,
             None => {
-                self.transfers.push(Transfer {
-                    src,
-                    dst,
-                    elements: 0,
-                    runs: Vec::new(),
-                });
+                self.transfers.push((src, dst, Vec::new()));
                 self.transfers.len() - 1
             }
         };
-        let t = &mut self.transfers[at];
-        t.elements += 1;
-        match t.runs.last_mut() {
-            Some(run)
-                if run.src_start + run.len == src_off && run.dst_start + run.len == dst_off =>
-            {
-                run.len += 1
-            }
-            _ => t.runs.push(PlanRun {
-                src_start: src_off,
-                dst_start: dst_off,
-                len: 1,
-            }),
-        }
+        self.transfers[at].2.push((src_off, dst_off));
     }
 
     fn num_messages(&self) -> usize {
-        let crossing = |t: &&Transfer| t.src != t.dst && t.elements > 0;
+        let crossing = |t: &&ElementTransfer| t.0 != t.1 && !t.2.is_empty();
         self.transfers.iter().filter(crossing).count()
     }
 
-    /// The plan's resident estimate: the plan, its transfers and runs, and
-    /// the target distribution a redistribution plan keeps.
-    fn estimated_bytes(&self, new: &Distribution) -> usize {
-        use std::mem::size_of;
-        let transfers: usize = (self.transfers.iter())
-            .map(|t| size_of::<Transfer>() + t.runs.len() * size_of::<PlanRun>())
-            .sum();
-        size_of::<CommPlan>() + transfers + new.estimated_bytes()
+    /// Runs a contiguous run list would need: one per maximal stretch
+    /// whose offsets both continue.
+    fn contiguous_runs(&self) -> usize {
+        let breaks = |els: &Vec<(usize, usize)>| {
+            1 + els
+                .windows(2)
+                .filter(|w| (w[0].0 + 1, w[0].1 + 1) != w[1])
+                .count()
+        };
+        self.transfers.iter().map(|t| breaks(&t.2)).sum()
     }
+}
+
+/// `t`'s elements in wire order: run by run, repetition by repetition.
+fn expand(t: &Transfer) -> Vec<(usize, usize)> {
+    let mut elements = Vec::with_capacity(t.elements);
+    for run in t.runs.iter() {
+        for k in 0..run.count as usize {
+            let (step_src, step_dst) = (k * t.src_stride as usize, k * t.dst_stride as usize);
+            for e in 0..run.len as usize {
+                elements.push((run.src_start + step_src + e, run.dst_start + step_dst + e));
+            }
+        }
+    }
+    elements
+}
+
+/// `plan` against the element-by-element `expected`: every transfer's
+/// expansion, the counts, messages and bytes — and runs that are well
+/// formed and no more than a contiguous run list would hold.
+fn check_against(plan: &CommPlan, expected: &ElementPlan, what: &str) {
+    let expanded: Vec<ElementTransfer> = (plan.transfers().iter())
+        .map(|t| (t.src, t.dst, expand(t)))
+        .collect();
+    assert!(expanded == expected.transfers, "{what}");
+    for t in plan.transfers() {
+        assert_eq!(t.elements, expand(t).len(), "{what}");
+        for run in t.runs.iter() {
+            assert!(run.len > 0 && run.count > 0, "{what}: empty run");
+            if run.count > 1 {
+                // Repetitions never overlap.
+                assert!(t.src_stride >= run.len && t.dst_stride >= run.len, "{what}");
+            }
+        }
+    }
+    assert_eq!(plan.moved_elements(), expected.moved, "{what}");
+    assert_eq!(plan.stayed_elements(), expected.stayed, "{what}");
+    assert_eq!(plan.num_messages(), expected.num_messages(), "{what}");
+    assert_eq!(plan.bytes_for(8), expected.moved * 8, "{what}");
+    let runs: usize = plan.transfers().iter().map(|t| t.runs.len()).sum();
+    assert!(runs <= expected.contiguous_runs(), "{what}: {runs} runs");
 }
 
 /// `DISTRIBUTE old -> new`, element by element: every element the sending
@@ -360,16 +385,20 @@ fn element_ghost(dist: &Distribution, widths: &[(usize, usize)]) -> ElementPlan 
 fn check_redistribute(old: &Distribution, new: &Distribution) {
     let what = format!("{old} -> {new} over {}", old.domain());
     let plan = plan_redistribute(old, new).unwrap();
-    let expected = element_redistribute(old, new);
-    assert_eq!(plan.transfers(), &expected.transfers[..], "{what}");
-    assert_eq!(plan.moved_elements(), expected.moved, "{what}");
-    assert_eq!(plan.stayed_elements(), expected.stayed, "{what}");
-    assert_eq!(plan.num_messages(), expected.num_messages(), "{what}");
-    assert_eq!(
-        plan.estimated_bytes(),
-        expected.estimated_bytes(new),
-        "{what}"
-    );
+    check_against(&plan, &element_redistribute(old, new), &what);
+    // What the plan keeps: its transfers and runs, and the target it
+    // sizes new locals from.
+    let transfers: usize = (plan.transfers().iter())
+        .map(|t| size_of::<Transfer>() + t.runs.len() * size_of::<PlanRun>())
+        .sum();
+    let kept = size_of::<CommPlan>() + transfers + new.estimated_bytes();
+    assert_eq!(plan.estimated_bytes(), kept, "{what}");
+}
+
+fn check_ghost(dist: &Distribution, widths: &[(usize, usize)]) {
+    let plan = plan_ghost(dist, widths).unwrap();
+    let what = format!("{dist} over {} with {widths:?}", dist.domain());
+    check_against(&plan, &element_ghost(dist, widths), &what);
 }
 
 /// General-block sizes over `procs` with empty blocks: every even
@@ -550,16 +579,160 @@ fn ghost_plans_equal_the_element_by_element_plan() {
                 let w: Vec<(usize, usize)> = (0..rank)
                     .map(|d| widths[code / widths.len().pow(d % 2) % widths.len()])
                     .collect();
-                let plan = plan_ghost(&dist, &w).unwrap();
-                let expected = element_ghost(&dist, &w);
-                let what = format!("{dist} over {} with {w:?}", dist.domain());
-                assert_eq!(plan.transfers(), &expected.transfers[..], "{what}");
-                assert_eq!(plan.moved_elements(), expected.moved, "{what}");
-                assert_eq!(plan.stayed_elements(), expected.stayed, "{what}");
-                assert_eq!(plan.num_messages(), expected.num_messages(), "{what}");
+                check_ghost(&dist, &w);
                 plans += 1;
             }
         }
     }
     assert!(plans >= 1_000, "only {plans} halo plans");
+}
+
+/// A small deterministic generator (SplitMix64) for the drawn shapes.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+/// A drawn view: linear with up to nine processors (often more than an
+/// extent), or a grid of up to 3 × 3.
+fn draw_view(g: &mut Draw) -> ProcessorView {
+    match g.range(0, 2) {
+        0 => ProcessorView::grid2d(g.range(1, 3), g.range(1, 3)),
+        _ => ProcessorView::linear(g.range(1, 9)),
+    }
+}
+
+/// General-block sizes of `n` over `procs`, drawn, empty blocks included.
+fn draw_gen_block(g: &mut Draw, n: usize, procs: usize) -> Vec<usize> {
+    let mut sizes = vec![0; procs];
+    for _ in 0..n {
+        sizes[g.range(0, procs - 1)] += 1;
+    }
+    sizes
+}
+
+/// A drawn layout of `domain` whose dimensions are each `:`, BLOCK, a
+/// general block or CYCLIC(k) — `None` when the draw does not fit the
+/// view.
+fn draw_layout(g: &mut Draw, domain: &IndexDomain) -> Option<Distribution> {
+    let view = draw_view(g);
+    let rank = domain.rank();
+    let picks: Vec<usize> = (0..rank).map(|_| g.range(0, 3)).collect();
+    let distributed = picks.iter().filter(|&&c| c != 0).count();
+    let mut dims = Vec::with_capacity(rank);
+    let mut ddim = 0;
+    for (d, &pick) in picks.iter().enumerate() {
+        let procs = match distributed {
+            1 => view.num_procs(),
+            r if r == view.rank() => view.grid_extents()[ddim.min(r - 1)],
+            _ => 1,
+        };
+        dims.push(match pick {
+            0 => DimDist::NotDistributed,
+            1 => DimDist::Block,
+            2 => DimDist::GenBlock(draw_gen_block(g, domain.extent(d), procs)),
+            _ => DimDist::Cyclic(g.range(1, 5)),
+        });
+        ddim += usize::from(pick != 0);
+    }
+    Distribution::new(DistType::new(dims), domain.clone(), view).ok()
+}
+
+/// A drawn domain of rank 1 to 3, up to about 2 000 elements.
+fn draw_domain(g: &mut Draw) -> IndexDomain {
+    let rank = g.range(1, 3);
+    let max = [0, 200, 40, 12][rank];
+    let dims = (0..rank).map(|_| DimRange::new(1, g.range(1, max) as i64).unwrap());
+    IndexDomain::new(dims.collect()).unwrap()
+}
+
+#[test]
+fn drawn_shapes_expand_to_the_element_by_element_plan() {
+    let mut g = Draw(0x5eed_0035);
+    let (mut pairs, mut transposed, mut halos) = (0, 0, 0);
+    while pairs < 600 {
+        let domain = draw_domain(&mut g);
+        let (Some(old), Some(new)) = (draw_layout(&mut g, &domain), draw_layout(&mut g, &domain))
+        else {
+            continue;
+        };
+        check_redistribute(&old, &new);
+        pairs += 1;
+        // A transposed secondary of a rank-2 array, to and from the drawn
+        // layout.
+        if let [n, m] = domain.extents()[..] {
+            let base_domain = IndexDomain::d2(m, n);
+            if let Some(base) = draw_layout(&mut g, &base_domain) {
+                let aligned = construct(&Alignment::transpose2d(), &base, &domain).unwrap();
+                check_redistribute(&old, &aligned);
+                check_redistribute(&aligned, &new);
+                transposed += 1;
+            }
+        }
+        // Halos of every drawn layout of boxes, at drawn widths.
+        if new
+            .proc_ids()
+            .iter()
+            .all(|&p| new.local_segment(p).is_some())
+        {
+            let widths: Vec<(usize, usize)> = (0..domain.rank())
+                .map(|_| (g.range(0, 2), g.range(0, 2)))
+                .collect();
+            check_ghost(&new, &widths);
+            halos += 1;
+        }
+    }
+    assert!(
+        transposed > 50 && halos > 100,
+        "{transposed} transposed, {halos} halos"
+    );
+}
+
+#[test]
+fn row_and_block_halos_fold_their_faces() {
+    // With column-major locals a (BLOCK,:) face is one element per column:
+    // each (owner -> reader) face of a one-wide halo folds into a single
+    // strided run, as does every face of a (BLOCK,BLOCK) one, and a corner
+    // is one element.  Up to seven processors over as few as one row
+    // leave processors empty.
+    let mut g = Draw(7);
+    for _ in 0..60 {
+        let (n, m) = (g.range(1, 40), g.range(1, 40));
+        for (t, view, one_wide) in [
+            (
+                DistType::rows(),
+                ProcessorView::linear(g.range(1, 7)),
+                [(1, 1), (0, 0)],
+            ),
+            (
+                DistType::blocks2d(),
+                ProcessorView::grid2d(g.range(1, 3), g.range(1, 3)),
+                [(1, 1), (1, 1)],
+            ),
+        ] {
+            let dist = Distribution::new(t, IndexDomain::d2(n, m), view).unwrap();
+            let drawn = [
+                (g.range(0, 2), g.range(0, 2)),
+                (g.range(0, 2), g.range(0, 2)),
+            ];
+            check_ghost(&dist, &drawn);
+            check_ghost(&dist, &one_wide);
+            let plan = plan_ghost(&dist, &one_wide).unwrap();
+            for t in plan.transfers() {
+                assert_eq!(t.runs.len(), 1, "{dist}: {:?} -> {:?}", t.src, t.dst);
+            }
+        }
+    }
 }
