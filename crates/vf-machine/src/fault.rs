@@ -41,9 +41,9 @@ pub enum FaultKind {
     /// One element of a fused wire buffer arrives with a flipped bit; the
     /// frame checksum must detect it and force a retransmission.
     CorruptWire,
-    /// A pool worker dies: the executor must degrade (pooled →
-    /// fresh-spawn → serial) and streaming unpack must recover the dead
-    /// rank's abandoned items.
+    /// A pool worker dies: the executor must degrade (full pool → the
+    /// survivors on the same pool → serial) and streaming unpack must
+    /// recover the dead rank's abandoned items.
     WorkerDeath,
     /// A split-phase handle is cancelled before streaming can be made
     /// safe: the exchange falls back to blocking unpack.

@@ -47,7 +47,7 @@ mod tracker;
 pub use cost::CostModel;
 pub use fault::{CorruptSpec, FaultInjector, FaultKind, FaultPlan, RankDeathSpec};
 pub use machine::Machine;
-pub use pool::{JobTicket, WorkerCtx, WorkerPool};
+pub use pool::{JobTicket, WorkerPool};
 pub use spmd::{SpmdError, WireFrameMsg};
 pub use stats::{CommStats, ProcStats};
 pub use topology::Topology;

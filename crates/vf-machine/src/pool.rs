@@ -1,27 +1,24 @@
 //! A persistent pool of parked SPMD worker threads.
 //!
-//! [`spmd::run_partitioned`](crate::spmd::run_partitioned) pays a full
-//! harness setup — fresh OS threads, channels, a barrier — on *every* call,
-//! even though the plan-executor copy closures it drives never touch a
-//! channel.  For plans near the serial cutoff that setup costs as much as
-//! the memcpy work itself, which is why the threaded executor needed a
-//! large serial cutoff at all.  A [`WorkerPool`] keeps the workers alive
-//! across calls instead: threads are spawned once, park between jobs, and
-//! a job submission is an epoch bump plus one unpark per spawned worker —
-//! no spawn, no channel allocation, no join.  The submitting thread
-//! itself is logical rank 0 and runs its own share of every job instead
-//! of parking idle (caller participation), so a `W`-wide pool wakes only
-//! `W - 1` threads.
+//! Spawning fresh OS threads for every plan execution costs as much as
+//! the memcpy work itself for plans near the serial cutoff.  A
+//! [`WorkerPool`] keeps its workers alive across calls instead: threads
+//! are spawned once, park between jobs, and a job submission is an epoch
+//! bump plus one unpark per participating worker — no spawn, no channel
+//! allocation, no join.  The submitting thread itself is logical rank 0
+//! and runs its own share of every job instead of parking idle (caller
+//! participation), so a `W`-wide pool wakes only `W - 1` threads.
 //!
 //! ## Job handoff (seqlock-style epoch publication)
 //!
 //! Submission is lock-free on the hot path: the submitting thread writes a
 //! type-erased borrow of the job closure into the shared job cell, then
-//! *publishes* it by bumping an atomic epoch with `Release` ordering and
-//! unparking every worker.  A worker observes the new epoch with `Acquire`
-//! (the seqlock read side: epoch first, payload after), runs the job once,
-//! and decrements the outstanding-worker count; the last finisher unparks
-//! the submitter.  The submitting thread **blocks until every worker has
+//! *publishes* it by storing a new epoch — a sequence number and the job's
+//! width in one atomic word — with `Release` ordering and unparking the
+//! participating workers.  A worker observes the new epoch with `Acquire`
+//! (the seqlock read side: epoch first, payload after), runs the job once
+//! if its rank is inside the width, and decrements the outstanding-worker
+//! count; the last finisher unparks the submitter.  The submitting thread **blocks until every worker has
 //! reported completion**, so handing the workers a *borrowed*
 //! (non-`'static`) closure is sound — the same scoped-borrow argument
 //! `std::thread::scope` makes, applied to pre-existing threads.  The
@@ -30,12 +27,10 @@
 //!
 //! ## Right-sized wakes and split-phase submission
 //!
-//! Dispatches carry a *width*: [`WorkerPool::run_limited`] (and
-//! [`WorkerPool::run_partitioned`], which sizes the width to
-//! `min(workers, items)`) wakes only the threads whose rank participates,
-//! so a job with two items on an eight-wide pool pays one unpark, not
-//! seven.  [`WorkerPool::submit`] additionally decouples posting a job
-//! from completing it: the woken workers stream through the job while the
+//! Dispatches carry a *width*: [`WorkerPool::run_limited`] wakes only the
+//! threads whose rank participates, so a job with two items on an
+//! eight-wide pool pays one unpark, not seven.  [`WorkerPool::submit`]
+//! additionally decouples posting a job from completing it: the woken workers stream through the job while the
 //! submitting thread runs unrelated local work, and the returned
 //! [`JobTicket`] runs rank 0's share and blocks only when the results are
 //! actually needed — the mechanism behind split-phase (post → interior
@@ -51,7 +46,6 @@
 
 #![allow(unsafe_code)] // scoped job handoff: lifetime erasure + job cell, see above
 
-use crate::CommTracker;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -75,15 +69,18 @@ struct JobCell(UnsafeCell<Option<Job>>);
 // before writing again).
 unsafe impl Sync for JobCell {}
 
+/// Bits of an epoch word holding the published job's width; the bits
+/// above them count published jobs.
+const WIDTH_BITS: u32 = 32;
+
 struct Inner {
-    /// Bumped once per submitted job (`Release`); workers re-run nothing
-    /// for an epoch they have already seen.
+    /// The published job's epoch: `(sequence << WIDTH_BITS) | width`,
+    /// stored once per published job (`Release`).  Workers re-run nothing
+    /// for an epoch they have already seen, and only ranks `0..width` run
+    /// the job.  The width travels in the same word as the sequence so a
+    /// worker reads both in one `Acquire` load: a bystander can never pair
+    /// one job's epoch with the next job's width (see `worker_loop`).
     epoch: AtomicU64,
-    /// Logical width of the current job: only ranks `0..width` run it.
-    /// Written before the epoch bump that publishes the job, so any worker
-    /// that observes the new epoch also observes the width and can re-park
-    /// without touching `remaining` when its rank is outside the job.
-    width: AtomicUsize,
     /// The current job, published by the epoch bump.
     job: JobCell,
     /// Workers that have not yet finished the current job.
@@ -140,7 +137,6 @@ impl WorkerPool {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
             epoch: AtomicU64::new(0),
-            width: AtomicUsize::new(0),
             job: JobCell(UnsafeCell::new(None)),
             remaining: AtomicUsize::new(0),
             panicked: AtomicUsize::new(0),
@@ -218,6 +214,29 @@ impl WorkerPool {
     /// Publishes `job` to ranks `1..width` (the submitting thread is rank
     /// 0 and is not woken).  Requires the submit mutex to be held and no
     /// job outstanding.
+    ///
+    /// Why nobody sees a half-published job:
+    ///
+    /// * *A concurrent submitter* is blocked on the submit mutex, which
+    ///   this submitter releases only after [`WorkerPool::complete`] has
+    ///   seen `remaining == 0` — after every participant of this job has
+    ///   finished with the job cell.  The next submitter's writes below
+    ///   therefore never overlap a read of this job.
+    /// * *A participating rank* (`1..width`) reads the job cell only after
+    ///   an `Acquire` load returns this epoch, and the `Release` store of
+    ///   the epoch comes after every write here (`remaining`, `panicked`,
+    ///   the job cell), so it sees them all.  It is counted in
+    ///   `remaining`, so the cell cannot be rewritten before it is done.
+    /// * *A bystander rank* (`width..workers`) — still looping after its
+    ///   last job, or woken spuriously or by a stale unpark token — reads
+    ///   the width from the same word as the epoch, so it sees its own rank outside the job and re-parks
+    ///   without touching the cell or `remaining`.  Were the width a
+    ///   separate atomic, a bystander stalled between the two loads could
+    ///   read this epoch with the *next* job's width, run that job early
+    ///   while its cell is being written, and run it again at the next
+    ///   epoch — a double count in `remaining`.
+    /// * With `width == 1` nothing is stored in the cell or the epoch, so
+    ///   no worker wakes at all.
     fn publish(&self, width: usize, job: Job) {
         assert!(
             !self.inner.shutdown.load(Ordering::Acquire),
@@ -231,17 +250,21 @@ impl WorkerPool {
             .unwrap_or_else(PoisonError::into_inner) = Some(std::thread::current());
         self.inner.panicked.store(0, Ordering::Relaxed);
         self.inner.remaining.store(width - 1, Ordering::Relaxed);
-        self.inner.width.store(width, Ordering::Relaxed);
         if width == 1 {
             // Rank 0 only: nothing to publish, nobody to wake.
             return;
         }
         // SAFETY: no worker is running (`remaining` was 0 and only this
         // thread, holding the submit mutex, starts jobs), so writing the
-        // job cell cannot race a read; the epoch bump below publishes it
-        // (and the width store above) to every worker that observes it.
+        // job cell cannot race a read; the epoch store below publishes it
+        // (and the stores above) to every worker that observes it.
         unsafe { *self.inner.job.0.get() = Some(job) };
-        self.inner.epoch.fetch_add(1, Ordering::Release);
+        // Only submitters (serialised by the mutex) store the epoch, so a
+        // plain load-then-store is the increment.
+        let sequence = (self.inner.epoch.load(Ordering::Relaxed) >> WIDTH_BITS).wrapping_add(1);
+        self.inner
+            .epoch
+            .store((sequence << WIDTH_BITS) | width as u64, Ordering::Release);
         for t in &self.threads[..width - 1] {
             t.unpark();
         }
@@ -249,6 +272,15 @@ impl WorkerPool {
 
     /// Blocks until every participating worker has finished the current
     /// job, then re-raises panics (rank 0's own outcome is `inline`).
+    ///
+    /// The `Acquire` load that reads `remaining == 0` synchronises with
+    /// every participant's `AcqRel` decrement, each of which comes after
+    /// that participant's last use of the job borrow and its panic
+    /// bookkeeping: from here on no worker touches the job, so the caller
+    /// may free the closure and release the submit mutex to the next
+    /// submitter.  A late unpark from a finisher that has already
+    /// decremented is harmless: `park` may return spuriously anyway and
+    /// every wait re-checks its condition.
     fn complete(&self, inline: std::thread::Result<()>) {
         while self.inner.remaining.load(Ordering::Acquire) > 0 {
             std::thread::park();
@@ -313,54 +345,6 @@ impl WorkerPool {
             job: Some(job),
         }
     }
-
-    /// Runs `num_items` independent work items over the pool's workers
-    /// (round-robin by item index) and returns the results in item order —
-    /// the persistent-pool counterpart of
-    /// [`spmd::run_partitioned`](crate::spmd::run_partitioned), with the
-    /// same closure shape so existing copy closures run unchanged.
-    ///
-    /// `tracker` is the machine context the items are accounted against
-    /// (exposed through [`WorkerCtx::charge_compute`]); the dispatch itself
-    /// charges nothing.
-    pub fn run_partitioned<R, F>(&self, tracker: &CommTracker, num_items: usize, work: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut WorkerCtx<'_>, usize) -> R + Sync,
-    {
-        if num_items == 0 {
-            return Vec::new();
-        }
-        // Right-sized wake: a job with fewer items than workers only wakes
-        // the ranks that have an item to run.
-        let workers = self.workers.min(num_items);
-        let slots: Vec<Mutex<Vec<(usize, R)>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        self.run_limited(workers, &|rank| {
-            let mut ctx = WorkerCtx {
-                rank,
-                workers,
-                tracker,
-            };
-            let mut out = Vec::new();
-            let mut item = rank;
-            while item < num_items {
-                out.push((item, work(&mut ctx, item)));
-                item += workers;
-            }
-            *slots[rank].lock().unwrap_or_else(PoisonError::into_inner) = out;
-        });
-        let mut results: Vec<Option<R>> = (0..num_items).map(|_| None).collect();
-        for slot in slots {
-            for (item, r) in slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                results[item] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every item is assigned to exactly one worker"))
-            .collect()
-    }
 }
 
 /// A handle to a job started with [`WorkerPool::submit`] but not yet
@@ -384,6 +368,12 @@ impl JobTicket<'_> {
         self.finish();
     }
 
+    /// Completes the job exactly once (`wait`, then `drop`, both land
+    /// here; `job` is taken by the first).  The ticket still holds the
+    /// submit mutex, so no other submitter can publish between the post
+    /// and this completion; the job's `Arc` is dropped only after
+    /// `remaining == 0`, when no worker can dereference the borrow that
+    /// [`WorkerPool::submit`] published.
     fn finish(&mut self) {
         let Some(job) = self.job.take() else {
             return;
@@ -448,12 +438,13 @@ fn worker_loop(inner: &Inner, rank: usize) {
             std::thread::park();
         };
         seen = epoch;
-        // The width store happens-before the `Release` epoch bump, so this
-        // `Relaxed` load (after the `Acquire` epoch read) sees the job's
-        // width.  Ranks outside the job re-park without touching
+        // The width is the low bits of the epoch word this worker just
+        // loaded, so it is this job's width however long ago the load
+        // was.  Ranks outside the job re-park without touching
         // `remaining` — a spuriously woken bystander must not run the job
         // (or underflow the completion count) of a narrower dispatch.
-        if rank >= inner.width.load(Ordering::Relaxed) {
+        let width = (epoch & ((1 << WIDTH_BITS) - 1)) as usize;
+        if rank >= width {
             continue;
         }
         // SAFETY: the `Acquire` epoch read above synchronises with the
@@ -487,38 +478,6 @@ fn worker_loop(inner: &Inner, rank: usize) {
     }
 }
 
-/// Per-worker context handed to [`WorkerPool::run_partitioned`] closures —
-/// the pool counterpart of [`crate::spmd::ProcCtx`] for embarrassingly
-/// parallel work items (no channels: pool jobs do not message each other).
-pub struct WorkerCtx<'a> {
-    rank: usize,
-    workers: usize,
-    tracker: &'a CommTracker,
-}
-
-impl WorkerCtx<'_> {
-    /// This worker's rank (0-based).
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of workers in the pool.
-    pub fn num_workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The communication tracker of the submitting execution.
-    pub fn tracker(&self) -> &CommTracker {
-        self.tracker
-    }
-
-    /// Charges `flops` floating-point operations of local work to
-    /// simulated processor `proc` in the cost model.
-    pub fn charge_compute(&self, proc: usize, flops: usize) {
-        self.tracker.compute(proc, flops);
-    }
-}
-
 /// The process-wide shared worker pool, sized to the host's available
 /// parallelism and created on first use.  Scopes and applications all
 /// submit to this one pool, so iterative codes (ADI sweeps, smoothing
@@ -538,34 +497,58 @@ pub fn global() -> Arc<WorkerPool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CostModel;
+    use crate::{CommTracker, CostModel};
+
+    /// `num_items` items dealt round-robin over ranks `0..min(workers,
+    /// items)` of one `run_limited` job, results in item order — the shape
+    /// the threaded executor fans destinations out in.
+    fn deal<R: Send>(
+        pool: &WorkerPool,
+        num_items: usize,
+        work: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        let width = pool.workers().min(num_items);
+        let slots: Vec<Mutex<Option<R>>> = (0..num_items).map(|_| Mutex::new(None)).collect();
+        if width > 0 {
+            pool.run_limited(width, &|rank| {
+                for item in (rank..num_items).step_by(width) {
+                    *slots[item].lock().unwrap() = Some(work(item));
+                }
+            });
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap().expect("every item ran"))
+            .collect()
+    }
+
+    fn message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
 
     #[test]
-    fn run_partitioned_matches_spmd_semantics() {
+    fn run_limited_deals_items_in_order() {
         let pool = WorkerPool::new(3);
-        let tracker = CommTracker::new(4, CostModel::zero());
-        let results = pool.run_partitioned(&tracker, 10, |ctx, item| {
-            assert!(ctx.rank() < 3);
-            assert_eq!(ctx.num_workers(), 3);
-            item * item
-        });
+        let results = deal(&pool, 10, |item| item * item);
         assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
         // Degenerate shapes: no items, and more workers than items.
-        let empty: Vec<usize> = pool.run_partitioned(&tracker, 0, |_, item| item);
+        let empty: Vec<usize> = deal(&pool, 0, |item| item);
         assert!(empty.is_empty());
-        let single = pool.run_partitioned(&tracker, 2, |_, item| item + 1);
-        assert_eq!(single, vec![1, 2]);
+        assert_eq!(deal(&pool, 2, |item| item + 1), vec![1, 2]);
         assert_eq!(pool.workers(), 3);
-        // Two jobs dispatched (the zero-item call short-circuits).
+        // Two jobs dispatched (the zero-item deal dispatches nothing).
         assert_eq!(pool.jobs_dispatched(), 2);
     }
 
     #[test]
     fn repeated_jobs_reuse_the_same_workers() {
         let pool = WorkerPool::new(2);
-        let tracker = CommTracker::new(2, CostModel::zero());
         for round in 0..50usize {
-            let out = pool.run_partitioned(&tracker, 4, |_, item| item + round);
+            let out = deal(&pool, 4, |item| item + round);
             assert_eq!(out, vec![round, round + 1, round + 2, round + 3]);
         }
         assert_eq!(pool.jobs_dispatched(), 50);
@@ -577,57 +560,90 @@ mod tests {
         cost.compute_per_flop = 1.0;
         let tracker = CommTracker::new(2, cost);
         let pool = WorkerPool::new(2);
-        pool.run_partitioned(&tracker, 2, |ctx, item| ctx.charge_compute(item, 10));
+        pool.run_limited(2, &|rank| tracker.compute(rank, 10));
         assert_eq!(tracker.snapshot().total_compute_time(), 20.0);
     }
 
     #[test]
     fn worker_panic_propagates_and_pool_stays_usable() {
         let pool = WorkerPool::new(2);
-        let tracker = CommTracker::new(2, CostModel::zero());
         let boom = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_partitioned(&tracker, 2, |_, item| {
-                assert!(item != 1, "injected failure");
-                item
-            })
+            pool.run_limited(2, &|rank| assert!(rank != 1, "injected failure"));
         }));
         // The original payload is re-raised, message intact.
         let payload = boom.expect_err("the worker panic reaches the submitter");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let message = message(&*payload);
         assert!(
             message.contains("injected failure"),
             "panic payload lost: {message:?}"
         );
         // The pool survived the panic and runs the next job normally.
-        let out = pool.run_partitioned(&tracker, 3, |_, item| item * 2);
-        assert_eq!(out, vec![0, 2, 4]);
+        assert_eq!(deal(&pool, 3, |item| item * 2), vec![0, 2, 4]);
     }
 
+    /// The stress test of the epoch handoff's `unsafe` (see
+    /// [`WorkerPool::publish`]): four submitters share one 3-wide pool,
+    /// each round mixing a blocking `run_limited` with a `submit` ticket
+    /// (waited or dropped) at widths 1–3, and every 16th job panicking on
+    /// one rank.  Each job adds its own tag once per participating rank,
+    /// so a rank that ran twice, ran a neighbour's job, or ran outside its
+    /// width shows as a wrong sum.  Seven threads in all; the assertions
+    /// hold under any schedule, so one or two cores run it the same way.
     #[test]
-    fn concurrent_submitters_queue_without_mixing_results() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let tracker = CommTracker::new(2, CostModel::zero());
+    fn concurrent_submitters_run_each_job_on_exactly_its_ranks() {
+        const SUBMITTERS: u64 = 4;
+        const ROUNDS: u64 = 200;
+        let pool = WorkerPool::new(3);
         std::thread::scope(|scope| {
-            for offset in 0..4usize {
-                let pool = Arc::clone(&pool);
-                let tracker = tracker.clone();
+            for submitter in 0..SUBMITTERS {
+                let pool = &pool;
                 scope.spawn(move || {
-                    for round in 0..25usize {
-                        let out = pool.run_partitioned(&tracker, 3, |_, item| item * 100 + offset);
-                        assert_eq!(
-                            out,
-                            vec![offset, 100 + offset, 200 + offset],
-                            "round {round}"
-                        );
+                    for job in 0..2 * ROUNDS {
+                        let tag = (submitter << 32) | (job + 1);
+                        let width = 1 + ((submitter + job) % 3) as usize;
+                        // Every 16th job dies, offset per submitter so that
+                        // each kind of job below has a dying instance.
+                        let dies =
+                            ((job + submitter) % 16 == 15).then_some((job / 16) as usize % width);
+                        let ran: Arc<[AtomicU64; 3]> = Arc::default();
+                        let body = {
+                            let ran = Arc::clone(&ran);
+                            move |rank: usize| {
+                                ran[rank].fetch_add(tag, Ordering::Relaxed);
+                                if dies == Some(rank) {
+                                    // `resume_unwind` skips the panic hook:
+                                    // a silent panic, caught like any other.
+                                    std::panic::resume_unwind(Box::new(format!("job {tag:#x}")));
+                                }
+                            }
+                        };
+                        let outcome = catch_unwind(AssertUnwindSafe(|| match job % 4 {
+                            0 | 2 => pool.run_limited(width, &body),
+                            1 => pool.submit(width, Arc::new(body)).wait(),
+                            _ => drop(pool.submit(width, Arc::new(body))),
+                        }));
+                        match (dies, outcome) {
+                            (None, Ok(())) => {}
+                            (Some(_), Err(payload)) => {
+                                assert_eq!(message(&*payload), format!("job {tag:#x}"))
+                            }
+                            (dies, outcome) => {
+                                panic!("job {tag:#x}: dies {dies:?}, ok {:?}", outcome.is_ok())
+                            }
+                        }
+                        for (rank, cell) in ran.iter().enumerate() {
+                            let expected = if rank < width { tag } else { 0 };
+                            assert_eq!(
+                                cell.load(Ordering::Relaxed),
+                                expected,
+                                "job {tag:#x} rank {rank}"
+                            );
+                        }
                     }
                 });
             }
         });
-        assert_eq!(pool.jobs_dispatched(), 100);
+        assert_eq!(pool.jobs_dispatched(), SUBMITTERS * 2 * ROUNDS);
     }
 
     #[test]
@@ -649,15 +665,17 @@ mod tests {
     #[test]
     fn partitioned_width_is_bounded_by_items() {
         let pool = WorkerPool::new(4);
-        let tracker = CommTracker::new(2, CostModel::zero());
-        // Two items on a four-wide pool: only ranks 0 and 1 participate,
-        // and the round-robin stride matches the participating width.
-        let out = pool.run_partitioned(&tracker, 2, |ctx, item| {
-            assert_eq!(ctx.num_workers(), 2);
-            assert!(ctx.rank() < 2);
-            item * 10
-        });
-        assert_eq!(out, vec![0, 10]);
+        // Two items on a four-wide pool wake ranks 0 and 1 only, and a
+        // width beyond the pool is clamped to it.
+        for (width, expected) in [(2, [1, 1, 0, 0]), (9, [1, 1, 1, 1])] {
+            let ran: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
+            pool.run_limited(width, &|rank| {
+                ran[rank].fetch_add(1, Ordering::Relaxed);
+            });
+            let ran: Vec<u64> = ran.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+            assert_eq!(ran, expected, "width {width}");
+        }
+        assert_eq!(deal(&pool, 2, |item| item * 10), vec![0, 10]);
     }
 
     #[test]
@@ -683,9 +701,7 @@ mod tests {
             }
         }
         // The pool still runs blocking jobs after ticketed ones.
-        let tracker = CommTracker::new(2, CostModel::zero());
-        let out = pool.run_partitioned(&tracker, 3, |_, item| item);
-        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(deal(&pool, 3, |item| item), vec![0, 1, 2]);
     }
 
     #[test]

@@ -697,13 +697,23 @@ where
     run_with_death(num_procs, tracker, None, body)
 }
 
-/// [`run`] with an optional armed rank death: the victim rank's context
-/// carries the spec's operation fuse, so after `after_ops` channel
-/// operations every further one fails with [`SpmdError::RankKilled`] and
-/// the victim leaves the region, dropping its endpoints.  Survivors then
-/// observe [`SpmdError::PeerDead`] on sends to the victim,
-/// [`SpmdError::RecvTimeout`] on bounded receives from it, and
-/// [`SpmdError::BarrierBroken`] at checked barriers.
+/// [`run`] with an optional armed rank death — the one launcher every
+/// SPMD region goes through (`ShardedExecutor::run_region` calls it
+/// directly, [`run`] with no death).  Each rank runs on a fresh scoped OS
+/// thread.
+///
+/// An armed death is a *simulated* failure carried into the region as
+/// data: the victim rank's context carries the spec's operation fuse, so
+/// after `after_ops` channel operations every further one fails with
+/// [`SpmdError::RankKilled`] and the victim leaves the region, dropping
+/// its endpoints.  Survivors then observe [`SpmdError::PeerDead`] on sends
+/// to the victim, [`SpmdError::RecvTimeout`] on bounded receives from it,
+/// and [`SpmdError::BarrierBroken`] at checked barriers.
+///
+/// A *real* panic in `body` is not contained: every rank is joined first
+/// (so no rank outlives the region), then the lowest panicking rank's
+/// original payload is re-raised on the caller with its message intact,
+/// as [`crate::pool::WorkerPool`] does for its jobs.
 pub fn run_with_death<R, F>(
     num_procs: usize,
     tracker: &CommTracker,
@@ -722,124 +732,12 @@ where
         for mut ctx in contexts.drain(..) {
             handles.push(scope.spawn(move || body(&mut ctx)));
         }
-        handles
+        let joined: Vec<std::thread::Result<R>> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| h.join().expect("SPMD processor thread panicked"))
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     })
-}
-
-/// Runs an SPMD region on the parked threads of a [`WorkerPool`] instead
-/// of spawning fresh OS threads: the submitting thread hosts rank 0 and
-/// `num_procs - 1` pool workers host the remaining ranks.
-///
-/// Every rank must be hosted concurrently (ranks block in receives waiting
-/// for each other), so when the pool is narrower than `num_procs` this
-/// falls back to the fresh-spawn [`run`] rather than deadlocking on a
-/// clamped dispatch.
-pub fn run_on_pool<R, F>(
-    pool: &crate::pool::WorkerPool,
-    num_procs: usize,
-    tracker: &CommTracker,
-    body: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut ProcCtx) -> R + Sync,
-{
-    run_on_pool_with_death(pool, num_procs, tracker, None, body)
-}
-
-/// [`run_on_pool`] with an optional armed rank death (see
-/// [`run_with_death`]).
-pub fn run_on_pool_with_death<R, F>(
-    pool: &crate::pool::WorkerPool,
-    num_procs: usize,
-    tracker: &CommTracker,
-    death: Option<RankDeathSpec>,
-    body: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut ProcCtx) -> R + Sync,
-{
-    assert!(num_procs > 0, "SPMD region needs at least one processor");
-    if pool.workers() < num_procs {
-        return run_with_death(num_procs, tracker, death, body);
-    }
-    let slots: Vec<Mutex<Option<ProcCtx>>> = make_contexts(num_procs, tracker, death)
-        .into_iter()
-        .map(|ctx| Mutex::new(Some(ctx)))
-        .collect();
-    let results: Vec<Mutex<Option<R>>> = (0..num_procs).map(|_| Mutex::new(None)).collect();
-    pool.run_limited(num_procs, &|rank| {
-        let mut ctx = slots[rank]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("each rank is hosted exactly once");
-        let r = body(&mut ctx);
-        *results[rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-        // `ctx` drops here, closing this rank's sender clones.
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every rank ran")
-        })
-        .collect()
-}
-
-/// Runs `num_items` independent work items over up to `workers` SPMD worker
-/// threads (round-robin partition by item index) and returns the results in
-/// item order.
-///
-/// Each work item is one destination processor's share of a communication
-/// plan, and the items are embarrassingly parallel (every destination
-/// buffer is written by exactly one item).  The worker count is clamped to
-/// the item count so no idle threads are spawned.
-///
-/// Every call pays the full harness setup — fresh OS threads, channels, a
-/// barrier — even though copy closures never message each other; this is
-/// the *fresh-spawn baseline* the plan executor only uses when no
-/// [`crate::pool::WorkerPool`] is attached.  Iterative codes should submit
-/// through a pool instead ([`crate::pool::WorkerPool::run_partitioned`],
-/// same closure shape), which parks its workers between jobs.
-pub fn run_partitioned<R, F>(
-    workers: usize,
-    tracker: &CommTracker,
-    num_items: usize,
-    work: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut ProcCtx, usize) -> R + Sync,
-{
-    if num_items == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, num_items);
-    let per_rank: Vec<Vec<(usize, R)>> = run(workers, tracker, |ctx| {
-        let mut out = Vec::new();
-        let mut item = ctx.rank();
-        while item < num_items {
-            out.push((item, work(ctx, item)));
-            item += ctx.num_procs();
-        }
-        out
-    });
-    let mut slots: Vec<Option<R>> = (0..num_items).map(|_| None).collect();
-    for rank_items in per_rank {
-        for (item, result) in rank_items {
-            slots[item] = Some(result);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every item is assigned to exactly one rank"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1107,42 +1005,29 @@ mod tests {
     }
 
     #[test]
-    fn run_on_pool_matches_fresh_spawn() {
-        let pool = crate::pool::WorkerPool::new(4);
-        let tracker = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
-        let results = run_on_pool(&pool, 4, &tracker, |ctx| {
-            let right = (ctx.rank() + 1) % ctx.num_procs();
-            ctx.send_f64s(right, 7, &[ctx.rank() as f64]).unwrap();
-            let (src, v) = ctx.recv_f64s(None, 7).unwrap();
-            (src, v[0])
-        });
-        for (rank, (src, v)) in results.iter().enumerate() {
-            let left = (rank + 4 - 1) % 4;
-            assert_eq!(*src, left);
-            assert_eq!(*v, left as f64);
-        }
-        // A region wider than the pool falls back to fresh spawns rather
-        // than deadlocking on a clamped dispatch.
-        let wide_tracker = CommTracker::new(6, CostModel::zero());
-        let sums = run_on_pool(&pool, 6, &wide_tracker, |ctx| {
-            ctx.allreduce_sum(1.0).unwrap()
-        });
-        assert_eq!(sums, vec![6.0; 6]);
-    }
-
-    #[test]
-    fn run_partitioned_returns_items_in_order() {
-        let tracker = CommTracker::new(4, CostModel::zero());
-        let results = run_partitioned(3, &tracker, 10, |ctx, item| {
-            assert!(ctx.rank() < 3);
-            item * item
-        });
-        assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        // Degenerate shapes: no items, and more workers than items.
-        let empty: Vec<usize> = run_partitioned(4, &tracker, 0, |_, item| item);
-        assert!(empty.is_empty());
-        let single = run_partitioned(8, &tracker, 2, |ctx, item| (ctx.num_procs(), item));
-        assert_eq!(single, vec![(2, 0), (2, 1)]);
+    fn a_panicking_rank_reraises_its_own_message_after_every_rank_joins() {
+        let tracker = CommTracker::new(3, CostModel::zero());
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(3, &tracker, |ctx| {
+                if ctx.rank() >= 1 {
+                    panic!("rank {} lost its shard", ctx.rank());
+                }
+                // Rank 0 outlives the panicking ranks: the caller must
+                // still see it finish before the panic is re-raised.
+                std::thread::sleep(Duration::from_millis(20));
+                finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the rank's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        // The lowest failing rank's own payload, not a generic join error.
+        assert_eq!(message, "rank 1 lost its shard");
+        assert_eq!(finished.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]

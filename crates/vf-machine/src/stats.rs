@@ -65,7 +65,7 @@ pub struct CommStats {
     /// stack acted upon; chaos tests assert this matches the injector's
     /// own count.
     faults_injected: usize,
-    /// Degraded-mode transitions taken (pooled → fresh-spawn/serial on a
+    /// Degraded-mode transitions taken (full pool → survivors/serial on a
     /// worker death, split-phase → blocking on a cancelled handle).
     fallbacks: usize,
     /// Messages *actually carried* over [`spmd`](crate::spmd) channels, as

@@ -323,7 +323,7 @@ impl CommTracker {
         self.stats().record_faults(1);
     }
 
-    /// Counts one degraded-mode transition (pooled → fresh-spawn/serial,
+    /// Counts one degraded-mode transition (full pool → survivors/serial,
     /// split-phase → blocking).
     pub fn record_fallback(&self) {
         self.stats().record_fallbacks(1);

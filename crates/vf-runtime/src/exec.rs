@@ -46,7 +46,7 @@ use std::iter::repeat_with;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use vf_machine::{pool, spmd, trace, CommTracker, JobTicket, WorkerPool};
+use vf_machine::{pool, trace, CommTracker, JobTicket, WorkerPool};
 
 /// What executing a plan's communication charged to the cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -323,53 +323,46 @@ impl ThreadedExecutor {
         self.workers() <= 1 || copy_bytes < self.effective_serial_cutoff()
     }
 
-    /// Runs `num_items` independent work items on the pool, partitioned
-    /// round-robin by item.  Every threaded path funnels through here.
+    /// Runs `work(i)` for each of `num_items` items, dealt round-robin
+    /// over pool ranks `0..width` in one dispatch: item `i` runs on rank
+    /// `i % width`, each rank runs its items in order, and only as many
+    /// ranks wake as got an item.  The threaded backend's one fan-out:
+    /// [`PlanExecutor::run_owned`] and the wire pipeline's destinations
+    /// both run through it.
+    fn fan_out(&self, width: usize, num_items: usize, work: &(dyn Fn(usize) + Sync)) {
+        let width = width.min(num_items);
+        if width > 0 {
+            self.pool.run_limited(width, &|rank| {
+                (rank..num_items).step_by(width).for_each(work)
+            });
+        }
+    }
+
+    /// Runs `work` once for each of `num_items` destinations over the pool
+    /// ([`ThreadedExecutor::fan_out`]).
     ///
     /// Under fault injection the dispatch degrades rather than fails: a
     /// fired worker-death marks one worker dead in the tracker's injector,
-    /// and as long as any workers are marked dead the pool is bypassed —
-    /// fresh-spawn threads carry the job while more than one worker
-    /// survives, a serial loop on the calling thread otherwise.  Both
-    /// fallbacks return results in item order, so the produced buffers
-    /// stay bitwise identical to the healthy path.
-    fn dispatch<R, F>(&self, tracker: &CommTracker, num_items: usize, work: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
+    /// and as long as any workers are marked dead only the survivors take
+    /// part — the same pool at the survivors' width while more than one
+    /// survives, a serial loop on the calling thread otherwise.  Every
+    /// item still runs exactly once, so the produced buffers stay bitwise
+    /// identical to the healthy path.
+    fn dispatch(&self, tracker: &CommTracker, num_items: usize, work: impl Fn(usize) + Sync) {
+        let mut width = self.workers();
         if let Some(inj) = tracker.fault_injector() {
             if inj.worker_death() {
                 inj.mark_worker_dead();
                 tracker.record_fault();
                 tracker.record_fallback();
             }
-            let dead = inj.dead_workers();
-            if dead > 0 {
-                let healthy = self.workers().saturating_sub(dead);
-                return if healthy > 1 {
-                    spmd::run_partitioned(healthy, tracker, num_items, |_ctx, item| work(item))
-                } else {
-                    (0..num_items).map(work).collect()
-                };
-            }
+            width = width.saturating_sub(inj.dead_workers());
         }
-        self.pool
-            .run_partitioned(tracker, num_items, |_ctx, item| work(item))
-    }
-
-    /// Hands one `&mut` work item to each of the first `items.len()` pool
-    /// ranks (at most one item per worker by construction).  The cells
-    /// only exist to pass `&mut` items through the shared job closure —
-    /// one uncontended lock each — and the wake is sized to the item
-    /// count, so fewer items than workers never pays a full-pool wake.
-    fn run_one_each<I: Send>(&self, items: Vec<I>, work: impl Fn(&mut I) + Sync) {
-        let cells: Vec<Mutex<I>> = items.into_iter().map(Mutex::new).collect();
-        self.pool.run_limited(cells.len(), &|rank| {
-            if let Some(cell) = cells.get(rank) {
-                work(&mut lock(cell));
-            }
-        });
+        if width > 1 {
+            self.fan_out(width, num_items, &work);
+        } else {
+            (0..num_items).for_each(work);
+        }
     }
 }
 
@@ -378,20 +371,16 @@ impl PlanExecutor for ThreadedExecutor {
         "threaded"
     }
 
-    /// Above the cutoff the items are dealt round-robin over the workers
-    /// — each item is touched by exactly one worker, and one worker runs
-    /// its items in order — and the dispatch wakes only as many workers as
-    /// got one.
+    /// Above the cutoff the items are dealt round-robin over the whole
+    /// pool (`ThreadedExecutor::fan_out`).
     fn run_owned<I: Send>(&self, bytes: usize, items: Vec<I>, work: &(dyn Fn(&mut I) + Sync)) {
-        if items.is_empty() || self.runs_serially(bytes) {
+        if self.runs_serially(bytes) {
             return SerialExecutor.run_owned(bytes, items, work);
         }
-        let workers = self.workers();
-        let mut bins: Vec<Vec<I>> = (0..workers.min(items.len())).map(|_| Vec::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            bins[i % workers].push(item);
-        }
-        self.run_one_each(bins, |bin| bin.iter_mut().for_each(work));
+        // The cells only pass `&mut` items through the shared job closure:
+        // one uncontended lock per item.
+        let cells: Vec<Mutex<I>> = items.into_iter().map(Mutex::new).collect();
+        self.fan_out(self.workers(), cells.len(), &|i| work(&mut lock(&cells[i])));
     }
 
     /// The wire pipeline with its destinations fanned out over the pool:
@@ -494,9 +483,8 @@ impl ExecBackend {
     /// handle a `VfScope` keeps alive across statements.
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         match self {
-            ExecBackend::Serial => None,
             ExecBackend::Threaded(t) => Some(t.pool()),
-            ExecBackend::Sharded(s) => s.pool(),
+            ExecBackend::Serial | ExecBackend::Sharded(_) => None,
         }
     }
 }
@@ -1930,6 +1918,36 @@ mod tests {
         // An explicit override always wins.
         assert_eq!(t.with_serial_cutoff(7).effective_serial_cutoff(), 7);
         assert_eq!(ExecBackend::default().name(), "serial");
+    }
+
+    #[test]
+    fn the_fan_out_deals_each_item_to_one_rank_in_one_dispatch() {
+        let pool = Arc::new(WorkerPool::new(3));
+        let t = ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0);
+        for (items, jobs) in [(7usize, 1u64), (2, 2), (0, 2)] {
+            let ran: Vec<(usize, Vec<std::thread::ThreadId>)> =
+                (0..items).map(|i| (i, Vec::new())).collect();
+            let ran = Mutex::new(ran);
+            let cells: Vec<usize> = (0..items).collect();
+            t.run_owned(1 << 20, cells, &|i| {
+                lock(&ran)[*i].1.push(std::thread::current().id());
+            });
+            assert_eq!(pool.jobs_dispatched(), jobs, "{items} items");
+            // Every item once; items `width` apart share a rank, and rank 0
+            // is the calling thread.
+            let ran = ran.into_inner().unwrap();
+            let width = items.min(3);
+            for (i, threads) in &ran {
+                assert_eq!(threads.len(), 1, "item {i}");
+                assert_eq!(threads[0], ran[i % width].1[0], "item {i}");
+            }
+            if let Some((_, first)) = ran.first() {
+                assert_eq!(first[0], std::thread::current().id());
+                let distinct: std::collections::HashSet<_> =
+                    ran[..width].iter().map(|(_, t)| t[0]).collect();
+                assert_eq!(distinct.len(), width, "one rank per bin");
+            }
+        }
     }
 
     #[test]

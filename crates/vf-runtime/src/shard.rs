@@ -81,7 +81,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use vf_dist::{Distribution, ProcId};
 use vf_machine::spmd::{self, ProcCtx, WIRE_FRAME_BYTES, WIRE_TAG};
-use vf_machine::{trace, CommTracker, WireFrameMsg, WorkerPool};
+use vf_machine::{trace, CommTracker, WireFrameMsg};
 
 /// A distributed array scattered into rank-private, rank-*resident*
 /// shards, for application loops that run many steps inside one SPMD
@@ -248,7 +248,6 @@ impl FramePool {
 /// [`crate::SerialExecutor`].
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
-    pool: Option<Arc<WorkerPool>>,
     timeout: Duration,
     /// Spare wire frames, recycled from statement to statement (shared by
     /// clones of the executor).
@@ -260,12 +259,13 @@ impl ShardedExecutor {
     /// reporting [`vf_machine::SpmdError::RecvTimeout`].
     pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
-    /// A poolless executor (each exchange spawns its region's rank
-    /// threads fresh).  The receive bound can be overridden through the
-    /// `VF_SHARD_TIMEOUT` environment variable (milliseconds; positive):
-    /// chaos suites shrink it so dead-peer detection is fast, and slow CI
-    /// hosts can widen it.  Unparseable or zero values are rejected
-    /// loudly, mirroring `VF_EXEC_CUTOFF`.
+    /// An executor whose exchanges each run one region on fresh rank
+    /// threads ([`ShardedExecutor::run_region`]).  The receive bound is
+    /// [`ShardedExecutor::DEFAULT_TIMEOUT`] unless the `VF_SHARD_TIMEOUT`
+    /// environment variable overrides it (milliseconds; positive): chaos
+    /// suites shrink it so dead-peer detection is fast, and slow CI hosts
+    /// can widen it.  Unparseable or zero values are rejected loudly,
+    /// mirroring `VF_EXEC_CUTOFF`.
     pub fn new() -> Self {
         let mut timeout = Self::DEFAULT_TIMEOUT;
         if let Ok(raw) = std::env::var("VF_SHARD_TIMEOUT") {
@@ -278,19 +278,8 @@ impl ShardedExecutor {
             }
         }
         Self {
-            pool: None,
             timeout,
             frames: Arc::default(),
-        }
-    }
-
-    /// An executor whose SPMD regions run on `pool`'s persistent workers
-    /// (falling back to fresh threads when the pool is narrower than the
-    /// region — see [`spmd::run_on_pool`]).
-    pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        Self {
-            pool: Some(pool),
-            ..Self::new()
         }
     }
 
@@ -305,15 +294,10 @@ impl ShardedExecutor {
         self.timeout
     }
 
-    /// The worker pool hosting SPMD regions, if any.
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Runs `body` as an SPMD region of `num_procs` ranks — on the
-    /// persistent pool when one is attached, on fresh threads otherwise.
-    /// Application workloads use this to keep shards rank-resident across
-    /// many time steps (one region for the whole run).
+    /// Runs `body` as an SPMD region of `num_procs` ranks, one fresh
+    /// thread per rank ([`spmd::run_with_death`]).  Application workloads
+    /// use this to keep shards rank-resident across many time steps (one
+    /// region for the whole run).
     ///
     /// If the tracker carries a [`vf_machine::FaultInjector`] whose plan
     /// enables [`vf_machine::FaultKind::RankDeath`], the injector is polled
@@ -333,10 +317,7 @@ impl ShardedExecutor {
         if death.is_some() {
             tracker.record_fault();
         }
-        match &self.pool {
-            Some(pool) => spmd::run_on_pool_with_death(pool, num_procs, tracker, death, body),
-            None => spmd::run_with_death(num_procs, tracker, death, body),
-        }
+        spmd::run_with_death(num_procs, tracker, death, body)
     }
 }
 
@@ -1025,7 +1006,6 @@ mod tests {
     fn sharded_executor_defaults() {
         let exec = ShardedExecutor::new();
         assert_eq!(exec.name(), "sharded");
-        assert!(exec.pool().is_none());
         assert!(exec.timeout() > Duration::ZERO);
         let tuned = exec.with_timeout(Duration::from_millis(5));
         assert_eq!(tuned.timeout(), Duration::from_millis(5));

@@ -141,8 +141,8 @@ fn injected_corruption_is_always_detected_and_repaired() {
 }
 
 /// A worker death during a pooled (blocking) dispatch degrades to the
-/// partitioned fallback — and, when too few workers survive, all the way
-/// to serial — without changing a single bit of the result.
+/// survivors on the same pool — and, when too few workers survive, all
+/// the way to serial — without changing a single bit of the result.
 #[test]
 fn worker_death_degrades_pooled_dispatch_bitwise() {
     let n = 16usize;
@@ -156,8 +156,8 @@ fn worker_death_degrades_pooled_dispatch_bitwise() {
     let (clean, _) =
         class_halo(&refs, &WIDTHS, &t_clean, &PlanCache::new(), &SerialExecutor).unwrap();
 
-    // 4 workers, 1 death → partitioned degraded path; 2 workers, 1 death →
-    // serial degraded path.
+    // 4 workers, 1 death → the three survivors on the pool; 2 workers,
+    // 1 death → serial degraded path.
     for workers in [4usize, 2] {
         let plan = FaultPlan::new(99)
             .with_rate(1.0)
@@ -165,10 +165,11 @@ fn worker_death_degrades_pooled_dispatch_bitwise() {
             .with_max_faults(1);
         let inj = Arc::new(FaultInjector::new(plan));
         let tracker = faulty_tracker(p, &inj);
-        let executor =
-            ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0);
+        let pool = Arc::new(WorkerPool::new(workers));
+        let executor = ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0);
 
         for round in 0..2 {
+            let jobs = pool.jobs_dispatched();
             let (regions, _) =
                 class_halo(&refs, &WIDTHS, &tracker, &PlanCache::new(), &executor).unwrap();
             assert_regions_equal(
@@ -177,6 +178,13 @@ fn worker_death_degrades_pooled_dispatch_bitwise() {
                 &clean,
                 &format!("workers={workers} round={round}"),
             );
+            // Survivors run on the pool; a lone survivor runs serially.
+            let degraded = format!("workers={workers} round={round}: pool jobs");
+            if workers > 2 {
+                assert!(pool.jobs_dispatched() > jobs, "{degraded}");
+            } else {
+                assert_eq!(pool.jobs_dispatched(), jobs, "{degraded}");
+            }
         }
 
         let stats = tracker.snapshot();

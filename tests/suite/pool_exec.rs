@@ -331,12 +331,8 @@ fn worker_panic_leaves_the_pool_usable_for_executors() {
     let p = 4usize;
     let pool = Arc::new(WorkerPool::new(2));
     // Inject a panic into one pool worker's job.
-    let t = CommTracker::new(p, CostModel::zero());
     let boom = catch_unwind(AssertUnwindSafe(|| {
-        pool.run_partitioned(&t, 2, |_, item| {
-            assert!(item != 1, "injected worker failure");
-            item
-        })
+        pool.run_limited(2, &|rank| assert!(rank != 1, "injected worker failure"));
     }));
     assert!(
         boom.is_err(),
@@ -371,12 +367,8 @@ fn worker_panic_leaves_the_pool_usable_for_streaming_split_phase() {
     let n = 16usize;
     let p = 4usize;
     let pool = Arc::new(WorkerPool::new(3));
-    let t0 = CommTracker::new(p, CostModel::zero());
     let boom = catch_unwind(AssertUnwindSafe(|| {
-        pool.run_partitioned(&t0, 3, |_, item| {
-            assert!(item != 2, "injected worker failure");
-            item
-        })
+        pool.run_limited(3, &|rank| assert!(rank != 2, "injected worker failure"));
     }));
     assert!(
         boom.is_err(),
