@@ -108,7 +108,7 @@ pub mod prelude {
         CheckpointStore, CommPlan, DistArray, DistTranslationTable, Element, ExecBackend,
         ExecReport, FusedPlan, LocalView, LocalViewMut, PlanCache, PlanCacheStats, PlanExecutor,
         RedistOptions, RedistReport, RestoredCheckpoint, RetiredLocals, SerialExecutor,
-        ShardedArray, ShardedExecutor, ShardedHaloExchange, SplitExecReport, SplitPhaseExchange,
-        SplitRedistribute, ThreadedExecutor, TranslationStats,
+        ShardedArray, ShardedExecutor, SplitExecReport, SplitPhaseExchange, SplitRedistribute,
+        ThreadedExecutor, TranslationStats,
     };
 }

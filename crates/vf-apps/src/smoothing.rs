@@ -15,15 +15,15 @@
 //! analytic per-step cost model quoted above, and the runtime chooser that
 //! a Vienna Fortran program would express with `DISTRIBUTE` inside an `IF`.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-use vf_dist::{DistType, Distribution, ProcId, ProcessorView};
+use vf_dist::{DistType, Distribution, ProcessorView};
 use vf_index::IndexDomain;
-use vf_machine::{trace, CommStats, CostModel, Machine, PendingSends};
+use vf_machine::{trace, CommStats, CommTracker, CostModel, Machine};
 use vf_runtime::ghost::{exchange_class_ghosts_split, exchange_ghosts};
 use vf_runtime::{
-    forall_owned, CheckpointStore, DistArray, ExecBackend, FusedPlan, LocalView, LocalViewMut,
-    PlanCache, RuntimeError, SerialExecutor, ShardedArray, ShardedExecutor, ShardedHaloExchange,
+    forall_owned, CheckpointStore, DistArray, ExecBackend, LocalView, LocalViewMut, PlanCache,
+    PlanExecutor, Result, RuntimeError, SerialExecutor,
 };
 
 /// The two candidate layouts of the N×N grid discussed in §4.
@@ -221,315 +221,163 @@ fn relax_box(src: &LocalView<&[f64]>, dst: &mut LocalViewMut<'_, f64>, update: B
 /// One scratch buffer per processor for its extended box
 /// ([`vf_runtime::ghost::GhostRegion::extended`]), kept across steps.  A
 /// kernel runs one processor on one rank at a time, so the locks are
-/// never contended.
+/// never contended.  `extended` rewrites the whole box on every use, so a
+/// box poisoned by a panicking kernel is as good as any.
 fn scratch_boxes(procs: usize) -> Vec<Mutex<Vec<f64>>> {
     (0..procs).map(|_| Mutex::default()).collect()
 }
 
-/// Runs the distributed smoothing kernel and returns statistics plus the
-/// final field.
+/// Runs the distributed smoothing kernel on the auto-selected backend
+/// ([`ExecBackend::auto`]) and returns statistics plus the final field:
+/// [`try_run`] without checkpoints.
 pub fn run(config: &SmoothingConfig, machine: &Machine, initial: &[f64]) -> SmoothingResult {
-    let tracker = machine.tracker();
-    // The halo geometry is identical in every step: plan it once and
-    // replay the cached exchange schedule afterwards, copying on the
-    // auto-selected (threaded when multi-core) backend.
-    let plans = PlanCache::of(machine);
-    let executor = ExecBackend::auto();
-    let dist = grid_distribution(config.layout, config.n, machine);
-    let domain = dist.domain();
-    let mut current =
-        DistArray::from_dense("U", dist.clone(), initial).expect("initial field has N*N elements");
-    let mut next = current.clone();
-    let scratch = scratch_boxes(tracker.num_procs());
-
-    let mut messages_per_step = 0;
-    let mut bytes_per_step = 0;
-
-    for step in 0..config.steps {
-        let _step_span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
-        let halo = plans
-            .ghost_plan(current.dist(), &WIDTHS)
-            .expect("block layouts");
-        let (ghosts, report) = exchange_ghosts(&current, &halo, &tracker, &executor)
-            .expect("the plan was made for this field");
-        if step == 0 {
-            messages_per_step = report.messages;
-            bytes_per_step = report.bytes;
-        }
-        forall_owned(&mut [&mut next], &tracker, &executor, |p, dst| {
-            let mut scratch = scratch[p.0].lock().expect("scratch box");
-            let src = ghosts
-                .extended(p, current.local(p), &mut scratch)
-                .expect("the halo was exchanged for this field");
-            let update = updated(dst[0].segment(), domain);
-            relax_box(&src, &mut dst[0], update, NOTHING);
-            box_points(update) * FLOPS_PER_POINT
-        })
-        .expect("block layouts");
-        std::mem::swap(&mut current, &mut next);
-    }
-
-    let field = current.to_dense();
-    let checksum = field.iter().sum();
-    SmoothingResult {
-        stats: tracker.snapshot(),
-        messages_per_step,
-        bytes_per_step,
-        checksum,
-        field,
-    }
+    try_run(config, machine, initial, &ExecBackend::auto(), None)
+        .expect("an initial field of N*N elements smooths without rank deaths")
+        .result
 }
 
-/// Runs the smoothing kernel on the **distributed-memory backend**: the
-/// field is scattered into rank-local shards once, every rank then loops
-/// over all time steps inside a *single* SPMD region — exchanging its
-/// 1-wide halo over real [`vf_machine::spmd`] channels each step and
-/// relaxing only its own shard — and the shards are gathered back into a
-/// global array only after the last step.  No rank ever reads another
-/// rank's shard directly; off-shard neighbours come exclusively from the
-/// wire-exchanged ghost buffer.  The gathered field is bitwise identical
-/// to [`run`]'s, and the tracker's `channel_*` counters record the real
-/// per-step wire traffic alongside the modelled costs.
-///
-/// This is the checkpointed driver without a store: one segment covering
-/// every step, nothing saved.
-pub fn run_sharded(
-    config: &SmoothingConfig,
-    machine: &Machine,
-    initial: &[f64],
-) -> SmoothingResult {
-    let (tracker, executor) = (machine.tracker(), ShardedExecutor::new());
-    run_checkpointed_attempt(config, machine, initial, None, &tracker, &executor, false)
-        .expect("sharded halo exchange over channels")
+/// A checkpoint schedule for [`try_run`].
+#[derive(Debug, Clone, Copy)]
+pub struct Checkpoints<'a> {
+    /// Where the field is saved (write-new + atomic rename, two rotating
+    /// generations).
+    pub store: &'a CheckpointStore,
+    /// Save after every `every` steps (counted from step 0, so a resumed
+    /// run keeps the schedule) and after the last step; `0` saves after
+    /// the last step only.
+    pub every: usize,
+    /// How many channel failures are recovered from before the run gives
+    /// up.
+    pub max_restarts: usize,
 }
 
-/// Outcome of [`recover_and_resume`]: the completed run plus how many
-/// crashed regions were recovered by restoring a checkpoint.
+/// Outcome of [`try_run`]: the completed run plus how many channel
+/// failures were recovered by restoring a checkpoint.
 #[derive(Debug, Clone)]
 pub struct RecoveredSmoothing {
     /// The completed run — bitwise identical to an uninterrupted one.
     pub result: SmoothingResult,
-    /// Region failures that were recovered by restoring the last good
+    /// Steps that failed and were recovered by restoring the newest
     /// checkpoint generation (or restarting from the initial field when
-    /// no checkpoint had been written yet).
+    /// none had been written yet).
     pub restarts: usize,
 }
 
-/// Runs the sharded smoothing kernel with a checkpoint of the field every
-/// `ckpt_every` steps: the run is split into fallible SPMD segments, and
-/// after each segment the gathered field is saved into `store`
-/// (write-new + atomic rename, two rotating generations).  The final field
-/// is bitwise identical to [`run_sharded`]'s.  `executor` hosts the
-/// regions and bounds how long a rank waits on a channel (crash tests
-/// shrink it; `&ShardedExecutor::new()` is the default).
+/// The smoothing driver for every backend: each step exchanges the field's
+/// 1-wide halo as one ghost statement on `executor` and relaxes every
+/// processor's own segment against it (owner-computes on local views).
+/// On [`vf_runtime::ShardedExecutor`] every crossing element travels over
+/// a real [`vf_machine::spmd`] channel, one region per step, and the
+/// tracker's `channel_*` counters record exactly the modelled traffic; the
+/// field is bitwise the same on every executor.
+///
+/// With `checkpoints` the field is saved on the schedule's cadence, and a
+/// step that fails with [`RuntimeError::Channel`] (an injected rank
+/// death, a lost peer, a receive timeout) restores the newest generation —
+/// or the initial field when none was written — and resumes from its step,
+/// at most `max_restarts` times.  One tracker, and so one fault schedule
+/// with one budget ([`vf_machine::FaultPlan`] `max_faults`), spans every
+/// attempt.
 ///
 /// # Errors
-/// [`RuntimeError::Channel`] when a rank dies (or a channel times out)
-/// mid-segment — the region degrades with a structured error instead of
-/// hanging; drive [`recover_and_resume`] to restart from the last
-/// checkpoint.  Checkpoint I/O failures surface as
-/// [`RuntimeError::CorruptCheckpoint`].
-pub fn run_sharded_checkpointed(
+/// [`RuntimeError::Channel`] when a step fails with no checkpoints or no
+/// restart left, [`RuntimeError::CorruptCheckpoint`] when checkpoint I/O
+/// fails, and any other error of the halo statement or of building the
+/// field, immediately.
+pub fn try_run(
     config: &SmoothingConfig,
     machine: &Machine,
     initial: &[f64],
-    store: &CheckpointStore,
-    ckpt_every: usize,
-    executor: &ShardedExecutor,
-) -> vf_runtime::Result<SmoothingResult> {
+    executor: &impl PlanExecutor,
+    checkpoints: Option<Checkpoints<'_>>,
+) -> Result<RecoveredSmoothing> {
     let tracker = machine.tracker();
-    let ckpt = Some((store, ckpt_every));
-    run_checkpointed_attempt(config, machine, initial, ckpt, &tracker, executor, false)
-}
-
-/// The crash-recovery driver: runs [`run_sharded_checkpointed`] and, when
-/// a segment fails with a channel error (injected rank death, peer loss,
-/// receive timeout), restores the newest checkpoint generation — falling
-/// back to the initial field when none was written — and resumes from the
-/// checkpointed step.  At most `max_restarts` recoveries are attempted.
-///
-/// One tracker (and therefore one fault-injection schedule) spans all
-/// attempts, so a bounded fault budget ([`vf_machine::FaultPlan`]
-/// `max_faults`) is honoured across the restarts.
-///
-/// # Errors
-/// The final channel error when the restart budget is exhausted, or any
-/// non-channel error immediately.
-pub fn recover_and_resume(
-    config: &SmoothingConfig,
-    machine: &Machine,
-    initial: &[f64],
-    store: &CheckpointStore,
-    ckpt_every: usize,
-    max_restarts: usize,
-    executor: &ShardedExecutor,
-) -> vf_runtime::Result<RecoveredSmoothing> {
-    let tracker = machine.tracker();
-    let mut restarts = 0usize;
-    loop {
-        let ckpt = Some((store, ckpt_every));
-        let resume = restarts > 0;
-        let attempt =
-            run_checkpointed_attempt(config, machine, initial, ckpt, &tracker, executor, resume);
-        match attempt {
-            Ok(result) => return Ok(RecoveredSmoothing { result, restarts }),
-            Err(e @ RuntimeError::Channel(_)) => {
-                if restarts >= max_restarts {
-                    return Err(e);
-                }
-                restarts += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// One attempt of the sharded run: resolves the starting state (initial
-/// field, or the newest checkpoint when `resume` is set), then alternates
-/// fallible SPMD segments with saves into `ckpt`'s store on a stable
-/// cadence (every `ckpt.1` steps from step 0, so restarts rejoin the same
-/// checkpoint schedule).  Without a store the run is one segment.
-fn run_checkpointed_attempt(
-    config: &SmoothingConfig,
-    machine: &Machine,
-    initial: &[f64],
-    ckpt: Option<(&CheckpointStore, usize)>,
-    tracker: &vf_machine::CommTracker,
-    executor: &ShardedExecutor,
-    resume: bool,
-) -> vf_runtime::Result<SmoothingResult> {
-    assert!(
-        ckpt.is_none_or(|(_, every)| every > 0),
-        "checkpoint cadence must be positive"
-    );
+    // The halo geometry is identical in every step: it is planned once and
+    // the cached schedule is replayed afterwards.
     let plans = PlanCache::of(machine);
     let dist = grid_distribution(config.layout, config.n, machine);
+    let from_initial = || DistArray::from_dense("U", dist.clone(), initial);
+    let mut current = from_initial()?;
+    // The global boundary is never written: both buffers hold it.
+    let mut next = current.clone();
+    let scratch = scratch_boxes(tracker.num_procs());
 
-    let from_initial = || {
-        DistArray::from_dense("U", dist.clone(), initial).expect("initial field has N*N elements")
-    };
-    let (mut current, start_step) = if let (true, Some((store, _))) = (resume, ckpt) {
-        // Redistribute-on-read: a checkpoint written under any distribution
-        // restores into the live grid distribution.  An empty (or fully
-        // corrupt) store means the crash predated the first save — restart
-        // from the initial field.
-        match store.restore_into::<f64, _>(&dist, tracker, plans, &SerialExecutor) {
-            Ok(r) => {
-                let step = (r.step as usize).min(config.steps);
-                (r.array, step)
+    let (mut messages_per_step, mut bytes_per_step, mut restarts) = (0, 0, 0);
+    let mut step = 0;
+    while step < config.steps {
+        let relaxed = {
+            let _span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
+            relax_step(&current, &mut next, plans, &tracker, executor, &scratch)
+        };
+        match (relaxed, checkpoints) {
+            (Ok((messages, bytes)), _) => {
+                if step == 0 {
+                    (messages_per_step, bytes_per_step) = (messages, bytes);
+                }
+                std::mem::swap(&mut current, &mut next);
+                step += 1;
+                if let Some(c) = checkpoints {
+                    if step.checked_rem(c.every) == Some(0) || step == config.steps {
+                        c.store.save(&current, step as u64, &tracker)?;
+                    }
+                }
             }
-            Err(RuntimeError::CorruptCheckpoint { .. }) => (from_initial(), 0),
-            Err(e) => return Err(e),
+            (Err(RuntimeError::Channel(_)), Some(c)) if restarts < c.max_restarts => {
+                restarts += 1;
+                // Redistribute-on-read: a generation written under any
+                // distribution restores into the grid's.  An empty (or
+                // wholly corrupt) store means the failure predated the
+                // first save.
+                let restored = c
+                    .store
+                    .restore_into(&dist, &tracker, plans, &SerialExecutor);
+                (current, step) = match restored {
+                    Ok(r) => (r.array, (r.step as usize).min(config.steps)),
+                    Err(RuntimeError::CorruptCheckpoint { .. }) => (from_initial()?, 0),
+                    Err(e) => return Err(e),
+                };
+            }
+            (Err(e), _) => return Err(e),
         }
-    } else {
-        (from_initial(), 0)
-    };
-
-    let plan = plans.ghost_plan(&dist, &WIDTHS).expect("block layouts");
-    let fused = FusedPlan::fuse(vec![plan]).expect("a single ghost part always fuses");
-    let halo = ShardedHaloExchange::new(fused, executor.timeout())
-        .expect("ghost plans build halo exchanges");
-    let messages_per_step = halo.fused().num_messages();
-    let bytes_per_step = halo.fused().bytes_for(8);
-
-    let mut done = start_step;
-    while done < config.steps {
-        let seg_end = ckpt.map_or(config.steps, |(_, every)| {
-            config.steps.min((done / every + 1) * every)
-        });
-        run_fallible_segment(&dist, &halo, executor, tracker, &mut current, done, seg_end)?;
-        if let Some((store, _)) = ckpt {
-            store.save(&current, seg_end as u64, tracker)?;
-        }
-        done = seg_end;
     }
 
     let field = current.to_dense();
     let checksum = field.iter().sum();
-    Ok(SmoothingResult {
+    let result = SmoothingResult {
         stats: tracker.snapshot(),
         messages_per_step,
         bytes_per_step,
         checksum,
         field,
-    })
+    };
+    Ok(RecoveredSmoothing { result, restarts })
 }
 
-/// Runs steps `start..end` of the sharded relaxation as **one fallible
-/// SPMD region**: every barrier is deadline-checked and every channel
-/// error propagates as a structured region failure instead of a hang or a
-/// panic.  On success the shards are gathered back into `current`; on
-/// failure `current` is left at its pre-segment state (the damaged shards
-/// — the victim's is lost with its context — are discarded wholesale) and
-/// any step charges rank 0 posted but could not settle are settled so the
-/// tracker stays balanced.
-#[allow(clippy::too_many_arguments)]
-fn run_fallible_segment(
-    dist: &Distribution,
-    halo: &ShardedHaloExchange,
-    executor: &ShardedExecutor,
-    tracker: &vf_machine::CommTracker,
-    current: &mut DistArray<f64>,
-    start: usize,
-    end: usize,
-) -> vf_runtime::Result<()> {
-    let timeout = executor.timeout();
-    let shards = ShardedArray::scatter(current);
-    let procs = tracker.num_procs();
-    let pending_slot: Mutex<Option<PendingSends>> = Mutex::new(None);
-
-    let results: Vec<vf_runtime::Result<()>> = executor.run_region(procs, tracker, |ctx| {
-        let r = ctx.rank();
-        let me = ProcId(r);
-        let mut my = shards.take(r);
-        // The global boundary is never written: both buffers hold it.
-        let mut next = my.clone();
-        let mut scratch = Vec::new();
-        for step in start..end {
-            ctx.barrier_checked(timeout)?;
-            let step_span = (r == 0).then(|| {
-                trace::OpenSpan::begin_with(trace::Phase::Step, || format!("sharded step {step}"))
-            });
-            if r == 0 {
-                *pending_slot.lock().expect("pending slot") = Some(halo.post(tracker, 8));
-            }
-            ctx.barrier_checked(timeout)?;
-            let bufs = halo.exchange_on_rank(ctx, &[&my])?;
-            let ghosts =
-                halo.ghost_region_on_rank(0, r, bufs.into_iter().next().expect("one part"));
-            let relax_span = trace::OpenSpan::begin_dest(trace::Phase::InteriorCompute, r);
-            let src = ghosts.extended(me, &my, &mut scratch)?;
-            let mut dst = LocalView::new(dist, me, next.as_mut_slice())?;
-            let update = updated(dst.segment(), dist.domain());
-            relax_box(&src, &mut dst, update, NOTHING);
-            ctx.charge_compute(box_points(update) * FLOPS_PER_POINT);
-            relax_span.end();
-            ctx.barrier_checked(timeout)?;
-            if r == 0 {
-                let pending = pending_slot
-                    .lock()
-                    .expect("pending slot")
-                    .take()
-                    .expect("posted this step");
-                halo.settle(tracker, pending, 8);
-            }
-            if let Some(span) = step_span {
-                span.end();
-            }
-            std::mem::swap(&mut my, &mut next);
-        }
-        shards.put(r, my);
-        Ok(())
-    });
-
-    if let Some(err) = results.into_iter().find_map(|r| r.err()) {
-        if let Some(pending) = pending_slot.lock().expect("pending slot").take() {
-            halo.settle(tracker, pending, 8);
-        }
-        return Err(err);
-    }
-    shards.gather_into(current);
-    Ok(())
+/// One blocking step: exchanges `current`'s halo on `executor`, then
+/// relaxes every processor's segment into `next`.  Returns the step's
+/// message and byte counts.  A failed exchange leaves both fields as they
+/// were.
+fn relax_step(
+    current: &DistArray<f64>,
+    next: &mut DistArray<f64>,
+    plans: &PlanCache,
+    tracker: &CommTracker,
+    executor: &impl PlanExecutor,
+    scratch: &[Mutex<Vec<f64>>],
+) -> Result<(usize, usize)> {
+    let halo = plans.ghost_plan(current.dist(), &WIDTHS)?;
+    let (ghosts, report) = exchange_ghosts(current, &halo, tracker, executor)?;
+    let domain = current.dist().domain();
+    forall_owned(&mut [next], tracker, executor, |p, dst| {
+        let mut scratch = scratch[p.0].lock().unwrap_or_else(PoisonError::into_inner);
+        let src = ghosts
+            .extended(p, current.local(p), &mut scratch)
+            .expect("the halo was exchanged for this field");
+        let update = updated(dst[0].segment(), domain);
+        relax_box(&src, &mut dst[0], update, NOTHING);
+        box_points(update) * FLOPS_PER_POINT
+    })?;
+    Ok((report.messages, report.bytes))
 }
 
 /// Result of a class (multi-field) smoothing run whose halos are exchanged
@@ -619,7 +467,7 @@ pub fn run_class(
             .wait()
             .expect("split-phase ghost exchange survives injected faults");
         forall_owned(&mut dsts, &tracker, &executor, |p, dsts| {
-            let mut scratch = scratch[p.0].lock().expect("scratch box");
+            let mut scratch = scratch[p.0].lock().unwrap_or_else(PoisonError::into_inner);
             let mut points = 0;
             for ((src, ghosts), dst) in current.iter().zip(&regions).zip(dsts) {
                 let src = ghosts
@@ -648,6 +496,7 @@ pub fn run_class(
 mod tests {
     use super::*;
     use crate::workloads;
+    use vf_runtime::{ShardedExecutor, ThreadedExecutor};
 
     #[test]
     fn distributed_matches_sequential_for_both_layouts() {
@@ -719,7 +568,10 @@ mod tests {
             let machine = Machine::new(4, CostModel::zero());
             let shared = run(&SmoothingConfig { n, steps, layout }, &machine, &initial);
             let machine = Machine::new(4, CostModel::zero());
-            let sharded = run_sharded(&SmoothingConfig { n, steps, layout }, &machine, &initial);
+            let config = SmoothingConfig { n, steps, layout };
+            let sharded = try_run(&config, &machine, &initial, &ShardedExecutor::new(), None)
+                .expect("no faults are armed")
+                .result;
             // The gathered rank-local result is bitwise the shared-memory
             // result, and both runs model identical traffic.
             assert_eq!(
@@ -770,34 +622,40 @@ mod tests {
         let n = 16;
         let steps = 5;
         let initial = workloads::initial_grid(n, 11);
+        let executors = [
+            ("serial", ExecBackend::Serial),
+            (
+                "pooled",
+                ExecBackend::Threaded(ThreadedExecutor::auto().with_serial_cutoff(0)),
+            ),
+            ("sharded", ExecBackend::Sharded(ShardedExecutor::new())),
+        ];
         for layout in [SmoothingLayout::Columns, SmoothingLayout::Blocks2D] {
-            let machine = Machine::new(4, CostModel::zero());
-            let plain = run_sharded(&SmoothingConfig { n, steps, layout }, &machine, &initial);
-            let store = ckpt_store(match layout {
-                SmoothingLayout::Columns => "cols",
-                SmoothingLayout::Blocks2D => "blk",
-            });
-            let machine = Machine::new(4, CostModel::zero());
-            let ckpt = run_sharded_checkpointed(
-                &SmoothingConfig { n, steps, layout },
-                &machine,
-                &initial,
-                &store,
-                2,
-                &ShardedExecutor::new(),
-            )
-            .expect("fault-free checkpointed run succeeds");
-            assert_eq!(
-                ckpt.field, plain.field,
-                "{layout:?} checkpointed field diverges from the plain sharded run"
-            );
-            assert_eq!(ckpt.messages_per_step, plain.messages_per_step);
-            assert_eq!(ckpt.bytes_per_step, plain.bytes_per_step);
-            // The last checkpoint holds the final step, and its I/O was
-            // charged to the tracker.
-            assert_eq!(store.latest_step(), Some(steps as u64));
-            assert!(ckpt.stats.ckpt_bytes_written() > 0);
-            assert_eq!(ckpt.stats.ckpt_bytes_read(), 0);
+            let config = SmoothingConfig { n, steps, layout };
+            let plain = run(&config, &Machine::new(4, CostModel::zero()), &initial);
+            for (name, executor) in &executors {
+                let store = ckpt_store(&format!("{name}_{layout:?}"));
+                let machine = Machine::new(4, CostModel::zero());
+                let checkpoints = Checkpoints {
+                    store: &store,
+                    every: 2,
+                    max_restarts: 0,
+                };
+                let ckpt = try_run(&config, &machine, &initial, executor, Some(checkpoints))
+                    .expect("fault-free checkpointed run succeeds");
+                let ctx = format!("{name} {layout:?}");
+                assert_eq!(ckpt.restarts, 0, "{ctx}");
+                let ckpt = ckpt.result;
+                assert_eq!(ckpt.field, plain.field, "{ctx}: diverges from run");
+                assert_eq!(ckpt.messages_per_step, plain.messages_per_step, "{ctx}");
+                assert_eq!(ckpt.bytes_per_step, plain.bytes_per_step, "{ctx}");
+                // The last checkpoint holds the final step, and its I/O was
+                // charged to the tracker; nothing was read back.
+                assert_eq!(store.latest_step(), Some(steps as u64), "{ctx}");
+                assert!(ckpt.stats.ckpt_bytes_written() > 0, "{ctx}");
+                assert_eq!(ckpt.stats.ckpt_bytes_read(), 0, "{ctx}");
+                let _ = std::fs::remove_dir_all(store.dir());
+            }
         }
     }
 
@@ -807,9 +665,9 @@ mod tests {
         let n = 16;
         let steps = 6;
         let layout = SmoothingLayout::Columns;
+        let config = SmoothingConfig { n, steps, layout };
         let initial = workloads::initial_grid(n, 23);
-        let machine = Machine::new(4, CostModel::zero());
-        let clean = run_sharded(&SmoothingConfig { n, steps, layout }, &machine, &initial);
+        let clean = run(&config, &Machine::new(4, CostModel::zero()), &initial);
 
         // One guaranteed rank death, then a clean rest of the schedule.
         let plan = FaultPlan::new(77)
@@ -819,22 +677,20 @@ mod tests {
         let machine = Machine::new(4, CostModel::zero()).with_fault_plan(plan);
         let store = ckpt_store("recover");
         let executor = ShardedExecutor::new().with_timeout(std::time::Duration::from_millis(500));
-        let recovered = recover_and_resume(
-            &SmoothingConfig { n, steps, layout },
-            &machine,
-            &initial,
-            &store,
-            2,
-            3,
-            &executor,
-        )
-        .expect("the driver recovers from a single injected rank death");
+        let checkpoints = Checkpoints {
+            store: &store,
+            every: 2,
+            max_restarts: 3,
+        };
+        let recovered = try_run(&config, &machine, &initial, &executor, Some(checkpoints))
+            .expect("the driver recovers from a single injected rank death");
         assert_eq!(recovered.restarts, 1, "exactly one region crashed");
         assert_eq!(
             recovered.result.field, clean.field,
             "recovered field diverges from the fault-free run"
         );
         assert_eq!(recovered.result.checksum, clean.checksum);
+        assert_eq!(recovered.result.stats.faults_injected(), 1);
     }
 
     #[test]

@@ -212,7 +212,9 @@ pub struct CorruptSpec {
 /// Drawn on the caller thread before a region launches (honouring the
 /// caller-thread-only polling contract) and carried into the SPMD region
 /// as plain data; the victim's context decrements the fuse on every
-/// channel operation and drops dead when it reaches zero.
+/// channel operation and drops dead when it reaches zero.  A fuse the
+/// region did not burn down stays armed on the injector for the next
+/// region ([`FaultInjector::settle_rank_death`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankDeathSpec {
     /// The rank whose channel endpoints are dropped.  Never rank 0, which
@@ -235,6 +237,10 @@ pub struct FaultInjector {
     fired: [AtomicUsize; 6],
     retries_caused: AtomicUsize,
     dead_workers: AtomicUsize,
+    /// A drawn rank death whose victim has not died yet, with the fuse it
+    /// has left.  It holds a unit of the fault budget but is not counted
+    /// as fired.
+    armed_death: Mutex<Option<RankDeathSpec>>,
 }
 
 impl FaultInjector {
@@ -247,6 +253,7 @@ impl FaultInjector {
             fired: Default::default(),
             retries_caused: AtomicUsize::new(0),
             dead_workers: AtomicUsize::new(0),
+            armed_death: Mutex::new(None),
         }
     }
 
@@ -261,12 +268,26 @@ impl FaultInjector {
         self.rng.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Rolls for one enabled fault kind; counts it when it fires.
-    fn roll(&self, kind: FaultKind) -> bool {
-        if !self.plan.kinds.contains(&kind) || self.faults_injected() >= self.plan.max_faults {
+    /// The armed, not yet fired rank death.
+    fn armed_death(&self) -> MutexGuard<'_, Option<RankDeathSpec>> {
+        self.armed_death
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Draws for one enabled fault kind within the budget (an armed death
+    /// holds a unit of it) without counting the draw.
+    fn draw(&self, kind: FaultKind) -> bool {
+        let spent = self.faults_injected() + usize::from(self.armed_death().is_some());
+        if !self.plan.kinds.contains(&kind) || spent >= self.plan.max_faults {
             return false;
         }
-        let hit = self.rng().gen_range(0.0..1.0) < self.plan.rate;
+        self.rng().gen_range(0.0..1.0) < self.plan.rate
+    }
+
+    /// Rolls for one enabled fault kind; counts it when it fires.
+    fn roll(&self, kind: FaultKind) -> bool {
+        let hit = self.draw(kind);
         if hit {
             self.fired[kind.index()].fetch_add(1, Ordering::Relaxed);
         }
@@ -328,18 +349,43 @@ impl FaultInjector {
     }
 
     /// Polls for a rank death at region launch (caller-thread injection
-    /// point).  Returns the armed spec — victim drawn from `1..num_ranks`
-    /// (rank 0 is the charging rank and never dies) plus a small
-    /// operation fuse — or `None` when the kind is disabled, the budget
-    /// is spent, or there is no killable rank (`num_ranks < 2`).
+    /// point).  A death armed earlier that has not fired comes back first,
+    /// with the fuse it has left.  Otherwise this draws one — victim from
+    /// `1..num_ranks` (rank 0 is the charging rank and never dies) plus a
+    /// small operation fuse — or returns `None` when the kind is disabled,
+    /// the budget is spent, or there is no killable rank
+    /// (`num_ranks < 2`).  Hand the region's outcome to
+    /// [`FaultInjector::settle_rank_death`]: a death counts only once it
+    /// fires.
     pub fn rank_death(&self, num_ranks: usize) -> Option<RankDeathSpec> {
-        if num_ranks < 2 || !self.roll(FaultKind::RankDeath) {
+        if let Some(armed) = *self.armed_death() {
+            return Some(armed);
+        }
+        if num_ranks < 2 || !self.draw(FaultKind::RankDeath) {
             return None;
         }
         let mut rng = self.rng();
         let victim = rng.gen_range(1..num_ranks);
         let after_ops = rng.gen_range(0usize..8);
-        Some(RankDeathSpec { victim, after_ops })
+        drop(rng);
+        let spec = RankDeathSpec { victim, after_ops };
+        *self.armed_death() = Some(spec);
+        Some(spec)
+    }
+
+    /// Settles the armed death after the region it was launched with:
+    /// `unfired` is the death the region handed back
+    /// ([`crate::spmd::run_with_death`]).  `None` means the victim died:
+    /// the death is counted and `true` returned.  Otherwise the rest of
+    /// its fuse stays armed for the next region.
+    pub fn settle_rank_death(&self, unfired: Option<RankDeathSpec>) -> bool {
+        let mut armed = self.armed_death();
+        let fired = armed.is_some() && unfired.is_none();
+        *armed = unfired;
+        if fired {
+            self.fired[FaultKind::RankDeath.index()].fetch_add(1, Ordering::Relaxed);
+        }
+        fired
     }
 
     /// Deterministically picks a victim index in `0..n` (`n > 0`).
@@ -514,6 +560,8 @@ mod tests {
             let spec = inj.rank_death(4).expect("rate 1.0 always fires");
             assert!((1..4).contains(&spec.victim), "victim must not be rank 0");
             assert!(spec.after_ops < 8);
+            // Settled as fired, so the next poll draws a new death.
+            assert!(inj.settle_rank_death(None));
         }
         assert_eq!(inj.fired_of(FaultKind::RankDeath), 32);
     }
@@ -527,7 +575,36 @@ mod tests {
         let b = FaultInjector::new(plan);
         for _ in 0..100 {
             assert_eq!(a.rank_death(6), b.rank_death(6));
+            assert_eq!(a.settle_rank_death(None), b.settle_rank_death(None));
         }
+    }
+
+    #[test]
+    fn an_unfired_rank_death_stays_armed_and_uncounted() {
+        let inj = FaultInjector::new(
+            FaultPlan::new(5)
+                .with_rate(1.0)
+                .with_kinds(&[FaultKind::RankDeath, FaultKind::TransientSend])
+                .with_max_faults(1),
+        );
+        let drawn = inj.rank_death(4).expect("rate 1.0 always fires");
+        // The victim made one operation and lived: the rest of its fuse
+        // comes back at the next launch, whatever the region's width.
+        let rest = RankDeathSpec {
+            after_ops: drawn.after_ops.saturating_sub(1),
+            ..drawn
+        };
+        assert!(!inj.settle_rank_death(Some(rest)));
+        assert_eq!(inj.faults_injected(), 0);
+        assert_eq!(inj.rank_death(4), Some(rest));
+        assert_eq!(inj.rank_death(2), Some(rest));
+        // The armed death holds the budget of one.
+        assert_eq!(inj.transient_send(), None);
+        assert!(inj.settle_rank_death(None));
+        assert_eq!(inj.fired_of(FaultKind::RankDeath), 1);
+        assert_eq!(inj.rank_death(4), None, "the budget is spent");
+        assert!(!inj.settle_rank_death(None), "nothing was armed");
+        assert_eq!(inj.faults_injected(), 1);
     }
 
     #[test]

@@ -312,8 +312,9 @@ pub struct ProcCtx {
     barrier: Arc<RegionBarrier>,
     tracker: CommTracker,
     /// Armed rank-death fuse: remaining channel operations before this
-    /// rank dies ([`SpmdError::RankKilled`]).  `None` on healthy ranks.
-    doom: Option<Cell<usize>>,
+    /// rank dies ([`SpmdError::RankKilled`]), and `None` inside once it
+    /// has died.  `None` on healthy ranks.
+    doom: Option<Cell<Option<usize>>>,
 }
 
 impl Drop for ProcCtx {
@@ -347,11 +348,13 @@ impl ProcCtx {
     /// with it this rank's channel endpoints) drops.
     fn check_doom(&self) -> Result<(), SpmdError> {
         if let Some(fuse) = &self.doom {
-            let left = fuse.get();
-            if left == 0 {
-                return Err(SpmdError::RankKilled { rank: self.rank });
+            match fuse.get() {
+                Some(left) if left > 0 => fuse.set(Some(left - 1)),
+                _ => {
+                    fuse.set(None);
+                    return Err(SpmdError::RankKilled { rank: self.rank });
+                }
             }
-            fuse.set(left - 1);
         }
         Ok(())
     }
@@ -543,12 +546,6 @@ impl ProcCtx {
         self.barrier.wait_checked(self.rank, Some(timeout))
     }
 
-    /// Charges `flops` floating-point operations of local work to this
-    /// processor in the cost model.
-    pub fn charge_compute(&self, flops: usize) {
-        self.tracker.compute(self.rank, flops);
-    }
-
     /// Global sum of one value per processor; every processor receives the
     /// result (gather to rank 0, then broadcast).
     pub fn allreduce_sum(&mut self, value: f64) -> Result<f64, SpmdError> {
@@ -674,7 +671,7 @@ fn make_contexts(
             tracker: tracker.clone(),
             doom: death
                 .filter(|d| d.victim == rank)
-                .map(|d| Cell::new(d.after_ops)),
+                .map(|d| Cell::new(Some(d.after_ops))),
         })
         .collect()
     // The original sender handles drop here, so each rank's channel closes
@@ -694,13 +691,12 @@ where
     R: Send,
     F: Fn(&mut ProcCtx) -> R + Sync,
 {
-    run_with_death(num_procs, tracker, None, body)
+    run_with_death(num_procs, tracker, None, body).0
 }
 
 /// [`run`] with an optional armed rank death — the one launcher every
-/// SPMD region goes through (`ShardedExecutor::run_region` calls it
-/// directly, [`run`] with no death).  Each rank runs on a fresh scoped OS
-/// thread.
+/// SPMD region goes through (the sharded executor calls it directly,
+/// [`run`] with no death).  Each rank runs on a fresh scoped OS thread.
 ///
 /// An armed death is a *simulated* failure carried into the region as
 /// data: the victim rank's context carries the spec's operation fuse, so
@@ -709,6 +705,12 @@ where
 /// its endpoints.  Survivors then observe [`SpmdError::PeerDead`] on sends
 /// to the victim, [`SpmdError::RecvTimeout`] on bounded receives from it,
 /// and [`SpmdError::BarrierBroken`] at checked barriers.
+///
+/// Returns the per-rank results in rank order and the death that is
+/// still armed: `None` when it fired (or none was armed), else the spec
+/// with the fuse the victim has left — a victim that made fewer channel
+/// operations than its fuse (or is not a rank of this region) did not
+/// die, and the caller carries the rest of the fuse to its next region.
 ///
 /// A *real* panic in `body` is not contained: every rank is joined first
 /// (so no rank outlives the region), then the lowest panicking rank's
@@ -719,7 +721,7 @@ pub fn run_with_death<R, F>(
     tracker: &CommTracker,
     death: Option<RankDeathSpec>,
     body: F,
-) -> Vec<R>
+) -> (Vec<R>, Option<RankDeathSpec>)
 where
     R: Send,
     F: Fn(&mut ProcCtx) -> R + Sync,
@@ -727,17 +729,26 @@ where
     assert!(num_procs > 0, "SPMD region needs at least one processor");
     let mut contexts = make_contexts(num_procs, tracker, death);
     let body = &body;
-    std::thread::scope(|scope| {
+    let joined: Vec<std::thread::Result<(R, Option<usize>)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_procs);
         for mut ctx in contexts.drain(..) {
-            handles.push(scope.spawn(move || body(&mut ctx)));
+            handles.push(scope.spawn(move || {
+                let result = body(&mut ctx);
+                (result, ctx.doom.as_ref().and_then(Cell::get))
+            }));
         }
-        let joined: Vec<std::thread::Result<R>> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    })
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut unfired = death;
+    let mut results = Vec::with_capacity(num_procs);
+    for (rank, joined) in joined.into_iter().enumerate() {
+        let (result, fuse) = joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        if let Some(d) = death.filter(|d| d.victim == rank) {
+            unfired = fuse.map(|after_ops| RankDeathSpec { after_ops, ..d });
+        }
+        results.push(result);
+    }
+    (results, unfired)
 }
 
 #[cfg(test)]
@@ -995,10 +1006,15 @@ mod tests {
         let mut cost = CostModel::zero();
         cost.compute_per_flop = 1.0;
         let tracker = CommTracker::new(3, cost);
-        run(3, &tracker, |ctx| {
-            ctx.charge_compute(ctx.rank() * 10);
+        let arrived = std::sync::atomic::AtomicUsize::new(0);
+        let seen = run(3, &tracker, |ctx| {
+            // Local work is charged through the region's own tracker.
+            ctx.tracker().compute(ctx.rank(), ctx.rank() * 10);
+            arrived.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             ctx.barrier();
+            arrived.load(std::sync::atomic::Ordering::SeqCst)
         });
+        assert_eq!(seen, [3, 3, 3], "no rank leaves the barrier early");
         let s = tracker.snapshot();
         assert_eq!(s.max_compute_time(), 20.0);
         assert_eq!(s.total_compute_time(), 30.0);
@@ -1043,7 +1059,7 @@ mod tests {
             after_ops: 0,
         });
         let started = Instant::now();
-        let results = run_with_death(4, &tracker, death, |ctx| match ctx.rank() {
+        let (results, unfired) = run_with_death(4, &tracker, death, |ctx| match ctx.rank() {
             // Victim: its very first channel operation is refused.
             2 => ctx.send_f64s(3, 7, &[2.0]).map(|_| 0.0),
             // Waits on the message the victim never sent.
@@ -1064,6 +1080,7 @@ mod tests {
         );
         assert_eq!(results[0], Ok(0.0));
         assert_eq!(results[2], Err(SpmdError::RankKilled { rank: 2 }));
+        assert_eq!(unfired, None, "the death fired");
         assert_eq!(
             results[1],
             Err(SpmdError::PeerDead {
@@ -1085,7 +1102,7 @@ mod tests {
             victim: 1,
             after_ops: 2,
         });
-        let results = run_with_death(2, &tracker, death, |ctx| {
+        let (results, unfired) = run_with_death(2, &tracker, death, |ctx| {
             if ctx.rank() == 0 {
                 // Receive the two messages the victim gets out before
                 // dying, then observe its death via timeout.
@@ -1103,6 +1120,26 @@ mod tests {
         });
         assert_eq!(results[0], Ok(16.0));
         assert_eq!(results[1], Err(SpmdError::RankKilled { rank: 1 }));
+        assert_eq!(unfired, None, "the death fired");
+
+        // A victim that makes fewer operations than its fuse survives the
+        // region, and the launcher hands back what is left of the fuse.
+        let (results, unfired) = run_with_death(2, &tracker, death, |ctx| {
+            if ctx.rank() == 1 {
+                ctx.send(0, 4, vec![4u8; 8])
+            } else {
+                ctx.recv_timeout(Some(1), 4, Duration::from_secs(5))
+                    .map(|_| ())
+            }
+        });
+        assert_eq!(results, [Ok(()), Ok(())]);
+        assert_eq!(
+            unfired,
+            Some(RankDeathSpec {
+                victim: 1,
+                after_ops: 1
+            })
+        );
     }
 
     #[test]
@@ -1116,7 +1153,7 @@ mod tests {
             after_ops: 0,
         });
         let started = Instant::now();
-        let results = run_with_death(3, &tracker, death, |ctx| {
+        let (results, _) = run_with_death(3, &tracker, death, |ctx| {
             if ctx.rank() == 1 {
                 // The victim's fuse fires at its own checked barrier.
                 ctx.barrier_checked(timeout)

@@ -113,8 +113,7 @@ impl<D: DerefMut> DerefMut for LocalView<D> {
 /// ([`PlanExecutor::run_owned`]): on a pooled executor the processors are
 /// spread over the pool's ranks when the destination volume clears the
 /// executor's serial cutoff, and run inline on the caller below it, on
-/// [`crate::SerialExecutor`] and on the sharded transport (whose
-/// rank-resident drivers call their kernel inside the region instead).
+/// [`crate::SerialExecutor`] and on the sharded transport.
 /// Each processor's kernel runs inside one
 /// [`trace::Phase::InteriorCompute`] span on the lane of the rank that
 /// runs it.  The caller must not be holding that pool's submission turn (a

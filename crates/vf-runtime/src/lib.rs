@@ -39,8 +39,7 @@
 //!   per-array schedules of a class into one message per processor pair,
 //!   and a single array is a class of one (the verb and engine tables are
 //!   in `crates/vf-runtime/README.md`);
-//! * [`shard`] — the channel transport and rank-resident shards for SPMD
-//!   application loops;
+//! * [`shard`] — the channel transport;
 //! * [`reduce`] — global reductions charged as tree collectives;
 //! * [`assign`] — array assignment between differently distributed arrays
 //!   (the storage-wasting alternative to dynamic redistribution discussed
@@ -81,7 +80,7 @@ pub use redistribute_impl::{
     execute_class_redistribute, execute_redistribute, redistribute, redistribute_split,
     RedistOptions, RedistReport, SplitRedistribute,
 };
-pub use shard::{ShardedArray, ShardedExecutor, ShardedHaloExchange};
+pub use shard::{ShardedArray, ShardedExecutor};
 pub use translation::{table_for, DistTranslationTable, TranslationStats};
 pub use vf_machine::trace;
 

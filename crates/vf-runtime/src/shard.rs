@@ -64,105 +64,41 @@
 //! [`RuntimeError::CorruptMessage`] from the exchange, after the posted
 //! model charges are settled.  The source arrays are only ever borrowed,
 //! so a failed statement leaves them exactly as they were.
-//!
-//! [`ShardedArray`] remains for application loops that keep shards
-//! rank-*resident* across many steps of one region (`take` on entry,
-//! `put` on exit); statements do not use it.
 
 use crate::element::{pack_le_xor, unpack_le, xor_packed_le};
 use crate::exec::{
     copy_runs, finish_checksum, finish_with_copy_credit, lock, post_fused, wire_copy_seconds,
     ExecReport, FusedPlan, PlanExecutor, RetiredLocals,
 };
-use crate::plan::PlanKind;
 use crate::{DistArray, Element, Result, RuntimeError};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use vf_dist::{Distribution, ProcId};
+use vf_dist::Distribution;
 use vf_machine::spmd::{self, ProcCtx, WIRE_FRAME_BYTES, WIRE_TAG};
 use vf_machine::{trace, CommTracker, WireFrameMsg};
 
-/// A distributed array scattered into rank-private, rank-*resident*
-/// shards, for application loops that run many steps inside one SPMD
-/// region (statements borrow through `RankShards` instead and never
-/// scatter).
-///
-/// Each shard is owned by exactly one rank for the duration of the
-/// region: the rank [`take`](ShardedArray::take)s it on entry and
-/// [`put`](ShardedArray::put)s it back before returning, so no rank can
-/// read another rank's segment through shared memory — any cross-rank
-/// element flow must go over a channel.  The `Mutex<Option<..>>` per shard
-/// is the enforcement mechanism, not a synchronisation point: a well-formed
-/// region locks each slot exactly twice, uncontended.
+/// A distributed array copied out into one shard per processor (cloned
+/// from the canonical local segments), and back.  Statements never
+/// scatter — they borrow through `RankShards` — so this is only the
+/// measure of what a scatter and a gather cost.
 #[derive(Debug)]
 pub struct ShardedArray<T> {
-    name: String,
     dist: Distribution,
-    shards: Vec<Mutex<Option<Vec<T>>>>,
+    shards: Vec<Vec<T>>,
 }
 
 impl<T: Element> ShardedArray<T> {
-    /// Scatters `array` into per-rank shards (one per modelled processor,
-    /// cloned from the canonical local segments).
+    /// Scatters `array` into per-rank shards.
     pub fn scatter(array: &DistArray<T>) -> Self {
         Self {
-            name: array.name().to_string(),
             dist: array.dist().clone(),
-            shards: array
-                .locals()
-                .iter()
-                .map(|l| Mutex::new(Some(l.clone())))
-                .collect(),
+            shards: array.locals().to_vec(),
         }
     }
 
-    /// The array name the shards were scattered from.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The distribution the shards follow.
-    pub fn dist(&self) -> &Distribution {
-        &self.dist
-    }
-
-    /// Takes rank `rank`'s shard out of the array.  Panics if the shard
-    /// was already taken — each rank owns exactly its own shard.
-    pub fn take(&self, rank: usize) -> Vec<T> {
-        lock(&self.shards[rank])
-            .take()
-            .expect("shard already taken: each rank must take only its own shard, once")
-    }
-
-    /// Returns rank `rank`'s shard after the region's work on it is done.
-    pub fn put(&self, rank: usize, shard: Vec<T>) {
-        *lock(&self.shards[rank]) = Some(shard);
-    }
-
-    /// Gathers every shard back into `(distribution, per-rank locals)` —
-    /// the verification step that lets callers compare a sharded run
-    /// against the shared-memory oracle bit for bit.  Panics if any shard
-    /// is still taken.
+    /// Gathers every shard back into `(distribution, per-rank locals)`.
     pub fn gather(self) -> (Distribution, Vec<Vec<T>>) {
-        let locals = self
-            .shards
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("shard still taken: the SPMD region must put every shard back")
-            })
-            .collect();
-        (self.dist, locals)
-    }
-
-    /// Gathers the shards into `array` (which must model the same number
-    /// of processors), making it the canonical global view again.
-    pub fn gather_into(self, array: &mut DistArray<T>) {
-        let (dist, locals) = self.gather();
-        array.replace(dist, locals);
-        array.broadcast_canonical();
+        (self.dist, self.shards)
     }
 }
 
@@ -260,7 +196,7 @@ impl ShardedExecutor {
     pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
     /// An executor whose exchanges each run one region on fresh rank
-    /// threads ([`ShardedExecutor::run_region`]).  The receive bound is
+    /// threads.  The receive bound is
     /// [`ShardedExecutor::DEFAULT_TIMEOUT`] unless the `VF_SHARD_TIMEOUT`
     /// environment variable overrides it (milliseconds; positive): chaos
     /// suites shrink it so dead-peer detection is fast, and slow CI hosts
@@ -289,15 +225,8 @@ impl ShardedExecutor {
         self
     }
 
-    /// The channel receive bound.
-    pub fn timeout(&self) -> Duration {
-        self.timeout
-    }
-
     /// Runs `body` as an SPMD region of `num_procs` ranks, one fresh
-    /// thread per rank ([`spmd::run_with_death`]).  Application workloads
-    /// use this to keep shards rank-resident across many time steps (one
-    /// region for the whole run).
+    /// thread per rank ([`spmd::run_with_death`]).
     ///
     /// If the tracker carries a [`vf_machine::FaultInjector`] whose plan
     /// enables [`vf_machine::FaultKind::RankDeath`], the injector is polled
@@ -305,19 +234,22 @@ impl ShardedExecutor {
     /// caller-thread-only determinism contract), and an armed death is
     /// carried into the region as data: after its operation fuse burns
     /// down, the victim rank's channel endpoints drop mid-region and the
-    /// survivors surface structured errors instead of hanging.
-    pub fn run_region<R, F>(&self, num_procs: usize, tracker: &CommTracker, body: F) -> Vec<R>
+    /// survivors surface structured errors instead of hanging.  The death
+    /// is counted when it fires; a victim that made fewer operations than
+    /// its fuse lives, and the rest of the fuse stays armed for the
+    /// tracker's next region.
+    fn run_region<R, F>(&self, num_procs: usize, tracker: &CommTracker, body: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut ProcCtx) -> R + Sync,
     {
-        let death = tracker
-            .fault_injector()
-            .and_then(|inj| inj.rank_death(num_procs));
-        if death.is_some() {
+        let injector = tracker.fault_injector();
+        let death = injector.and_then(|inj| inj.rank_death(num_procs));
+        let (results, unfired) = spmd::run_with_death(num_procs, tracker, death, body);
+        if death.is_some() && injector.is_some_and(|inj| inj.settle_rank_death(unfired)) {
             tracker.record_fault();
         }
-        spmd::run_with_death(num_procs, tracker, death, body)
+        results
     }
 }
 
@@ -449,11 +381,12 @@ fn unpack_frame<T: Element>(
 
 /// One rank's half of a fused wire exchange, run *inside* an SPMD region.
 ///
-/// `my` is the rank's own segment of each fused part.  The rank first
-/// serves its local (stay-at-home) runs, then packs one frame per outgoing
-/// crossing pair ([`pack_frame`]) and moves it into the channel, then
-/// receives, validates and decodes every arriving pair ([`unpack_frame`]),
-/// handing each finished frame to `frames` for the next sender.
+/// `my` is the rank's own segment of each fused part and `dst_sizes[i]`
+/// part `i`'s per-processor destination sizes.  The rank first serves its
+/// local (stay-at-home) runs, then packs one frame per outgoing crossing
+/// pair ([`pack_frame`]) and moves it into the channel, then receives,
+/// validates and decodes every arriving pair ([`unpack_frame`]), handing
+/// each finished frame to `exec`'s frame pool for the next sender.
 /// Send-before-receive is deadlock-free because the channels are
 /// unbounded; the per-tag FIFO pending queue keeps out-of-order arrivals
 /// cheap.
@@ -461,14 +394,14 @@ fn rank_exchange<T: Element>(
     fused: &FusedPlan,
     ctx: &mut ProcCtx,
     my: &[&[T]],
-    dst_len: &(dyn Fn(usize, usize) -> usize + Sync),
+    dst_sizes: &[Vec<usize>],
     seq_base: u64,
-    timeout: Duration,
-    frames: &FramePool,
+    exec: &ShardedExecutor,
 ) -> Result<Vec<Vec<T>>> {
     let r = ctx.rank();
-    let mut bufs: Vec<Vec<T>> = (0..fused.parts().len())
-        .map(|idx| vec![T::default(); dst_len(idx, r)])
+    let mut bufs: Vec<Vec<T>> = dst_sizes
+        .iter()
+        .map(|sizes| vec![T::default(); sizes.get(r).copied().unwrap_or(0)])
         .collect();
     // Elements that stay on `r` never touch a frame.
     for (idx, buf) in bufs.iter_mut().enumerate() {
@@ -485,7 +418,7 @@ fn rank_exchange<T: Element>(
         let pack = trace::OpenSpan::begin_with(trace::Phase::WirePack, || {
             format!("p{r} -> p{d}: {total} elements")
         });
-        let mut frame = frames.take(WIRE_FRAME_BYTES + total * T::BYTES);
+        let mut frame = exec.frames.take(WIRE_FRAME_BYTES + total * T::BYTES);
         pack_frame(fused, pi, my, seq_base + pi as u64, &mut frame);
         pack.end();
         ctx.send_wire(d, WIRE_TAG, frame)?;
@@ -496,11 +429,11 @@ fn rank_exchange<T: Element>(
     let arriving = fused.index.arriving(r);
     for &pi in arriving {
         let ((s, _), _) = fused.index.pairs[pi];
-        let (_, header, frame) = ctx.recv_wire(Some(s), WIRE_TAG, timeout)?;
+        let (_, header, frame) = ctx.recv_wire(Some(s), WIRE_TAG, exec.timeout)?;
         let unpack = trace::OpenSpan::begin_dest(trace::Phase::Unpack, r);
         let decoded = unpack_frame(fused, pi, &header, &frame, &mut bufs);
         unpack.end();
-        frames.give(frame);
+        exec.frames.give(frame);
         decoded?;
     }
     Ok(bufs)
@@ -541,18 +474,9 @@ fn sharded_fused_exchange<T: Element>(
     // or a destination buffer is below both bounds (the verbs validated
     // the tracker against the plan).
     let ranks = tracker.num_procs().min(fused.index.procs());
-    let dst_len = |idx: usize, r: usize| dst_sizes[idx].get(r).copied().unwrap_or(0);
     let per_rank: Vec<Result<Vec<Vec<T>>>> = exec.run_region(ranks, tracker, |ctx| {
         let my = shards.mine(ctx);
-        rank_exchange(
-            fused,
-            ctx,
-            &my,
-            &dst_len,
-            seq_base,
-            exec.timeout,
-            &exec.frames,
-        )
+        rank_exchange(fused, ctx, &my, dst_sizes, seq_base, exec)
     });
     // Settle the posted batch before any `?` — model charges must never
     // leak on a channel-failure path.
@@ -584,139 +508,12 @@ fn assemble<T>(
     out
 }
 
-/// A reusable rank-level halo exchange for SPMD application loops: the
-/// caller builds the fused ghost plan once, enters **one** SPMD region for
-/// the whole workload, and calls [`exchange_on_rank`] once per time step
-/// from every rank — shards never leave their rank between steps.
-///
-/// The modelled charges of each step are *not* issued by the ranks (that
-/// would charge the batch once per rank): the designated charging rank —
-/// conventionally rank 0, between two barriers — calls [`post`] before
-/// and [`settle`] after the step's exchanges, reproducing the shared wire
-/// path's charge order exactly.
-///
-/// [`exchange_on_rank`]: ShardedHaloExchange::exchange_on_rank
-/// [`post`]: ShardedHaloExchange::post
-/// [`settle`]: ShardedHaloExchange::settle
-pub struct ShardedHaloExchange {
-    fused: FusedPlan,
-    timeout: Duration,
-    /// Spare wire frames, recycled from step to step.
-    frames: FramePool,
-    /// [`vf_machine::PendingSends::seq_base`] of the step in flight —
-    /// stored by the charging rank's [`ShardedHaloExchange::post`], read by
-    /// every rank's exchange; the barrier between the two orders them.
-    seq_base: AtomicU64,
-}
-
-impl ShardedHaloExchange {
-    /// Wraps a fused ghost plan for in-region use.
-    ///
-    /// # Errors
-    /// [`RuntimeError::FusionMismatch`] when `fused` is not a ghost
-    /// fusion.
-    pub fn new(fused: FusedPlan, timeout: Duration) -> Result<Self> {
-        if fused.kind() != PlanKind::Ghost {
-            return Err(RuntimeError::FusionMismatch {
-                reason: format!(
-                    "ShardedHaloExchange needs Ghost parts, got {:?}",
-                    fused.kind()
-                ),
-            });
-        }
-        Ok(Self {
-            fused,
-            timeout,
-            frames: FramePool::default(),
-            seq_base: AtomicU64::new(0),
-        })
-    }
-
-    /// The fused plan driving the exchange.
-    pub fn fused(&self) -> &FusedPlan {
-        &self.fused
-    }
-
-    /// Charges one step's modelled traffic (directory + message batch) and
-    /// publishes the step's frame numbering.  Call from exactly one rank
-    /// per step, with a barrier before any rank sends.
-    pub fn post(&self, tracker: &CommTracker, elem_bytes: usize) -> vf_machine::PendingSends {
-        let pending = post_fused(&self.fused, elem_bytes, tracker).0;
-        self.seq_base.store(pending.seq_base(), Ordering::Relaxed);
-        pending
-    }
-
-    /// Completes one step's modelled traffic with the wire pack/unpack
-    /// copy credit.  Call from the same rank that [`post`]ed, after every
-    /// rank's exchange of the step returned.
-    ///
-    /// [`post`]: ShardedHaloExchange::post
-    pub fn settle(
-        &self,
-        tracker: &CommTracker,
-        pending: vf_machine::PendingSends,
-        elem_bytes: usize,
-    ) {
-        finish_with_copy_credit(
-            tracker,
-            pending,
-            &wire_copy_seconds(&self.fused, elem_bytes, tracker),
-        );
-    }
-
-    /// One rank's halo exchange: `my` is the rank's shard of each fused
-    /// array; returns the rank's filled ghost buffer per array (sized by
-    /// each part's ghost length for this rank).  Pair `pi`'s frame carries
-    /// the number the step's [`post`](ShardedHaloExchange::post) gave it,
-    /// the same on every rank.
-    ///
-    /// # Errors
-    /// As [`sharded_fused_exchange`]'s rank half: channel failures and
-    /// frame validation failures.
-    pub fn exchange_on_rank<T: Element>(
-        &self,
-        ctx: &mut ProcCtx,
-        my: &[&[T]],
-    ) -> Result<Vec<Vec<T>>> {
-        rank_exchange(
-            &self.fused,
-            ctx,
-            my,
-            &|idx, r| self.fused.parts()[idx].ghost_len(ProcId(r)),
-            self.seq_base.load(Ordering::Relaxed),
-            self.timeout,
-            &self.frames,
-        )
-    }
-
-    /// Wraps one rank's exchanged ghost buffer (part `part` of the result
-    /// of [`exchange_on_rank`]) as a [`crate::ghost::GhostRegion`] so the
-    /// rank can resolve halo reads through the plan's slot index.  Only
-    /// `rank`'s slots are populated — exactly the rank-locality the
-    /// distributed backend enforces.
-    ///
-    /// [`exchange_on_rank`]: ShardedHaloExchange::exchange_on_rank
-    pub fn ghost_region_on_rank<T: Element>(
-        &self,
-        part: usize,
-        rank: usize,
-        buf: Vec<T>,
-    ) -> crate::ghost::GhostRegion<T> {
-        let plan = &self.fused.parts()[part];
-        let mut values = vec![Vec::new(); plan.total_procs()];
-        if rank < values.len() {
-            values[rank] = buf;
-        }
-        crate::ghost::GhostRegion::from_parts(Arc::clone(plan), values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{plan_redistribute, PlanCache};
     use crate::SerialExecutor;
-    use vf_dist::{DistType, Distribution, ProcessorView};
+    use vf_dist::{DistType, Distribution, ProcId, ProcessorView};
     use vf_index::{IndexDomain, Point};
     use vf_machine::CostModel;
 
@@ -725,17 +522,13 @@ mod tests {
     }
 
     #[test]
-    fn scatter_take_put_gather_round_trip() {
+    fn scatter_gather_round_trip() {
         let dist = dist_1d(DistType::block1d(), 17, 4);
         let data: Vec<f64> = (0..17).map(|i| i as f64).collect();
         let array = DistArray::from_dense("A", dist, &data).unwrap();
-        let shards = ShardedArray::scatter(&array);
-        assert_eq!(shards.name(), "A");
-        let s2 = shards.take(2);
-        shards.put(2, s2);
-        let mut back = DistArray::new("A", shards.dist().clone());
-        shards.gather_into(&mut back);
-        assert_eq!(back.to_dense(), data);
+        let (dist, locals) = ShardedArray::scatter(&array).gather();
+        assert_eq!(dist.fingerprint(), array.dist().fingerprint());
+        assert_eq!(locals, array.locals());
     }
 
     #[test]
@@ -1006,9 +799,50 @@ mod tests {
     fn sharded_executor_defaults() {
         let exec = ShardedExecutor::new();
         assert_eq!(exec.name(), "sharded");
-        assert!(exec.timeout() > Duration::ZERO);
+        assert!(exec.timeout > Duration::ZERO);
         let tuned = exec.with_timeout(Duration::from_millis(5));
-        assert_eq!(tuned.timeout(), Duration::from_millis(5));
+        assert_eq!(tuned.timeout, Duration::from_millis(5));
+    }
+
+    #[test]
+    fn sharded_rank_death_counts_only_when_it_fires() {
+        use vf_machine::{FaultInjector, FaultKind, FaultPlan};
+        // Seed 41 arms a fuse longer than the victim's channel operations
+        // in one halo statement of a 16 x 16 column layout on 4 ranks.
+        let plan = FaultPlan::new(41)
+            .with_rate(1.0)
+            .with_kinds(&[FaultKind::RankDeath])
+            .with_max_faults(1);
+        let injector = Arc::new(FaultInjector::new(plan));
+        let tracker =
+            CommTracker::new(4, CostModel::zero()).with_fault_injector(Arc::clone(&injector));
+        let dist = Distribution::new(
+            DistType::columns(),
+            IndexDomain::d2(16, 16),
+            ProcessorView::linear(4),
+        )
+        .unwrap();
+        let array = DistArray::from_dense("U", dist.clone(), &[1.0f64; 256]).unwrap();
+        let halo = PlanCache::new()
+            .ghost_plan(&dist, &[(1, 1), (1, 1)])
+            .unwrap();
+        let exec = ShardedExecutor::new().with_timeout(Duration::from_millis(300));
+        let outcomes: Vec<(bool, usize)> = (0..6)
+            .map(|_| {
+                let ok = crate::ghost::exchange_ghosts(&array, &halo, &tracker, &exec).is_ok();
+                (ok, tracker.snapshot().faults_injected())
+            })
+            .collect();
+        // The first statement survives its armed death, which is not
+        // counted; a later one dies of the fuse carried over, counted
+        // once; the budget is then spent.
+        assert_eq!(outcomes[0], (true, 0), "{outcomes:?}");
+        let died = outcomes.iter().position(|&(ok, _)| !ok);
+        let died = died.expect("the carried fuse fires in a later statement");
+        assert!(outcomes[..died].iter().all(|&o| o == (true, 0)));
+        assert_eq!(outcomes[died], (false, 1), "{outcomes:?}");
+        assert!(outcomes[died + 1..].iter().all(|&o| o == (true, 1)));
+        assert_eq!(injector.faults_injected(), 1);
     }
 
     #[test]

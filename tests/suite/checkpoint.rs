@@ -18,9 +18,7 @@ use std::time::Duration;
 use vf_apps::mesh::{
     run_sweep, run_sweep_with_restart, unstructured_mesh, MeshPartition, MeshSweepConfig,
 };
-use vf_apps::smoothing::{
-    recover_and_resume, run_sharded, run_sharded_checkpointed, SmoothingConfig, SmoothingLayout,
-};
+use vf_apps::smoothing::{self, try_run, Checkpoints, SmoothingConfig, SmoothingLayout};
 use vf_apps::workloads;
 use vf_core::prelude::*;
 use vf_integration::{dist_1d, zero_machine};
@@ -249,9 +247,9 @@ fn narrow_elements_round_trip_bitwise() {
     check("bool", |i| i % 3 == 0);
 }
 
-/// An armed rank death makes the checkpointed sharded run fail with a
-/// structured channel error — bounded by the receive timeout, no hang, no
-/// panic.
+/// An armed rank death makes a checkpointed sharded run without a restart
+/// budget fail with a structured channel error — bounded by the receive
+/// timeout, no hang, no panic.
 #[test]
 fn injected_rank_death_degrades_structured_and_bounded() {
     let n = 16;
@@ -264,7 +262,7 @@ fn injected_rank_death_degrades_structured_and_bounded() {
     let store = fresh_store("degrade");
     let executor = ShardedExecutor::new().with_timeout(Duration::from_millis(500));
     let start = std::time::Instant::now();
-    let result = run_sharded_checkpointed(
+    let result = try_run(
         &SmoothingConfig {
             n,
             steps: 4,
@@ -272,9 +270,12 @@ fn injected_rank_death_degrades_structured_and_bounded() {
         },
         &machine,
         &initial,
-        &store,
-        2,
         &executor,
+        Some(Checkpoints {
+            store: &store,
+            every: 2,
+            max_restarts: 0,
+        }),
     );
     let elapsed = start.elapsed();
     match result {
@@ -297,7 +298,7 @@ fn smoothing_crash_recovery_is_bitwise_identical() {
     let steps = 8;
     let initial = workloads::initial_grid(n, 29);
     for layout in [SmoothingLayout::Columns, SmoothingLayout::Blocks2D] {
-        let clean = run_sharded(
+        let clean = smoothing::run(
             &SmoothingConfig { n, steps, layout },
             &zero_machine(4),
             &initial,
@@ -309,14 +310,16 @@ fn smoothing_crash_recovery_is_bitwise_identical() {
         let machine = zero_machine(4).with_fault_plan(plan);
         let store = fresh_store("recover");
         let executor = ShardedExecutor::new().with_timeout(Duration::from_millis(500));
-        let recovered = recover_and_resume(
+        let recovered = try_run(
             &SmoothingConfig { n, steps, layout },
             &machine,
             &initial,
-            &store,
-            3,
-            4,
             &executor,
+            Some(Checkpoints {
+                store: &store,
+                every: 3,
+                max_restarts: 4,
+            }),
         )
         .expect("one injected rank death is recoverable");
         assert_eq!(

@@ -17,9 +17,10 @@
 //! * `DistArray::from_dense` / `to_dense` (which copy runs) against a
 //!   per-element `owners` + `loc_map` oracle, for every kind of
 //!   distribution.
-//! * `smoothing::{run, run_class, run_sharded}` bitwise equal to the
-//!   sequential reference on each ambient backend, with the statistics the
-//!   per-point kernels charged before the port, pinned.
+//! * `smoothing::{run, run_class}` on each ambient backend, and
+//!   `smoothing::try_run` on Sharded, bitwise equal to the sequential
+//!   reference, with the statistics the per-point kernels charged before
+//!   the port, pinned.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -411,8 +412,16 @@ fn assert_pinned(stats: &CommStats, row: &Pinned, fields: usize, copies: usize, 
     );
 }
 
-/// The three drivers against the sequential reference, under whatever
-/// backend the environment selects.
+/// The fallible driver on an explicit Sharded executor, without
+/// checkpoints.
+fn try_run_sharded(config: &SmoothingConfig, initial: &[f64]) -> smoothing::SmoothingResult {
+    smoothing::try_run(config, &machine(), initial, &ShardedExecutor::new(), None)
+        .expect("no faults are armed")
+        .result
+}
+
+/// The drivers against the sequential reference, under whatever backend
+/// the environment selects (and on Sharded for `try_run`).
 fn check_smoothing(backend: &str) {
     let columns = PINNED_COLUMNS
         .iter()
@@ -440,9 +449,9 @@ fn check_smoothing(backend: &str) {
         assert_eq!(bits(&run.field), references[0], "{ctx}: run");
         assert_pinned(&run.stats, row, 1, 2, &format!("{ctx}: run"));
 
-        let sharded = smoothing::run_sharded(&config, &machine(), &initials[0]);
-        assert_eq!(bits(&sharded.field), references[0], "{ctx}: run_sharded");
-        assert_pinned(&sharded.stats, row, 1, 2, &format!("{ctx}: run_sharded"));
+        let sharded = try_run_sharded(&config, &initials[0]);
+        assert_eq!(bits(&sharded.field), references[0], "{ctx}: try_run");
+        assert_pinned(&sharded.stats, row, 1, 2, &format!("{ctx}: try_run"));
 
         let class = smoothing::run_class(&config, &machine(), &initials);
         for (field, reference) in class.fields.iter().zip(&references) {
@@ -460,10 +469,7 @@ fn check_smoothing(backend: &str) {
                 layout,
             };
             assert_eq!(smoothing::run(&config, &machine(), &initial).field, initial);
-            assert_eq!(
-                smoothing::run_sharded(&config, &machine(), &initial).field,
-                initial
-            );
+            assert_eq!(try_run_sharded(&config, &initial).field, initial);
             let class = smoothing::run_class(&config, &machine(), std::slice::from_ref(&initial));
             assert_eq!(class.fields, [initial]);
         }
