@@ -86,7 +86,7 @@ impl<T: Element> Default for ClassHalo<T> {
 /// turn is held).
 ///
 /// The handle is the runtime's [`SplitGhostExchange`] (to which it
-/// derefs: `messages`, `bytes`, `is_streaming`, `wait_dest`) plus the
+/// derefs: `messages`, `bytes`, `is_streaming`, `with_dest_mut`) plus the
 /// finishers that name the regions.
 pub struct ClassHaloExchange<'s, T: Element> {
     inner: SplitGhostExchange<'s, T>,

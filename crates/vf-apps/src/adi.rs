@@ -18,6 +18,7 @@ use vf_index::IndexDomain;
 use vf_machine::{trace, CommStats, CommTracker, Machine};
 use vf_runtime::{
     assign::assign, redistribute_split, DistArray, ExecBackend, LocalView, LocalViewMut, PlanCache,
+    PlanExecutor,
 };
 
 /// The distribution strategy of an ADI run.
@@ -215,11 +216,11 @@ fn sweep(array: &mut DistArray<f64>, sweep_dim: usize, tracker: &CommTracker) ->
 /// The Figure 1 `DISTRIBUTE` + sweep pair, **pipelined** through the
 /// split-phase redistribution: the redistribution is posted, and as soon
 /// as one destination processor's new local block has fully landed
-/// ([`vf_runtime::SplitRedistribute::wait_dest`]) its now-local lines are
-/// solved *directly inside the in-flight destination buffer* — a
-/// [`LocalView`] opened over it — while the other processors' blocks are
-/// still streaming in on the executor's background workers.  `finish_into`
-/// then installs the solved buffers.
+/// ([`vf_runtime::SplitRedistribute::with_dest_mut`] waits for it) its
+/// now-local lines are solved *directly inside the in-flight destination
+/// buffer* — a [`LocalView`] opened over it — while the other processors'
+/// blocks are still streaming in on the executor's background workers.
+/// `finish_into` then installs the solved buffers.
 ///
 /// Every line the target layout makes local is solved with the same
 /// values, the same solve, and the same per-line FLOP charge as the
@@ -232,16 +233,16 @@ fn pipelined_distribute_sweep(
     sweep_dim: usize,
     tracker: &CommTracker,
     plans: &PlanCache,
-    executor: &ExecBackend,
+    executor: &impl PlanExecutor,
 ) -> (usize, usize) {
     let split = redistribute_split(array, new_dist, tracker, plans, executor).expect("same domain");
     let dist = split.new_dist().clone();
     for &d in dist.proc_ids() {
-        split.wait_dest(d.0);
-        let _solve_span = trace::OpenSpan::begin_with(trace::Phase::InteriorCompute, || {
-            format!("sweep dest {}", d.0)
-        });
+        // The wait for `d`'s pairs is its own span, ahead of the solve's.
         split.with_dest_mut(d.0, |buf| {
+            let _solve_span = trace::OpenSpan::begin_with(trace::Phase::InteriorCompute, || {
+                format!("sweep dest {}", d.0)
+            });
             let mut view = LocalView::new(&dist, d, buf.as_mut_slice()).expect("block layouts");
             assert!(
                 view.is_empty() || view.segment().dim(sweep_dim) == dist.domain().dim(sweep_dim),

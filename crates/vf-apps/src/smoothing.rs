@@ -14,13 +14,20 @@
 //! This module implements the smoothing step under both layouts, the
 //! analytic per-step cost model quoted above, and the runtime chooser that
 //! a Vienna Fortran program would express with `DISTRIBUTE` inside an `IF`.
+//!
+//! One driver runs the steps: [`try_run`], on any executor, with optional
+//! checkpoints; [`run`] is `try_run` on [`ExecBackend::auto`] without them.
+//! Each step is one blocking halo statement and one kernel pass per
+//! processor.  Fusing several fields' halos into one message per pair and
+//! computing the interior while a split halo is in flight are runtime
+//! verbs, exercised by the mesh sweep, PIC and the statement benchmarks.
 
 use std::sync::{Mutex, PoisonError};
 
 use vf_dist::{DistType, Distribution, ProcessorView};
 use vf_index::IndexDomain;
 use vf_machine::{trace, CommStats, CommTracker, CostModel, Machine};
-use vf_runtime::ghost::{exchange_class_ghosts_split, exchange_ghosts};
+use vf_runtime::ghost::exchange_ghosts;
 use vf_runtime::{
     forall_owned, CheckpointStore, DistArray, ExecBackend, LocalView, LocalViewMut, PlanCache,
     PlanExecutor, Result, RuntimeError, SerialExecutor,
@@ -143,9 +150,6 @@ const WIDTHS: [(usize, usize); 2] = [(1, 1), (1, 1)];
 /// when either pair is reversed.
 type Box2 = [(i64, i64); 2];
 
-/// The empty box: "no earlier pass" for [`relax_box`].
-const NOTHING: Box2 = [(1, 0); 2];
-
 fn box_points(b: Box2) -> usize {
     b.iter()
         .map(|&(lo, hi)| (hi - lo + 1).max(0) as usize)
@@ -165,55 +169,34 @@ fn updated(segment: &IndexDomain, domain: &IndexDomain) -> Box2 {
     })
 }
 
-/// The points of `segment` whose whole stencil is on-processor — what a
-/// split-phase step relaxes while the halo is in flight.  A subset of
-/// [`updated`].
-fn interior(segment: &IndexDomain) -> Box2 {
-    [0, 1].map(|d| (segment.dim(d).lower() + 1, segment.dim(d).upper() - 1))
-}
-
-/// The one smoothing kernel: relaxes the points of `update` that are not
-/// in `done` (an earlier pass's box; empty for a whole step), reading the
+/// The one smoothing kernel: relaxes the points of `update`, reading the
 /// box `src` — which must cover `update` widened by one — and writing
 /// `dst`.
 ///
 /// Per point the sum is `((i-1) + (i+1)) + (j-1) + (j+1)`, then `× 0.25`:
 /// the floating-point operation order of [`sequential_step`], which
 /// bitwise equality with it depends on.
-fn relax_box(src: &LocalView<&[f64]>, dst: &mut LocalViewMut<'_, f64>, update: Box2, done: Box2) {
+fn relax_box(src: &LocalView<&[f64]>, dst: &mut LocalViewMut<'_, f64>, update: Box2) {
     if box_points(update) == 0 {
         return;
     }
     let [(i_lo, i_hi), (j_lo, j_hi)] = update;
-    let [done_i, done_j] = done;
-    let skip = box_points(done) > 0;
+    let len = (i_hi - i_lo + 1) as usize;
     let (src_i, src_j) = (src.segment().dim(0).lower(), src.segment().dim(1).lower());
     let (dst_i, dst_j) = (dst.segment().dim(0).lower(), dst.segment().dim(1).lower());
     let (src_rows, dst_rows) = (src.segment().extent(0), dst.segment().extent(0));
+    let (at, to) = ((i_lo - src_i) as usize, (i_lo - dst_i) as usize);
     for j in j_lo..=j_hi {
         let column = |j: i64| &src[(j - src_j) as usize * src_rows..][..src_rows];
         let (west, here, east) = (column(j - 1), column(j), column(j + 1));
-        let out = &mut dst[(j - dst_j) as usize * dst_rows..][..dst_rows];
-        let stretches = if skip && (done_j.0..=done_j.1).contains(&j) {
-            [(i_lo, done_i.0 - 1), (done_i.1 + 1, i_hi)]
-        } else {
-            [(i_lo, i_hi), NOTHING[0]]
-        };
-        for (from, to) in stretches {
-            let len = (to - from + 1).max(0) as usize;
-            if len == 0 {
-                continue;
-            }
-            let at = (from - src_i) as usize;
-            let sources = here[at - 1..][..len]
-                .iter()
-                .zip(&here[at + 1..][..len])
-                .zip(&west[at..][..len])
-                .zip(&east[at..][..len]);
-            let out = &mut out[(from - dst_i) as usize..][..len];
-            for (out, (((north, south), west), east)) in out.iter_mut().zip(sources) {
-                *out = 0.25 * (north + south + west + east);
-            }
+        let sources = here[at - 1..][..len]
+            .iter()
+            .zip(&here[at + 1..][..len])
+            .zip(&west[at..][..len])
+            .zip(&east[at..][..len]);
+        let out = &mut dst[(j - dst_j) as usize * dst_rows + to..][..len];
+        for (out, (((north, south), west), east)) in out.iter_mut().zip(sources) {
+            *out = 0.25 * (north + south + west + east);
         }
     }
 }
@@ -374,122 +357,10 @@ fn relax_step(
             .extended(p, current.local(p), &mut scratch)
             .expect("the halo was exchanged for this field");
         let update = updated(dst[0].segment(), domain);
-        relax_box(&src, &mut dst[0], update, NOTHING);
+        relax_box(&src, &mut dst[0], update);
         box_points(update) * FLOPS_PER_POINT
     })?;
     Ok((report.messages, report.bytes))
-}
-
-/// Result of a class (multi-field) smoothing run whose halos are exchanged
-/// as **one fused ghost exchange** per step.
-#[derive(Debug, Clone)]
-pub struct ClassSmoothingResult {
-    /// Communication/computation statistics of the whole run.
-    pub stats: CommStats,
-    /// Fused messages exchanged in one step — one per communicating
-    /// processor pair for the whole class.
-    pub messages_per_step: usize,
-    /// What one step *would* charge exchanging each field separately
-    /// (fields × per-field pair count) — the fusion saving.
-    pub unfused_messages_per_step: usize,
-    /// Bytes exchanged in one step (all fields together; exactly the sum
-    /// of the per-field halo volumes).
-    pub bytes_per_step: usize,
-    /// Final fields in dense column-major order, one per input field.
-    pub fields: Vec<Vec<f64>>,
-}
-
-/// Runs the smoothing kernel on a *class* of fields sharing one grid
-/// distribution — a connect class of stencil arrays — exchanging every
-/// step's halos as a single fused ghost exchange: one message per
-/// communicating processor pair carries all fields' boundary faces
-/// (per-pair slot remapping keeps each field's ghost slots intact), where
-/// per-field exchange would charge one message per field per pair.  Each
-/// field's values are bit-identical to an independent [`run`] of that
-/// field.
-pub fn run_class(
-    config: &SmoothingConfig,
-    machine: &Machine,
-    initials: &[Vec<f64>],
-) -> ClassSmoothingResult {
-    assert!(!initials.is_empty(), "a class needs at least one field");
-    let tracker = machine.tracker();
-    let plans = PlanCache::of(machine);
-    let executor = ExecBackend::auto();
-    let dist = grid_distribution(config.layout, config.n, machine);
-    let mut current: Vec<DistArray<f64>> = initials
-        .iter()
-        .enumerate()
-        .map(|(k, field)| {
-            DistArray::from_dense(format!("U{k}"), dist.clone(), field)
-                .expect("initial field has N*N elements")
-        })
-        .collect();
-    let mut next = current.clone();
-    let scratch = scratch_boxes(tracker.num_procs());
-    let unfused_messages_per_step = initials.len()
-        * plans
-            .ghost_plan(&dist, &WIDTHS)
-            .expect("block layouts")
-            .num_messages();
-
-    let mut messages_per_step = 0;
-    let mut bytes_per_step = 0;
-    for step in 0..config.steps {
-        let _step_span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
-        let refs: Vec<&DistArray<f64>> = current.iter().collect();
-        let mut dsts: Vec<&mut DistArray<f64>> = next.iter_mut().collect();
-        // Split-phase wire exchange: each pair's message is packed and
-        // posted up front, then the interior box of every field (whole
-        // stencil on-processor) is relaxed *while the halo is still in
-        // flight* — on the caller, the pool being busy with the unpacks —
-        // and the rest of each segment after the wait, against ghost
-        // regions bitwise identical to the blocking exchange.
-        let halo = plans
-            .ghost_class_plan(refs.iter().map(|a| a.dist()), &WIDTHS)
-            .expect("block layouts");
-        let split = exchange_class_ghosts_split(&refs, halo, &tracker, &executor)
-            .expect("the plan was made for these fields");
-        if step == 0 {
-            messages_per_step = split.messages();
-            bytes_per_step = split.bytes();
-        }
-        forall_owned(&mut dsts, &tracker, &SerialExecutor, |p, dsts| {
-            for (src, dst) in current.iter().zip(dsts) {
-                let src = LocalView::new(&dist, p, src.local(p)).expect("block layouts");
-                relax_box(&src, dst, interior(src.segment()), NOTHING);
-            }
-            // Charged with the rest of the step, once, below.
-            0
-        })
-        .expect("block layouts");
-        let (regions, _split_report) = split
-            .wait()
-            .expect("split-phase ghost exchange survives injected faults");
-        forall_owned(&mut dsts, &tracker, &executor, |p, dsts| {
-            let mut scratch = scratch[p.0].lock().unwrap_or_else(PoisonError::into_inner);
-            let mut points = 0;
-            for ((src, ghosts), dst) in current.iter().zip(&regions).zip(dsts) {
-                let src = ghosts
-                    .extended(p, src.local(p), &mut scratch)
-                    .expect("the halo was exchanged for this field");
-                let update = updated(dst.segment(), dist.domain());
-                relax_box(&src, dst, update, interior(dst.segment()));
-                points += box_points(update);
-            }
-            points * FLOPS_PER_POINT
-        })
-        .expect("block layouts");
-        std::mem::swap(&mut current, &mut next);
-    }
-
-    ClassSmoothingResult {
-        stats: tracker.snapshot(),
-        messages_per_step,
-        unfused_messages_per_step,
-        bytes_per_step,
-        fields: current.iter().map(|a| a.to_dense()).collect(),
-    }
 }
 
 #[cfg(test)]
@@ -519,42 +390,6 @@ mod tests {
                 bits(&result.field),
                 bits(&reference),
                 "{layout:?} diverges from reference"
-            );
-        }
-    }
-
-    #[test]
-    fn class_fused_smoothing_matches_independent_runs_bitwise() {
-        let n = 12;
-        let steps = 3;
-        let k = 3usize;
-        let initials: Vec<Vec<f64>> = (0..k)
-            .map(|seed| workloads::initial_grid(n, seed as u64 + 1))
-            .collect();
-        for layout in [SmoothingLayout::Columns, SmoothingLayout::Blocks2D] {
-            let machine = Machine::new(4, CostModel::from_alpha_beta(1.0, 0.5));
-            let class = run_class(&SmoothingConfig { n, steps, layout }, &machine, &initials);
-            assert_eq!(class.fields.len(), k);
-            // One fused message per communicating pair, vs one per field
-            // per pair unfused; bytes are the full k-field volume.
-            assert_eq!(class.unfused_messages_per_step, k * class.messages_per_step);
-            let mut single_bytes = 0usize;
-            for (field, initial) in initials.iter().enumerate() {
-                let machine = Machine::new(4, CostModel::from_alpha_beta(1.0, 0.5));
-                let single = run(&SmoothingConfig { n, steps, layout }, &machine, initial);
-                assert_eq!(
-                    class.fields[field], single.field,
-                    "{layout:?} field {field} diverges from its independent run"
-                );
-                assert_eq!(single.messages_per_step, class.messages_per_step);
-                single_bytes += single.bytes_per_step;
-            }
-            assert_eq!(class.bytes_per_step, single_bytes);
-            // The tracker saw the fused counts: k fields cost the same
-            // message count per step as one.
-            assert_eq!(
-                class.stats.total_messages(),
-                steps * class.messages_per_step
             );
         }
     }

@@ -52,19 +52,6 @@ impl CostModel {
         }
     }
 
-    /// A cost model resembling a 1990s Paragon-class mesh machine:
-    /// ~40 µs startup, ~0.02 µs/byte, ~25 ns per flop.
-    pub fn paragon(rows: usize, cols: usize) -> Self {
-        Self {
-            alpha: 40e-6,
-            beta: 0.02e-6,
-            hop_latency: 1e-6,
-            compute_per_flop: 25e-9,
-            copy_per_byte: 0.0,
-            topology: Topology::Mesh2D { rows, cols },
-        }
-    }
-
     /// A modern commodity cluster: ~2 µs startup, 10 GB/s links, 1 ns/flop.
     pub fn modern_cluster() -> Self {
         Self {
@@ -154,11 +141,6 @@ impl CostModel {
             0.0
         };
         self
-    }
-
-    /// Time in seconds to copy `bytes` bytes through local memory.
-    pub fn copy_time(&self, bytes: usize) -> f64 {
-        self.copy_per_byte * bytes as f64
     }
 
     /// Time for a binary-tree collective (reduce/broadcast) over `nprocs`

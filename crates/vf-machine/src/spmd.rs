@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 
 /// Message tag reserved for fused wire-buffer exchanges
 /// ([`ProcCtx::send_wire`] / [`ProcCtx::recv_wire`]).  Each processor pair
-/// carries at most one wire buffer per exchange, so a single tag suffices;
-/// it sits below the collective tags (`u64::MAX - 1 ..= u64::MAX - 5`).
+/// carries at most one wire buffer per exchange, so a single tag suffices.
 pub const WIRE_TAG: u64 = u64::MAX - 6;
 
 /// Pseudo-tag reported by [`SpmdError::RecvTimeout`] when the wait that
@@ -70,14 +69,6 @@ pub enum SpmdError {
         tag: u64,
         /// How long the receive waited before giving up.
         waited_ms: u64,
-    },
-    /// A payload's length is not a whole number of elements — a truncated
-    /// or corrupt message that must not silently decode to fewer values.
-    TruncatedPayload {
-        /// Actual payload length in bytes.
-        len: usize,
-        /// Element size the payload failed to divide into.
-        elem_bytes: usize,
     },
     /// A wire message is shorter than its mandatory frame header.
     MalformedFrame {
@@ -125,10 +116,6 @@ impl fmt::Display for SpmdError {
                     "rank {rank}: receive (tag {tag}) timed out after {waited_ms} ms"
                 ),
             },
-            SpmdError::TruncatedPayload { len, elem_bytes } => write!(
-                f,
-                "payload of {len} bytes is not a whole number of {elem_bytes}-byte elements"
-            ),
             SpmdError::MalformedFrame { len } => write!(
                 f,
                 "wire message of {len} bytes is shorter than the {WIRE_FRAME_BYTES}-byte frame header"
@@ -379,11 +366,6 @@ impl ProcCtx {
             })
     }
 
-    /// Sends a slice of `f64` values to `dst` (little-endian encoding).
-    pub fn send_f64s(&self, dst: usize, tag: u64, values: &[f64]) -> Result<(), SpmdError> {
-        self.send(dst, tag, f64s_to_bytes(values))
-    }
-
     /// Sends a framed wire message to `dst`.  `frame` is the complete
     /// message — a [`WIRE_FRAME_BYTES`] [`WireFrameMsg`] header followed by
     /// the payload — and is **moved** into the channel: ownership passes to
@@ -516,16 +498,6 @@ impl ProcCtx {
         }
     }
 
-    /// Receives a slice of `f64` values (see [`ProcCtx::send_f64s`]).
-    pub fn recv_f64s(
-        &mut self,
-        src: Option<usize>,
-        tag: u64,
-    ) -> Result<(usize, Vec<f64>), SpmdError> {
-        let (s, bytes) = self.recv(src, tag)?;
-        Ok((s, bytes_to_f64s(&bytes)?))
-    }
-
     /// Synchronises all processors.
     ///
     /// If a participant has left the region (dropped its context) the
@@ -545,101 +517,6 @@ impl ProcCtx {
         self.check_doom()?;
         self.barrier.wait_checked(self.rank, Some(timeout))
     }
-
-    /// Global sum of one value per processor; every processor receives the
-    /// result (gather to rank 0, then broadcast).
-    pub fn allreduce_sum(&mut self, value: f64) -> Result<f64, SpmdError> {
-        const TAG_GATHER: u64 = u64::MAX - 1;
-        const TAG_BCAST: u64 = u64::MAX - 2;
-        if self.num_procs == 1 {
-            return Ok(value);
-        }
-        if self.rank == 0 {
-            let mut acc = value;
-            for _ in 1..self.num_procs {
-                let (_, v) = self.recv_f64s(None, TAG_GATHER)?;
-                acc += v[0];
-            }
-            for dst in 1..self.num_procs {
-                self.send_f64s(dst, TAG_BCAST, &[acc])?;
-            }
-            Ok(acc)
-        } else {
-            self.send_f64s(0, TAG_GATHER, &[value])?;
-            let (_, v) = self.recv_f64s(Some(0), TAG_BCAST)?;
-            Ok(v[0])
-        }
-    }
-
-    /// Global maximum of one value per processor.
-    pub fn allreduce_max(&mut self, value: f64) -> Result<f64, SpmdError> {
-        const TAG_GATHER: u64 = u64::MAX - 3;
-        const TAG_BCAST: u64 = u64::MAX - 4;
-        if self.num_procs == 1 {
-            return Ok(value);
-        }
-        if self.rank == 0 {
-            let mut acc = value;
-            for _ in 1..self.num_procs {
-                let (_, v) = self.recv_f64s(None, TAG_GATHER)?;
-                acc = acc.max(v[0]);
-            }
-            for dst in 1..self.num_procs {
-                self.send_f64s(dst, TAG_BCAST, &[acc])?;
-            }
-            Ok(acc)
-        } else {
-            self.send_f64s(0, TAG_GATHER, &[value])?;
-            let (_, v) = self.recv_f64s(Some(0), TAG_BCAST)?;
-            Ok(v[0])
-        }
-    }
-
-    /// Gathers one `f64` slice from every processor onto rank 0; rank 0
-    /// receives all slices ordered by rank, other ranks receive an empty
-    /// vector.
-    pub fn gather_to_root(&mut self, values: &[f64]) -> Result<Vec<Vec<f64>>, SpmdError> {
-        const TAG: u64 = u64::MAX - 5;
-        if self.rank == 0 {
-            let mut out = vec![Vec::new(); self.num_procs];
-            out[0] = values.to_vec();
-            for _ in 1..self.num_procs {
-                let (src, v) = self.recv_f64s(None, TAG)?;
-                out[src] = v;
-            }
-            Ok(out)
-        } else {
-            self.send_f64s(0, TAG, values)?;
-            Ok(Vec::new())
-        }
-    }
-}
-
-/// Encodes a slice of `f64` as little-endian bytes.
-pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a little-endian byte buffer into `f64` values.
-///
-/// A length that is not a multiple of 8 is a truncated or corrupt payload
-/// and is rejected with [`SpmdError::TruncatedPayload`] rather than
-/// silently dropping the trailing partial value.
-pub fn bytes_to_f64s(bytes: &[u8]) -> Result<Vec<f64>, SpmdError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(SpmdError::TruncatedPayload {
-            len: bytes.len(),
-            elem_bytes: 8,
-        });
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8 bytes")))
-        .collect())
 }
 
 /// Builds the per-rank contexts for an SPMD region over `num_procs`
@@ -756,14 +633,24 @@ mod tests {
     use super::*;
     use crate::CostModel;
 
+    /// `v` as a little-endian message payload.
+    fn payload(v: f64) -> Vec<u8> {
+        v.to_le_bytes().to_vec()
+    }
+
+    /// The `f64` a payload of [`payload`] carries.
+    fn value(bytes: &[u8]) -> f64 {
+        f64::from_le_bytes(bytes.try_into().expect("an 8-byte payload"))
+    }
+
     #[test]
     fn ring_shift() {
         let tracker = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.0));
         let results = run(4, &tracker, |ctx| {
             let right = (ctx.rank() + 1) % ctx.num_procs();
-            ctx.send_f64s(right, 7, &[ctx.rank() as f64]).unwrap();
-            let (src, v) = ctx.recv_f64s(None, 7).unwrap();
-            (src, v[0])
+            ctx.send(right, 7, payload(ctx.rank() as f64)).unwrap();
+            let (src, v) = ctx.recv(None, 7).unwrap();
+            (src, value(&v))
         });
         for (rank, (src, v)) in results.iter().enumerate() {
             let left = (rank + 4 - 1) % 4;
@@ -779,54 +666,18 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sum_and_max() {
-        let tracker = CommTracker::new(5, CostModel::zero());
-        let sums = run(5, &tracker, |ctx| {
-            ctx.allreduce_sum((ctx.rank() + 1) as f64).unwrap()
-        });
-        assert!(sums.iter().all(|&s| s == 15.0));
-        let maxes = run(5, &tracker, |ctx| {
-            ctx.allreduce_max(ctx.rank() as f64).unwrap()
-        });
-        assert!(maxes.iter().all(|&m| m == 4.0));
-    }
-
-    #[test]
-    fn single_processor_allreduce_is_identity() {
-        let tracker = CommTracker::new(1, CostModel::zero());
-        let r = run(1, &tracker, |ctx| ctx.allreduce_sum(42.0).unwrap());
-        assert_eq!(r, vec![42.0]);
-        assert_eq!(tracker.snapshot().total_messages(), 0);
-    }
-
-    #[test]
-    fn gather_to_root_collects_in_rank_order() {
-        let tracker = CommTracker::new(3, CostModel::zero());
-        let results = run(3, &tracker, |ctx| {
-            let data = vec![ctx.rank() as f64; ctx.rank() + 1];
-            ctx.gather_to_root(&data).unwrap()
-        });
-        let root = &results[0];
-        assert_eq!(root.len(), 3);
-        assert_eq!(root[0], vec![0.0]);
-        assert_eq!(root[1], vec![1.0, 1.0]);
-        assert_eq!(root[2], vec![2.0, 2.0, 2.0]);
-        assert!(results[1].is_empty());
-    }
-
-    #[test]
     fn tagged_receives_are_matched_out_of_order() {
         let tracker = CommTracker::new(2, CostModel::zero());
         let results = run(2, &tracker, |ctx| {
             if ctx.rank() == 0 {
-                ctx.send_f64s(1, 1, &[1.0]).unwrap();
-                ctx.send_f64s(1, 2, &[2.0]).unwrap();
+                ctx.send(1, 1, payload(1.0)).unwrap();
+                ctx.send(1, 2, payload(2.0)).unwrap();
                 0.0
             } else {
                 // Receive tag 2 first even though tag 1 was sent first.
-                let (_, b) = ctx.recv_f64s(Some(0), 2).unwrap();
-                let (_, a) = ctx.recv_f64s(Some(0), 1).unwrap();
-                a[0] * 10.0 + b[0]
+                let (_, b) = ctx.recv(Some(0), 2).unwrap();
+                let (_, a) = ctx.recv(Some(0), 1).unwrap();
+                value(&a) * 10.0 + value(&b)
             }
         });
         assert_eq!(results[1], 12.0);
@@ -841,18 +692,18 @@ mod tests {
         let results = run(2, &tracker, |ctx| {
             if ctx.rank() == 0 {
                 for v in [10.0, 11.0, 12.0] {
-                    ctx.send_f64s(1, 1, &[v]).unwrap();
+                    ctx.send(1, 1, payload(v)).unwrap();
                 }
-                ctx.send_f64s(1, 2, &[99.0]).unwrap();
+                ctx.send(1, 2, payload(99.0)).unwrap();
                 Vec::new()
             } else {
                 // Receiving tag 2 first drains all three tag-1 messages
                 // into the pending queue.
-                let (_, sentinel) = ctx.recv_f64s(Some(0), 2).unwrap();
-                assert_eq!(sentinel, vec![99.0]);
-                let a = ctx.recv_f64s(None, 1).unwrap().1[0];
-                let b = ctx.recv_f64s(Some(0), 1).unwrap().1[0];
-                let c = ctx.recv_f64s(None, 1).unwrap().1[0];
+                let (_, sentinel) = ctx.recv(Some(0), 2).unwrap();
+                assert_eq!(value(&sentinel), 99.0);
+                let a = value(&ctx.recv(None, 1).unwrap().1);
+                let b = value(&ctx.recv(Some(0), 1).unwrap().1);
+                let c = value(&ctx.recv(None, 1).unwrap().1);
                 vec![a, b, c]
             }
         });
@@ -869,12 +720,12 @@ mod tests {
         run(2, &tracker, |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..N {
-                    ctx.send_f64s(1, i as u64, &[i as f64]).unwrap();
+                    ctx.send(1, i as u64, payload(i as f64)).unwrap();
                 }
             } else {
                 for i in (0..N).rev() {
-                    let (_, v) = ctx.recv_f64s(Some(0), i as u64).unwrap();
-                    assert_eq!(v, vec![i as f64]);
+                    let (_, v) = ctx.recv(Some(0), i as u64).unwrap();
+                    assert_eq!(value(&v), i as f64);
                 }
             }
         });
@@ -929,20 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_f64_payload_is_an_error() {
-        let bytes = f64s_to_bytes(&[1.0, 2.0]);
-        assert_eq!(bytes_to_f64s(&bytes).unwrap(), vec![1.0, 2.0]);
-        assert!(bytes_to_f64s(&[]).unwrap().is_empty());
-        assert_eq!(
-            bytes_to_f64s(&bytes[..15]),
-            Err(SpmdError::TruncatedPayload {
-                len: 15,
-                elem_bytes: 8
-            })
-        );
-    }
-
-    #[test]
     fn wire_frames_round_trip_with_channel_accounting() {
         let tracker = CommTracker::new(2, CostModel::from_alpha_beta(1.0, 0.0));
         let frame = WireFrameMsg {
@@ -953,7 +790,7 @@ mod tests {
         let results = run(2, &tracker, |ctx| {
             if ctx.rank() == 0 {
                 let mut msg = frame.to_bytes().to_vec();
-                msg.extend_from_slice(&f64s_to_bytes(&[3.5, -4.25]));
+                msg.extend(payload(3.5).into_iter().chain(payload(-4.25)));
                 let sent_at = msg.as_ptr() as usize;
                 // A message too short to hold the header never leaves.
                 assert_eq!(
@@ -975,10 +812,8 @@ mod tests {
         let (src, got_frame, msg) = results[1].1.clone().unwrap();
         assert_eq!(src, 0);
         assert_eq!(got_frame, frame);
-        assert_eq!(
-            bytes_to_f64s(&msg[WIRE_FRAME_BYTES..]).unwrap(),
-            vec![3.5, -4.25]
-        );
+        let values: Vec<f64> = msg[WIRE_FRAME_BYTES..].chunks(8).map(value).collect();
+        assert_eq!(values, [3.5, -4.25]);
         let stats = tracker.snapshot();
         // Wire sends count real traffic (payload only) but leave modelled
         // charging to the executor's posted batch.
@@ -1061,12 +896,11 @@ mod tests {
         let started = Instant::now();
         let (results, unfired) = run_with_death(4, &tracker, death, |ctx| match ctx.rank() {
             // Victim: its very first channel operation is refused.
-            2 => ctx.send_f64s(3, 7, &[2.0]).map(|_| 0.0),
+            2 => ctx.send(3, 7, payload(2.0)).map(|_| 0.0),
             // Waits on the message the victim never sent.
-            3 => ctx.recv_timeout(Some(2), 7, timeout).map(|(_, v)| {
-                let vals = bytes_to_f64s(&v).unwrap();
-                vals[0]
-            }),
+            3 => ctx
+                .recv_timeout(Some(2), 7, timeout)
+                .map(|(_, v)| value(&v)),
             // Keeps sending into the victim's channel until it closes.
             1 => loop {
                 ctx.send(2, 8, vec![0u8; 8])?;
@@ -1196,12 +1030,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn f64_byte_round_trip() {
-        let values = vec![1.5, -2.25, 0.0, f64::MAX];
-        assert_eq!(bytes_to_f64s(&f64s_to_bytes(&values)).unwrap(), values);
-        assert!(bytes_to_f64s(&[]).unwrap().is_empty());
     }
 }

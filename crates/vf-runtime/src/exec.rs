@@ -19,13 +19,14 @@
 //!   into destinations built from [`RetiredLocals`]; the split verbs
 //!   ([`crate::ghost::exchange_class_ghosts_split`],
 //!   [`crate::redistribute_split`]) stage at the post and stream the
-//!   deliveries on the backend's pool until the wait
-//!   ([`SplitPhaseExchange`]).
+//!   deliveries until the wait ([`SplitPhaseExchange`]) on the pool the
+//!   executor names ([`PlanExecutor::streaming_pool`]), if any.
 //! * **channel frames** — [`crate::shard::ShardedExecutor`] (and so
 //!   [`ExecBackend::Sharded`]) overrides [`PlanExecutor::execute_fused`]:
 //!   each rank reads only its own segment and every crossing pair travels
 //!   over a real [`vf_machine::spmd`] channel — from every call site,
-//!   because the override is in the executor.
+//!   because the override is in the executor.  It names no streaming pool:
+//!   a sharded split delivers at the post, in shared memory.
 //!
 //! The shared-memory executors are [`SerialExecutor`] (the calling thread)
 //! and [`ThreadedExecutor`] (destinations partitioned over a persistent
@@ -66,8 +67,9 @@ pub struct ExecReport {
 /// work runs through the `run_owned` hook ([`ThreadedExecutor`] also fans
 /// the pipeline's destinations out over its pool); a backend with a
 /// different transport overrides `execute_fused` instead
-/// ([`crate::shard::ShardedExecutor`]).  Whatever the backend, buffers and
-/// charges are bit-identical to [`SerialExecutor`]'s.
+/// ([`crate::shard::ShardedExecutor`]), and `streaming_pool` answers for the
+/// split mode.  Whatever the backend, buffers and charges are bit-identical
+/// to [`SerialExecutor`]'s.
 pub trait PlanExecutor {
     /// Human-readable backend name (used by reports).
     fn name(&self) -> &'static str;
@@ -148,6 +150,13 @@ pub trait PlanExecutor {
     /// frees them instead, and a caller then keeps none.
     fn recycles_locals(&self) -> bool {
         true
+    }
+
+    /// The pool on which a split exchange moving `bytes` streams its
+    /// deliveries until the wait ([`SplitPhaseExchange`]); `None`, the
+    /// provided answer, delivers every pair at the post.
+    fn streaming_pool(&self, _bytes: usize) -> Option<&Arc<WorkerPool>> {
+        None
     }
 }
 
@@ -303,24 +312,14 @@ impl ThreadedExecutor {
 
     /// The cutoff currently in effect (override, or
     /// [`ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES`]).
-    pub(crate) fn effective_serial_cutoff(&self) -> usize {
+    fn effective_serial_cutoff(&self) -> usize {
         self.cutoff_override
             .unwrap_or(Self::DEFAULT_POOLED_CUTOFF_BYTES)
     }
 
-    /// The persistent worker pool the executor submits to.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
-    /// The worker count (the pool's).
-    pub(crate) fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// Whether a job of `copy_bytes` runs on the calling thread.
     fn runs_serially(&self, copy_bytes: usize) -> bool {
-        self.workers() <= 1 || copy_bytes < self.effective_serial_cutoff()
+        self.pool.workers() <= 1 || copy_bytes < self.effective_serial_cutoff()
     }
 
     /// Runs `work(i)` for each of `num_items` items, dealt round-robin
@@ -349,7 +348,7 @@ impl ThreadedExecutor {
     /// item still runs exactly once, so the produced buffers stay bitwise
     /// identical to the healthy path.
     fn dispatch(&self, tracker: &CommTracker, num_items: usize, work: impl Fn(usize) + Sync) {
-        let mut width = self.workers();
+        let mut width = self.pool.workers();
         if let Some(inj) = tracker.fault_injector() {
             if inj.worker_death() {
                 inj.mark_worker_dead();
@@ -380,7 +379,9 @@ impl PlanExecutor for ThreadedExecutor {
         // The cells only pass `&mut` items through the shared job closure:
         // one uncontended lock per item.
         let cells: Vec<Mutex<I>> = items.into_iter().map(Mutex::new).collect();
-        self.fan_out(self.workers(), cells.len(), &|i| work(&mut lock(&cells[i])));
+        self.fan_out(self.pool.workers(), cells.len(), &|i| {
+            work(&mut lock(&cells[i]))
+        });
     }
 
     /// The wire pipeline with its destinations fanned out over the pool:
@@ -395,6 +396,11 @@ impl PlanExecutor for ThreadedExecutor {
         tracker: &CommTracker,
     ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
         execute_fused_blocking(fused, srcs, dst_sizes, spares, tracker, Some(self))
+    }
+
+    /// The pool, above the same cutoff as the blocking path.
+    fn streaming_pool(&self, bytes: usize) -> Option<&Arc<WorkerPool>> {
+        (!self.runs_serially(bytes)).then_some(&self.pool)
     }
 }
 
@@ -472,7 +478,7 @@ impl ExecBackend {
                 "warning: ignoring unknown VF_EXEC_BACKEND={other:?} (expected serial, threaded or sharded)"
             ),
         }
-        if threaded.workers() > 1 {
+        if threaded.pool.workers() > 1 {
             ExecBackend::Threaded(threaded)
         } else {
             ExecBackend::Serial
@@ -483,27 +489,34 @@ impl ExecBackend {
     /// handle a `VfScope` keeps alive across statements.
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         match self {
-            ExecBackend::Threaded(t) => Some(t.pool()),
+            ExecBackend::Threaded(t) => Some(&t.pool),
             ExecBackend::Serial | ExecBackend::Sharded(_) => None,
         }
     }
 }
 
+/// Runs `$body` with `$e` bound to the executor `$backend` selects — how
+/// [`ExecBackend`] answers every [`PlanExecutor`] method.
+macro_rules! on_selected {
+    ($backend:expr, $e:ident => $body:expr) => {
+        match $backend {
+            ExecBackend::Serial => {
+                let $e = &SerialExecutor;
+                $body
+            }
+            ExecBackend::Threaded($e) => $body,
+            ExecBackend::Sharded($e) => $body,
+        }
+    };
+}
+
 impl PlanExecutor for ExecBackend {
     fn name(&self) -> &'static str {
-        match self {
-            ExecBackend::Serial => SerialExecutor.name(),
-            ExecBackend::Threaded(t) => t.name(),
-            ExecBackend::Sharded(s) => s.name(),
-        }
+        on_selected!(self, e => e.name())
     }
 
     fn run_owned<I: Send>(&self, bytes: usize, items: Vec<I>, work: &(dyn Fn(&mut I) + Sync)) {
-        match self {
-            ExecBackend::Serial => SerialExecutor.run_owned(bytes, items, work),
-            ExecBackend::Threaded(t) => t.run_owned(bytes, items, work),
-            ExecBackend::Sharded(s) => s.run_owned(bytes, items, work),
-        }
+        on_selected!(self, e => e.run_owned(bytes, items, work))
     }
 
     fn execute_fused<T: Element>(
@@ -514,21 +527,15 @@ impl PlanExecutor for ExecBackend {
         spares: RetiredLocals<T>,
         tracker: &CommTracker,
     ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-        match self {
-            ExecBackend::Serial => {
-                SerialExecutor.execute_fused(fused, srcs, dst_sizes, spares, tracker)
-            }
-            ExecBackend::Threaded(t) => t.execute_fused(fused, srcs, dst_sizes, spares, tracker),
-            ExecBackend::Sharded(s) => s.execute_fused(fused, srcs, dst_sizes, spares, tracker),
-        }
+        on_selected!(self, e => e.execute_fused(fused, srcs, dst_sizes, spares, tracker))
     }
 
     fn recycles_locals(&self) -> bool {
-        match self {
-            ExecBackend::Serial => SerialExecutor.recycles_locals(),
-            ExecBackend::Threaded(t) => t.recycles_locals(),
-            ExecBackend::Sharded(s) => s.recycles_locals(),
-        }
+        on_selected!(self, e => e.recycles_locals())
+    }
+
+    fn streaming_pool(&self, bytes: usize) -> Option<&Arc<WorkerPool>> {
+        on_selected!(self, e => e.streaming_pool(bytes))
     }
 }
 
@@ -1542,8 +1549,9 @@ impl<T: Element> SplitShared<T> {
 
     /// Blocks until every pair arriving at destination `d` has been
     /// delivered, helping with unclaimed items (any destination) while
-    /// waiting.
+    /// waiting, under a `Wait` span of its own.
     fn help_until_dest(&self, d: usize) {
+        let _span = trace::OpenSpan::begin_dest(trace::Phase::Wait, d);
         let Some(remaining) = self.remaining_by_dst.get(d) else {
             return;
         };
@@ -1574,18 +1582,17 @@ impl<T: Element> SplitShared<T> {
 /// Created by the split verbs after the post and stage phases have
 /// completed on the caller thread: the modelled messages are posted,
 /// every crossing pair's payload sits packed in an owned wire buffer, and
-/// the stay-local runs are already copied.  With a multi-worker pool
-/// attached (and the volume above the backend cutoff) the pool's workers
+/// the stay-local runs are already copied.  When the executor names a
+/// streaming pool ([`PlanExecutor::streaming_pool`]) the pool's workers
 /// stream through the per-pair deliveries *concurrently with whatever the
 /// caller does next*; [`SplitPhaseExchange::wait`] helps drain the
 /// remaining pairs, completes the posted messages with exactly the
 /// blocking mode's overlap credit, and returns buffers bitwise identical
 /// to [`PlanExecutor::execute_fused`].
 ///
-/// Per-pair completion is exposed through
-/// [`SplitPhaseExchange::wait_dest`]: a consumer that only needs one
-/// destination's data (pipelined sweeps) can proceed as soon as that
-/// destination's pairs have landed, while the rest are still in flight.
+/// [`SplitPhaseExchange::with_dest_mut`] waits for one destination's pairs
+/// only: a consumer that needs one destination's data (pipelined sweeps)
+/// proceeds as soon as those have landed, while the rest are in flight.
 ///
 /// While the handle is live the submitting thread must not run other jobs
 /// on the same pool (the pool's submission turn is held — see
@@ -1628,26 +1635,19 @@ impl<T: Element> SplitPhaseExchange<'_, T> {
     }
 
     /// Whether the unpack is streaming on background workers (`false`:
-    /// everything already ran inline at the post — serial backend, 1-wide
-    /// pool, or below-cutoff volume).
+    /// everything already ran inline at the post — the executor named no
+    /// streaming pool for this volume).
     pub fn is_streaming(&self) -> bool {
         self.ticket.is_some()
     }
 
-    /// Blocks until every pair arriving at destination processor `d` has
-    /// been unpacked (helping with unclaimed pairs while waiting) — the
-    /// per-pair completion that lets a pipelined consumer start on `d`'s
-    /// data while other destinations are still in flight.  The full
+    /// Runs `f` on destination processor `d`'s buffer for part `part`
+    /// once every pair arriving at `d` has been unpacked (helping with
+    /// unclaimed pairs while waiting), so a pipelined consumer starts on
+    /// `d`'s data while other destinations are still in flight.  The full
     /// [`SplitPhaseExchange::wait`] is still required afterwards.
-    pub fn wait_dest(&self, d: usize) {
-        let _span = trace::OpenSpan::begin_dest(trace::Phase::Wait, d);
-        self.shared.help_until_dest(d);
-    }
-
-    /// Runs `f` on destination processor `d`'s buffer for part `part`.
-    /// Call [`SplitPhaseExchange::wait_dest`]`(d)` first — the lock hands
-    /// out the buffer whether or not its pairs have all landed.
     pub fn with_dest_mut<R>(&self, part: usize, d: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        self.shared.help_until_dest(d);
         f(&mut self.shared.exchange.dest(d, part))
     }
 
@@ -1733,17 +1733,19 @@ impl<T: Element> Drop for SplitPhaseExchange<'_, T> {
 
 /// The split mode of the wire pipeline: opens the exchange and stages
 /// every destination on the caller thread (staging reads the borrowed
-/// sources), then hands the owned per-pair deliveries to the backend's
-/// worker pool and **returns**.  The caller runs its interior compute
-/// while the pairs stream; see [`SplitPhaseExchange`] for the wait side.
+/// sources), then hands the owned per-pair deliveries to the pool the
+/// executor names ([`PlanExecutor::streaming_pool`]) and **returns**.  The
+/// caller runs its interior compute while the pairs stream; see
+/// [`SplitPhaseExchange`] for the wait side.
 ///
-/// Without a multi-worker pool (or below the backend's serial cutoff) the
-/// deliveries run inline before returning — same buffers, same charges,
-/// zero measured overlap.
+/// When the executor names no pool — Serial, a 1-wide pool, a volume below
+/// the threaded cutoff, and Sharded until its ranks are resident — the
+/// deliveries run inline in shared memory before returning: same buffers,
+/// same charges, zero measured overlap.
 pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     fused: FusedPlan,
     tracker: &CommTracker,
-    backend: &'e ExecBackend,
+    executor: &'e impl PlanExecutor,
     srcs: &[&[Vec<T>]],
     dst_sizes: &[Vec<usize>],
 ) -> SplitPhaseExchange<'e, T> {
@@ -1773,17 +1775,15 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
         .map(|d| AtomicUsize::new(fused.index.arriving(d).len()))
         .collect();
 
-    // Stream through the pool when there are background workers to stream
-    // on and the volume clears the backend's cutoff; otherwise deliver
-    // inline now (no overlap, identical results).
-    let streaming_pool = match backend {
-        ExecBackend::Threaded(t)
-            if pairs > 0 && unpack_bytes >= t.effective_serial_cutoff() && t.workers() > 1 =>
-        {
-            Some(t.pool())
-        }
-        _ => None,
-    };
+    // Stream on the executor's pool when it names one for this volume, the
+    // pool has background workers and there is a pair to deliver; otherwise
+    // deliver inline now (no overlap, identical results).
+    let streaming_pool = executor
+        .streaming_pool(unpack_bytes)
+        .filter(|pool| pairs > 0 && pool.workers() > 1);
+    // Rank 0 (the caller) helps at the wait; wake only as many background
+    // ranks as there are pairs to deliver.
+    let width = streaming_pool.map_or(1, |pool| 1 + pairs.min(pool.workers() - 1));
     // Fault gating of the streaming decision, polled caller-side only when
     // streaming would actually happen (keeps the schedule deterministic):
     // a fired cancel falls back to the inline (blocking) drain; with dead
@@ -1791,27 +1791,26 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     // streams but arms one background rank to die mid-stream — the
     // recovery path adopts its items.
     let mut die_rank = None;
-    let streaming_pool = match (streaming_pool, tracker.fault_injector()) {
-        (Some(pool), Some(inj)) => {
-            if inj.cancel_streaming() {
-                tracker.record_fault();
-                tracker.record_fallback();
-                None
-            } else if inj.dead_workers() > 0 {
-                None
-            } else {
-                if inj.worker_death() {
-                    inj.mark_worker_dead();
-                    tracker.record_fault();
-                    tracker.record_fallback();
-                    let width = 1 + pairs.min(pool.workers() - 1);
-                    die_rank = Some(1 + inj.pick(width - 1));
-                }
-                Some(pool)
-            }
+    let streaming_pool = streaming_pool.filter(|_| {
+        let Some(inj) = tracker.fault_injector() else {
+            return true;
+        };
+        if inj.cancel_streaming() {
+            tracker.record_fault();
+            tracker.record_fallback();
+            return false;
         }
-        (sp, _) => sp,
-    };
+        if inj.dead_workers() > 0 {
+            return false;
+        }
+        if inj.worker_death() {
+            inj.mark_worker_dead();
+            tracker.record_fault();
+            tracker.record_fallback();
+            die_rank = Some(1 + inj.pick(width - 1));
+        }
+        true
+    });
 
     let shared = Arc::new(SplitShared {
         exchange,
@@ -1826,9 +1825,6 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     let ticket = match streaming_pool {
         Some(pool) => {
             let job = Arc::clone(&shared);
-            // Rank 0 (the caller) helps at the wait; wake only as many
-            // background ranks as there are pairs to deliver.
-            let width = 1 + pairs.min(pool.workers() - 1);
             Some(pool.submit(width, Arc::new(move |rank| job.drain(rank))))
         }
         None => {
@@ -1913,8 +1909,11 @@ mod tests {
             t.effective_serial_cutoff(),
             ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES
         );
-        assert_eq!(t.workers(), 4);
-        assert_eq!(t.pool().workers(), 4);
+        // A split streams on the pool by the same rule; Serial never does.
+        let cutoff = ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES;
+        assert!(t.streaming_pool(cutoff - 1).is_none());
+        assert_eq!(t.streaming_pool(cutoff).map(|p| p.workers()), Some(4));
+        assert!(SerialExecutor.streaming_pool(usize::MAX).is_none());
         // An explicit override always wins.
         assert_eq!(t.with_serial_cutoff(7).effective_serial_cutoff(), 7);
         assert_eq!(ExecBackend::default().name(), "serial");

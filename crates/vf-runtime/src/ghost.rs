@@ -45,8 +45,8 @@
 //! global point, for tests and scalar reads.
 
 use crate::exec::{
-    execute_one, split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor, RetiredLocals,
-    SplitExecReport, SplitPhaseExchange,
+    execute_one, split_execute_fused_wire, FusedPlan, PlanExecutor, RetiredLocals, SplitExecReport,
+    SplitPhaseExchange,
 };
 use crate::plan::{for_each_line, CommPlan, GhostSlots, PlanIndex, PlanKind};
 use crate::{DistArray, Element, ExecReport, LocalView, Result, RuntimeError};
@@ -301,14 +301,14 @@ pub fn exchange_class_ghosts<T: Element, E: PlanExecutor>(
 }
 
 /// A class ghost exchange caught between its post and its wait: the halo
-/// payloads are packed and posted, the backend's pool streams the per-pair
-/// unpacks while the caller computes its interior, and
+/// payloads are packed and posted, the executor's streaming pool delivers
+/// the pairs while the caller computes its interior, and
 /// [`SplitGhostExchange::wait`] returns ghost regions bitwise identical to
 /// [`exchange_class_ghosts`] — the PARTI/CHAOS split-phase execution model
 /// (post → interior compute → wait) made real in wall-clock terms.
 ///
 /// The handle is the engine's [`SplitPhaseExchange`] (to which it derefs:
-/// `messages`, `bytes`, `is_streaming`, `wait_dest`) plus the typed
+/// `messages`, `bytes`, `is_streaming`, `with_dest_mut`) plus the typed
 /// finisher.  The source arrays must not be mutated while the exchange is
 /// in flight (their halo values are already packed; late writes would be
 /// silently ignored), and the submitting thread must not run other jobs on
@@ -347,13 +347,13 @@ impl<T: Element> SplitGhostExchange<'_, T> {
 /// [`SplitGhostExchange`] handle *before* the halo payloads are unpacked —
 /// the split-phase form of [`exchange_class_ghosts`] (a single array is a
 /// class of one: fuse its plan alone).  Pack + post run on the calling
-/// thread; compute interior points while `backend`'s pool streams the
-/// unpacks, and call [`SplitGhostExchange::wait`] before reading any ghost
-/// value.  The handle owns `fused`.
+/// thread; compute interior points while the unpacks stream, and call
+/// [`SplitGhostExchange::wait`] before reading any ghost value.  The
+/// handle owns `fused`.
 ///
-/// The split mode packs through shared memory on every backend: on
-/// [`ExecBackend::Sharded`] it delivers inline at the post and no channel
-/// is involved (a sharded split-phase halo does not exist yet).
+/// `executor` decides whether they stream ([`PlanExecutor::streaming_pool`]).
+/// The split packs through shared memory on every executor: a sharded one
+/// delivers at the post, and no channel is involved.
 ///
 /// # Errors
 /// Exactly as [`exchange_class_ghosts`] — everything is validated before
@@ -362,7 +362,7 @@ pub fn exchange_class_ghosts_split<'e, T: Element>(
     arrays: &[&DistArray<T>],
     fused: FusedPlan,
     tracker: &CommTracker,
-    backend: &'e ExecBackend,
+    executor: &'e impl PlanExecutor,
 ) -> Result<SplitGhostExchange<'e, T>> {
     let dst_sizes = prepare_class(arrays, &fused, tracker)?;
     let parts = fused.parts().to_vec();
@@ -370,7 +370,7 @@ pub fn exchange_class_ghosts_split<'e, T: Element>(
         format!("split post {} arrays", arrays.len())
     });
     let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-    let inner = split_execute_fused_wire(fused, tracker, backend, &srcs, &dst_sizes);
+    let inner = split_execute_fused_wire(fused, tracker, executor, &srcs, &dst_sizes);
     Ok(SplitGhostExchange { inner, parts })
 }
 

@@ -17,8 +17,8 @@
 //! engine call.
 
 use crate::exec::{
-    execute_one, split_execute_fused_wire, ExecBackend, ExecReport, FusedPlan, PlanExecutor,
-    RetiredLocals, SplitExecReport, SplitPhaseExchange,
+    execute_one, split_execute_fused_wire, ExecReport, FusedPlan, PlanExecutor, RetiredLocals,
+    SplitExecReport, SplitPhaseExchange,
 };
 use crate::plan::{CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::{DistArray, Element, Result, RuntimeError};
@@ -291,18 +291,18 @@ pub fn execute_class_redistribute<T: Element, E: PlanExecutor>(
 
 /// A single-array redistribution caught between its post and its wait —
 /// the split-phase form of [`redistribute`]: the engine's
-/// [`SplitPhaseExchange`] (to which it derefs: `is_streaming`,
-/// `wait_dest`, ..) plus the typed finisher.
+/// [`SplitPhaseExchange`] (to which it derefs: `messages`, `bytes`,
+/// `is_streaming`) plus the typed finisher.
 ///
 /// Created by [`redistribute_split`] after packing the crossing payloads
 /// and posting the modelled messages.  The caller can then:
 ///
 /// 1. run any work that does not touch the array while the destination
-///    buffers stream in on the pool's background workers,
-/// 2. pipeline per-destination: `wait_dest(d)` followed by
-///    [`SplitRedistribute::with_dest_mut`]`(d, ..)` operates on
-///    destination `d`'s *new* local buffer while other destinations are
-///    still in flight (the ADI sweep works this way),
+///    buffers stream in on the executor's streaming pool,
+/// 2. pipeline per-destination: [`SplitRedistribute::with_dest_mut`]`(d,
+///    ..)` waits for destination `d`'s pairs, then operates on its *new*
+///    local buffer while other destinations are still in flight (the ADI
+///    sweep works this way),
 /// 3. call [`SplitRedistribute::finish_into`] to install the new locals
 ///    and descriptor — results bitwise identical to the blocking verb.
 pub struct SplitRedistribute<'e, T: Element> {
@@ -326,9 +326,9 @@ impl<T: Element> SplitRedistribute<'_, T> {
         &self.new_dist
     }
 
-    /// Runs `f` on destination processor `d`'s new local buffer.  Call
-    /// `wait_dest(d)` first; mutations made here are
-    /// what [`SplitRedistribute::finish_into`] installs.
+    /// Runs `f` on destination processor `d`'s new local buffer once its
+    /// pairs have landed ([`SplitPhaseExchange::with_dest_mut`]); mutations
+    /// made here are what [`SplitRedistribute::finish_into`] installs.
     pub fn with_dest_mut<R>(&self, d: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
         self.inner.with_dest_mut(0, d, f)
     }
@@ -366,12 +366,12 @@ impl<T: Element> SplitRedistribute<'_, T> {
 /// Posts a split-phase redistribution of `array` to `new_dist`: plans (or
 /// reuses) the schedule through `cache`, packs the crossing payloads,
 /// posts the aggregated messages, copies the stay-local runs, and returns
-/// with the per-destination unpacks streaming on `backend`'s pool (inline
-/// when the backend has no pool to stream on or the volume is below its
-/// cutoff).  The array itself is untouched until
-/// [`SplitRedistribute::finish_into`]; it must not be mutated while the
-/// handle is live (the packed payloads would silently ignore the
-/// mutation).
+/// with the per-destination unpacks streaming on the pool `executor` names
+/// ([`PlanExecutor::streaming_pool`]; inline at the post, in shared memory,
+/// where it names none — a sharded executor included).  The array itself
+/// is untouched until [`SplitRedistribute::finish_into`]; it must not be
+/// mutated while the handle is live (the packed payloads would silently
+/// ignore the mutation).
 ///
 /// # Errors
 /// Exactly as [`redistribute`]: everything is validated before any
@@ -381,13 +381,13 @@ pub fn redistribute_split<'e, T: Element>(
     new_dist: Distribution,
     tracker: &CommTracker,
     cache: &PlanCache,
-    backend: &'e ExecBackend,
+    executor: &'e impl PlanExecutor,
 ) -> Result<SplitRedistribute<'e, T>> {
     let plan = cache.redistribute_plan(array.dist(), &new_dist)?;
     let (_, dst_sizes) = prepare(array, &plan, tracker)?;
     let _span = trace::OpenSpan::begin_static(trace::Phase::Redistribute, "split post");
     let fused = FusedPlan::fuse(vec![Arc::clone(&plan)])?;
-    let inner = split_execute_fused_wire(fused, tracker, backend, &[array.locals()], &[dst_sizes]);
+    let inner = split_execute_fused_wire(fused, tracker, executor, &[array.locals()], &[dst_sizes]);
     Ok(SplitRedistribute {
         inner,
         plan,

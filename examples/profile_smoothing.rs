@@ -1,10 +1,10 @@
 //! Profiled grid smoothing: the tracing subsystem end to end.
 //!
-//! Runs the class-fused Jacobi smoothing workload with span recording on,
-//! then prints the runtime profile — per-phase span counts, measured
-//! seconds and latency percentiles, plus the **drift** section comparing
-//! the wall-clock seconds the spans measured against the seconds the cost
-//! model charged — and leaves a Chrome `trace_event` file behind.
+//! Runs the Jacobi smoothing workload ([`smoothing::run`]) with span
+//! recording on, then prints the runtime profile — per-phase span counts,
+//! measured seconds and latency percentiles, plus the **drift** section
+//! comparing the wall-clock seconds the spans measured against the seconds
+//! the cost model charged — and leaves a Chrome `trace_event` file behind.
 //!
 //! Run with `cargo run --release -p vf-examples --bin profile_smoothing
 //! [N] [procs] [steps]`.  Load the written trace at `ui.perfetto.dev`
@@ -29,7 +29,6 @@ fn main() {
     let n = arg(1, 96);
     let procs = arg(2, 8);
     let steps = arg(3, 6);
-    let fields = 3usize;
 
     trace::set_enabled(true);
     trace::reset();
@@ -37,17 +36,12 @@ fn main() {
     let cost = CostModel::ipsc860(procs);
     let layout = smoothing::choose_layout(n, procs, &cost);
     let machine = Machine::new(procs, cost);
-    let initials: Vec<Vec<f64>> = (0..fields)
-        .map(|k| workloads::initial_grid(n, k as u64 + 3))
-        .collect();
+    let initial = workloads::initial_grid(n, 3);
+    println!("profiled smoothing: {n}x{n} grid, {procs} procs, {steps} steps, layout {layout:?}\n");
+    let result = smoothing::run(&SmoothingConfig { n, steps, layout }, &machine, &initial);
     println!(
-        "profiled smoothing: {n}x{n} grid, {fields}-field class, {procs} procs, \
-         {steps} steps, layout {layout:?}\n"
-    );
-    let result = smoothing::run_class(&SmoothingConfig { n, steps, layout }, &machine, &initials);
-    println!(
-        "{} fused messages/step (vs {} unfused), {} bytes/step\n",
-        result.messages_per_step, result.unfused_messages_per_step, result.bytes_per_step
+        "{} messages/step, {} bytes/step\n",
+        result.messages_per_step, result.bytes_per_step
     );
 
     // The profile table: spans by phase, then measured-vs-modelled drift.

@@ -48,17 +48,17 @@ pub fn class_halo<T: Element, E: PlanExecutor>(
     exchange_class_ghosts(arrays, &fused, tracker, executor)
 }
 
-/// [`class_halo`], split-phase: posted on `backend`, completed at the
+/// [`class_halo`], split-phase: posted on `executor`, completed at the
 /// handle's `wait`.
 pub fn class_halo_split<'e, T: Element>(
     arrays: &[&DistArray<T>],
     widths: &[(usize, usize)],
     tracker: &CommTracker,
     cache: &PlanCache,
-    backend: &'e ExecBackend,
+    executor: &'e impl PlanExecutor,
 ) -> Result<SplitGhostExchange<'e, T>> {
     let fused = cache.ghost_class_plan(arrays.iter().map(|a| a.dist()), widths)?;
-    exchange_class_ghosts_split(arrays, fused, tracker, backend)
+    exchange_class_ghosts_split(arrays, fused, tracker, executor)
 }
 
 /// A threaded backend on its own `workers`-wide pool that threads every

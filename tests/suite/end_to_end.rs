@@ -182,8 +182,9 @@ fn spmd_executor_accounts_like_the_tracker() {
     let spmd_tracker = CommTracker::new(p, cost.clone());
     vf_machine::spmd::run(p, &spmd_tracker, |ctx| {
         let right = (ctx.rank() + 1) % ctx.num_procs();
-        ctx.send_f64s(right, 1, &[ctx.rank() as f64; 16]).unwrap();
-        let _ = ctx.recv_f64s(None, 1).unwrap();
+        let payload = (ctx.rank() as f64).to_le_bytes().repeat(16);
+        ctx.send(right, 1, payload).unwrap();
+        let _ = ctx.recv(None, 1).unwrap();
         ctx.barrier();
     });
     let manual_tracker = CommTracker::new(p, cost);

@@ -17,7 +17,7 @@
 //! * `DistArray::from_dense` / `to_dense` (which copy runs) against a
 //!   per-element `owners` + `loc_map` oracle, for every kind of
 //!   distribution.
-//! * `smoothing::{run, run_class}` on each ambient backend, and
+//! * `smoothing::run` on each ambient backend, and
 //!   `smoothing::try_run` on Sharded, bitwise equal to the sequential
 //!   reference, with the statistics the per-point kernels charged before
 //!   the port, pinned.
@@ -357,7 +357,6 @@ proptest! {
 // --- the ported application --------------------------------------------------
 
 const STEPS: usize = 3;
-const FIELDS: usize = 2;
 
 /// What the per-point kernels charged on four processors over [`STEPS`]
 /// steps before the port, per grid size: total messages, total bytes, and
@@ -392,16 +391,16 @@ fn bits(field: &[f64]) -> Vec<u64> {
     field.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Holds `stats` to a pinned row: `fields` arrays exchanged together, the
-/// halo copied `copies` times per element (pack on the sender and unpack
-/// on the receiver — the one rule of every engine, so every driver pins 2).
-fn assert_pinned(stats: &CommStats, row: &Pinned, fields: usize, copies: usize, ctx: &str) {
+/// Holds `stats` to a pinned row, with the halo copied twice per element:
+/// packed on the sender and unpacked on the receiver, the one rule of
+/// every engine.
+fn assert_pinned(stats: &CommStats, row: &Pinned, ctx: &str) {
     let &(_, messages, bytes, updated, ghosts) = row;
     assert_eq!(stats.total_messages(), messages, "{ctx}: messages");
-    assert_eq!(stats.total_bytes(), fields * bytes, "{ctx}: bytes");
-    let copy = |q: usize| (fields * copies * STEPS * ghosts[q] * 8) as f64 / 64.0;
+    assert_eq!(stats.total_bytes(), bytes, "{ctx}: bytes");
+    let copy = |q: usize| (2 * STEPS * ghosts[q] * 8) as f64 / 64.0;
     for (q, proc) in stats.per_proc().iter().enumerate() {
-        let flops = (fields * STEPS * updated[q] * 5) as f64;
+        let flops = (STEPS * updated[q] * 5) as f64;
         assert_eq!(proc.compute_time, flops + copy(q), "{ctx}: compute of {q}");
     }
     let credited: f64 = (0..4).map(copy).sum();
@@ -432,32 +431,21 @@ fn check_smoothing(backend: &str) {
     for (layout, row) in columns.chain(blocks) {
         let n = row.0;
         let ctx = format!("{backend} n={n} {layout:?}");
-        let initials: Vec<Vec<f64>> = (0..FIELDS)
-            .map(|k| workloads::initial_grid(n, 7 + k as u64))
-            .collect();
-        let references: Vec<Vec<u64>> = initials
-            .iter()
-            .map(|f| bits(&smoothing::sequential_reference(n, STEPS, f)))
-            .collect();
+        let initial = workloads::initial_grid(n, 7);
+        let reference = bits(&smoothing::sequential_reference(n, STEPS, &initial));
         let config = SmoothingConfig {
             n,
             steps: STEPS,
             layout,
         };
 
-        let run = smoothing::run(&config, &machine(), &initials[0]);
-        assert_eq!(bits(&run.field), references[0], "{ctx}: run");
-        assert_pinned(&run.stats, row, 1, 2, &format!("{ctx}: run"));
+        let run = smoothing::run(&config, &machine(), &initial);
+        assert_eq!(bits(&run.field), reference, "{ctx}: run");
+        assert_pinned(&run.stats, row, &format!("{ctx}: run"));
 
-        let sharded = try_run_sharded(&config, &initials[0]);
-        assert_eq!(bits(&sharded.field), references[0], "{ctx}: try_run");
-        assert_pinned(&sharded.stats, row, 1, 2, &format!("{ctx}: try_run"));
-
-        let class = smoothing::run_class(&config, &machine(), &initials);
-        for (field, reference) in class.fields.iter().zip(&references) {
-            assert_eq!(&bits(field), reference, "{ctx}: run_class");
-        }
-        assert_pinned(&class.stats, row, FIELDS, 2, &format!("{ctx}: run_class"));
+        let sharded = try_run_sharded(&config, &initial);
+        assert_eq!(bits(&sharded.field), reference, "{ctx}: try_run");
+        assert_pinned(&sharded.stats, row, &format!("{ctx}: try_run"));
     }
     // Grids with no interior come back unchanged, without a panic.
     for n in [1usize, 2] {
@@ -470,15 +458,13 @@ fn check_smoothing(backend: &str) {
             };
             assert_eq!(smoothing::run(&config, &machine(), &initial).field, initial);
             assert_eq!(try_run_sharded(&config, &initial).field, initial);
-            let class = smoothing::run_class(&config, &machine(), std::slice::from_ref(&initial));
-            assert_eq!(class.fields, [initial]);
         }
     }
 }
 
-/// `smoothing::run` and `run_class` take their backend from the
-/// environment, so this test — the only one in this binary that reads it —
-/// sets it for each backend in turn.
+/// `smoothing::run` takes its backend from the environment, so this test —
+/// the only one in this binary that reads it — sets it for each backend in
+/// turn.
 #[test]
 fn smoothing_is_the_sequential_reference_with_the_pinned_statistics_on_every_backend() {
     for_each_ambient_backend(check_smoothing);

@@ -1,9 +1,10 @@
 //! Property suite for split-phase wire execution: posting a fused ghost
 //! exchange or a redistribution and completing it later must be **bitwise
 //! identical** to the blocking wire path — same ghost values, same new
-//! locals, same per-processor tracker charges, same credited overlap —
-//! across the serial (inline) and forced-streaming (pooled) backends.
-//! Only the *measured* wall-clock overlap is allowed to differ: zero on
+//! locals, same per-processor tracker charges, same credited overlap — on
+//! every executor a split verb takes, raw and behind `ExecBackend`: Serial
+//! and Sharded deliver at the post without touching a channel, and a
+//! pooled executor with cutoff 0 streams as one job.  Only the *measured* wall-clock overlap is allowed to differ: zero on
 //! every blocking/inline path, positive when background workers really
 //! unpacked while the caller computed.
 
@@ -23,11 +24,55 @@ fn assert_charges_equal(a: &CommStats, b: &CommStats, ctx: &str) {
     );
 }
 
-#[test]
-fn split_fused_ghost_equals_blocking_wire_bitwise() {
+/// Runs `$check(executor, pool, label)` on every executor a split verb
+/// takes — each raw executor and the `ExecBackend` wrappers — where `pool`
+/// is the pool the split must stream on as exactly one job, or `None`
+/// where it delivers at the post.
+macro_rules! on_every_executor {
+    ($check:ident) => {{
+        let pool = Arc::new(WorkerPool::new(3));
+        let threaded = || ThreadedExecutor::with_pool(Arc::clone(&pool)).with_serial_cutoff(0);
+        $check(&SerialExecutor, None, "SerialExecutor");
+        $check(&threaded(), Some(&*pool), "ThreadedExecutor, cutoff 0");
+        $check(&ShardedExecutor::new(), None, "ShardedExecutor");
+        $check(&ExecBackend::Serial, None, "ExecBackend::Serial");
+        $check(
+            &streaming_backend(&pool),
+            Some(&*pool),
+            "ExecBackend::Threaded, cutoff 0",
+        );
+    }};
+}
+
+/// Holds a split statement's handle and tracker to where it should have
+/// delivered: streamed on `pool` as one job since `jobs_before`, or at the
+/// post with no measured overlap.  Either way no channel carried it.
+fn assert_delivered_where_asked(
+    streaming: bool,
+    pool: Option<&WorkerPool>,
+    jobs_before: u64,
+    stats: &CommStats,
+    label: &str,
+) {
+    assert_eq!(streaming, pool.is_some(), "{label}: streaming");
+    if let Some(pool) = pool {
+        assert_eq!(pool.jobs_dispatched() - jobs_before, 1, "{label}: jobs");
+    } else {
+        assert_eq!(stats.measured_overlap_seconds(), 0.0, "{label}: inline");
+    }
+    let channels = (stats.channel_messages(), stats.channel_bytes());
+    assert_eq!(channels, (0, 0), "{label}: channel traffic");
+}
+
+fn jobs_of(pool: Option<&WorkerPool>) -> u64 {
+    pool.map_or(0, WorkerPool::jobs_dispatched)
+}
+
+fn split_ghosts_on<E: PlanExecutor>(executor: &E, pool: Option<&WorkerPool>, label: &str) {
     let n = 8usize;
     let p = 4usize;
     for t in [DistType::columns(), DistType::blocks2d()] {
+        let ctx = format!("{t} {label}");
         let arrays: Vec<DistArray<f64>> = (0..3)
             .map(|k| grid_array("A", t.clone(), n, p, (k + 1) as f64 * 0.5))
             .collect();
@@ -41,37 +86,29 @@ fn split_fused_ghost_equals_blocking_wire_bitwise() {
             class_halo(&refs, &WIDTHS, &t_block, &cache_b, &SerialExecutor).unwrap();
         assert_eq!(t_block.snapshot().measured_overlap_seconds(), 0.0);
 
-        for (backend, label) in [
-            (ExecBackend::Serial, "serial"),
-            (
-                streaming_backend(&Arc::new(WorkerPool::new(3))),
-                "streaming",
-            ),
-        ] {
-            let cache = PlanCache::new();
-            let t_split = machine.tracker();
-            let split = class_halo_split(&refs, &WIDTHS, &t_split, &cache, &backend).unwrap();
-            assert_eq!(split.messages(), exec.messages, "{t} {label}");
-            assert_eq!(split.bytes(), exec.bytes, "{t} {label}");
-            let (regions, report) = split.wait().unwrap();
-            assert_eq!(report.messages, exec.messages, "{t} {label}");
-            assert_eq!(report.bytes, exec.bytes, "{t} {label}");
-            assert_regions_equal(&arrays, &regions, &blocking, &format!("{t} {label}"));
-            assert_charges_equal(
-                &t_block.snapshot(),
-                &t_split.snapshot(),
-                &format!("{t} {label}"),
-            );
-            if matches!(backend, ExecBackend::Serial) {
-                assert_eq!(report.measured_overlap_seconds, 0.0, "inline split");
-                assert_eq!(t_split.snapshot().measured_overlap_seconds(), 0.0);
-            }
-        }
+        let cache = PlanCache::new();
+        let t_split = machine.tracker();
+        let jobs_before = jobs_of(pool);
+        let split = class_halo_split(&refs, &WIDTHS, &t_split, &cache, executor).unwrap();
+        let streaming = split.is_streaming();
+        assert_eq!(split.messages(), exec.messages, "{ctx}");
+        assert_eq!(split.bytes(), exec.bytes, "{ctx}");
+        let (regions, report) = split.wait().unwrap();
+        assert_eq!(report.messages, exec.messages, "{ctx}");
+        assert_eq!(report.bytes, exec.bytes, "{ctx}");
+        assert_regions_equal(&arrays, &regions, &blocking, &ctx);
+        let stats = t_split.snapshot();
+        assert_charges_equal(&t_block.snapshot(), &stats, &ctx);
+        assert_delivered_where_asked(streaming, pool, jobs_before, &stats, &ctx);
     }
 }
 
 #[test]
-fn split_redistribute_equals_blocking_bitwise() {
+fn split_fused_ghost_equals_blocking_wire_bitwise() {
+    on_every_executor!(split_ghosts_on);
+}
+
+fn split_redistribute_on<E: PlanExecutor>(executor: &E, pool: Option<&WorkerPool>, label: &str) {
     let n = 12usize;
     let p = 4usize;
     let original = grid_array("R", DistType::blocks2d(), n, p, 1.25);
@@ -99,38 +136,41 @@ fn split_redistribute_equals_blocking_bitwise() {
     )
     .unwrap();
 
-    for (backend, label) in [
-        (ExecBackend::Serial, "serial"),
-        (
-            streaming_backend(&Arc::new(WorkerPool::new(3))),
-            "streaming",
-        ),
-    ] {
-        let mut array = original.clone();
-        let cache = PlanCache::new();
-        let t_split = machine.tracker();
-        let split = redistribute_split(&array, columns(), &t_split, &cache, &backend).unwrap();
-        assert_eq!(split.new_dist(), blocking.dist(), "{label}");
-        let (report, split_report) = split.finish_into(&mut array).unwrap();
-        assert_eq!(report.moved_elements, ref_report.moved_elements, "{label}");
-        assert_eq!(
-            report.stayed_elements, ref_report.stayed_elements,
-            "{label}"
-        );
-        assert_eq!(report.messages, ref_report.messages, "{label}");
-        assert_eq!(report.bytes, ref_report.bytes, "{label}");
-        assert_eq!(split_report.messages, ref_report.messages, "{label}");
-        assert_eq!(array.dist(), blocking.dist(), "{label}");
-        assert_eq!(array.to_dense(), blocking.to_dense(), "{label}");
-        assert_charges_equal(&t_block.snapshot(), &t_split.snapshot(), label);
-    }
+    let mut array = original.clone();
+    let cache = PlanCache::new();
+    let t_split = machine.tracker();
+    let jobs_before = jobs_of(pool);
+    let split = redistribute_split(&array, columns(), &t_split, &cache, executor).unwrap();
+    let streaming = split.is_streaming();
+    assert_eq!(split.new_dist(), blocking.dist(), "{label}");
+    let (report, split_report) = split.finish_into(&mut array).unwrap();
+    assert_eq!(report.moved_elements, ref_report.moved_elements, "{label}");
+    assert_eq!(
+        report.stayed_elements, ref_report.stayed_elements,
+        "{label}"
+    );
+    assert_eq!(report.messages, ref_report.messages, "{label}");
+    assert_eq!(report.bytes, ref_report.bytes, "{label}");
+    assert_eq!(split_report.messages, ref_report.messages, "{label}");
+    assert_eq!(split_report.bytes, ref_report.bytes, "{label}");
+    assert_eq!(array.dist(), blocking.dist(), "{label}");
+    let bits = |a: &DistArray<f64>| a.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&array), bits(&blocking), "{label}");
+    let stats = t_split.snapshot();
+    assert_charges_equal(&t_block.snapshot(), &stats, label);
+    assert_delivered_where_asked(streaming, pool, jobs_before, &stats, label);
 }
 
 #[test]
-fn pipelined_destination_mutation_survives_finish() {
-    // The ADI pattern: while the redistribution is in flight, each
-    // destination processor's new buffer is completed and mutated in
-    // place; the mutations must land in the installed array.
+fn split_redistribute_equals_blocking_bitwise() {
+    on_every_executor!(split_redistribute_on);
+}
+
+/// The ADI pattern: while the redistribution is in flight, each
+/// destination processor's new buffer is handed out as soon as its pairs
+/// have landed — `with_dest_mut` waits for them itself — and mutated in
+/// place; the mutations must land in the installed array.
+fn pipelined_mutation_on<E: PlanExecutor>(executor: &E, _: Option<&WorkerPool>, label: &str) {
     let n = 8usize;
     let p = 4usize;
     let original = grid_array("P", DistType::columns(), n, p, 2.0);
@@ -141,32 +181,27 @@ fn pipelined_destination_mutation_survives_finish() {
     )
     .unwrap();
     let machine = zero_machine(p);
-
-    for (backend, label) in [
-        (ExecBackend::Serial, "serial"),
-        (
-            streaming_backend(&Arc::new(WorkerPool::new(3))),
-            "streaming",
-        ),
-    ] {
-        let mut array = original.clone();
-        let cache = PlanCache::new();
-        let tracker = machine.tracker();
-        let split = redistribute_split(&array, rows.clone(), &tracker, &cache, &backend).unwrap();
-        for d in 0..p {
-            split.wait_dest(d);
-            split.with_dest_mut(d, |buf| {
-                for v in buf.iter_mut() {
-                    *v += 1.0;
-                }
-            });
-        }
-        split.finish_into(&mut array).unwrap();
-        for point in array.domain().iter() {
-            let expect = (point.coord(0) * 1000 + point.coord(1)) as f64 * 2.0 + 1.0;
-            assert_eq!(array.get(&point).unwrap(), expect, "{label} at {point:?}");
-        }
+    let mut array = original.clone();
+    let cache = PlanCache::new();
+    let tracker = machine.tracker();
+    let split = redistribute_split(&array, rows, &tracker, &cache, executor).unwrap();
+    for d in 0..p {
+        split.with_dest_mut(d, |buf| {
+            for v in buf.iter_mut() {
+                *v += 1.0;
+            }
+        });
     }
+    split.finish_into(&mut array).unwrap();
+    for point in array.domain().iter() {
+        let expect = (point.coord(0) * 1000 + point.coord(1)) as f64 * 2.0 + 1.0;
+        assert_eq!(array.get(&point).unwrap(), expect, "{label} at {point:?}");
+    }
+}
+
+#[test]
+fn pipelined_destination_mutation_survives_finish() {
+    on_every_executor!(pipelined_mutation_on);
 }
 
 #[test]
