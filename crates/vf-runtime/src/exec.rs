@@ -206,23 +206,21 @@ pub(crate) fn finish_with_copy_credit(
 /// does not repeat one copy, a repeating run of single elements one
 /// strided gather / scatter loop, any other run one copy per repetition.
 pub(crate) fn copy_runs<T: Copy>(t: &Transfer, src: &[T], dst: &mut [T]) {
-    for run in t.spans() {
-        match (run.len, run.count) {
-            (1, 1) => dst[run.dst.start] = src[run.src.start],
-            (_, 1) => dst[run.dst].copy_from_slice(&src[run.src]),
-            (1, _) => {
-                let to = dst[run.dst].iter_mut().step_by(run.dst_step);
-                let from = src[run.src].iter().step_by(run.src_step);
-                to.zip(from).for_each(|(d, s)| *d = *s);
-            }
-            (len, _) => {
-                let to = dst[run.dst].chunks_mut(run.dst_step);
-                let from = src[run.src].chunks(run.src_step);
-                to.zip(from)
-                    .for_each(|(d, s)| d[..len].copy_from_slice(&s[..len]));
-            }
+    t.spans().for_each(|run| match (run.len, run.count) {
+        (1, 1) => dst[run.dst.start] = src[run.src.start],
+        (_, 1) => dst[run.dst].copy_from_slice(&src[run.src]),
+        (1, _) => {
+            let to = dst[run.dst].iter_mut().step_by(run.dst_step);
+            let from = src[run.src].iter().step_by(run.src_step);
+            to.zip(from).for_each(|(d, s)| *d = *s);
         }
-    }
+        (len, _) => {
+            let to = dst[run.dst].chunks_mut(run.dst_step);
+            let from = src[run.src].chunks(run.src_step);
+            to.zip(from)
+                .for_each(|(d, s)| d[..len].copy_from_slice(&s[..len]));
+        }
+    });
 }
 
 /// Replays `t`'s runs against the part's window `wire` of a received
@@ -230,7 +228,7 @@ pub(crate) fn copy_runs<T: Copy>(t: &Transfer, src: &[T], dst: &mut [T]) {
 /// new local offset — untouched by fusion).
 fn unpack_runs<T: Copy>(t: &Transfer, wire: &[T], dst: &mut [T]) {
     let mut rest = wire;
-    for run in t.spans() {
+    t.spans().for_each(|run| {
         let (payload, tail) = rest.split_at(run.len * run.count);
         match (run.len, run.count) {
             (1, 1) => dst[run.dst.start] = payload[0],
@@ -246,7 +244,7 @@ fn unpack_runs<T: Copy>(t: &Transfer, wire: &[T], dst: &mut [T]) {
             }
         }
         rest = tail;
-    }
+    });
 }
 
 /// The in-process serial backend: every copy runs on the calling thread.
@@ -946,16 +944,14 @@ fn pack_pair<T: Element>(fused: &FusedPlan, pi: usize, srcs: &[&[Vec<T>]]) -> Ve
     for (sl, t) in fused.pair_parts(pi) {
         debug_assert_eq!(wire.len(), sl.wire_offset, "parts arrive in wire order");
         let src = &srcs[sl.part][s];
-        for run in t.spans() {
-            match (run.len, run.count) {
-                (1, 1) => wire.push(src[run.src.start]),
-                (_, 1) => wire.extend_from_slice(&src[run.src]),
-                (1, _) => wire.extend(src[run.src].iter().step_by(run.src_step)),
-                (len, _) => src[run.src]
-                    .chunks(run.src_step)
-                    .for_each(|s| wire.extend_from_slice(&s[..len])),
-            }
-        }
+        t.spans().for_each(|run| match (run.len, run.count) {
+            (1, 1) => wire.push(src[run.src.start]),
+            (_, 1) => wire.extend_from_slice(&src[run.src]),
+            (1, _) => wire.extend(src[run.src].iter().step_by(run.src_step)),
+            (len, _) => src[run.src]
+                .chunks(run.src_step)
+                .for_each(|s| wire.extend_from_slice(&s[..len])),
+        });
     }
     assert_eq!(wire.len(), total, "the runs fill the pair's message");
     wire

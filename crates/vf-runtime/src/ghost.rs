@@ -424,7 +424,7 @@ mod tests {
             std::sync::Arc::new(crate::plan::plan_ghost(a.dist(), &[(0, 0), (1, 1)]).unwrap());
         for t in plan.transfers() {
             assert_eq!(
-                t.runs.len(),
+                t.runs().len(),
                 1,
                 "face {:?} -> {:?} not a single run",
                 t.src,

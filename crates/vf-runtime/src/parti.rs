@@ -530,7 +530,7 @@ mod tests {
         let accesses: Vec<_> = (5..=8).map(|i| (ProcId(0), Point::d1(i))).collect();
         let schedule = inspector(a.dist(), &accesses, &PlanCache::new()).unwrap();
         assert_eq!(schedule.plan().transfers().len(), 1);
-        assert_eq!(schedule.plan().transfers()[0].runs.len(), 1);
+        assert_eq!(schedule.plan().transfers()[0].runs().len(), 1);
         assert_eq!(schedule.plan().transfers()[0].elements, 4);
     }
 }

@@ -11,22 +11,30 @@
 //! ([`crate::redistribute`], [`crate::ghost`], [`crate::parti`]) all build
 //! and execute their traffic through it:
 //!
-//! * a plan stores per-pair [`Transfer`]s as **strided runs**
-//!   ([`PlanRun`]): `count` repetitions of `len` contiguous local offsets,
-//!   a constant stride apart on each side.  `BLOCK`-family layouts
-//!   collapse to a handful of runs per pair, and so do the regular strides
-//!   a contiguous run list cannot hold — a `CYCLIC(k)` target's blocks, a
-//!   halo face across column-major locals — which fold into one run per
-//!   stride as the planner pushes them.  Only an irregular pattern
-//!   (`INDIRECT`, a gather's access list) keeps one run per piece;
+//! * a plan stores per-pair [`Transfer`]s in one of two encodings
+//!   ([`Pieces`]).  A regular plan keeps **strided runs** ([`PlanRun`]):
+//!   `count` repetitions of `len` contiguous local offsets, a constant
+//!   stride apart on each side.  `BLOCK`-family layouts collapse to a
+//!   handful of runs per pair, and so do the regular strides a contiguous
+//!   run list cannot hold — a `CYCLIC(k)` target's blocks, a halo face
+//!   across column-major locals — which fold into one run per stride as
+//!   the planner pushes them.  A plan over an `INDIRECT` layout keeps, per
+//!   side, a start offset where the side is contiguous and a `u32` offset
+//!   per element where it is not — PARTI's schedule as index arrays,
+//!   which the executors walk element by element — unless its contiguous
+//!   runs are the smaller encoding.  An access list
+//!   over regular layouts (a gather, a connectivity-driven halo) keeps its
+//!   contiguous runs;
 //! * the planners resolve ownership **by stretch, not by element**: one
 //!   query to the `OwnerResolver` places a whole stretch of consecutive
 //!   global offsets that the target keeps on one owner at consecutive
 //!   local offsets, its end read off the distribution function of
 //!   dimension 0 (a `BLOCK` or general-block segment end, a `CYCLIC(k)`
-//!   block end, a `:` column end).  A regular plan therefore costs
-//!   O(stretches) lookups, and only an `INDIRECT` target, resolved through
-//!   its translation table, still pays one lookup per element;
+//!   block end, a `:` column end).  An `INDIRECT` target has no closed
+//!   form: one query to its translation table answers a whole directory
+//!   page, whose entries the planner places one after the other — PARTI's
+//!   bulk dereference of an index list.  A plan therefore costs O(stretches)
+//!   lookups on a regular target and O(pages) on an `INDIRECT` one;
 //! * planning is separated from execution, exactly as in PARTI's
 //!   inspector/executor split: [`plan_redistribute`], [`plan_ghost`]
 //!   and the gather / scatter planners behind [`crate::parti::inspector`]
@@ -70,11 +78,49 @@ use vf_machine::{trace, CommTracker, Machine};
 /// and the page-fetch messages generated.
 struct TableSession {
     table: Arc<DistTranslationTable>,
-    /// `seen[requester][page]`: fetched (or home) during this session.
+    /// `seen[requester][page]`: fetched (or home) during this session.  A
+    /// requester's row is created at its first query, so one from a larger
+    /// processor array (a source view the table does not span) starts
+    /// cold like any other.
     seen: Vec<Vec<bool>>,
     stats: TranslationStats,
     /// Page-fetch messages `(home, requester, bytes)` of this session.
     fetches: Vec<(usize, usize, usize)>,
+}
+
+impl TableSession {
+    /// The entries of global offsets `lin..`, up to `max` of them and no
+    /// further than the end of `lin`'s directory page, resolved on behalf
+    /// of `requester`.  The counters grow by what the same lookups made one
+    /// element at a time would add: every entry of a page homed on the
+    /// requester is a home hit, every entry of a page it already holds a
+    /// cache hit, and the first lookup of any other page fetches it.
+    fn page(&mut self, requester: ProcId, lin: usize, max: usize) -> &[(u32, u32)] {
+        let table = &self.table;
+        let (page, entries) = (table.page_of(lin), table.page_from(lin, max));
+        let n = entries.len() as u64;
+        if self.seen.len() <= requester.0 {
+            self.seen.resize(requester.0 + 1, Vec::new());
+        }
+        let seen = &mut self.seen[requester.0];
+        if seen.is_empty() {
+            seen.resize(table.num_pages(), false);
+        }
+        let home = table.home_of_page(page);
+        if home == requester {
+            self.stats.home_hits += n;
+        } else if seen[page] {
+            self.stats.cache_hits += n;
+        } else {
+            let bytes = table.page_bytes(page);
+            self.stats.page_fetches += 1;
+            self.stats.cache_hits += n - 1;
+            self.stats.fetched_bytes += bytes;
+            self.fetches.push((home.0, requester.0, bytes));
+        }
+        seen[page] = true;
+        entries
+    }
 }
 
 /// How a planner resolves global offsets to `(owner, local offset)`: one
@@ -90,9 +136,12 @@ struct TableSession {
 /// translation table ([`crate::translation`]): each lookup is made *on
 /// behalf of* the requesting processor, walking that processor's
 /// cached-page path and recording the directory page fetches a real PARTI
-/// run would perform.  A table lookup answers a stretch of one, so the
-/// page-fetch and hit counters stay per element.  Both paths return
-/// identical placements; only the modelled directory traffic differs.
+/// run would perform.  A table lookup answers a whole directory page (from
+/// the queried offset to the page end), whose entries the resolver places
+/// one by one; the page-fetch and hit counters grow by the page's entry
+/// count at once, to the values element-wise lookups would reach.  Both
+/// paths return identical placements; only the modelled directory traffic
+/// differs.
 ///
 /// The page-cache warmth is **session-local** (this resolver's `seen`
 /// table, no locks on the lookup path): independent plannings of the
@@ -103,8 +152,8 @@ struct TableSession {
 /// runs for.
 struct OwnerResolver<'a> {
     by: Resolve<'a>,
-    /// Stretch queries answered: the planner's work, which the unit tests
-    /// bound.
+    /// Stretch and page queries answered: the planner's work, which the
+    /// unit tests bound.
     #[cfg_attr(not(test), allow(dead_code))]
     lookups: usize,
 }
@@ -118,12 +167,9 @@ enum Resolve<'a> {
 impl<'a> OwnerResolver<'a> {
     fn for_dist(dist: &'a Distribution, store: &PlanCache) -> Self {
         let by = if dist.dist_type().has_indirect() {
-            let table = store.table(dist);
-            let total_procs = dist.procs().array().num_procs();
-            let num_pages = table.num_pages();
             Resolve::Table(Box::new(TableSession {
-                table,
-                seen: vec![vec![false; num_pages]; total_procs],
+                table: store.table(dist),
+                seen: Vec::new(),
                 stats: TranslationStats::default(),
                 fetches: Vec::new(),
             }))
@@ -133,46 +179,48 @@ impl<'a> OwnerResolver<'a> {
         Self { by, lookups: 0 }
     }
 
-    /// Owner and owner-local offset of global offset `lin`, resolved on
-    /// behalf of `requester`, and the length (`1..=max`) of the stretch
-    /// from `lin` that stays on that owner at consecutive local offsets.
-    fn locate_from(&mut self, requester: ProcId, lin: usize, max: usize) -> (ProcId, usize, usize) {
-        self.lookups += 1;
-        match &mut self.by {
-            Resolve::Locator(locator) => locator.locate_stretch(lin, max),
-            Resolve::Table(session) => {
-                let table = &session.table;
-                let page = table.page_of(lin);
-                // A requester from a larger processor array (a source
-                // view the target's table does not span) starts cold.
-                if requester.0 >= session.seen.len() {
-                    let pages = table.num_pages();
-                    session.seen.resize(requester.0 + 1, vec![false; pages]);
+    /// Places global offsets `lin..lin + len`, resolved on behalf of
+    /// `requester`: calls `place(owner, local, at, n)` for each stretch, in
+    /// order — the `n` offsets from `lin + at` live on `owner` at local
+    /// offsets `local..local + n`.  A locator answers one stretch per
+    /// query; a translation table answers one page, placed entry by entry
+    /// (an `INDIRECT` plan lists its offsets, so longer stretches would
+    /// save nothing).
+    fn place(
+        &mut self,
+        requester: ProcId,
+        lin: usize,
+        len: usize,
+        mut place: impl FnMut(ProcId, usize, usize, usize),
+    ) {
+        let mut at = 0;
+        while at < len {
+            self.lookups += 1;
+            match &mut self.by {
+                Resolve::Locator(locator) => {
+                    let (owner, local, n) = locator.locate_stretch(lin + at, len - at);
+                    place(owner, local, at, n);
+                    at += n;
                 }
-                let seen = &mut session.seen[requester.0];
-                if seen[page] {
-                    if table.home_of_page(page) == requester {
-                        session.stats.home_hits += 1;
-                    } else {
-                        session.stats.cache_hits += 1;
+                Resolve::Table(session) => {
+                    let entries = session.page(requester, lin + at, len - at);
+                    for (i, &(owner, local)) in entries.iter().enumerate() {
+                        place(ProcId(owner as usize), local as usize, at + i, 1);
                     }
-                } else {
-                    seen[page] = true;
-                    if table.home_of_page(page) == requester {
-                        session.stats.home_hits += 1;
-                    } else {
-                        let bytes = table.page_bytes(page);
-                        session.stats.page_fetches += 1;
-                        session.stats.fetched_bytes += bytes;
-                        session
-                            .fetches
-                            .push((table.home_of_page(page).0, requester.0, bytes));
-                    }
+                    at += entries.len();
                 }
-                let (owner, local) = table.lookup(lin);
-                (owner, local, 1)
             }
         }
+    }
+
+    /// Owner and owner-local offset of global offset `lin`, resolved on
+    /// behalf of `requester`.
+    fn locate(&mut self, requester: ProcId, lin: usize) -> (ProcId, usize) {
+        let mut found = (requester, 0);
+        self.place(requester, lin, 1, |owner, local, _, _| {
+            found = (owner, local)
+        });
+        found
     }
 
     /// Ends the session: adds its lookup counters to `counters` and
@@ -193,14 +241,15 @@ impl<'a> OwnerResolver<'a> {
 /// elements.  Repetition `k` reads source offsets from
 /// `src_start + k·src_stride` and writes destination offsets from
 /// `dst_start + k·dst_stride`, `len` of each, where the strides are the
-/// transfer's ([`Transfer::src_stride`], [`Transfer::dst_stride`]).  A run
-/// with `count == 1` is one contiguous copy and ignores the strides.
+/// transfer's ([`Pieces::Runs`]).  A run with `count == 1` is one
+/// contiguous copy and ignores the strides.
 ///
 /// A run that does not repeat costs what a plain `(src, dst, len)` run
 /// would: `len` and `count` share one word, and the strides are stored once
-/// per transfer.  A plan of an irregular pattern — an `INDIRECT` layout, a
-/// connectivity-driven halo, a gather's access list — never folds, so it
-/// holds exactly the contiguous runs, at the same size.
+/// per transfer.  An irregular pattern — an `INDIRECT` layout, a
+/// connectivity-driven halo, a gather's access list — never folds.  Over
+/// an `INDIRECT` layout it is stored as its contiguous runs only where
+/// they take fewer bytes than its offset lists ([`Sides`]).
 ///
 /// The meaning of the offsets depends on the plan kind: sender-local /
 /// receiver-local storage offsets for redistribution, sender-local storage
@@ -221,14 +270,14 @@ pub struct PlanRun {
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(std::mem::size_of::<PlanRun>() == 24);
 
-/// All traffic from one sender to one receiver: the element count and the
-/// run list.  `src == dst` transfers are local copies and are never charged
-/// to the cost model.
+/// All traffic from one sender to one receiver: the element count and
+/// where each element is read and written ([`Pieces`]).  `src == dst`
+/// transfers are local copies and are never charged to the cost model.
 ///
-/// The elements travel in run order, each run repetition by repetition —
-/// the order the wire carries them in.  Every repeating run of a transfer
-/// steps by the same strides; a run whose stride differs is stored as runs
-/// that do not repeat.
+/// The elements travel in the order the pieces list them — the order the
+/// wire carries them in.  Every executor reaches them through one walk,
+/// which yields stored runs as themselves and listed elements one by one,
+/// in that order whichever encoding the planner stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transfer {
     /// Sending processor.
@@ -237,14 +286,107 @@ pub struct Transfer {
     pub dst: ProcId,
     /// Total elements moved by this transfer.
     pub elements: usize,
-    /// The strided runs, in element order.
-    pub runs: Box<[PlanRun]>,
-    /// Source-offset distance between consecutive repetitions of a run (at
-    /// least the run's `len`; 0 when no run repeats).
-    pub src_stride: u32,
-    /// Destination-offset distance between consecutive repetitions of a
-    /// run (at least the run's `len`; 0 when no run repeats).
-    pub dst_stride: u32,
+    /// The element offsets on both sides, in element order.
+    pub pieces: Pieces,
+}
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Transfer>() == 48);
+
+/// The two encodings of a [`Transfer`]'s offsets.  A plan over an
+/// `INDIRECT` layout stores whichever takes fewer bytes; any other plan
+/// keeps its runs, and allocates nothing per element.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Pieces {
+    /// Strided runs, in element order.  Every repeating run steps by the
+    /// same strides; a run whose stride differs is stored as runs that do
+    /// not repeat.
+    Runs {
+        /// The runs.
+        runs: Box<[PlanRun]>,
+        /// Source-offset distance between consecutive repetitions of a
+        /// run (at least the run's `len`; 0 when no run repeats).
+        src_stride: u32,
+        /// Destination-offset distance between consecutive repetitions
+        /// of a run (at least the run's `len`; 0 when no run repeats).
+        dst_stride: u32,
+    },
+    /// One offset per element on each side, a side that is contiguous
+    /// stored as its start.
+    Offsets(Box<Sides>),
+}
+
+/// The source and destination offsets of a transfer stored as lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sides {
+    /// Where the elements are read.
+    pub src: Side,
+    /// Where the elements are written.
+    pub dst: Side,
+}
+
+/// One side of a [`Sides`] transfer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Side {
+    /// Element `i` is at offset `start + i`.
+    Contiguous(usize),
+    /// Element `i` is at offset `offsets[i]`.
+    Listed(Box<[u32]>),
+}
+
+impl Side {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Side::Contiguous(_) => 0,
+            Side::Listed(offsets) => std::mem::size_of_val(&offsets[..]),
+        }
+    }
+}
+
+impl Sides {
+    /// Bytes the lists keep, boxed beside a [`Transfer`].
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.src.heap_bytes() + self.dst.heap_bytes()
+    }
+
+    /// The same elements as contiguous runs that do not repeat: one per
+    /// maximal stretch whose offsets both continue.  Every listed offset
+    /// fits a `u32`, and so does every run's length.
+    fn runs(&self, elements: usize) -> Box<[PlanRun]> {
+        let (src, dst) = (
+            SideRef::of(&self.src, elements),
+            SideRef::of(&self.dst, elements),
+        );
+        let mut runs: Vec<PlanRun> = Vec::new();
+        for i in 0..elements {
+            let (s, d) = (src.at(i), dst.at(i));
+            match runs.last_mut() {
+                Some(last)
+                    if last.src_start + last.len as usize == s
+                        && last.dst_start + last.len as usize == d =>
+                {
+                    last.len += 1
+                }
+                _ => runs.push(PlanRun {
+                    src_start: s,
+                    dst_start: d,
+                    len: 1,
+                    count: 1,
+                }),
+            }
+        }
+        runs.into_boxed_slice()
+    }
+}
+
+impl Pieces {
+    /// Bytes the encoding keeps beyond the [`Transfer`] itself.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Pieces::Runs { runs, .. } => std::mem::size_of_val(&runs[..]),
+            Pieces::Offsets(sides) => sides.heap_bytes(),
+        }
+    }
 }
 
 /// One run of a [`Transfer`] laid out for a walk: the source and
@@ -264,25 +406,172 @@ pub(crate) struct RunSpan {
     pub(crate) dst_step: usize,
 }
 
-impl Transfer {
-    /// The runs laid out for a walk, in element order.
-    pub(crate) fn spans(&self) -> impl Iterator<Item = RunSpan> + '_ {
-        self.runs.iter().map(|run| {
-            let (len, count) = (run.len as usize, run.count as usize);
-            let (src_step, dst_step) = if count == 1 {
-                (len, len)
-            } else {
-                (self.src_stride as usize, self.dst_stride as usize)
+impl RunSpan {
+    /// A stored run, stepping by the transfer's `strides` if it repeats.
+    fn strided(run: &PlanRun, strides: (usize, usize)) -> Self {
+        let (len, count) = (run.len as usize, run.count as usize);
+        let (src_step, dst_step) = if count == 1 { (len, len) } else { strides };
+        RunSpan {
+            src: run.src_start..run.src_start + (count - 1) * src_step + len,
+            dst: run.dst_start..run.dst_start + (count - 1) * dst_step + len,
+            len,
+            count,
+            src_step,
+            dst_step,
+        }
+    }
+}
+
+/// Elements a walk decodes from offset lists at once.
+const WALK_BATCH: usize = 64;
+
+/// A slot for a walk to decode a run into.
+const BLANK_RUN: PlanRun = PlanRun {
+    src_start: 0,
+    dst_start: 0,
+    len: 1,
+    count: 1,
+};
+
+/// One side of a listed transfer, borrowed for a walk.
+#[derive(Clone, Copy)]
+enum SideRef<'t> {
+    Contiguous(usize),
+    Listed(&'t [u32]),
+}
+
+impl<'t> SideRef<'t> {
+    fn of(side: &'t Side, elements: usize) -> Self {
+        match side {
+            &Side::Contiguous(start) => SideRef::Contiguous(start),
+            Side::Listed(offsets) => SideRef::Listed(&offsets[..elements]),
+        }
+    }
+
+    /// The offset of element `i`.
+    fn at(self, i: usize) -> usize {
+        match self {
+            SideRef::Contiguous(start) => start + i,
+            SideRef::Listed(offsets) => offsets[i] as usize,
+        }
+    }
+}
+
+/// A listed transfer's elements, each a run of one, as PARTI executes an
+/// index-array schedule: an executor's single-element arm copies each
+/// without a test on the data, where cutting the lists into their maximal
+/// contiguous pieces cost more per element than the copies it saved (on a
+/// scattered map pieces are a few elements long, and copying them one
+/// piece at a time mispredicts on most of them).
+struct Walk<'t> {
+    src: SideRef<'t>,
+    dst: SideRef<'t>,
+    elements: usize,
+    /// The next element to decode.
+    next: usize,
+}
+
+impl<'t> Walk<'t> {
+    fn new(sides: &'t Sides, elements: usize) -> Self {
+        Walk {
+            src: SideRef::of(&sides.src, elements),
+            dst: SideRef::of(&sides.dst, elements),
+            elements,
+            next: 0,
+        }
+    }
+
+    /// Decodes the next elements, as many as fit, into the front of `buf`;
+    /// returns how many, `None` once every element is out.
+    fn fill(&mut self, buf: &mut [PlanRun]) -> Option<usize> {
+        let from = self.next;
+        let to = (from + buf.len()).min(self.elements);
+        if from == to {
+            return None;
+        }
+        let (src, dst) = (self.src, self.dst);
+        for (slot, i) in buf.iter_mut().zip(from..to) {
+            *slot = PlanRun {
+                src_start: src.at(i),
+                dst_start: dst.at(i),
+                len: 1,
+                count: 1,
             };
-            RunSpan {
-                src: run.src_start..run.src_start + (count - 1) * src_step + len,
-                dst: run.dst_start..run.dst_start + (count - 1) * dst_step + len,
-                len,
-                count,
-                src_step,
-                dst_step,
+        }
+        self.next = to;
+        Some(to - from)
+    }
+}
+
+/// A transfer's walk ([`Transfer::spans`]): its stored runs, or the
+/// elements of its lists.
+pub(crate) struct Spans<'t> {
+    runs: &'t [PlanRun],
+    strides: (usize, usize),
+    lists: Option<Walk<'t>>,
+}
+
+impl Iterator for Spans<'_> {
+    type Item = RunSpan;
+
+    fn next(&mut self) -> Option<RunSpan> {
+        if let Some((run, rest)) = self.runs.split_first() {
+            self.runs = rest;
+            return Some(RunSpan::strided(run, self.strides));
+        }
+        let walk = self.lists.as_mut()?;
+        let mut one = [BLANK_RUN];
+        walk.fill(&mut one)?;
+        Some(RunSpan::strided(&one[0], self.strides))
+    }
+
+    /// One loop over runs whichever the encoding: lists are decoded into a
+    /// batch of runs between its passes, so a consumer's body is
+    /// instantiated once, and the strided runs' loop holds nothing of the
+    /// lists.
+    fn fold<B, F: FnMut(B, RunSpan) -> B>(self, init: B, mut f: F) -> B {
+        let (mut acc, strides, mut lists) = (init, self.strides, self.lists);
+        let mut batch = None;
+        let mut runs = self.runs;
+        loop {
+            for run in runs {
+                acc = f(acc, RunSpan::strided(run, strides));
             }
-        })
+            let Some(walk) = lists.as_mut() else {
+                return acc;
+            };
+            let buf = batch.get_or_insert([BLANK_RUN; WALK_BATCH]);
+            let Some(decoded) = walk.fill(buf) else {
+                return acc;
+            };
+            runs = &buf[..decoded];
+        }
+    }
+}
+
+impl Transfer {
+    /// The elements laid out for a walk, in element order: each strided
+    /// run as itself, offset lists element by element.  The one walk
+    /// every executor copies, packs and unpacks by, whichever encoding
+    /// the planner stored.  Executors take it by `for_each`, which decodes
+    /// lists a batch of elements at a time.
+    pub(crate) fn spans(&self) -> Spans<'_> {
+        match &self.pieces {
+            Pieces::Runs {
+                runs,
+                src_stride,
+                dst_stride,
+            } => Spans {
+                runs,
+                strides: (*src_stride as usize, *dst_stride as usize),
+                lists: None,
+            },
+            Pieces::Offsets(sides) => Spans {
+                runs: &[],
+                strides: (0, 0),
+                lists: Some(Walk::new(sides, self.elements)),
+            },
+        }
     }
 }
 
@@ -592,11 +881,12 @@ impl CommPlan {
     /// Estimated resident size of the plan in bytes — what the plan costs
     /// to *keep*, not to execute.  Block-family schedules are a few runs
     /// per processor pair, and so are regular strides, which fold into
-    /// repeating runs ([`PlanRun`]); an irregular pattern — an `INDIRECT`
-    /// target, a gather's scattered accesses — keeps one 24-byte run per
-    /// contiguous piece, down to one per element.  Plan sizes therefore
-    /// differ by orders of magnitude, and the [`PlanCache`] bounds its
-    /// memory by this estimate rather than by entry count.  The executors'
+    /// repeating runs ([`PlanRun`]); an `INDIRECT` plan keeps up to a
+    /// 4-byte offset per element and side, or a 24-byte run per contiguous
+    /// piece where that is smaller ([`Pieces`]), and a gather's scattered
+    /// accesses a run per piece.  Plan sizes therefore differ by orders
+    /// of magnitude, and the [`PlanCache`] bounds its memory by this
+    /// estimate rather than by entry count.  The executors'
     /// pair index the plan keeps beside its transfers is left out: on a
     /// 64-bit host, 72 bytes per crossing pair, 24 per processor and about
     /// 180 per plan.
@@ -608,7 +898,7 @@ impl CommPlan {
         let transfers: usize = self
             .transfers
             .iter()
-            .map(|t| size_of::<Transfer>() + t.runs.len() * size_of::<PlanRun>())
+            .map(|t| size_of::<Transfer>() + t.pieces.heap_bytes())
             .sum();
         let index = match &self.index {
             // The plan keeps a clone of the target distribution alive;
@@ -798,27 +1088,45 @@ impl CommPlan {
     }
 }
 
-/// Incremental builder grouping placements into transfers and folding
-/// each transfer's element list into strided runs.
+/// Incremental builder grouping placements into transfers: folded into
+/// strided runs for a regular plan, listed for an irregular one.
 struct PlanBuilder {
     transfers: Vec<PairRuns>,
-    by_pair: HashMap<(usize, usize), usize>,
+    /// `by_pair[src · width + dst]`: the index of the pair's transfer
+    /// (`u32::MAX` until its first element).
+    by_pair: Vec<u32>,
+    width: usize,
     moved: usize,
     stayed: usize,
     needed: usize,
-    /// Whether equal pieces a constant stride apart fold into repeating
-    /// runs ([`regular`]); otherwise every run is contiguous.
-    folds: bool,
+    encoding: Encoding,
 }
 
-/// Whether a plan over `dists` describes a regular pattern, whose pieces
-/// fold into repeating runs: none of them is `INDIRECT`.  An `INDIRECT`
-/// layout places elements by a mapping array, so its strides repeat only
-/// by chance — a chance fold saves 24 bytes and costs the executor a
-/// second kind of run to branch on, run after run.  The connectivity-driven
-/// halo, gather and scatter planners walk access lists and never fold.
-fn regular(dists: &[&Distribution]) -> bool {
-    dists.iter().all(|dist| !dist.dist_type().has_indirect())
+/// How a plan's transfers are built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Encoding {
+    /// Strided runs, equal pieces a constant stride apart folded into
+    /// repetitions: a regular pattern over regular layouts.
+    Folded,
+    /// Contiguous runs: an access list over regular layouts.
+    Runs,
+    /// Offset lists, or contiguous runs where those are smaller: any plan
+    /// over an `INDIRECT` layout.
+    Listed,
+}
+
+/// The encoding of a plan over `dists` whose pattern `folds` where its
+/// layouts are regular (a redistribution or a geometric halo, not an
+/// access list).  An `INDIRECT` layout places elements by a mapping
+/// array, so its strides repeat only by chance and its pieces are short:
+/// its transfers are PARTI's index arrays.  A plan over regular layouts
+/// allocates nothing per element.
+fn encoding(dists: &[&Distribution], folds: bool) -> Encoding {
+    match dists.iter().any(|dist| dist.dist_type().has_indirect()) {
+        true => Encoding::Listed,
+        false if folds => Encoding::Folded,
+        false => Encoding::Runs,
+    }
 }
 
 /// One transfer under construction.
@@ -826,29 +1134,152 @@ struct PairRuns {
     src: ProcId,
     dst: ProcId,
     elements: usize,
-    runs: Vec<PlanRun>,
-    /// The transfer's strides, fixed by its first repeating run.
-    strides: Option<(u32, u32)>,
+    building: Building,
+}
+
+/// The encoding a [`PairRuns`] builds.
+enum Building {
+    /// Strided runs ([`PairRuns::append_run`]); `folds` says whether equal
+    /// pieces a constant stride apart become repetitions.
+    Runs {
+        runs: Vec<PlanRun>,
+        /// The transfer's strides, fixed by its first repeating run.
+        strides: Option<(u32, u32)>,
+        folds: bool,
+    },
+    /// Offset lists, each side a start until its first break, and the
+    /// number of maximal contiguous pieces — the runs the same elements
+    /// would take.
+    Lists {
+        src: SideBuf,
+        dst: SideBuf,
+        pieces: usize,
+    },
+}
+
+/// One side of a transfer being listed.
+enum SideBuf {
+    Contiguous(usize),
+    Listed(Vec<u32>),
+}
+
+impl SideBuf {
+    /// Appends offsets `off..off + len` after the side's `n` (at least
+    /// one) elements; returns whether they follow the last one.
+    fn extend(&mut self, n: usize, off: usize, len: usize) -> bool {
+        let offsets = off as u32..(off + len) as u32;
+        match self {
+            SideBuf::Contiguous(start) if *start + n == off => true,
+            SideBuf::Contiguous(start) => {
+                let mut listed = Vec::with_capacity(2 * (n + len));
+                listed.extend(*start as u32..(*start + n) as u32);
+                listed.extend(offsets);
+                *self = SideBuf::Listed(listed);
+                false
+            }
+            SideBuf::Listed(listed) => {
+                // Never empty: it holds the `n` elements before.
+                let follows = listed.last().map_or(0, |&last| last as usize + 1) == off;
+                if len == 1 {
+                    listed.push(off as u32);
+                } else {
+                    listed.extend(offsets);
+                }
+                follows
+            }
+        }
+    }
+
+    fn finish(self) -> Side {
+        match self {
+            SideBuf::Contiguous(start) => Side::Contiguous(start),
+            SideBuf::Listed(listed) => Side::Listed(listed.into_boxed_slice()),
+        }
+    }
 }
 
 impl PairRuns {
+    fn new(src: ProcId, dst: ProcId, encoding: Encoding) -> Self {
+        let building = match encoding {
+            Encoding::Folded | Encoding::Runs => Building::Runs {
+                runs: Vec::new(),
+                strides: None,
+                folds: encoding == Encoding::Folded,
+            },
+            Encoding::Listed => Building::Lists {
+                src: SideBuf::Contiguous(0),
+                dst: SideBuf::Contiguous(0),
+                pieces: 0,
+            },
+        };
+        Self {
+            src,
+            dst,
+            elements: 0,
+            building,
+        }
+    }
+
+    /// Appends `len` (at least one) elements travelling
+    /// `src_off.. -> dst_off..`.
+    fn append(&mut self, src_off: usize, dst_off: usize, len: usize) {
+        let n = self.elements;
+        self.elements += len;
+        let Building::Lists { src, dst, pieces } = &mut self.building else {
+            let mut done = 0;
+            while done < len {
+                let piece = u32::try_from(len - done).unwrap_or(u32::MAX);
+                self.append_run(src_off + done, dst_off + done, piece);
+                done += piece as usize;
+            }
+            return;
+        };
+        // An `INDIRECT` layout numbers its elements in `u32`
+        // (`IndirectMap`), so every offset of a listed plan fits one.
+        assert!(
+            u32::try_from(src_off.max(dst_off) + len).is_ok(),
+            "a listed offset exceeds u32"
+        );
+        if n == 0 {
+            (*src, *dst, *pieces) = (
+                SideBuf::Contiguous(src_off),
+                SideBuf::Contiguous(dst_off),
+                1,
+            );
+        } else {
+            // Counted without a branch on the data: pieces are as long as a
+            // coin toss on a scattered map.
+            let follows = src.extend(n, src_off, len) & dst.extend(n, dst_off, len);
+            *pieces += usize::from(!follows);
+        }
+    }
+
     /// Appends `len` (`1..=u32::MAX`) elements travelling
-    /// `src_off.. -> dst_off..`, in one pass over nothing but the last run:
+    /// `src_off.. -> dst_off..` to the runs, in one pass over nothing but
+    /// the last run:
     ///
     /// * a piece that continues the last run's last repetition in both
     ///   offsets extends it (a repeating run gives that repetition up to a
     ///   new run first);
-    /// * a piece of the last run's length, one stride on from its last
-    ///   repetition, becomes its next repetition — the transfer's strides
-    ///   fixed by the first fold, and at least the length so repetitions
-    ///   never overlap;
+    /// * in a folding transfer, a piece of the last run's length, one
+    ///   stride on from its last repetition, becomes its next repetition —
+    ///   the transfer's strides fixed by the first fold, and at least the
+    ///   length so repetitions never overlap;
     /// * anything else starts a run.
     ///
     /// Unfolded, the runs are exactly the maximal contiguous pieces, so a
     /// transfer never holds more runs than a contiguous run list would.
-    fn append(&mut self, src_off: usize, dst_off: usize, len: u32, folds: bool) {
-        if let Some(last) = self.runs.last_mut() {
-            let (ss, ds) = self.strides.unwrap_or((0, 0));
+    fn append_run(&mut self, src_off: usize, dst_off: usize, len: u32) {
+        let Building::Runs {
+            runs,
+            strides,
+            folds,
+        } = &mut self.building
+        else {
+            unreachable!("only runs are appended to");
+        };
+        if let Some(last) = runs.last_mut() {
+            let (ss, ds) = strides.unwrap_or((0, 0));
             let reps = last.count as usize - 1;
             let tail_src = last.src_start + reps * ss as usize;
             let tail_dst = last.dst_start + reps * ds as usize;
@@ -859,7 +1290,7 @@ impl PairRuns {
                         last.len = grown;
                     } else {
                         last.count -= 1;
-                        self.runs.push(PlanRun {
+                        runs.push(PlanRun {
                             src_start: tail_src,
                             dst_start: tail_dst,
                             len: grown,
@@ -874,16 +1305,16 @@ impl PairRuns {
                     .and_then(|d| u32::try_from(d).ok())
                     .filter(|&d| d >= len)
             };
-            if folds && last.len == len && last.count < u32::MAX {
+            if *folds && last.len == len && last.count < u32::MAX {
                 if let (Some(a), Some(b)) = (step(src_off, tail_src), step(dst_off, tail_dst)) {
-                    if *self.strides.get_or_insert((a, b)) == (a, b) {
+                    if *strides.get_or_insert((a, b)) == (a, b) {
                         last.count += 1;
                         return;
                     }
                 }
             }
         }
-        self.runs.push(PlanRun {
+        runs.push(PlanRun {
             src_start: src_off,
             dst_start: dst_off,
             len,
@@ -891,73 +1322,109 @@ impl PairRuns {
         });
     }
 
+    /// The built transfer.  Lists are kept only where they take fewer
+    /// bytes than the contiguous runs of the same elements, which replace
+    /// them otherwise (on a tie too: runs are what a regular plan walks).
     fn finish(self) -> Transfer {
-        let (src_stride, dst_stride) = self.strides.unwrap_or((0, 0));
+        let pieces = match self.building {
+            Building::Runs { runs, strides, .. } => {
+                let (src_stride, dst_stride) = strides.unwrap_or((0, 0));
+                Pieces::Runs {
+                    runs: runs.into_boxed_slice(),
+                    src_stride,
+                    dst_stride,
+                }
+            }
+            Building::Lists { src, dst, pieces } => {
+                let sides = Sides {
+                    src: src.finish(),
+                    dst: dst.finish(),
+                };
+                if pieces * std::mem::size_of::<PlanRun>() <= sides.heap_bytes() {
+                    Pieces::Runs {
+                        runs: sides.runs(self.elements),
+                        src_stride: 0,
+                        dst_stride: 0,
+                    }
+                } else {
+                    Pieces::Offsets(Box::new(sides))
+                }
+            }
+        };
         Transfer {
             src: self.src,
             dst: self.dst,
             elements: self.elements,
-            runs: self.runs.into_boxed_slice(),
-            src_stride,
-            dst_stride,
+            pieces,
         }
     }
 }
 
 impl PlanBuilder {
-    fn new(folds: bool) -> Self {
+    /// A builder for pairs of processors below `procs` (the index grows if
+    /// a larger id turns up).
+    fn new(encoding: Encoding, procs: usize) -> Self {
         Self {
             transfers: Vec::new(),
-            by_pair: HashMap::new(),
+            by_pair: vec![u32::MAX; procs * procs],
+            width: procs,
             moved: 0,
             stayed: 0,
             needed: 0,
-            folds,
+            encoding,
         }
     }
 
     /// Adds `len` elements travelling `src[src_off..] -> dst[dst_off..]`,
-    /// folded into the pair's runs as they arrive ([`PairRuns::append`]) —
-    /// so a placement pushed as one stretch of `len` builds the same
-    /// elements, in the same order, as `len` single elements would.  A
-    /// zero-length piece adds nothing, not even its pair.
+    /// appended to the pair's transfer as they arrive
+    /// ([`PairRuns::append`]) — so a placement pushed as one stretch of
+    /// `len` builds the same elements, in the same order, as `len` single
+    /// elements would.  A zero-length piece adds nothing, not even its
+    /// pair.
     fn push(&mut self, src: ProcId, dst: ProcId, src_off: usize, dst_off: usize, len: usize) {
         if len == 0 {
             return;
         }
-        if src == dst {
-            self.stayed += len;
-        } else {
-            self.moved += len;
-        }
-        self.needed = self.needed.max(src.0 + 1).max(dst.0 + 1);
-        let idx = *self.by_pair.entry((src.0, dst.0)).or_insert_with(|| {
-            self.transfers.push(PairRuns {
-                src,
-                dst,
-                elements: 0,
-                runs: Vec::new(),
-                strides: None,
-            });
-            self.transfers.len() - 1
-        });
-        let t = &mut self.transfers[idx];
-        t.elements += len;
-        let mut done = 0;
-        while done < len {
-            let piece = u32::try_from(len - done).unwrap_or(u32::MAX);
-            t.append(src_off + done, dst_off + done, piece, self.folds);
-            done += piece as usize;
-        }
+        let at = self.pair(src, dst);
+        self.transfers[at].append(src_off, dst_off, len);
     }
 
-    /// The built transfers, in the order their pairs first appeared.
+    /// The index of the `src -> dst` transfer, created empty on first use.
+    fn pair(&mut self, src: ProcId, dst: ProcId) -> usize {
+        let width = src.0.max(dst.0) + 1;
+        if width > self.width {
+            self.width = width;
+            self.by_pair = vec![u32::MAX; width * width];
+            for (at, t) in self.transfers.iter().enumerate() {
+                self.by_pair[t.src.0 * width + t.dst.0] = at as u32;
+            }
+        }
+        let slot = &mut self.by_pair[src.0 * self.width + dst.0];
+        if *slot == u32::MAX {
+            *slot = self.transfers.len() as u32;
+            self.transfers.push(PairRuns::new(src, dst, self.encoding));
+        }
+        *slot as usize
+    }
+
+    /// The built transfers, in the order their pairs first appeared; the
+    /// moved and stayed counts and the processors touched are tallied
+    /// from them.
     fn take_transfers(&mut self) -> Vec<Transfer> {
-        self.by_pair.clear();
-        std::mem::take(&mut self.transfers)
+        self.by_pair.fill(u32::MAX);
+        let transfers: Vec<Transfer> = std::mem::take(&mut self.transfers)
             .into_iter()
             .map(PairRuns::finish)
-            .collect()
+            .collect();
+        for t in &transfers {
+            if t.src == t.dst {
+                self.stayed += t.elements;
+            } else {
+                self.moved += t.elements;
+            }
+            self.needed = self.needed.max(t.src.0 + 1).max(t.dst.0 + 1);
+        }
+        transfers
     }
 }
 
@@ -967,7 +1434,8 @@ impl PlanBuilder {
 /// one owner at consecutive local offsets — one lookup per stretch, from
 /// the target's distribution functions — and the placements are folded
 /// into strided runs per (sender, receiver) pair.  (An `INDIRECT` target
-/// resolves element by element through its translation table.)
+/// resolves a directory page per lookup through its translation table, and
+/// its pairs are offset lists.)
 pub fn plan_redistribute(old: &Distribution, new: &Distribution) -> Result<CommPlan> {
     plan_redistribute_counted(
         old,
@@ -993,8 +1461,9 @@ fn plan_redistribute_counted(
         });
     }
     let mut resolver = OwnerResolver::for_dist(new, store);
-    let mut b = PlanBuilder::new(regular(&[old, new]));
+    let mut b = PlanBuilder::new(encoding(&[old, new], true), procs_of(&[old, new]));
     place_senders(old, &mut resolver, &mut b);
+    let transfers = b.take_transfers();
     // Receivers that exist in the new distribution but get no elements
     // still constrain the tracker size.
     let needed = b
@@ -1002,7 +1471,6 @@ fn plan_redistribute_counted(
         .max(new.proc_ids().iter().map(|q| q.0 + 1).max().unwrap_or(1))
         .max(old.proc_ids().iter().map(|p| p.0 + 1).max().unwrap_or(1));
     let total_procs = new.procs().array().num_procs();
-    let transfers = b.take_transfers();
     Ok(CommPlan {
         kind: PlanKind::Redistribute,
         src_fingerprint: old.fingerprint(),
@@ -1020,7 +1488,7 @@ fn plan_redistribute_counted(
 }
 
 /// Places every element `old`'s senders hold at its owner under
-/// `resolver`, one stretch per lookup.  A replicated source holds one full
+/// `resolver`, one stretch or directory page per lookup.  A replicated source holds one full
 /// copy per processor of the view; only the canonical first copy sends
 /// (sending from every replica would count every element once per replica
 /// and let stale copies overwrite fresh data at the receivers).
@@ -1032,14 +1500,18 @@ fn place_senders(old: &Distribution, resolver: &mut OwnerResolver, b: &mut PlanB
     };
     for &p in senders {
         for run in old.local_linear_runs(p) {
-            let mut k = 0;
-            while k < run.len {
-                let (q, dst_off, len) = resolver.locate_from(p, run.global_start + k, run.len - k);
+            resolver.place(p, run.global_start, run.len, |q, dst_off, k, len| {
                 b.push(p, q, run.local_start + k, dst_off, len);
-                k += len;
-            }
+            });
         }
     }
+}
+
+/// The processors of the declaring arrays of `dists`: what a plan's pair
+/// index spans.
+fn procs_of(dists: &[&Distribution]) -> usize {
+    let procs = dists.iter().map(|dist| dist.procs().array().num_procs());
+    procs.max().unwrap_or(1)
 }
 
 /// The first dimension of `dist` whose local layout scatters — the
@@ -1109,7 +1581,7 @@ fn plan_ghost_counted(
     let mut slots: Vec<GhostSlots> = (0..total_procs)
         .map(|_| GhostSlots::nothing(domain))
         .collect();
-    let mut b = PlanBuilder::new(regular(&[dist]));
+    let mut b = PlanBuilder::new(encoding(&[dist], true), total_procs);
 
     for (p, segment) in segments {
         // The overlap area (§3.1): the segment widened by the stencil
@@ -1144,13 +1616,12 @@ fn plan_ghost_counted(
                     continue;
                 }
                 let point = origin.with_coord(0, from);
-                let mut lin = domain.linearize(&point).expect("frame within the array");
-                let mut left = (to - from + 1) as usize;
-                while left > 0 {
-                    let (owner, local, len) = resolver.locate_from(p, lin, left);
-                    b.push(owner, p, local, slot, len);
-                    (lin, slot, left) = (lin + len, slot + len, left - len);
-                }
+                let lin = domain.linearize(&point).expect("frame within the array");
+                let len = (to - from + 1) as usize;
+                resolver.place(p, lin, len, |owner, local, k, n| {
+                    b.push(owner, p, local, slot + k, n);
+                });
+                slot += len;
             }
         });
         slots[p.0] = GhostSlots::Frame { segment, extended };
@@ -1241,7 +1712,7 @@ fn plan_ghost_irregular_counted(
             }
         }
     }
-    let mut b = PlanBuilder::new(false);
+    let mut b = PlanBuilder::new(encoding(&[dist], false), total_procs);
     for &p in dist.proc_ids() {
         let n_local = dist.local_size(p);
         let mut local = LocalisedConnectivity {
@@ -1282,9 +1753,15 @@ fn plan_ghost_irregular_counted(
             local.adjncy[at] = (n_local + slot) as u32;
         }
         if let Some(resolver) = resolver.as_mut() {
-            for (slot, &lin) in local.ghosts.iter().enumerate() {
-                let (owner, offset, _) = resolver.locate_from(p, lin, 1);
-                b.push(owner, p, offset, slot, 1);
+            // Consecutive ghosts are consecutive slots: resolved together.
+            let mut slot = 0;
+            while slot < local.ghosts.len() {
+                let ghosts = &local.ghosts[slot..];
+                let run = 1 + ghosts.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+                resolver.place(p, ghosts[0], run, |owner, offset, k, n| {
+                    b.push(owner, p, offset, slot + k, n);
+                });
+                slot += run;
             }
         }
         slots[p.0] = GhostSlots::Listed {
@@ -1338,7 +1815,7 @@ fn plan_gather(
         if replicated {
             continue;
         }
-        let (owner, local, _) = resolver.locate_from(*proc, lin, 1);
+        let (owner, local) = resolver.locate(*proc, lin);
         if owner == *proc {
             continue;
         }
@@ -1350,7 +1827,7 @@ fn plan_gather(
             count: 0,
         })
         .collect();
-    let mut b = PlanBuilder::new(false);
+    let mut b = PlanBuilder::new(encoding(&[dist], false), total_procs);
     for (proc, mut reqs) in requests.into_iter().enumerate() {
         reqs.sort_unstable();
         reqs.dedup();
@@ -1391,23 +1868,28 @@ fn plan_scatter(
     store: &PlanCache,
     counters: &mut TranslationStats,
 ) -> Result<CommPlan> {
+    let total_procs = dist.procs().array().num_procs();
     let mut resolver = OwnerResolver::for_dist(dist, store);
     let mut ops = Vec::with_capacity(sources.len());
-    let mut b = PlanBuilder::new(false);
+    let mut b = PlanBuilder::new(encoding(&[dist], false), total_procs);
     for (from, point) in sources {
         let lin = dist.domain().linearize(point)?;
-        let (owner, local, _) = resolver.locate_from(*from, lin, 1);
+        let (owner, local) = resolver.locate(*from, lin);
         ops.push(ScatterOp { owner, local });
         // Runs are not needed for scatter (values arrive with the updates);
         // the per-pair element counts drive the message aggregation.
         b.push(*from, owner, 0, 0, 1);
     }
-    // Collapse the dummy runs: only the counts matter.
+    // Collapse the dummy offsets: only the counts matter.
     let mut transfers = b.take_transfers();
     for t in &mut transfers {
-        t.runs = Box::default();
+        t.pieces = Pieces::Runs {
+            runs: Box::default(),
+            src_stride: 0,
+            dst_stride: 0,
+        };
     }
-    let (fp, total_procs) = (dist.fingerprint(), dist.procs().array().num_procs());
+    let fp = dist.fingerprint();
     Ok(CommPlan {
         kind: PlanKind::Scatter,
         src_fingerprint: fp,
@@ -1625,7 +2107,7 @@ pub struct PlanCache {
 impl PlanCache {
     /// Default estimated-byte budget (16 MiB) before least-recently-used
     /// eviction.  Plans differ wildly in size — a few runs per processor
-    /// pair for block-family and strided layouts, one run per *element*
+    /// pair for block-family and strided layouts, an offset per *element*
     /// for scattered `INDIRECT` targets — so the cache bounds the
     /// estimated bytes it holds ([`CommPlan::estimated_bytes`]) rather than
     /// the entry count: a drifting PIC load producing ever-new `BOUNDS`
@@ -1825,6 +2307,16 @@ mod tests {
     use vf_dist::{DimDist, DistType, ProcessorView};
     use vf_machine::CostModel;
 
+    impl Transfer {
+        /// The strided runs of a transfer stored as runs.
+        pub(crate) fn runs(&self) -> &[PlanRun] {
+            match &self.pieces {
+                Pieces::Runs { runs, .. } => runs,
+                Pieces::Offsets(_) => panic!("{:?} -> {:?} is listed", self.src, self.dst),
+            }
+        }
+    }
+
     impl CommPlan {
         /// The owners contacted by `proc`, sorted — the PARTI schedule
         /// query.
@@ -1858,9 +2350,9 @@ mod tests {
             "every element is placed exactly once"
         );
         for t in plan.transfers() {
-            assert_eq!(t.runs.len(), 1, "{:?} -> {:?} fragmented", t.src, t.dst);
-            assert_eq!(t.runs[0].count, 1, "a contiguous overlap does not repeat");
-            assert_eq!(t.elements, t.runs[0].len as usize);
+            assert_eq!(t.runs().len(), 1, "{:?} -> {:?} fragmented", t.src, t.dst);
+            assert_eq!(t.runs()[0].count, 1, "a contiguous overlap does not repeat");
+            assert_eq!(t.elements, t.runs()[0].len as usize);
         }
         // The total run count is bounded by the pair count, not the element
         // count — the memory argument for run schedules.
@@ -2134,14 +2626,14 @@ mod tests {
         );
     }
 
-    /// The stretch queries the redistribution planner makes for
+    /// The stretch and page queries the redistribution planner makes for
     /// `old -> new`, through the planner's own walk (checked to build the
     /// same transfers as [`plan_redistribute`]), with the translation
     /// lookups of an `INDIRECT` target.
     fn redistribute_lookups(old: &Distribution, new: &Distribution) -> (usize, TranslationStats) {
         let store = PlanCache::new();
         let mut resolver = OwnerResolver::for_dist(new, &store);
-        let mut b = PlanBuilder::new(regular(&[old, new]));
+        let mut b = PlanBuilder::new(encoding(&[old, new], true), procs_of(&[old, new]));
         place_senders(old, &mut resolver, &mut b);
         assert_eq!(
             b.take_transfers(),
@@ -2167,14 +2659,66 @@ mod tests {
         let (lookups, _) = redistribute_lookups(&columns, &square(cyclic8));
         assert!(lookups <= 131_072, "{lookups} lookups");
         // An INDIRECT target resolves through the translation table, one
-        // counted lookup per element.
+        // directory page per lookup: no more lookups than the pieces the
+        // senders' runs are cut into at page boundaries.  The counters are
+        // those of one lookup per element, replayed on a fresh table.
         let n = 10_000;
-        let (lookups, table) =
-            redistribute_lookups(&dist_1d(DistType::block1d(), n, 4), &indirect_1d(n, 4, 3));
-        assert_eq!(lookups, n);
-        assert_eq!(
-            (table.home_hits + table.cache_hits + table.page_fetches) as usize,
-            n
+        let (block, scattered) = (dist_1d(DistType::block1d(), n, 4), indirect_1d(n, 4, 3));
+        let (lookups, table) = redistribute_lookups(&block, &scattered);
+        let mut pieces = 0;
+        for &p in block.proc_ids() {
+            for run in block.local_linear_runs(p) {
+                let (first, last) = (run.global_start, run.global_start + run.len - 1);
+                pieces += last / translation::DEFAULT_PAGE_SIZE
+                    - first / translation::DEFAULT_PAGE_SIZE
+                    + 1;
+            }
+        }
+        assert!(lookups <= pieces, "{lookups} lookups for {pieces} pieces");
+        let replay = translation::table_for(&scattered);
+        for &p in block.proc_ids() {
+            for run in block.local_linear_runs(p) {
+                for lin in run.global_start..run.global_start + run.len {
+                    replay.lookup_from(p, lin);
+                }
+            }
+        }
+        assert_eq!(table, replay.stats());
+        assert!(table.page_fetches > 0 && table.cache_hits > 0 && table.home_hits > 0);
+    }
+
+    /// A BLOCK -> INDIRECT plan over 1 Mi elements on 4 processors, owners
+    /// drawn at random: every transfer's source side is a list and its
+    /// destination side a start, so the plan keeps about 4 bytes per
+    /// element beside the target distribution it sizes new locals from.
+    #[test]
+    fn a_large_indirect_plan_keeps_at_most_eight_bytes_per_moved_element() {
+        let n = 1 << 20;
+        let mut state = 1u64;
+        let owners = (0..n).map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % 4
+        });
+        let map = vf_dist::IndirectMap::new(owners.collect()).unwrap();
+        let new = dist_1d(DistType::indirect1d(Arc::new(map)), n, 4);
+        let old = dist_1d(DistType::block1d(), n, 4);
+        let (lookups, _) = redistribute_lookups(&old, &new);
+        assert_eq!(lookups, n / translation::DEFAULT_PAGE_SIZE);
+        let plan = plan_redistribute(&old, &new).unwrap();
+        for t in plan.transfers() {
+            let Pieces::Offsets(sides) = &t.pieces else {
+                panic!("{:?} -> {:?} kept runs", t.src, t.dst);
+            };
+            assert!(matches!(sides.src, Side::Listed(_)));
+            assert!(matches!(sides.dst, Side::Contiguous(_)));
+        }
+        let kept = plan.estimated_bytes() - new.estimated_bytes();
+        let per_element = kept as f64 / plan.moved_elements() as f64;
+        assert!(
+            per_element <= 8.0,
+            "{per_element:.2} bytes per moved element"
         );
     }
 
@@ -2182,8 +2726,8 @@ mod tests {
     fn estimated_bytes_track_run_counts() {
         // A strided cyclic target folds into one repeating run per pair,
         // as small to keep as the handful-of-runs block shift over the same
-        // domain; a scattered INDIRECT target keeps a run per piece and is
-        // estimated (much) larger.
+        // domain; a scattered INDIRECT target keeps offset lists and is
+        // estimated larger.
         let n = 256usize;
         let block = dist_1d(DistType::block1d(), n, 4);
         let cyclic = dist_1d(DistType::cyclic1d(1), n, 4);
@@ -2191,12 +2735,25 @@ mod tests {
         let strided = plan_redistribute(&block, &cyclic).unwrap();
         let compact = plan_redistribute(&block, &gen).unwrap();
         for t in strided.transfers() {
-            assert_eq!(t.runs.len(), 1, "{:?} -> {:?}", t.src, t.dst);
-            assert_eq!((t.src_stride, t.dst_stride), (4, 1));
+            let Pieces::Runs {
+                runs,
+                src_stride,
+                dst_stride,
+            } = &t.pieces
+            else {
+                panic!("a regular plan keeps its runs");
+            };
+            assert_eq!(runs.len(), 1, "{:?} -> {:?}", t.src, t.dst);
+            assert_eq!((*src_stride, *dst_stride), (4, 1));
         }
-        let scattered = plan_redistribute(&block, &scattered_1d(n, 4)).unwrap();
-        assert!(scattered.estimated_bytes() > 4 * strided.estimated_bytes());
-        assert!(scattered.estimated_bytes() > 4 * compact.estimated_bytes());
+        // The scattered target keeps a 4-byte offset per element on its
+        // scattered side: more than either regular plan keeps in all, even
+        // without the mapping array the target distribution carries.
+        let target = scattered_1d(n, 4);
+        let scattered = plan_redistribute(&block, &target).unwrap();
+        let lists = scattered.estimated_bytes() - target.estimated_bytes();
+        assert!(lists >= n * std::mem::size_of::<u32>(), "{lists}");
+        assert!(lists > strided.estimated_bytes() && lists > compact.estimated_bytes());
     }
 
     /// An `INDIRECT` layout of `n` elements over `p` processors with a
@@ -2228,44 +2785,148 @@ mod tests {
     }
 
     #[test]
-    fn an_indirect_plan_keeps_the_contiguous_runs_and_their_size() {
-        use std::mem::{size_of, size_of_val};
-        // Folding stores the strides once per transfer and `len`/`count`
-        // in one word: neither a run nor a transfer grew.
+    fn a_listed_walk_yields_every_element_in_order_across_batches() {
+        // Pieces of 1 to 3·WALK_BATCH elements, so pieces span whole
+        // batches, and an element count that ends inside a batch.
+        let mut state = 7u64;
+        let mut lens = Vec::new();
+        while lens.iter().sum::<usize>() < 20 * WALK_BATCH {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let len = match (state >> 33) % 4 {
+                0 => 1 + (state >> 40) as usize % (3 * WALK_BATCH),
+                _ => 1 + (state >> 40) as usize % 3,
+            };
+            lens.push(len);
+        }
+        let n: usize = lens.iter().sum();
+        assert_ne!(n % WALK_BATCH, 0);
+        // Piece k starts at 1000·k on a listed side; a side broken every
+        // third element breaks pieces of its own.
+        let listed: Vec<u32> = lens
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &len)| (0..len).map(move |i| (1000 * k + i) as u32))
+            .collect();
+        let thirds: Vec<u32> = (0..n as u32).map(|i| i + i / 3).collect();
+        let list = |offsets: &[u32]| Side::Listed(offsets.into());
+        for (src, dst) in [
+            (list(&listed), Side::Contiguous(5)),
+            (Side::Contiguous(5), list(&listed)),
+            (list(&listed), list(&thirds)),
+            (list(&thirds), list(&listed)),
+        ] {
+            let at = |side: &Side, i: usize| match side {
+                Side::Contiguous(start) => start + i,
+                Side::Listed(offsets) => offsets[i] as usize,
+            };
+            let elements: Vec<_> = (0..n).map(|i| (at(&src, i), at(&dst, i), 1)).collect();
+            let mut pieces: Vec<(usize, usize, usize)> = Vec::new();
+            for &(s, d, _) in &elements {
+                match pieces.last_mut() {
+                    Some(last) if last.0 + last.2 == s && last.1 + last.2 == d => last.2 += 1,
+                    _ => pieces.push((s, d, 1)),
+                }
+            }
+            let sides = Sides { src, dst };
+            let runs = sides.runs(n);
+            let run = |r: &PlanRun| (r.src_start, r.dst_start, r.len as usize);
+            assert_eq!(runs.iter().map(run).collect::<Vec<_>>(), pieces);
+            assert!(runs.iter().all(|r| r.count == 1));
+            let t = Transfer {
+                src: ProcId(0),
+                dst: ProcId(1),
+                elements: n,
+                pieces: Pieces::Offsets(Box::new(sides)),
+            };
+            // One element at a time, and as the executors take it.
+            let span = |r: RunSpan| {
+                assert_eq!(r.count, 1);
+                (r.src.start, r.dst.start, r.len)
+            };
+            let mut walked = Vec::new();
+            for r in t.spans() {
+                walked.push(span(r));
+            }
+            assert_eq!(walked, elements);
+            let mut folded = Vec::new();
+            t.spans().for_each(|r| folded.push(span(r)));
+            assert_eq!(folded, elements);
+        }
+    }
+
+    #[test]
+    fn an_indirect_plan_stores_the_smaller_encoding_at_its_size() {
+        use std::mem::size_of;
+        // Offset lists live behind one box, so neither a run nor a
+        // transfer grew.
         #[cfg(target_pointer_width = "64")]
         assert_eq!((size_of::<PlanRun>(), size_of::<Transfer>()), (24, 48));
         let n = 4096;
         let block = dist_1d(DistType::block1d(), n, 4);
-        for (old, new) in [
-            (block.clone(), scattered_1d(n, 4)),
-            (scattered_1d(n, 4), block.clone()),
-            (scattered_1d(n, 3), scattered_1d(n, 4)),
+        for (old, new, listed) in [
+            (block.clone(), scattered_1d(n, 4), "src"),
+            (scattered_1d(n, 4), block.clone(), "dst"),
+            (scattered_1d(n, 3), scattered_1d(n, 4), "both"),
+            (block.clone(), indirect_1d(n, 4, 3), "src"),
         ] {
-            // A scrambled map repeats a stride now and then by chance; an
-            // INDIRECT plan still folds nothing, so it holds exactly the
-            // contiguous run list and is estimated at exactly its size.
+            // Every transfer keeps whichever of runs and lists is smaller
+            // and walks as its contiguous runs or element by element; the
+            // plan is estimated at exactly what it stores.
             let plan = plan_redistribute(&old, &new).unwrap();
-            let mut runs = 0;
+            let mut stored = 0;
             for t in plan.transfers() {
-                let contiguous: Vec<_> = contiguous_runs(t);
-                let stored: Vec<_> = (t.runs.iter())
-                    .map(|r| (r.src_start, r.dst_start, r.len as usize))
+                let pieces = contiguous_runs(t);
+                let walked: Vec<_> = t
+                    .spans()
+                    .map(|r| (r.src.start, r.dst.start, r.len))
                     .collect();
-                assert_eq!(stored, contiguous);
-                assert!(t.runs.iter().all(|r| r.count == 1));
-                runs += t.runs.len();
+                let as_runs = pieces.len() * size_of::<PlanRun>();
+                match &t.pieces {
+                    Pieces::Runs { runs, .. } => {
+                        assert_eq!(pieces, walked);
+                        assert!(
+                            runs.iter().all(|r| r.count == 1),
+                            "an INDIRECT plan folds nothing"
+                        );
+                        let breaks = |side: fn(&(usize, usize, usize)) -> usize| {
+                            let ends = pieces
+                                .windows(2)
+                                .map(|w| (side(&w[0]) + w[0].2, side(&w[1])));
+                            ends.filter(|(end, next)| end != next).count()
+                        };
+                        let listed =
+                            usize::from(breaks(|p| p.0) > 0) + usize::from(breaks(|p| p.1) > 0);
+                        let as_lists = size_of::<Sides>() + listed * t.elements * size_of::<u32>();
+                        assert!(as_runs <= as_lists);
+                    }
+                    Pieces::Offsets(sides) => {
+                        assert_eq!(walked.len(), t.elements);
+                        assert!(walked.iter().all(|&(_, _, len)| len == 1));
+                        assert!(t.pieces.heap_bytes() < as_runs);
+                        let is_listed = |side: &Side| matches!(side, Side::Listed(_));
+                        let which = match (is_listed(&sides.src), is_listed(&sides.dst)) {
+                            (true, true) => "both",
+                            (true, false) => "src",
+                            (false, true) => "dst",
+                            (false, false) => panic!("a contiguous transfer is one run"),
+                        };
+                        if t.elements > 8 {
+                            assert_eq!(which, listed, "{:?} -> {:?}", t.src, t.dst);
+                        }
+                    }
+                }
+                stored += size_of::<Transfer>() + t.pieces.heap_bytes();
             }
-            let expected = size_of::<CommPlan>()
-                + size_of_val(plan.transfers())
-                + runs * size_of::<PlanRun>()
-                + new.estimated_bytes();
+            let expected = size_of::<CommPlan>() + stored + new.estimated_bytes();
             assert_eq!(plan.estimated_bytes(), expected);
         }
         // The same scrambled pieces between regular layouts would fold
         // where a stride repeats: a BLOCK -> CYCLIC(1) plan is one
         // repeating run per pair.
         let cyclic = plan_redistribute(&block, &dist_1d(DistType::cyclic1d(1), n, 4)).unwrap();
-        assert!(cyclic.transfers().iter().all(|t| t.runs.len() == 1));
+        assert!(cyclic.transfers().iter().all(|t| t.runs().len() == 1));
     }
 
     #[test]

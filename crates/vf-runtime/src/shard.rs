@@ -301,7 +301,7 @@ fn pack_frame<T: Element>(
     let mut acc = 0u64;
     for (sl, t) in fused.pair_parts(pi) {
         let mut off = sl.wire_offset;
-        for run in t.spans() {
+        t.spans().for_each(|run| {
             let n = run.len * run.count;
             let out = &mut payload[off * T::BYTES..(off + n) * T::BYTES];
             let from = &my[sl.part][run.src];
@@ -316,7 +316,7 @@ fn pack_frame<T: Element>(
                 reps.fold(0, |acc, (s, o)| acc ^ pack_le_xor(&s[..run.len], o))
             };
             off += n;
-        }
+        });
         debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
     }
     header.copy_from_slice(
@@ -359,7 +359,7 @@ fn unpack_frame<T: Element>(
     }
     for (sl, t) in fused.pair_parts(pi) {
         let mut off = sl.wire_offset;
-        for run in t.spans() {
+        t.spans().for_each(|run| {
             let n = run.len * run.count;
             let bytes = &payload[off * T::BYTES..(off + n) * T::BYTES];
             let to = &mut bufs[sl.part][run.dst];
@@ -374,7 +374,7 @@ fn unpack_frame<T: Element>(
                 reps.for_each(|(d, b)| unpack_le(b, &mut d[..run.len]));
             }
             off += n;
-        }
+        });
     }
     Ok(())
 }

@@ -14,7 +14,10 @@
 //! machine:
 //!
 //! * the directory is split into fixed-size **pages** of
-//!   `(owner, local offset)` entries;
+//!   `(owner, local offset)` entries, built from the distribution without
+//!   a lookup per element: a one-dimensional `INDIRECT` layout copies them
+//!   out of its mapping array (which holds every element's owner and
+//!   local offset), any other layout is resolved stretch by stretch;
 //! * pages are **block-distributed** over the processors of the target view
 //!   (page `p`'s home is the `BLOCK` owner of `p` among the view's
 //!   processors);
@@ -31,16 +34,21 @@
 //! stale plan.  [`table_for`] is the uncached builder.
 //!
 //! The planners do **not** use the instance page cache: each planning
-//! session tracks its requesters' fetched pages locally (lock-free on the
-//! per-element path) and attaches the session's directory messages to the
-//! [`crate::plan::CommPlan`] it builds; the messages are charged once, at
-//! the plan's first execution — a cache-hit plan generates no new
-//! directory traffic at all, which is exactly the cold-vs-warm distinction
-//! of PARTI schedule reuse.  A shared table shares only its immutable
-//! pages, so two sessions planning against one table each model a cold
-//! directory.  Lookups agree exactly with the element-wise
+//! session tracks its requesters' fetched pages locally (lock-free) and
+//! asks for a whole page at a time — the entries from the queried offset
+//! to the page end, with the hit and fetch counters grown by what as many
+//! element-wise lookups would add — and attaches the session's directory
+//! messages to the [`crate::plan::CommPlan`] it builds; the messages are
+//! charged once, at the plan's first execution — a cache-hit plan
+//! generates no new directory traffic at all, which is exactly the
+//! cold-vs-warm distinction of PARTI schedule reuse.  A shared table
+//! shares only its immutable pages, so two sessions planning against one
+//! table each model a cold directory.  Lookups agree exactly with the element-wise
 //! [`vf_dist::Distribution::owner`] / `loc_map` API (asserted by the
-//! property suite).
+//! property suite).  [`DistTranslationTable::lookup_from`] is the
+//! element-wise, counted path of a table's own page cache; a requester
+//! outside the table's processor array (a source view over a larger
+//! array) starts with a cold cache there, as in a planning session.
 
 use std::sync::{Mutex, PoisonError};
 use vf_dist::{DimDist, Distribution, ProcId};
@@ -89,7 +97,8 @@ impl std::ops::Sub for TranslationStats {
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// `cached[proc][page]`: whether `proc` holds a copy of `page`.
+    /// `cached[proc][page]`: whether `proc` holds a copy of `page`.  A
+    /// requester's row is created at its first lookup.
     cached: Vec<Vec<bool>>,
     stats: TranslationStats,
 }
@@ -101,12 +110,46 @@ pub struct DistTranslationTable {
     /// Fingerprint of the distribution the table resolves.
     fingerprint: u64,
     page_size: usize,
-    /// Directory entries, paged: `pages[p][i]` is `(owner, local offset)`
-    /// of global offset `p * page_size + i`.
-    pages: Vec<Vec<(u32, u32)>>,
+    /// Directory entries: `entries[lin]` is `(owner, local offset)` of
+    /// global offset `lin`; page `p` is `entries[p * page_size..]`, at most
+    /// `page_size` of them.
+    entries: Vec<(u32, u32)>,
     /// Home processor of each page (`BLOCK` over the view's processors).
     homes: Vec<ProcId>,
     inner: Mutex<Inner>,
+}
+
+/// The directory entries of `dist`, in global order.  A one-dimensional
+/// `INDIRECT` layout copies them out of its mapping array, which already
+/// holds every element's owner and local offset: only the processor id of
+/// each owner coordinate is resolved, once per coordinate.  Any other
+/// layout is resolved stretch by stretch
+/// ([`vf_dist::Locator::locate_stretch`]).
+fn directory_entries(dist: &Distribution) -> Vec<(u32, u32)> {
+    let (domain, size) = (dist.domain(), dist.domain().size());
+    if let DimDist::Indirect(map) = dist.dist_type().dim(0) {
+        if domain.rank() == 1 && !dist.uses_translation_table() && map.len() == size {
+            let id_of: Vec<u32> = (0..=map.max_owner())
+                .map(|coord| {
+                    let first = (map.local_count(coord) > 0).then(|| map.global_offset(coord, 0));
+                    let point = first.and_then(|lin| domain.delinearize(lin).ok());
+                    let owner = point.and_then(|point| dist.owner(&point).ok());
+                    owner.map_or(u32::MAX, |id| id.0 as u32)
+                })
+                .collect();
+            return (map.owners().enumerate())
+                .map(|(lin, coord)| (id_of[coord], map.local_offset(lin) as u32))
+                .collect();
+        }
+    }
+    let locator = dist.locator();
+    let mut entries = Vec::with_capacity(size);
+    while entries.len() < size {
+        let lin = entries.len();
+        let (owner, local, len) = locator.locate_stretch(lin, size - lin);
+        entries.extend((local..local + len).map(|l| (owner.0 as u32, l as u32)));
+    }
+    entries
 }
 
 impl DistTranslationTable {
@@ -114,38 +157,20 @@ impl DistTranslationTable {
     /// at least 1).
     pub fn with_page_size(dist: &Distribution, page_size: usize) -> Self {
         let page_size = page_size.max(1);
-        let size = dist.domain().size();
-        let locator = dist.locator();
-        let num_pages = size.div_ceil(page_size).max(1);
-        let mut pages: Vec<Vec<(u32, u32)>> = Vec::with_capacity(num_pages);
-        for page in 0..num_pages {
-            let start = page * page_size;
-            let end = (start + page_size).min(size);
-            pages.push(
-                (start..end)
-                    .map(|lin| {
-                        let (o, l) = locator.locate_lin(lin);
-                        (o.0 as u32, l as u32)
-                    })
-                    .collect(),
-            );
-        }
+        let entries = directory_entries(dist);
+        let num_pages = entries.len().div_ceil(page_size).max(1);
         // The directory itself is block-distributed over the view.
         let view = dist.proc_ids();
         let nview = view.len().max(1);
         let homes = (0..num_pages)
             .map(|page| view[DimDist::Block.owner(page, num_pages, nview)])
             .collect();
-        let total_procs = dist.procs().array().num_procs();
         Self {
             fingerprint: dist.fingerprint(),
             page_size,
-            pages,
+            entries,
             homes,
-            inner: Mutex::new(Inner {
-                cached: vec![Vec::new(); total_procs],
-                ..Inner::default()
-            }),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
@@ -160,17 +185,17 @@ impl DistTranslationTable {
 
     /// Number of directory pages.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.homes.len()
     }
 
     /// Elements covered by the directory.
     pub fn len(&self) -> usize {
-        (self.pages.len() - 1) * self.page_size + self.pages.last().map(|p| p.len()).unwrap_or(0)
+        self.entries.len()
     }
 
     /// Whether the directory covers no elements.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Home processor of directory page `page`.
@@ -181,7 +206,7 @@ impl DistTranslationTable {
     /// Resolves global offset `lin` without touching any cache state — the
     /// "naive owner-map scan" baseline the cached path must agree with.
     pub fn lookup(&self, lin: usize) -> (ProcId, usize) {
-        let (o, l) = self.pages[lin / self.page_size][lin % self.page_size];
+        let (o, l) = self.entries[lin];
         (ProcId(o as usize), l as usize)
     }
 
@@ -190,42 +215,51 @@ impl DistTranslationTable {
         lin / self.page_size
     }
 
+    /// The entries of global offsets `lin..`, up to `max` (at least one)
+    /// of them and never past the end of `lin`'s page: what one page query
+    /// answers.
+    pub(crate) fn page_from(&self, lin: usize, max: usize) -> &[(u32, u32)] {
+        let page_end = (self.page_of(lin) + 1) * self.page_size;
+        let end = page_end.min(lin + max.max(1)).min(self.entries.len());
+        &self.entries[lin..end]
+    }
+
     /// Wire bytes of fetching page `page` (short last page included).
     pub(crate) fn page_bytes(&self, page: usize) -> usize {
-        self.pages[page].len() * ENTRY_BYTES
+        let start = page * self.page_size;
+        (self.entries.len().min(start + self.page_size) - start) * ENTRY_BYTES
     }
 
     /// Resolves global offset `lin` on behalf of `requester` through the
     /// cached page path: a page homed on the requester is free, a cached
     /// page hits, and a missing page records one (home → requester) page
-    /// fetch before resolving.  The result is always identical to
-    /// [`DistTranslationTable::lookup`].
+    /// fetch before resolving.  A requester from outside the declaring
+    /// processor array (a larger source view) starts with a cold cache.
+    /// The result is always identical to [`DistTranslationTable::lookup`].
     pub fn lookup_from(&self, requester: ProcId, lin: usize) -> (ProcId, usize) {
-        let page = lin / self.page_size;
+        let page = self.page_of(lin);
         {
             let mut inner = self.lock();
             if self.homes[page] == requester {
                 inner.stats.home_hits += 1;
             } else {
-                let cached = inner
-                    .cached
-                    .get_mut(requester.0)
-                    .expect("requester within the declaring processor array");
-                if cached.len() < self.pages.len() {
-                    cached.resize(self.pages.len(), false);
+                if inner.cached.len() <= requester.0 {
+                    inner.cached.resize(requester.0 + 1, Vec::new());
+                }
+                let cached = &mut inner.cached[requester.0];
+                if cached.len() < self.homes.len() {
+                    cached.resize(self.homes.len(), false);
                 }
                 if cached[page] {
                     inner.stats.cache_hits += 1;
                 } else {
                     cached[page] = true;
-                    let bytes = self.pages[page].len() * ENTRY_BYTES;
                     inner.stats.page_fetches += 1;
-                    inner.stats.fetched_bytes += bytes;
+                    inner.stats.fetched_bytes += self.page_bytes(page);
                 }
             }
         }
-        let (o, l) = self.pages[page][lin % self.page_size];
-        (ProcId(o as usize), l as usize)
+        self.lookup(lin)
     }
 
     /// The lookup counters of [`DistTranslationTable::lookup_from`]
@@ -234,13 +268,10 @@ impl DistTranslationTable {
         self.lock().stats
     }
 
-    /// Estimated resident bytes of the directory (pages + homes).
+    /// Estimated resident bytes of the directory (entries + homes).
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.pages
-            .iter()
-            .map(|p| size_of::<Vec<(u32, u32)>>() + p.len() * size_of::<(u32, u32)>())
-            .sum::<usize>()
+        self.entries.len() * size_of::<(u32, u32)>()
             + self.homes.len() * size_of::<ProcId>()
             + size_of::<Self>()
     }
@@ -328,6 +359,44 @@ mod tests {
         let again = table.stats();
         assert_eq!(again.page_fetches, 6);
         assert_eq!(again.cache_hits, stats.cache_hits + 48);
+    }
+
+    #[test]
+    fn a_requester_outside_the_processor_array_starts_cold() {
+        // A 2-rank map asked on behalf of processor 3 (a source view over
+        // a larger array): every page is remote to it and fetched once.
+        let dist = indirect_dist(32, 2, 1);
+        let table = DistTranslationTable::with_page_size(&dist, 8);
+        for lin in 0..32 {
+            assert_eq!(table.lookup_from(ProcId(3), lin), table.lookup(lin));
+        }
+        let stats = table.stats();
+        assert_eq!(
+            (stats.home_hits, stats.cache_hits, stats.page_fetches),
+            (0, 28, 4)
+        );
+        assert_eq!(stats.fetched_bytes, 32 * ENTRY_BYTES);
+    }
+
+    #[test]
+    fn a_mapped_directory_names_the_view_s_processors() {
+        // INDIRECT over a strided section of a larger array: coordinate `c`
+        // of the map is processor `2c + 1`, not `c`.
+        let array = Arc::new(vf_dist::ProcessorArray::linear(8));
+        let odd = vf_index::Triplet::new(2, 8, 2).unwrap();
+        let section = vf_index::Section::new(vec![odd]).unwrap();
+        let view = ProcessorView::new(array, section).unwrap();
+        let map = Arc::new(IndirectMap::from_fn(50, |i| (i * 3 + i / 7) % 4).unwrap());
+        let dist = Distribution::new(DistType::indirect1d(map), IndexDomain::d1(50), view).unwrap();
+        let table = DistTranslationTable::with_page_size(&dist, 16);
+        for (lin, point) in dist.domain().clone().iter().enumerate() {
+            let owner = dist.owner(&point).unwrap();
+            assert_eq!(owner.0 % 2, 1);
+            assert_eq!(
+                table.lookup(lin),
+                (owner, dist.loc_map(owner, &point).unwrap())
+            );
+        }
     }
 
     #[test]

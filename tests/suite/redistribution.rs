@@ -240,7 +240,9 @@ fn aggregation_ablation_shows_latency_savings() {
 use std::mem::size_of;
 use std::sync::Arc;
 use vf_core::vf_dist::AlignExpr;
-use vf_core::vf_runtime::plan::{plan_ghost, plan_redistribute, PlanRun, Transfer};
+use vf_core::vf_runtime::plan::{
+    plan_ghost, plan_redistribute, Pieces, PlanRun, Side, Sides, Transfer,
+};
 
 /// One pair's traffic: sender, receiver and the `(source, destination)`
 /// offsets of every element in wire order.
@@ -280,45 +282,103 @@ impl ElementPlan {
     /// Runs a contiguous run list would need: one per maximal stretch
     /// whose offsets both continue.
     fn contiguous_runs(&self) -> usize {
-        let breaks = |els: &Vec<(usize, usize)>| {
-            1 + els
-                .windows(2)
-                .filter(|w| (w[0].0 + 1, w[0].1 + 1) != w[1])
-                .count()
-        };
-        self.transfers.iter().map(|t| breaks(&t.2)).sum()
+        self.transfers.iter().map(|t| contiguous_pieces(&t.2)).sum()
     }
 }
 
-/// `t`'s elements in wire order: run by run, repetition by repetition.
+/// The maximal stretches of `elements` whose offsets both continue.
+fn contiguous_pieces(elements: &[(usize, usize)]) -> usize {
+    let breaks = elements
+        .windows(2)
+        .filter(|w| (w[0].0 + 1, w[0].1 + 1) != w[1]);
+    usize::from(!elements.is_empty()) + breaks.count()
+}
+
+/// Offset `i` of a listed side.
+fn offset(side: &Side, i: usize) -> usize {
+    match side {
+        Side::Contiguous(start) => start + i,
+        Side::Listed(offsets) => offsets[i] as usize,
+    }
+}
+
+/// `t`'s elements in wire order: run by run, repetition by repetition, or
+/// offset by offset.
 fn expand(t: &Transfer) -> Vec<(usize, usize)> {
     let mut elements = Vec::with_capacity(t.elements);
-    for run in t.runs.iter() {
-        for k in 0..run.count as usize {
-            let (step_src, step_dst) = (k * t.src_stride as usize, k * t.dst_stride as usize);
-            for e in 0..run.len as usize {
-                elements.push((run.src_start + step_src + e, run.dst_start + step_dst + e));
+    match &t.pieces {
+        Pieces::Runs {
+            runs,
+            src_stride,
+            dst_stride,
+        } => {
+            for run in runs.iter() {
+                for k in 0..run.count as usize {
+                    let (step_src, step_dst) = (k * *src_stride as usize, k * *dst_stride as usize);
+                    for e in 0..run.len as usize {
+                        elements.push((run.src_start + step_src + e, run.dst_start + step_dst + e));
+                    }
+                }
             }
+        }
+        Pieces::Offsets(sides) => {
+            elements
+                .extend((0..t.elements).map(|i| (offset(&sides.src, i), offset(&sides.dst, i))));
         }
     }
     elements
 }
 
+/// The bytes `t` keeps beyond itself: its runs, or its boxed offset lists.
+fn stored_bytes(t: &Transfer) -> usize {
+    let listed = |side: &Side| match side {
+        Side::Contiguous(_) => 0,
+        Side::Listed(offsets) => offsets.len() * size_of::<u32>(),
+    };
+    match &t.pieces {
+        Pieces::Runs { runs, .. } => runs.len() * size_of::<PlanRun>(),
+        Pieces::Offsets(sides) => size_of::<Sides>() + listed(&sides.src) + listed(&sides.dst),
+    }
+}
+
 /// `plan` against the element-by-element `expected`: every transfer's
 /// expansion, the counts, messages and bytes — and runs that are well
-/// formed and no more than a contiguous run list would hold.
+/// formed and no more than a contiguous run list would hold, or offset
+/// lists that hold one entry per element and take fewer bytes than those
+/// runs would.
 fn check_against(plan: &CommPlan, expected: &ElementPlan, what: &str) {
     let expanded: Vec<ElementTransfer> = (plan.transfers().iter())
         .map(|t| (t.src, t.dst, expand(t)))
         .collect();
     assert!(expanded == expected.transfers, "{what}");
+    let mut runs = 0;
     for t in plan.transfers() {
-        assert_eq!(t.elements, expand(t).len(), "{what}");
-        for run in t.runs.iter() {
-            assert!(run.len > 0 && run.count > 0, "{what}: empty run");
-            if run.count > 1 {
-                // Repetitions never overlap.
-                assert!(t.src_stride >= run.len && t.dst_stride >= run.len, "{what}");
+        let elements = expand(t);
+        assert_eq!(t.elements, elements.len(), "{what}");
+        match &t.pieces {
+            Pieces::Runs {
+                runs: list,
+                src_stride,
+                dst_stride,
+            } => {
+                for run in list.iter() {
+                    assert!(run.len > 0 && run.count > 0, "{what}: empty run");
+                    if run.count > 1 {
+                        // Repetitions never overlap.
+                        assert!(*src_stride >= run.len && *dst_stride >= run.len, "{what}");
+                    }
+                }
+                runs += list.len();
+            }
+            Pieces::Offsets(sides) => {
+                for side in [&sides.src, &sides.dst] {
+                    if let Side::Listed(offsets) = side {
+                        assert_eq!(offsets.len(), t.elements, "{what}");
+                    }
+                }
+                let as_runs = contiguous_pieces(&elements) * size_of::<PlanRun>();
+                assert!(stored_bytes(t) < as_runs, "{what}: lists larger than runs");
+                runs += contiguous_pieces(&elements);
             }
         }
     }
@@ -326,7 +386,6 @@ fn check_against(plan: &CommPlan, expected: &ElementPlan, what: &str) {
     assert_eq!(plan.stayed_elements(), expected.stayed, "{what}");
     assert_eq!(plan.num_messages(), expected.num_messages(), "{what}");
     assert_eq!(plan.bytes_for(8), expected.moved * 8, "{what}");
-    let runs: usize = plan.transfers().iter().map(|t| t.runs.len()).sum();
     assert!(runs <= expected.contiguous_runs(), "{what}: {runs} runs");
 }
 
@@ -386,10 +445,10 @@ fn check_redistribute(old: &Distribution, new: &Distribution) {
     let what = format!("{old} -> {new} over {}", old.domain());
     let plan = plan_redistribute(old, new).unwrap();
     check_against(&plan, &element_redistribute(old, new), &what);
-    // What the plan keeps: its transfers and runs, and the target it
-    // sizes new locals from.
+    // What the plan keeps: its transfers with their runs or offset lists,
+    // and the target it sizes new locals from.
     let transfers: usize = (plan.transfers().iter())
-        .map(|t| size_of::<Transfer>() + t.runs.len() * size_of::<PlanRun>())
+        .map(|t| size_of::<Transfer>() + stored_bytes(t))
         .sum();
     let kept = size_of::<CommPlan>() + transfers + new.estimated_bytes();
     assert_eq!(plan.estimated_bytes(), kept, "{what}");
@@ -731,8 +790,105 @@ fn row_and_block_halos_fold_their_faces() {
             check_ghost(&dist, &one_wide);
             let plan = plan_ghost(&dist, &one_wide).unwrap();
             for t in plan.transfers() {
-                assert_eq!(t.runs.len(), 1, "{dist}: {:?} -> {:?}", t.src, t.dst);
+                let Pieces::Runs { runs, .. } = &t.pieces else {
+                    panic!("{dist}: a regular halo is listed");
+                };
+                assert_eq!(runs.len(), 1, "{dist}: {:?} -> {:?}", t.src, t.dst);
             }
         }
+    }
+}
+
+/// An `INDIRECT` layout of `n` elements over `p` linear processors, each
+/// owner drawn at random: same-owner stretches of about `p / (p - 1)`
+/// elements, so both directions of a pair scatter on the `INDIRECT` side.
+fn drawn_indirect(g: &mut Draw, n: usize, p: usize) -> Distribution {
+    let owners: Vec<usize> = (0..n).map(|_| g.range(0, p - 1)).collect();
+    let map = IndirectMap::new(owners).unwrap();
+    dist_1d(DistType::indirect1d(Arc::new(map)), n, p)
+}
+
+/// Which sides of `t` are offset lists.
+fn listed_sides(t: &Transfer) -> (bool, bool) {
+    match &t.pieces {
+        Pieces::Runs { .. } => (false, false),
+        Pieces::Offsets(sides) => (
+            matches!(sides.src, Side::Listed(_)),
+            matches!(sides.dst, Side::Listed(_)),
+        ),
+    }
+}
+
+#[test]
+fn indirect_plans_across_directory_pages_replay_the_element_wise_lookups() {
+    // 2 600 elements are three directory pages of 1 024, so senders'
+    // stretches cross pages, and pages are fetched as well as hit.
+    let n = 2_600;
+    let mut g = Draw(0x1d1_2ec7);
+    let (block4, block7) = (
+        dist_1d(DistType::block1d(), n, 4),
+        dist_1d(DistType::block1d(), n, 7),
+    );
+    let (scattered3, scattered4) = (drawn_indirect(&mut g, n, 3), drawn_indirect(&mut g, n, 4));
+    for (old, new, listed) in [
+        (&block4, &scattered4, (true, false)),
+        (&scattered4, &block4, (false, true)),
+        (&scattered3, &scattered4, (true, true)),
+        // Processors 4 to 6 of the source lie outside the target's
+        // processor array: their directory caches start cold.
+        (&block7, &scattered4, (true, false)),
+    ] {
+        let what = format!("{old} -> {new}");
+        check_redistribute(old, new);
+        let cache = PlanCache::new();
+        let plan = cache.redistribute_plan(old, new).unwrap();
+        for t in plan.transfers().iter().filter(|t| t.elements >= 64) {
+            assert_eq!(
+                listed_sides(t),
+                listed,
+                "{what}: {:?} -> {:?}",
+                t.src,
+                t.dst
+            );
+        }
+        // The planner's directory counters are those of one lookup per
+        // element, made by each sender in its storage order on a fresh
+        // table of an INDIRECT target; the page fetches ride on the plan.
+        // A BLOCK target resolves in closed form and looks nothing up.
+        let planned = cache.stats().translation;
+        if new.dist_type().has_indirect() {
+            let replay = table_for(new);
+            for &p in old.proc_ids() {
+                for run in old.local_linear_runs(p) {
+                    for lin in run.global_start..run.global_start + run.len {
+                        replay.lookup_from(p, lin);
+                    }
+                }
+            }
+            assert_eq!(planned, replay.stats(), "{what}");
+            assert!(planned.page_fetches > 0 && planned.cache_hits > 0, "{what}");
+        } else {
+            assert_eq!(planned, TranslationStats::default(), "{what}");
+        }
+        let pending = plan.pending_directory_traffic();
+        assert_eq!(
+            pending,
+            (planned.page_fetches as usize, planned.fetched_bytes),
+            "{what}"
+        );
+        // And the data lands where the element-wise owners say.
+        let dense: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+        let mut array = DistArray::from_dense("A", old.clone(), &dense).unwrap();
+        let tracker = zero_machine(7).tracker();
+        redistribute(
+            &mut array,
+            new.clone(),
+            &tracker,
+            &RedistOptions::default(),
+            &cache,
+            &SerialExecutor,
+        )
+        .unwrap();
+        assert_eq!(array.to_dense(), dense, "{what}");
     }
 }
