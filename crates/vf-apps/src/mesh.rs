@@ -42,8 +42,9 @@
 //! 2. sweep the interior rows from the local buffers alone, on the caller
 //!    ([`SerialExecutor`]: the pool's turn belongs to the halo until the
 //!    wait);
-//! 3. wait, then sweep the boundary rows over `[local | ghosts]`
-//!    (`GhostRegion::extended`) on the scope's executor;
+//! 3. wait, then sweep the boundary rows over `[local | ghosts]` — the
+//!    two halves `GhostRegion::overlap` hands out, joined in a per-processor
+//!    scratch buffer — on the scope's executor;
 //! 4. swap the second buffer both passes wrote with `VAL`.
 //!
 //! Every node's neighbour terms are summed in CSR order, so the final
@@ -52,7 +53,7 @@
 
 use std::sync::{Arc, Mutex};
 use vf_core::prelude::*;
-use vf_runtime::ghost::exchange_class_ghosts_split;
+use vf_runtime::ghost::{exchange_class_ghosts_split, OverlapView};
 use vf_runtime::trace;
 use vf_runtime::LocalisedConnectivity;
 
@@ -527,11 +528,18 @@ fn run_sweep_inner(
             scope.executor(),
             |p, dst| {
                 let csr = localised(p);
+                let (local, ghosts) = match regions[0].overlap(p, val.local(p)) {
+                    Ok(OverlapView::Suffix { local, ghosts }) => (local, ghosts),
+                    _ => unreachable!("the irregular halo was exchanged for VAL"),
+                };
+                // `[local | ghosts]` is one index space for the rows; the
+                // copy is under 1 % of a step, and reading the two halves
+                // in place (a branch per neighbour) was slower.
                 let mut scratch = scratch[p.0].lock().expect("scratch buffer");
-                let src = regions[0]
-                    .extended(p, val.local(p), &mut scratch)
-                    .expect("the halo was exchanged for VAL");
-                relax_rows(csr, &csr.boundary, &src, &mut dst[0])
+                scratch.clear();
+                scratch.extend_from_slice(local);
+                scratch.extend_from_slice(ghosts);
+                relax_rows(csr, &csr.boundary, &scratch, &mut dst[0])
             },
         )
         .expect("VAL has local views");

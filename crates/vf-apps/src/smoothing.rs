@@ -18,19 +18,19 @@
 //! One driver runs the steps: [`try_run`], on any executor, with optional
 //! checkpoints; [`run`] is `try_run` on [`ExecBackend::auto`] without them.
 //! Each step is one blocking halo statement and one kernel pass per
-//! processor.  Fusing several fields' halos into one message per pair and
+//! processor, which reads the owned segment and the exchanged frame where
+//! they lie ([`vf_runtime::ghost::FrameView`]): no step copies a segment.
+//! Fusing several fields' halos into one message per pair and
 //! computing the interior while a split halo is in flight are runtime
 //! verbs, exercised by the mesh sweep, PIC and the statement benchmarks.
-
-use std::sync::{Mutex, PoisonError};
 
 use vf_dist::{DistType, Distribution, ProcessorView};
 use vf_index::IndexDomain;
 use vf_machine::{trace, CommStats, CommTracker, CostModel, Machine};
-use vf_runtime::ghost::exchange_ghosts;
+use vf_runtime::ghost::{exchange_ghosts, FrameView, OverlapView};
 use vf_runtime::{
-    forall_owned, CheckpointStore, DistArray, ExecBackend, LocalView, LocalViewMut, PlanCache,
-    PlanExecutor, Result, RuntimeError, SerialExecutor,
+    forall_owned, CheckpointStore, DistArray, ExecBackend, LocalViewMut, PlanCache, PlanExecutor,
+    Result, RuntimeError, SerialExecutor,
 };
 
 /// The two candidate layouts of the N×N grid discussed in §4.
@@ -169,45 +169,72 @@ fn updated(segment: &IndexDomain, domain: &IndexDomain) -> Box2 {
     })
 }
 
-/// The one smoothing kernel: relaxes the points of `update`, reading the
-/// box `src` — which must cover `update` widened by one — and writing
-/// `dst`.
+/// The one smoothing kernel: relaxes the points of `update` — inside the
+/// owned segment of `dst` — reading the segment and its exchanged frame in
+/// place through `src`, which must extend that segment by one on every
+/// side `update` reaches.
 ///
-/// Per point the sum is `((i-1) + (i+1)) + (j-1) + (j+1)`, then `× 0.25`:
-/// the floating-point operation order of [`sequential_step`], which
-/// bitwise equality with it depends on.
-fn relax_box(src: &LocalView<&[f64]>, dst: &mut LocalViewMut<'_, f64>, update: Box2) {
+/// Each column `j` reads three consecutive dimension-0 lines of the
+/// extended box: its own and its west and east neighbours', each as
+/// `(lo, mid, hi)` with `mid` the owned rows.  Rows strictly inside the segment read all four
+/// neighbours from the `mid`s; the first and last owned rows take their
+/// north and south neighbours from `lo` and `hi` (both, on a segment one
+/// row thick).  Per point the sum is `((i-1) + (i+1)) + (j-1) + (j+1)`,
+/// then `× 0.25`: the floating-point operation order of
+/// [`sequential_step`], which bitwise equality with it depends on.
+fn relax_lines(src: &FrameView<'_, f64>, dst: &mut LocalViewMut<'_, f64>, update: Box2) {
     if box_points(update) == 0 {
         return;
     }
     let [(i_lo, i_hi), (j_lo, j_hi)] = update;
-    let len = (i_hi - i_lo + 1) as usize;
-    let (src_i, src_j) = (src.segment().dim(0).lower(), src.segment().dim(1).lower());
-    let (dst_i, dst_j) = (dst.segment().dim(0).lower(), dst.segment().dim(1).lower());
-    let (src_rows, dst_rows) = (src.segment().extent(0), dst.segment().extent(0));
-    let (at, to) = ((i_lo - src_i) as usize, (i_lo - dst_i) as usize);
-    for j in j_lo..=j_hi {
-        let column = |j: i64| &src[(j - src_j) as usize * src_rows..][..src_rows];
-        let (west, here, east) = (column(j - 1), column(j), column(j + 1));
-        let sources = here[at - 1..][..len]
-            .iter()
-            .zip(&here[at + 1..][..len])
-            .zip(&west[at..][..len])
-            .zip(&east[at..][..len]);
-        let out = &mut dst[(j - dst_j) as usize * dst_rows + to..][..len];
-        for (out, (((north, south), west), east)) in out.iter_mut().zip(sources) {
-            *out = 0.25 * (north + south + west + east);
+    let (owned, dst_j) = (dst.segment().dim(0), dst.segment().dim(1).lower());
+    let rows = owned.len();
+    // Updated rows as offsets into a line's owned rows, and the ones
+    // whose north and south neighbours are both owned.
+    let (first, last) = (
+        (i_lo - owned.lower()) as usize,
+        (i_hi - owned.lower()) as usize,
+    );
+    let (inner_lo, inner_hi) = (first.max(1), (last + 1).min(rows - 1));
+    // The extended box's lines from column `j_lo - 1` on, each read as the
+    // east, then the middle, then the west one.
+    let before = (j_lo - 1 - src.extended.dim(1).lower()) as usize;
+    let mut lines = src.lines().skip(before);
+    let (Some(mut west_line), Some(mut here_line)) = (lines.next(), lines.next()) else {
+        unreachable!("the extended box holds the columns beside every updated one");
+    };
+    for (j, east_line) in (j_lo..=j_hi).zip(lines) {
+        let ((_, west, _), (lo, here, hi), (_, east, _)) = (west_line, here_line, east_line);
+        (west_line, here_line) = (here_line, east_line);
+        let out = &mut dst[(j - dst_j) as usize * rows..][..rows];
+        let relax = |r: usize| {
+            let north = if r == 0 {
+                lo[lo.len() - 1]
+            } else {
+                here[r - 1]
+            };
+            let south = if r + 1 == rows { hi[0] } else { here[r + 1] };
+            0.25 * (north + south + west[r] + east[r])
+        };
+        if first == 0 {
+            out[0] = relax(0);
+        }
+        if inner_lo < inner_hi {
+            let len = inner_hi - inner_lo;
+            let sources = here[inner_lo - 1..][..len]
+                .iter()
+                .zip(&here[inner_lo + 1..][..len])
+                .zip(&west[inner_lo..][..len])
+                .zip(&east[inner_lo..][..len]);
+            let out = &mut out[inner_lo..][..len];
+            for (out, (((north, south), west), east)) in out.iter_mut().zip(sources) {
+                *out = 0.25 * (north + south + west + east);
+            }
+        }
+        if last + 1 == rows && last > 0 {
+            out[last] = relax(last);
         }
     }
-}
-
-/// One scratch buffer per processor for its extended box
-/// ([`vf_runtime::ghost::GhostRegion::extended`]), kept across steps.  A
-/// kernel runs one processor on one rank at a time, so the locks are
-/// never contended.  `extended` rewrites the whole box on every use, so a
-/// box poisoned by a panicking kernel is as good as any.
-fn scratch_boxes(procs: usize) -> Vec<Mutex<Vec<f64>>> {
-    (0..procs).map(|_| Mutex::default()).collect()
 }
 
 /// Runs the distributed smoothing kernel on the auto-selected backend
@@ -283,14 +310,13 @@ pub fn try_run(
     let mut current = from_initial()?;
     // The global boundary is never written: both buffers hold it.
     let mut next = current.clone();
-    let scratch = scratch_boxes(tracker.num_procs());
 
     let (mut messages_per_step, mut bytes_per_step, mut restarts) = (0, 0, 0);
     let mut step = 0;
     while step < config.steps {
         let relaxed = {
             let _span = trace::OpenSpan::begin_with(trace::Phase::Step, || format!("step {step}"));
-            relax_step(&current, &mut next, plans, &tracker, executor, &scratch)
+            relax_step(&current, &mut next, plans, &tracker, executor)
         };
         match (relaxed, checkpoints) {
             (Ok((messages, bytes)), _) => {
@@ -346,18 +372,17 @@ fn relax_step(
     plans: &PlanCache,
     tracker: &CommTracker,
     executor: &impl PlanExecutor,
-    scratch: &[Mutex<Vec<f64>>],
 ) -> Result<(usize, usize)> {
     let halo = plans.ghost_plan(current.dist(), &WIDTHS)?;
     let (ghosts, report) = exchange_ghosts(current, &halo, tracker, executor)?;
     let domain = current.dist().domain();
     forall_owned(&mut [next], tracker, executor, |p, dst| {
-        let mut scratch = scratch[p.0].lock().unwrap_or_else(PoisonError::into_inner);
-        let src = ghosts
-            .extended(p, current.local(p), &mut scratch)
-            .expect("the halo was exchanged for this field");
+        let src = match ghosts.overlap(p, current.local(p)) {
+            Ok(OverlapView::Frame(src)) => src,
+            _ => unreachable!("a regular halo was exchanged for this field"),
+        };
         let update = updated(dst[0].segment(), domain);
-        relax_box(&src, &mut dst[0], update);
+        relax_lines(&src, &mut dst[0], update);
         box_points(update) * FLOPS_PER_POINT
     })?;
     Ok((report.messages, report.bytes))

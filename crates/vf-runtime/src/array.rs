@@ -9,7 +9,9 @@
 //! column-major order, so a global index is a local offset by arithmetic —
 //! and [`forall_owned`] runs a per-processor kernel over the views of its
 //! destination arrays on the executor's ranks.  The overlap area joins the
-//! same index space through [`crate::ghost::GhostRegion::extended`].
+//! same index space in place, through [`crate::ghost::GhostRegion::overlap`]:
+//! a kernel reads the owned segment from the local buffer and the frame
+//! from the ghost buffer, line by line, and nothing is merged.
 //! Dense conversions ([`DistArray::from_dense`], [`DistArray::to_dense`])
 //! copy [`Distribution::local_linear_runs`], one `copy_from_slice` per
 //! run, for every kind of distribution.
@@ -70,14 +72,6 @@ impl<T, D: Deref<Target = [T]>> LocalView<D> {
             });
         }
         Ok(Self { segment, data })
-    }
-
-    /// A view of `data` as the box `segment` (column-major) — for boxes
-    /// the runtime assembles itself, such as a segment extended by its
-    /// overlap area.
-    pub(crate) fn over(segment: IndexDomain, data: D) -> Self {
-        debug_assert_eq!(data.len(), segment.size());
-        Self { segment, data }
     }
 
     /// The box of indices the view covers: global indices, or local

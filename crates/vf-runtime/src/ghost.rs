@@ -25,34 +25,35 @@
 //! ghost buffer holds the frame `extended \ segment` (the owned box widened
 //! by the stencil widths, clipped to the array) in global column-major
 //! order, so a slot is arithmetic on the two boxes and nothing is stored
-//! per point.  A kernel does not read slots one by one:
-//! [`GhostRegion::extended`] merges the owned segment and the frame into
-//! one dense box — the paper's local index space *over the segment
-//! extended by its overlap area* — and hands it back as a
-//! [`LocalView`].  A padded box rather than strided slabs, because the
-//! slot order interleaves the dimension-0 ends with the owned columns: a
-//! slab has a single stride only in two dimensions, whereas the merge is
-//! one sequential pass over two cursors in any rank, costs one copy of the
-//! segment, and leaves the kernel a dense loop with no edge cases.
+//! per point.  A kernel reads it in place, through
+//! [`GhostRegion::overlap`]: the paper's local index space *over the
+//! segment extended by its overlap area* as a [`FrameView`], which hands
+//! out each dimension-0 line of the extended box as three slices
+//! `(lo, mid, hi)` — for a line that crosses the segment, the owned column
+//! in [`DistArray::local`] between its two frame ends; for a line of the
+//! frame alone, three consecutive pieces of the ghost buffer.  Both
+//! buffers hold their points in line order, so the lines are consecutive
+//! pieces of the two and no step copies a segment, in any rank.
 //!
 //! An irregular plan's overlap area is a **ghost suffix**: its slots list
 //! the fetched global offsets in ascending order, and the inspector
 //! localised the processor's rows of the connectivity against them
-//! ([`crate::plan::LocalisedConnectivity`]), so [`GhostRegion::extended`]
-//! is the buffer followed by the ghosts, `[local | ghosts]`.
+//! ([`crate::plan::LocalisedConnectivity`]), so its local index space is
+//! the buffer followed by the ghosts, `[local | ghosts]`
+//! ([`OverlapView::Suffix`]).
 //!
-//! [`GhostRegion::get`] and [`get_with_ghosts`] address the same buffers by
-//! global point, for tests and scalar reads.
+//! [`GhostRegion::get`] addresses the same buffers by global point, for
+//! tests and scalar reads.
 
 use crate::exec::{
     execute_one, split_execute_fused_wire, FusedPlan, PlanExecutor, RetiredLocals, SplitExecReport,
     SplitPhaseExchange,
 };
-use crate::plan::{for_each_line, CommPlan, GhostSlots, PlanIndex, PlanKind};
-use crate::{DistArray, Element, ExecReport, LocalView, Result, RuntimeError};
+use crate::plan::{CommPlan, GhostSlots, PlanIndex, PlanKind};
+use crate::{DistArray, Element, ExecReport, Result, RuntimeError};
 use std::sync::Arc;
 use vf_dist::ProcId;
-use vf_index::{IndexDomain, Point};
+use vf_index::{DimRange, IndexDomain, Point, MAX_RANK};
 use vf_machine::{trace, CommTracker};
 
 /// The ghost values gathered for every processor, backed by the plan that
@@ -79,82 +80,168 @@ impl<T: Copy> GhostRegion<T> {
         self.values.get(proc.0).and_then(|v| v.get(slot)).copied()
     }
 
-    /// `proc`'s local index space *extended by the overlap area*, copied
-    /// into `out` and returned as a view; `local` is `proc`'s buffer, as
-    /// [`DistArray::local`] holds it.  `out` is scratch the caller keeps
-    /// across steps, so a time loop allocates it once.
+    /// `proc`'s local index space *extended by the overlap area*, read in
+    /// place: `local` is `proc`'s buffer, as [`DistArray::local`] holds it,
+    /// and the view borrows it and the exchanged ghosts without copying
+    /// either.
     ///
-    /// * A regular plan merges the owned segment and the exchanged frame
-    ///   — one sequential pass, both in column-major order — into the
-    ///   dense box of the segment widened by the overlap area.
-    /// * An irregular plan appends the ghost suffix to the buffer:
-    ///   `[local | ghosts]`, the index space its
-    ///   [`crate::plan::LocalisedConnectivity`] addresses.  The view's
-    ///   segment is the box of those local indices, `1..=len`.
+    /// * A regular plan gives an [`OverlapView::Frame`]: the owned segment
+    ///   and the frame, line by line.
+    /// * An irregular plan gives an [`OverlapView::Suffix`]: the buffer
+    ///   and the ghost suffix, the two halves of the index space
+    ///   `[local | ghosts]` its [`crate::plan::LocalisedConnectivity`]
+    ///   addresses.
     ///
     /// # Errors
     /// [`RuntimeError::DomainMismatch`] if `local` is not `proc`'s buffer
     /// or its ghosts were not exchanged.
-    pub fn extended<'o>(
-        &self,
-        proc: ProcId,
-        local: &[T],
-        out: &'o mut Vec<T>,
-    ) -> Result<LocalView<&'o [T]>> {
+    pub fn overlap<'a>(&'a self, proc: ProcId, local: &'a [T]) -> Result<OverlapView<'a, T>> {
         let ghosts = self.values.get(proc.0).map_or(&[][..], Vec::as_slice);
         let mismatch = |planned: String| RuntimeError::DomainMismatch {
             left: format!("{} local + {} ghost elements", local.len(), ghosts.len()),
             right: planned,
         };
         let slots = match &self.plan.index {
-            PlanIndex::Ghost { slots, .. } => slots.get(proc.0),
+            PlanIndex::Ghost { slots } => slots.get(proc.0),
             _ => None,
         };
-        let (segment, extended) = match slots {
-            Some(GhostSlots::Frame { segment, extended }) => (segment, extended),
+        match slots {
+            Some(GhostSlots::Frame { segment, extended }) => {
+                if local.len() != segment.size() || local.len() + ghosts.len() != extended.size() {
+                    return Err(mismatch(format!(
+                        "segment {segment} extended to {extended}"
+                    )));
+                }
+                Ok(OverlapView::Frame(FrameView {
+                    segment,
+                    extended,
+                    local,
+                    ghosts,
+                }))
+            }
             Some(GhostSlots::Listed { local: index, .. }) => {
                 let (rows, slots) = (index.rows(), index.ghosts.len());
                 if local.len() != rows || ghosts.len() != slots {
                     return Err(mismatch(format!("{rows} rows + {slots} ghost slots")));
                 }
-                out.clear();
-                out.extend_from_slice(local);
-                out.extend_from_slice(ghosts);
-                return Ok(LocalView::over(IndexDomain::d1(out.len()), out));
+                Ok(OverlapView::Suffix { local, ghosts })
             }
-            None => return Err(mismatch(format!("no overlap area planned for {proc}"))),
-        };
-        if local.len() != segment.size() || local.len() + ghosts.len() != extended.size() {
-            return Err(mismatch(format!(
-                "segment {segment} extended to {extended}"
-            )));
+            None => Err(mismatch(format!("no overlap area planned for {proc}"))),
         }
-        out.clear();
-        out.reserve(extended.size());
-        let owned = segment.dim(0);
-        let below = (owned.lower() - extended.dim(0).lower()) as usize;
-        let above = (extended.dim(0).upper() - owned.upper()) as usize;
-        let (mut local, mut ghosts) = (local, ghosts);
-        let mut take = |from: &mut &[T], n: usize| {
-            let (head, tail) = from.split_at(n);
-            out.extend_from_slice(head);
-            *from = tail;
-        };
-        for_each_line(segment, extended, |_, inside| {
-            if inside {
-                take(&mut ghosts, below);
-                take(&mut local, owned.len());
-                take(&mut ghosts, above);
-            } else {
-                take(&mut ghosts, below + owned.len() + above);
-            }
-        });
-        Ok(LocalView::over(extended.clone(), out))
     }
 
     /// Number of ghost elements held by `proc`.
     pub fn len(&self, proc: ProcId) -> usize {
         self.plan.ghost_len(proc)
+    }
+}
+
+/// One processor's overlap area read in place
+/// ([`GhostRegion::overlap`]).
+#[derive(Debug)]
+pub enum OverlapView<'a, T> {
+    /// A regular plan: the owned segment and its frame, line by line.
+    Frame(FrameView<'a, T>),
+    /// An irregular plan: the local index space `[local | ghosts]`, as its
+    /// two halves.
+    Suffix {
+        /// The processor's buffer: local indices `0..local.len()`.
+        local: &'a [T],
+        /// The ghost suffix: local index `local.len() + s` is slot `s`.
+        ghosts: &'a [T],
+    },
+}
+
+/// The box `extended` — the owned `segment` widened by a regular plan's
+/// overlap area — over the two buffers that hold it: the owned points in
+/// the processor's buffer and the frame `extended \ segment` in its ghost
+/// buffer, both in column-major order.  Nothing is copied:
+/// [`FrameView::lines`] hands out each line's pieces where they lie.
+#[derive(Debug)]
+pub struct FrameView<'a, T> {
+    /// The processor's owned box.
+    pub segment: &'a IndexDomain,
+    /// The owned box plus its overlap area, clipped to the array.
+    pub extended: &'a IndexDomain,
+    local: &'a [T],
+    ghosts: &'a [T],
+}
+
+impl<'a, T> FrameView<'a, T> {
+    /// Every dimension-0 line of the extended box, in column-major order,
+    /// as `(lo, mid, hi)`, which together hold the line's points from
+    /// `extended.dim(0).lower()` up:
+    ///
+    /// * on a line that crosses the segment, `mid` is the owned column
+    ///   in the processor's buffer and `lo` / `hi` are the frame's ends
+    ///   below and above it;
+    /// * on a line of the frame alone, all three are consecutive pieces
+    ///   of the ghost buffer, split at the owned rows' bounds.
+    ///
+    /// Both buffers hold their points in this order, so each line is the
+    /// next pieces of the two, and finding it costs a bounds test per
+    /// dimension above 0.
+    pub fn lines(&self) -> impl Iterator<Item = (&'a [T], &'a [T], &'a [T])> {
+        let (extended, segment) = (self.extended.dims(), self.segment.dims());
+        let (range, owned) = (self.extended.dim(0), self.segment.dim(0));
+        let below = (owned.lower() - range.lower()) as usize;
+        let mut at = [0; MAX_RANK];
+        for (c, range) in at.iter_mut().zip(&extended[1..]) {
+            *c = range.lower();
+        }
+        Lines {
+            higher: (&extended[1..], &segment[1..]),
+            at,
+            count: self.extended.size() / range.len().max(1),
+            widths: (below, owned.len(), range.len() - below - owned.len()),
+            local: self.local,
+            ghosts: self.ghosts,
+        }
+    }
+}
+
+/// The iterator of [`FrameView::lines`]: the local and ghost buffers not
+/// yet handed out, and the coordinates above dimension 0 of the next line.
+struct Lines<'a, T> {
+    /// The extended box's and the segment's ranges above dimension 0.
+    higher: (&'a [DimRange], &'a [DimRange]),
+    at: [i64; MAX_RANK],
+    count: usize,
+    /// `(lo, mid, hi)` lengths of every line.
+    widths: (usize, usize, usize),
+    local: &'a [T],
+    ghosts: &'a [T],
+}
+
+impl<'a, T> Iterator for Lines<'a, T> {
+    type Item = (&'a [T], &'a [T], &'a [T]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.count = self.count.checked_sub(1)?;
+        let (lo, rows, hi) = self.widths;
+        // Whether this line crosses the segment, and the odometer step
+        // to the next line's coordinates.
+        let (mut inside, mut carry) = (true, true);
+        let (extended, segment) = self.higher;
+        for ((range, owned), c) in extended.iter().zip(segment).zip(&mut self.at) {
+            inside &= owned.contains(*c);
+            if carry {
+                carry = *c == range.upper();
+                *c = if carry { range.lower() } else { *c + 1 };
+            }
+        }
+        let take = |from: &mut &'a [T], n: usize| {
+            let (head, tail) = from.split_at(n);
+            *from = tail;
+            head
+        };
+        let lo = take(&mut self.ghosts, lo);
+        let mid = if inside {
+            take(&mut self.local, rows)
+        } else {
+            take(&mut self.ghosts, rows)
+        };
+        Some((lo, mid, take(&mut self.ghosts, hi)))
     }
 }
 
@@ -167,31 +254,6 @@ pub struct GhostReport {
     pub bytes: usize,
     /// Total ghost elements exchanged (sum over processors).
     pub elements: usize,
-}
-
-/// Reads the element at `point` on behalf of `proc`, taking it from the
-/// local buffer if owned and from the exchanged ghost region otherwise —
-/// the per-point form for tests and scalar reads; kernels read
-/// [`GhostRegion::extended`].
-///
-/// # Errors
-/// [`RuntimeError::GhostWidthExceeded`] if the point is neither local nor in
-/// the exchanged overlap area, naming the dimension in which it lies
-/// beyond the overlap area and the width planned there (dimension 0,
-/// width 0 for an irregular plan).
-pub fn get_with_ghosts<T: Element>(
-    array: &DistArray<T>,
-    ghosts: &GhostRegion<T>,
-    proc: ProcId,
-    point: &Point,
-) -> Result<T> {
-    if array.dist().is_local(proc, point) {
-        return array.get(point);
-    }
-    ghosts.get(proc, point).ok_or_else(|| {
-        let (dim, width) = ghosts.plan.ghost_miss(proc, point);
-        RuntimeError::GhostWidthExceeded { dim, width }
-    })
 }
 
 /// The one *prepare* of the overlap exchange, per (array, plan) pair: a
@@ -381,6 +443,39 @@ mod tests {
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::IndexDomain;
     use vf_machine::CostModel;
+
+    /// Reads `point` on behalf of `proc`: from the local buffer if owned,
+    /// from the exchanged overlap area otherwise, or a miss naming the
+    /// first dimension in which the point lies beyond a regular plan's
+    /// extended box and the box's width on that side (`(0, 0)` for an
+    /// irregular plan, which has neither).
+    fn get_with_ghosts<T: Element>(
+        array: &DistArray<T>,
+        ghosts: &GhostRegion<T>,
+        proc: ProcId,
+        point: &Point,
+    ) -> Result<T> {
+        if array.dist().is_local(proc, point) {
+            return array.get(point);
+        }
+        ghosts.get(proc, point).ok_or_else(|| {
+            let local = array.local(proc);
+            let (mut dim, mut width) = (0, 0);
+            if let Ok(OverlapView::Frame(view)) = ghosts.overlap(proc, local) {
+                let sides = view.extended.dims().iter().zip(view.segment.dims());
+                for (d, (range, owned)) in sides.enumerate() {
+                    let c = point.coord(d);
+                    if c < range.lower() || c > range.upper() {
+                        let below = (owned.lower() - range.lower()) as usize;
+                        let above = (range.upper() - owned.upper()) as usize;
+                        (dim, width) = (d, if c < range.lower() { below } else { above });
+                        break;
+                    }
+                }
+            }
+            RuntimeError::GhostWidthExceeded { dim, width }
+        })
+    }
 
     fn array_2d(t: DistType, n: usize, view: ProcessorView) -> DistArray<f64> {
         let dist = Distribution::new(t, IndexDomain::d2(n, n), view).unwrap();

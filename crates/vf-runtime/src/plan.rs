@@ -595,8 +595,8 @@ pub enum PlanKind {
 /// (in [`Distribution::local_linear_runs`] order), and `n_local + s` is
 /// ghost slot `s`, the copy of global offset `ghosts[s]` an exchange
 /// fetches.  Every neighbour reference is such an index, so a sweep over
-/// `[local | ghosts]` ([`crate::ghost::GhostRegion::extended`]) needs no
-/// ownership test, hash or global index.  Indices are `u32`, as in
+/// `[local | ghosts]` (the two halves [`crate::ghost::GhostRegion::overlap`]
+/// hands out) needs no ownership test, hash or global index.  Indices are `u32`, as in
 /// [`Connectivity`], which bounds every one of them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalisedConnectivity {
@@ -708,8 +708,8 @@ fn frame_slot(segment: &IndexDomain, extended: &IndexDomain, point: &Point) -> O
 /// in column-major order: `origin` is the line's first point and `inside`
 /// says whether the line crosses `segment` (its higher coordinates are all
 /// owned), in which case only its two ends belong to the frame.  This is
-/// the order ghost slots are numbered in, so the planner and
-/// [`crate::ghost::GhostRegion::extended`] both walk it.
+/// the order ghost slots are numbered in, and the order
+/// [`crate::ghost::FrameView::lines`] hands the lines out in.
 pub(crate) fn for_each_line(
     segment: &IndexDomain,
     extended: &IndexDomain,
@@ -747,15 +747,12 @@ pub(crate) enum PlanIndex {
         /// The target distribution (used to size the new local buffers).
         new_dist: Distribution,
     },
-    /// Overlap exchange.  A regular plan keeps two boxes per processor
-    /// and the planned widths; only an irregular plan lists its points
-    /// (and its localised connectivity).
+    /// Overlap exchange.  A regular plan keeps two boxes per processor;
+    /// only an irregular plan lists its points (and its localised
+    /// connectivity).
     Ghost {
         /// Per total-processor-id ghost slot index.
         slots: Vec<GhostSlots>,
-        /// The planned `(below, above)` widths per dimension (empty for an
-        /// irregular plan, which has no geometric width).
-        widths: Vec<(usize, usize)>,
     },
     Gather {
         /// Per total-processor-id gather slot index.
@@ -905,7 +902,7 @@ impl CommPlan {
             // alignment-derived targets carry O(N) translation tables, so
             // their real footprint must count against the cache budget.
             PlanIndex::Redistribute { new_dist } => new_dist.estimated_bytes(),
-            PlanIndex::Ghost { slots, .. } => slots
+            PlanIndex::Ghost { slots } => slots
                 .iter()
                 .map(|s| {
                     size_of::<GhostSlots>()
@@ -1022,34 +1019,15 @@ impl CommPlan {
     /// The ghost-buffer slot of `point` on `proc`, if the plan schedules it.
     pub(crate) fn ghost_slot(&self, proc: ProcId, point: &Point) -> Option<usize> {
         match &self.index {
-            PlanIndex::Ghost { slots, .. } => slots.get(proc.0).and_then(|s| s.slot(point)),
+            PlanIndex::Ghost { slots } => slots.get(proc.0).and_then(|s| s.slot(point)),
             _ => None,
         }
-    }
-
-    /// Why `point` is not in `proc`'s overlap area: the first dimension in
-    /// which it lies beyond the extended box, with the width planned on
-    /// that side — `(0, 0)` for an irregular plan, which has neither.
-    pub(crate) fn ghost_miss(&self, proc: ProcId, point: &Point) -> (usize, usize) {
-        if let PlanIndex::Ghost { slots, widths } = &self.index {
-            if let Some(GhostSlots::Frame { extended, .. }) = slots.get(proc.0) {
-                for (d, (range, &(below, above))) in extended.dims().iter().zip(widths).enumerate()
-                {
-                    match point.coords().get(d) {
-                        Some(&c) if c < range.lower() => return (d, below),
-                        Some(&c) if c > range.upper() => return (d, above),
-                        _ => {}
-                    }
-                }
-            }
-        }
-        (0, 0)
     }
 
     /// Number of ghost slots held for `proc`.
     pub(crate) fn ghost_len(&self, proc: ProcId) -> usize {
         match &self.index {
-            PlanIndex::Ghost { slots, .. } => slots.get(proc.0).map_or(0, GhostSlots::len),
+            PlanIndex::Ghost { slots } => slots.get(proc.0).map_or(0, GhostSlots::len),
             _ => 0,
         }
     }
@@ -1059,7 +1037,7 @@ impl CommPlan {
     /// regular plan that owns a box, and every other plan kind, has none.
     pub fn localised(&self, proc: ProcId) -> Option<&LocalisedConnectivity> {
         match &self.index {
-            PlanIndex::Ghost { slots, .. } => match slots.get(proc.0)? {
+            PlanIndex::Ghost { slots } => match slots.get(proc.0)? {
                 GhostSlots::Listed { local, .. } => Some(local),
                 GhostSlots::Frame { .. } => None,
             },
@@ -1641,10 +1619,7 @@ fn plan_ghost_counted(
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.finish(counters)),
-        index: PlanIndex::Ghost {
-            slots,
-            widths: widths.to_vec(),
-        },
+        index: PlanIndex::Ghost { slots },
     })
 }
 
@@ -1783,10 +1758,7 @@ fn plan_ghost_irregular_counted(
         moved_elements: b.moved,
         stayed_elements: b.stayed,
         directory: Mutex::new(resolver.map_or_else(Vec::new, |r| r.finish(counters))),
-        index: PlanIndex::Ghost {
-            slots,
-            widths: Vec::new(),
-        },
+        index: PlanIndex::Ghost { slots },
     })
 }
 

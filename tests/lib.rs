@@ -31,7 +31,8 @@ pub fn dist_2d(dist_type: DistType, n: usize, m: usize, p: usize) -> Distributio
 // ---------------------------------------------------------------------------
 
 use vf_core::vf_runtime::ghost::{
-    exchange_class_ghosts, exchange_class_ghosts_split, GhostRegion, SplitGhostExchange,
+    exchange_class_ghosts, exchange_class_ghosts_split, GhostRegion, OverlapView,
+    SplitGhostExchange,
 };
 use vf_core::vf_runtime::Result;
 
@@ -133,5 +134,42 @@ pub fn assert_regions_equal<A: std::borrow::Borrow<DistArray<f64>>>(
                 );
             }
         }
+    }
+}
+
+/// Reads `point` on behalf of `proc`: the owner's value if `proc` owns it,
+/// the exchanged ghost otherwise, and `None` beyond the overlap area — the
+/// per-point read the halo oracles compare kernels' reads against.
+pub fn get_with_ghosts<T: Element>(
+    array: &DistArray<T>,
+    ghosts: &GhostRegion<T>,
+    proc: ProcId,
+    point: &Point,
+) -> Option<T> {
+    if array.dist().is_local(proc, point) {
+        return array.get(point).ok();
+    }
+    ghosts.get(proc, point)
+}
+
+/// `proc`'s local index space extended by its overlap area, read through
+/// [`GhostRegion::overlap`] into one vector: a regular frame's box in
+/// column-major order, line by line as `lo`, `mid`, `hi`, or an irregular
+/// plan's `[local | ghosts]`.  `local` is `proc`'s buffer.
+pub fn overlap_values<T: Copy>(region: &GhostRegion<T>, proc: ProcId, local: &[T]) -> Vec<T> {
+    match region
+        .overlap(proc, local)
+        .expect("the overlap area was exchanged")
+    {
+        OverlapView::Frame(view) => {
+            let mut values = Vec::with_capacity(view.extended.size());
+            for (lo, mid, hi) in view.lines() {
+                values.extend_from_slice(lo);
+                values.extend_from_slice(mid);
+                values.extend_from_slice(hi);
+            }
+            values
+        }
+        OverlapView::Suffix { local, ghosts } => [local, ghosts].concat(),
     }
 }

@@ -10,18 +10,23 @@ use vf_integration::zero_machine;
 
 #[test]
 fn smoothing_matches_reference_for_many_processor_counts() {
-    let n = 16;
+    // Bitwise, on grids from one point up and on square processor counts
+    // beyond them: N = 4 on 16 processors gives interior segments one row
+    // thick, whose north and south neighbours both come from the frame,
+    // and small grids on many processors leave some segments empty.
     let steps = 4;
-    let initial = workloads::initial_grid(n, 21);
-    let reference = smoothing::sequential_reference(n, steps, &initial);
-    for p in [1usize, 2, 3, 4, 8] {
-        for layout in [SmoothingLayout::Columns, SmoothingLayout::Blocks2D] {
-            let machine = zero_machine(p);
-            let r = smoothing::run(&SmoothingConfig { n, steps, layout }, &machine, &initial);
-            for (a, b) in r.field.iter().zip(reference.iter()) {
-                assert!(
-                    (a - b).abs() < 1e-12,
-                    "{layout:?} with {p} processors diverges"
+    let bits = |field: &[f64]| field.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for n in (1..=10).chain([16]) {
+        let initial = workloads::initial_grid(n, 21);
+        let reference = bits(&smoothing::sequential_reference(n, steps, &initial));
+        for p in [1usize, 2, 3, 4, 6, 8, 9, 16, 25] {
+            for layout in [SmoothingLayout::Columns, SmoothingLayout::Blocks2D] {
+                let machine = zero_machine(p);
+                let r = smoothing::run(&SmoothingConfig { n, steps, layout }, &machine, &initial);
+                assert_eq!(
+                    bits(&r.field),
+                    reference,
+                    "{layout:?} with {p} processors diverges at N = {n}"
                 );
             }
         }

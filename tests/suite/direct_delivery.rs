@@ -14,7 +14,7 @@ use vf_core::prelude::*;
 use vf_core::vf_runtime::assign::assign;
 use vf_core::vf_runtime::ghost::exchange_ghosts;
 use vf_core::vf_runtime::parti::{execute_gather, inspector};
-use vf_integration::{dist_2d, forced_threaded};
+use vf_integration::{dist_2d, forced_threaded, overlap_values};
 use vf_machine::{FaultInjector, FaultKind, FaultPlan};
 
 const P: usize = 4;
@@ -93,14 +93,12 @@ fn locals_bits(scope: &VfScope<f64>) -> Vec<Vec<u64>> {
 /// Every member's local space extended by its exchanged overlap area,
 /// processor by processor, as bits.
 fn ghost_bits(scope: &VfScope<f64>, ghosts: &ClassGhosts<f64>) -> Vec<Vec<u64>> {
-    let mut out = Vec::new();
     let mut views = Vec::new();
     for (name, region) in ghosts {
         let array = scope.array(name).unwrap();
         for p in 0..P {
-            let local = array.local(ProcId(p));
-            region.extended(ProcId(p), local, &mut out).unwrap();
-            views.push(out.iter().map(|v| v.to_bits()).collect());
+            let values = overlap_values(region, ProcId(p), array.local(ProcId(p)));
+            views.push(values.iter().map(|v| v.to_bits()).collect());
         }
     }
     views
@@ -266,12 +264,9 @@ fn ghosts_exchanged(t: &CommTracker, backend: &ExecBackend) -> Produced {
         .ghost_plan(a.dist(), &[(1, 1), (1, 1)])
         .unwrap();
     let (region, _) = exchange_ghosts(&a, &plan, t, backend).unwrap();
-    let mut out = Vec::new();
     let extended = |p: usize| {
-        region
-            .extended(ProcId(p), a.local(ProcId(p)), &mut out)
-            .unwrap();
-        out.iter().map(|v| v.to_bits()).collect()
+        let values = overlap_values(&region, ProcId(p), a.local(ProcId(p)));
+        values.iter().map(|v| v.to_bits()).collect()
     };
     (0..P).map(extended).collect()
 }

@@ -18,7 +18,7 @@ use vf_apps::mesh::{
     MeshSweepConfig,
 };
 use vf_core::prelude::*;
-use vf_integration::{for_each_ambient_backend, zero_machine};
+use vf_integration::{for_each_ambient_backend, get_with_ghosts, zero_machine};
 use vf_runtime::ghost::exchange_ghosts;
 use vf_runtime::parti::{execute_gather, inspector};
 use vf_runtime::plan::plan_ghost;
@@ -375,7 +375,7 @@ proptest! {
                 }
                 let point = Point::d1(v as i64 + 1);
                 prop_assert_eq!(
-                    ghost::get_with_ghosts(&a, &halo, owner, &point).ok(),
+                    get_with_ghosts(&a, &halo, owner, &point),
                     Some((v as i64 + 1) as f64 * 2.0),
                     "{} reading {}", u, v
                 );

@@ -1,14 +1,17 @@
 //! Owner-computes on local views, held to per-element oracles.
 //!
-//! * One table over layouts × overlap widths × processor counts (more
+//! * One table over layouts (one to three dimensions) × overlap widths
+//!   (lopsided ones in both directions) × processor counts (more
 //!   processors than columns included, so some segments are empty): a
 //!   [`LocalView`] indexes like `loc_map`, and every point of every
-//!   processor's extended box reads — through the merged box of
-//!   `GhostRegion::extended` — the value `GhostRegion::get(Point)` and
-//!   the owner's `DistArray::get` give, after an exchange on Serial, the
-//!   pooled backend with cutoff 0 and Sharded.
+//!   processor's extended box reads — in place, through the `(lo, mid,
+//!   hi)` lines of `GhostRegion::overlap`, whose `mid` on a line crossing
+//!   the segment is the owned column of the local buffer itself — the
+//!   value `GhostRegion::get(Point)` and the owner's `DistArray::get`
+//!   give, after an exchange on Serial, the pooled backend with cutoff 0
+//!   and Sharded.
 //! * The irregular overlap area, for `BLOCK` and `INDIRECT` layouts of a
-//!   mesh on up to more processors than nodes: `GhostRegion::extended` is
+//!   mesh on up to more processors than nodes: `GhostRegion::overlap` is
 //!   `[local | ghosts]`, every localised neighbour index resolves through
 //!   the local-to-global runs and the sorted ghost list to the global CSR
 //!   neighbour, every ghost holds its owner's value, the interior and
@@ -30,7 +33,7 @@ use vf_apps::workloads;
 use vf_core::prelude::*;
 use vf_core::vf_dist::AlignExpr;
 use vf_integration::{for_each_ambient_backend, forced_threaded};
-use vf_runtime::ghost::exchange_ghosts;
+use vf_runtime::ghost::{exchange_ghosts, OverlapView};
 use vf_runtime::RuntimeError;
 
 const ROWS: usize = 7;
@@ -61,6 +64,11 @@ fn layouts(p: usize) -> Vec<(&'static str, Distribution)> {
         IndexDomain::d1(ROWS),
         ProcessorView::linear(p),
     );
+    let blocks3d = Distribution::new(
+        DistType::new(vec![DimDist::block(); 3]),
+        IndexDomain::d3(ROWS, COLS, 4),
+        ProcessorView::linear(p),
+    );
     vec![
         ("(:,BLOCK)", d2(DistType::columns())),
         ("(BLOCK,:)", d2(DistType::rows())),
@@ -68,6 +76,7 @@ fn layouts(p: usize) -> Vec<(&'static str, Distribution)> {
         ("(:,GEN_BLOCK)", d2(gen_block)),
         ("(BLOCK)", block1d.unwrap()),
         ("replicated", d2(replicated)),
+        ("(BLOCK,BLOCK,BLOCK)", blocks3d.unwrap()),
     ]
 }
 
@@ -91,16 +100,15 @@ fn widened(segment: &IndexDomain, width: (usize, usize), domain: &IndexDomain) -
 }
 
 fn check_views_and_extended_boxes<E: PlanExecutor>(backend: &str, executor: &E) {
-    for p in [1usize, 2, 3, 4, 6, 9] {
+    for p in [1usize, 2, 3, 4, 6, 8, 9] {
         for (layout, dist) in layouts(p) {
             let a = field(&dist);
-            for width in [(1usize, 1usize), (2, 0), (0, 0)] {
+            for width in [(1usize, 1usize), (2, 0), (0, 2), (0, 0)] {
                 let ctx = format!("{backend} {layout} on {p}, widths {width:?}");
                 let widths = vec![width; dist.domain().rank()];
                 let plan = PlanCache::new().ghost_plan(&dist, &widths).unwrap();
                 let tracker = CommTracker::new(p, CostModel::zero());
                 let (ghosts, _) = exchange_ghosts(&a, &plan, &tracker, executor).unwrap();
-                let mut scratch = Vec::new();
                 for &q in dist.proc_ids() {
                     // The view indexes the local buffer like `loc_map`.
                     let view = LocalView::new(&dist, q, a.local(q)).unwrap();
@@ -110,17 +118,41 @@ fn check_views_and_extended_boxes<E: PlanExecutor>(backend: &str, executor: &E) 
                         assert_eq!(at, dist.loc_map(q, &point).unwrap(), "{ctx}: {point}");
                         assert_eq!(view[at], a.get(&point).unwrap(), "{ctx}: {point}");
                     }
-                    // The extended box is the widened segment, and reads
-                    // what the per-point paths read.
-                    let extended = ghosts.extended(q, a.local(q), &mut scratch).unwrap();
+                    // The overlap view covers the widened segment, and
+                    // every point of it reads, in place, what the
+                    // per-point paths read.
+                    let Ok(OverlapView::Frame(frame)) = ghosts.overlap(q, a.local(q)) else {
+                        panic!("{ctx}: {q} has no frame");
+                    };
                     let expected = widened(view.segment(), width, dist.domain());
-                    assert_eq!(extended.segment(), &expected, "{ctx}: box of {q}");
-                    assert_eq!(extended.len(), view.len() + ghosts.len(q), "{ctx}: {q}");
-                    for point in expected.iter() {
-                        let read = extended[expected.linearize(&point).unwrap()];
-                        assert_eq!(read, a.get(&point).unwrap(), "{ctx}: {q} reads {point}");
-                        if !dist.is_local(q, &point) {
-                            assert_eq!(ghosts.get(q, &point), Some(read), "{ctx}: {q}, {point}");
+                    assert_eq!(frame.segment, view.segment(), "{ctx}: segment of {q}");
+                    assert_eq!(frame.extended, &expected, "{ctx}: box of {q}");
+                    assert_eq!(expected.size(), view.len() + ghosts.len(q), "{ctx}: {q}");
+                    // Lines come in column-major order: one per point of
+                    // the box's first row.
+                    let first_row = expected.dims().first().map(|d| d.lower());
+                    let starts: Vec<Point> = expected
+                        .iter()
+                        .filter(|pt| Some(pt.coord(0)) == first_row)
+                        .collect();
+                    assert_eq!(frame.lines().count(), starts.len(), "{ctx}: lines of {q}");
+                    for (start, (lo, mid, hi)) in starts.into_iter().zip(frame.lines()) {
+                        let ctx = format!("{ctx}: {q}, line at {start}");
+                        assert_eq!(lo.len() + mid.len() + hi.len(), expected.extent(0), "{ctx}");
+                        assert_eq!(mid.len(), view.segment().extent(0), "{ctx}");
+                        // A line crossing the segment is the owned column
+                        // itself, not a copy of it.
+                        let owned_column = start.with_coord(0, view.segment().dim(0).lower());
+                        if view.segment().contains(&owned_column) {
+                            let at = view.segment().linearize(&owned_column).unwrap();
+                            assert!(std::ptr::eq(mid, &a.local(q)[at..][..mid.len()]), "{ctx}");
+                        }
+                        for (k, &read) in lo.iter().chain(mid).chain(hi).enumerate() {
+                            let point = start.with_coord(0, start.coord(0) + k as i64);
+                            assert_eq!(read, a.get(&point).unwrap(), "{ctx}: reads {point}");
+                            if !dist.is_local(q, &point) {
+                                assert_eq!(ghosts.get(q, &point), Some(read), "{ctx}: {point}");
+                            }
                         }
                     }
                     // Nothing outside the box is a ghost.
@@ -187,7 +219,6 @@ fn check_irregular_overlap_areas<E: PlanExecutor>(backend: &str, executor: &E) {
             let plan = PlanCache::new().ghost_irregular_plan(&dist, &conn).unwrap();
             let tracker = CommTracker::new(p, CostModel::zero());
             let (ghosts, _) = exchange_ghosts(&a, &plan, &tracker, executor).unwrap();
-            let mut scratch = Vec::new();
             for &q in dist.proc_ids() {
                 let local = a.local(q);
                 let n_local = local.len();
@@ -206,17 +237,23 @@ fn check_irregular_overlap_areas<E: PlanExecutor>(backend: &str, executor: &E) {
                         global_of[run.local_start + k] = run.global_start + k;
                     }
                 }
-                // `extended` is the buffer followed by the ghost suffix.
-                let extended = ghosts.extended(q, local, &mut scratch).unwrap();
-                let len = n_local + csr.ghosts.len();
-                assert_eq!(extended.segment(), &IndexDomain::d1(len), "{ctx}: {q}");
-                assert_eq!(&extended[..n_local], local, "{ctx}: {q}");
+                // The overlap view is the buffer itself and the ghost
+                // suffix.
+                let Ok(OverlapView::Suffix {
+                    local: own,
+                    ghosts: suffix,
+                }) = ghosts.overlap(q, local)
+                else {
+                    panic!("{ctx}: {q} has no ghost suffix");
+                };
+                assert!(std::ptr::eq(own, local), "{ctx}: {q}");
+                assert_eq!(suffix.len(), csr.ghosts.len(), "{ctx}: {q}");
                 assert!(csr.ghosts.windows(2).all(|w| w[0] < w[1]), "{ctx}: {q}");
                 for (s, &g) in csr.ghosts.iter().enumerate() {
                     let point = Point::d1(g as i64 + 1);
                     assert!(!dist.is_local(q, &point), "{ctx}: {q} ghosts its own {g}");
                     let value = a.get(&point).unwrap();
-                    assert_eq!(extended[n_local + s], value, "{ctx}: {q} ghost {g}");
+                    assert_eq!(suffix[s], value, "{ctx}: {q} ghost {g}");
                     assert_eq!(ghosts.get(q, &point), Some(value), "{ctx}: {q} ghost {g}");
                 }
                 // Every localised neighbour is the global one.

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use vf_core::prelude::*;
-use vf_integration::dist_1d;
+use vf_integration::{dist_1d, get_with_ghosts};
 use vf_runtime::ghost::exchange_ghosts;
 
 /// Strategy for an arbitrary 1-D distribution type valid for `n` elements on
@@ -107,7 +107,7 @@ proptest! {
                     if !dist.domain().contains(&nb) {
                         continue;
                     }
-                    let v = vf_runtime::ghost::get_with_ghosts(&a, &ghosts, proc, &nb).unwrap();
+                    let v = get_with_ghosts(&a, &ghosts, proc, &nb).unwrap();
                     prop_assert_eq!(v, a.get(&nb).unwrap());
                 }
             }
